@@ -1091,8 +1091,9 @@ let micro () =
 
 (* ------------------------------------------------------------------ *)
 (* SERVE: the live socket-backed service under closed-loop load,
-   durable (per-commit fsync) against buffered (atomic replace only) —
-   the price of the paper's stable-storage requirement on this disk.   *)
+   durable (one shard-log fsync per commit batch) against buffered (no
+   fsync) — the price of the paper's stable-storage requirement on this
+   disk. *)
 
 module Live = Dynvote_live.Cluster
 module Loadgen = Dynvote_live.Loadgen
@@ -1209,8 +1210,8 @@ let serve () =
     "Live service: 4 sites on loopback sockets, 30% writes.  Baseline is \
      the\nsequential coordinator (pipeline 1, thread-per-client); pipelined \
      funnels a\nmux client herd at one coordinator (pipeline 8, anchor reuse \
-     64).  Durable\npays two fsyncs per commit per site; buffered keeps the \
-     atomic replace but\ntrusts the page cache.";
+     64).  Durable\npays one shard-log fsync per commit batch per site; \
+     buffered skips it and\ntrusts the page cache.";
   let runs =
     List.map
       (fun (name, durable, shape) ->
@@ -1596,11 +1597,11 @@ let crash_serve_run ?(duration = 1.5) ~fenced () =
     Live.create ~config ~obs:(Hub.create ()) ~vfs_of
       ~universe:(Site_set.universe 4) ~dir ()
   in
-  (* Site 0's very next data write fails: the first commit that touches
-     it fences it for the whole run. *)
+  (* Site 0's very next shard-log write fails: the first commit that
+     touches it fences it for the whole run. *)
   if fenced then
     Faultfs.arm_next ff
-      { Storage.fault = Storage.Eio; file = Storage.Data;
+      { Storage.fault = Storage.Eio; file = Storage.Shard;
         op = Storage.Write; nth = 1 };
   let result =
     Loadgen.run cluster
@@ -1631,7 +1632,7 @@ let crash_bench () =
     List.filter
       (fun p ->
         List.mem (Crash_matrix.point_name p)
-          [ "ensemble.rename"; "data.fsync"; "oplog.write" ])
+          [ "shard.fsync"; "rids.rename"; "oplog.write" ])
       Crash_matrix.points
   in
   let faults = [ Storage.Eio; Storage.Fsync_lie; Storage.Crash ] in

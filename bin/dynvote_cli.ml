@@ -633,8 +633,8 @@ let live_policy =
 
 let live_buffered =
   let doc =
-    "Skip the per-commit fsyncs (atomic replace only).  Faster, but a power cut \
-     can lose the stable record the paper's protocol depends on."
+    "Skip the per-batch shard-log fsync (and the rid sidecar's).  Faster, but a \
+     power cut can lose the stable record the paper's protocol depends on."
   in
   Arg.(value & flag & info [ "buffered" ] ~doc)
 
@@ -656,11 +656,12 @@ let live_max_reuse =
 
 let live_shards =
   let doc =
-    "Turn on the sharded object space: every key is an independently-voted \
+    "Shard the object space: every key is an independently-voted \
      (o, v, P) object, persisted across $(docv) per-site append logs and \
      coordinated by group-quorum rounds that cover every key of a scheduler \
-     burst in one wire exchange.  0 (the default) is the classic \
-     single-object engine."
+     burst in one wire exchange.  0 (the default) runs the same engine over \
+     one voted object holding the whole key-value map — the paper's single \
+     file, and the only mode with RECOVER."
   in
   Arg.(value & opt int 0 & info [ "shards" ] ~docv:"N" ~doc)
 
@@ -754,11 +755,11 @@ let pp_reply ppf (r : Live.reply) =
   | Dynvote_live.Wire.Aborted -> Fmt.pf ppf "aborted (%s)" r.Live.info
   | Dynvote_live.Wire.Degraded -> Fmt.pf ppf "degraded (%s)" r.Live.info
 
-(* "SITE:FAULT[@nth][:file]", e.g. "0:fsync-lie:data" — the part after
+(* "SITE:FAULT[@nth][:file]", e.g. "0:fsync-lie:shard" — the part after
    the first colon is a Fault_plan.Storage trigger spec. *)
 let parse_fault_spec text =
   match String.index_opt text ':' with
-  | None -> Error "expected SITE:FAULT[@nth][:file], e.g. 0:fsync-lie:data"
+  | None -> Error "expected SITE:FAULT[@nth][:file], e.g. 0:fsync-lie:shard"
   | Some i -> (
       match int_of_string_opt (String.sub text 0 i) with
       | None -> Error (Printf.sprintf "bad site %S" (String.sub text 0 i))
@@ -892,9 +893,9 @@ let serve_cmd =
   let fault_arg =
     let doc =
       "Arm a storage-fault trigger at boot: SITE:FAULT[@nth][:file], e.g. \
-       0:fsync-lie:data or 2:eio\\@2:oplog.  Repeatable.  Faults are eio, \
+       0:fsync-lie:shard or 2:eio\\@2:oplog.  Repeatable.  Faults are eio, \
        enospc, short-write, fsync-fail, fsync-lie, rename-loss, read-eio, \
-       crash; files are ensemble, data, oplog.  The console's fault command \
+       crash; files are shard, rids, oplog.  The console's fault command \
        arms more at runtime."
     in
     Arg.(value & opt_all string [] & info [ "fault" ] ~docv:"SPEC" ~doc)
@@ -1203,7 +1204,7 @@ let crashmat_cmd =
   in
   let points_arg =
     let doc =
-      "Comma-separated persist points (e.g. data.fsync,oplog.write); default \
+      "Comma-separated persist points (e.g. shard.fsync,oplog.write); default \
        depends on --full."
     in
     Arg.(value & opt (some string) None & info [ "points" ] ~docv:"LIST" ~doc)
@@ -1247,14 +1248,14 @@ let crashmat_cmd =
       | None ->
           if soak then all_points
           else
-            (* One point per file: the slice still exercises the replace
-               discipline of both blobs, the append path, and the keyed
-               store's compaction rewrite. *)
+            (* One point per file: the slice still exercises the shard
+               log's batch fsync, the rid sidecar's replace discipline,
+               the oplog append, and the store's compaction rewrite. *)
             List.filter
               (fun p ->
                 List.mem (Crash_matrix.point_name p)
-                  [ "ensemble.rename"; "data.fsync"; "oplog.write";
-                    "shard.rename" ])
+                  [ "shard.fsync"; "rids.rename"; "oplog.write";
+                    "compaction.rename" ])
               all_points
     in
     let faults =

@@ -73,10 +73,11 @@ module Storage : sig
     | Read_eio  (** read fails (surfaces as [Sys_error]) *)
     | Crash  (** the process dies at this exact operation *)
 
-  type file_class = Ensemble | Data | Oplog | Shard | Any_file
-  (** [Shard]: the sharded object space's per-key logs
-      ([shard-<i>.dvl], their temp files, and the [rids.dvr]
-      sidecar). *)
+  type file_class = Oplog | Shard | Rids | Any_file
+  (** [Shard]: the per-key shard logs ([shard-<i>.dvl] and their
+      compaction temp files); [Rids]: the applied-request sidecar
+      ([rids.dvr], replaced atomically when a data fetch imports
+      another site's table). *)
 
   type op = Create | Write | Fsync | Rename | Fsync_dir | Read
 
@@ -99,7 +100,7 @@ module Storage : sig
   (** A trigger at the fault's {!default_op}. *)
 
   val trigger_of_string : string -> (trigger, string) result
-  (** Parse ["<fault>[@nth][:file]"] — e.g. ["fsync-fail@2:data"],
+  (** Parse ["<fault>[@nth][:file]"] — e.g. ["fsync-fail@2:shard"],
       ["eio:oplog"], ["crash"].  The operation is the fault's default. *)
 
   val pp_trigger : Format.formatter -> trigger -> unit

@@ -98,21 +98,7 @@ let write_file_atomic ?(vfs = Vfs.real) ?(fsync = true) ~path data =
   vfs.Vfs.rename ~src:tmp ~dst:path;
   if fsync then vfs.Vfs.fsync_dir (Filename.dirname path)
 
-let read_file ?(vfs = Vfs.real) ~path () = vfs.Vfs.read path
-
-let read_file_result ?vfs ~path () =
-  match read_file ?vfs ~path () with
+let read_file_result ?(vfs = Vfs.real) ~path () =
+  match vfs.Vfs.read path with
   | data -> Ok data
-  | exception Sys_error reason -> Error reason
-
-(* Persist / restore through plain files. *)
-let save_replica ?vfs ~path replica =
-  write_file_atomic ?vfs ~path (encode_replica replica)
-
-let load_replica ?vfs ~path () = decode_replica (read_file ?vfs ~path ())
-
-let load_result ?vfs ~path () =
-  match load_replica ?vfs ~path () with
-  | replica -> Ok replica
-  | exception Corrupt reason -> Error reason
   | exception Sys_error reason -> Error reason

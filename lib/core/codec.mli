@@ -20,33 +20,23 @@ val decode_result : string -> (Replica.t, string) result
     reason.  Truncated, bit-flipped and zero-length records all return
     [Error]. *)
 
-val save_replica : ?vfs:Vfs.t -> path:string -> Replica.t -> unit
-(** Durable atomic persistence: the record is written to [path ^ ".tmp"],
-    fsynced, renamed over [path], and the parent directory is fsynced so
-    the rename itself survives power loss.  After a crash at any point a
-    reader finds either the complete previous record or the complete new
-    one — never a torn or empty file.  (On filesystems that refuse
-    directory fsync the rename is as durable as the platform allows.) *)
-
-val load_replica : ?vfs:Vfs.t -> path:string -> unit -> Replica.t
-(** @raise Corrupt as {!decode_replica}; [Sys_error] if unreadable. *)
-
-val load_result : ?vfs:Vfs.t -> path:string -> unit -> (Replica.t, string) result
-(** Total {!load_replica}: corruption and I/O failures both come back as
-    [Error] — the crash-recovery path must never die on a torn record. *)
-
 (** {2 Stable-storage building blocks}
 
-    The same write-then-rename-with-fsync discipline and checksum, exposed
-    for other on-disk records (the live service's data blobs and operation
-    logs) so every persistent artifact shares one durability story. *)
+    The write-then-rename-with-fsync discipline (the live service's rid
+    sidecar and shard-log compactions use it) and the checksum its logs
+    frame records with, so every persistent artifact shares one
+    durability story. *)
 
 val write_file_atomic : ?vfs:Vfs.t -> ?fsync:bool -> path:string -> string -> unit
-(** Durable atomic replace of [path] with the given bytes, with the same
-    crash guarantee as {!save_replica}.  [~fsync:false] keeps the
-    write-then-rename atomicity (a reader never sees a torn file) but
-    skips both fsyncs, trading the power-loss guarantee for speed —
-    throughput experiments only.  Default [true].  [?vfs] (default
+(** Durable atomic replace: the bytes are written to [path ^ ".tmp"],
+    fsynced, renamed over [path], and the parent directory is fsynced so
+    the rename itself survives power loss.  After a crash at any point a
+    reader finds either the complete previous content or the complete
+    new one — never a torn or empty file.  (On filesystems that refuse
+    directory fsync the rename is as durable as the platform allows.)
+    [~fsync:false] keeps the write-then-rename atomicity (a reader never
+    sees a torn file) but skips both fsyncs, trading the power-loss
+    guarantee for speed — throughput experiments only.  Default [true].  [?vfs] (default
     {!Vfs.real}) is the storage seam every byte flows through — the
     fault-injection layer substitutes its own. *)
 

@@ -89,10 +89,8 @@ let classify path =
     | None -> base
   in
   match base with
-  | "ensemble.dvt" -> Storage.Ensemble
-  | "data.dvl" -> Storage.Data
   | "oplog.dvl" -> Storage.Oplog
-  | "rids.dvr" -> Storage.Shard
+  | "rids.dvr" -> Storage.Rids
   | _ ->
       let is_shard_log =
         String.length base > 6
@@ -311,7 +309,11 @@ let simulate_crash t =
                past the real end.) *)
             let d = Option.value ~default:"" entry.durable in
             let suffix_len = max 0 (String.length real - String.length d) in
-            let keep = Splitmix64.next_int t.rng (suffix_len + 1) in
+            (* A fully synced file draws nothing, so the cuts of the files
+               that do have a suffix do not depend on which others exist. *)
+            let keep =
+              if suffix_len = 0 then 0 else Splitmix64.next_int t.rng (suffix_len + 1)
+            in
             let after =
               String.sub real 0 (min (String.length real) (String.length d + keep))
             in

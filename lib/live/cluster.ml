@@ -57,7 +57,8 @@ let create ?(flavor = Decision.ldv_flavor) ?(segment_of = fun s -> s)
      ids must not be recycled either — the persisted dedup tables are
      keyed by them, so a fresh client under a reused id would see its
      first writes acknowledged as duplicates of the previous
-     incarnation's. *)
+     incarnation's.  The oplogs are one source of seen ids; the booted
+     nodes' tables (below) are the other. *)
   let seq0, client0 =
     Site_set.fold
       (fun site (seq, client) ->
@@ -67,31 +68,18 @@ let create ?(flavor = Decision.ldv_flavor) ?(segment_of = fun s -> s)
             (fun (seq, client) r ->
               let rid =
                 match r with
-                | Persist.Log_commit { rid; _ }
-                | Persist.Log_outcome { rid; _ }
-                | Persist.Log_kcommit { rid; _ }
-                | Persist.Log_koutcome { rid; _ } ->
+                | Persist.Log_kcommit { rid; _ } | Persist.Log_koutcome { rid; _ } ->
                     rid
-                | Persist.Log_intent _ | Persist.Log_kintent _ -> 0
+                | Persist.Log_kintent _ -> 0
               in
               (max seq (Persist.seq_of r), max client (rid lsr 32)))
             (seq, client) records
-        in
-        let client =
-          match
-            Persist.load_data_result ~path:(Persist.data_path ~dir site) ()
-          with
-          | Ok (_, _, rids) ->
-              List.fold_left (fun acc (c, _) -> max acc c) client rids
-          | Error _ -> client
         in
         (seq, client))
       universe
       (0, Wire.first_client_id - 1)
   in
-  let sw =
-    Switchboard.create ~obs ~first_client:(client0 + 1) ~universe ~segment_of ()
-  in
+  let sw = Switchboard.create ~obs ~universe ~segment_of () in
   let seq = ref seq0 in
   let seq_mutex = Mutex.create () in
   let next_seq () =
@@ -117,18 +105,21 @@ let create ?(flavor = Decision.ldv_flavor) ?(segment_of = fun s -> s)
       next_seq;
     }
   in
+  (* A site with a shards directory restarts from it; one without is new
+     and starts from the paper's initial state. *)
   Site_set.iter
     (fun site ->
-      ignore (Persist.ensure_site_dir ~dir site : string);
-      let epath = Persist.ensemble_path ~dir site in
-      let existed = Sys.file_exists epath in
-      if not existed then begin
-        (* The paper's initial state: every copy current, one partition. *)
-        Codec.save_replica ~path:epath (Replica.initial universe);
-        Persist.save_data ~path:(Persist.data_path ~dir site) ~version:1 []
-      end;
+      let existed = Sys.file_exists (Shard_store.shards_dir ~dir ~site) in
+      if not existed then Node.seed ~dir ~site ~universe ~config;
       spawn t site ~was_restarted:existed)
     universe;
+  (* The oplogs are never fsynced but the shard logs are: after a power
+     cut of the whole cluster a client's id may survive only in the
+     applied-request tables the nodes just recovered. *)
+  let seen =
+    Hashtbl.fold (fun _ node acc -> max acc (Node.max_client node)) t.nodes client0
+  in
+  Switchboard.reserve_clients sw ~upto:seen;
   t
 
 (* --- fault injection ------------------------------------------------ *)
@@ -278,13 +269,12 @@ type audit = {
   kviolations : (string * Oracle.violation) list;
 }
 
-(* Exactly-once accounting over the merged logs, both engines at once:
-   the request-id space is global (client lsl 32 lor req), so one table
-   serves.  A request id is double-applied when the history shows it
-   committing under two distinct logical commits — distinct op numbers
-   for the single-object engine, distinct (key, op_no) pairs for the
-   sharded one (the same logical commit fanning out to many sites shares
-   its identity, so that is not a duplicate) — or when two granted write
+(* Exactly-once accounting over the merged logs: the request-id space
+   is global (client lsl 32 lor req), so one table serves every object.
+   A request id is double-applied when the history shows it committing
+   under two distinct logical commits — distinct (object, op_no) pairs
+   (the same logical commit fanning out to many sites shares its
+   identity, so that is not a duplicate) — or when two granted write
    outcomes both claim to have installed content for it. *)
 let count_dup_applies tagged =
   let commit_ops = Hashtbl.create 16 in
@@ -300,11 +290,8 @@ let count_dup_applies tagged =
   List.iter
     (fun (_site, record) ->
       match record with
-      | Persist.Log_commit { op_no; rid; _ } when rid <> 0 ->
-          note_commit rid (None, op_no)
       | Persist.Log_kcommit { key; op_no; rid; _ } when rid <> 0 ->
-          note_commit rid (Some key, op_no)
-      | Persist.Log_outcome { kind = `Write; granted = true; content = Some _; rid; _ }
+          note_commit rid (key, op_no)
       | Persist.Log_koutcome
           { kind = `Write; granted = true; content = Some _; rid; _ }
         when rid <> 0 ->
@@ -336,72 +323,37 @@ let check_dir ~universe ~dir =
       (fun (_, a) (_, b) -> compare (Persist.seq_of a) (Persist.seq_of b))
       !tagged
   in
-  let events =
-    List.filter_map
-      (fun (site, record) ->
-        match record with
-        | Persist.Log_commit { op_no; version; partition; _ } ->
-            Some
-              (Oracle.Replay_commit
-                 { site; replica = Replica.make ~op_no ~version ~partition })
-        | Persist.Log_intent { content; _ } -> Some (Oracle.Replay_intent { content })
-        | Persist.Log_outcome { kind = `Write; granted; content = Some content; _ } ->
-            Some (Oracle.Replay_write { granted; content })
-        | Persist.Log_outcome { kind = `Write; content = None; _ }
-        | Persist.Log_outcome { kind = `Recover; _ } ->
-            None
-        | Persist.Log_outcome { kind = `Read; granted; content; _ } ->
-            Some (Oracle.Replay_read { at = site; granted; content })
-        | Persist.Log_kcommit _ | Persist.Log_kintent _ | Persist.Log_koutcome _
-          ->
-            (* keyed records replay through their per-key oracles below *)
-            None)
-      ordered
-  in
-  (* Final on-disk stores feed the content-fork scan; an unreadable blob
-     belongs to a mid-replace kill and is simply absent. *)
-  let final =
-    Site_set.fold
-      (fun site acc ->
-        match Persist.load_data_result ~path:(Persist.data_path ~dir site) () with
-        | Ok (version, entries, _) ->
-            (site, version, Persist.encode_entries entries) :: acc
-        | Error _ -> acc)
-      universe []
-  in
-  let oracle =
-    Oracle.replay ~initial_content:(Persist.encode_entries []) ~final events
-  in
-  (* The sharded object space: every key is its own register, so every
-     key gets its own oracle — its commits, intents and outcomes in
-     global stamp order, its final per-site states from the shard logs.
-     A run that never touched the sharded engine audits zero keys. *)
-  let kevents = Hashtbl.create 64 in
-  let korder = ref [] in
-  let kadd key ev =
-    match Hashtbl.find_opt kevents key with
-    | Some evs -> Hashtbl.replace kevents key (ev :: evs)
+  (* Every object is its own register, so every object gets its own
+     oracle — its commits, intents and outcomes in global stamp order,
+     its final per-site (data_version, content) states read offline from
+     the shard logs.  The one object of [--shards 0] is the paper's
+     file: it feeds [oracle], the others feed [kviolations]. *)
+  let events = Hashtbl.create 64 in
+  let order = ref [] in
+  let add key ev =
+    match Hashtbl.find_opt events key with
+    | Some evs -> Hashtbl.replace events key (ev :: evs)
     | None ->
-        korder := key :: !korder;
-        Hashtbl.replace kevents key [ ev ]
+        order := key :: !order;
+        Hashtbl.replace events key [ ev ]
   in
   List.iter
     (fun (site, record) ->
       match record with
       | Persist.Log_kcommit { key; op_no; version; partition; _ } ->
-          kadd key
+          add key
             (Oracle.Replay_commit
                { site; replica = Replica.make ~op_no ~version ~partition })
       | Persist.Log_kintent { key; content; _ } ->
-          kadd key (Oracle.Replay_intent { content })
+          add key (Oracle.Replay_intent { content })
       | Persist.Log_koutcome
           { key; kind = `Write; granted; content = Some content; _ } ->
-          kadd key (Oracle.Replay_write { granted; content })
+          add key (Oracle.Replay_write { granted; content })
       | Persist.Log_koutcome { key; kind = `Read; granted; content; _ } ->
-          kadd key (Oracle.Replay_read { at = site; granted; content })
-      | _ -> ())
+          add key (Oracle.Replay_read { at = site; granted; content })
+      | Persist.Log_koutcome _ -> ())
     ordered;
-  let kfinal = Hashtbl.create 64 in
+  let finals = Hashtbl.create 64 in
   Site_set.iter
     (fun site ->
       List.iter
@@ -409,42 +361,42 @@ let check_dir ~universe ~dir =
           let entry =
             ( site,
               st.Shard_store.data_version,
-              Node.encode_kvalue st.Shard_store.value )
+              Node.content ~key st.Shard_store.value )
           in
-          match Hashtbl.find_opt kfinal key with
-          | Some fs -> Hashtbl.replace kfinal key (entry :: fs)
+          match Hashtbl.find_opt finals key with
+          | Some fs -> Hashtbl.replace finals key (entry :: fs)
           | None ->
-              if not (Hashtbl.mem kevents key) then korder := key :: !korder;
-              Hashtbl.replace kfinal key [ entry ])
+              if not (Hashtbl.mem events key) then order := key :: !order;
+              Hashtbl.replace finals key [ entry ])
         (Shard_store.read_states ~dir ~site))
     universe;
-  let kviolations =
-    List.concat_map
-      (fun key ->
-        let events =
-          List.rev (Option.value ~default:[] (Hashtbl.find_opt kevents key))
-        in
-        let final = Option.value ~default:[] (Hashtbl.find_opt kfinal key) in
-        let o = Oracle.replay ~initial_content:"" ~final events in
-        List.map (fun v -> (key, v)) (Oracle.violations o))
-      (List.rev !korder)
+  let replay key =
+    Oracle.replay
+      ~initial_content:(Node.content ~key None)
+      ~final:(Option.value ~default:[] (Hashtbl.find_opt finals key))
+      (List.rev (Option.value ~default:[] (Hashtbl.find_opt events key)))
   in
+  let keys = List.filter (fun key -> key <> Node.map_key) (List.rev !order) in
   {
-    oracle;
+    oracle = replay Node.map_key;
     torn = !torn;
     corrupt = !corrupt;
     dup_applies = count_dup_applies ordered;
     records = List.length ordered;
-    keys = List.length !korder;
-    kviolations;
+    keys = List.length keys;
+    kviolations =
+      List.concat_map
+        (fun key -> List.map (fun v -> (key, v)) (Oracle.violations (replay key)))
+        keys;
   }
 
 (* COMMIT waves are fire-and-forget, so a client can hold a granted
    reply while the last participants are still applying.  Pinging each
-   up site with a Data_request and waiting for its reply drains the
-   race: per-connection FIFO means every commit the broker routed
-   before our ping is applied — and persisted, synchronously — before
-   the node answers us. *)
+   up site with an empty state request and waiting for its answer
+   drains the race: per-connection FIFO means every commit the broker
+   routed before our ping is applied — and persisted, synchronously —
+   before the node answers us (a reply, or an abstention from a fenced
+   or amnesiac site). *)
 let quiesce t =
   match client t with
   | exception _ -> ()
@@ -453,7 +405,11 @@ let quiesce t =
         (fun site ->
           match
             Wire.send c.conn
-              { Wire.src = c.id; dst = site; payload = Wire.Data_request { round = 0 } }
+              {
+                Wire.src = c.id;
+                dst = site;
+                payload = Wire.KState_request { round = 0; keys = [] };
+              }
           with
           | exception Unix.Unix_error _ -> ()
           | () ->
@@ -461,7 +417,8 @@ let quiesce t =
               let deadline = clock () +. 1.0 in
               let rec wait () =
                 match Wire.recv ~clock ~deadline c.conn with
-                | Ok { Wire.payload = Wire.Data_reply _; src; _ } when src = site ->
+                | Ok { Wire.payload = Wire.KState_reply _ | Wire.Abstain _; src; _ }
+                  when src = site ->
                     ()
                 | Ok _ -> wait ()
                 | Error _ -> ()

@@ -20,30 +20,34 @@ module Hub = Dynvote_obs.Hub
 module Clock = Dynvote_obs.Clock
 module Shard_store = Dynvote_shard.Shard_store
 
-type point = { p_file : Storage.file_class; p_op : Storage.op }
+type point = { p_file : Storage.file_class; p_op : Storage.op; p_compaction : bool }
 
-(* Every stable-storage operation a commit performs: the atomic replace
-   of the ensemble and of the data blob (write, fsync, rename, directory
-   fsync — Codec.write_file_atomic's four steps) and the oplog append.
-   Creates are excluded: a failed open of the temp file is
-   indistinguishable from a failed first write, and reads only happen at
-   boot (where every fault class already lands via the restart leg). *)
+(* Every stable-storage operation the commit path performs: the
+   shard-log append and its batch fsync, the atomic replace of the rid
+   sidecar that a data fetch makes (write, fsync, rename, directory
+   fsync — Codec.write_file_atomic's four steps), and the oplog append.
+   Creates are excluded: a failed open is indistinguishable from a
+   failed first write, and reads only happen at boot (where every fault
+   class already lands via the restart leg). *)
 let replace_ops = [ Storage.Write; Storage.Fsync; Storage.Rename; Storage.Fsync_dir ]
 
-let points =
-  let replace file = List.map (fun op -> { p_file = file; p_op = op }) replace_ops in
-  replace Storage.Ensemble
-  @ replace Storage.Data
-  @ [ { p_file = Storage.Oplog; p_op = Storage.Write } ]
+let point ?(compaction = false) file op =
+  { p_file = file; p_op = op; p_compaction = compaction }
 
-(* The keyed store's compaction rewrite is a persist point too — one the
+let points =
+  List.map (point Storage.Shard) [ Storage.Write; Storage.Fsync ]
+  @ List.map (point Storage.Rids) replace_ops
+  @ [ point Storage.Oplog Storage.Write ]
+
+(* The store's compaction rewrite is a persist point too — one the
    cluster cells above never reach, because it fires at a record-count
    threshold of the store's own choosing. *)
-let compaction_points =
-  List.map (fun op -> { p_file = Storage.Shard; p_op = op }) replace_ops
+let compaction_points = List.map (point ~compaction:true Storage.Shard) replace_ops
 
 let point_name p =
-  Printf.sprintf "%s.%s" (Storage.file_name p.p_file) (Storage.op_name p.p_op)
+  Printf.sprintf "%s.%s"
+    (if p.p_compaction then "compaction" else Storage.file_name p.p_file)
+    (Storage.op_name p.p_op)
 
 type outcome =
   | Recovered  (** the victim serves writes again after restart + RECOVER *)
@@ -105,8 +109,15 @@ let run_cell ~dir ~seed point fault =
   in
   let client = Cluster.client cluster in
   (* A healthy baseline write, so every site holds post-initial data and
-     the armed trigger cannot land on setup traffic. *)
+     the armed trigger cannot land on setup traffic.  A rid-sidecar cell
+     keeps the victim out of it: only a stale coordinator fetches, and
+     only a fetch replaces the sidecar. *)
+  let stale = point.p_file = Storage.Rids in
+  if stale then
+    Cluster.partition cluster
+      [ Site_set.singleton victim; Site_set.remove victim universe ];
   ignore (Cluster.put client ~at:1 ~key:"base" ~value:"baseline" : Cluster.reply);
+  if stale then Cluster.heal cluster;
   Faultfs.arm_next ff { Storage.fault; file = point.p_file; op = point.p_op; nth = 1 };
   (* The struck write: coordinated at the victim so its own persist path
      runs through every point; retries hop to healthy sites under the
@@ -258,10 +269,10 @@ let run ?jobs ?(seed = 1) ?(faults = Storage.all_faults)
     ?(points = points) ~dir () =
   let cells =
     List.concat_map (fun p -> List.map (fun f -> (p, f)) faults) points
-    (* Shard cells grade only their meaningful fault classes (see
+    (* Compaction cells grade only their meaningful fault classes (see
        [compaction_faults]); dropped combinations render as '-'. *)
     |> List.filter (fun (p, f) ->
-           p.p_file <> Storage.Shard || List.mem f compaction_faults)
+           (not p.p_compaction) || List.mem f compaction_faults)
   in
   (* Per-cell seeds differ so torn-tail cuts are not correlated across
      cells; they stay a pure function of (seed, point, fault) position. *)
@@ -270,7 +281,7 @@ let run ?jobs ?(seed = 1) ?(faults = Storage.all_faults)
       Pool.map_list pool
         (fun (i, (p, f)) ->
           let seed = seed + (997 * i) in
-          if p.p_file = Storage.Shard then run_compaction_cell ~dir ~seed p f
+          if p.p_compaction then run_compaction_cell ~dir ~seed p f
           else run_cell ~dir ~seed p f)
         numbered)
 

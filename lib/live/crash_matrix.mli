@@ -13,19 +13,22 @@
 
 module Storage = Dynvote_chaos.Fault_plan.Storage
 
-type point = { p_file : Storage.file_class; p_op : Storage.op }
-(** One stable-storage operation of the commit path. *)
+type point = { p_file : Storage.file_class; p_op : Storage.op; p_compaction : bool }
+(** One stable-storage operation: of the commit path, or of the shard
+    store's compaction rewrite when [p_compaction]. *)
 
 val points : point list
-(** The nine persist points: {write, fsync, rename, fsync-dir} of the
-    ensemble's and the data blob's atomic replace, plus the oplog
-    append. *)
+(** The seven commit-path persist points: the shard-log append and its
+    batch fsync, {write, fsync, rename, fsync-dir} of the rid sidecar's
+    atomic replace (made by a stale coordinator's data fetch), and the
+    oplog append. *)
 
 val compaction_points : point list
-(** The keyed store's compaction rewrite — the same four atomic-replace
-    operations, on the shard file class.  Not in {!points}: compaction
-    fires at a record-count threshold the cluster cells never reach, so
-    these cells run against a bare store ({!run_compaction_cell}). *)
+(** The shard store's compaction rewrite — {write, fsync, rename,
+    fsync-dir} of its atomic replace, on the shard file class.  Not in
+    {!points}: compaction fires at a record-count threshold the cluster
+    cells never reach, so these cells run against a bare store
+    ({!run_compaction_cell}). *)
 
 val compaction_faults : Storage.fault list
 (** The fault classes a store-level compaction cell can meaningfully
@@ -34,7 +37,8 @@ val compaction_faults : Storage.fault list
     (reads happen only at boot). *)
 
 val point_name : point -> string
-(** ["ensemble.fsync"], ["oplog.write"], ... *)
+(** ["shard.fsync"], ["rids.rename"], ["oplog.write"],
+    ["compaction.write"], ... *)
 
 type outcome =
   | Recovered  (** the victim serves writes again after restart + RECOVER *)
@@ -62,11 +66,12 @@ type cell = {
 
 val run_cell : dir:string -> seed:int -> point -> Storage.fault -> cell
 (** One hermetic cell under [dir]: boot a 4-site cluster (fault-injecting
-    filesystem on site 0), write a healthy baseline, arm the trigger,
-    drive the struck write through the victim (with same-request retries
-    to healthy sites), kill the victim, simulate the power cut, restart,
-    RECOVER, and probe both the victim and a healthy site; then audit the
-    cell directory through the chaos oracle. *)
+    filesystem on site 0), write a healthy baseline (without the victim
+    for a rid-sidecar point, so its struck write must fetch first), arm
+    the trigger, drive the struck write through the victim (with
+    same-request retries to healthy sites), kill the victim, simulate the
+    power cut, restart, RECOVER, and probe both the victim and a healthy
+    site; then audit the cell directory through the chaos oracle. *)
 
 val run_compaction_cell : dir:string -> seed:int -> point -> Storage.fault -> cell
 (** One hermetic compaction cell under [dir]: drive a single-shard

@@ -453,9 +453,8 @@ let broker_loop t =
   close_quietly t.wake_r;
   close_quietly t.wake_w
 
-let create ?(obs = Hub.noop) ?(first_client = Wire.first_client_id)
-    ?(clock = Dynvote_obs.Clock.now) ?stall_timeout ?backend ~universe
-    ~segment_of () =
+let create ?(obs = Hub.noop) ?(clock = Dynvote_obs.Clock.now) ?stall_timeout
+    ?backend ~universe ~segment_of () =
   (* A routed frame to a just-crashed socket must not kill the process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let listen = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -493,7 +492,7 @@ let create ?(obs = Hub.noop) ?(first_client = Wire.first_client_id)
       up = Site_set.empty;
       groups = None;
       kill_queue = [];
-      next_client = first_client;
+      next_client = Wire.first_client_id;
       running = true;
       routed = 0;
       dropped_partition = 0;
@@ -553,6 +552,10 @@ let crash t site =
   wake t
 
 let up_sites t = locked t (fun () -> t.up)
+
+let reserve_clients t ~upto =
+  locked t (fun () -> t.next_client <- max t.next_client (upto + 1))
+
 let is_up t site = locked t (fun () -> Site_set.mem site t.up)
 let groups t = locked t (fun () -> t.groups)
 

@@ -20,7 +20,6 @@ type t
 
 val create :
   ?obs:Dynvote_obs.Hub.t ->
-  ?first_client:int ->
   ?clock:Dynvote_obs.Clock.t ->
   ?stall_timeout:float ->
   ?backend:Evloop.backend ->
@@ -32,12 +31,9 @@ val create :
     thread — an {!Evloop} readiness loop (epoll on Linux, poll
     elsewhere; [backend] forces one), so connection count is bounded by
     descriptors, not FD_SETSIZE.  All sites start connected and no site
-    is considered up until its node registers.  [first_client] (default
-    {!Wire.first_client_id}) is the first client endpoint id to hand
-    out — a cluster resuming over persisted state passes one past the
-    highest id its dedup tables have seen, because a recycled id would
-    make a fresh client's first writes look like replays of the previous
-    incarnation's.  [stall_timeout] (default: never) reaps, on the
+    is considered up until its node registers.  Client endpoint ids
+    are handed out from {!Wire.first_client_id} up (see
+    {!reserve_clients}).  [stall_timeout] (default: never) reaps, on the
     injected [clock], any connection holding a frame open without
     feeding it (slow loris) or connected without completing a Hello —
     the loop is the timeout mechanism; no read ever blocks.  [obs]
@@ -65,6 +61,13 @@ val crash : t -> Site_set.site -> unit
 
 val up_sites : t -> Site_set.t
 (** Sites with a live registered connection. *)
+
+val reserve_clients : t -> upto:int -> unit
+(** Never hand out a client id at or below [upto] from now on.  A
+    cluster resuming over persisted state reserves every id its dedup
+    tables and logs have seen: a recycled id would make a fresh
+    client's first writes look like replays of the previous
+    incarnation's. *)
 
 val is_up : t -> Site_set.site -> bool
 

@@ -29,6 +29,7 @@ type scan_info = {
   keys : int;
   torn_shards : int;
   corrupt : int;
+  unreadable : int;
   rids : (int * int) list;
 }
 
@@ -262,7 +263,7 @@ let merge_rid_pairs rids pairs =
    an implausible length ends the scan (torn tail). *)
 let scan_shard_file ~read spine rids path =
   match read path with
-  | exception Sys_error _ -> (false, 0, 0)
+  | exception Sys_error _ -> None
   | data ->
       let raw = Bytes.of_string data in
       let total = Bytes.length raw in
@@ -303,7 +304,7 @@ let scan_shard_file ~read spine rids path =
           torn := true;
           bad := List.length earlier;
           ignore (last_bad : int));
-      (!torn, !bad, !applied)
+      Some (!torn, !bad, !applied)
 
 (* The scan above treats every damaged frame except the last as mid-log
    corruption.  That over-counts one case — several trailing partial
@@ -360,10 +361,19 @@ let open_store ?(vfs = Vfs.real) ?(durable = true) ~dir ~site ~shards () =
   let rids = Hashtbl.create 16 in
   let torn_shards = ref 0 in
   let corrupt = ref 0 in
+  (* A file that exists but cannot be read is lost history, not an empty
+     one — the caller must not present the keys it held as initial. *)
+  let unreadable = ref 0 in
   let shard_arr =
     Array.init shards (fun i ->
         let path = shard_path sdir i in
-        let torn, bad, applied = scan_shard_file ~read:vfs.Vfs.read spine rids path in
+        let torn, bad, applied =
+          match scan_shard_file ~read:vfs.Vfs.read spine rids path with
+          | Some scan -> scan
+          | None ->
+              if Sys.file_exists path then incr unreadable;
+              (false, 0, 0)
+        in
         if torn then begin
           incr torn_shards;
           (* Cut the partial frame off before appending over it — a new
@@ -405,8 +415,9 @@ let open_store ?(vfs = Vfs.real) ?(durable = true) ~dir ~site ~shards () =
       s.live <- s.live + 1)
     spine;
   (* The sidecar table (fetch-imported rids) merges over the log fold. *)
-  (match vfs.Vfs.read (Filename.concat sdir "rids.dvr") with
-  | exception Sys_error _ -> ()
+  let rids_path = Filename.concat sdir "rids.dvr" in
+  (match vfs.Vfs.read rids_path with
+  | exception Sys_error _ -> if Sys.file_exists rids_path then incr unreadable
   | data -> (
       match decode_rids_file data with
       | Some pairs -> merge_rid_pairs rids pairs
@@ -416,7 +427,7 @@ let open_store ?(vfs = Vfs.real) ?(durable = true) ~dir ~site ~shards () =
       vfs;
       durable;
       sdir;
-      rids_path = Filename.concat sdir "rids.dvr";
+      rids_path;
       shards = shard_arr;
       spine;
       rids;
@@ -428,6 +439,7 @@ let open_store ?(vfs = Vfs.real) ?(durable = true) ~dir ~site ~shards () =
       keys = Hashtbl.length spine;
       torn_shards = !torn_shards;
       corrupt = !corrupt;
+      unreadable = !unreadable;
       rids = rid_list t;
     } )
 
@@ -565,6 +577,6 @@ let read_states ~dir ~site =
           ignore
             (scan_shard_file ~read:Vfs.real.Vfs.read spine rids
                (Filename.concat sdir name)
-              : bool * int * int))
+              : (bool * int * int) option))
         shard_files);
   Hashtbl.fold (fun key packed acc -> (key, unpack packed) :: acc) spine []

@@ -37,6 +37,10 @@ type scan_info = {
   corrupt : int;
       (** checksum-failing records found {e mid-log} across all shards —
           damage no crash explains; the caller should fence *)
+  unreadable : int;
+      (** shard logs (or the rid sidecar) that exist but could not be
+          read: their history is lost, not empty, so the caller must not
+          present those keys as initial *)
   rids : (int * int) list;
       (** the recovered per-client applied-request table: the max
           request number folded over every record's rid, every

@@ -194,22 +194,6 @@ let prop_mutations_rejected =
       in
       match Codec.decode_result mutated with Error _ -> true | Ok _ -> false)
 
-let test_load_result_total () =
-  let path = Filename.temp_file "dynvote_chaos" ".state" in
-  let write_raw content =
-    let oc = open_out_bin path in
-    output_string oc content;
-    close_out oc
-  in
-  write_raw "torn";
-  (match Codec.load_result ~path () with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "torn file accepted");
-  Sys.remove path;
-  match Codec.load_result ~path () with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "missing file accepted"
-
 let test_corrupt_record_recovery () =
   (* A crash tears the stable record; the restarted site must come back
      amnesiac (a silent non-voter), reintegrate through RECOVER, and then
@@ -262,7 +246,6 @@ let suite =
     prop_dup_delay_invisible;
     prop_decode_total_on_junk;
     prop_mutations_rejected;
-    Alcotest.test_case "load_result is total" `Quick test_load_result_total;
     Alcotest.test_case "corrupt record -> amnesia -> recover" `Quick
       test_corrupt_record_recovery;
   ]

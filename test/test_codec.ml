@@ -30,13 +30,21 @@ let test_corruption_detected () =
 
 let test_file_persistence () =
   let path = Filename.temp_file "dynvote" ".state" in
-  Codec.save_replica ~path sample;
-  Alcotest.check replica_testable "load after save" sample (Codec.load_replica ~path ());
+  let load () =
+    match Codec.read_file_result ~path () with
+    | Ok data -> Codec.decode_replica data
+    | Error reason -> Alcotest.fail reason
+  in
+  Codec.write_file_atomic ~path (Codec.encode_replica sample);
+  Alcotest.check replica_testable "load after save" sample (load ());
   (* Overwrite with a newer state; the latest wins. *)
   let newer = Replica.make ~op_no:43 ~version:18 ~partition:(ss [ 0; 2 ]) in
-  Codec.save_replica ~path newer;
-  Alcotest.check replica_testable "latest state" newer (Codec.load_replica ~path ());
-  Sys.remove path
+  Codec.write_file_atomic ~path (Codec.encode_replica newer);
+  Alcotest.check replica_testable "latest state" newer (load ());
+  Sys.remove path;
+  match Codec.read_file_result ~path () with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "missing file read"
 
 let prop_roundtrip =
   qcheck_case ~count:300 ~name:"encode/decode round trip"

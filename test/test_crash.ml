@@ -62,13 +62,13 @@ let vfs_write (vfs : Vfs.t) path content =
 
 let test_faultfs_fsync_lie () =
   with_scratch (fun dir ->
-      let path = Filename.concat dir "data.dvl" in
+      let path = Filename.concat dir "rids.dvr" in
       let ff = Faultfs.create ~seed:3 () in
       let vfs = Faultfs.vfs ff in
       vfs_write vfs path "first";
       (* The rewrite's fsync lies: success reported, nothing promoted. *)
       Faultfs.arm_next ff { Storage.fault = Storage.Fsync_lie;
-                           file = Storage.Data; op = Storage.Fsync; nth = 1 };
+                           file = Storage.Rids; op = Storage.Fsync; nth = 1 };
       vfs_write vfs path "second";
       Alcotest.(check string) "cache holds the lie" "second" (read_file path);
       Faultfs.simulate_crash ff;
@@ -79,7 +79,7 @@ let test_faultfs_fsync_lie () =
 
 let test_faultfs_rename_loss () =
   with_scratch (fun dir ->
-      let dst = Filename.concat dir "data.dvl" in
+      let dst = Filename.concat dir "rids.dvr" in
       let tmp = dst ^ ".tmp" in
       write_file dst "old";
       let ff = Faultfs.create () in
@@ -88,7 +88,7 @@ let test_faultfs_rename_loss () =
       vfs_write vfs tmp "new";
       vfs.Vfs.rename ~src:tmp ~dst;
       Faultfs.arm_next ff { Storage.fault = Storage.Rename_loss;
-                           file = Storage.Data; op = Storage.Fsync_dir; nth = 1 };
+                           file = Storage.Rids; op = Storage.Fsync_dir; nth = 1 };
       vfs.Vfs.fsync_dir dir;
       Alcotest.(check string) "rename visible before the cut" "new"
         (read_file dst);
@@ -99,7 +99,7 @@ let test_faultfs_rename_loss () =
 
 let test_faultfs_unsynced_rename_empty () =
   with_scratch (fun dir ->
-      let dst = Filename.concat dir "data.dvl" in
+      let dst = Filename.concat dir "rids.dvr" in
       let tmp = dst ^ ".tmp" in
       write_file dst "old";
       let ff = Faultfs.create () in
@@ -167,11 +167,11 @@ let test_faultfs_crash_truncation_deterministic () =
 let sample_records =
   Persist.
     [
-      Log_commit { seq = 1; op_no = 2; version = 2; partition = ss [ 0; 1 ];
-                   rid = 77 };
-      Log_intent { seq = 2; content = String.make 32 'i' };
-      Log_outcome { seq = 3; kind = `Write; granted = true;
-                    content = Some "blob"; rid = 77 };
+      Log_kcommit { seq = 1; key = ""; op_no = 2; version = 2;
+                    partition = ss [ 0; 1 ]; rid = 77 };
+      Log_kintent { seq = 2; key = ""; content = String.make 32 'i' };
+      Log_koutcome { seq = 3; key = ""; kind = `Write; granted = true;
+                     content = Some "blob"; rid = 77 };
     ]
 
 let write_log path records =
@@ -237,8 +237,8 @@ let test_scan_torn_tail_truncate_append () =
          append — the new record must NOT read as mid-log corruption. *)
       Vfs.real.Vfs.truncate path scan.Persist.valid_prefix;
       write_log path
-        [ Persist.Log_outcome { seq = 4; kind = `Read; granted = true;
-                                content = None; rid = 0 } ];
+        [ Persist.Log_koutcome { seq = 4; key = ""; kind = `Read; granted = true;
+                                 content = None; rid = 0 } ];
       let rescan = Persist.scan_log ~path () in
       Alcotest.(check int) "appended over the cut cleanly" 0
         rescan.Persist.corrupt;
@@ -284,11 +284,11 @@ let test_degraded_fencing () =
           let c = Live.client cluster in
           check_status "baseline" Wire.Granted
             (Live.put c ~at:0 ~key:"a" ~value:"1");
-          (* Site 0's next data fsync fails: the self-apply of its own
-             coordinated write cannot persist, so it must fence itself
+          (* Site 0's next shard-log fsync fails: the self-apply of its
+             own coordinated write cannot persist, so it must fence itself
              and hand the write to its peers via the client's retry. *)
           Faultfs.arm_next ff { Storage.fault = Storage.Eio;
-                               file = Storage.Data; op = Storage.Fsync; nth = 1 };
+                               file = Storage.Shard; op = Storage.Fsync; nth = 1 };
           let r = Live.put ~retries:3 c ~at:0 ~key:"a" ~value:"2" in
           check_status "retried write lands" Wire.Granted r;
           Alcotest.(check bool) "retry hopped sites" true (r.Live.retries > 0);
@@ -348,6 +348,37 @@ let test_boot_fences_on_midlog_corruption () =
           Alcotest.(check bool) "audit sees the rot" true
             (audit.Live.corrupt > 0)))
 
+(* A shard log that exists but cannot be read at boot is lost history:
+   the site must come up amnesiac — not at the initial state it would
+   otherwise report for the one object — and RECOVER brings it back. *)
+let test_unreadable_shard_log_amnesiac () =
+  with_scratch (fun dir ->
+      let ff = Faultfs.create ~seed:9 () in
+      let vfs_of site = if site = 2 then Faultfs.vfs ff else Vfs.real in
+      let cluster =
+        Live.create ~config:crash_config ~client_timeout:1.5 ~vfs_of ~universe:u4
+          ~dir ()
+      in
+      Fun.protect ~finally:(fun () -> Live.shutdown cluster) (fun () ->
+          let c = Live.client cluster in
+          check_status "seed" Wire.Granted (Live.put c ~at:0 ~key:"a" ~value:"1");
+          Live.kill cluster 2;
+          Faultfs.arm_next ff { Storage.fault = Storage.Read_eio;
+                               file = Storage.Shard; op = Storage.Read; nth = 1 };
+          Live.restart cluster 2;
+          let r = Live.get c ~at:2 ~key:"a" in
+          check_status "unreadable log: amnesiac refuses" Wire.Denied r;
+          Alcotest.(check bool)
+            (Printf.sprintf "denial names amnesia (info: %s)" r.Live.info)
+            true
+            (String.length r.Live.info >= 9 && String.sub r.Live.info 0 9 = "amnesiac:");
+          check_status "recover" Wire.Granted (Live.recover_site c 2);
+          let g = Live.get c ~at:2 ~key:"a" in
+          check_status "read after recover" Wire.Granted g;
+          Alcotest.(check (option string)) "value restored" (Some "1") g.Live.value;
+          Alcotest.(check bool) "oracle safe" true
+            (Oracle.is_safe (Live.check cluster).Live.oracle)))
+
 let test_exactly_once_retry () =
   with_scratch (fun dir ->
       let cluster =
@@ -380,6 +411,43 @@ let test_exactly_once_retry () =
             audit.Live.dup_applies;
           Alcotest.(check bool) "oracle safe" true
             (Oracle.is_safe audit.Live.oracle)))
+
+(* Client ids must not be recycled across a power cut of the whole
+   cluster.  The oplogs are never fsynced, so the cut may take every
+   site's oplog records of the last client while the fsynced shard logs
+   keep its applied requests.  A fresh client handed that id again would
+   see its first write acknowledged as a duplicate and never applied.
+   The test takes the worst cut outright: every oplog emptied. *)
+let test_client_ids_survive_oplog_loss () =
+  List.iter
+    (fun shards ->
+      with_scratch (fun dir ->
+          let config = { crash_config with Node.shards } in
+          let boot () =
+            Live.create ~config ~client_timeout:1.5 ~universe:u4 ~dir ()
+          in
+          let cluster = boot () in
+          Fun.protect ~finally:(fun () -> Live.shutdown cluster) (fun () ->
+              check_status "first incarnation's write" Wire.Granted
+                (Live.put (Live.client cluster) ~at:0 ~key:"a" ~value:"1"));
+          Site_set.iter
+            (fun site -> write_file (Persist.oplog_path ~dir site) "")
+            u4;
+          let cluster = boot () in
+          Fun.protect ~finally:(fun () -> Live.shutdown cluster) (fun () ->
+              let c = Live.client cluster in
+              let name = Printf.sprintf "shards %d" shards in
+              let r = Live.put c ~at:0 ~key:"a" ~value:"2" in
+              check_status (name ^ ": new client's write") Wire.Granted r;
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: applied, not a duplicate ack (info: %s)" name
+                   r.Live.info)
+                false
+                (String.length r.Live.info >= 9
+                && String.sub r.Live.info 0 9 = "duplicate");
+              Alcotest.(check (option string)) (name ^ ": read back") (Some "2")
+                (Live.get c ~at:1 ~key:"a").Live.value)))
+    [ 0; 8 ]
 
 (* --- slow-loris guard ------------------------------------------------ *)
 
@@ -456,7 +524,7 @@ let check_cell (cell : Crash_matrix.cell) =
 let test_matrix_cells () =
   with_scratch (fun dir ->
       check_cell
-        (Crash_matrix.run_cell ~dir ~seed:2 (find_point "data.fsync")
+        (Crash_matrix.run_cell ~dir ~seed:2 (find_point "shard.fsync")
            Storage.Fsync_lie);
       check_cell
         (Crash_matrix.run_cell ~dir ~seed:3 (find_point "oplog.write")
@@ -551,7 +619,11 @@ let suite =
       test_degraded_fencing;
     Alcotest.test_case "boot fences on mid-log corruption" `Quick
       test_boot_fences_on_midlog_corruption;
+    Alcotest.test_case "unreadable shard log boots amnesiac" `Quick
+      test_unreadable_shard_log_amnesiac;
     Alcotest.test_case "exactly-once retry dedup" `Quick test_exactly_once_retry;
+    Alcotest.test_case "client ids survive oplog loss" `Quick
+      test_client_ids_survive_oplog_loss;
     Alcotest.test_case "slow-loris recv bounded by deadline" `Quick
       test_slow_loris_recv;
     Alcotest.test_case "crash matrix cells" `Quick test_matrix_cells;

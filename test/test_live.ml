@@ -92,19 +92,7 @@ let sample_payloads : Wire.payload list =
     Wire.Hello_site { site = 3 };
     Wire.Hello_client;
     Wire.Welcome { id = 64 };
-    Wire.State_request { round = 9 };
-    Wire.State_reply { round = 9; fresh = true; replica = sample_replica };
-    Wire.State_reply { round = 10; fresh = false; replica = sample_replica };
-    Wire.Lock_request { op = 0x3_00_00_17 };
     Wire.Lock_reply { op = 0x3_00_00_17; granted = false };
-    Wire.Unlock { op = 1 };
-    Wire.Data_request { round = 2 };
-    Wire.Data_reply { round = 2; version = 11; entries = [ ("a", "1"); ("key two", "value\x00with bytes") ];
-                      rids = [ (1, 42); (7, 3) ] };
-    Wire.Data_reply { round = 3; version = 0; entries = []; rids = [] };
-    Wire.Commit { op_no = 8; version = 6; partition = ss [ 0; 1 ]; put = Some ("k", "v");
-                  rid = (1 lsl 32) lor 42 };
-    Wire.Commit { op_no = 9; version = 6; partition = ss [ 0; 1; 2; 3 ]; put = None; rid = 0 };
     Wire.Client_put { req = 1; key = "k"; value = String.make 300 'q' };
     Wire.Client_get { req = 2; key = "k" };
     Wire.Client_recover { req = 3 };
@@ -196,14 +184,17 @@ let prop_wire_garbage_rejected =
 let sample_records =
   Persist.
     [
-      Log_commit { seq = 1; op_no = 2; version = 2; partition = ss [ 0; 1; 2 ];
-                   rid = (3 lsl 32) lor 9 };
-      Log_intent { seq = 2; content = "blob-A" };
-      Log_outcome { seq = 3; kind = `Write; granted = true; content = Some "blob-A";
+      Log_kcommit { seq = 1; key = ""; op_no = 2; version = 2; partition = ss [ 0; 1; 2 ];
                     rid = (3 lsl 32) lor 9 };
-      Log_outcome { seq = 4; kind = `Read; granted = true; content = Some "blob-A"; rid = 0 };
-      Log_outcome { seq = 5; kind = `Recover; granted = true; content = None; rid = 0 };
-      Log_outcome { seq = 6; kind = `Write; granted = false; content = None; rid = 0 };
+      Log_kintent { seq = 2; key = ""; content = "blob-A" };
+      Log_koutcome { seq = 3; key = ""; kind = `Write; granted = true;
+                     content = Some "blob-A"; rid = (3 lsl 32) lor 9 };
+      Log_koutcome { seq = 4; key = "k"; kind = `Read; granted = true;
+                     content = Some "=blob-A"; rid = 0 };
+      Log_koutcome { seq = 5; key = ""; kind = `Recover; granted = true; content = None;
+                     rid = 0 };
+      Log_koutcome { seq = 6; key = "k\x00bin"; kind = `Write; granted = false;
+                     content = None; rid = 0 };
     ]
 
 let test_oplog_roundtrip () =
@@ -232,27 +223,22 @@ let test_oplog_torn_tail () =
       Alcotest.(check int) "prefix survives" (List.length sample_records - 1)
         (List.length records))
 
-let test_data_blob_roundtrip () =
-  with_scratch (fun dir ->
-      let path = Filename.concat dir "data.dvl" in
-      let entries = [ ("b", "2"); ("a", "1"); ("c", String.make 1000 'z') ] in
-      Persist.save_data ~path ~version:41 entries;
-      match Persist.load_data_result ~path () with
-      | Error reason -> Alcotest.fail reason
-      | Ok (version, loaded, _rids) ->
-          Alcotest.(check int) "version" 41 version;
-          Alcotest.(check bool) "entries (sorted)" true
-            (loaded = List.sort compare entries);
-          (* Corrupt one byte: must come back as Error, not garbage. *)
-          let raw = In_channel.with_open_bin path In_channel.input_all in
-          let bad = Bytes.of_string raw in
-          Bytes.set bad (String.length raw / 2)
-            (Char.chr (Char.code (Bytes.get bad (String.length raw / 2)) lxor 0x10));
-          Out_channel.with_open_bin path (fun oc ->
-              Out_channel.output_bytes oc bad);
-          (match Persist.load_data_result ~path () with
-          | Error _ -> ()
-          | Ok _ -> Alcotest.fail "corrupted data blob accepted"))
+(* The one object's value at --shards 0: canonical whatever the binding
+   order, so equal stores are equal oracle contents, and distinct from
+   every other store (the empty map included). *)
+let test_map_blob_roundtrip () =
+  let entries = [ ("b", "2"); ("a", "1"); ("c", String.make 1000 'z'); ("", "\x00") ] in
+  let blob = Node.encode_map entries in
+  Alcotest.(check bool) "entries (sorted)" true
+    (Node.decode_map blob = List.sort compare entries);
+  Alcotest.(check string) "canonical" blob (Node.encode_map (List.rev entries));
+  Alcotest.(check bool) "empty map round trips" true
+    (Node.decode_map (Node.encode_map []) = []);
+  Alcotest.(check string) "never-written object is the empty map"
+    (Node.encode_map []) (Node.content ~key:Node.map_key None);
+  Alcotest.(check bool) "distinct stores, distinct contents" true
+    (Node.encode_map [ ("a", "1") ] <> Node.encode_map [ ("a", "1"); ("b", "") ]);
+  Alcotest.(check string) "keyed content" "=v" (Node.content ~key:"k" (Some "v"))
 
 (* --- the lock lease under a hand-cranked clock ----------------------- *)
 
@@ -477,19 +463,81 @@ let test_amnesia_recovery () =
       let c = Live.client cluster in
       check_status "seed" Wire.Granted (Live.put c ~at:0 ~key:"a" ~value:"1");
       Live.kill cluster 2;
-      (* Torch the stable record: the restarted node must come up
-         amnesiac — silent, refusing to coordinate — not trusting junk. *)
-      let path = Persist.ensemble_path ~dir:(Live.dir cluster) 2 in
-      Out_channel.with_open_bin path (fun oc ->
-          Out_channel.output_string oc "garbage");
+      (* Lose the stable record: the restarted node must come up
+         amnesiac — silent, refusing to coordinate — not guessing the
+         initial state for an object it has voted on. *)
+      rm_rf (Dynvote_shard.Shard_store.shards_dir ~dir:(Live.dir cluster) ~site:2);
       Live.restart cluster 2;
       let r = Live.get c ~at:2 ~key:"a" in
       check_status "amnesiac refuses to coordinate" Wire.Denied r;
+      (* A reboot is not a RECOVER: the flag must survive it. *)
+      Live.kill cluster 2;
+      Live.restart cluster 2;
+      check_status "still amnesiac after a reboot" Wire.Denied
+        (Live.get c ~at:2 ~key:"a");
       check_status "amnesiac recover" Wire.Granted (Live.recover_site c 2);
       let r = Live.get c ~at:2 ~key:"a" in
       check_status "read after recover" Wire.Granted r;
       Alcotest.(check (option string)) "value restored" (Some "1") r.Live.value;
       check_clean "amnesia" (Live.check cluster))
+
+(* The one-path guard: a serial 4-site --shards 0 walkthrough pinned op
+   by op — the reply, and what each operation costs in lock rounds,
+   gather rounds, commit waves and frames through the switchboard.  The
+   gather timeout is generous so a slow reply on a loaded machine cannot
+   turn into a retry and move a count. *)
+let test_serial_op_costs () =
+  with_scratch (fun dir ->
+      let hub = Dynvote_obs.Hub.create () in
+      let config = { test_config with Node.gather_timeout = 0.5 } in
+      let cluster =
+        Live.create ~config ~client_timeout:5.0 ~obs:hub ~universe:u4 ~dir ()
+      in
+      Fun.protect ~finally:(fun () -> Live.shutdown cluster) @@ fun () ->
+      let c = Live.client cluster in
+      let m = hub.Dynvote_obs.Hub.metrics in
+      let read name =
+        Dynvote_obs.Metrics.counter_value (Dynvote_obs.Metrics.counter m name)
+      in
+      let costs () =
+        List.map read
+          [ "live.lock.rounds"; "live.gather.rounds"; "live.commit.waves";
+            "net.frames.sent" ]
+      in
+      let op name ~status ?value ~cost f =
+        let before = costs () in
+        let r = f () in
+        let after = costs () in
+        check_status name status r;
+        (match value with
+        | Some v -> Alcotest.(check (option string)) (name ^ ": value") v r.Live.value
+        | None -> ());
+        Alcotest.(check (list int))
+          (name ^ ": lock rounds, gathers, commit waves, frames")
+          cost
+          (List.map2 ( - ) after before)
+      in
+      op "put" ~status:Wire.Granted ~cost:[ 1; 1; 1; 20 ] (fun () ->
+          Live.put c ~at:0 ~key:"a" ~value:"1");
+      op "get" ~status:Wire.Granted ~value:(Some "1") ~cost:[ 1; 1; 1; 20 ]
+        (fun () -> Live.get c ~at:2 ~key:"a");
+      Live.partition cluster [ ss [ 0; 1; 2 ]; ss [ 3 ] ];
+      op "minority put" ~status:Wire.Denied ~cost:[ 1; 1; 0; 14 ] (fun () ->
+          Live.put c ~at:3 ~key:"a" ~value:"x");
+      op "majority put" ~status:Wire.Granted ~cost:[ 1; 1; 1; 18 ] (fun () ->
+          Live.put c ~at:1 ~key:"a" ~value:"2");
+      Live.heal cluster;
+      op "recover after heal" ~status:Wire.Granted ~cost:[ 1; 1; 1; 22 ]
+        (fun () -> Live.recover_site c 3);
+      op "get at the recovered site" ~status:Wire.Granted ~value:(Some "2")
+        ~cost:[ 1; 1; 1; 20 ] (fun () -> Live.get c ~at:3 ~key:"a");
+      Live.kill cluster 2;
+      Live.restart cluster 2;
+      op "recover after restart" ~status:Wire.Granted ~cost:[ 1; 1; 1; 20 ]
+        (fun () -> Live.recover_site c 2);
+      op "get at the restarted site" ~status:Wire.Granted ~value:(Some "2")
+        ~cost:[ 1; 1; 1; 20 ] (fun () -> Live.get c ~at:2 ~key:"a");
+      check_clean "serial op costs" (Live.check cluster))
 
 let test_segment_partition_validation () =
   (* Sites 0,1 share segment 0; splitting them must be rejected. *)
@@ -575,7 +623,7 @@ let suite =
     prop_wire_garbage_rejected;
     Alcotest.test_case "oplog round trip" `Quick test_oplog_roundtrip;
     Alcotest.test_case "oplog torn tail" `Quick test_oplog_torn_tail;
-    Alcotest.test_case "data blob round trip" `Quick test_data_blob_roundtrip;
+    Alcotest.test_case "map blob round trip" `Quick test_map_blob_roundtrip;
     Alcotest.test_case "lease under clock steps" `Quick test_lease_clock_steps;
     Alcotest.test_case "no wall clock in lib/live" `Quick test_no_wall_clock_in_live;
     Alcotest.test_case "percentile edge cases" `Quick test_percentile_edges;
@@ -587,6 +635,7 @@ let suite =
     Alcotest.test_case "participant killed mid-write" `Quick
       test_participant_killed_mid_write;
     Alcotest.test_case "amnesia recovery" `Quick test_amnesia_recovery;
+    Alcotest.test_case "serial op costs at --shards 0" `Quick test_serial_op_costs;
     Alcotest.test_case "segment partition validation" `Quick
       test_segment_partition_validation;
     Alcotest.test_case "loadgen smoke" `Quick test_loadgen_smoke;

@@ -535,6 +535,11 @@ let test_live_amnesia () =
         (info_prefix "amnesiac:" r);
       check_status "amnesiac write refused too" Wire.Denied
         (Live.put c ~at:1 ~key:"c" ~value:"3");
+      (* A reboot does not restore what the wipe took. *)
+      Live.kill cluster 1;
+      Live.restart cluster 1;
+      check_status "still refused after a reboot" Wire.Denied
+        (Live.get c ~at:1 ~key:"a");
       (* The surviving sites still form quorums without its vote. *)
       check_status "cluster keeps serving" Wire.Granted
         (Live.put c ~at:0 ~key:"a" ~value:"1b");
@@ -594,6 +599,32 @@ let test_live_midwave_strike () =
       Alcotest.(check (option string)) "maybe-committed write surfaced"
         (Some "2") g.Live.value;
       ignore (check_shard_audit "mid-wave strike" cluster))
+
+(* The acquirer's own group gather is a fresh view, not a reuse: with
+   [max_reuse = 0] nothing may count as reused, and a denial on that view
+   is final — no second gather. *)
+let test_live_fresh_gather_not_reused () =
+  with_scratch (fun dir ->
+      let hub = Hub.create () in
+      let cluster =
+        Live.create ~config:shard_config ~client_timeout:3.0 ~obs:hub
+          ~universe:u4 ~dir ()
+      in
+      Fun.protect ~finally:(fun () -> Live.shutdown cluster) @@ fun () ->
+      let m = hub.Hub.metrics in
+      let read name = Metrics.counter_value (Metrics.counter m name) in
+      let c = Live.client cluster in
+      check_status "write" Wire.Granted (Live.put c ~at:0 ~key:"a" ~value:"1");
+      check_status "read" Wire.Granted (Live.get c ~at:1 ~key:"a");
+      Live.partition cluster [ ss [ 0; 1; 2 ]; ss [ 3 ] ];
+      let gathers = read "live.gather.rounds" in
+      check_status "minority write denied" Wire.Denied
+        (Live.put c ~at:3 ~key:"a" ~value:"x");
+      Alcotest.(check int) "one gather per denied op" 1
+        (read "live.gather.rounds" - gathers);
+      Live.heal cluster;
+      Alcotest.(check int) "nothing reused at max_reuse 0" 0
+        (read "live.gather.reused"))
 
 (* --- group quorums under pipelining ---------------------------------- *)
 
@@ -701,6 +732,8 @@ let suite =
       test_live_exactly_once_retry;
     Alcotest.test_case "live: mid-wave strike stays exactly-once" `Quick
       test_live_midwave_strike;
+    Alcotest.test_case "live: a fresh group gather is not a reuse" `Quick
+      test_live_fresh_gather_not_reused;
     Alcotest.test_case "live: group quorums batch under pipelining" `Quick
       test_live_group_batching;
     Alcotest.test_case "live: skewed soak (DYNVOTE_SHARD_SOAK=1)" `Slow
