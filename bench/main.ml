@@ -798,7 +798,7 @@ let mc () =
     Fmt.pr "@.Stealing frontier (-j%d, reduced runs):@." jobs;
     List.iter
       (fun (name, _, _, _, _, _, (t : Pool.steal_stats)) ->
-        Fmt.pr "  %-9s %d tasks, %d steals, %d failed steals, max deque %d@."
+        Fmt.pr "  %-9s %d continuations, %d steals, %d failed steals, max deque %d@."
           name t.Pool.tasks_executed t.Pool.steals t.Pool.failed_steals
           t.Pool.max_deque_depth)
       policy_rows
@@ -842,26 +842,24 @@ let mc () =
    overhead dominated and the measured "speedup" said nothing about the
    scheduler).  The identity assertions are the portable gate — they
    hold on any machine, including 1-core CI containers where wall-clock
-   speedups are meaningless.
+   speedups are meaningless.  -jN is the -j width (at least 2, so a
+   1-core box still exercises the parallel path).
 
    The model-checker workload is deliberately deep-narrow: one policy
-   over the FULL action alphabet.  That shape starves root-alphabet
-   sharding (at most |alphabet| workers ever busy, the round finishing
-   at the speed of the deepest root subtree) and is what the stealing
-   frontier exists for.  It runs three ways — -j1, -jN over root shards
-   (--steal off) and -jN over the stealing frontier — with the verdict
-   asserted identical across all three and the frontier's steal
-   counters recorded in BENCH_PAR.json (schema 2). *)
+   over the FULL action alphabet, the shape that starves any static
+   partition of the root alphabet.  It runs at -j1 and -jN over the
+   work-first frontier, with the verdict asserted identical and the
+   frontier's steal counters recorded in BENCH_PAR.json (schema 3). *)
 
 let par () =
-  let n = max jobs 4 in
+  let n = max jobs 2 in
   let cores = Domain.recommended_domain_count () in
   section "PAR"
     (Printf.sprintf
        "Domain-pool execution layer: core-scaled workloads at -j 1 and -j %d\n\
         (%d core%s available).  Per-cell study results must be bit-identical;\n\
-        model-checker verdicts must agree across -j1, root shards and the\n\
-        stealing frontier." n cores (if cores = 1 then "" else "s"));
+        model-checker verdicts must agree between -j1 and the -j%d frontier." n cores
+       (if cores = 1 then "" else "s") n);
   let time f =
     let t0 = Unix.gettimeofday () in
     let r = f () in
@@ -881,9 +879,9 @@ let par () =
     study_parameters.Study.horizon study_seq_s n study_par_s
     (if study_identical then "IDENTICAL" else "MISMATCH");
   (* Deep-narrow bounded search: tdv-safe (the largest safe state space)
-     over the full alphabet, one bound deeper where the cores can pay
-     for it. *)
-  let mc_depth = if cores >= 4 then 6 else 5 in
+     over the full alphabet, one bound deeper where a second core can
+     pay for it. *)
+  let mc_depth = if cores >= 2 then 6 else 5 in
   let mc_policy = "tdv-safe" in
   let verdict_summary (report : Checker.report) =
     (* Exactly the scheduling-independent part of the result: the
@@ -903,44 +901,35 @@ let par () =
     | Explorer.Out_of_budget -> Printf.sprintf "budget depth=%d" r.Explorer.depth
   in
   let p = Option.get (Harness.policy_of_string mc_policy) in
-  let run_mc ~jobs ~steal =
+  let run_mc ~jobs =
     Checker.check ~space:Dynvote_mc.Space.full ~policy:p ~depth:mc_depth ~jobs
-      ~steal (Checker.paper_config ())
+      (Checker.paper_config ())
   in
-  let mc_seq, mc_seq_s = time (fun () -> run_mc ~jobs:1 ~steal:true) in
-  let mc_shard, mc_shard_s = time (fun () -> run_mc ~jobs:n ~steal:false) in
-  let mc_steal, mc_steal_s = time (fun () -> run_mc ~jobs:n ~steal:true) in
+  let mc_seq, mc_seq_s = time (fun () -> run_mc ~jobs:1) in
+  let mc_par, mc_par_s = time (fun () -> run_mc ~jobs:n) in
   let base = verdict_summary mc_seq in
-  let mc_identical =
-    verdict_summary mc_shard = base && verdict_summary mc_steal = base
-  in
-  Fmt.pr
-    "  mc (%s, full alphabet, depth %d): -j1 %.2f s, -j%d shards %.2f s,\n\
-    \    -j%d stealing %.2f s  [%s]@."
-    mc_policy mc_depth mc_seq_s n mc_shard_s n mc_steal_s
+  let mc_identical = verdict_summary mc_par = base in
+  Fmt.pr "  mc (%s, full alphabet, depth %d): -j1 %.2f s, -j%d %.2f s  [%s]@." mc_policy
+    mc_depth mc_seq_s n mc_par_s
     (if mc_identical then "IDENTICAL" else "MISMATCH");
   Fmt.pr "    verdict: %s@." base;
-  let totals =
-    Dynvote_mc.Report.steal_totals mc_steal.Checker.result.Explorer.workers
-  in
-  Fmt.pr "    frontier: %d tasks, %d steals, %d failed steals, max deque %d@."
+  let totals = Dynvote_mc.Report.steal_totals mc_par.Checker.result.Explorer.workers in
+  Fmt.pr "    frontier: %d continuations, %d steals, %d failed steals, max deque %d@."
     totals.Pool.tasks_executed totals.Pool.steals totals.Pool.failed_steals
     totals.Pool.max_deque_depth;
   let total_seq = study_seq_s +. mc_seq_s
-  and total_par = study_par_s +. mc_steal_s in
+  and total_par = study_par_s +. mc_par_s in
   let speedup = total_seq /. total_par in
   Fmt.pr "  total: -j1 %.2f s, -j%d %.2f s, speedup %.2fx on %d core%s@." total_seq n
     total_par speedup cores (if cores = 1 then "" else "s");
   let fl v = if Float.is_finite v then Printf.sprintf "%.6g" v else "null" in
   let oc = open_out "BENCH_PAR.json" in
   Printf.fprintf oc
-    "{\"schema\":\"dynvote-bench-par/2\",\"jobs\":%d,\"cores\":%d,\"sections\":{\"study\":{\"horizon_days\":%s,\"j1_wall_s\":%s,\"jn_wall_s\":%s,\"speedup\":%s,\"identical\":%b},\"mc\":{\"policy\":\"%s\",\"space\":\"full\",\"depth\":%d,\"j1_wall_s\":%s,\"shard_wall_s\":%s,\"steal_wall_s\":%s,\"shard_speedup\":%s,\"steal_speedup\":%s,\"identical\":%b,\"verdict\":\"%s\",\"steal_totals\":{\"tasks_executed\":%d,\"steals\":%d,\"failed_steals\":%d,\"max_deque_depth\":%d}}},\"total\":{\"j1_wall_s\":%s,\"jn_wall_s\":%s,\"speedup\":%s}}\n"
+    "{\"schema\":\"dynvote-bench-par/3\",\"jobs\":%d,\"cores\":%d,\"sections\":{\"study\":{\"horizon_days\":%s,\"j1_wall_s\":%s,\"jn_wall_s\":%s,\"speedup\":%s,\"identical\":%b},\"mc\":{\"policy\":\"%s\",\"space\":\"full\",\"depth\":%d,\"j1_wall_s\":%s,\"jn_wall_s\":%s,\"speedup\":%s,\"identical\":%b,\"verdict\":\"%s\",\"steal_totals\":{\"tasks_executed\":%d,\"steals\":%d,\"failed_steals\":%d,\"max_deque_depth\":%d}}},\"total\":{\"j1_wall_s\":%s,\"jn_wall_s\":%s,\"speedup\":%s}}\n"
     n cores (fl horizon) (fl study_seq_s) (fl study_par_s)
     (fl (study_seq_s /. study_par_s))
-    study_identical mc_policy mc_depth (fl mc_seq_s) (fl mc_shard_s)
-    (fl mc_steal_s)
-    (fl (mc_seq_s /. mc_shard_s))
-    (fl (mc_seq_s /. mc_steal_s))
+    study_identical mc_policy mc_depth (fl mc_seq_s) (fl mc_par_s)
+    (fl (mc_seq_s /. mc_par_s))
     mc_identical base totals.Pool.tasks_executed totals.Pool.steals
     totals.Pool.failed_steals totals.Pool.max_deque_depth
     (fl total_seq) (fl total_par) (fl speedup);

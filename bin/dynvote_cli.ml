@@ -46,9 +46,9 @@ let quiet =
 let jobs_arg =
   let doc =
     "Worker domains for the compute-bound paths (per-configuration study \
-     fan-out, model-checker root shards).  0 means the DYNVOTE_JOBS \
-     environment variable, falling back to the hardware's recommended \
-     domain count.  Results are independent of $(docv)."
+     fan-out, the model checker's work-stealing frontier).  0 means the \
+     DYNVOTE_JOBS environment variable, falling back to the hardware's \
+     recommended domain count.  Results are independent of $(docv)."
   in
   Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
@@ -507,24 +507,15 @@ let mc_cmd =
                    distinct-state counts are identical either way; only the \
                    transition count changes.")
   in
-  let steal_arg =
-    let parse = Arg.enum [ ("on", true); ("off", false) ] in
-    Arg.(value & opt parse true
-         & info [ "steal" ] ~docv:"on|off"
-             ~doc:"Work-stealing parallel frontier (default on; only matters \
-                   with -j > 1).  'off' falls back to static root-alphabet \
-                   sharding.  Verdicts, counterexample lengths and \
-                   distinct-state counts are identical either way; only wall \
-                   time and the traversal statistics move.")
-  in
   let verbose_arg =
     Arg.(value & flag
          & info [ "verbose"; "v" ]
-             ~doc:"Report each completed deepening iteration, and the \
-                   work-stealing frontier's per-worker counters, on stderr.")
+             ~doc:"Report each completed deepening iteration, and above one \
+                   job the work-stealing frontier's per-worker counters, on \
+                   stderr.")
   in
-  let run policy_text sites segments_text depth max_states symmetry por steal full
-      verbose jobs =
+  let run policy_text sites segments_text depth max_states symmetry por full verbose
+      jobs =
     if sites < 2 || sites > 16 then begin
       Fmt.epr "dynvote: mc needs 2..16 sites@.";
       exit 2
@@ -582,7 +573,7 @@ let mc_cmd =
       (fun (p : Harness.policy) ->
         let t0 = Sys.time () in
         let report =
-          Checker.check ~space ?symmetry ~por ~max_states ?progress ~steal
+          Checker.check ~space ?symmetry ~por ~max_states ?progress
             ~jobs:(resolve_jobs jobs) ~policy:p ~depth config
         in
         let elapsed = Sys.time () -. t0 in
@@ -590,7 +581,7 @@ let mc_cmd =
         Fmt.epr "  (%s: %.1f s, %d transitions)@." p.Harness.name elapsed
           report.Checker.result.Dynvote_mc.Explorer.transitions;
         let workers = report.Checker.result.Dynvote_mc.Explorer.workers in
-        if verbose && Array.length workers > 0 then
+        if verbose && Array.length workers > 1 then
           Fmt.epr "%a" Report.pp_workers workers;
         if not (Checker.verdict_ok report) then exit_code := 1)
       policies;
@@ -607,7 +598,7 @@ let mc_cmd =
           exits non-zero if a policy expected safe has a violation (or a replay \
           diverges).")
     Term.(const run $ policy_arg $ sites_arg $ segments_arg $ depth_arg
-          $ max_states_arg $ symmetry_arg $ por_arg $ steal_arg $ full_arg
+          $ max_states_arg $ symmetry_arg $ por_arg $ full_arg
           $ verbose_arg $ jobs_arg)
 
 (* Subcommands: serve / loadgen (the live socket-backed service). *)

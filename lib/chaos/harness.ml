@@ -141,16 +141,13 @@ let note s step (outcome : Cluster.outcome) =
 
 (* Write contents are "w<n>"; a model-checking session applies millions
    of write transitions and rolls the counter back constantly, so the
-   strings are interned rather than formatted each time. *)
-let write_content =
-  let cache = Hashtbl.create 64 in
-  fun n ->
-    match Hashtbl.find_opt cache n with
-    | Some content -> content
-    | None ->
-        let content = Printf.sprintf "w%d" n in
-        Hashtbl.add cache n content;
-        content
+   strings for the counts a bounded search reaches are built once, in an
+   immutable table every checker domain may read without a lock. *)
+let interned_contents = Array.init 1024 (Printf.sprintf "w%d")
+
+let write_content n =
+  if n >= 0 && n < Array.length interned_contents then interned_contents.(n)
+  else Printf.sprintf "w%d" n
 
 let do_write s step site ~with_crash =
   s.writes <- s.writes + 1;

@@ -74,6 +74,11 @@ val make_session :
 val cluster : session -> Dynvote_msgsim.Cluster.t
 val oracle : session -> Oracle.t
 
+val write_content : int -> string
+(** The content of a session's [n]th write, ["w<n>"].  Interned for the
+    write counts a bounded search reaches; safe to call from any
+    domain. *)
+
 val apply_step : session -> Schedule.step -> unit
 (** Execute one schedule step exactly as {!run} would: inapplicable steps
     (writing at a down site, restarting an up one, …) are no-ops. *)

@@ -134,16 +134,26 @@ let run_batch t body =
    [map_array] fans out a {e fixed} item array; [run_stealing] schedules
    a {e growing} frontier: executing one task may push new tasks, and
    idle workers steal them.  Each worker owns a Chase–Lev deque — the
-   owner pushes and pops at the bottom (LIFO, so a tree-shaped workload
-   is walked depth-first with hot caches), thieves take from the top
+   owner pushes and pops at the bottom (LIFO), thieves take from the top
    (FIFO, so they steal the oldest, shallowest, largest tasks).  Victims
    are chosen by a per-worker xorshift generator seeded from [seed] and
    the worker index.
 
+   The protocol is work-first (Cilk-5: Frigo, Leiserson & Randall, PLDI
+   1998).  A running task pushes a {e continuation} — the work it has
+   not started yet — and goes on with the rest inline; once done it
+   calls [reclaim], a LIFO pop of its own deque.  [Some c] is its own
+   newest push, still untouched: it runs [c] inline too.  [None] means
+   a thief took it, and since thieves take from the top, every older
+   continuation on that deque was taken as well — the task has nothing
+   left to return to.  Parallelism thus costs a deque push and pop per
+   continuation; only a steal pays for moving work between workers.
+
    Termination is a work-count quiescence barrier: one atomic counter of
    outstanding tasks, incremented by [push] {e before} the task becomes
-   stealable and decremented only after its [run] returns (so a task's
-   children are always counted before their parent retires).  A worker
+   stealable and decremented when a reclaim takes it back or after a
+   dispatched task's [run] returns (a reclaimed task runs inside a task
+   still counted, so the counter cannot reach zero early).  A worker
    whose own deque is empty observes [outstanding = 0] exactly when no
    task exists anywhere and none can appear — every worker then exits;
    while the counter is positive it keeps stealing.
@@ -171,7 +181,8 @@ let add_steal_stats a b =
   }
 
 let run_stealing (type task state) t ?(seed = 0) ~(roots : task array)
-    ~(init : int -> state) ~(run : state -> push:(task -> unit) -> task -> unit)
+    ~(init : int -> state)
+    ~(run : state -> push:(task -> unit) -> reclaim:(unit -> task option) -> task -> unit)
     () : steal_stats array =
   if t.stop then invalid_arg "Pool: pool is shut down";
   let jobs = if in_worker () then 1 else t.jobs in
@@ -205,9 +216,17 @@ let run_stealing (type task state) t ?(seed = 0) ~(roots : task array)
       let d = Deque.size my in
       if d > !max_depth then max_depth := d
     in
+    let reclaim () =
+      match Deque.pop my with
+      | Some _ as task ->
+          incr tasks_executed;
+          Atomic.decr outstanding;
+          task
+      | None -> None
+    in
     let state = init w in
     let execute task =
-      run state ~push task;
+      run state ~push ~reclaim task;
       incr tasks_executed;
       Atomic.decr outstanding
     in

@@ -1,6 +1,7 @@
-(** Fixed-size domain pool for the embarrassingly parallel compute paths
-    (the availability study, independent-seed replications, the bounded
-    model checker's root-alphabet shards).
+(** Fixed-size domain pool for the parallel compute paths: the
+    availability study and independent-seed replications fan out over
+    {!map_array}, the bounded model checker's frontier over
+    {!run_stealing}.
 
     Built directly on OCaml 5 [Domain] — no external dependencies.  A
     pool owns [jobs - 1] worker domains (the caller participates as the
@@ -48,7 +49,7 @@ val with_pool : ?jobs:int -> (t -> 'a) -> 'a
 (** [create], run, [shutdown] (also on exceptions). *)
 
 type steal_stats = {
-  tasks_executed : int;  (** tasks this worker ran (popped or stolen) *)
+  tasks_executed : int;  (** tasks this worker ran (dispatched, stolen or reclaimed) *)
   steals : int;  (** successful steals from another worker's deque *)
   failed_steals : int;  (** steal attempts that found nothing or lost a race *)
   max_deque_depth : int;  (** high-water mark of this worker's own deque *)
@@ -64,7 +65,7 @@ val run_stealing :
   ?seed:int ->
   roots:'task array ->
   init:(int -> 'state) ->
-  run:('state -> push:('task -> unit) -> 'task -> unit) ->
+  run:('state -> push:('task -> unit) -> reclaim:(unit -> 'task option) -> 'task -> unit) ->
   unit ->
   steal_stats array
 (** Run a dynamically growing task frontier to quiescence over all
@@ -72,17 +73,29 @@ val run_stealing :
     and pops LIFO at the bottom, thieves steal FIFO from the top, with
     randomized victim selection seeded by [seed]); [roots] are dealt
     round-robin across the deques; [init w] builds worker [w]'s private
-    state once; [run state ~push task] executes one task and may [push]
-    follow-on tasks onto the {e executing} worker's own deque.
+    state once; [run state ~push ~reclaim task] executes one task.
+
+    The intended protocol is work-first: [run] pushes a {e continuation}
+    (the part of its work it has not started) onto the executing
+    worker's own deque, goes on with the rest itself, and afterwards
+    calls [reclaim] — a LIFO pop of that deque.  [Some c] is the
+    worker's own newest push, which it then runs inline; [None] means a
+    thief took it, and then every older continuation on the deque was
+    taken too (the deque is empty), so [run] should unwind and return.
+    Tasks left on the deque when [run] returns are dispatched like
+    roots.  Every pushed task is executed exactly once: reclaimed,
+    dispatched or stolen.
 
     Returns when every task has been executed: termination is detected
     by a global outstanding-task counter (incremented on [push] before
-    the task is visible, decremented after its [run] returns), so a
-    worker observing zero with an empty deque can exit — no task exists
-    and none can appear.  An exception from [run] or [init] aborts the
-    schedule and is re-raised (first failing worker by index).
+    the task is visible, decremented by a successful [reclaim] or after
+    a dispatched task's [run] returns), so a worker observing zero with
+    an empty deque can exit — no task exists and none can appear.  An
+    exception from [run] or [init] aborts the schedule and is re-raised
+    (first failing worker by index).
 
-    The per-worker statistics are returned in worker-index order.
+    The per-worker statistics are returned in worker-index order;
+    [tasks_executed] counts dispatched, stolen and reclaimed tasks.
     Scheduling (which worker runs which task, and in what order) is
     nondeterministic above one worker — the caller's [run] must make
     the aggregate result order-independent.  Inside another pool's

@@ -252,51 +252,47 @@ let restore t s =
 let mem_committed_version t version = Int_set.mem version t.committed_versions
 
 (* Serialize the spec's memory — the part of the product state that
-   determines which {e future} violations it can still detect — into
-   [buf], canonically.  [rename] canonicalizes content strings (the
-   literal bytes of "w3" vs "w5" are schedule artifacts); [map_site] /
-   [map_set] apply a site permutation so a symmetry-reducing explorer can
-   fold equivalent states.  Already-flagged forks are deliberately
-   excluded: any state carrying one also carries a violation and is never
-   expanded further.
+   determines which {e future} violations it can still detect — through
+   the canonical writer [w], which renames content strings (the literal
+   bytes of "w3" vs "w5" are schedule artifacts), relabels sites so a
+   symmetry-reducing explorer can fold equivalent states, and rebases
+   the operation and version counters (the protocols and these checks
+   compare them only for order and equality and advance them by
+   increments, so a caller may rebase them to collapse histories
+   differing by a committed prefix).  Already-flagged forks are
+   deliberately excluded: any state carrying one also carries a
+   violation and is never expanded further.
 
    Two liveness filters keep the serialization from growing with history
    length (the monotone tables would otherwise make every state
    path-dependent and defeat the explorer's seen set):
 
-   - Generation entries with op_no < [min_live_op] are dropped.  A future
-     commit's operation number exceeds its coordinator's current one, so
-     with [min_live_op] = the minimum operation number any site could
-     still present as coordinator, entries strictly below it can never be
-     re-witnessed — they are inert for Generation_conflict detection.
-     (The caller owns the soundness argument; pass 0 to keep everything,
-     e.g. when amnesiac restarts can revive arbitrarily stale ensembles.)
+   - Generation entries with op_no < [min_live_op] (raw, unrebased) are
+     dropped.  A future commit's operation number exceeds its
+     coordinator's current one, so with [min_live_op] = the minimum
+     operation number any site could still present as coordinator,
+     entries strictly below it can never be re-witnessed — they are
+     inert for Generation_conflict detection.  (The caller owns the
+     soundness argument; pass 0 to keep everything, e.g. when amnesiac
+     restarts can revive arbitrarily stale ensembles.)
 
    - The committed-versions set is NOT serialized here.  The fork check
      only consults it for a version two sites currently hold, and a
      version with no holder anywhere can only be re-acquired through a
      fresh commit — which re-inserts its membership.  Callers instead
      record one bit per site ("this site's data version is a committed
-     version"), which is the live content of the set.
-
-   [map_op] / [map_version] canonicalize the two counter domains (the
-   protocols and these checks compare operation and version numbers only
-   for order and equality and advance them by increments, so a caller may
-   rebase them to collapse histories differing by a committed prefix).
-   [min_live_op] is compared against raw, unmapped operation numbers. *)
-let fingerprint_memory t ~buf ~rename ~map_site ~map_set ~map_op ~map_version
-    ~min_live_op =
-  let add_int = Fingerprint_buf.add_int buf in
-  add_int (List.length t.violations);
-  add_int (rename t.committed);
-  add_int (List.length t.maybe);
-  List.iter (fun content -> add_int (rename content)) t.maybe;
+     version"), which is the live content of the set. *)
+let fingerprint_memory t w ~min_live_op =
+  let module W = Fingerprint_buf in
+  W.int w (List.length t.violations);
+  W.content w t.committed;
+  W.int w (List.length t.maybe);
+  List.iter (W.content w) t.maybe;
   (* Map iteration is already in ascending key order. *)
-  let live = ref 0 in
-  Int_map.iter
-    (fun op_no _ -> if op_no >= min_live_op then incr live)
-    t.generations;
-  add_int !live;
+  W.int w
+    (Int_map.fold
+       (fun op_no _ live -> if op_no >= min_live_op then live + 1 else live)
+       t.generations 0);
   Int_map.iter
     (fun op_no (version, partition, _site) ->
       (* The stored first-witness site is report attribution only — the
@@ -305,21 +301,32 @@ let fingerprint_memory t ~buf ~rename ~map_site ~map_set ~map_op ~map_version
          site happened to witness a generation first flag the same future
          violations. *)
       if op_no >= min_live_op then begin
-        add_int (map_op op_no);
-        add_int (map_version version);
-        add_int (Site_set.to_int (map_set partition))
+        W.op w op_no;
+        W.version w version;
+        W.set w partition
       end)
     t.generations;
-  let per_site table =
-    List.sort compare
-      (Int_map.fold (fun site v acc -> (map_site site, v) :: acc) table [])
+  (* Per-site watermarks as (canonical site, value) pairs in ascending
+     canonical-site order — the map's own order under the identity. *)
+  let per_site table value =
+    W.int w (Int_map.cardinal table);
+    if W.identity w then
+      Int_map.iter
+        (fun site v ->
+          W.int w site;
+          value w v)
+        table
+    else
+      for c = 0 to W.sites w - 1 do
+        let site = W.site_at w c in
+        if Int_map.mem site table then begin
+          W.int w c;
+          value w (Int_map.find site table)
+        end
+      done
   in
-  let ops = per_site t.last_op in
-  add_int (List.length ops);
-  List.iter (fun (site, op) -> add_int site; add_int (map_op op)) ops;
-  let versions = per_site t.last_version in
-  add_int (List.length versions);
-  List.iter (fun (site, v) -> add_int site; add_int (map_version v)) versions
+  per_site t.last_op W.op;
+  per_site t.last_version W.version
 
 let violations t = List.rev t.violations
 let is_safe t = t.violations = []

@@ -111,26 +111,16 @@ val restore : t -> snapshot -> unit
 val mem_committed_version : t -> int -> bool
 (** Has some commit carried this version number? *)
 
-val fingerprint_memory :
-  t ->
-  buf:Buffer.t ->
-  rename:(string -> int) ->
-  map_site:(Site_set.site -> Site_set.site) ->
-  map_set:(Site_set.t -> Site_set.t) ->
-  map_op:(int -> int) ->
-  map_version:(int -> int) ->
-  min_live_op:int ->
-  unit
+val fingerprint_memory : t -> Fingerprint_buf.t -> min_live_op:int -> unit
 (** Serialize the spec's memory (register model, generation table,
-    per-site monotonicity watermarks) canonically into [buf] — the part
-    of the model checker's product state that determines which future
-    violations remain detectable.  [rename] canonicalizes content
-    strings; [map_site]/[map_set] apply a site permutation for symmetry
-    reduction; [map_op]/[map_version] canonicalize the counter domains
-    (they must be strictly monotone — the checks compare counters only
-    for order and equality).  Generation entries below [min_live_op]
-    (raw, unmapped) are dropped as inert — the caller asserts no future
-    commit can carry such an operation number (pass 0 to keep
-    everything).  The committed-versions set is not serialized: its live
-    content is the per-site {!mem_committed_version} bit, which the
-    caller records alongside each site's data version. *)
+    per-site monotonicity watermarks) canonically through the writer —
+    the part of the model checker's product state that determines which
+    future violations remain detectable.  The writer renames content
+    strings, relabels sites for symmetry reduction and rebases the
+    counter domains (the checks compare counters only for order and
+    equality).  Generation entries below [min_live_op] (raw, not
+    rebased) are dropped as inert — the caller asserts no future commit
+    can carry such an operation number (pass 0 to keep everything).  The
+    committed-versions set is not serialized: its live content is the
+    per-site {!mem_committed_version} bit, which the caller records
+    alongside each site's data version. *)

@@ -46,12 +46,11 @@ type report = {
   verdict : verdict;
 }
 
-let check ?space ?symmetry ?por ?max_states ?progress ?jobs ?steal
-    ~(policy : Harness.policy) ~depth config =
+let check ?space ?symmetry ?por ?max_states ?progress ?jobs ~(policy : Harness.policy)
+    ~depth config =
   let config : Harness.config = { config with Harness.flavor = policy.Harness.flavor } in
   let result =
-    Explorer.search ?space ?symmetry ?por ?max_states ?progress ?jobs ?steal ~config
-      ~depth ()
+    Explorer.search ?space ?symmetry ?por ?max_states ?progress ?jobs ~config ~depth ()
   in
   let verdict =
     match result.Explorer.outcome with

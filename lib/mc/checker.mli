@@ -46,14 +46,13 @@ val check :
   ?max_states:int ->
   ?progress:(depth:int -> distinct:int -> transitions:int -> unit) ->
   ?jobs:int ->
-  ?steal:bool ->
   policy:Dynvote_chaos.Harness.policy ->
   depth:int ->
   Dynvote_chaos.Harness.config ->
   report
 (** Explore [config] (its flavor replaced by the policy's) to [depth].
-    [jobs] and [steal] are passed to {!Explorer.search}; verdicts are
-    independent of both. *)
+    [jobs] is passed to {!Explorer.search}; verdicts are independent of
+    it. *)
 
 val verdict_ok : report -> bool
 (** Acceptable result: clean or inconclusive, or a counterexample that

@@ -2,15 +2,15 @@
    enabled actions, with a seen-state table and the safety oracle checked
    at every state.
 
-   One chaos session carries the whole search; branching rewinds it with
-   {!Dynvote_chaos.Harness.checkpoint}/[rollback], so every explored path
-   executes the exact code a chaos replay would.  The seen table maps a
-   canonical fingerprint to the largest remaining-depth budget it was
-   expanded with, tagged by the {!Por} context the expansion was filtered
-   under: a revisit with no more budget under a covering context is
-   pruned, anything else is re-expanded (the transposition rule that
-   keeps iterative deepening — and partial-order reduction under state
-   caching — sound; see {!Striped_seen.claim}).
+   One chaos session carries a worker's whole search; branching rewinds
+   it with {!Dynvote_chaos.Harness.checkpoint}/[rollback], so every
+   explored path executes the exact code a chaos replay would.  The seen
+   table maps a canonical fingerprint to the largest remaining-depth
+   budget it was expanded with, tagged by the {!Por} context the
+   expansion was filtered under: a revisit with no more budget under a
+   covering context is pruned, anything else is re-expanded (the
+   transposition rule that keeps iterative deepening — and partial-order
+   reduction under state caching — sound; see {!Striped_seen.claim}).
 
    Partial-order reduction (on by default, [?por]) explores commuting
    fault actions in sorted order only: every pruned interleaving is a
@@ -27,20 +27,36 @@
    alphabet) has been exhausted and deeper iterations are skipped — the
    search is [closed].
 
-   With [jobs > 1] each deepening iteration is parallelized in the
-   spirit of Stern & Dill's parallel Murphi: the root action alphabet is
-   sharded over a {!Dynvote_exec.Pool}, every worker drives its own
-   freshly built session (cluster and oracle are mutable and never
-   shared), and deduplication goes through one lock-striped
-   {!Striped_seen} fingerprint store so the [distinct]/[max_states]
-   accounting stays global.  The set of distinct states within a bound —
-   and with it every Safe/Out_of_budget verdict — is independent of
-   worker interleaving, so verdicts match the sequential search; only
-   the traversal statistics ([visited], [transitions]) and the choice
-   among equally short counterexamples may differ.  The sequential path
-   runs through the same store (one shard, uncontended), so the spill
-   tier and the admission accounting are exercised identically at every
-   job count. *)
+   One search runs every job count: a work-first frontier (Cilk-5's
+   principle, Frigo, Leiserson & Randall, PLDI 1998) over
+   {!Dynvote_exec.Pool.run_stealing}.  A worker descends into each
+   admitted successor in place, exactly as a sequential DFS does; before
+   it descends, the untried siblings of the state it leaves become one
+   stealable continuation on its Chase–Lev deque, carrying the reversed
+   trace to that state (tail-shared, so pushing is O(1)), its depth
+   budget and its remaining {!Por}-filtered steps.  After the subtree
+   the worker reclaims the continuation with a LIFO pop and goes on with
+   the next sibling.  A [None] from the pop means a thief took it — and,
+   thieves taking from the top, every older continuation of this worker
+   too — so the worker unwinds and looks for work.  A thief rolls its
+   own session back to the root and replays the stolen trace (through
+   the same [apply_step]/[check_step] pair as the first execution, so
+   cluster and oracle state are bit-identical), then expands the
+   remaining steps.  Rollback-plus-replay is therefore paid only on a
+   steal; at one worker nothing is ever stolen and the traversal is the
+   plain sequential DFS, step for step.
+
+   Each worker drives its own private session (cluster and oracle are
+   mutable and never shared); deduplication goes through one
+   lock-striped {!Striped_seen} fingerprint store, so the
+   [distinct]/[max_states] accounting stays global, and the store's
+   claim rule carries everything determinism-critical — the
+   Safe/Out_of_budget/Violation verdict, the closed flag, trace lengths,
+   [distinct] on completed bounds.  Only [visited], [transitions], the
+   steal statistics and the choice among equally short counterexamples
+   vary with the interleaving above one worker.  At one worker the store
+   is a single uncontended shard, so the spill tier and the admission
+   accounting behave as they always have. *)
 
 module Cluster = Dynvote_msgsim.Cluster
 module Harness = Dynvote_chaos.Harness
@@ -64,9 +80,6 @@ type result = {
   workers : Pool.steal_stats array;
 }
 
-exception Found of Schedule.step list * Oracle.violation list
-exception Budget
-
 (* Symmetry defaults off for tie-break flavors: site relabeling commutes
    with the transition relation only without the lexicographic tie-break
    (site identity is load-bearing in the ordering). *)
@@ -88,574 +101,195 @@ let checked_distinct seen =
   assert (Striped_seen.length seen = distinct);
   distinct
 
-let sequential_search ~space ~symmetry ~por ~max_states ?progress
-    ~(config : Harness.config) ~depth () =
-  let perms = perms_for ~symmetry config in
-  let session = Harness.make_session config in
-  let cluster = Harness.cluster session in
-  let oracle = Harness.oracle session in
-  let buf = Buffer.create 256 in
-  let gc = Space.amnesia_free space in
-  let fingerprint () = Fingerprint.canonical ~buf ~gc ~perms session in
-  let visited = ref 0 in
-  let transitions = ref 0 in
-  let peak_seen = ref 0 in
-  let distinct = ref 0 in
-  let spilled = ref 0 in
-  let cutoff = ref false in
-  let root = Harness.checkpoint session in
-  let search_to bound =
-    let seen = Striped_seen.create ~shards:1 ~max_states () in
-    cutoff := false;
-    ignore (Striped_seen.claim seen (fingerprint ()) ~budget:bound ~ctx:0);
-    incr visited;
-    (* [ctx] filters this state's successors: the {!Por.rank} of the
-       action the state was entered by, or 0 at the root and with the
-       reduction off.  A nonzero [covered] narrows the expansion to the
-       sleep difference against an already-recorded context. *)
-    let rec dfs remaining trace ctx covered =
-      if remaining = 0 then cutoff := true
-      else begin
-        let ck = Harness.checkpoint session in
-        let steps = Space.enabled space ~config ~cluster in
-        let steps =
-          if not por then steps
-          else if covered = 0 then Por.filter ~ctx steps
-          else Por.filter_uncovered ~ctx ~covered steps
-        in
-        List.iter
-          (fun step ->
-            incr transitions;
-            Harness.apply_step session step;
-            Oracle.check_step oracle cluster;
-            if not (Oracle.is_safe oracle) then
-              raise (Found (List.rev (step :: trace), Oracle.violations oracle));
-            let fp = fingerprint () in
-            let budget = remaining - 1 in
-            let step_ctx = if por then Por.rank step else 0 in
-            (match Striped_seen.claim seen fp ~budget ~ctx:step_ctx with
-            | Striped_seen.Prune -> ()
-            | Striped_seen.Budget -> raise Budget
-            | Striped_seen.Expand { filter; covered } ->
-                incr visited;
-                dfs budget (step :: trace) filter covered);
-            Harness.rollback session ck)
-          steps
-      end
-    in
-    let outcome =
-      try
-        dfs bound [] 0 0;
-        `Exhausted
-      with
-      | Found (trace, violations) -> `Found (trace, violations)
-      | Budget -> `Budget
-    in
-    distinct := checked_distinct seen;
-    peak_seen := max !peak_seen !distinct;
-    spilled := max !spilled (Striped_seen.spilled seen);
-    Striped_seen.close seen;
-    (match progress with
-    | Some f -> f ~depth:bound ~distinct:!distinct ~transitions:!transitions
-    | None -> ());
-    outcome
-  in
-  let result outcome depth =
-    {
-      outcome;
-      depth;
-      visited = !visited;
-      distinct = !distinct;
-      transitions = !transitions;
-      peak_seen = !peak_seen;
-      spilled = !spilled;
-      workers = [||];
-    }
-  in
-  let rec iterate bound =
-    Harness.rollback session root;
-    match search_to bound with
-    | `Found (trace, violations) ->
-        result (Violation { trace; violations }) (List.length trace)
-    | `Budget -> result Out_of_budget (bound - 1)
-    | `Exhausted ->
-        if not !cutoff then result (Safe { closed = true }) bound
-        else if bound >= depth then result (Safe { closed = false }) bound
-        else iterate (bound + 1)
-  in
-  (* The initial state could in principle already violate (it never does
-     for a sane config, but the oracle decides that, not us). *)
-  Oracle.check_step oracle cluster;
-  if not (Oracle.is_safe oracle) then
-    result (Violation { trace = []; violations = Oracle.violations oracle }) 0
-  else if depth <= 0 then result (Safe { closed = false }) 0
-  else iterate 1
-
-(* ------------------------------------------------------------------ *)
-(* The parallel search. *)
-
-exception Stop_worker
-
-type worker_tally = {
-  w_visited : int;
-  w_transitions : int;
-  w_cutoff : bool;
-  w_budget : bool;
-  w_violation : (int * Schedule.step list * Oracle.violation list) option;
-      (* root-action index, trace, violations *)
+(* A continuation: the untried successors of one state, stealable as a
+   unit.  [trace] reaches the state from the root (reversed: deepest
+   step first); [remaining] is the state's depth budget; [steps] are its
+   successors not yet applied, already reduced by {!Por}. *)
+type cont = {
+  trace : Schedule.step list;
+  remaining : int;
+  steps : Schedule.step list;
 }
 
-(* One worker's share of a single deepening iteration: pull root-action
-   indices from [next_root], run the same DFS as the sequential search
-   below each, dedup through the shared striped store.  The session,
-   oracle, fingerprint buffer and checkpoints are all worker-private —
-   only [seen], [next_root] and [stop] are shared. *)
-let bound_worker ~space ~gc ~perms ~por ~(config : Harness.config)
-    ~(roots : Schedule.step array) ~seen ~next_root ~(stop : bool Atomic.t) ~bound () =
+(* One worker's private side of the search; only the seen store and the
+   stop flag are shared.  The counters are cumulative over the deepening
+   iterations, the flags per iteration. *)
+type worker = {
+  session : Harness.session;
+  cluster : Cluster.t;
+  oracle : Oracle.t;
+  buf : Buffer.t;  (* reused by every fingerprint *)
+  root : Harness.checkpoint;
+  mutable visited : int;
+  mutable transitions : int;
+  mutable cutoff : bool;
+  mutable budget_hit : bool;
+  mutable violation : (Schedule.step list * Oracle.violation list) option;
+}
+
+let make_worker config =
   let session = Harness.make_session config in
-  let cluster = Harness.cluster session in
-  let oracle = Harness.oracle session in
-  let buf = Buffer.create 256 in
-  let fingerprint () = Fingerprint.canonical ~buf ~gc ~perms session in
-  let visited = ref 0 in
-  let transitions = ref 0 in
-  let cutoff = ref false in
-  let budget_hit = ref false in
-  let violation = ref None in
-  let root_ck = Harness.checkpoint session in
-  let found root_idx trace =
-    violation := Some (root_idx, trace, Oracle.violations oracle);
-    Atomic.set stop true;
-    raise_notrace Stop_worker
-  in
-  let claim root_idx fp ~budget ~ctx recurse =
-    match Striped_seen.claim seen fp ~budget ~ctx with
-    | Striped_seen.Prune -> ()
-    | Striped_seen.Budget ->
-        budget_hit := true;
-        Atomic.set stop true;
-        raise_notrace Stop_worker
-    | Striped_seen.Expand { filter; covered } ->
-        incr visited;
-        recurse root_idx budget filter covered
-  in
-  let rec dfs root_idx remaining trace ctx covered =
-    if remaining = 0 then cutoff := true
-    else begin
-      let ck = Harness.checkpoint session in
-      let steps = Space.enabled space ~config ~cluster in
-      let steps =
-        if not por then steps
-        else if covered = 0 then Por.filter ~ctx steps
-        else Por.filter_uncovered ~ctx ~covered steps
-      in
-      List.iter
-        (fun step ->
-          if Atomic.get stop then raise_notrace Stop_worker;
-          incr transitions;
-          Harness.apply_step session step;
-          Oracle.check_step oracle cluster;
-          if not (Oracle.is_safe oracle) then
-            found root_idx (List.rev (step :: trace));
-          claim root_idx (fingerprint ()) ~budget:(remaining - 1)
-            ~ctx:(if por then Por.rank step else 0)
-            (fun root_idx budget filter covered ->
-              dfs root_idx budget (step :: trace) filter covered);
-          Harness.rollback session ck)
-        steps
-    end
-  in
-  (try
-     let rec next () =
-       let idx = Atomic.fetch_and_add next_root 1 in
-       if idx < Array.length roots && not (Atomic.get stop) then begin
-         let step = roots.(idx) in
-         incr transitions;
-         Harness.apply_step session step;
-         Oracle.check_step oracle cluster;
-         if not (Oracle.is_safe oracle) then found idx [ step ];
-         claim idx (fingerprint ()) ~budget:(bound - 1)
-           ~ctx:(if por then Por.rank step else 0)
-           (fun root_idx budget filter covered ->
-             dfs root_idx budget [ step ] filter covered);
-         Harness.rollback session root_ck;
-         next ()
-       end
-     in
-     next ()
-   with Stop_worker -> ());
   {
-    w_visited = !visited;
-    w_transitions = !transitions;
-    w_cutoff = !cutoff;
-    w_budget = !budget_hit;
-    w_violation = !violation;
+    session;
+    cluster = Harness.cluster session;
+    oracle = Harness.oracle session;
+    buf = Buffer.create 256;
+    root = Harness.checkpoint session;
+    visited = 0;
+    transitions = 0;
+    cutoff = false;
+    budget_hit = false;
+    violation = None;
   }
 
-let parallel_search ~jobs ~space ~symmetry ~por ~max_states ?progress
-    ~(config : Harness.config) ~depth () =
-  let perms = perms_for ~symmetry config in
-  let gc = Space.amnesia_free space in
-  (* The caller keeps a session of its own for the initial-state check,
-     the root fingerprint and the root alphabet (constant across
-     iterations — the root state never changes). *)
-  let session = Harness.make_session config in
-  let cluster = Harness.cluster session in
-  let oracle = Harness.oracle session in
-  let buf = Buffer.create 256 in
-  let root_fp () = Fingerprint.canonical ~buf ~gc ~perms session in
-  let visited = ref 0 in
-  let transitions = ref 0 in
-  let peak_seen = ref 0 in
-  let distinct = ref 0 in
-  let spilled = ref 0 in
-  let result outcome depth =
-    {
-      outcome;
-      depth;
-      visited = !visited;
-      distinct = !distinct;
-      transitions = !transitions;
-      peak_seen = !peak_seen;
-      spilled = !spilled;
-      workers = [||];
-    }
-  in
-  Oracle.check_step oracle cluster;
-  if not (Oracle.is_safe oracle) then
-    result (Violation { trace = []; violations = Oracle.violations oracle }) 0
-  else if depth <= 0 then result (Safe { closed = false }) 0
-  else begin
-    let roots = Array.of_list (Space.enabled space ~config ~cluster) in
-    Pool.with_pool ~jobs (fun pool ->
-        let search_to bound =
-          let seen = Striped_seen.create ~max_states () in
-          ignore (Striped_seen.claim seen (root_fp ()) ~budget:bound ~ctx:0);
-          incr visited;
-          let next_root = Atomic.make 0 in
-          let stop = Atomic.make false in
-          let tallies =
-            Pool.map_array pool
-              (fun _worker ->
-                bound_worker ~space ~gc ~perms ~por ~config ~roots ~seen ~next_root
-                  ~stop ~bound ())
-              (Array.init (Pool.jobs pool) Fun.id)
-          in
-          Array.iter
-            (fun t ->
-              visited := !visited + t.w_visited;
-              transitions := !transitions + t.w_transitions)
-            tallies;
-          distinct := checked_distinct seen;
-          peak_seen := max !peak_seen !distinct;
-          spilled := max !spilled (Striped_seen.spilled seen);
-          Striped_seen.close seen;
-          (match progress with
-          | Some f -> f ~depth:bound ~distinct:!distinct ~transitions:!transitions
-          | None -> ());
-          (* Merge in worker-index order; among counterexamples the
-             lowest root-action index wins, mirroring the sequential
-             DFS's left-to-right root scan.  A violation outranks the
-             state budget (it is the more informative verdict). *)
-          let violation =
-            Array.fold_left
-              (fun best t ->
-                match (best, t.w_violation) with
-                | None, v -> v
-                | v, None -> v
-                | Some (i, _, _), Some (j, _, _) when j < i -> t.w_violation
-                | best, _ -> best)
-              None tallies
-          in
-          match violation with
-          | Some (_, trace, violations) -> `Found (trace, violations)
-          | None ->
-              if Array.exists (fun t -> t.w_budget) tallies then `Budget
-              else if Array.exists (fun t -> t.w_cutoff) tallies then `Cutoff
-              else `Closed
-        in
-        let rec iterate bound =
-          match search_to bound with
-          | `Found (trace, violations) ->
-              result (Violation { trace; violations }) (List.length trace)
-          | `Budget -> result Out_of_budget (bound - 1)
-          | `Closed -> result (Safe { closed = true }) bound
-          | `Cutoff ->
-              if bound >= depth then result (Safe { closed = false }) bound
-              else iterate (bound + 1)
-        in
-        iterate 1)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* The work-stealing search.
-
-   Root-alphabet sharding above serializes on deep narrow prefixes: once
-   a worker owns a root action, the whole subtree below it is that
-   worker's.  Here the frontier is fully distributed instead — {e every}
-   expanded state's successors become stealable tasks over
-   {!Pool.run_stealing}'s Chase–Lev deques.
-
-   A task is a state to expand, carried as its checkpointed prefix: the
-   reversed step trace from the root (tail-shared with its siblings, so
-   pushing a child is O(1)), the remaining iterative-deepening budget,
-   and the {!Por} sleep-set context ([filter]/[covered]) the expansion
-   was admitted under by {!Striped_seen.claim} — the context travels
-   with the task, so the reduction stays sound no matter which worker
-   executes it.  To execute a task a worker repositions its private
-   session: it keeps the path of (step, checkpoint) pairs it is
-   currently standing on, rolls back to the deepest common ancestor
-   with the task's prefix and replays only the suffix (applying each
-   step through the same [apply_step]/[check_step] pair as the first
-   execution, so cluster {e and} oracle state are bit-identical to a
-   fresh rebuild).  A local LIFO pop is the child of the state just
-   expanded — the common ancestor is the whole prefix and the replay is
-   one step; a steal pays a rollback to a shallow ancestor (usually the
-   root) plus a replay of the stolen prefix, which is exactly the
-   Stern & Dill recipe with the frontier made global.
-
-   The lock-striped {!Striped_seen} store (and its spill tier) remains
-   the only shared structure; everything determinism-critical — the
-   Safe/Out_of_budget/Violation verdict, the closed flag, trace
-   lengths, [distinct] on completed bounds, the [max_states] budget —
-   flows through its claim rule exactly as in the sharded search, so
-   verdicts are independent of the scheduler.  Only [visited],
-   [transitions], the steal statistics and the choice among equally
-   short counterexamples vary with the interleaving. *)
-
-type task = {
-  t_trace : Schedule.step list;  (* reversed: deepest step first *)
-  t_budget : int;  (* remaining depth below this state *)
-  t_filter : int;  (* Por context filtering this state's successors *)
-  t_covered : int;  (* nonzero: expand only the sleep difference *)
-}
-
-type wstate = {
-  ws_session : Harness.session;
-  ws_cluster : Cluster.t;
-  ws_oracle : Oracle.t;
-  ws_fingerprint : unit -> string;
-  ws_root_ck : Harness.checkpoint;
-  (* The path the session is standing on, root-first; each checkpoint is
-     the state after applying its step. *)
-  mutable ws_path : (Schedule.step * Harness.checkpoint) list;
-  mutable ws_visited : int;
-  mutable ws_transitions : int;
-  mutable ws_cutoff : bool;
-  mutable ws_budget_hit : bool;
-  mutable ws_violation : (Schedule.step list * Oracle.violation list) option;
-}
-
-let make_wstate ~gc ~perms ~(config : Harness.config) () =
-  let session = Harness.make_session config in
-  let buf = Buffer.create 256 in
-  {
-    ws_session = session;
-    ws_cluster = Harness.cluster session;
-    ws_oracle = Harness.oracle session;
-    ws_fingerprint = (fun () -> Fingerprint.canonical ~buf ~gc ~perms session);
-    ws_root_ck = Harness.checkpoint session;
-    ws_path = [];
-    ws_visited = 0;
-    ws_transitions = 0;
-    ws_cutoff = false;
-    ws_budget_hit = false;
-    ws_violation = None;
-  }
-
-(* Move the worker's session to the state reached by [target] (the
-   root-first step prefix): roll back to the deepest common ancestor of
-   the current path, then replay the suffix.  Returns the checkpoint of
-   the target state. *)
-let position st (target : Schedule.step list) =
-  let rec split kept path target =
-    match (path, target) with
-    | (s, ck) :: path', step :: target' when s = step ->
-        split ((s, ck) :: kept) path' target'
-    | _ -> (kept, target)
-  in
-  let kept_rev, suffix = split [] st.ws_path target in
-  let base_ck =
-    match kept_rev with [] -> st.ws_root_ck | (_, ck) :: _ -> ck
-  in
-  Harness.rollback st.ws_session base_ck;
-  let path = ref kept_rev and ck = ref base_ck in
-  List.iter
-    (fun step ->
-      Harness.apply_step st.ws_session step;
-      Oracle.check_step st.ws_oracle st.ws_cluster;
-      ck := Harness.checkpoint st.ws_session;
-      path := (step, !ck) :: !path)
-    suffix;
-  st.ws_path <- List.rev !path;
-  !ck
-
-(* Expand one task: enumerate the (reduction-filtered) enabled steps,
-   apply each, run the oracle, claim the successor, and push every
-   Expand verdict as a stealable child task. *)
-let execute_task ~space ~por ~(config : Harness.config) ~seen
-    ~(stop : bool Atomic.t) st ~push task =
-  if not (Atomic.get stop) then begin
-    let ck = position st (List.rev task.t_trace) in
-    if task.t_budget = 0 then st.ws_cutoff <- true
-    else begin
-      let steps = Space.enabled space ~config ~cluster:st.ws_cluster in
-      let steps =
-        if not por then steps
-        else if task.t_covered = 0 then Por.filter ~ctx:task.t_filter steps
-        else Por.filter_uncovered ~ctx:task.t_filter ~covered:task.t_covered steps
-      in
-      List.iter
-        (fun step ->
-          if not (Atomic.get stop) then begin
-            st.ws_transitions <- st.ws_transitions + 1;
-            Harness.apply_step st.ws_session step;
-            Oracle.check_step st.ws_oracle st.ws_cluster;
-            if not (Oracle.is_safe st.ws_oracle) then begin
-              st.ws_violation <-
-                Some
-                  (List.rev (step :: task.t_trace), Oracle.violations st.ws_oracle);
-              Atomic.set stop true
-            end
-            else begin
-              let budget = task.t_budget - 1 in
-              let ctx = if por then Por.rank step else 0 in
-              match Striped_seen.claim seen (st.ws_fingerprint ()) ~budget ~ctx with
-              | Striped_seen.Prune -> ()
-              | Striped_seen.Budget ->
-                  st.ws_budget_hit <- true;
-                  Atomic.set stop true
-              | Striped_seen.Expand { filter; covered } ->
-                  st.ws_visited <- st.ws_visited + 1;
-                  push
-                    {
-                      t_trace = step :: task.t_trace;
-                      t_budget = budget;
-                      t_filter = filter;
-                      t_covered = covered;
-                    }
-            end;
-            Harness.rollback st.ws_session ck
-          end)
-        steps
-    end
-  end
-
-let stealing_search ~jobs ~space ~symmetry ~por ~max_states ?progress
-    ~(config : Harness.config) ~depth () =
-  let perms = perms_for ~symmetry config in
-  let gc = Space.amnesia_free space in
-  (* The caller's own session serves the initial-state check and the
-     root fingerprint (the root state never changes across bounds). *)
-  let session = Harness.make_session config in
-  let cluster = Harness.cluster session in
-  let oracle = Harness.oracle session in
-  let buf = Buffer.create 256 in
-  let root_fp () = Fingerprint.canonical ~buf ~gc ~perms session in
-  let visited = ref 0 in
-  let transitions = ref 0 in
-  let peak_seen = ref 0 in
-  let distinct = ref 0 in
-  let spilled = ref 0 in
-  let worker_stats = ref [||] in
-  let result outcome depth =
-    {
-      outcome;
-      depth;
-      visited = !visited;
-      distinct = !distinct;
-      transitions = !transitions;
-      peak_seen = !peak_seen;
-      spilled = !spilled;
-      workers = !worker_stats;
-    }
-  in
-  Oracle.check_step oracle cluster;
-  if not (Oracle.is_safe oracle) then
-    result (Violation { trace = []; violations = Oracle.violations oracle }) 0
-  else if depth <= 0 then result (Safe { closed = false }) 0
-  else
-    Pool.with_pool ~jobs (fun pool ->
-        let merge_stats stats =
-          if Array.length !worker_stats = 0 then worker_stats := stats
-          else
-            worker_stats :=
-              Array.map2 Pool.add_steal_stats !worker_stats stats
-        in
-        let search_to bound =
-          let seen = Striped_seen.create ~max_states () in
-          ignore (Striped_seen.claim seen (root_fp ()) ~budget:bound ~ctx:0);
-          incr visited;
-          let stop = Atomic.make false in
-          let states = Array.make (Pool.jobs pool) None in
-          let init w =
-            let st = make_wstate ~gc ~perms ~config () in
-            states.(w) <- Some st;
-            st
-          in
-          let run st ~push task =
-            execute_task ~space ~por ~config ~seen ~stop st ~push task
-          in
-          let root_task =
-            { t_trace = []; t_budget = bound; t_filter = 0; t_covered = 0 }
-          in
-          let stats =
-            Pool.run_stealing pool ~seed:bound ~roots:[| root_task |] ~init ~run ()
-          in
-          merge_stats stats;
-          let tallies =
-            Array.to_list states |> List.filter_map Fun.id
-          in
-          List.iter
-            (fun st ->
-              visited := !visited + st.ws_visited;
-              transitions := !transitions + st.ws_transitions)
-            tallies;
-          distinct := checked_distinct seen;
-          peak_seen := max !peak_seen !distinct;
-          spilled := max !spilled (Striped_seen.spilled seen);
-          Striped_seen.close seen;
-          (match progress with
-          | Some f -> f ~depth:bound ~distinct:!distinct ~transitions:!transitions
-          | None -> ());
-          (* Merge in worker-index order; a violation outranks the state
-             budget (the more informative verdict).  Among workers'
-             equally short counterexamples the lowest worker index wins —
-             which one that is depends on the schedule, exactly like the
-             root-sharded search's choice depends on the shard map. *)
-          let violation =
-            List.fold_left
-              (fun best st ->
-                match (best, st.ws_violation) with
-                | None, v -> v
-                | v, _ -> v)
-              None tallies
-          in
-          match violation with
-          | Some (trace, violations) -> `Found (trace, violations)
-          | None ->
-              if List.exists (fun st -> st.ws_budget_hit) tallies then `Budget
-              else if List.exists (fun st -> st.ws_cutoff) tallies then `Cutoff
-              else `Closed
-        in
-        let rec iterate bound =
-          match search_to bound with
-          | `Found (trace, violations) ->
-              result (Violation { trace; violations }) (List.length trace)
-          | `Budget -> result Out_of_budget (bound - 1)
-          | `Closed -> result (Safe { closed = true }) bound
-          | `Cutoff ->
-              if bound >= depth then result (Safe { closed = false }) bound
-              else iterate (bound + 1)
-        in
-        iterate 1)
+(* Abandons a worker's descent: the search stopped, or a thief took the
+   continuation the worker would have gone back to. *)
+exception Unwind
 
 let search ?(space = Space.default) ?symmetry ?(por = true) ?(max_states = 1_000_000)
-    ?progress ?(jobs = 1) ?(steal = true) ~(config : Harness.config) ~depth () =
+    ?progress ?(jobs = 1) ~(config : Harness.config) ~depth () =
   let symmetry = resolve_symmetry ?symmetry config in
-  if jobs <= 1 || Pool.in_worker () then
-    sequential_search ~space ~symmetry ~por ~max_states ?progress ~config ~depth ()
-  else if steal then
-    stealing_search ~jobs ~space ~symmetry ~por ~max_states ?progress ~config ~depth ()
-  else
-    parallel_search ~jobs ~space ~symmetry ~por ~max_states ?progress ~config ~depth ()
+  let perms = perms_for ~symmetry config in
+  let gc = Space.amnesia_free space in
+  let fingerprint w = Fingerprint.canonical ~buf:w.buf ~gc ~perms w.session in
+  (* [filter] is the {!Por.rank} of the action a state was entered by (0
+     at the root and with the reduction off); a nonzero [covered] narrows
+     the expansion to the sleep difference against an already-recorded
+     context. *)
+  let reduce ~filter ~covered steps =
+    if not por then steps
+    else if covered = 0 then Por.filter ~ctx:filter steps
+    else Por.filter_uncovered ~ctx:filter ~covered steps
+  in
+  Pool.with_pool ~jobs (fun pool ->
+      let workers = Array.init (Pool.jobs pool) (fun _ -> make_worker config) in
+      let first = workers.(0) in
+      let sum f = Array.fold_left (fun acc w -> acc + f w) 0 workers in
+      let bounds = ref 0 in
+      let peak_seen = ref 0 in
+      let distinct = ref 0 in
+      let spilled = ref 0 in
+      let steal_stats = ref (Array.map (fun _ -> Pool.zero_steal_stats) workers) in
+      let result outcome depth =
+        {
+          outcome;
+          depth;
+          (* every bound admits the root once *)
+          visited = !bounds + sum (fun w -> w.visited);
+          distinct = !distinct;
+          transitions = sum (fun w -> w.transitions);
+          peak_seen = !peak_seen;
+          spilled = !spilled;
+          workers = !steal_stats;
+        }
+      in
+      let search_to ~root_fp ~root_steps bound =
+        let shards = if Array.length workers = 1 then Some 1 else None in
+        let seen = Striped_seen.create ?shards ~max_states () in
+        ignore (Striped_seen.claim seen root_fp ~budget:bound ~ctx:0);
+        incr bounds;
+        let stop = Atomic.make false in
+        let halt () =
+          Atomic.set stop true;
+          raise_notrace Unwind
+        in
+        let rec descend w ~push ~reclaim trace remaining ~filter ~covered =
+          if remaining = 0 then w.cutoff <- true
+          else
+            let ck = Harness.checkpoint w.session in
+            expand w ~push ~reclaim ~ck trace remaining
+              (reduce ~filter ~covered (Space.enabled space ~config ~cluster:w.cluster))
+        and expand w ~push ~reclaim ~ck trace remaining = function
+          | [] -> ()
+          | step :: rest ->
+              if Atomic.get stop then raise_notrace Unwind;
+              w.transitions <- w.transitions + 1;
+              Harness.apply_step w.session step;
+              Oracle.check_step w.oracle w.cluster;
+              if not (Oracle.is_safe w.oracle) then begin
+                w.violation <- Some (List.rev (step :: trace), Oracle.violations w.oracle);
+                halt ()
+              end;
+              let ctx = if por then Por.rank step else 0 in
+              (match Striped_seen.claim seen (fingerprint w) ~budget:(remaining - 1) ~ctx with
+              | Striped_seen.Prune -> ()
+              | Striped_seen.Budget ->
+                  w.budget_hit <- true;
+                  halt ()
+              | Striped_seen.Expand { filter; covered } ->
+                  w.visited <- w.visited + 1;
+                  let siblings = match rest with [] -> false | _ :: _ -> true in
+                  if siblings then push { trace; remaining; steps = rest };
+                  descend w ~push ~reclaim (step :: trace) (remaining - 1) ~filter ~covered;
+                  (* [Some] is the continuation just pushed: go on with
+                     [rest] here.  [None]: a thief took it, and every
+                     older one too. *)
+                  if siblings && Option.is_none (reclaim ()) then raise_notrace Unwind);
+              Harness.rollback w.session ck;
+              expand w ~push ~reclaim ~ck trace remaining rest
+        in
+        (* A task is a continuation; reposition the worker's session at
+           its state (a no-op replay for the root's). *)
+        let run w ~push ~reclaim c =
+          if not (Atomic.get stop) then begin
+            Harness.rollback w.session w.root;
+            List.iter
+              (fun step ->
+                Harness.apply_step w.session step;
+                Oracle.check_step w.oracle w.cluster)
+              (List.rev c.trace);
+            let ck = Harness.checkpoint w.session in
+            try expand w ~push ~reclaim ~ck c.trace c.remaining c.steps with Unwind -> ()
+          end
+        in
+        Array.iter (fun w -> w.cutoff <- false) workers;
+        let stats =
+          Pool.run_stealing pool ~seed:bound
+            ~roots:[| { trace = []; remaining = bound; steps = root_steps } |]
+            ~init:(fun i -> workers.(i))
+            ~run ()
+        in
+        steal_stats := Array.map2 Pool.add_steal_stats !steal_stats stats;
+        distinct := checked_distinct seen;
+        peak_seen := max !peak_seen !distinct;
+        spilled := max !spilled (Striped_seen.spilled seen);
+        Striped_seen.close seen;
+        (match progress with
+        | Some f -> f ~depth:bound ~distinct:!distinct ~transitions:(sum (fun w -> w.transitions))
+        | None -> ());
+        (* A violation outranks the state budget (the more informative
+           verdict); among workers' equally short counterexamples the
+           lowest worker index wins — which one that is depends on the
+           schedule above one worker. *)
+        match Array.find_map (fun w -> w.violation) workers with
+        | Some (trace, violations) -> `Found (trace, violations)
+        | None ->
+            if Array.exists (fun w -> w.budget_hit) workers then `Budget
+            else if Array.exists (fun w -> w.cutoff) workers then `Cutoff
+            else `Closed
+      in
+      (* The initial state could in principle already violate (it never
+         does for a sane config, but the oracle decides that, not us). *)
+      Oracle.check_step first.oracle first.cluster;
+      if not (Oracle.is_safe first.oracle) then
+        result (Violation { trace = []; violations = Oracle.violations first.oracle }) 0
+      else if depth <= 0 then result (Safe { closed = false }) 0
+      else begin
+        (* The root never changes across bounds. *)
+        Harness.rollback first.session first.root;
+        let root_fp = fingerprint first in
+        let root_steps =
+          reduce ~filter:0 ~covered:0 (Space.enabled space ~config ~cluster:first.cluster)
+        in
+        let rec iterate bound =
+          match search_to ~root_fp ~root_steps bound with
+          | `Found (trace, violations) ->
+              result (Violation { trace; violations }) (List.length trace)
+          | `Budget -> result Out_of_budget (bound - 1)
+          | `Closed -> result (Safe { closed = true }) bound
+          | `Cutoff ->
+              if bound >= depth then result (Safe { closed = false }) bound
+              else iterate (bound + 1)
+        in
+        iterate 1
+      end)

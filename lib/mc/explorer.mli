@@ -29,10 +29,9 @@ type result = {
       (** peak entries in the store's on-disk spill tier (0 unless
           [DYNVOTE_MC_SPILL] enables spilling; see {!Striped_seen}) *)
   workers : Dynvote_exec.Pool.steal_stats array;
-      (** per-worker frontier statistics (tasks executed, steals, failed
-          steals, deque high-water), summed over the deepening
-          iterations; empty unless the work-stealing search ran
-          ([jobs > 1] with [steal]) *)
+      (** per-worker frontier statistics (continuations executed, steals,
+          failed steals, deque high-water), summed over the deepening
+          iterations; one entry per worker *)
 }
 
 val search :
@@ -42,7 +41,6 @@ val search :
   ?max_states:int ->
   ?progress:(depth:int -> distinct:int -> transitions:int -> unit) ->
   ?jobs:int ->
-  ?steal:bool ->
   config:Dynvote_chaos.Harness.config ->
   depth:int ->
   unit ->
@@ -58,25 +56,20 @@ val search :
     [max_states] (default 1_000_000) bounds the seen store.  [progress]
     is called after each completed deepening iteration.
 
-    [jobs] (default 1) parallelizes each deepening iteration over a
-    {!Dynvote_exec.Pool}: each worker drives its own private session
-    (cluster and oracle are mutable, never shared) and deduplicates
-    through one lock-striped fingerprint store, so [distinct] and the
-    [max_states] budget stay global.  With [steal] (the default) the
-    frontier is fully distributed: every expanded state's successors
-    become stealable tasks on Chase–Lev deques, each carrying its
-    checkpointed step prefix and {!Por} sleep context — local pops
-    replay one step, steals reposition by rollback-to-ancestor plus
-    prefix replay.  [steal:false] falls back to static root-alphabet
-    sharding (one worker per root action — deep narrow prefixes then
-    serialize on one worker).  Either way the verdict —
+    [jobs] (default 1) is the number of workers of the work-first
+    frontier: each drives its own private session (cluster and oracle
+    are mutable, never shared), descends into admitted successors in
+    place, and leaves the untried siblings of the state it descends from
+    as one stealable continuation (its trace, budget and remaining
+    {!Por}-filtered steps) on a Chase–Lev deque.  Only a steal pays a
+    rollback to the root plus a replay of the stolen trace.  All workers
+    deduplicate through one lock-striped fingerprint store, so
+    [distinct] and the [max_states] budget stay global.  The verdict —
     [Safe]/[Violation]/[Out_of_budget], the [closed] flag, the trace
     length, and [distinct] on a [Safe] outcome — is independent of
-    [jobs] and [steal]; [visited], [transitions], [peak_seen],
-    [distinct] on a [Violation] (the store size when the search
-    stopped), [workers] and the choice among equally short
-    counterexamples may differ from the sequential search.  At
-    [jobs = 1] (and inside a pool worker) the sequential search runs
-    through the same store code, one uncontended shard, byte-identical
-    to every release since the parallel layer landed (the cram tests
-    pin it). *)
+    [jobs]; [visited], [transitions], [peak_seen], [distinct] on a
+    [Violation] (the store size when the search stopped), [workers] and
+    the choice among equally short counterexamples may differ.  At
+    [jobs = 1] (and inside a pool worker) nothing is ever stolen: the
+    traversal is the sequential DFS through one uncontended store shard,
+    byte-identical to every release (the cram tests pin it). *)

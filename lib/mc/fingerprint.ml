@@ -77,106 +77,89 @@ let segment_perms ~universe ~segment_of =
   let id = identity ~n_sites in
   id :: List.filter (fun p -> p <> id) (List.sort compare arrays)
 
-let serialize ~buf ~perm ~gc session =
+(* The stale ensemble an amnesiac site's stable record still decodes
+   to, if any.  A record of the wrong size (zeroed, truncated) cannot
+   decode, and checking that first keeps it off the codec's
+   error-formatting path. *)
+let stale_record node =
+  let record = Node.stable_record node in
+  if String.length record <> Codec.encoded_size then None
+  else Result.to_option (Codec.decode_result record)
+
+(* One serialization under the writer's relabeling.  [stale] holds the
+   decoded records of amnesiac sites (read once per {!canonical} call,
+   whatever the number of permutations). *)
+let serialize w ~stale ~min_live_op session =
+  let module W = Fingerprint_buf in
   let cluster = Harness.cluster session in
   let oracle = Harness.oracle session in
   let universe = Cluster.universe cluster in
-  let map_site site = perm.(site) in
-  let map_set set =
-    Site_set.fold (fun site acc -> Site_set.add perm.(site) acc) set Site_set.empty
-  in
-  Buffer.clear buf;
-  let add_int = Fingerprint_buf.add_int buf in
-  (* Counter rebasing.  Operation and version numbers are only ever
-     compared for order and equality (within their own domain — versions
-     also against data versions) and advance by increments, so subtracting
-     each domain's per-state minimum preserves behavior exactly while
-     collapsing states that differ by a uniformly committed prefix — the
-     rebasing is what lets the reachable space close instead of growing
-     with history length.  Amnesiac sites' decodable stable records can
-     resurface as replicas, so their counters join the minima. *)
-  let o_base = ref max_int and v_base = ref max_int in
-  Site_set.iter
-    (fun site ->
-      let node = Cluster.node cluster site in
-      let replica = Node.replica node in
-      o_base := min !o_base (Replica.op_no replica);
-      v_base := min !v_base (min (Replica.version replica) (Node.data_version node));
-      if Node.is_amnesiac node then
-        match Codec.decode_result (Node.stable_record node) with
-        | Ok r ->
-            o_base := min !o_base (Replica.op_no r);
-            v_base := min !v_base (Replica.version r)
-        | Error _ -> ())
-    universe;
-  let map_op o = o - !o_base and map_version v = v - !v_base in
-  let renames = Hashtbl.create 8 in
-  let rename content =
-    match Hashtbl.find_opt renames content with
-    | Some id -> id
-    | None ->
-        let id = Hashtbl.length renames in
-        Hashtbl.add renames content id;
-        id
-  in
   let serialize_site site =
     let node = Cluster.node cluster site in
     let replica = Node.replica node in
-    add_int (map_op (Replica.op_no replica));
-    add_int (map_version (Replica.version replica));
-    add_int (Site_set.to_int (map_set (Replica.partition replica)));
-    add_int (map_version (Node.data_version node));
+    W.op w (Replica.op_no replica);
+    W.version w (Replica.version replica);
+    W.set w (Replica.partition replica);
+    W.version w (Node.data_version node);
     (* The live content of the oracle's committed-versions set: membership
        of the versions sites currently hold.  A version nobody holds can
        only be re-acquired through a fresh commit, which re-inserts it —
        so these bits replace serializing the (monotonically growing) set
        itself. *)
-    add_int (if Spec.mem_committed_version oracle (Node.data_version node) then 1 else 0);
-    add_int (rename (Node.content node));
+    W.int w (if Spec.mem_committed_version oracle (Node.data_version node) then 1 else 0);
+    W.content w (Node.content node);
     (* Stable-record status.  Steps keep record and ensemble in sync for
        every non-amnesiac site (commits rewrite the record; a clean
        reload restores the ensemble from it; corruption is applied only
        immediately before the reload that discovers it), so the record
        carries extra information only on the amnesiac path — where it
        either still decodes to some stale ensemble or is mangled. *)
-    if not (Node.is_amnesiac node) then add_int 0
+    if not (Node.is_amnesiac node) then W.int w 0
     else
-      match Codec.decode_result (Node.stable_record node) with
-      | Ok r ->
-          add_int 1;
-          add_int (map_op (Replica.op_no r));
-          add_int (map_version (Replica.version r));
-          add_int (Site_set.to_int (map_set (Replica.partition r)))
-      | Error _ -> add_int 2
+      match stale.(site) with
+      | Some r ->
+          W.int w 1;
+          W.op w (Replica.op_no r);
+          W.version w (Replica.version r);
+          W.set w (Replica.partition r)
+      | None -> W.int w 2
   in
-  let is_identity =
-    let ok = ref true in
-    Array.iteri (fun i v -> if i <> v then ok := false) perm;
-    !ok
-  in
-  (if is_identity then
-     (* Ascending site order is already canonical under the identity. *)
-     Site_set.iter serialize_site universe
-   else begin
-     (* Serialize in ascending canonical-id order; the ids themselves are
-        the sorted universe under any in-group permutation, hence carry no
-        information and are omitted — keeping the identity and permuted
-        shapes byte-compatible (the min over the group must compare
-        like with like). *)
-     let canonical_order =
-       List.sort compare (List.map (fun s -> (perm.(s), s)) (Site_set.to_list universe))
-     in
-     List.iter (fun (_canonical_site, site) -> serialize_site site) canonical_order
-   end);
-  add_int (Site_set.to_int (map_set (Cluster.up_sites cluster)));
-  add_int (Site_set.to_int (map_set (Cluster.fresh_sites cluster)));
+  (* Sites in ascending canonical-id order; the ids themselves are the
+     sorted universe under any in-group permutation, hence carry no
+     information and are omitted — keeping the identity and permuted
+     shapes byte-compatible (the min over the group must compare like
+     with like). *)
+  for c = 0 to W.sites w - 1 do
+    let site = W.site_at w c in
+    if Site_set.mem site universe then serialize_site site
+  done;
+  W.set w (Cluster.up_sites cluster);
+  W.set w (Cluster.fresh_sites cluster);
   (match Cluster.groups cluster with
-  | None -> add_int (-1)
+  | None -> W.int w (-1)
   | Some groups ->
-      add_int (List.length groups);
-      List.iter add_int
-        (List.sort compare (List.map (fun g -> Site_set.to_int (map_set g)) groups)));
-  (* Generation-table GC floor: a future commit's operation number always
+      W.int w (List.length groups);
+      List.iter (W.int w) (List.sort Int.compare (List.map (W.image w) groups)));
+  Spec.fingerprint_memory oracle w ~min_live_op
+
+let canonical ?buf ?(gc = false) ~perms session =
+  let buf = match buf with Some b -> b | None -> Buffer.create 256 in
+  let cluster = Harness.cluster session in
+  let universe = Cluster.universe cluster in
+  let n_sites = Site_set.max_elt universe + 1 in
+  (* One pass over the sites serves every permutation.
+
+     Counter rebasing.  Operation and version numbers are only ever
+     compared for order and equality (within their own domain — versions
+     also against data versions) and advance by increments, so
+     subtracting each domain's per-state minimum preserves behavior
+     exactly while collapsing states that differ by a uniformly committed
+     prefix — the rebasing is what lets the reachable space close instead
+     of growing with history length.  Amnesiac sites' decodable stable
+     records can resurface as replicas, so their counters join the
+     minima.
+
+     Generation-table GC floor: a future commit's operation number always
      exceeds its coordinator's, and without amnesiac restarts in the
      alphabet no site's operation number ever decreases (clean restarts
      reload a record kept in sync with the replica), so the floor is
@@ -185,41 +168,38 @@ let serialize ~buf ~perm ~gc session =
      operation number — hence strictly-below, not at-or-below.  With
      amnesia in the alphabet the floor can drop (a corrupted site revives
      an arbitrarily stale ensemble), so the caller must disable GC. *)
-  let min_live_op =
-    if not gc then 0
-    else
-      Site_set.fold
-        (fun site floor ->
-          min floor (Replica.op_no (Node.replica (Cluster.node cluster site))))
-        universe max_int
+  let o_base = ref max_int and v_base = ref max_int and floor = ref max_int in
+  let stale = Array.make n_sites None in
+  for site = 0 to n_sites - 1 do
+    if Site_set.mem site universe then begin
+      let node = Cluster.node cluster site in
+      let replica = Node.replica node in
+      floor := Int.min !floor (Replica.op_no replica);
+      o_base := Int.min !o_base (Replica.op_no replica);
+      v_base :=
+        Int.min !v_base (Int.min (Replica.version replica) (Node.data_version node));
+      if Node.is_amnesiac node then begin
+        stale.(site) <- stale_record node;
+        match stale.(site) with
+        | Some r ->
+            o_base := Int.min !o_base (Replica.op_no r);
+            v_base := Int.min !v_base (Replica.version r)
+        | None -> ()
+      end
+    end
+  done;
+  let o_base = !o_base and v_base = !v_base in
+  let min_live_op = if gc then !floor else 0 in
+  let write perm =
+    let w = Fingerprint_buf.create buf ~perm ~o_base ~v_base in
+    serialize w ~stale ~min_live_op session;
+    Buffer.contents buf
   in
-  Spec.fingerprint_memory oracle ~buf ~rename ~map_site ~map_set ~map_op
-    ~map_version ~min_live_op
-
-let of_session ?perm ?(gc = false) session =
-  let buf = Buffer.create 256 in
-  let perm =
-    match perm with
-    | Some p -> p
-    | None ->
-        let universe = Cluster.universe (Harness.cluster session) in
-        identity ~n_sites:(Site_set.max_elt universe + 1)
-  in
-  serialize ~buf ~perm ~gc session;
-  Buffer.contents buf
-
-let canonical ?buf ?(gc = false) ~perms session =
-  let buf = match buf with Some b -> b | None -> Buffer.create 256 in
   match perms with
-  | [] -> of_session ~gc session
-  | [ perm ] ->
-      serialize ~buf ~perm ~gc session;
-      Buffer.contents buf
+  | [] -> write (identity ~n_sites)
   | first :: rest ->
-      serialize ~buf ~perm:first ~gc session;
       List.fold_left
         (fun best perm ->
-          serialize ~buf ~perm ~gc session;
-          let fp = Buffer.contents buf in
+          let fp = write perm in
           if fp < best then fp else best)
-        (Buffer.contents buf) rest
+        (write first) rest

@@ -17,21 +17,18 @@ val segment_perms :
     is a transition-relation symmetry only for flavors without the
     lexicographic tie-break — the caller is responsible for that check. *)
 
-val of_session :
-  ?perm:int array -> ?gc:bool -> Dynvote_chaos.Harness.session -> string
-(** Serialize under a site relabeling ([perm] defaults to the identity).
-    Only valid between steps (quiet network).  [gc] (default false) drops
-    oracle generation entries below the minimum operation number any site
-    still carries — sound exactly when the explored alphabet has no
-    amnesiac restarts, which is what keeps per-site operation numbers
-    monotone (see {!Space.amnesia_free}). *)
-
 val canonical :
   ?buf:Buffer.t ->
   ?gc:bool ->
   perms:int array list ->
   Dynvote_chaos.Harness.session ->
   string
-(** The minimum of {!of_session} over [perms] — the symmetry-reduced
-    canonical form.  [perms] must include the identity to be sound.
-    [buf] is scratch space the caller may reuse across calls. *)
+(** Serialize the session under each site relabeling of [perms] and
+    return the minimum — the symmetry-reduced canonical form.  [perms]
+    must include the identity to be sound; [[]] means the identity
+    alone.  Only valid between steps (quiet network).  [gc] (default
+    false) drops oracle generation entries below the minimum operation
+    number any site still carries — sound exactly when the explored
+    alphabet has no amnesiac restarts, which is what keeps per-site
+    operation numbers monotone (see {!Space.amnesia_free}).  [buf] is a
+    buffer the caller may reuse across calls. *)

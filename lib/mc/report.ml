@@ -42,7 +42,7 @@ let pp ppf (r : Checker.report) =
 let pp_workers ppf (workers : Dynvote_exec.Pool.steal_stats array) =
   Array.iteri
     (fun i (w : Dynvote_exec.Pool.steal_stats) ->
-      Fmt.pf ppf "  worker %d: %d tasks, %d steals, %d failed steals, max deque %d@."
+      Fmt.pf ppf "  worker %d: %d continuations, %d steals, %d failed steals, max deque %d@."
         i w.Dynvote_exec.Pool.tasks_executed w.Dynvote_exec.Pool.steals
         w.Dynvote_exec.Pool.failed_steals w.Dynvote_exec.Pool.max_deque_depth)
     workers

@@ -11,8 +11,8 @@ val pp_expectation : Format.formatter -> Checker.report -> unit
 (** The verdict measured against the policy's [expect_safe] flag. *)
 
 val pp_workers : Format.formatter -> Dynvote_exec.Pool.steal_stats array -> unit
-(** One line per work-stealing worker: tasks executed, steals, failed
-    steals, deque high-water.  Scheduling-dependent — keep it off
+(** One line per work-stealing worker: continuations executed, steals,
+    failed steals, deque high-water.  Scheduling-dependent — keep it off
     cram-pinned stdout (the CLI prints it on stderr under [-v]). *)
 
 val steal_totals :

@@ -32,7 +32,7 @@ val full : t
 val amnesia_free : t -> bool
 (** No corrupting restarts: every site's operation number is monotone
     along every path, which licenses the fingerprint's generation-table
-    GC ({!Fingerprint.of_session}). *)
+    GC ({!Fingerprint.canonical}). *)
 
 val partition_masks : config:Dynvote_chaos.Harness.config -> int list
 (** Distinct proper two-way splits in the harness's mask encoding:

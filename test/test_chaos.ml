@@ -230,6 +230,25 @@ let test_corrupt_record_recovery () =
       | _ -> Alcotest.fail "final read at the recovered site was not granted")
     [ Schedule.Truncate; Schedule.Bit_flip; Schedule.Zero ]
 
+(* The parallel checker's domains all write through one harness: the
+   interned write contents must be safe to read from several domains at
+   once, interned range and beyond. *)
+let test_write_content_domains () =
+  let domains =
+    List.init 4 (fun d ->
+        Domain.spawn (fun () ->
+            let ok = ref true in
+            for round = 0 to 200 do
+              for n = 0 to 1_100 do
+                let n = (n + (d * 37) + round) mod 1_500 in
+                if Harness.write_content n <> Printf.sprintf "w%d" n then ok := false
+              done
+            done;
+            !ok))
+  in
+  Alcotest.(check bool) "every domain reads w<n>" true
+    (List.for_all Fun.id (List.map Domain.join domains))
+
 let suite =
   [
     Alcotest.test_case "campaigns are deterministic" `Quick test_determinism;
@@ -248,4 +267,6 @@ let suite =
     prop_mutations_rejected;
     Alcotest.test_case "corrupt record -> amnesia -> recover" `Quick
       test_corrupt_record_recovery;
+    Alcotest.test_case "write contents are domain-safe" `Quick
+      test_write_content_domains;
   ]

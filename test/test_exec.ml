@@ -207,9 +207,19 @@ let test_deque_concurrent_exactly_once () =
     "every pushed value consumed exactly once" true
     (List.sort compare (!owner @ stolen) = List.init n (fun i -> i))
 
-(* [run_stealing] on a task tree of known size: every node must be
-   executed exactly once regardless of the worker count, and the
-   scheduler must return one stats record per worker. *)
+(* [run_stealing] driven by the work-first continuation protocol on a
+   complete tree of known size (node [i]'s children are
+   [i * fanout + 1 .. i * fanout + fanout]).  A task is a continuation:
+   the untried siblings at one level.  A worker visits a node, pushes
+   its untried siblings as one continuation, descends into the node's
+   children, then reclaims.  Checked at every job count: every node is
+   visited exactly once; [reclaim] returns the worker's own newest push
+   or [None]; after [None] the worker's deque is empty (a second reclaim
+   finds nothing); every pushed continuation is counted as executed. *)
+type cont = { level : int; nodes : int list }
+
+exception Unwind
+
 let tree_nodes ~fanout ~depth =
   let rec go d = if d = 0 then 1 else 1 + (fanout * go (d - 1)) in
   go depth
@@ -222,31 +232,60 @@ let test_run_stealing_counts () =
   let expected = tree_nodes ~fanout ~depth in
   List.iter
     (fun jobs ->
+      let visits = Array.init expected (fun _ -> Atomic.make 0) in
+      let pushes = Atomic.make 0 in
+      let protocol_ok = Atomic.make true in
+      let run () ~push ~reclaim c =
+        let rec go level = function
+          | [] -> ()
+          | node :: rest ->
+              Atomic.incr visits.(node);
+              let children =
+                if level < depth then List.init fanout (fun k -> (node * fanout) + 1 + k)
+                else []
+              in
+              if rest = [] then go (level + 1) children
+              else begin
+                let mine = { level; nodes = rest } in
+                push mine;
+                Atomic.incr pushes;
+                go (level + 1) children;
+                match reclaim () with
+                | Some c ->
+                    if c != mine then Atomic.set protocol_ok false;
+                    go c.level c.nodes
+                | None ->
+                    if reclaim () <> None then Atomic.set protocol_ok false;
+                    raise_notrace Unwind
+              end
+        in
+        try go c.level c.nodes with Unwind -> ()
+      in
       Pool.with_pool ~jobs (fun pool ->
           let stats =
-            Pool.run_stealing pool ~roots:[| depth |]
-              ~init:(fun _ -> ())
-              ~run:(fun () ~push d ->
-                if d > 0 then
-                  for _ = 1 to fanout do
-                    push (d - 1)
-                  done)
-              ()
+            Pool.run_stealing pool ~roots:[| { level = 0; nodes = [ 0 ] } |]
+              ~init:(fun _ -> ()) ~run ()
           in
           Alcotest.(check int) "one stats record per worker" (Pool.jobs pool)
             (Array.length stats);
+          Alcotest.(check bool)
+            (Printf.sprintf "all %d tree nodes visited once at -j%d" expected jobs)
+            true
+            (Array.for_all (fun v -> Atomic.get v = 1) visits);
+          Alcotest.(check bool)
+            (Printf.sprintf "reclaim is the own newest push or None at -j%d" jobs)
+            true (Atomic.get protocol_ok);
           Alcotest.(check int)
-            (Printf.sprintf "all %d tree tasks executed once at -j%d" expected
-               jobs)
-            expected (total_tasks stats)))
-    [ 1; 4 ]
+            (Printf.sprintf "root and every continuation executed once at -j%d" jobs)
+            (1 + Atomic.get pushes) (total_tasks stats)))
+    [ 1; 2; 4 ]
 
 let test_run_stealing_exception () =
   Pool.with_pool ~jobs:4 (fun pool ->
       (match
          Pool.run_stealing pool ~roots:[| 6 |]
            ~init:(fun _ -> ())
-           ~run:(fun () ~push d ->
+           ~run:(fun () ~push ~reclaim:_ d ->
              if d = 2 then raise (Boom d)
              else if d > 0 then (
                push (d - 1);
@@ -259,28 +298,24 @@ let test_run_stealing_exception () =
       let stats =
         Pool.run_stealing pool ~roots:[| 0 |]
           ~init:(fun _ -> ())
-          ~run:(fun () ~push:_ _ -> ())
+          ~run:(fun () ~push:_ ~reclaim:_ _ -> ())
           ()
       in
       Alcotest.(check int) "pool usable after abort" 1 (total_tasks stats))
 
 (* The end-to-end guarantee the frontier is sold on: model-checker
-   verdicts independent of both the job count and the scheduling policy
-   (stealing frontier vs root-alphabet shards). *)
+   verdicts independent of the number of workers sharing it. *)
 let check_mc_steal_parity ~name ~depth =
   let p = Option.get (Harness.policy_of_string name) in
-  let report ~jobs ~steal =
-    Checker.check ~policy:p ~depth ~jobs ~steal (Checker.paper_config ())
-  in
-  let base = mc_summary (report ~jobs:1 ~steal:true) in
-  Alcotest.(check string)
-    (name ^ " -j4 stealing matches -j1")
-    base
-    (mc_summary (report ~jobs:4 ~steal:true));
-  Alcotest.(check string)
-    (name ^ " -j4 sharded matches -j1")
-    base
-    (mc_summary (report ~jobs:4 ~steal:false))
+  let report jobs = Checker.check ~policy:p ~depth ~jobs (Checker.paper_config ()) in
+  let base = mc_summary (report 1) in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s -j%d matches -j1" name jobs)
+        base
+        (mc_summary (report jobs)))
+    [ 2; 4 ]
 
 let test_mc_steal_parity_dv () = check_mc_steal_parity ~name:"dv" ~depth:4
 
@@ -294,15 +329,15 @@ let steal_suite =
     test_deque_model;
     Alcotest.test_case "deque concurrent exactly-once" `Quick
       test_deque_concurrent_exactly_once;
-    Alcotest.test_case "run_stealing executes the whole tree" `Quick
+    Alcotest.test_case "run_stealing continuation protocol on a tree" `Quick
       test_run_stealing_counts;
     Alcotest.test_case "run_stealing exception propagation" `Quick
       test_run_stealing_exception;
-    Alcotest.test_case "mc dv parity across jobs and steal" `Quick
+    Alcotest.test_case "mc dv parity at -j1, -j2 and -j4" `Quick
       test_mc_steal_parity_dv;
-    Alcotest.test_case "mc tdv parity across jobs and steal" `Quick
+    Alcotest.test_case "mc tdv parity at -j1, -j2 and -j4" `Quick
       test_mc_steal_parity_tdv;
-    Alcotest.test_case "mc tdv-safe parity across jobs and steal" `Quick
+    Alcotest.test_case "mc tdv-safe parity at -j1, -j2 and -j4" `Quick
       test_mc_steal_parity_tdv_safe;
   ]
 

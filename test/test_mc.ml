@@ -240,12 +240,12 @@ let test_search_spill_equivalence () =
 
 (* Frontier-scheduling independence: the explorer's verdict, the
    counterexample length, and the distinct count on a completed bound
-   must not depend on whether the parallel search uses the stealing
-   frontier or the root-alphabet shards — for a safe, an unsafe, and a
-   patched policy.  (Transitions may differ: which worker first admits a
-   state decides who expands it, and POR contexts can differ across
-   interleavings.  The summary deliberately excludes them.) *)
-let test_steal_shard_verdict_parity () =
+   must not depend on how many workers share the work-first frontier —
+   for a safe, an unsafe, and a patched policy.  (Transitions may
+   differ: which worker first admits a state decides who expands it, and
+   POR contexts can differ across interleavings.  The summary
+   deliberately excludes them.) *)
+let test_jobs_verdict_parity () =
   let summary (r : Explorer.result) =
     match r.Explorer.outcome with
     | Explorer.Safe { closed } -> `Safe (closed, r.Explorer.distinct)
@@ -258,13 +258,109 @@ let test_steal_shard_verdict_parity () =
       let config =
         { (Checker.paper_config ()) with Harness.flavor = p.Harness.flavor }
       in
-      let run ~jobs ~steal = Explorer.search ~jobs ~steal ~config ~depth () in
-      let seq = summary (run ~jobs:1 ~steal:true) in
-      if summary (run ~jobs:4 ~steal:true) <> seq then
-        Alcotest.failf "%s: -j4 stealing frontier diverges from -j1" name;
-      if summary (run ~jobs:4 ~steal:false) <> seq then
-        Alcotest.failf "%s: -j4 root shards diverge from -j1" name)
+      let run jobs = Explorer.search ~jobs ~config ~depth () in
+      let seq = summary (run 1) in
+      List.iter
+        (fun jobs ->
+          if summary (run jobs) <> seq then
+            Alcotest.failf "%s: -j%d frontier diverges from -j1" name jobs)
+        [ 2; 4 ])
     [ ("dv", 4); ("tdv", 5); ("tdv-safe", 4) ]
+
+(* Golden canonical fingerprints: the hex of {!Fingerprint.canonical}
+   after fixed schedules on the §3 topology, pinned byte for byte so a
+   rewrite of the serializer cannot silently change what the seen store
+   deduplicates.  The cases cover an amnesiac site holding a zeroed
+   record, one holding a decodable stale record, a two-group partition,
+   the generation-table GC, and dv's two-permutation symmetry group. *)
+module Fingerprint = Dynvote_mc.Fingerprint
+module Schedule = Dynvote_chaos.Schedule
+module Msg_node = Dynvote_msgsim.Node
+
+let hex s = String.fold_left (fun acc c -> acc ^ Printf.sprintf "%02x" (Char.code c)) "" s
+
+let session_after flavor steps =
+  let config = Checker.paper_config ~flavor () in
+  let session = Harness.make_session config in
+  List.iter (Harness.apply_step session) steps;
+  (config, session)
+
+let fingerprint_hex ?(gc = false) ?(symmetric = false) (config, session) =
+  let perms =
+    if symmetric then
+      Fingerprint.segment_perms ~universe:config.Harness.universe
+        ~segment_of:config.Harness.segment_of
+    else [ Fingerprint.identity ~n_sites:4 ]
+  in
+  hex (Fingerprint.canonical ~gc ~perms session)
+
+let test_fingerprint_golden () =
+  let node session site = Dynvote_msgsim.Cluster.node (Harness.cluster session) site in
+  let zeroed =
+    session_after Decision.tdv_safe_flavor
+      Schedule.[ Write 0; Crash 2; Restart (2, Some Zero); Write 1; Read 3 ]
+  in
+  Alcotest.(check bool) "zeroed: site 2 is amnesiac" true
+    (Msg_node.is_amnesiac (node (snd zeroed) 2));
+  (* Site 3's record from before two later commits, put back after a
+     zeroed restart left it amnesiac: stale, but decodable. *)
+  let stale =
+    let config, session = session_after Decision.tdv_safe_flavor [] in
+    let saved = Msg_node.stable_record (node session 3) in
+    List.iter (Harness.apply_step session)
+      Schedule.[ Write 0; Crash 3; Write 1; Write 0; Restart (3, Some Zero) ];
+    Msg_node.set_stable_record (node session 3) saved;
+    (config, session)
+  in
+  Alcotest.(check bool) "stale: site 3 is amnesiac" true
+    (Msg_node.is_amnesiac (node (snd stale) 3));
+  let partitioned =
+    session_after Decision.tdv_safe_flavor
+      Schedule.[ Write 0; Partition 1; Write 2; Crash_coordinator 0; Write 1 ]
+  in
+  Alcotest.(check bool) "partitioned: two groups" true
+    (Option.map List.length (Dynvote_msgsim.Cluster.groups (Harness.cluster (snd partitioned)))
+    = Some 2);
+  let history =
+    session_after Decision.ldv_flavor
+      Schedule.[ Write 0; Write 1; Crash 3; Write 2; Restart (3, None); Write 3 ]
+  in
+  let mirrored a b =
+    session_after Decision.dv_flavor Schedule.[ Write a; Crash b; Write 2; Crash 3 ]
+  in
+  let cases =
+    [
+      ("zeroed amnesiac record", fingerprint_hex zeroed);
+      ("decodable stale record", fingerprint_hex stale);
+      ("two-group partition", fingerprint_hex partitioned);
+      ("history, gc off", fingerprint_hex history);
+      ("history, gc on", fingerprint_hex ~gc:true history);
+      ("dv, identity only", fingerprint_hex (mirrored 0 1));
+      ("dv, symmetric", fingerprint_hex ~symmetric:true (mirrored 0 1));
+    ]
+  in
+  Alcotest.(check (list (pair string string)))
+    "canonical fingerprints"
+    [
+      ( "zeroed amnesiac record",
+        "040216020200000402160202000000001e00020204040216020200001e16010000000600001e020216040216080004020404000604080002020204000602" );
+      ( "decodable stale record",
+        "06060e0602000006060e0602000006060e0602000002021e0202020200001e1e0e010000000602021e04040e06060e080006020604060602080006020604060602" );
+      ( "two-group partition",
+        "00001e0002000000001e0002000000001e0002000000001e000200001c1c040618000002020200001e080000020004000600080000020004000600" );
+      ( "history, gc off",
+        "04040e0402000004040e0402000004040e0402000000001e000202001e0e010000000801011e00001e02020e04040e080004020404040600080004020404040600" );
+      ( "history, gc on",
+        "04040e0402000004040e0402000004040e0402000000001e000202001e0e010000000600001e02020e04040e080004020404040600080004020404040600" );
+      ( "dv, identity only",
+        "02021a0202000000001e0002020002021a0202000002021a020200000a0a010000000400001e02021a080002020004020602080002020004020602" );
+      ( "dv, symmetric",
+        "00001e0002000002021c0202020002021c0202020002021c020202000c0c010002000400001e02021c080000020204020602080000020204020602" );
+    ]
+    cases;
+  Alcotest.(check string) "symmetry folds the mirrored schedule"
+    (fingerprint_hex ~symmetric:true (mirrored 1 0))
+    (fingerprint_hex ~symmetric:true (mirrored 0 1))
 
 (* The paper's §3 four-copy topology: the published violation surfaces as
    a short schedule even at a shallow bound. *)
@@ -317,8 +413,10 @@ let suite =
       test_seen_store_spill_equivalence;
     Alcotest.test_case "search under DYNVOTE_MC_SPILL is identical" `Quick
       test_search_spill_equivalence;
-    Alcotest.test_case "stealing and sharded verdicts agree" `Quick
-      test_steal_shard_verdict_parity;
+    Alcotest.test_case "verdicts agree at -j1, -j2 and -j4" `Quick
+      test_jobs_verdict_parity;
+    Alcotest.test_case "golden canonical fingerprints" `Quick
+      test_fingerprint_golden;
     Alcotest.test_case "paper example: tdv counterexample" `Quick
       test_paper_example_tdv;
     Alcotest.test_case "deep sweep (DYNVOTE_MC_DEPTH)" `Slow test_deep_sweep;
