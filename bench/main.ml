@@ -641,7 +641,9 @@ let chaos () =
 
 (* Bounded model checking throughput on the paper's four-copy example:
    distinct states, transition counts with and without partial-order
-   reduction (verdicts asserted identical), rates, and the fingerprint
+   reduction (verdicts asserted identical), states/s and transitions/s
+   of both runs — the reduction pays only if it saves more transitions
+   than its per-transition bookkeeping costs — and the fingerprint
    store's memory footprint against the (string, int) hashtable it
    replaced — measured on real canonical fingerprints, resident and
    with the disk-spill tier engaged.  DYNVOTE_MC_DEPTH picks the bound
@@ -740,10 +742,12 @@ let mc () =
     Text_table.create
       ~aligns:
         [ Text_table.Left; Text_table.Right; Text_table.Right; Text_table.Right;
-          Text_table.Right; Text_table.Right; Text_table.Left ]
+          Text_table.Right; Text_table.Right; Text_table.Right; Text_table.Right;
+          Text_table.Right; Text_table.Left ]
       ~header:
         [ "Policy"; "States"; "Full trans"; "POR trans"; "Reduction";
-          "Trans/s"; "Verdict" ]
+          "States/s POR"; "States/s full"; "Trans/s POR"; "Trans/s full";
+          "Verdict" ]
       ()
   in
   let policy_rows =
@@ -758,7 +762,7 @@ let mc () =
           (report, Unix.gettimeofday () -. t0)
         in
         let reduced, reduced_s = timed true in
-        let full, _ = timed false in
+        let full, full_s = timed false in
         let rr = reduced.Checker.result and rf = full.Checker.result in
         let verdict = mc_verdict_text reduced in
         (* Same soundness gate as the test suite: a completed bound must
@@ -780,17 +784,25 @@ let mc () =
           float_of_int rf.Explorer.transitions
           /. float_of_int (max 1 rr.Explorer.transitions)
         in
-        let rate = float_of_int rr.Explorer.transitions /. reduced_s in
+        let per_s n seconds = float_of_int n /. seconds in
+        let states_por = per_s rr.Explorer.distinct reduced_s
+        and states_full = per_s rf.Explorer.distinct full_s
+        and trans_por = per_s rr.Explorer.transitions reduced_s
+        and trans_full = per_s rf.Explorer.transitions full_s in
         Text_table.add_row table
           [ name;
             string_of_int rr.Explorer.distinct;
             string_of_int rf.Explorer.transitions;
             string_of_int rr.Explorer.transitions;
             Printf.sprintf "%.2fx" reduction;
-            Printf.sprintf "%.0f" rate;
+            Printf.sprintf "%.0f" states_por;
+            Printf.sprintf "%.0f" states_full;
+            Printf.sprintf "%.0f" trans_por;
+            Printf.sprintf "%.0f" trans_full;
             verdict ];
         let totals = Dynvote_mc.Report.steal_totals rr.Explorer.workers in
-        (name, rr, rf.Explorer.transitions, reduction, rate, verdict, totals))
+        ( name, rr, rf.Explorer.transitions, reduction,
+          (states_por, states_full, trans_por, trans_full), verdict, totals ))
       [ "dv"; "odv"; "tdv"; "tdv-safe" ]
   in
   Text_table.print table;
@@ -817,16 +829,18 @@ let mc () =
   let fl v = if Float.is_finite v then Printf.sprintf "%.6g" v else "null" in
   let oc = open_out "BENCH_MC.json" in
   Printf.fprintf oc
-    "{\"schema\":\"dynvote-bench-mc/2\",\"depth\":%d,\"jobs\":%d,\"policies\":{%s},\"store\":{\"sampled_states\":%d,\"canonical_bytes_avg\":%s,\"hashtbl_bytes_per_state\":%s,\"resident_bytes_per_state\":%s,\"spill_resident_bytes_per_state\":%s,\"spilled_states\":%d,\"resident_ratio\":%s,\"spill_ratio\":%s}}\n"
+    "{\"schema\":\"dynvote-bench-mc/3\",\"depth\":%d,\"jobs\":%d,\"policies\":{%s},\"store\":{\"sampled_states\":%d,\"canonical_bytes_avg\":%s,\"hashtbl_bytes_per_state\":%s,\"resident_bytes_per_state\":%s,\"spill_resident_bytes_per_state\":%s,\"spilled_states\":%d,\"resident_ratio\":%s,\"spill_ratio\":%s}}\n"
     depth jobs
     (String.concat ","
        (List.map
-          (fun (name, rr, full_t, reduction, rate, verdict,
+          (fun (name, rr, full_t, reduction,
+                (states_por, states_full, trans_por, trans_full), verdict,
                 (t : Pool.steal_stats)) ->
             Printf.sprintf
-              "\"%s\":{\"states\":%d,\"transitions_full\":%d,\"transitions_reduced\":%d,\"reduction\":%s,\"trans_per_s\":%s,\"verdict\":\"%s\",\"steal_totals\":{\"tasks_executed\":%d,\"steals\":%d,\"failed_steals\":%d,\"max_deque_depth\":%d}}"
+              "\"%s\":{\"states\":%d,\"transitions_full\":%d,\"transitions_reduced\":%d,\"reduction\":%s,\"states_per_s_reduced\":%s,\"states_per_s_full\":%s,\"trans_per_s_reduced\":%s,\"trans_per_s_full\":%s,\"verdict\":\"%s\",\"steal_totals\":{\"tasks_executed\":%d,\"steals\":%d,\"failed_steals\":%d,\"max_deque_depth\":%d}}"
               name rr.Explorer.distinct full_t rr.Explorer.transitions
-              (fl reduction) (fl rate) verdict t.Pool.tasks_executed
+              (fl reduction) (fl states_por) (fl states_full) (fl trans_por)
+              (fl trans_full) verdict t.Pool.tasks_executed
               t.Pool.steals t.Pool.failed_steals t.Pool.max_deque_depth)
           policy_rows))
     sampled (fl canon_bytes) (fl old_bs) (fl resident_bs) (fl spill_bs) spilled

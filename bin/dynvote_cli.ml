@@ -1049,6 +1049,16 @@ let loadgen_cmd =
       | Some s, Some _ -> s
       | None, _ -> 0.0
     in
+    (* The mux generator is closed loop with no site hopping: an open-loop
+       rate or a retry budget would be refused mid-run or dropped. *)
+    if mux && rate <> None then begin
+      Fmt.epr "dynvote: --mux is closed loop only; drop --rate or --mux@.";
+      exit 2
+    end;
+    if mux && retries > 0 then begin
+      Fmt.epr "dynvote: --mux makes no cross-site retries; drop --retries or --mux@.";
+      exit 2
+    end;
     let keys = Option.value ~default:16 keys in
     let dir = fresh_temp_dir () in
     let universe = Site_set.universe sites in

@@ -61,21 +61,19 @@ let create ?(flavor = Decision.ldv_flavor) ?(segment_of = fun s -> s)
      nodes' tables (below) are the other. *)
   let seq0, client0 =
     Site_set.fold
-      (fun site (seq, client) ->
-        let records, _ = Persist.read_log ~path:(Persist.oplog_path ~dir site) in
-        let seq, client =
-          List.fold_left
+      (fun site acc ->
+        let scan =
+          Persist.scan_log ~path:(Persist.oplog_path ~dir site)
             (fun (seq, client) r ->
               let rid =
                 match r with
-                | Persist.Log_kcommit { rid; _ } | Persist.Log_koutcome { rid; _ } ->
-                    rid
+                | Persist.Log_kcommit { rid; _ } | Persist.Log_koutcome { rid; _ } -> rid
                 | Persist.Log_kintent _ -> 0
               in
               (max seq (Persist.seq_of r), max client (rid lsr 32)))
-            (seq, client) records
+            acc
         in
-        (seq, client))
+        scan.Codec.folded)
       universe
       (0, Wire.first_client_id - 1)
   in
@@ -310,18 +308,23 @@ let count_dup_applies tagged =
 let check_dir ~universe ~dir =
   let torn = ref Site_set.empty in
   let corrupt = ref 0 in
-  let tagged = ref [] in
-  Site_set.iter
-    (fun site ->
-      let scan = Persist.scan_log ~path:(Persist.oplog_path ~dir site) () in
-      if scan.Persist.torn then torn := Site_set.add site !torn;
-      corrupt := !corrupt + scan.Persist.corrupt;
-      List.iter (fun r -> tagged := (site, r) :: !tagged) scan.Persist.records)
-    universe;
+  let tagged =
+    Site_set.fold
+      (fun site tagged ->
+        let scan =
+          Persist.scan_log ~path:(Persist.oplog_path ~dir site)
+            (fun tagged r -> (site, r) :: tagged)
+            tagged
+        in
+        if scan.Codec.torn then torn := Site_set.add site !torn;
+        corrupt := !corrupt + scan.Codec.corrupt;
+        scan.Codec.folded)
+      universe []
+  in
   let ordered =
     List.sort
       (fun (_, a) (_, b) -> compare (Persist.seq_of a) (Persist.seq_of b))
-      !tagged
+      tagged
   in
   (* Every object is its own register, so every object gets its own
      oracle — its commits, intents and outcomes in global stamp order,
@@ -356,6 +359,8 @@ let check_dir ~universe ~dir =
   let finals = Hashtbl.create 64 in
   Site_set.iter
     (fun site ->
+      let states, shard_corrupt = Shard_store.read_states ~dir ~site in
+      corrupt := !corrupt + shard_corrupt;
       List.iter
         (fun (key, st) ->
           let entry =
@@ -368,7 +373,7 @@ let check_dir ~universe ~dir =
           | None ->
               if not (Hashtbl.mem events key) then order := key :: !order;
               Hashtbl.replace finals key [ entry ])
-        (Shard_store.read_states ~dir ~site))
+        states)
     universe;
   let replay key =
     Oracle.replay

@@ -419,10 +419,16 @@ let boot ~site ~universe ~flavor ~segment_of ~config ~obs ~dir ?(vfs = Vfs.real)
   in
   (* A checksum-failing record in the *middle* of a log — intact records
      after it — is damage no crash explains; the history has a hole and
-     this site must not present itself as a witness. *)
-  let oplog_scan = Persist.scan_log ~vfs ~path:(Persist.oplog_path ~dir site) () in
+     this site must not present itself as a witness.  A purely torn tail
+     (honest crash damage) is cut off by the scan before the log is
+     reopened for append; a corrupt log is left untouched as evidence. *)
+  let oplog_scan =
+    Persist.scan_log ~vfs ~cut_torn_tail:true ~path:(Persist.oplog_path ~dir site)
+      (fun () _ -> ())
+      ()
+  in
   let degraded =
-    let oplog_corrupt = oplog_scan.Persist.corrupt
+    let oplog_corrupt = oplog_scan.Codec.corrupt
     and shard_corrupt = scan.Shard_store.corrupt in
     if oplog_corrupt > 0 then begin
       Metrics.add ctrs.c_oplog_corrupt oplog_corrupt;
@@ -438,15 +444,6 @@ let boot ~site ~universe ~flavor ~segment_of ~config ~obs ~dir ?(vfs = Vfs.real)
     end
     else None
   in
-  (* A purely torn tail (honest crash damage, nothing mid-log) is cut
-     off before reopening for append: new records written after a
-     partial frame would be unreadable, and the next scan would call
-     them mid-log corruption.  A corrupt log is left untouched — it is
-     evidence, and this node is fencing itself anyway. *)
-  if oplog_scan.Persist.torn && oplog_scan.Persist.corrupt = 0 then
-    vfs.Vfs.truncate
-      (Persist.oplog_path ~dir site)
-      oplog_scan.Persist.valid_prefix;
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
      Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));

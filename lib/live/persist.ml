@@ -14,53 +14,9 @@ let ensure_site_dir ~dir site =
 
 let oplog_path ~dir site = Filename.concat (site_dir ~dir site) "oplog.dvl"
 
-let add_u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
-let add_u16 b v = Buffer.add_uint16_le b v
-let add_u32 b v = Buffer.add_int32_le b (Int32.of_int v)
-let add_u64 b v = Buffer.add_int64_le b (Int64.of_int v)
-
-exception Bad of string
-
-type cursor = { data : Bytes.t; mutable pos : int }
-
-let need c n = if c.pos + n > Bytes.length c.data then raise (Bad "record truncated")
-
-let u8 c =
-  need c 1;
-  let v = Char.code (Bytes.get c.data c.pos) in
-  c.pos <- c.pos + 1;
-  v
-
-let u16 c =
-  need c 2;
-  let v = Bytes.get_uint16_le c.data c.pos in
-  c.pos <- c.pos + 2;
-  v
-
-let u32 c =
-  need c 4;
-  let v = Int32.to_int (Bytes.get_int32_le c.data c.pos) land 0xFFFFFFFF in
-  c.pos <- c.pos + 4;
-  v
-
-let u64 c =
-  need c 8;
-  let v = Bytes.get_int64_le c.data c.pos in
-  c.pos <- c.pos + 8;
-  if Int64.compare v 0L < 0 || Int64.compare v (Int64.of_int max_int) > 0 then
-    raise (Bad "field out of range");
-  Int64.to_int v
-
-let str c len =
-  need c len;
-  let s = Bytes.sub_string c.data c.pos len in
-  c.pos <- c.pos + len;
-  s
-
 (* --- operation log -------------------------------------------------- *)
 
-let log_magic = "DVO1"
-let max_record = 16 * 1024 * 1024
+let magic = "DVO1"
 
 type record =
   | Log_kcommit of {
@@ -87,181 +43,72 @@ let seq_of = function
   | Log_koutcome { seq; _ } ->
       seq
 
-let kind_code = function `Read -> 0 | `Write -> 1 | `Recover -> 2
-
 (* Record layout: tag | seq | key | fields.  The one object of
    [--shards 0] (the empty key) drops the key and takes tags 0-2, every
    other key tags 3-5 — so a single-object history keeps the exact
    record bytes it always had. *)
 let add_head b ~tag ~seq key =
-  if String.length key > 0xffff then invalid_arg "Persist: key longer than 65535 bytes";
-  add_u8 b (if key = "" then tag else tag + 3);
-  add_u64 b seq;
-  if key <> "" then begin
-    add_u16 b (String.length key);
-    Buffer.add_string b key
-  end
+  Codec.add_u8 b (if key = "" then tag else tag + 3);
+  Codec.add_u64 b seq;
+  if key <> "" then Codec.add_key b key
 
 let encode_record record =
-  let b = Buffer.create 64 in
-  Buffer.add_string b log_magic;
-  add_u32 b 0 (* checksum slot *);
-  (match record with
-  | Log_kcommit { seq; key; op_no; version; partition; rid } ->
-      add_head b ~tag:0 ~seq key;
-      add_u64 b op_no;
-      add_u64 b version;
-      add_u64 b (Site_set.to_int partition);
-      add_u64 b rid
-  | Log_kintent { seq; key; content } ->
-      add_head b ~tag:1 ~seq key;
-      add_u32 b (String.length content);
-      Buffer.add_string b content
-  | Log_koutcome { seq; key; kind; granted; content; rid } ->
-      add_head b ~tag:2 ~seq key;
-      add_u8 b (kind_code kind);
-      add_u8 b (if granted then 1 else 0);
-      (match content with
-      | None -> add_u8 b 0
-      | Some content ->
-          add_u8 b 1;
-          add_u32 b (String.length content);
-          Buffer.add_string b content);
-      add_u64 b rid);
-  let body = Buffer.to_bytes b in
-  Bytes.set_int32_le body 4 (Codec.checksum body ~off:8 ~len:(Bytes.length body - 8));
-  let frame = Bytes.create (4 + Bytes.length body) in
-  Bytes.set_int32_le frame 0 (Int32.of_int (Bytes.length body));
-  Bytes.blit body 0 frame 4 (Bytes.length body);
-  Bytes.to_string frame
+  Codec.frame ~magic (fun b ->
+      match record with
+      | Log_kcommit { seq; key; op_no; version; partition; rid } ->
+          add_head b ~tag:0 ~seq key;
+          Codec.add_u64 b op_no;
+          Codec.add_u64 b version;
+          Codec.add_site_set b partition;
+          Codec.add_u64 b rid
+      | Log_kintent { seq; key; content } ->
+          add_head b ~tag:1 ~seq key;
+          Codec.add_value b content
+      | Log_koutcome { seq; key; kind; granted; content; rid } ->
+          add_head b ~tag:2 ~seq key;
+          Codec.add_u8 b (match kind with `Read -> 0 | `Write -> 1 | `Recover -> 2);
+          Codec.add_bool b granted;
+          Codec.add_value_opt b content;
+          Codec.add_u64 b rid)
 
 (* An open append channel over the vfs: each record is written through
-   in full (straight to the OS, no userland buffering), so a process
-   kill leaves at worst one partial frame at the tail.  Like the old
-   out_channel discipline, appends are not fsynced — a power cut may
-   truncate the unsynced suffix, which replay tolerates as a torn
-   tail. *)
+   in full, so a process kill leaves at worst one partial frame at the
+   tail.  Appends are not fsynced — a power cut may truncate the
+   unsynced suffix, which replay tolerates as a torn tail. *)
 type log = { file : Vfs.file; path : string }
 
 let open_log ?(vfs = Vfs.real) ~path () = { file = vfs.Vfs.append path; path }
-
-let append log record =
-  let frame = Bytes.unsafe_of_string (encode_record record) in
-  let len = Bytes.length frame in
-  let written = ref 0 in
-  while !written < len do
-    written := !written + log.file.Vfs.write frame !written (len - !written)
-  done
-
+let append log record = Codec.write_through log.file (encode_record record)
 let log_path log = log.path
 let close_log log = log.file.Vfs.close ()
 
-let decode_record body =
-  let c = { data = body; pos = 0 } in
-  if str c 4 <> log_magic then raise (Bad "bad magic");
-  let stored = Bytes.get_int32_le body 4 in
-  c.pos <- 8;
-  let computed = Codec.checksum body ~off:8 ~len:(Bytes.length body - 8) in
-  if not (Int32.equal stored computed) then raise (Bad "checksum mismatch");
-  let tag = u8 c in
-  if tag > 5 then raise (Bad "unknown record tag");
-  let seq = u64 c in
-  let key = if tag >= 3 then str c (u16 c) else "" in
-  let record =
-    match tag mod 3 with
-    | 0 ->
-        let op_no = u64 c in
-        let version = u64 c in
-        let mask = u64 c in
-        let rid = u64 c in
-        Log_kcommit
-          { seq; key; op_no; version; partition = Site_set.of_int_unsafe mask; rid }
-    | 1 -> Log_kintent { seq; key; content = str c (u32 c) }
-    | _ ->
-        let kind =
-          match u8 c with
-          | 0 -> `Read
-          | 1 -> `Write
-          | 2 -> `Recover
-          | _ -> raise (Bad "bad kind")
-        in
-        let granted = match u8 c with 0 -> false | 1 -> true | _ -> raise (Bad "bad flag") in
-        let content =
-          match u8 c with
-          | 0 -> None
-          | 1 -> Some (str c (u32 c))
-          | _ -> raise (Bad "bad content flag")
-        in
-        let rid = u64 c in
-        Log_koutcome { seq; key; kind; granted; content; rid }
-  in
-  if c.pos <> Bytes.length body then raise (Bad "trailing garbage");
-  record
-
-type scan = { records : record list; torn : bool; corrupt : int; valid_prefix : int }
-
-(* A killed node leaves at worst one partial frame at the tail — that is
-   the only corruption an honest crash can produce, and replay tolerates
-   it as [torn].  A checksum-failing record *followed by intact ones* is
-   a different animal entirely: the tail proves the log kept growing
-   past the damage, so bytes were altered in place (bit rot, a lying
-   disk) and the history has a hole.  Those records are counted in
-   [corrupt] so recovery can refuse to trust the site instead of
-   silently replaying around the gap.
-
-   Frames whose length prefix is intact are skipped and scanning
-   resumes at the next frame; an implausible length ends the scan (we
-   cannot resynchronize without trusting damaged bytes). *)
-let scan_log ?vfs ~path () =
-  match Codec.read_file_result ?vfs ~path () with
-  | Error _ -> { records = []; torn = false; corrupt = 0; valid_prefix = 0 }
-  | Ok data ->
-      let raw = Bytes.of_string data in
-      let total = Bytes.length raw in
-      (* Good records and bad-frame markers, in file order. *)
-      let items = ref [] in
-      let pos = ref 0 in
-      let ragged_tail = ref false in
-      (* Byte length of the damage-free prefix: everything before the
-         first bad frame (or the structural end of the scan).  A booting
-         node may cut a purely-torn log back to this point before
-         appending over it — appending *past* a partial frame would make
-         the new records unreadable, indistinguishable from mid-log
-         corruption on the next scan. *)
-      let damaged = ref false in
-      let valid_prefix = ref 0 in
-      (try
-         while !pos < total do
-           if !pos + 4 > total then raise Exit;
-           let len = Int32.to_int (Bytes.get_int32_le raw !pos) land 0xFFFFFFFF in
-           if len <= 0 || len > max_record || !pos + 4 + len > total then raise Exit;
-           (match decode_record (Bytes.sub raw (!pos + 4) len) with
-           | record ->
-               items := `Good record :: !items;
-               if not !damaged then valid_prefix := !pos + 4 + len
-           | exception Bad _ ->
-               items := `Bad :: !items;
-               damaged := true);
-           pos := !pos + 4 + len
-         done
-       with Exit -> ragged_tail := true);
-      (* Bad frames at the very end are the torn tail; bad frames with
-         an intact record after them are mid-log corruption. *)
-      let rec split_tail = function
-        | `Bad :: rest -> ragged_tail := true; split_tail rest
-        | items -> items
+let decode_record c =
+  let tag = Codec.u8 c in
+  if tag > 5 then raise (Codec.Corrupt "unknown record tag");
+  let seq = Codec.u64 c in
+  let key = if tag >= 3 then Codec.key c else "" in
+  match tag mod 3 with
+  | 0 ->
+      let op_no = Codec.u64 c in
+      let version = Codec.u64 c in
+      let partition = Codec.site_set c in
+      Log_kcommit { seq; key; op_no; version; partition; rid = Codec.u64 c }
+  | 1 -> Log_kintent { seq; key; content = Codec.value c }
+  | _ ->
+      let kind =
+        match Codec.u8 c with
+        | 0 -> `Read
+        | 1 -> `Write
+        | 2 -> `Recover
+        | _ -> raise (Codec.Corrupt "bad kind")
       in
-      let interior = split_tail !items in
-      let records, corrupt =
-        List.fold_left
-          (fun (records, corrupt) item ->
-            match item with
-            | `Good r -> (r :: records, corrupt)
-            | `Bad -> (records, corrupt + 1))
-          ([], 0) interior
-      in
-      { records; torn = !ragged_tail; corrupt; valid_prefix = !valid_prefix }
+      let granted = Codec.bool c in
+      let content = Codec.value_opt c in
+      Log_koutcome { seq; key; kind; granted; content; rid = Codec.u64 c }
 
-let read_log ~path =
-  let scan = scan_log ~path () in
-  (scan.records, scan.torn || scan.corrupt > 0)
+(* A missing or unreadable oplog is an empty one: the objects' own state
+   lives in the shard logs, whose loss is amnesia. *)
+let scan_log ?vfs ?cut_torn_tail ~path f init =
+  match Codec.scan_log ?vfs ?cut_torn_tail ~path ~magic ~decode:decode_record f init with
+  | Ok scan -> scan
+  | Error _ -> { Codec.folded = init; torn = false; corrupt = 0; valid_prefix = 0 }

@@ -59,26 +59,10 @@ val append : log -> record -> unit
 
 val close_log : log -> unit
 
-type scan = {
-  records : record list;  (** intact records, in file order *)
-  torn : bool;  (** a damaged tail was dropped — what an honest crash leaves *)
-  corrupt : int;
-      (** checksum-failing records {e followed by intact ones} — a hole in
-          the middle of the history that no crash can explain; recovery
-          must not trust a site whose log shows these *)
-  valid_prefix : int;
-      (** byte length of the damage-free prefix (every record before the
-          first bad frame).  A booting node cuts a purely-torn log back to
-          this point before appending: appending past a partial frame
-          would leave the new records unreadable and look like mid-log
-          corruption on the next scan *)
-}
-
-val scan_log : ?vfs:Vfs.t -> path:string -> unit -> scan
-(** Parse the whole log, resynchronizing past complete-but-corrupt frames
-    (their length prefix is trusted when plausible).  A missing file is
-    an empty scan. *)
-
-val read_log : path:string -> record list * bool
-(** [scan_log] collapsed to (records, any damage seen) — the shape the
-    audit replay consumes. *)
+val scan_log :
+  ?vfs:Vfs.t -> ?cut_torn_tail:bool -> path:string -> ('a -> record -> 'a) -> 'a ->
+  'a Codec.scan
+(** Fold the log's intact records in file order, by {!Codec.scan_log}'s
+    torn-versus-corrupt rule ([~cut_torn_tail:true] when the log is
+    about to be reopened for append).  A missing or unreadable oplog is
+    an empty scan: the objects themselves live in the shard logs. *)

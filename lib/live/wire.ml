@@ -1,18 +1,15 @@
 (* Wire protocol of the live replication service.
 
-   Frames are self-delimiting and self-checking:
+   Frames are self-delimiting and self-checking {!Codec.frame}s:
 
        len:u32 | magic "DVW1" | adler32:u32 | src:u16 | dst:u16 | tag:u8 | fields
 
-   The checksum covers everything after itself.  Integers are
-   little-endian fixed width; keys carry u16 lengths, values u32.  The
-   consistency ensembles inside KState_reply reuse the Codec
-   stable-storage encoding byte for byte.  Tags 3-5 and 7-10 are
-   unassigned: every frame keeps the tag, and the bytes, it has always
-   had. *)
+   This module owns only the field layouts.  The consistency ensembles
+   inside KState_reply reuse the Codec stable-storage encoding byte for
+   byte.  Tags 3-5 and 7-10 are unassigned: every frame keeps the tag,
+   and the bytes, it has always had. *)
 
 let magic = "DVW1"
-let max_frame = 16 * 1024 * 1024
 let broker_id = 0xFFFF
 let first_client_id = 64
 let is_site id = id >= 0 && id < Site_set.max_sites
@@ -84,27 +81,6 @@ let pp ppf e = Fmt.pf ppf "%d->%d %s" e.src e.dst (kind_name e.payload)
 
 (* --- encoding ----------------------------------------------------- *)
 
-let add_u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
-let add_u16 b v = Buffer.add_uint16_le b v
-let add_u32 b v = Buffer.add_int32_le b (Int32.of_int v)
-let add_u64 b v = Buffer.add_int64_le b (Int64.of_int v)
-let add_bool b v = add_u8 b (if v then 1 else 0)
-
-let add_key b k =
-  if String.length k > 0xffff then invalid_arg "Wire: key longer than 65535 bytes";
-  add_u16 b (String.length k);
-  Buffer.add_string b k
-
-let add_value b v =
-  add_u32 b (String.length v);
-  Buffer.add_string b v
-
-let add_status b = function
-  | Granted -> add_u8 b 0
-  | Denied -> add_u8 b 1
-  | Aborted -> add_u8 b 2
-  | Degraded -> add_u8 b 3
-
 let tag_of = function
   | Hello_site _ -> 0
   | Hello_client -> 1
@@ -123,272 +99,174 @@ let tag_of = function
   | KData_request _ -> 21
   | KData_reply _ -> 22
 
+let add_status b status =
+  Codec.add_u8 b
+    (match status with Granted -> 0 | Denied -> 1 | Aborted -> 2 | Degraded -> 3)
+
 let add_keys b keys =
-  add_u16 b (List.length keys);
-  List.iter (add_key b) keys
+  Codec.add_u16 b (List.length keys);
+  List.iter (Codec.add_key b) keys
 
 let encode_payload b = function
-  | Hello_site { site } -> add_u16 b site
+  | Hello_site { site } -> Codec.add_u16 b site
   | Hello_client -> ()
-  | Welcome { id } -> add_u16 b id
+  | Welcome { id } -> Codec.add_u16 b id
   | Lock_reply { op; granted } ->
-      add_u32 b op;
-      add_bool b granted
+      Codec.add_u32 b op;
+      Codec.add_bool b granted
   | Client_put { req; key; value } ->
-      add_u32 b req;
-      add_key b key;
-      add_value b value
+      Codec.add_u32 b req;
+      Codec.add_key b key;
+      Codec.add_value b value
   | Client_get { req; key } ->
-      add_u32 b req;
-      add_key b key
-  | Client_recover { req } -> add_u32 b req
+      Codec.add_u32 b req;
+      Codec.add_key b key
+  | Client_recover { req } -> Codec.add_u32 b req
   | Client_reply { req; status; value; info } ->
-      add_u32 b req;
+      Codec.add_u32 b req;
       add_status b status;
-      (match value with
-      | None -> add_u8 b 0
-      | Some v ->
-          add_u8 b 1;
-          add_value b v);
-      add_key b info
-  | Abstain { round } -> add_u32 b round
-  | KLock_request { op; keys } ->
-      add_u32 b op;
-      add_keys b keys
-  | KUnlock { op; keys } ->
-      add_u32 b op;
+      Codec.add_value_opt b value;
+      Codec.add_key b info
+  | Abstain { round } -> Codec.add_u32 b round
+  | KLock_request { op; keys } | KUnlock { op; keys } ->
+      Codec.add_u32 b op;
       add_keys b keys
   | KState_request { round; keys } ->
-      add_u32 b round;
+      Codec.add_u32 b round;
       add_keys b keys
   | KState_reply { round; fresh; states } ->
-      add_u32 b round;
-      add_bool b fresh;
-      add_u16 b (List.length states);
+      Codec.add_u32 b round;
+      Codec.add_bool b fresh;
+      Codec.add_u16 b (List.length states);
       List.iter
         (fun (k, replica) ->
-          add_key b k;
+          Codec.add_key b k;
           Buffer.add_string b (Codec.encode_replica replica))
         states
   | KCommit { key; op_no; version; partition; value; rid } ->
-      add_key b key;
-      add_u64 b op_no;
-      add_u64 b version;
-      add_u64 b (Site_set.to_int partition);
-      (match value with
-      | None -> add_u8 b 0
-      | Some v ->
-          add_u8 b 1;
-          add_value b v);
-      add_u64 b rid
+      Codec.add_key b key;
+      Codec.add_u64 b op_no;
+      Codec.add_u64 b version;
+      Codec.add_site_set b partition;
+      Codec.add_value_opt b value;
+      Codec.add_u64 b rid
   | KData_request { round; key } ->
-      add_u32 b round;
-      add_key b key
+      Codec.add_u32 b round;
+      Codec.add_key b key
   | KData_reply { round; key; version; value; rids } ->
-      add_u32 b round;
-      add_key b key;
-      add_u64 b version;
-      (match value with
-      | None -> add_u8 b 0
-      | Some v ->
-          add_u8 b 1;
-          add_value b v);
-      add_u32 b (List.length rids);
-      List.iter
-        (fun (client, req) ->
-          add_u32 b client;
-          add_u64 b req)
-        rids
+      Codec.add_u32 b round;
+      Codec.add_key b key;
+      Codec.add_u64 b version;
+      Codec.add_value_opt b value;
+      Codec.add_pairs b rids
 
 let encode e =
-  let body = Buffer.create 64 in
-  Buffer.add_string body magic;
-  add_u32 body 0 (* checksum slot *);
-  add_u16 body e.src;
-  add_u16 body e.dst;
-  add_u8 body (tag_of e.payload);
-  encode_payload body e.payload;
-  let body = Buffer.to_bytes body in
-  Bytes.set_int32_le body 4 (Codec.checksum body ~off:8 ~len:(Bytes.length body - 8));
-  let frame = Bytes.create (4 + Bytes.length body) in
-  Bytes.set_int32_le frame 0 (Int32.of_int (Bytes.length body));
-  Bytes.blit body 0 frame 4 (Bytes.length body);
-  Bytes.to_string frame
+  Codec.frame ~magic (fun b ->
+      Codec.add_u16 b e.src;
+      Codec.add_u16 b e.dst;
+      Codec.add_u8 b (tag_of e.payload);
+      encode_payload b e.payload)
 
 (* --- decoding ----------------------------------------------------- *)
 
-exception Bad of string
-
-(* A cursor over the body bytes; every read is bounds-checked so a
-   malformed length field turns into [Error], never an exception from
-   Bytes. *)
-type cursor = { data : Bytes.t; mutable pos : int }
-
-let need c n = if c.pos + n > Bytes.length c.data then raise (Bad "frame truncated")
-
-let u8 c =
-  need c 1;
-  let v = Char.code (Bytes.get c.data c.pos) in
-  c.pos <- c.pos + 1;
-  v
-
-let u16 c =
-  need c 2;
-  let v = Bytes.get_uint16_le c.data c.pos in
-  c.pos <- c.pos + 2;
-  v
-
-let u32 c =
-  need c 4;
-  let v = Int32.to_int (Bytes.get_int32_le c.data c.pos) land 0xFFFFFFFF in
-  c.pos <- c.pos + 4;
-  v
-
-let u64 c =
-  need c 8;
-  let v = Bytes.get_int64_le c.data c.pos in
-  c.pos <- c.pos + 8;
-  if Int64.compare v 0L < 0 || Int64.compare v (Int64.of_int max_int) > 0 then
-    raise (Bad "field out of range");
-  Int64.to_int v
-
-let bool_field c =
-  match u8 c with 0 -> false | 1 -> true | _ -> raise (Bad "bad boolean")
-
-let str c len =
-  need c len;
-  let s = Bytes.sub_string c.data c.pos len in
-  c.pos <- c.pos + len;
-  s
-
-let key c = str c (u16 c)
-let value c = str c (u32 c)
-
 let keys_field c =
-  let n = u16 c in
-  List.init n (fun _ -> key c)
+  let n = Codec.u16 c in
+  List.init n (fun _ -> Codec.key c)
 
 let status_field c =
-  match u8 c with
+  match Codec.u8 c with
   | 0 -> Granted
   | 1 -> Denied
   | 2 -> Aborted
   | 3 -> Degraded
-  | _ -> raise (Bad "bad status")
+  | _ -> raise (Codec.Corrupt "bad status")
 
 let replica_field c =
-  let data = str c Codec.encoded_size in
-  match Codec.decode_result data with
+  match Codec.decode_result (Codec.str c Codec.encoded_size) with
   | Ok replica -> replica
-  | Error reason -> raise (Bad ("bad replica: " ^ reason))
-
-let site_set_field c =
-  let mask = u64 c in
-  if mask land lnot (Site_set.to_int (Site_set.universe Site_set.max_sites)) <> 0 then
-    raise (Bad "partition mask has illegal bits");
-  Site_set.of_int_unsafe mask
+  | Error reason -> raise (Codec.Corrupt ("bad replica: " ^ reason))
 
 let decode_payload c tag =
   match tag with
-  | 0 -> Hello_site { site = u16 c }
+  | 0 -> Hello_site { site = Codec.u16 c }
   | 1 -> Hello_client
-  | 2 -> Welcome { id = u16 c }
+  | 2 -> Welcome { id = Codec.u16 c }
   | 6 ->
-      let op = u32 c in
-      Lock_reply { op; granted = bool_field c }
+      let op = Codec.u32 c in
+      Lock_reply { op; granted = Codec.bool c }
   | 11 ->
-      let req = u32 c in
-      let k = key c in
-      Client_put { req; key = k; value = value c }
+      let req = Codec.u32 c in
+      let key = Codec.key c in
+      Client_put { req; key; value = Codec.value c }
   | 12 ->
-      let req = u32 c in
-      Client_get { req; key = key c }
-  | 13 -> Client_recover { req = u32 c }
+      let req = Codec.u32 c in
+      Client_get { req; key = Codec.key c }
+  | 13 -> Client_recover { req = Codec.u32 c }
   | 14 ->
-      let req = u32 c in
+      let req = Codec.u32 c in
       let status = status_field c in
-      let v =
-        match u8 c with
-        | 0 -> None
-        | 1 -> Some (value c)
-        | _ -> raise (Bad "bad value flag")
-      in
-      Client_reply { req; status; value = v; info = key c }
-  | 15 -> Abstain { round = u32 c }
+      let value = Codec.value_opt c in
+      Client_reply { req; status; value; info = Codec.key c }
+  | 15 -> Abstain { round = Codec.u32 c }
   | 16 ->
-      let op = u32 c in
+      let op = Codec.u32 c in
       KLock_request { op; keys = keys_field c }
   | 17 ->
-      let op = u32 c in
+      let op = Codec.u32 c in
       KUnlock { op; keys = keys_field c }
   | 18 ->
-      let round = u32 c in
+      let round = Codec.u32 c in
       KState_request { round; keys = keys_field c }
   | 19 ->
-      let round = u32 c in
-      let fresh = bool_field c in
-      let n = u16 c in
+      let round = Codec.u32 c in
+      let fresh = Codec.bool c in
+      let n = Codec.u16 c in
       let states =
         List.init n (fun _ ->
-            let k = key c in
+            let k = Codec.key c in
             (k, replica_field c))
       in
       KState_reply { round; fresh; states }
   | 20 ->
-      let k = key c in
-      let op_no = u64 c in
-      let version = u64 c in
-      let partition = site_set_field c in
-      let value =
-        match u8 c with
-        | 0 -> None
-        | 1 -> Some (value c)
-        | _ -> raise (Bad "bad value flag")
-      in
-      let rid = u64 c in
-      KCommit { key = k; op_no; version; partition; value; rid }
+      let key = Codec.key c in
+      let op_no = Codec.u64 c in
+      let version = Codec.u64 c in
+      let partition = Codec.site_set c in
+      let value = Codec.value_opt c in
+      KCommit { key; op_no; version; partition; value; rid = Codec.u64 c }
   | 21 ->
-      let round = u32 c in
-      KData_request { round; key = key c }
+      let round = Codec.u32 c in
+      KData_request { round; key = Codec.key c }
   | 22 ->
-      let round = u32 c in
-      let k = key c in
-      let version = u64 c in
-      let value =
-        match u8 c with
-        | 0 -> None
-        | 1 -> Some (value c)
-        | _ -> raise (Bad "bad value flag")
-      in
-      let nr = u32 c in
-      if nr > max_frame then raise (Bad "rid count out of range");
-      let rids = List.init nr (fun _ -> let client = u32 c in (client, u64 c)) in
-      KData_reply { round; key = k; version; value; rids }
-  | _ -> raise (Bad "unknown tag")
+      let round = Codec.u32 c in
+      let key = Codec.key c in
+      let version = Codec.u64 c in
+      let value = Codec.value_opt c in
+      KData_reply { round; key; version; value; rids = Codec.pairs c }
+  | _ -> raise (Codec.Corrupt "unknown tag")
 
-let decode_body body =
-  try
-    if Bytes.length body < 13 then raise (Bad "frame too short");
-    if Bytes.sub_string body 0 4 <> magic then raise (Bad "bad magic");
-    let stored = Bytes.get_int32_le body 4 in
-    let computed = Codec.checksum body ~off:8 ~len:(Bytes.length body - 8) in
-    if not (Int32.equal stored computed) then raise (Bad "checksum mismatch");
-    let c = { data = body; pos = 8 } in
-    let src = u16 c in
-    let dst = u16 c in
-    let tag = u8 c in
+(* The frame whose magic starts at [off]; its length word is already
+   consumed. *)
+let decode_frame data ~off ~len =
+  match
+    let c = Codec.open_frame ~magic data ~off ~len in
+    let src = Codec.u16 c in
+    let dst = Codec.u16 c in
+    let tag = Codec.u8 c in
     let payload = decode_payload c tag in
-    if c.pos <> Bytes.length body then raise (Bad "trailing garbage");
-    Ok { src; dst; payload }
-  with Bad reason -> Error reason
+    Codec.close_frame c;
+    { src; dst; payload }
+  with
+  | e -> Ok e
+  | exception Codec.Corrupt reason -> Error reason
 
 let decode frame =
   if String.length frame < 4 then Error "missing length prefix"
   else
     let len = Int32.to_int (String.get_int32_le frame 0) land 0xFFFFFFFF in
-    if len > max_frame then Error "frame length out of range"
+    if len > Codec.max_frame then Error "frame length out of range"
     else if String.length frame - 4 <> len then Error "length prefix mismatch"
-    else decode_body (Bytes.of_string (String.sub frame 4 len))
+    else decode_frame (Bytes.unsafe_of_string frame) ~off:4 ~len
 
 (* --- incremental decoder ------------------------------------------ *)
 
@@ -420,14 +298,14 @@ module Decoder = struct
     if d.len < 4 then None
     else
       let body_len = Int32.to_int (Bytes.get_int32_le d.buf 0) land 0xFFFFFFFF in
-      if body_len > max_frame then Some (Error "frame length out of range")
+      if body_len > Codec.max_frame then Some (Error "frame length out of range")
       else if d.len < 4 + body_len then None
       else begin
-        let body = Bytes.sub d.buf 4 body_len in
+        let frame = decode_frame d.buf ~off:4 ~len:body_len in
         let rest = d.len - 4 - body_len in
         Bytes.blit d.buf (4 + body_len) d.buf 0 rest;
         d.len <- rest;
-        Some (decode_body body)
+        Some frame
       end
 end
 

@@ -105,9 +105,6 @@ val decode : string -> (envelope, string) result
     mismatch, unknown tag, out-of-range fields and trailing garbage all
     come back as [Error]. *)
 
-val max_frame : int
-(** Upper bound on the body length a reader will accept. *)
-
 (** {2 Incremental decoding}
 
     Frame reassembly detached from any socket: the event loop (and the

@@ -5,9 +5,9 @@
     shard is a stable hash of its bytes.  Each committed record carries
     the key's full consistency state — operation number, ensemble
     version, partition, data version — plus the value bytes when they
-    changed and the request id that produced them, all framed and
-    checksummed in the oplog's style, so a torn tail is detected and
-    dropped rather than trusted.
+    changed and the request id that produced them, framed and
+    checksummed by {!Dynvote.Codec.frame} like the oplog, so a torn tail
+    is detected and dropped rather than trusted.
 
     In memory the store keeps a {e spine}: one packed (undecoded) blob
     per key holding the latest state.  Decoding is the resident layer's
@@ -32,11 +32,14 @@ type state = {
 type scan_info = {
   keys : int;  (** distinct keys recovered into the spine *)
   torn_shards : int;
-      (** shard logs that ended in a partial frame (honest crash
-          damage); their tails were truncated before reopening *)
+      (** shard logs that ended in bad or partial frames (honest crash
+          damage); a torn log with no corruption had its tail cut before
+          reopening *)
   corrupt : int;
-      (** checksum-failing records found {e mid-log} across all shards —
-          damage no crash explains; the caller should fence *)
+      (** bad records with an intact record after them, across all
+          shards — damage no crash explains, by {!Codec.scan_log}'s rule
+          (one such record is enough); the logs are left untouched and
+          the caller should fence *)
   unreadable : int;
       (** shard logs (or the rid sidecar) that exist but could not be
           read: their history is lost, not empty, so the caller must not
@@ -98,7 +101,8 @@ val close : t -> unit
 
 val shards_dir : dir:string -> site:Site_set.site -> string
 
-val read_states : dir:string -> site:Site_set.site -> (string * state) list
+val read_states : dir:string -> site:Site_set.site -> (string * state) list * int
 (** Offline replay of a site's shard logs (no store open, real
-    filesystem): the audit's view of the final per-key states.  Torn
-    tails are tolerated; mid-log corrupt records are skipped. *)
+    filesystem, nothing cut): the audit's view of the final per-key
+    states, with the number of mid-log corrupt records the scan skipped.
+    Torn tails are tolerated. *)

@@ -191,15 +191,20 @@ let log_size dir records =
 
 let take n l = List.filteri (fun i _ -> i < n) l
 
+(* The oplog scan with its intact records listed in file order. *)
+let scan_log ?cut_torn_tail path =
+  let scan = Persist.scan_log ?cut_torn_tail ~path (fun acc r -> r :: acc) [] in
+  (List.rev scan.Codec.folded, scan)
+
 let test_scan_midlog_corruption () =
   with_scratch (fun dir ->
       let path = Filename.concat dir "oplog.dvl" in
       write_log path sample_records;
-      let clean = Persist.scan_log ~path () in
+      let clean_records, clean = scan_log path in
       Alcotest.(check int) "clean scan: all records" 3
-        (List.length clean.Persist.records);
+        (List.length clean_records);
       Alcotest.(check int) "clean scan: full valid prefix"
-        (String.length (read_file path)) clean.Persist.valid_prefix;
+        (String.length (read_file path)) clean.Codec.valid_prefix;
       (* Flip one payload byte of the SECOND record: a hole in the middle
          of the history, with an intact record after it. *)
       let raw = Bytes.of_string (read_file path) in
@@ -208,15 +213,15 @@ let test_scan_midlog_corruption () =
       let mid = r1 + (r2 / 2) in
       Bytes.set raw mid (Char.chr (Char.code (Bytes.get raw mid) lxor 0x40));
       write_file path (Bytes.to_string raw);
-      let scan = Persist.scan_log ~path () in
-      Alcotest.(check int) "mid-log corruption counted" 1 scan.Persist.corrupt;
-      Alcotest.(check bool) "not reported as torn" false scan.Persist.torn;
+      let records, scan = scan_log ~cut_torn_tail:true path in
+      Alcotest.(check int) "mid-log corruption counted" 1 scan.Codec.corrupt;
+      Alcotest.(check bool) "not reported as torn" false scan.Codec.torn;
       Alcotest.(check int) "intact records survive" 2
-        (List.length scan.Persist.records);
+        (List.length records);
       Alcotest.(check int) "valid prefix stops at the damage" r1
-        scan.Persist.valid_prefix;
-      let _, damaged = Persist.read_log ~path in
-      Alcotest.(check bool) "read_log reports damage" true damaged)
+        scan.Codec.valid_prefix;
+      Alcotest.(check string) "a corrupt log is never cut"
+        (Bytes.to_string raw) (read_file path))
 
 let test_scan_torn_tail_truncate_append () =
   with_scratch (fun dir ->
@@ -225,26 +230,28 @@ let test_scan_torn_tail_truncate_append () =
       let full = read_file path in
       (* Tear mid-record-3, as a power cut would. *)
       write_file path (String.sub full 0 (String.length full - 4));
-      let scan = Persist.scan_log ~path () in
-      Alcotest.(check bool) "torn" true scan.Persist.torn;
-      Alcotest.(check int) "no mid-log corruption" 0 scan.Persist.corrupt;
+      let records, scan = scan_log ~cut_torn_tail:true path in
+      Alcotest.(check bool) "torn" true scan.Codec.torn;
+      Alcotest.(check int) "no mid-log corruption" 0 scan.Codec.corrupt;
       Alcotest.(check int) "prefix records survive" 2
-        (List.length scan.Persist.records);
+        (List.length records);
       let r2_end = log_size dir (take 2 sample_records) in
       Alcotest.(check int) "valid prefix = end of last intact record" r2_end
-        scan.Persist.valid_prefix;
-      (* The recovery discipline: truncate to the valid prefix, then
-         append — the new record must NOT read as mid-log corruption. *)
-      Vfs.real.Vfs.truncate path scan.Persist.valid_prefix;
+        scan.Codec.valid_prefix;
+      (* The recovery discipline: the scan cut the log to the valid
+         prefix, so an append — the new record must NOT read as mid-log
+         corruption. *)
+      Alcotest.(check int) "cut to the valid prefix" r2_end
+        (String.length (read_file path));
       write_log path
         [ Persist.Log_koutcome { seq = 4; key = ""; kind = `Read; granted = true;
                                  content = None; rid = 0 } ];
-      let rescan = Persist.scan_log ~path () in
+      let records, rescan = scan_log path in
       Alcotest.(check int) "appended over the cut cleanly" 0
-        rescan.Persist.corrupt;
-      Alcotest.(check bool) "no tear left" false rescan.Persist.torn;
+        rescan.Codec.corrupt;
+      Alcotest.(check bool) "no tear left" false rescan.Codec.torn;
       Alcotest.(check int) "three records" 3
-        (List.length rescan.Persist.records))
+        (List.length records))
 
 (* --- live clusters under storage faults ------------------------------ *)
 
@@ -346,7 +353,42 @@ let test_boot_fences_on_midlog_corruption () =
             (Live.put c ~at:0 ~key:"a" ~value:"3");
           let audit = Live.check cluster in
           Alcotest.(check bool) "audit sees the rot" true
-            (audit.Live.corrupt > 0)))
+            (audit.Live.corrupt > 0)));
+  (* The same rule for a shard log: ONE rotted record with an intact one
+     after it is corruption, not a torn tail to cut off — the site boots
+     fenced, its log is kept as evidence, and the audit counts it. *)
+  with_scratch (fun dir ->
+      let config = { crash_config with Node.shards = 1 } in
+      let cluster =
+        Live.create ~config ~client_timeout:1.5 ~universe:u4 ~dir ()
+      in
+      Fun.protect ~finally:(fun () -> Live.shutdown cluster) (fun () ->
+          let c = Live.client cluster in
+          check_status "w1" Wire.Granted (Live.put c ~at:2 ~key:"a" ~value:"1");
+          check_status "w2" Wire.Granted (Live.put c ~at:2 ~key:"c" ~value:"2");
+          Live.kill cluster 2;
+          (* Record 0 is the site's seed record; rot the key byte of
+             record 1, the first commit of "a". *)
+          let path =
+            Filename.concat (Shard_store.shards_dir ~dir ~site:2) "shard-0.dvl"
+          in
+          let raw = Bytes.of_string (read_file path) in
+          let rec0_len = 4 + Int32.to_int (Bytes.get_int32_le raw 0) in
+          let off = rec0_len + 15 in
+          Bytes.set raw off (Char.chr (Char.code (Bytes.get raw off) lxor 0x01));
+          let rotted = Bytes.to_string raw in
+          write_file path rotted;
+          Live.restart cluster 2;
+          Alcotest.(check bool) "booted fenced on shard-log rot" true
+            (Live.degraded cluster 2 <> None);
+          Alcotest.(check bool) "shard log kept as evidence" true
+            (String.length (read_file path) >= String.length rotted
+            && String.sub (read_file path) 0 (String.length rotted) = rotted);
+          check_status "fenced site refuses writes" Wire.Degraded
+            (Live.put c ~at:2 ~key:"a" ~value:"3");
+          let audit = Live.check cluster in
+          Alcotest.(check int) "audit counts the shard-log rot" 1
+            audit.Live.corrupt))
 
 (* A shard log that exists but cannot be read at boot is lost history:
    the site must come up amnesiac — not at the initial state it would

@@ -228,7 +228,7 @@ let test_store_roundtrip () =
         (List.mem (1, 6) rids);
       Alcotest.(check bool) "sidecar rids merged" true (List.mem (9, 77) rids);
       Alcotest.(check int) "read_states sees both keys" 2
-        (List.length (Shard_store.read_states ~dir ~site:0));
+        (List.length (fst (Shard_store.read_states ~dir ~site:0)));
       Shard_store.close store2)
 
 let test_store_torn_tail () =
@@ -290,7 +290,46 @@ let test_store_midlog_corruption () =
           Alcotest.(check (option string)) "intact tail record wins" (Some "v3")
             s.Shard_store.value
       | None -> Alcotest.fail "intact record after the damage was dropped");
-      Shard_store.close store2)
+      Shard_store.close store2);
+  (* One rotted record with intact ones after it is corruption too, not
+     a torn tail: the log is left as evidence, and the later records —
+     a newer state of the same key, another key — still count. *)
+  with_scratch (fun dir ->
+      let store, _ = Shard_store.open_store ~dir ~site:0 ~shards:1 () in
+      for i = 2 to 4 do
+        Shard_store.commit store ~key:"a" ~rid:(mk_rid ~client:1 ~req:i)
+          (st ~op_no:i ~version:i ~partition:u4 ~data_version:i
+             ~value:(Some (Printf.sprintf "v%d" i)))
+      done;
+      Shard_store.commit store ~key:"c" ~rid:0
+        (st ~op_no:1 ~version:1 ~partition:u4 ~data_version:1 ~value:(Some "c1"));
+      Shard_store.close store;
+      let path =
+        Filename.concat (Shard_store.shards_dir ~dir ~site:0) "shard-0.dvl"
+      in
+      let raw = Bytes.of_string (read_file path) in
+      let rec0_len = 4 + Int32.to_int (Bytes.get_int32_le raw 0) in
+      let off = rec0_len + 15 in
+      Bytes.set raw off (Char.chr (Char.code (Bytes.get raw off) lxor 0x01));
+      let rotted = Bytes.to_string raw in
+      write_file path rotted;
+      let reopen () =
+        let store, scan = Shard_store.open_store ~dir ~site:0 ~shards:1 () in
+        Alcotest.(check int) "one corrupt record" 1 scan.Shard_store.corrupt;
+        Alcotest.(check int) "not a torn shard" 0 scan.Shard_store.torn_shards;
+        Alcotest.(check string) "log left untruncated" rotted (read_file path);
+        (match Shard_store.lookup store "a" with
+        | Some s -> Alcotest.(check int) "a keeps its newest op" 4 s.Shard_store.op_no
+        | None -> Alcotest.fail "a lost");
+        (match Shard_store.lookup store "c" with
+        | Some s ->
+            Alcotest.(check (option string)) "later key survives" (Some "c1")
+              s.Shard_store.value
+        | None -> Alcotest.fail "the intact record for c was erased");
+        Shard_store.close store
+      in
+      reopen ();
+      reopen ())
 
 let test_store_compaction () =
   with_scratch (fun dir ->
