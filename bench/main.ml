@@ -1124,7 +1124,6 @@ type serve_extras = {
    call to one site (where anchoring and pipelining pay off). *)
 type serve_shape = {
   sh_clients : int;
-  sh_mode : Loadgen.mode;
   sh_pipeline : int;
   sh_max_reuse : int;
   sh_coordinator : int option;
@@ -1133,7 +1132,6 @@ type serve_shape = {
 let baseline_shape =
   {
     sh_clients = 4;
-    sh_mode = `Threads;
     sh_pipeline = 1;
     sh_max_reuse = 0;
     sh_coordinator = None;
@@ -1142,7 +1140,6 @@ let baseline_shape =
 let pipelined_shape =
   {
     sh_clients = 32;
-    sh_mode = `Mux;
     sh_pipeline = 8;
     sh_max_reuse = 64;
     sh_coordinator = Some 1;
@@ -1179,7 +1176,6 @@ let serve_run ?(duration = 1.5) ?(shape = baseline_shape) ?(driver = Loadgen.run
         Loadgen.clients = shape.sh_clients;
         duration;
         seed = 11;
-        mode = shape.sh_mode;
         sites = Option.map Site_set.singleton shape.sh_coordinator;
       }
   in
@@ -1204,17 +1200,18 @@ let serve_run ?(duration = 1.5) ?(shape = baseline_shape) ?(driver = Loadgen.run
 
 let serve_goodput (r : Loadgen.result) = r.Loadgen.goodput.Batch_means.mean
 
-(* Baseline (sequential coordinator, thread-per-client generator) against
-   the event-driven pipelined service (mux generator, one coordinator,
-   anchored lock rounds).  The acceptance gate is >= 10x goodput at equal
-   safety: audits green and zero duplicate applies on both sides. *)
+(* Baseline (sequential coordinator, four clients spread over the sites)
+   against the event-driven pipelined service (a 32-client herd at one
+   coordinator, anchored lock rounds).  The acceptance gate is >= 10x
+   goodput at equal safety: audits green and zero duplicate applies on
+   both sides. *)
 let serve () =
   section "SERVE"
     "Live service: 4 sites on loopback sockets, 30% writes.  Baseline is \
-     the\nsequential coordinator (pipeline 1, thread-per-client); pipelined \
-     funnels a\nmux client herd at one coordinator (pipeline 8, anchor reuse \
-     64).  Durable\npays one shard-log fsync per commit batch per site; \
-     buffered skips it and\ntrusts the page cache.";
+     the\nsequential coordinator (pipeline 1, 4 clients over all sites); \
+     pipelined funnels\na 32-client herd at one coordinator (pipeline 8, \
+     anchor reuse 64).  Durable\npays one shard-log fsync per commit batch \
+     per site; buffered skips it and\ntrusts the page cache.";
   let runs =
     List.map
       (fun (name, durable, shape) ->
@@ -1272,23 +1269,22 @@ let serve () =
    re-executes this binary with a hidden flag, drives
    [Loadgen.run_at] against the parent's switchboard port, and ships
    the marshalled result back over a pipe. *)
-let mux_child_flag = "--mux-child"
+let herd_child_flag = "--herd-child"
 
-let mux_child_config ~clients ~duration ~seed =
+let herd_child_config ~clients ~duration ~seed =
   {
     Loadgen.default with
     Loadgen.clients;
     duration;
     seed;
-    mode = `Mux;
     sites = Option.map Site_set.singleton pipelined_shape.sh_coordinator;
   }
 
-let mux_child_main () =
+let herd_child_main () =
   match Sys.argv with
-  | [| _; flag; port; clients; duration; seed |] when flag = mux_child_flag ->
+  | [| _; flag; port; clients; duration; seed |] when flag = herd_child_flag ->
       let config =
-        mux_child_config ~clients:(int_of_string clients)
+        herd_child_config ~clients:(int_of_string clients)
           ~duration:(float_of_string duration) ~seed:(int_of_string seed)
       in
       let result =
@@ -1300,12 +1296,12 @@ let mux_child_main () =
       exit 0
   | _ -> ()
 
-let run_mux_in_child cluster (config : Loadgen.config) =
+let run_herd_in_child cluster (config : Loadgen.config) =
   let rd, wr = Unix.pipe () in
   let argv =
     [|
       Sys.executable_name;
-      mux_child_flag;
+      herd_child_flag;
       string_of_int (Live.port cluster);
       string_of_int config.Loadgen.clients;
       Printf.sprintf "%.17g" config.Loadgen.duration;
@@ -1322,11 +1318,11 @@ let run_mux_in_child cluster (config : Loadgen.config) =
   in
   (match Unix.waitpid [] pid with
   | _, Unix.WEXITED 0 -> ()
-  | _ -> failwith "mux herd child exited abnormally");
+  | _ -> failwith "herd child exited abnormally");
   result
 
 (* The goodput/latency knee: the same pipelined-buffered service under a
-   widening mux client herd.  Ten thousand clients are ten thousand
+   widening client herd.  Ten thousand clients are ten thousand
    sockets on each side of the broker, so the fd limit is raised first;
    a step whose two socket ends cannot share the descriptor table runs
    its herd in a child process (each process has its own limit), and a
@@ -1334,7 +1330,7 @@ let run_mux_in_child cluster (config : Loadgen.config) =
 let serve_sweep () =
   section "SERVE-SWEEP"
     "Client scaling, 10 -> 10k: the pipelined-buffered configuration under \
-     a\ngrowing mux herd.  Goodput saturates at the coordinator's capacity; \
+     a\ngrowing client herd.  Goodput saturates at the coordinator's capacity; \
      the\nlatency knee is where queueing for the pipeline begins.";
   let steps = [ 10; 32; 100; 320; 1000; 3200; 10000 ] in
   let limit = Dynvote_live.Evloop.raise_fd_limit (2 * 10000 + 4096) in
@@ -1351,7 +1347,7 @@ let serve_sweep () =
               "%d clients: both socket ends exceed the fd limit (%d); running \
                the herd in a child process@."
               clients limit;
-            Some run_mux_in_child
+            Some run_herd_in_child
           end
           else begin
             Fmt.pr "skipping %d clients: fd limit %d is too low even split \
@@ -1510,10 +1506,8 @@ let write_bench_serve ~path
   in
   let shape_fields s =
     Printf.sprintf
-      "\"clients\":%d,\"mode\":\"%s\",\"pipeline\":%d,\"max_reuse\":%d,\"coordinator\":%s"
-      s.sh_clients
-      (match s.sh_mode with `Threads -> "threads" | `Mux -> "mux")
-      s.sh_pipeline s.sh_max_reuse
+      "\"clients\":%d,\"pipeline\":%d,\"max_reuse\":%d,\"coordinator\":%s"
+      s.sh_clients s.sh_pipeline s.sh_max_reuse
       (match s.sh_coordinator with None -> "null" | Some c -> string_of_int c)
   in
   let hist h =
@@ -1532,7 +1526,7 @@ let write_bench_serve ~path
     | [] -> "unknown"
   in
   Buffer.add_string b
-    (Printf.sprintf "{\"schema\":\"dynvote-bench-serve/4\",\"loop_backend\":\"%s\",\"runs\":{"
+    (Printf.sprintf "{\"schema\":\"dynvote-bench-serve/5\",\"loop_backend\":\"%s\",\"runs\":{"
        loop_backend);
   List.iteri
     (fun i (name, shape, r, safe, x) ->
@@ -1737,7 +1731,7 @@ let write_bench_crash ~path
    storage spine plus the LRU residency layer as the key space grows
    10^3 -> 10^6 (the million-object claim: cost is bounded by the
    residency cap, not the key count), then the live group-quorum
-   payoff — keys per lock round under a skewed mux herd.              *)
+   payoff — keys per lock round under a skewed client herd.           *)
 
 module Shard_store = Dynvote_shard.Shard_store
 module Shard_map = Dynvote_shard.Shard_map
@@ -1812,7 +1806,7 @@ let shard_tier ~keys =
   Shard_store.close store;
   tier
 
-(* The live side: a sharded pipelined cluster under a skewed mux herd
+(* The live side: a sharded pipelined cluster under a skewed client herd
    funnelled at one coordinator, so scheduler bursts carry many keys
    and the group path locks them in one wire round. *)
 let shard_live_run () =
@@ -1844,7 +1838,6 @@ let shard_live_run () =
         seed = 11;
         keys = 512;
         zipf = 1.1;
-        mode = `Mux;
         sites = Some (Site_set.singleton 1);
       }
   in
@@ -1863,7 +1856,7 @@ let shard_bench () =
     "The sharded object space: per-operation cost of the spine + LRU\n\
      residency layer as the key space grows 1k -> 1M (Zipf 1.1 mix, one\n\
      update per two reads), then the live group-quorum payoff under a\n\
-     skewed mux herd.  The gate: the million-key per-op cost stays within\n\
+     skewed client herd.  The gate: the million-key per-op cost stays within\n\
      2x of the thousand-key cost — residency, not key count, bounds it.";
   let tiers =
     List.map (fun keys -> shard_tier ~keys) [ 1_000; 10_000; 100_000; 1_000_000 ]
@@ -1957,7 +1950,7 @@ let section_wanted =
 
 let () =
   (* A child herd re-exec sees the flag before anything prints. *)
-  mux_child_main ();
+  herd_child_main ();
   Fmt.pr "dynvote benchmark harness - 'Efficient Dynamic Voting Algorithms' (ICDE 1988)@.";
   Fmt.pr "jobs: %d (-j N or DYNVOTE_JOBS to change; hardware recommends %d)@." jobs
     (Pool.recommended ());

@@ -966,7 +966,7 @@ let serve_cmd =
 let loadgen_cmd =
   let clients_arg =
     Arg.(value & opt int 4
-         & info [ "clients" ] ~docv:"N" ~doc:"Concurrent client workers.")
+         & info [ "clients" ] ~docv:"N" ~doc:"Concurrent clients, one connection each.")
   in
   let duration_arg =
     Arg.(value & opt float 5.0
@@ -1006,19 +1006,11 @@ let loadgen_cmd =
   in
   let retries_arg =
     let doc =
-      "Retry an aborted or degraded-site call at up to $(docv) other sites, \
-       under the same request number (exactly-once via the sites' dedup \
-       tables)."
+      "Retry an aborted, degraded-site or timed-out call at up to $(docv) \
+       other sites, under the same request number (exactly-once via the \
+       sites' dedup tables)."
     in
     Arg.(value & opt int 0 & info [ "retries" ] ~docv:"N" ~doc)
-  in
-  let mux_arg =
-    let doc =
-      "Multiplex every client onto one thread through a readiness loop of \
-       nonblocking connections (closed loop only, no cross-site retries).  \
-       Thousands of clients are thousands of descriptors, not threads."
-    in
-    Arg.(value & flag & info [ "mux" ] ~doc)
   in
   let site_arg =
     let doc =
@@ -1037,7 +1029,7 @@ let loadgen_cmd =
                 batch sizes, rounds in flight, anchor reuse).")
   in
   let run sites policy_text buffered pipeline max_reuse shards resident seed
-      clients duration write_ratio keys zipf value_bytes rate retries mux site
+      clients duration write_ratio keys zipf value_bytes rate retries site
       net_stats no_check =
     let zipf =
       match (zipf, keys) with
@@ -1049,16 +1041,6 @@ let loadgen_cmd =
       | Some s, Some _ -> s
       | None, _ -> 0.0
     in
-    (* The mux generator is closed loop with no site hopping: an open-loop
-       rate or a retry budget would be refused mid-run or dropped. *)
-    if mux && rate <> None then begin
-      Fmt.epr "dynvote: --mux is closed loop only; drop --rate or --mux@.";
-      exit 2
-    end;
-    if mux && retries > 0 then begin
-      Fmt.epr "dynvote: --mux makes no cross-site retries; drop --retries or --mux@.";
-      exit 2
-    end;
     let keys = Option.value ~default:16 keys in
     let dir = fresh_temp_dir () in
     let universe = Site_set.universe sites in
@@ -1079,8 +1061,7 @@ let loadgen_cmd =
     in
     let config =
       { Loadgen.clients; duration; write_ratio; keys; zipf; value_bytes; rate;
-        seed; sites = target_sites; retries;
-        mode = (if mux then `Mux else `Threads) }
+        seed; sites = target_sites; retries }
     in
     let result = Loadgen.run cluster config in
     Fmt.pr "%a@." Loadgen.pp_result result;
@@ -1135,15 +1116,16 @@ let loadgen_cmd =
   Cmd.v
     (Cmd.info "loadgen"
        ~doc:
-         "Boot a live cluster in a temporary directory and drive it with \
-          concurrent client workers (closed loop, or open loop with --rate).  \
+         "Boot a live cluster in a temporary directory and drive it with a \
+          herd of concurrent clients on one event loop (closed loop, or open \
+          loop with --rate).  \
           Reports goodput with a batch-means 95% confidence interval, exact \
           latency percentiles (plus the registry's log-scaled histograms), \
           and the end-of-run safety audit.")
     Term.(const run $ live_sites $ live_policy $ live_buffered $ live_pipeline
           $ live_max_reuse $ live_shards $ live_resident $ seed $ clients_arg
           $ duration_arg $ write_ratio_arg $ keys_arg $ zipf_arg
-          $ value_bytes_arg $ rate_arg $ retries_arg $ mux_arg $ site_arg
+          $ value_bytes_arg $ rate_arg $ retries_arg $ site_arg
           $ net_stats_arg $ no_check_arg)
 
 let stats_cmd =

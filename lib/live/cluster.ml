@@ -31,6 +31,7 @@ let universe t = t.universe
 let dir t = t.dir
 let obs t = t.hub
 let port t = Switchboard.port t.sw
+let client_timeout t = t.client_timeout
 let backend t = Switchboard.backend t.sw
 let up_sites t = Switchboard.up_sites t.sw
 
@@ -158,7 +159,7 @@ let strike_after t site n =
 
 (* --- clients -------------------------------------------------------- *)
 
-type client = { t : t; conn : Wire.conn; id : int; mutable req : int }
+type client = { t : t; conn : Evconn.t; id : int; mutable req : int }
 
 type reply = {
   status : Wire.status;
@@ -175,49 +176,54 @@ let client t =
    with e ->
      (try Unix.close sock with Unix.Unix_error _ -> ());
      raise e);
-  let conn = Wire.conn sock in
-  Wire.send conn { Wire.src = 0; dst = Wire.broker_id; payload = Wire.Hello_client };
+  let conn = Evconn.of_fd sock in
+  ignore
+    (Evconn.enqueue conn
+       { Wire.src = 0; dst = Wire.broker_id; payload = Wire.Hello_client }
+      : [ `Ok | `Overflow ]);
   match
-    Wire.recv ~clock:t.config.Node.clock
-      ~deadline:(t.config.Node.clock () +. 5.0)
-      conn
+    if Evconn.drain conn = `Closed then Error `Closed
+    else
+      Evconn.recv ~clock:t.config.Node.clock
+        ~deadline:(t.config.Node.clock () +. 5.0)
+        conn
   with
   | Ok { Wire.payload = Wire.Welcome { id }; _ } -> { t; conn; id; req = 0 }
   | _ ->
-      (try Unix.close sock with Unix.Unix_error _ -> ());
+      Evconn.close conn;
       failwith "live client: switchboard handshake failed"
+
+(* One frame to [dst], written out before returning; [false] when the
+   switchboard is gone. *)
+let send client dst payload =
+  Evconn.enqueue client.conn { Wire.src = client.id; dst; payload } = `Ok
+  && Evconn.drain client.conn = `Idle
 
 (* One exchange with one site, under an already-chosen request number.
    The number does NOT advance here: a retry of the same request reuses
    it, which is what lets the sites deduplicate. *)
 let call_once client ~at ~req payload_of_req =
+  let aborted info = { status = Wire.Aborted; value = None; info; retries = 0 } in
   if not (Site_set.mem at client.t.universe) then
     { status = Wire.Denied; value = None; info = "no such site"; retries = 0 }
   else if not (Switchboard.is_up client.t.sw at) then
     { status = Wire.Denied; value = None; info = "site down"; retries = 0 }
+  else if not (send client at (payload_of_req req)) then aborted "connection lost"
   else begin
-    match
-      Wire.send client.conn
-        { Wire.src = client.id; dst = at; payload = payload_of_req req }
-    with
-    | exception Unix.Unix_error _ ->
-        { status = Wire.Aborted; value = None; info = "connection lost"; retries = 0 }
-    | () ->
-        let clock = client.t.config.Node.clock in
-        let deadline = clock () +. client.t.client_timeout in
-        let rec wait () =
-          match Wire.recv ~clock ~deadline client.conn with
-          | Error `Timeout ->
-              (* The site may be mid-commit for all we know. *)
-              { status = Wire.Aborted; value = None; info = "timeout: no reply"; retries = 0 }
-          | Error (`Closed | `Corrupt _) ->
-              { status = Wire.Aborted; value = None; info = "connection lost"; retries = 0 }
-          | Ok { Wire.payload = Wire.Client_reply { req = r; status; value; info }; _ }
-            when r = req ->
-              { status; value; info; retries = 0 }
-          | Ok _ -> wait () (* a stale reply from a timed-out operation *)
-        in
-        wait ()
+    let clock = client.t.config.Node.clock in
+    let deadline = clock () +. client.t.client_timeout in
+    let rec wait () =
+      match Evconn.recv ~clock ~deadline client.conn with
+      | Error `Timeout ->
+          (* The site may be mid-commit for all we know. *)
+          aborted "timeout: no reply"
+      | Error (`Closed | `Corrupt _) -> aborted "connection lost"
+      | Ok { Wire.payload = Wire.Client_reply { req = r; status; value; info }; _ }
+        when r = req ->
+          { status; value; info; retries = 0 }
+      | Ok _ -> wait () (* a stale reply from a timed-out operation *)
+    in
+    wait ()
   end
 
 (* An aborted or degraded-site exchange is ambiguous — the operation may
@@ -225,24 +231,24 @@ let call_once client ~at ~req payload_of_req =
    number at the next up site, and the dedup table makes the ambiguity
    harmless: re-coordinating an already-committed write acknowledges it
    without applying it again. *)
+let retry_site ~retries ~up ~tries ~at status =
+  match status with
+  | Wire.Granted | Wire.Denied -> None
+  | Wire.Aborted | Wire.Degraded ->
+      let candidates = Site_set.remove at up in
+      if tries >= retries || Site_set.is_empty candidates then None
+      else Some (Site_set.min_elt candidates)
+
 let call ?(retries = 0) client ~at payload_of_req =
   client.req <- client.req + 1;
   let req = client.req in
-  let next_site exclude =
-    let candidates = Site_set.remove exclude (up_sites client.t) in
-    if Site_set.is_empty candidates then None
-    else Some (Site_set.min_elt candidates)
-  in
-  let rec attempt ~at n =
+  let rec attempt ~at tries =
     let reply = call_once client ~at ~req payload_of_req in
-    match reply.status with
-    | Wire.Granted | Wire.Denied -> { reply with retries = n }
-    | Wire.Aborted | Wire.Degraded ->
-        if n >= retries then { reply with retries = n }
-        else (
-          match next_site at with
-          | None -> { reply with retries = n }
-          | Some at -> attempt ~at (n + 1))
+    match
+      retry_site ~retries ~up:(up_sites client.t) ~tries ~at reply.status
+    with
+    | Some at -> attempt ~at (tries + 1)
+    | None -> { reply with retries = tries }
   in
   attempt ~at 0
 
@@ -408,29 +414,21 @@ let quiesce t =
   | c ->
       Site_set.iter
         (fun site ->
-          match
-            Wire.send c.conn
-              {
-                Wire.src = c.id;
-                dst = site;
-                payload = Wire.KState_request { round = 0; keys = [] };
-              }
-          with
-          | exception Unix.Unix_error _ -> ()
-          | () ->
-              let clock = t.config.Node.clock in
-              let deadline = clock () +. 1.0 in
-              let rec wait () =
-                match Wire.recv ~clock ~deadline c.conn with
-                | Ok { Wire.payload = Wire.KState_reply _ | Wire.Abstain _; src; _ }
-                  when src = site ->
-                    ()
-                | Ok _ -> wait ()
-                | Error _ -> ()
-              in
-              wait ())
+          if send c site (Wire.KState_request { round = 0; keys = [] }) then begin
+            let clock = t.config.Node.clock in
+            let deadline = clock () +. 1.0 in
+            let rec wait () =
+              match Evconn.recv ~clock ~deadline c.conn with
+              | Ok { Wire.payload = Wire.KState_reply _ | Wire.Abstain _; src; _ }
+                when src = site ->
+                  ()
+              | Ok _ -> wait ()
+              | Error _ -> ()
+            in
+            wait ()
+          end)
         (up_sites t);
-      (try Unix.close (Wire.fd c.conn) with Unix.Unix_error _ -> ())
+      Evconn.close c.conn
 
 let check t =
   quiesce t;

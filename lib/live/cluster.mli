@@ -52,6 +52,9 @@ val obs : t -> Dynvote_obs.Hub.t
 
 val port : t -> int
 
+val client_timeout : t -> float
+(** The bound on one client call ([client_timeout] of {!create}). *)
+
 val backend : t -> string
 (** The switchboard's readiness backend (["epoll"] or ["poll"]) —
     recorded in bench output. *)
@@ -114,13 +117,26 @@ type reply = {
   retries : int;  (** how many times the call moved to another site *)
 }
 
+val retry_site :
+  retries:int ->
+  up:Site_set.t ->
+  tries:int ->
+  at:Site_set.site ->
+  Wire.status ->
+  Site_set.site option
+(** The retry rule every client shares ({!put}, {!get} and the load
+    generator's herd): after [tries] retries, a call answered
+    [Aborted] or [Degraded] at [at] — a call that timed out counts as
+    [Aborted] — moves to the lowest site of [up] other than [at], while
+    [tries < retries].  [Granted] and [Denied] are definitive: [None].
+    The retry goes out {e under the same request number}, so a write
+    whose first coordinator died mid-commit is deduplicated rather than
+    applied twice. *)
+
 val put :
   ?retries:int -> client -> at:Site_set.site -> key:string -> value:string -> reply
-(** [retries] (default 0) bounds how many times an [Aborted] or
-    [Degraded] reply is retried at another up site — {e with the same
-    request number}, so a write whose first coordinator died mid-commit
-    is deduplicated rather than applied twice.  [Granted] and [Denied]
-    are definitive and never retried. *)
+(** [retries] (default 0) bounds how many times the call moves to
+    another up site under {!retry_site}. *)
 
 val get : ?retries:int -> client -> at:Site_set.site -> key:string -> reply
 

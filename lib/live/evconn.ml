@@ -1,5 +1,7 @@
 (* Framed non-blocking connection: Wire.Decoder on the way in, a
-   bounded coalescing byte queue on the way out.
+   bounded coalescing byte queue on the way out, and blocking
+   [drain]/[recv] on top for the ends that want one exchange at a time
+   (a node's link, a handshake, a single client call).
 
    The outbound queue is one growable byte region with head/tail
    offsets.  Frames are appended at [tail]; [flush] writes from [head].
@@ -16,6 +18,9 @@ type t = {
   mutable head : int;
   mutable tail : int;
   mutable staged_frames : int;  (* frames between head and tail *)
+  mutable big_end : int;
+      (* end of a head frame larger than [max_queue] while it drains;
+         the bound counts only what queues behind it *)
   mutable n_frames_out : int;
   mutable n_write_calls : int;
   mutable poisoned : bool;  (* overflowed or peer gone *)
@@ -32,6 +37,7 @@ let create ?(max_queue = 4 * 1024 * 1024) vio =
     head = 0;
     tail = 0;
     staged_frames = 0;
+    big_end = 0;
     n_frames_out = 0;
     n_write_calls = 0;
     poisoned = false;
@@ -60,6 +66,7 @@ let make_room t extra =
   if t.head > 0 then begin
     Bytes.blit t.out t.head t.out 0 (t.tail - t.head);
     t.tail <- t.tail - t.head;
+    t.big_end <- max 0 (t.big_end - t.head);
     t.head <- 0
   end;
   if t.tail + extra > Bytes.length t.out then begin
@@ -73,15 +80,19 @@ let enqueue t env =
   else begin
     let frame = Wire.encode env in
     let len = String.length frame in
-    if pending_bytes t + len > t.max_queue then begin
+    let queued = if t.head < t.big_end then t.tail - t.big_end else pending_bytes t in
+    if pending_bytes t > 0 && queued + len > t.max_queue then begin
       (* The bound is the backpressure contract: beyond it the peer is a
          slow consumer and the connection dies rather than the process
-         OOMing or the frame silently vanishing. *)
+         OOMing or the frame silently vanishing.  An empty queue takes
+         any one frame the codec does, so a frame larger than the bound
+         is never refused for its size alone. *)
       t.poisoned <- true;
       `Overflow
     end
     else begin
       make_room t len;
+      if len > t.max_queue then t.big_end <- t.tail + len;
       Bytes.blit_string frame 0 t.out t.tail len;
       t.tail <- t.tail + len;
       t.staged_frames <- t.staged_frames + 1;
@@ -94,6 +105,7 @@ let rec flush t =
   else if t.head >= t.tail then begin
     t.head <- 0;
     t.tail <- 0;
+    t.big_end <- 0;
     `Idle
   end
   else
@@ -106,6 +118,7 @@ let rec flush t =
           t.staged_frames <- 0;
           t.head <- 0;
           t.tail <- 0;
+          t.big_end <- 0;
           `Idle
         end
         else if n = 0 then `Blocked
@@ -130,6 +143,8 @@ let on_readable t =
       | Some f -> frames := f :: !frames
     done
   in
+  (* Frames a blocking [recv] left buffered go first. *)
+  drain ();
   let rec read_loop budget =
     if budget = 0 then `Open
     else
@@ -145,3 +160,42 @@ let on_readable t =
   in
   let status = read_loop read_budget in
   (List.rev !frames, status)
+
+(* --- blocking use --------------------------------------------------------
+
+   Readiness comes from a one-shot poll(2) on the descriptor; a fake
+   endpoint has none and is driven straight through its script. *)
+
+let wait_ready t ~read ~timeout =
+  match t.vio.Vio.fd with
+  | None -> true
+  | Some fd -> Evloop.wait_fd fd ~read ~write:(not read) ~timeout <> None
+
+let rec drain t =
+  match flush t with
+  | (`Idle | `Closed) as done_ -> done_
+  | `Blocked ->
+      ignore (wait_ready t ~read:false ~timeout:(-1.0) : bool);
+      drain t
+
+(* [deadline] is an absolute reading of [clock] — the injected monotonic
+   clock by default, never the steppable wall clock. *)
+let rec recv ?(clock = Dynvote_obs.Clock.now) ?deadline t =
+  match Wire.Decoder.next t.dec with
+  | Some (Ok env) -> Ok env
+  | Some (Error reason) -> Error (`Corrupt reason)
+  | None ->
+      let timeout =
+        match deadline with None -> -1.0 (* block *) | Some d -> d -. clock ()
+      in
+      if t.is_closed then Error `Closed
+      else if deadline <> None && timeout <= 0.0 then Error `Timeout
+      else if not (wait_ready t ~read:true ~timeout) then Error `Timeout
+      else (
+        match t.vio.Vio.read t.scratch 0 (Bytes.length t.scratch) with
+        | Vio.Read n ->
+            Wire.Decoder.feed t.dec t.scratch 0 n;
+            recv ~clock ?deadline t
+        | Vio.Read_block when t.vio.Vio.fd = None -> Error `Timeout
+        | Vio.Read_block | Vio.Read_intr -> recv ~clock ?deadline t
+        | Vio.Read_eof -> Error `Closed)

@@ -22,7 +22,7 @@ external raise_fd_limit : int -> int = "dynvote_raise_fd_limit"
 external fd_of_int : int -> Unix.file_descr = "%identity"
 external int_of_fd : Unix.file_descr -> int = "%identity"
 
-type backend = [ `Epoll | `Poll | `Auto ]
+type backend = [ `Epoll | `Poll ]
 
 type t = {
   kind : [ `Epoll of int | `Poll ];
@@ -47,20 +47,12 @@ let event_of ~fd ~revents =
     error = revents land 4 <> 0;
   }
 
-let resolve_backend = function
-  | `Epoll -> `Epoll
-  | `Poll -> `Poll
-  | `Auto -> (
-      match Sys.getenv_opt "DYNVOTE_EVLOOP" with
-      | Some "poll" -> `Poll
-      | Some "epoll" -> `Epoll
-      | _ -> if has_epoll () then `Epoll else `Poll)
-
-let create ?(backend = `Auto) () =
+let create ?backend () =
   let kind =
-    match resolve_backend backend with
-    | `Epoll -> `Epoll (epoll_create ())
-    | `Poll -> `Poll
+    match backend with
+    | Some `Poll -> `Poll
+    | Some `Epoll -> `Epoll (epoll_create ())
+    | None -> if has_epoll () then `Epoll (epoll_create ()) else `Poll
   in
   { kind; interest = Hashtbl.create 64; is_closed = false }
 

@@ -6,13 +6,12 @@
     are first-class, which is what lets the service hold thousands of
     concurrent connections.
 
-    The backend is chosen automatically ([`Auto]: epoll when the
-    platform has it) and can be forced for testing with the
-    [DYNVOTE_EVLOOP] environment variable ([epoll] or [poll]). *)
+    The backend is epoll when the platform has it and poll otherwise;
+    tests force either through {!create}. *)
 
 type t
 
-type backend = [ `Epoll | `Poll | `Auto ]
+type backend = [ `Epoll | `Poll ]
 
 type event = {
   fd : Unix.file_descr;
@@ -22,8 +21,8 @@ type event = {
 }
 
 val create : ?backend:backend -> unit -> t
-(** [`Auto] (the default) honours [DYNVOTE_EVLOOP] if set, otherwise
-    picks epoll when available and poll otherwise. *)
+(** [backend] (default: epoll when available, poll otherwise) is the
+    test hook that drives the poll path on Linux too. *)
 
 val backend_name : t -> string
 (** ["epoll"] or ["poll"] — recorded in bench output. *)
@@ -52,6 +51,6 @@ val raise_fd_limit : int -> int
 val wait_fd :
   Unix.file_descr -> read:bool -> write:bool -> timeout:float -> event option
 (** One-shot readiness on a single descriptor — the drop-in replacement
-    for every [Unix.select] in blocking helpers ([Wire.recv],
-    [Wire.send]).  Uses poll(2) directly: no registration state, works
+    for every [Unix.select] in blocking helpers ({!Evconn.recv},
+    {!Evconn.drain}).  Uses poll(2) directly: no registration state, works
     above FD_SETSIZE.  [None] on timeout; EINTR retried internally. *)

@@ -2,7 +2,7 @@
 
    Two backends behind one OCaml interface: epoll where the platform
    has it (Linux), poll(2) everywhere else.  Both are exposed, so the
-   poll path is testable on Linux too (DYNVOTE_EVLOOP=poll).  select(2)
+   poll path is testable on Linux too (Evloop.create ~backend).  select(2)
    appears nowhere: its FD_SETSIZE limit (1024) is exactly the
    connection cap this layer removes.
 

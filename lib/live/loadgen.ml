@@ -1,9 +1,9 @@
-(* Worker threads hammer the cluster through ordinary clients; every
-   completed call is recorded locally (no shared state on the hot path
-   beyond the cluster's metrics registry) and the per-worker journals are
-   merged once the run ends.  Percentiles are exact — the journals are
-   sorted, not binned — and goodput gets a batch-means interval in the
-   style of the paper's §4 methodology.
+(* One thread drives every client through an {!Evloop}; every completed
+   call is recorded in its client's journal (no shared state on the hot
+   path beyond the metrics registry) and the journals are merged once
+   the run ends.  Percentiles are exact — the journals are sorted, not
+   binned — and goodput gets a batch-means interval in the style of the
+   paper's §4 methodology.
 
    All timing reads the monotonic {!Dynvote_obs.Clock}: latencies and
    goodput windows must not be corruptible by a wall-clock step. *)
@@ -17,8 +17,6 @@ module Metrics = Dynvote_obs.Metrics
 module Hub = Dynvote_obs.Hub
 module Zipf = Dynvote_shard.Zipf
 
-type mode = [ `Threads | `Mux ]
-
 type config = {
   clients : int;
   duration : float;
@@ -30,7 +28,6 @@ type config = {
   seed : int;
   sites : Site_set.t option;
   retries : int;
-  mode : mode;
 }
 
 let default =
@@ -45,11 +42,10 @@ let default =
     seed = 1;
     sites = None;
     retries = 0;
-    mode = `Threads;
   }
 
-(* One key sampler shared by every worker: {!Zipf.sample} is pure, and
-   each worker feeds it its own RNG stream.  [zipf = 0] through the
+(* One key sampler shared by every client: {!Zipf.sample} is pure, and
+   each client feeds it its own RNG stream.  [zipf = 0] through the
    sampler is exactly the uniform draw, but skipping it keeps the
    default hot path allocation-identical to before. *)
 let key_sampler config =
@@ -126,75 +122,6 @@ let dup_info ~status ~info =
   && String.length info >= 9
   && String.sub info 0 9 = "duplicate"
 
-let is_dup_ack (reply : Cluster.reply) =
-  dup_info ~status:reply.Cluster.status ~info:reply.Cluster.info
-
-let worker cluster config ~seed64 ~index ~t_start ~t_end ~ins ~sample_key journal
-    =
-  let rng = Rng.create ~seed:seed64 () in
-  let client = Cluster.client cluster in
-  let targets =
-    match config.sites with
-    | Some sites -> Array.of_list (Site_set.to_list sites)
-    | None -> Array.of_list (Site_set.to_list (Cluster.universe cluster))
-  in
-  let payload = String.make (max 1 config.value_bytes) 'x' in
-  (* Open loop: Poisson arrivals at rate/clients per worker; latency is
-     measured from the intended start, never from the actual one. *)
-  let interarrival =
-    match config.rate with
-    | None -> None
-    | Some rate -> Some (float_of_int config.clients /. Float.max rate 1e-9)
-  in
-  let intended = ref t_start in
-  let n = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let start =
-      match interarrival with
-      | None -> Clock.now ()
-      | Some mean ->
-          intended := !intended +. Rng.exponential rng ~mean;
-          let now = Clock.now () in
-          if !intended > now then Thread.delay (!intended -. now);
-          !intended
-    in
-    if start >= t_end then continue := false
-    else begin
-      incr n;
-      Metrics.incr ins.i_issued;
-      let at = targets.(Rng.int rng (Array.length targets)) in
-      let ki = sample_key rng in
-      let key = Printf.sprintf "k%d" ki in
-      let is_write = Rng.float rng < config.write_ratio in
-      let reply =
-        if is_write then
-          Cluster.put ~retries:config.retries client ~at ~key
-            ~value:(Printf.sprintf "%d.%d:%s" index !n payload)
-        else Cluster.get ~retries:config.retries client ~at ~key
-      in
-      let finish = Clock.now () in
-      let latency = finish -. start in
-      Metrics.observe (if is_write then ins.i_write_h else ins.i_read_h) latency;
-      if reply.Cluster.status = Wire.Granted then Metrics.incr ins.i_granted;
-      if reply.Cluster.status = Wire.Degraded then Metrics.incr ins.i_fenced;
-      Metrics.add ins.i_retries reply.Cluster.retries;
-      let dup = is_dup_ack reply in
-      if dup then Metrics.incr ins.i_dup_acks;
-      journal :=
-        {
-          s_write = is_write;
-          s_status = reply.Cluster.status;
-          s_finish = finish;
-          s_latency = latency;
-          s_retries = reply.Cluster.retries;
-          s_dup = dup;
-          s_key = ki;
-        }
-        :: !journal
-    end
-  done
-
 let percentile sorted p =
   let n = Array.length sorted in
   if n = 0 then nan
@@ -231,42 +158,69 @@ let stats_of samples =
     p99 = percentile sorted 0.99;
   }
 
-(* --- multiplexed mode ---------------------------------------------------
+(* --- the client herd -----------------------------------------------------
 
-   One thread drives every client through an {!Evloop}: each client is a
-   nonblocking socket with an {!Evconn} framing layer and a single
-   outstanding operation (closed loop).  Ten thousand clients are ten
-   thousand descriptors, not ten thousand threads — this is the shape
-   that finds the goodput/latency knee of the event-driven service.
-   Cross-site retries need the blocking client's site-hopping logic, so
-   the mux mode runs with [retries = 0] semantics regardless. *)
+   Every client is a nonblocking socket with an {!Evconn} framing layer
+   and at most one call out; ten thousand clients are ten thousand
+   descriptors, not threads.  A client is closed loop (its next call
+   goes out the moment the previous one completes — measures capacity)
+   or open loop (Poisson arrivals at rate/clients per client, latency
+   measured from the {e intended} start, so queueing delay is charged
+   to the service rather than hidden).
 
-type mux_client = {
-  mc_index : int;
-  mc_fd : Unix.file_descr;
-  mc_conn : Evconn.t;
-  mc_rng : Rng.t;
-  mutable mc_id : int;  (* endpoint id; 0 until Welcome *)
-  mutable mc_req : int;
-  mutable mc_outstanding : (float * bool * int) option;
-      (* start, is_write, key index *)
-  mutable mc_writing : bool;  (* current write-interest registration *)
-  mutable mc_done : bool;
-  mc_journal : sample list ref;
+   A call completes on a definitive reply, or — answered [Aborted] or
+   [Degraded], or unanswered by its deadline — moves to the next up
+   site under {!Cluster.retry_site}, with the same request number.  A
+   target already down is denied without sending.  Each client holds
+   one timer: its next arrival while idle, its call's deadline while a
+   call is out. *)
+
+module Timers = Set.Make (struct
+  type t = float * int
+
+  let compare (a, i) (b, j) =
+    match Float.compare a b with 0 -> Int.compare i j | c -> c
+end)
+
+type call = {
+  start : float;
+  is_write : bool;
+  key : int;  (* key index drawn, for the hot-set report *)
+  payload : Wire.payload;  (* resent unchanged by a retry *)
+  mutable at : Site_set.site;
+  mutable tries : int;  (* retries so far *)
 }
 
-let run_mux ~port ~universe config ~ins ~sample_key ~t_start:_ ~t_end =
-  if config.rate <> None then
-    invalid_arg "Loadgen.run: open-loop arrivals need mode = `Threads";
+type client = {
+  index : int;
+  fd : Unix.file_descr;
+  conn : Evconn.t;
+  rng : Rng.t;
+  mutable id : int;  (* endpoint id; 0 until Welcome *)
+  mutable req : int;
+  mutable call : call option;
+  mutable next_arrival : float;  (* open loop: the intended start *)
+  mutable timer : float;  (* [infinity]: none armed *)
+  mutable writing : bool;  (* current write-interest registration *)
+  mutable finished : bool;
+  journal : sample list ref;
+}
+
+let herd ~port ~universe ~up ~timeout config ~ins ~sample_key ~t_start ~t_end =
   let targets =
     match config.sites with
     | Some sites -> Array.of_list (Site_set.to_list sites)
     | None -> Array.of_list (Site_set.to_list universe)
   in
   let payload = String.make (max 1 config.value_bytes) 'x' in
+  let interarrival =
+    Option.map
+      (fun rate -> float_of_int config.clients /. Float.max rate 1e-9)
+      config.rate
+  in
   let seeds = worker_seeds ~seed:config.seed ~n:config.clients in
   let loop = Evloop.create () in
-  let by_fd : (Unix.file_descr, mux_client) Hashtbl.t =
+  let by_fd : (Unix.file_descr, client) Hashtbl.t =
     Hashtbl.create (2 * config.clients)
   in
   let clients =
@@ -281,16 +235,18 @@ let run_mux ~port ~universe config ~ins ~sample_key ~t_start:_ ~t_end =
         let conn = Evconn.of_fd sock in
         let c =
           {
-            mc_index = index;
-            mc_fd = sock;
-            mc_conn = conn;
-            mc_rng = Rng.create ~seed:seeds.(index) ();
-            mc_id = 0;
-            mc_req = 0;
-            mc_outstanding = None;
-            mc_writing = false;
-            mc_done = false;
-            mc_journal = ref [];
+            index;
+            fd = sock;
+            conn;
+            rng = Rng.create ~seed:seeds.(index) ();
+            id = 0;
+            req = 0;
+            call = None;
+            next_arrival = t_start;
+            timer = infinity;
+            writing = false;
+            finished = false;
+            journal = ref [];
           }
         in
         Hashtbl.replace by_fd sock c;
@@ -302,103 +258,176 @@ let run_mux ~port ~universe config ~ins ~sample_key ~t_start:_ ~t_end =
         c)
   in
   let live = ref (Array.length clients) in
-  let finish_client c =
-    if not c.mc_done then begin
-      c.mc_done <- true;
-      decr live;
-      Evloop.remove loop c.mc_fd;
-      Hashtbl.remove by_fd c.mc_fd;
-      Evconn.close c.mc_conn
-    end
+  let timers = ref Timers.empty in
+  (* Clients due to issue; served once per loop pass, so a call denied
+     without I/O never recurses into the next one. *)
+  let ready = Queue.create () in
+  let set_timer c at =
+    if c.timer < infinity then timers := Timers.remove (c.timer, c.index) !timers;
+    c.timer <- at;
+    if at < infinity then timers := Timers.add (at, c.index) !timers
   in
-  let record c ~status ~is_write ~start ~key ~dup =
+  let record c (call : call) ~status ~info =
     let finish = Clock.now () in
-    let latency = finish -. start in
-    Metrics.observe (if is_write then ins.i_write_h else ins.i_read_h) latency;
+    let latency = finish -. call.start in
+    let dup = dup_info ~status ~info in
+    Metrics.observe (if call.is_write then ins.i_write_h else ins.i_read_h) latency;
     if status = Wire.Granted then Metrics.incr ins.i_granted;
     if status = Wire.Degraded then Metrics.incr ins.i_fenced;
     if dup then Metrics.incr ins.i_dup_acks;
-    c.mc_journal :=
+    Metrics.add ins.i_retries call.tries;
+    c.journal :=
       {
-        s_write = is_write;
+        s_write = call.is_write;
         s_status = status;
         s_finish = finish;
         s_latency = latency;
-        s_retries = 0;
+        s_retries = call.tries;
         s_dup = dup;
-        s_key = key;
+        s_key = call.key;
       }
-      :: !(c.mc_journal)
+      :: !(c.journal)
   in
-  let sync_write c =
-    match Evconn.flush c.mc_conn with
-    | `Closed -> finish_client c
-    | `Idle | `Blocked ->
-        let want = Evconn.want_write c.mc_conn in
-        if want <> c.mc_writing then begin
-          c.mc_writing <- want;
-          Evloop.modify loop c.mc_fd ~read:true ~write:want
-        end
-  in
-  let issue c =
-    let now = Clock.now () in
-    if now >= t_end then finish_client c
-    else begin
-      Metrics.incr ins.i_issued;
-      c.mc_req <- c.mc_req + 1;
-      let at = targets.(Rng.int c.mc_rng (Array.length targets)) in
-      let ki = sample_key c.mc_rng in
-      let key = Printf.sprintf "k%d" ki in
-      let is_write = Rng.float c.mc_rng < config.write_ratio in
-      let frame =
-        if is_write then
-          Wire.Client_put
-            {
-              req = c.mc_req;
-              key;
-              value = Printf.sprintf "%d.%d:%s" c.mc_index c.mc_req payload;
-            }
-        else Wire.Client_get { req = c.mc_req; key }
-      in
-      c.mc_outstanding <- Some (now, is_write, ki);
-      match Evconn.enqueue c.mc_conn { Wire.src = c.mc_id; dst = at; payload = frame }
-      with
-      | `Overflow -> finish_client c
-      | `Ok -> sync_write c
+  let finish_client c =
+    if not c.finished then begin
+      c.finished <- true;
+      decr live;
+      (match c.call with
+      | Some call -> record c call ~status:Wire.Aborted ~info:"connection lost"
+      | None -> ());
+      c.call <- None;
+      set_timer c infinity;
+      Evloop.remove loop c.fd;
+      Hashtbl.remove by_fd c.fd;
+      Evconn.close c.conn
     end
   in
+  (* The next call: now (closed loop), or at the next Poisson arrival. *)
+  let schedule c =
+    match interarrival with
+    | None -> if Clock.now () >= t_end then finish_client c else Queue.add c ready
+    | Some mean ->
+        c.next_arrival <- c.next_arrival +. Rng.exponential c.rng ~mean;
+        if c.next_arrival >= t_end then finish_client c
+        else if c.next_arrival <= Clock.now () then Queue.add c ready
+        else set_timer c c.next_arrival
+  in
+  let sync_write c =
+    match Evconn.flush c.conn with
+    | `Closed -> finish_client c
+    | `Idle | `Blocked ->
+        let want = Evconn.want_write c.conn in
+        if want <> c.writing then begin
+          c.writing <- want;
+          Evloop.modify loop c.fd ~read:true ~write:want
+        end
+  in
+  let complete c call ~status ~info =
+    c.call <- None;
+    set_timer c infinity;
+    record c call ~status ~info;
+    schedule c
+  in
+  let send c call =
+    if not (Site_set.mem call.at (up ())) then
+      complete c call ~status:Wire.Denied ~info:"site down"
+    else
+      let env = { Wire.src = c.id; dst = call.at; payload = call.payload } in
+      match Evconn.enqueue c.conn env with
+      | `Overflow -> finish_client c
+      | `Ok ->
+          set_timer c (Clock.now () +. timeout);
+          sync_write c
+  in
+  let answer c call ~status ~info =
+    match
+      Cluster.retry_site ~retries:config.retries ~up:(up ()) ~tries:call.tries
+        ~at:call.at status
+    with
+    | Some at ->
+        call.at <- at;
+        call.tries <- call.tries + 1;
+        send c call
+    | None -> complete c call ~status ~info
+  in
+  let issue c =
+    let start =
+      match interarrival with None -> Clock.now () | Some _ -> c.next_arrival
+    in
+    Metrics.incr ins.i_issued;
+    c.req <- c.req + 1;
+    let at = targets.(Rng.int c.rng (Array.length targets)) in
+    let key = sample_key c.rng in
+    let is_write = Rng.float c.rng < config.write_ratio in
+    let k = Printf.sprintf "k%d" key in
+    let payload =
+      if is_write then
+        let value = Printf.sprintf "%d.%d:%s" c.index c.req payload in
+        Wire.Client_put { req = c.req; key = k; value }
+      else Wire.Client_get { req = c.req; key = k }
+    in
+    let call = { start; is_write; key; payload; at; tries = 0 } in
+    c.call <- Some call;
+    send c call
+  in
   let on_frame c (env : Wire.envelope) =
-    if not c.mc_done then
-      match env.Wire.payload with
-      | Wire.Welcome { id } ->
-          c.mc_id <- id;
-          issue c
-      | Wire.Client_reply { req; status; value = _; info } when req = c.mc_req
-        -> (
-          match c.mc_outstanding with
-          | Some (start, is_write, key) ->
-              c.mc_outstanding <- None;
-              record c ~status ~is_write ~start ~key ~dup:(dup_info ~status ~info);
-              issue c
-          | None -> ())
-      | _ -> ()  (* a stale reply from an abandoned request number *)
+    match (env.Wire.payload, c.call) with
+    | Wire.Welcome { id }, _ when c.id = 0 ->
+        c.id <- id;
+        schedule c
+    | Wire.Client_reply { req; status; value = _; info }, Some call
+      when req = c.req && env.Wire.src = call.at ->
+        answer c call ~status ~info
+    | _ -> ()  (* a stale reply from an abandoned attempt *)
   in
   let on_readable c =
-    let frames, state = Evconn.on_readable c.mc_conn in
+    let frames, state = Evconn.on_readable c.conn in
     List.iter
-      (function Ok env -> on_frame c env | Error _ -> finish_client c)
+      (fun frame ->
+        if not c.finished then
+          match frame with Ok env -> on_frame c env | Error _ -> finish_client c)
       frames;
     if state = `Eof then finish_client c
   in
+  (* Past the cutoff only calls already out may finish, and none waits
+     past its deadline: the run ends by [t_end + timeout]. *)
+  let hard_end = t_end +. timeout in
+  let cut = ref false in
   Array.iter sync_write clients;
-  (* A reply in flight at the cutoff still deserves its sample; an
-     unanswered one is charged below as an abort.  The grace bound keeps
-     a dead cluster from hanging the generator. *)
-  let hard_end = t_end +. 5.0 in
   while !live > 0 && Clock.now () < hard_end do
     let now = Clock.now () in
-    let timeout = Float.min 0.05 (Float.max 0.001 (hard_end -. now)) in
-    let events = Evloop.wait loop ~timeout in
+    if now >= t_end && not !cut then begin
+      cut := true;
+      Array.iter (fun c -> if c.call = None then finish_client c) clients
+    end;
+    let rec fire () =
+      match Timers.min_elt_opt !timers with
+      | Some (at, index) when at <= now -> (
+          let c = clients.(index) in
+          set_timer c infinity;
+          (match c.call with
+          | Some call ->
+              answer c call ~status:Wire.Aborted ~info:"timeout: no reply"
+          | None -> Queue.add c ready);
+          fire ())
+      | _ -> ()
+    in
+    fire ();
+    for _ = 1 to Queue.length ready do
+      let c = Queue.pop ready in
+      if not c.finished then issue c
+    done;
+    let wake =
+      if !live = 0 || not (Queue.is_empty ready) then now
+      else
+        let next = if now < t_end then t_end else hard_end in
+        match Timers.min_elt_opt !timers with
+        | Some (at, _) -> Float.min at next
+        | None -> next
+    in
+    let events =
+      Evloop.wait loop ~timeout:(Float.max 0.0 (wake -. Clock.now ()))
+    in
     List.iter
       (fun (ev : Evloop.event) ->
         match Hashtbl.find_opt by_fd ev.Evloop.fd with
@@ -406,28 +435,22 @@ let run_mux ~port ~universe config ~ins ~sample_key ~t_start:_ ~t_end =
         | Some c ->
             if ev.Evloop.error then finish_client c
             else begin
-              if ev.Evloop.writable && not c.mc_done then sync_write c;
-              if ev.Evloop.readable && not c.mc_done then on_readable c
+              if ev.Evloop.writable then sync_write c;
+              if ev.Evloop.readable && not c.finished then on_readable c
             end)
-      events;
-    if Clock.now () >= t_end then
-      Array.iter
-        (fun c ->
-          if (not c.mc_done) && c.mc_outstanding = None then finish_client c)
-        clients
+      events
   done;
   Array.iter
     (fun c ->
-      if not c.mc_done then begin
-        (match c.mc_outstanding with
-        | Some (start, is_write, key) ->
-            record c ~status:Wire.Aborted ~is_write ~start ~key ~dup:false
-        | None -> ());
-        finish_client c
-      end)
+      (match c.call with
+      | Some call ->
+          c.call <- None;
+          record c call ~status:Wire.Aborted ~info:"timeout: no reply"
+      | None -> ());
+      finish_client c)
     clients;
   Evloop.close loop;
-  Array.map (fun c -> c.mc_journal) clients
+  Array.map (fun c -> c.journal) clients
 
 let validate config =
   if config.clients < 1 then invalid_arg "Loadgen.run: need at least one client";
@@ -507,50 +530,28 @@ let summarise config ~t_start ~t_end ~wall journals =
     hotset = hotset_of config all;
   }
 
-let run cluster config =
+let drive ~port ~universe ~up ~timeout ~obs config =
   validate config;
-  let ins = instruments (Cluster.obs cluster) in
-  let sample_key = key_sampler config in
-  let t_start = Clock.now () in
-  let t_end = t_start +. config.duration in
-  let journals =
-    match config.mode with
-    | `Mux ->
-        run_mux ~port:(Cluster.port cluster)
-          ~universe:(Cluster.universe cluster) config ~ins ~sample_key ~t_start
-          ~t_end
-    | `Threads ->
-        let seeds = worker_seeds ~seed:config.seed ~n:config.clients in
-        let journals = Array.init config.clients (fun _ -> ref []) in
-        let threads =
-          Array.mapi
-            (fun index journal ->
-              Thread.create
-                (fun () ->
-                  worker cluster config ~seed64:seeds.(index) ~index ~t_start
-                    ~t_end ~ins ~sample_key journal)
-                ())
-            journals
-        in
-        Array.iter Thread.join threads;
-        journals
-  in
-  let wall = Clock.now () -. t_start in
-  summarise config ~t_start ~t_end ~wall journals
-
-let run_at ?(obs = Hub.noop) ~port ~universe config =
-  validate config;
-  (match config.mode with
-  | `Mux -> ()
-  | `Threads ->
-      invalid_arg "Loadgen.run_at: thread workers need a Cluster.t; use run");
   let ins = instruments obs in
   let sample_key = key_sampler config in
   let t_start = Clock.now () in
   let t_end = t_start +. config.duration in
-  let journals = run_mux ~port ~universe config ~ins ~sample_key ~t_start ~t_end in
+  let journals =
+    herd ~port ~universe ~up ~timeout config ~ins ~sample_key ~t_start ~t_end
+  in
   let wall = Clock.now () -. t_start in
   summarise config ~t_start ~t_end ~wall journals
+
+let run cluster config =
+  drive ~port:(Cluster.port cluster) ~universe:(Cluster.universe cluster)
+    ~up:(fun () -> Cluster.up_sites cluster)
+    ~timeout:(Cluster.client_timeout cluster) ~obs:(Cluster.obs cluster) config
+
+(* No cluster in hand: every site counts as up (the switchboard drops
+   what it cannot deliver, and the deadline catches it), and calls get
+   the cluster's default client timeout. *)
+let run_at ?(obs = Hub.noop) ~port ~universe config =
+  drive ~port ~universe ~up:(fun () -> universe) ~timeout:10.0 ~obs config
 
 let pp_ms ppf seconds =
   if Float.is_nan seconds then Fmt.string ppf "-"

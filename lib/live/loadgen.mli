@@ -1,23 +1,23 @@
-(** Load generator for the live service: concurrent client workers
+(** Load generator for the live service: a herd of concurrent clients
     driving a read/write mix against real sockets, reporting goodput
     with a batch-means 95% confidence interval and exact latency
     percentiles.
 
-    Two arrival models: {e closed loop} (each worker issues its next
-    operation the moment the previous reply lands — measures capacity)
-    and {e open loop} (operations are scheduled by a Poisson process at a
-    target rate; latency is measured from the {e intended} start, so
-    queueing delay is charged to the service rather than hidden —
-    coordinated omission accounted for). *)
+    Every client is multiplexed onto one thread through an {!Evloop}
+    of nonblocking {!Evconn} connections, with at most one call out
+    per client — ten thousand clients are ten thousand descriptors,
+    not threads.  Two arrival models: {e closed loop} (each client
+    issues its next operation the moment the previous one completes —
+    measures capacity) and {e open loop} (operations are scheduled by a
+    Poisson process at a target rate; latency is measured from the
+    {e intended} start, so queueing delay is charged to the service
+    rather than hidden — coordinated omission accounted for).
 
-type mode = [ `Threads | `Mux ]
-(** [`Threads]: one blocking worker thread per client (the original
-    model — supports open-loop arrivals and cross-site retries).
-    [`Mux]: every client multiplexed onto one thread through an
-    {!Evloop} of nonblocking {!Evconn} connections, each a closed loop
-    with a single outstanding operation — ten thousand clients are ten
-    thousand descriptors, not threads.  Mux is closed-loop only
-    ([rate] must be [None]) and never retries cross-site. *)
+    Every call has a deadline.  A call answered [Aborted] or [Degraded],
+    or unanswered by its deadline, moves to another up site under
+    {!Cluster.retry_site} while its retry budget lasts; otherwise an
+    unanswered call counts as aborted.  A call whose target is already
+    down is denied (["site down"]) without being sent. *)
 
 type config = {
   clients : int;  (** concurrent clients, one connection each *)
@@ -32,20 +32,18 @@ type config = {
   value_bytes : int;  (** payload size per put *)
   rate : float option;
       (** [Some r]: open loop at [r] ops/s total; [None]: closed loop *)
-  seed : int;  (** deterministic worker randomness (see {!worker_seeds}) *)
+  seed : int;  (** deterministic client randomness (see {!worker_seeds}) *)
   sites : Site_set.t option;
       (** coordinate at these sites (uniform); default: the universe *)
   retries : int;
-      (** forwarded to {!Cluster.put}/{!Cluster.get}: how many times an
-          aborted or degraded-site call moves to another up site under
-          the same request number (exactly-once via the sites' dedup
-          tables).  Ignored by [`Mux]. *)
-  mode : mode;
+      (** how many times an aborted, degraded-site or timed-out call
+          moves to another up site under the same request number
+          (exactly-once via the sites' dedup tables) *)
 }
 
 val default : config
 (** 4 clients, 5 s, 30% writes, 16 keys (uniform, [zipf = 0]), 64-byte
-    values, closed loop, no retries, [`Threads]. *)
+    values, closed loop, no retries. *)
 
 type op_stats = {
   issued : int;
@@ -87,8 +85,11 @@ type result = {
 }
 
 val run : Cluster.t -> config -> result
-(** Blocks for [config.duration]; the cluster keeps running afterwards.
-    Worker latencies also feed the cluster hub's registry as the
+(** Blocks for [config.duration], plus at most the cluster's client
+    timeout for calls still out at the cutoff; the cluster keeps running
+    afterwards.  Calls time out after {!Cluster.client_timeout}, and a
+    call to a site the cluster reports down is denied without sending.
+    Latencies also feed the cluster hub's registry as the
     [loadgen.read.seconds] / [loadgen.write.seconds] histograms and the
     [loadgen.ops.*] counters (issued, granted, retries, dup_acks,
     fenced). *)
@@ -103,12 +104,13 @@ val run_at :
     the generator can live in a {e different process} from the service
     (each process then has its own descriptor budget, which is what a
     ten-thousand-connection herd needs under a hard [RLIMIT_NOFILE]).
-    Only [`Mux] mode: thread workers route retries through cluster
-    clients and stay in-process.  [obs] (default
-    {!Dynvote_obs.Hub.noop}) receives the [loadgen.*] instruments. *)
+    With no cluster to ask, every site of [universe] counts as up, and
+    calls time out after 10 s, the default client timeout of
+    {!Cluster.create}.  [obs] (default {!Dynvote_obs.Hub.noop})
+    receives the [loadgen.*] instruments. *)
 
 val worker_seeds : seed:int -> n:int -> int64 array
-(** The per-worker RNG seeds a run with [config.seed = seed] and
+(** The per-client RNG seeds a run with [config.seed = seed] and
     [clients = n] uses: splitmix64-split streams, so distinct
     [(seed, index)] pairs never share a stream (the old
     [seed * 65599 + index] derivation collided). *)

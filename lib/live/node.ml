@@ -272,7 +272,7 @@ type t = {
   ctx : Operation.ctx;
   config : config;
   next_seq : unit -> int;
-  conn : Wire.conn;
+  conn : Evconn.t;
   oplog : Persist.log;
   store : Shard_store.t;
   objects : Shard_map.t;
@@ -311,13 +311,6 @@ type t = {
   (* Objects of admitted-but-unfinished operations, counted so the next
      group lock round can cover them in the same wire exchange. *)
   inflight_keys : (string, int) Hashtbl.t;
-  (* Outbound staging: in pipelined mode frames accumulate here and leave
-     in one write per scheduler burst, so a peer receives a whole burst's
-     commits in one wakeup and coalesces their persists.  In the serial
-     default every frame is written immediately, which the crash tests'
-     deterministic strike points rely on. *)
-  out : Buffer.t;
-  staged : bool;
 }
 
 let sharded t = t.config.shards > 0
@@ -449,12 +442,23 @@ let boot ~site ~universe ~flavor ~segment_of ~config ~obs ~dir ?(vfs = Vfs.real)
      Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
      Unix.setsockopt sock Unix.TCP_NODELAY true
    with e -> (try Unix.close sock with Unix.Unix_error _ -> ()); raise e);
-  let conn = Wire.conn sock in
-  Wire.send conn { Wire.src = site; dst = Wire.broker_id; payload = Wire.Hello_site { site } };
-  (match Wire.recv ~clock:config.clock ~deadline:(config.clock () +. 5.0) conn with
+  (* Outbound frames queue on the connection and leave in one write per
+     scheduler burst, so a peer receives a whole burst's commits in one
+     wakeup and coalesces their persists.  The queue is unbounded: the
+     node drains it before it sleeps, and its own backlog must never
+     sever it. *)
+  let conn = Evconn.of_fd ~max_queue:max_int sock in
+  ignore
+    (Evconn.enqueue conn
+       { Wire.src = site; dst = Wire.broker_id; payload = Wire.Hello_site { site } }
+      : [ `Ok | `Overflow ]);
+  (match
+     if Evconn.drain conn = `Closed then Error `Closed
+     else Evconn.recv ~clock:config.clock ~deadline:(config.clock () +. 5.0) conn
+   with
   | Ok { Wire.payload = Wire.Welcome _; _ } -> ()
   | _ ->
-      (try Unix.close sock with Unix.Unix_error _ -> ());
+      Evconn.close conn;
       failwith (Printf.sprintf "live node %d: switchboard handshake failed" site));
   let oplog = Persist.open_log ~vfs ~path:(Persist.oplog_path ~dir site) () in
   let t =
@@ -493,37 +497,22 @@ let boot ~site ~universe ~flavor ~segment_of ~config ~obs ~dir ?(vfs = Vfs.real)
       gcache = Hashtbl.create 256;
       commit_batch = Queue.create ();
       inflight_keys = Hashtbl.create 64;
-      out = Buffer.create 4096;
-      staged = config.pipeline > 1 || config.max_reuse > 0;
     }
   in
   (match degraded with Some reason -> degrade t reason | None -> ());
   t
 
+(* Queue a frame; it leaves with the rest of the burst at {!drain}.  Only
+   a connection the peer already closed refuses it. *)
 let send_to t dst payload =
-  let env = { Wire.src = t.site; dst; payload } in
-  if t.staged then Buffer.add_string t.out (Wire.encode env)
-  else try Wire.send t.conn env with Unix.Unix_error _ -> raise Dead
+  match Evconn.enqueue t.conn { Wire.src = t.site; dst; payload } with
+  | `Ok -> ()
+  | `Overflow -> raise Dead
 
-(* Push every staged frame in one write.  The broker side never blocks
-   (its connections are nonblocking queues), so a blocking write here
-   always drains. *)
-let flush_out t =
-  if Buffer.length t.out > 0 then begin
-    let bytes = Buffer.to_bytes t.out in
-    Buffer.clear t.out;
-    let fd = Wire.fd t.conn in
-    let len = Bytes.length bytes in
-    let written = ref 0 in
-    try
-      while !written < len do
-        match Unix.write fd bytes !written (len - !written) with
-        | 0 -> raise Dead
-        | n -> written := !written + n
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      done
-    with Unix.Unix_error _ -> raise Dead
-  end
+(* Push every queued frame out.  The broker side never blocks (its
+   connections are nonblocking queues), so a blocking drain here always
+   completes. *)
+let drain t = if Evconn.drain t.conn = `Closed then raise Dead
 
 (* Log or fence: a record that cannot reach the oplog leaves a hole in
    the history this site would later present — better to stop presenting
@@ -1020,7 +1009,7 @@ let commit_wave t ~recipients ~key ~op_no ~version ~partition ~value ~rid =
       | Some hook ->
           (* The strike point models "died between two sends": frames
              already sent must genuinely be on the wire when it fires. *)
-          flush_out t;
+          drain t;
           hook ~sent:!sent ~total
       | None -> ())
     recipients
@@ -1478,38 +1467,33 @@ let serve t =
      while true do
        run_turns t;
        admit_pending t;
-       let rec drain () =
+       let rec buffered () =
          match
-           Wire.recv ~clock:t.config.clock ~deadline:(t.config.clock ()) t.conn
+           Evconn.recv ~clock:t.config.clock ~deadline:(t.config.clock ()) t.conn
          with
          | Ok env ->
              handle_frame t env;
              run_turns t;
-             drain ()
+             buffered ()
          | Error `Timeout -> ()
          | Error (`Closed | `Corrupt _) -> raise Dead
        in
-       drain ();
+       buffered ();
        flush_commits t;
        admit_pending t;
        (* Everything this burst produced — replies, commit waves, protocol
           frames — leaves in one write before the loop sleeps, so a fiber
           waiting on a peer's answer always has its question on the wire. *)
-       flush_out t;
-       (match next_deadline t with
-       | None -> (
-           match Wire.recv t.conn with
-           | Ok env -> handle_frame t env
-           | Error `Timeout -> ()
-           | Error (`Closed | `Corrupt _) -> raise Dead)
-       | Some deadline -> (
-           match Wire.recv ~clock:t.config.clock ~deadline t.conn with
-           | Ok env -> handle_frame t env
-           | Error `Timeout -> expire_due t (t.config.clock ())
-           | Error (`Closed | `Corrupt _) -> raise Dead))
+       drain t;
+       match
+         Evconn.recv ~clock:t.config.clock ?deadline:(next_deadline t) t.conn
+       with
+       | Ok env -> handle_frame t env
+       | Error `Timeout -> expire_due t (t.config.clock ())
+       | Error (`Closed | `Corrupt _) -> raise Dead
      done
    with Dead | Killed | Unix.Unix_error _ -> ());
   (* Volatile state dies with the thread; only the files survive. *)
   (try Persist.close_log t.oplog with Sys_error _ -> ());
   (try Shard_store.close t.store with Sys_error _ -> ());
-  try Unix.close (Wire.fd t.conn) with Unix.Unix_error _ -> ()
+  Evconn.close t.conn

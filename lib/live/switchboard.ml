@@ -66,8 +66,9 @@ type t = {
   mutable routed : int;
   mutable dropped_partition : int;
   mutable dropped_down : int;
-  wake_r : Unix.file_descr;
-  wake_w : Unix.file_descr;
+  wake_fd : Unix.file_descr; (* the self-pipe's read end, for the loop *)
+  wake_r : Vio.t;
+  wake_w : Vio.t;
   mutable broker : Thread.t option;
 }
 
@@ -77,7 +78,10 @@ let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-let wake t = try ignore (Unix.write t.wake_w (Bytes.make 1 '!') 0 1) with _ -> ()
+(* A full pipe already holds a pending wakeup, so a refused byte is
+   fine. *)
+let wake t =
+  ignore (t.wake_w.Vio.write (Bytes.make 1 '!') 0 1 : Vio.write_result)
 
 (* Both endpoints up and on the same side of the cut.  Clients are
    treated as co-located with whatever site they address (the paper's
@@ -389,7 +393,7 @@ let reap_dead_fds t =
     ps;
   (* Losing the listener or the self-pipe is unrecoverable: stop rather
      than wait on garbage. *)
-  if not (fd_alive t.listen && fd_alive t.wake_r) then
+  if not (fd_alive t.listen && fd_alive t.wake_fd) then
     locked t (fun () -> t.running <- false)
 
 let flush_all t =
@@ -398,8 +402,8 @@ let flush_all t =
 
 let broker_loop t =
   Evloop.add t.loop t.listen ~read:true ~write:false;
-  Evloop.add t.loop t.wake_r ~read:true ~write:false;
-  let listen_n = int_of_fd t.listen and wake_n = int_of_fd t.wake_r in
+  Evloop.add t.loop t.wake_fd ~read:true ~write:false;
+  let listen_n = int_of_fd t.listen and wake_n = int_of_fd t.wake_fd in
   while locked t (fun () -> t.running) do
     (* With a stall timeout the loop must wake to consult the injected
        clock even when the fabric is silent. *)
@@ -414,8 +418,7 @@ let broker_loop t =
           (fun (ev : Evloop.event) ->
             let n = int_of_fd ev.Evloop.fd in
             if n = wake_n then begin
-              (try ignore (Unix.read t.wake_r (Bytes.create 16) 0 16)
-               with _ -> ());
+              ignore (t.wake_r.Vio.read (Bytes.create 16) 0 16 : Vio.read_result);
               process_kills t
             end
             else if n = listen_n then accept_loop t
@@ -450,11 +453,11 @@ let broker_loop t =
   List.iter (fun p -> unregister_fd t p.pconn) ps;
   Evloop.close t.loop;
   close_quietly t.listen;
-  close_quietly t.wake_r;
-  close_quietly t.wake_w
+  t.wake_r.Vio.close ();
+  t.wake_w.Vio.close ()
 
 let create ?(obs = Hub.noop) ?(clock = Dynvote_obs.Clock.now) ?stall_timeout
-    ?backend ~universe ~segment_of () =
+    ~universe ~segment_of () =
   (* A routed frame to a just-crashed socket must not kill the process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let listen = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -467,8 +470,7 @@ let create ?(obs = Hub.noop) ?(clock = Dynvote_obs.Clock.now) ?stall_timeout
     | Unix.ADDR_INET (_, port) -> port
     | _ -> assert false
   in
-  let wake_r, wake_w = Unix.pipe () in
-  Unix.set_nonblock wake_r;
+  let wake_fd, wake_w = Unix.pipe () in
   let t =
     {
       listen;
@@ -485,7 +487,7 @@ let create ?(obs = Hub.noop) ?(clock = Dynvote_obs.Clock.now) ?stall_timeout
       loop_wakeups = Metrics.counter obs.Hub.metrics "net.loop.wakeups";
       batch_frames = Metrics.histogram obs.Hub.metrics "net.batch.frames";
       mutex = Mutex.create ();
-      loop = Evloop.create ?backend ();
+      loop = Evloop.create ();
       by_fd = Hashtbl.create 64;
       endpoints = [];
       pendings = [];
@@ -497,8 +499,9 @@ let create ?(obs = Hub.noop) ?(clock = Dynvote_obs.Clock.now) ?stall_timeout
       routed = 0;
       dropped_partition = 0;
       dropped_down = 0;
-      wake_r;
-      wake_w;
+      wake_fd;
+      wake_r = Vio.of_fd wake_fd;
+      wake_w = Vio.of_fd wake_w;
       broker = None;
     }
   in

@@ -22,14 +22,13 @@ val create :
   ?obs:Dynvote_obs.Hub.t ->
   ?clock:Dynvote_obs.Clock.t ->
   ?stall_timeout:float ->
-  ?backend:Evloop.backend ->
   universe:Site_set.t ->
   segment_of:(Site_set.site -> int) ->
   unit ->
   t
 (** Bind a loopback listener on an ephemeral port and start the broker
     thread — an {!Evloop} readiness loop (epoll on Linux, poll
-    elsewhere; [backend] forces one), so connection count is bounded by
+    elsewhere), so connection count is bounded by
     descriptors, not FD_SETSIZE.  All sites start connected and no site
     is considered up until its node registers.  Client endpoint ids
     are handed out from {!Wire.first_client_id} up (see

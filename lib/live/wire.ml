@@ -272,101 +272,38 @@ let decode frame =
 
 (* Frame reassembly with no socket attached: bytes go in at whatever
    boundaries the transport produced them, complete frames come out.
-   This is the piece the event loop (and the deterministic fake-socket
-   tests) drive directly. *)
+   Buffered bytes are [buf.[pos, len)]: [next] only advances [pos], and
+   [feed] compacts once, so a feed of k frames costs O(bytes), not
+   O(k * bytes). *)
 module Decoder = struct
-  type t = { mutable buf : Bytes.t; mutable len : int }
+  type t = { mutable buf : Bytes.t; mutable pos : int; mutable len : int }
 
-  let create () = { buf = Bytes.create 4096; len = 0 }
-  let buffered d = d.len
+  let create () = { buf = Bytes.create 4096; pos = 0; len = 0 }
+  let buffered d = d.len - d.pos
 
-  let ensure_capacity d extra =
-    if d.len + extra > Bytes.length d.buf then begin
-      let grown = Bytes.create (max (2 * Bytes.length d.buf) (d.len + extra)) in
-      Bytes.blit d.buf 0 grown 0 d.len;
+  let feed d bytes off n =
+    let kept = d.len - d.pos in
+    if kept + n > Bytes.length d.buf then begin
+      let grown = Bytes.create (max (2 * Bytes.length d.buf) (kept + n)) in
+      Bytes.blit d.buf d.pos grown 0 kept;
       d.buf <- grown
     end
-
-  let feed d bytes off len =
-    ensure_capacity d len;
-    Bytes.blit bytes off d.buf d.len len;
-    d.len <- d.len + len
+    else if d.pos > 0 then Bytes.blit d.buf d.pos d.buf 0 kept;
+    d.pos <- 0;
+    Bytes.blit bytes off d.buf kept n;
+    d.len <- kept + n
 
   let feed_string d s = feed d (Bytes.unsafe_of_string s) 0 (String.length s)
 
   let next d =
-    if d.len < 4 then None
+    if d.len - d.pos < 4 then None
     else
-      let body_len = Int32.to_int (Bytes.get_int32_le d.buf 0) land 0xFFFFFFFF in
+      let body_len = Int32.to_int (Bytes.get_int32_le d.buf d.pos) land 0xFFFFFFFF in
       if body_len > Codec.max_frame then Some (Error "frame length out of range")
-      else if d.len < 4 + body_len then None
+      else if d.len - d.pos < 4 + body_len then None
       else begin
-        let frame = decode_frame d.buf ~off:4 ~len:body_len in
-        let rest = d.len - 4 - body_len in
-        Bytes.blit d.buf (4 + body_len) d.buf 0 rest;
-        d.len <- rest;
+        let frame = decode_frame d.buf ~off:(d.pos + 4) ~len:body_len in
+        d.pos <- d.pos + 4 + body_len;
         Some frame
       end
 end
-
-(* --- buffered connections ----------------------------------------- *)
-
-type conn = {
-  sock : Unix.file_descr;
-  dec : Decoder.t;
-  scratch : Bytes.t;
-}
-
-let conn sock = { sock; dec = Decoder.create (); scratch = Bytes.create 4096 }
-let fd c = c.sock
-
-(* Blocking-style send that also survives non-blocking descriptors:
-   EAGAIN waits for writability through poll (never select — client
-   descriptor numbers can exceed FD_SETSIZE), EINTR retries. *)
-let send c e =
-  let frame = Bytes.unsafe_of_string (encode e) in
-  let total = Bytes.length frame in
-  let written = ref 0 in
-  while !written < total do
-    match Unix.write c.sock frame !written (total - !written) with
-    | n -> written := !written + n
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        ignore (Evloop.wait_fd c.sock ~read:false ~write:true ~timeout:(-1.0))
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done
-
-let read_once c =
-  match Unix.read c.sock c.scratch 0 (Bytes.length c.scratch) with
-  | 0 -> `Closed
-  | n ->
-      Decoder.feed c.dec c.scratch 0 n;
-      `Data
-  | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF), _, _) ->
-      `Closed
-
-let next_frame c = Decoder.next c.dec
-
-(* [deadline] is an absolute reading of [clock] — the injected monotonic
-   clock by default, never the steppable wall clock. *)
-let rec recv ?(clock = Dynvote_obs.Clock.now) ?deadline c =
-  match next_frame c with
-  | Some (Ok e) -> Ok e
-  | Some (Error reason) -> Error (`Corrupt reason)
-  | None -> (
-      let timeout =
-        match deadline with None -> -1.0 (* block *) | Some d -> d -. clock ()
-      in
-      if deadline <> None && timeout <= 0.0 then Error `Timeout
-      else
-        match Evloop.wait_fd c.sock ~read:true ~write:false ~timeout with
-        | None -> Error `Timeout
-        | Some _ -> (
-            match read_once c with
-            | `Closed -> Error `Closed
-            | `Data -> recv ~clock ?deadline c
-            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-              ->
-                (* spurious wakeup on a non-blocking socket *)
-                recv ~clock ?deadline c
-            | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-                recv ~clock ?deadline c))

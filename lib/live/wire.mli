@@ -110,7 +110,7 @@ val decode : string -> (envelope, string) result
     Frame reassembly detached from any socket: the event loop (and the
     deterministic fake-socket tests) feed whatever byte runs the
     transport produced — split at arbitrary boundaries — and pull out
-    complete frames.  [conn] below is this decoder plus a descriptor. *)
+    complete frames.  {!Evconn} is this decoder plus a transport. *)
 module Decoder : sig
   type t
 
@@ -129,33 +129,3 @@ module Decoder : sig
   val buffered : t -> int
   (** Bytes currently awaiting frame completion. *)
 end
-
-(** {2 Buffered connections}
-
-    One reader/writer per socket end; [recv] interleaves buffered frame
-    parsing with deadline-bounded reads, which is what lets a coordinator
-    keep serving peer requests while it waits for its own replies. *)
-
-type conn
-
-val conn : Unix.file_descr -> conn
-val fd : conn -> Unix.file_descr
-
-val send : conn -> envelope -> unit
-(** @raise Unix.Unix_error when the peer is gone (crash semantics). *)
-
-val recv :
-  ?clock:(unit -> float) ->
-  ?deadline:float ->
-  conn ->
-  (envelope, [ `Timeout | `Closed | `Corrupt of string ]) result
-(** Next frame.  [deadline] is an absolute reading of [clock], which
-    defaults to the monotonic {!Dynvote_obs.Clock.now} — wall-clock
-    steps can never stretch or collapse a wait.  An omitted deadline
-    blocks until a frame or EOF. *)
-
-val read_once : conn -> [ `Data | `Closed ]
-(** One [read(2)] into the buffer (for select-driven loops). *)
-
-val next_frame : conn -> (envelope, string) result option
-(** A complete buffered frame, if any ([None] = need more bytes). *)

@@ -6,6 +6,7 @@
    recovery matrix. *)
 
 module Wire = Dynvote_live.Wire
+module Evconn = Dynvote_live.Evconn
 module Persist = Dynvote_live.Persist
 module Live = Dynvote_live.Cluster
 module Node = Dynvote_live.Node
@@ -521,13 +522,13 @@ let test_slow_loris_recv () =
         done)
       ()
   in
-  let conn = Wire.conn b in
+  let conn = Evconn.of_fd b in
   let t0 = Dynvote_obs.Clock.now () in
-  let result = Wire.recv ~deadline:(t0 +. 0.25) conn in
+  let result = Evconn.recv ~deadline:(t0 +. 0.25) conn in
   let elapsed = Dynvote_obs.Clock.now () -. t0 in
   stop := true;
   Unix.close a;
-  Unix.close b;
+  Evconn.close conn;
   Thread.join dripper;
   (match result with
   | Error `Timeout -> ()

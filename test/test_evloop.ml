@@ -2,10 +2,11 @@
    reassembly under adversarial chunking through the Vio fake socket,
    EAGAIN/EINTR handling, write coalescing, the bounded-backpressure
    contract (a slow consumer is severed, never buffered without bound),
-   deadline injection in Wire.recv, and the switchboard's stall reaper
-   on a hand-cranked clock.  A second suite (serve-smoke) drives the
-   real thing: >1024 concurrent connections through one broker loop and
-   a pipelined coordinator holding several quorum rounds in flight. *)
+   deadline injection in Evconn.recv, both readiness backends, and the
+   switchboard's stall reaper on a hand-cranked clock.  A second suite
+   (serve-smoke) drives the real thing: >1024 concurrent connections
+   through one broker loop and a pipelined coordinator holding several
+   quorum rounds in flight. *)
 
 open Helpers
 module Wire = Dynvote_live.Wire
@@ -93,7 +94,15 @@ let oks frames =
    order.  The chunk sizes and noise pattern are qcheck's to choose. *)
 let prop_chunked_reassembly =
   qcheck_case ~count:300 ~name:"adversarial chunking reassembles exactly"
-    QCheck.(pair (list_of_size Gen.(int_range 1 30) (int_range 1 50)) int)
+    QCheck.(
+      pair
+        (oneof
+           [
+             list_of_size Gen.(int_range 1 30) (int_range 1 50);
+             (* the whole stream in one chunk: one feed, many frames *)
+             always [ String.length sample_stream ];
+           ])
+        int)
     (fun (sizes, noise) ->
       let sizes = if sizes = [] then [ 7 ] else sizes in
       let noise = abs noise in
@@ -273,33 +282,113 @@ let test_peer_gone_poisons () =
   Alcotest.(check bool) "enqueue after the peer died overflows" true
     (Evconn.enqueue conn (List.hd sample_envelopes) = `Overflow)
 
-(* --- Wire.recv deadlines on an injected clock ------------------------ *)
+(* --- one frame larger than the queue bound ---------------------------- *)
+
+(* The codec takes frames up to 16 MiB; the queue bound (4 MiB by
+   default) must not refuse one of them for its size alone.  An empty
+   queue accepts it and flushes it byte-identical; the bound still
+   applies to what queues behind it. *)
+let test_oversize_frame_accepted () =
+  let value = String.make (5 * 1024 * 1024) 'b' in
+  let big =
+    { Wire.src = 70; dst = 1; payload = Wire.Client_put { req = 1; key = "big"; value } }
+  in
+  let frame = Wire.encode big in
+  Alcotest.(check bool) "the codec accepts the frame" true
+    (Wire.decode frame = Ok big);
+  let fake = Vio.Fake.create ~write_credit:65536 () in
+  let conn = Evconn.create (Vio.Fake.vio fake) in
+  Alcotest.(check bool) "an empty queue accepts it" true
+    (Evconn.enqueue conn big = `Ok);
+  let small = List.hd sample_envelopes in
+  Alcotest.(check bool) "a small frame queues behind it" true
+    (Evconn.enqueue conn small = `Ok);
+  let guard = ref 0 in
+  while Evconn.flush conn = `Blocked && !guard < 1_000 do
+    incr guard;
+    Vio.Fake.grant fake 65536
+  done;
+  Alcotest.(check bool) "flushed byte-identical" true
+    (Vio.Fake.written fake = frame ^ Wire.encode small);
+  Alcotest.(check bool) "accepted again once drained" true
+    (Evconn.enqueue conn big = `Ok);
+  Alcotest.(check bool) "the next frame past the bound overflows" true
+    (Evconn.enqueue conn big = `Overflow);
+  Alcotest.(check bool) "and poisons the connection" true
+    (Evconn.flush conn = `Closed)
+
+(* --- Evconn.recv deadlines on an injected clock ----------------------- *)
 
 let test_recv_deadline_injected_clock () =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let conn = Evconn.of_fd a and peer = Evconn.of_fd b in
   Fun.protect
     ~finally:(fun () ->
-      (try Unix.close a with Unix.Unix_error _ -> ());
-      try Unix.close b with Unix.Unix_error _ -> ())
+      Evconn.close conn;
+      Evconn.close peer)
     (fun () ->
-      let conn = Wire.conn a in
       let clk = Manual.create () in
       let clock () = Manual.read clk in
       (* The deadline is a reading of the injected clock: with the clock
          already past it, recv times out immediately — no wall-clock wait,
          no dependence on the blocking-read path the rewrite removed. *)
       Manual.set clk 5.0;
-      (match Wire.recv ~clock ~deadline:1.0 conn with
+      (match Evconn.recv ~clock ~deadline:1.0 conn with
       | Error `Timeout -> ()
       | Ok _ | Error _ -> Alcotest.fail "expired deadline did not time out");
-      (* With time before the deadline and a frame on the wire, recv
-         delivers it. *)
+      (* With time before the deadline and frames on the wire, recv
+         delivers them one at a time, in order. *)
       Manual.set clk 0.0;
-      let env = List.hd sample_envelopes in
-      Wire.send (Wire.conn b) env;
-      match Wire.recv ~clock ~deadline:4.0 conn with
-      | Ok got -> Alcotest.(check bool) "frame delivered" true (got = env)
-      | Error _ -> Alcotest.fail "frame not delivered before deadline")
+      List.iter
+        (fun env -> ignore (Evconn.enqueue peer env : [ `Ok | `Overflow ]))
+        sample_envelopes;
+      Alcotest.(check bool) "drained" true (Evconn.drain peer = `Idle);
+      List.iter
+        (fun env ->
+          match Evconn.recv ~clock ~deadline:4.0 conn with
+          | Ok got -> Alcotest.(check bool) "frame delivered" true (got = env)
+          | Error _ -> Alcotest.fail "frame not delivered before deadline")
+        sample_envelopes;
+      Evconn.close peer;
+      Alcotest.(check bool) "EOF reported as closed" true
+        (Evconn.recv ~clock ~deadline:4.0 conn = Error `Closed))
+
+(* --- both readiness backends ------------------------------------------ *)
+
+(* The poll branches are the only path off Linux; drive them (and
+   epoll's) through one socketpair: add -> readable, modify -> writable,
+   remove -> timeout. *)
+let test_evloop_backends () =
+  List.iter
+    (fun (backend, name) ->
+      let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      let loop = Evloop.create ~backend () in
+      Fun.protect
+        ~finally:(fun () ->
+          Evloop.close loop;
+          Unix.close a;
+          Unix.close b)
+        (fun () ->
+          Alcotest.(check string) "backend" name (Evloop.backend_name loop);
+          let only_a f = function
+            | [ (ev : Evloop.event) ] -> ev.Evloop.fd = a && f ev
+            | _ -> false
+          in
+          Evloop.add loop a ~read:true ~write:false;
+          ignore (Unix.write_substring b "!" 0 1 : int);
+          Alcotest.(check bool) (name ^ ": add -> readable") true
+            (only_a
+               (fun ev -> ev.Evloop.readable && not ev.Evloop.writable)
+               (Evloop.wait loop ~timeout:1.0));
+          Evloop.modify loop a ~read:false ~write:true;
+          Alcotest.(check bool) (name ^ ": modify -> writable") true
+            (only_a
+               (fun ev -> ev.Evloop.writable && not ev.Evloop.readable)
+               (Evloop.wait loop ~timeout:1.0));
+          Evloop.remove loop a;
+          Alcotest.(check bool) (name ^ ": remove -> timeout") true
+            (Evloop.wait loop ~timeout:0.05 = [])))
+    [ (`Epoll, "epoll"); (`Poll, "poll") ]
 
 (* --- the switchboard's stall reaper on a hand-cranked clock ----------- *)
 
@@ -336,10 +425,13 @@ let test_stall_reaper_clock_step () =
       (* A slow-loris client: says Hello, then opens a frame and stops
          feeding it. *)
       let loris = connect () in
-      let wc = Wire.conn loris in
-      Wire.send wc
-        { Wire.src = 0; dst = Wire.broker_id; payload = Wire.Hello_client };
-      (match Wire.recv ~deadline:(Dynvote_obs.Clock.now () +. 5.0) wc with
+      let wc = Evconn.of_fd loris in
+      ignore
+        (Evconn.enqueue wc
+           { Wire.src = 0; dst = Wire.broker_id; payload = Wire.Hello_client }
+          : [ `Ok | `Overflow ]);
+      Alcotest.(check bool) "hello sent" true (Evconn.drain wc = `Idle);
+      (match Evconn.recv ~deadline:(Dynvote_obs.Clock.now () +. 5.0) wc with
       | Ok { Wire.payload = Wire.Welcome _; _ } -> ()
       | _ -> Alcotest.fail "no welcome");
       let frame = Wire.encode { Wire.src = 0; dst = 0; payload = Wire.Hello_client } in
@@ -384,10 +476,13 @@ let test_many_concurrent_connections () =
         Unix.connect fd
           (Unix.ADDR_INET (Unix.inet_addr_loopback, Switchboard.port sb));
         Unix.setsockopt fd Unix.TCP_NODELAY true;
-        let conn = Wire.conn fd in
-        Wire.send conn
-          { Wire.src = 0; dst = Wire.broker_id; payload = Wire.Hello_client };
-        match Wire.recv ~deadline:(Dynvote_obs.Clock.now () +. 10.0) conn with
+        let conn = Evconn.of_fd fd in
+        ignore
+          (Evconn.enqueue conn
+             { Wire.src = 0; dst = Wire.broker_id; payload = Wire.Hello_client }
+            : [ `Ok | `Overflow ]);
+        if Evconn.drain conn <> `Idle then Alcotest.failf "connection %d: hello lost" i;
+        match Evconn.recv ~deadline:(Dynvote_obs.Clock.now () +. 10.0) conn with
         | Ok { Wire.payload = Wire.Welcome { id }; _ } ->
             if Hashtbl.mem ids id then
               Alcotest.failf "client id %d handed out twice" id;
@@ -405,7 +500,7 @@ let test_many_concurrent_connections () =
 (* A pipelined coordinator must actually overlap quorum rounds: the
    trace ring records Round_start with the concurrent-round count, and
    the live.rounds.inflight histogram has the same fact in aggregate.
-   Closed-loop mux clients all target one coordinator so admission can
+   Closed-loop clients all target one coordinator so admission can
    overlap; the audit at the end proves overlap cost no safety. *)
 let test_pipelined_rounds_in_flight () =
   let pipelined_config =
@@ -443,7 +538,6 @@ let test_pipelined_rounds_in_flight () =
                   Loadgen.clients = 8;
                   duration = 0.5;
                   seed = 7 + !attempts;
-                  mode = `Mux;
                   sites = Some (Site_set.singleton 0);
                 }
             in
@@ -487,8 +581,11 @@ let suite =
     Alcotest.test_case "backpressure: overflow severs, bound holds" `Quick
       test_backpressure_overflow_severs;
     Alcotest.test_case "dead peer poisons the queue" `Quick test_peer_gone_poisons;
+    Alcotest.test_case "a frame past the queue bound is accepted alone" `Quick
+      test_oversize_frame_accepted;
     Alcotest.test_case "recv deadline on an injected clock" `Quick
       test_recv_deadline_injected_clock;
+    Alcotest.test_case "epoll and poll backends" `Quick test_evloop_backends;
     Alcotest.test_case "stall reaper fires on a clock step" `Quick
       test_stall_reaper_clock_step;
   ]

@@ -13,6 +13,9 @@ module Node = Dynvote_live.Node
 module Lease = Dynvote_live.Lease
 module Oracle = Dynvote_chaos.Oracle
 module Manual = Dynvote_obs.Clock.Manual
+module Clock = Dynvote_obs.Clock
+module Metrics = Dynvote_obs.Metrics
+module Hub = Dynvote_obs.Hub
 
 (* --- scratch directories ------------------------------------------- *)
 
@@ -503,7 +506,7 @@ let test_serial_op_costs () =
       let c = Live.client cluster in
       let m = hub.Dynvote_obs.Hub.metrics in
       let read name =
-        Dynvote_obs.Metrics.counter_value (Dynvote_obs.Metrics.counter m name)
+        Metrics.counter_value (Metrics.counter m name)
       in
       let costs () =
         List.map read
@@ -573,7 +576,101 @@ let test_loadgen_smoke () =
       Alcotest.(check bool) "some operations granted" true (granted > 0);
       Alcotest.(check bool) "report renders" true
         (String.length (Fmt.str "%a" Loadgen.pp_result r) > 0);
+      (* Open loop with a retry budget: every call the herd issued ends
+         in exactly one recorded outcome. *)
+      let issued () =
+        Metrics.counter_value
+          (Metrics.counter (Live.obs cluster).Hub.metrics "loadgen.ops.issued")
+      in
+      let before = issued () in
+      let r =
+        Loadgen.run cluster
+          { config with Loadgen.rate = Some 300.0; retries = 1; seed = 8 }
+      in
+      List.iter
+        (fun (name, (o : Loadgen.op_stats)) ->
+          Alcotest.(check int)
+            (name ^ ": issued = granted + denied + aborted + degraded")
+            o.Loadgen.issued
+            (o.Loadgen.granted + o.Loadgen.denied + o.Loadgen.aborted
+           + o.Loadgen.degraded))
+        [ ("reads", r.Loadgen.reads); ("writes", r.Loadgen.writes) ];
+      let total = r.Loadgen.reads.Loadgen.issued + r.Loadgen.writes.Loadgen.issued in
+      Alcotest.(check bool) "open-loop calls completed" true (total > 0);
+      Alcotest.(check int) "every issued call recorded" (issued () - before) total;
       check_clean "loadgen" (Live.check cluster))
+
+(* The herd's only coordinator dies mid-run.  Calls out at the kill time
+   out after the client timeout and retry at a live site; later
+   arrivals are denied without being sent; the run returns by its
+   duration plus one client timeout instead of waiting out a grace
+   period. *)
+let test_loadgen_coordinator_killed () =
+  with_scratch (fun dir ->
+      let client_timeout = 0.3 and duration = 1.0 in
+      let cluster =
+        Live.create ~config:test_config ~client_timeout
+          ~universe:(ss [ 0; 1; 2 ]) ~dir ()
+      in
+      Fun.protect ~finally:(fun () -> Live.shutdown cluster) @@ fun () ->
+      let killer =
+        Thread.create
+          (fun () ->
+            Thread.delay 0.4;
+            Live.kill cluster 1)
+          ()
+      in
+      let t0 = Clock.now () in
+      (* Arrivals far outpace one serial coordinator, so every client
+         has a call out at the kill. *)
+      let r =
+        Loadgen.run cluster
+          {
+            Loadgen.default with
+            Loadgen.clients = 8;
+            duration;
+            keys = 4;
+            seed = 5;
+            rate = Some 20_000.0;
+            retries = 1;
+            sites = Some (ss [ 1 ]);
+          }
+      in
+      let elapsed = Clock.now () -. t0 in
+      Thread.join killer;
+      Alcotest.(check bool)
+        (Printf.sprintf "returned by duration + client timeout (%.2f s)" elapsed)
+        true
+        (elapsed < duration +. client_timeout +. 0.5);
+      let sum f = f r.Loadgen.reads + f r.Loadgen.writes in
+      Alcotest.(check bool) "calls to the dead site denied after the kill" true
+        (sum (fun o -> o.Loadgen.denied) > 0);
+      Alcotest.(check bool) "calls out at the kill retried elsewhere" true
+        (sum (fun o -> o.Loadgen.retried) > 0);
+      Alcotest.(check int) "every call accounted for"
+        (sum (fun o -> o.Loadgen.issued))
+        (sum (fun o ->
+             o.Loadgen.granted + o.Loadgen.denied + o.Loadgen.aborted
+             + o.Loadgen.degraded));
+      check_clean "coordinator killed under load" (Live.check cluster))
+
+(* A value past the connection queue bound (4 MiB) but inside the codec's
+   frame limit: at [--shards 0] every commit carries the whole map, so
+   each frame of the write exceeds the bound.  None may sever a peer. *)
+let test_put_larger_than_queue_bound () =
+  with_cluster ~universe:(ss [ 0; 1; 2 ]) (fun cluster ->
+      let c = Live.client cluster in
+      let value =
+        String.init (5 * 1024 * 1024) (fun i -> Char.chr (97 + (i mod 26)))
+      in
+      check_status "big put" Wire.Granted (Live.put c ~at:0 ~key:"big" ~value);
+      let reply = Live.get c ~at:1 ~key:"big" in
+      check_status "read at another site" Wire.Granted reply;
+      Alcotest.(check bool) "value read back intact" true
+        (reply.Live.value = Some value);
+      Alcotest.(check int) "no site severed" 3
+        (Site_set.cardinal (Live.up_sites cluster));
+      check_clean "big value" (Live.check cluster))
 
 (* The long soak: sustained mixed load with faults injected mid-flight,
    then the full audit.  Gated like the deep model-checker sweep. *)
@@ -619,7 +716,9 @@ let test_soak () =
           Alcotest.(check bool)
             (Printf.sprintf "sustained load (%d issued)" issued)
             true (issued > 20);
-          check_clean "soak" (Live.check cluster))
+          let audit = Live.check cluster in
+          check_clean "soak" audit;
+          Alcotest.(check int) "soak: no double applies" 0 audit.Live.dup_applies)
 
 let suite =
   [
@@ -645,5 +744,9 @@ let suite =
     Alcotest.test_case "segment partition validation" `Quick
       test_segment_partition_validation;
     Alcotest.test_case "loadgen smoke" `Quick test_loadgen_smoke;
+    Alcotest.test_case "loadgen: only coordinator killed" `Quick
+      test_loadgen_coordinator_killed;
+    Alcotest.test_case "put larger than the queue bound" `Quick
+      test_put_larger_than_queue_bound;
     Alcotest.test_case "soak (DYNVOTE_LIVE_SOAK)" `Slow test_soak;
   ]

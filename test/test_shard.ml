@@ -679,7 +679,6 @@ let test_live_group_batching () =
           keys = 64;
           seed = 7;
           sites = Some (ss [ 1 ]);
-          mode = `Mux;
         }
       in
       let result = Loadgen.run cluster lg in
