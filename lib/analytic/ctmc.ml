@@ -1,20 +1,28 @@
 (* Generic continuous-time Markov chains with on-the-fly state discovery.
 
    The caller supplies an initial state and a transition function giving
-   the outgoing (rate, successor) pairs of any state; the reachable state
-   space is enumerated breadth-first, the generator matrix assembled, and
-   the stationary distribution obtained by replacing one balance equation
-   with the normalization constraint. *)
+   the outgoing (rate, successor) pairs of any state.  One breadth-first
+   exploration enumerates the reachable state space for all three
+   analyses: the stationary distribution (one balance equation replaced
+   by the normalization constraint), the survival function
+   (uniformization) and the mean first-passage time. *)
 
-type 'state t = {
-  states : 'state array;          (* index -> state *)
+(* The solvers are dense: a chain of n states costs an n x n float
+   matrix (8 n^2 bytes) and O(n^3) elimination.  4096 states is a
+   128 MB matrix, about as large as a solve can allocate and finish. *)
+let max_states_default = 4096
+
+type 'state space = {
+  states : 'state array;               (* index -> state, discovery order *)
   index : ('state, int) Hashtbl.t;
-  stationary : float array;
+  edges : (int * int * float) list;    (* i -> j at rate, i <> j, newest first *)
 }
 
-let max_states_default = 200_000
-
-let build ?(max_states = max_states_default) ~initial ~transitions () =
+(* Breadth-first exploration from [initial].  States satisfying [stop]
+   are interned but never expanded (absorbing targets); zero-rate edges
+   and self-loops are dropped.  [who] names the entry point in the
+   error messages. *)
+let explore ~who ~max_states ~stop ~initial ~transitions =
   let index = Hashtbl.create 64 in
   let states = ref [] in
   let n = ref 0 in
@@ -24,30 +32,39 @@ let build ?(max_states = max_states_default) ~initial ~transitions () =
     | Some i -> i
     | None ->
         let i = !n in
-        if i >= max_states then failwith "Ctmc.build: state space too large";
+        if i >= max_states then failwith (who ^ ": state space too large");
         Hashtbl.add index s i;
         states := s :: !states;
         incr n;
-        Queue.push s queue;
+        if not (stop s) then Queue.push (s, i) queue;
         i
   in
   ignore (intern initial);
-  (* First pass: discover all reachable states and record the edges. *)
   let edges = ref [] in
   while not (Queue.is_empty queue) do
-    let s = Queue.pop queue in
-    let i = Hashtbl.find index s in
+    let s, i = Queue.pop queue in
     List.iter
       (fun (rate, successor) ->
-        if rate < 0.0 then invalid_arg "Ctmc.build: negative rate";
+        if rate < 0.0 then invalid_arg (who ^ ": negative rate");
         if rate > 0.0 then begin
           let j = intern successor in
           if j <> i then edges := (i, j, rate) :: !edges
         end)
       (transitions s)
   done;
-  let size = !n in
-  let states = Array.of_list (List.rev !states) in
+  { states = Array.of_list (List.rev !states); index; edges = !edges }
+
+type 'state t = {
+  states : 'state array;          (* index -> state *)
+  index : ('state, int) Hashtbl.t;
+  stationary : float array;
+}
+
+let build ?(max_states = max_states_default) ~initial ~transitions () =
+  let space =
+    explore ~who:"Ctmc.build" ~max_states ~stop:(fun _ -> false) ~initial ~transitions
+  in
+  let size = Array.length space.states in
   (* Stationary distribution: pi Q = 0 with sum(pi) = 1.  Assemble Q^T and
      overwrite the last row with ones. *)
   let a = Matrix.create ~rows:size ~cols:size in
@@ -55,7 +72,7 @@ let build ?(max_states = max_states_default) ~initial ~transitions () =
     (fun (i, j, rate) ->
       Matrix.add_to a j i rate;
       Matrix.add_to a i i (-.rate))
-    !edges;
+    space.edges;
   for j = 0 to size - 1 do
     Matrix.set a (size - 1) j 1.0
   done;
@@ -71,7 +88,7 @@ let build ?(max_states = max_states_default) ~initial ~transitions () =
       total := !total +. p)
     stationary;
   Array.iteri (fun i p -> stationary.(i) <- p /. !total) stationary;
-  { states; index; stationary }
+  { states = space.states; index = space.index; stationary }
 
 let n_states t = Array.length t.states
 
@@ -103,72 +120,34 @@ let survival ?(max_states = max_states_default) ?(tolerance = 1e-12) ~initial ~t
   if target initial then 0.0
   else if t = 0.0 then 1.0
   else begin
-    (* Enumerate transient states reachable without passing through the
-       target set. *)
-    let index = Hashtbl.create 64 in
-    let order = ref [] in
-    let n = ref 0 in
-    let queue = Queue.create () in
-    let intern s =
-      match Hashtbl.find_opt index s with
-      | Some i -> i
-      | None ->
-          let i = !n in
-          if i >= max_states then failwith "Ctmc.survival: state space too large";
-          Hashtbl.add index s i;
-          order := s :: !order;
-          incr n;
-          Queue.push s queue;
-          i
+    let space =
+      explore ~who:"Ctmc.survival" ~max_states ~stop:target ~initial ~transitions
     in
-    ignore (intern initial);
-    (* Per transient state: exit-to-target rate and transient edges. *)
-    let edges : (int * int * float) list ref = ref [] in
-    let absorb = Hashtbl.create 64 in
-    let exit_rate = Hashtbl.create 64 in
-    while not (Queue.is_empty queue) do
-      let s = Queue.pop queue in
-      let i = Hashtbl.find index s in
-      let total = ref 0.0 and to_target = ref 0.0 in
-      List.iter
-        (fun (rate, successor) ->
-          if rate < 0.0 then invalid_arg "Ctmc.survival: negative rate";
-          if rate > 0.0 then begin
-            total := !total +. rate;
-            if target successor then to_target := !to_target +. rate
-            else begin
-              let j = intern successor in
-              if j <> i then edges := (i, j, rate) :: !edges
-              else total := !total -. rate (* self loop: ignore *)
-            end
-          end)
-        (transitions s);
-      Hashtbl.replace absorb i !to_target;
-      Hashtbl.replace exit_rate i !total
-    done;
-    let size = !n in
-    let lambda =
-      Hashtbl.fold (fun _ r acc -> Float.max r acc) exit_rate 1e-9
-    in
+    let size = Array.length space.states in
+    let transient = Array.map (fun s -> not (target s)) space.states in
+    (* Exit rate of each transient state, summed in discovery order. *)
+    let exit_rate = Array.make size 0.0 in
+    List.iter
+      (fun (i, _, rate) -> exit_rate.(i) <- exit_rate.(i) +. rate)
+      (List.rev space.edges);
+    let lambda = Array.fold_left Float.max 1e-9 exit_rate in
     (* One uniformized jump: v' = v P restricted to transient states. *)
     let step v =
       let v' = Array.make size 0.0 in
       (* Stay put with probability 1 - total_rate/lambda. *)
       Array.iteri
         (fun i p ->
-          if p > 0.0 then
-            v'.(i) <-
-              v'.(i) +. (p *. (1.0 -. (Hashtbl.find exit_rate i /. lambda))))
+          if p > 0.0 then v'.(i) <- v'.(i) +. (p *. (1.0 -. (exit_rate.(i) /. lambda))))
         v;
+      (* Mass flowing into the target set simply disappears from v'. *)
       List.iter
         (fun (i, j, rate) ->
-          if v.(i) > 0.0 then v'.(j) <- v'.(j) +. (v.(i) *. rate /. lambda))
-        !edges;
-      (* Mass flowing into the target set simply disappears from v'. *)
+          if v.(i) > 0.0 && transient.(j) then v'.(j) <- v'.(j) +. (v.(i) *. rate /. lambda))
+        space.edges;
       v'
     in
     let v = ref (Array.make size 0.0) in
-    !v.(Hashtbl.find index initial) <- 1.0;
+    !v.(Hashtbl.find space.index initial) <- 1.0;
     (* Propagate the transient sub-distribution over a time span using the
        Poisson-weighted jump expansion.  Spans are chunked so that
        lambda * span stays moderate and exp(-lambda * span) never
@@ -203,50 +182,20 @@ let survival ?(max_states = max_states_default) ?(tolerance = 1e-12) ~initial ~t
     Float.min 1.0 (Float.max 0.0 survival_mass)
   end
 
-(* Expected time to first reach the target set.  We rebuild the generator
-   restricted to non-target states and solve Q h = -1 (h = 0 on targets):
-   the standard first-passage-time system. *)
+(* Expected time to first reach the target set: the generator restricted
+   to non-target states, solved for Q h = -1 (h = 0 on targets) — the
+   standard first-passage-time system. *)
 let expected_hitting_time ?(max_states = max_states_default) ~initial ~transitions ~target
     () =
-  ignore max_states;
   if target initial then 0.0
   else begin
-    (* Discover reachable states, tagging targets. *)
-    let index = Hashtbl.create 64 in
-    let order = ref [] in
-    let n = ref 0 in
-    let queue = Queue.create () in
-    let intern s =
-      match Hashtbl.find_opt index s with
-      | Some i -> i
-      | None ->
-          let i = !n in
-          Hashtbl.add index s i;
-          order := s :: !order;
-          incr n;
-          (* Targets are absorbing for this computation: no expansion. *)
-          if not (target s) then Queue.push s queue;
-          i
+    let space =
+      explore ~who:"Ctmc.expected_hitting_time" ~max_states ~stop:target ~initial
+        ~transitions
     in
-    ignore (intern initial);
-    let edges = ref [] in
-    while not (Queue.is_empty queue) do
-      let s = Queue.pop queue in
-      let i = Hashtbl.find index s in
-      List.iter
-        (fun (rate, successor) ->
-          if rate < 0.0 then invalid_arg "Ctmc.expected_hitting_time: negative rate";
-          if rate > 0.0 then begin
-            let j = intern successor in
-            if j <> i then edges := (i, j, rate) :: !edges
-          end)
-        (transitions s)
-    done;
-    let size = !n in
-    let states = Array.of_list (List.rev !order) in
     (* Unknowns: h(s) for non-target s.  Equation per non-target s:
        sum_j q_sj (h(j) - h(s)) = -1, with h(target) = 0. *)
-    let unknown = Array.make size (-1) in
+    let unknown = Array.make (Array.length space.states) (-1) in
     let n_unknowns = ref 0 in
     Array.iteri
       (fun i s ->
@@ -254,19 +203,18 @@ let expected_hitting_time ?(max_states = max_states_default) ~initial ~transitio
           unknown.(i) <- !n_unknowns;
           incr n_unknowns
         end)
-      states;
+      space.states;
     let m = Matrix.create ~rows:!n_unknowns ~cols:!n_unknowns in
     let b = Array.make !n_unknowns (-1.0) in
+    (* Targets are never expanded, so every edge leaves an unknown. *)
     List.iter
       (fun (i, j, rate) ->
-        match unknown.(i) with
-        | -1 -> () (* edges out of targets are irrelevant *)
-        | row ->
-            Matrix.add_to m row row (-.rate);
-            if unknown.(j) >= 0 then Matrix.add_to m row unknown.(j) rate)
-      !edges;
+        let row = unknown.(i) in
+        Matrix.add_to m row row (-.rate);
+        if unknown.(j) >= 0 then Matrix.add_to m row unknown.(j) rate)
+      space.edges;
     (* States with no outgoing edges would make the system singular — they
        can never reach the target, so the hitting time is infinite. *)
     let h = Matrix.solve m b in
-    h.(unknown.(Hashtbl.find index initial))
+    h.(unknown.(Hashtbl.find space.index initial))
   end

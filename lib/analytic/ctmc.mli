@@ -1,9 +1,14 @@
 (** Continuous-time Markov chains with on-the-fly state discovery.
 
-    Supply an initial state and a transition function; the reachable state
-    space is enumerated and the stationary distribution solved exactly
+    Supply an initial state and a transition function; one breadth-first
+    exploration enumerates the reachable state space for every entry
+    point below, and the stationary distribution is solved exactly
     (dense Gaussian elimination), suitable for the small chains arising
-    from 3–5 site voting models. *)
+    from 1–5 site voting models.
+
+    Every entry point takes [max_states] (default 4096, a 128 MB dense
+    matrix) and raises [Failure "<entry point>: state space too large"]
+    when more states are reachable, before any matrix is allocated. *)
 
 type 'state t
 
@@ -15,9 +20,9 @@ val build :
   'state t
 (** States must be hashable/comparable by structure.  Rates must be
     non-negative; zero-rate edges are ignored.
-    @raise Failure when more than [max_states] (default 200 000) states are
-    reachable, [Invalid_argument] on negative rates,
-    [Matrix.Singular] if the chain is reducible. *)
+    @raise Failure when more than [max_states] states are reachable,
+    [Invalid_argument] on negative rates, [Matrix.Singular] if the chain
+    is reducible. *)
 
 val n_states : 'state t -> int
 

@@ -71,7 +71,10 @@ let check_rates fail_rate repair_rate =
     (fun r -> if r <= 0.0 then invalid_arg "Voting_model: rates must be positive")
     repair_rate
 
-let build ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering () =
+(* The chain, defined once for every figure below: its all-up initial
+   state and its moves (a failure or repair of each site, plus the access
+   refresh of the optimistic model). *)
+let chain ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering () =
   check_rates fail_rate repair_rate;
   let n = Array.length fail_rate in
   if n > 16 then invalid_arg "Voting_model: too many sites for exact solution";
@@ -108,89 +111,29 @@ let build ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering () =
     | None -> ());
     !moves
   in
-  Ctmc.build ~initial:{ up = everyone; block = everyone; fresh = everyone } ~transitions ()
+  ({ up = everyone; block = everyone; fresh = everyone }, transitions)
+
+let build ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering () =
+  let initial, transitions = chain ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering () in
+  Ctmc.build ~initial ~transitions ()
 
 let unavailability ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering () =
-  let chain = build ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering () in
-  1.0 -. Ctmc.mass chain (grants ~flavor ~ordering)
+  let ctmc = build ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering () in
+  1.0 -. Ctmc.mass ctmc (grants ~flavor ~ordering)
 
 (* Reliability: mean time from the all-up start until the file first
    becomes unavailable (the paper's "reliability of access"). *)
 let mean_time_to_unavailability ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering () =
-  check_rates fail_rate repair_rate;
-  let n = Array.length fail_rate in
-  if n > 16 then invalid_arg "Voting_model: too many sites for exact solution";
-  let everyone = (1 lsl n) - 1 in
-  let refresh state =
-    if grants ~flavor ~ordering state then { state with block = state.up; fresh = state.up }
-    else state
-  in
-  let instantaneous = access_rate = None in
-  let transitions state =
-    let moves = ref [] in
-    for site = 0 to n - 1 do
-      let bit = 1 lsl site in
-      if state.up land bit <> 0 then begin
-        let next = { state with up = state.up lxor bit; fresh = state.fresh land lnot bit } in
-        let next = if instantaneous then refresh next else next in
-        moves := (fail_rate.(site), next) :: !moves
-      end
-      else begin
-        let next = { state with up = state.up lor bit } in
-        let next = if instantaneous then refresh next else next in
-        moves := (repair_rate.(site), next) :: !moves
-      end
-    done;
-    (match access_rate with
-    | Some rate ->
-        let refreshed = refresh state in
-        if refreshed <> state then moves := (rate, refreshed) :: !moves
-    | None -> ());
-    !moves
-  in
-  Ctmc.expected_hitting_time
-    ~initial:{ up = everyone; block = everyone; fresh = everyone }
-    ~transitions
+  let initial, transitions = chain ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering () in
+  Ctmc.expected_hitting_time ~initial ~transitions
     ~target:(fun state -> not (grants ~flavor ~ordering state))
     ()
 
 (* Reliability function R(t): probability the file, started all-up,
    suffers no unavailability during [0, t]. *)
 let survival ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering ~t () =
-  check_rates fail_rate repair_rate;
-  let n = Array.length fail_rate in
-  if n > 16 then invalid_arg "Voting_model: too many sites for exact solution";
-  let everyone = (1 lsl n) - 1 in
-  let refresh state =
-    if grants ~flavor ~ordering state then { state with block = state.up; fresh = state.up }
-    else state
-  in
-  let instantaneous = access_rate = None in
-  let transitions state =
-    let moves = ref [] in
-    for site = 0 to n - 1 do
-      let bit = 1 lsl site in
-      if state.up land bit <> 0 then begin
-        let next = { state with up = state.up lxor bit; fresh = state.fresh land lnot bit } in
-        let next = if instantaneous then refresh next else next in
-        moves := (fail_rate.(site), next) :: !moves
-      end
-      else begin
-        let next = { state with up = state.up lor bit } in
-        let next = if instantaneous then refresh next else next in
-        moves := (repair_rate.(site), next) :: !moves
-      end
-    done;
-    (match access_rate with
-    | Some rate ->
-        let refreshed = refresh state in
-        if refreshed <> state then moves := (rate, refreshed) :: !moves
-    | None -> ());
-    !moves
-  in
-  Ctmc.survival
-    ~initial:{ up = everyone; block = everyone; fresh = everyone }
-    ~transitions
+  let initial, transitions = chain ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering () in
+  Ctmc.survival ~initial ~transitions
     ~target:(fun state -> not (grants ~flavor ~ordering state))
     ~t ()
 
@@ -206,40 +149,13 @@ type periods = {
 }
 
 let period_statistics ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering () =
-  let chain = build ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering () in
+  let initial, transitions = chain ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering () in
+  let ctmc = Ctmc.build ~initial ~transitions () in
   let ok state = grants ~flavor ~ordering state in
-  let availability = Ctmc.mass chain ok in
+  let availability = Ctmc.mass ctmc ok in
   (* Probability flux from available into unavailable states. *)
-  let n = Array.length fail_rate in
-  let refresh state =
-    if grants ~flavor ~ordering state then { state with block = state.up; fresh = state.up }
-    else state
-  in
-  let instantaneous = access_rate = None in
-  let transitions state =
-    let moves = ref [] in
-    for site = 0 to n - 1 do
-      let bit = 1 lsl site in
-      if state.up land bit <> 0 then begin
-        let next = { state with up = state.up lxor bit; fresh = state.fresh land lnot bit } in
-        let next = if instantaneous then refresh next else next in
-        moves := (fail_rate.(site), next) :: !moves
-      end
-      else begin
-        let next = { state with up = state.up lor bit } in
-        let next = if instantaneous then refresh next else next in
-        moves := (repair_rate.(site), next) :: !moves
-      end
-    done;
-    (match access_rate with
-    | Some rate ->
-        let refreshed = refresh state in
-        if refreshed <> state then moves := (rate, refreshed) :: !moves
-    | None -> ());
-    !moves
-  in
   let flux = ref 0.0 in
-  Ctmc.iter chain (fun state probability ->
+  Ctmc.iter ctmc (fun state probability ->
       if ok state then
         List.iter
           (fun (rate, successor) -> if not (ok successor) then flux := !flux +. (probability *. rate))
@@ -254,8 +170,3 @@ let period_statistics ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering () 
 (* Per-site steady-state availability under exponential assumptions. *)
 let site_availability ~fail_rate ~repair_rate =
   Array.map2 (fun l m -> m /. (l +. m)) fail_rate repair_rate
-
-(* Rates from a mean time to fail and a mean repair time (days). *)
-let rates_of_means ~mttf_days ~mttr_days =
-  ( Array.map (fun m -> 1.0 /. m) mttf_days,
-    Array.map (fun m -> 1.0 /. m) mttr_days )

@@ -77,6 +77,3 @@ val period_statistics :
 (** Stationary renewal quantities of the availability process. *)
 
 val site_availability : fail_rate:float array -> repair_rate:float array -> float array
-
-val rates_of_means :
-  mttf_days:float array -> mttr_days:float array -> float array * float array

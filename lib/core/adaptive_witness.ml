@@ -90,13 +90,6 @@ let rebalance t reachable =
     t.data_sites <- Site_set.diff t.data_sites demoted
   end
 
-let copy_components t view =
-  List.filter_map
-    (fun component ->
-      let members = Site_set.inter component t.participants in
-      if Site_set.is_empty members then None else Some members)
-    view.Policy.components
-
 let attempt t ~commit reachable =
   match Operation.evaluate t.ctx t.states ~fresh:t.fresh ~reachable () with
   | Decision.Denied _ -> false
@@ -112,7 +105,7 @@ let attempt t ~commit reachable =
 let run t ~commit view =
   List.fold_left
     (fun any group -> if attempt t ~commit group then true else any)
-    false (copy_components t view)
+    false (Policy.copy_components ~universe:t.participants view)
 
 let note_up_set t view =
   let up = List.fold_left Site_set.union Site_set.empty view.Policy.components in

@@ -58,12 +58,45 @@ type view = { components : Site_set.t list }
    instantaneous policies refresh on every event either way. *)
 type recovery = [ `At_access | `At_repair ]
 
+(* The components restricted to copy-holding sites, empty ones dropped. *)
+let copy_components ~universe view =
+  List.filter_map
+    (fun component ->
+      let copies = Site_set.inter component universe in
+      if Site_set.is_empty copies then None else Some copies)
+    view.components
+
+(* Static majority consensus: a group may act iff it holds more than half
+   of all votes (one per copy unless [weights] are given).  With
+   [tie_break], an exact half is resolved in favour of the group holding
+   that ordering's maximum copy (static lexicographic tie-breaking,
+   standard for even vote totals; the paper's four-copy MCV figures are
+   only consistent with this rule — strict 3-of-4 would leave
+   configuration F unavailable for every site 4 outage, far above the
+   0.0028 reported). *)
+let static_majority ?weights ?tie_break ~universe () =
+  let votes =
+    match weights with
+    | None -> Site_set.cardinal
+    | Some weights -> fun set -> Site_set.fold (fun site acc -> acc + weights.(site)) set 0
+  in
+  let total = votes universe in
+  let winner = Option.map (fun ordering -> Ordering.max_element ordering universe) tie_break in
+  fun view ->
+    List.exists
+      (fun copies ->
+        let have = 2 * votes copies in
+        have > total
+        || (have = total
+           && match winner with Some site -> Site_set.mem site copies | None -> false))
+      (copy_components ~universe view)
+
 type t = {
   kind : kind;
   universe : Site_set.t; (* the sites holding copies *)
   ctx : Operation.ctx;   (* unused by MCV *)
   states : Replica.t array;
-  majority : int;        (* MCV quorum: strict majority of all copies *)
+  mcv : view -> bool;    (* MCV's test: static majority with the tie-break *)
   recovery : recovery;
   (* Sites continuously up since their last commit — the sponsors allowed
      to claim dead same-segment votes under TDV/OTDV (see Decision). *)
@@ -82,7 +115,7 @@ let create ?flavor ?(recovery = `At_access) kind ~universe ~n_sites ~segment_of 
     universe;
     ctx = { Operation.flavor; ordering; segment_of };
     states = Array.make n_sites (Replica.initial universe);
-    majority = (Site_set.cardinal universe / 2) + 1;
+    mcv = static_majority ~tie_break:ordering ~universe ();
     recovery;
     fresh = universe;
   }
@@ -92,30 +125,6 @@ let universe t = t.universe
 let fresh t = t.fresh
 let states t = t.states
 let replica t site = t.states.(site)
-
-(* The components restricted to copy-holding sites, empty ones dropped. *)
-let copy_components t view =
-  List.filter_map
-    (fun component ->
-      let copies = Site_set.inter component t.universe in
-      if Site_set.is_empty copies then None else Some copies)
-    view.components
-
-(* Static majority consensus.  With an even number of copies an exact half
-   is resolved in favour of the group holding the ordering's maximum site
-   (static lexicographic tie-breaking, standard for even vote totals; the
-   paper's four-copy MCV figures are only consistent with this rule —
-   strict 3-of-4 would leave configuration F unavailable for every site 4
-   outage, far above the 0.0028 reported). *)
-let mcv_available t view =
-  let total = Site_set.cardinal t.universe in
-  List.exists
-    (fun copies ->
-      let have = Site_set.cardinal copies in
-      2 * have > total
-      || (2 * have = total
-         && Site_set.mem (Ordering.max_element t.ctx.Operation.ordering t.universe) copies))
-    (copy_components t view)
 
 (* Run a refresh attempt in every component; the mutual-exclusion property
    of the decision rule guarantees at most one grant.  A grant freshens
@@ -129,14 +138,14 @@ let refresh_all t view =
           t.fresh <- Site_set.union t.fresh copies;
           true
       | Decision.Denied _ -> granted)
-    false (copy_components t view)
+    false (copy_components ~universe:t.universe view)
 
 let probe t view =
   List.exists
     (fun copies ->
       Decision.is_granted
         (Operation.evaluate t.ctx t.states ~fresh:t.fresh ~reachable:copies ()))
-    (copy_components t view)
+    (copy_components ~universe:t.universe view)
 
 (* A crashed site loses its freshness until it participates in a commit
    again; this is local knowledge ("I rebooted"), independent of the
@@ -158,7 +167,7 @@ let handle_topology_change t view =
 (* A file access.  For optimistic policies this is when quorums adjust. *)
 let handle_access t view =
   match t.kind with
-  | Mcv -> mcv_available t view
+  | Mcv -> t.mcv view
   | Dv | Ldv | Tdv ->
       (* State is already a fixpoint for the current view. *)
       probe t view
@@ -191,7 +200,7 @@ let handle_repair t view ~site =
 (* Would an access succeed right now?  Pure: no state change, so usable as
    the availability indicator between events. *)
 let is_available t view =
-  match t.kind with Mcv -> mcv_available t view | _ -> probe t view
+  match t.kind with Mcv -> t.mcv view | _ -> probe t view
 
 let pp_states ?names ppf t =
   let pp_replica =

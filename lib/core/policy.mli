@@ -24,6 +24,23 @@ type view = { components : Site_set.t list }
 (** The live sites of the network, partitioned into mutually communicating
     groups.  Sites not holding copies may appear; they are ignored. *)
 
+val copy_components : universe:Site_set.t -> view -> Site_set.t list
+(** The view's components restricted to [universe], empty ones dropped:
+    the groups a policy over those sites can see. *)
+
+val static_majority :
+  ?weights:int array ->
+  ?tie_break:Ordering.t ->
+  universe:Site_set.t ->
+  unit ->
+  view ->
+  bool
+(** Static majority consensus over the copies in [universe]: some group
+    holds more than half of all votes, one per copy unless [weights]
+    (indexed by site) are given.  With [tie_break], an exact half wins
+    when it holds that ordering's maximum copy.  MCV, strict MCV and
+    weighted MCV are this one test. *)
+
 type recovery = [ `At_access | `At_repair ]
 (** When a repaired site runs its RECOVER protocol under the optimistic
     policies: folded into the next access (default; least traffic) or

@@ -11,21 +11,10 @@
    - voting with witnesses (Paris 1986): some sites store only the
      consistency-control state, no data. *)
 
-let copy_components ~universe view =
-  List.filter_map
-    (fun component ->
-      let copies = Site_set.inter component universe in
-      if Site_set.is_empty copies then None else Some copies)
-    view.Policy.components
-
 (* Strict majority consensus voting: > half of all copies, ties never
    broken. *)
 let strict_mcv ~universe =
-  let total = Site_set.cardinal universe in
-  Driver.stateless ~name:"MCV-strict" (fun view ->
-      List.exists
-        (fun copies -> 2 * Site_set.cardinal copies > total)
-        (copy_components ~universe view))
+  Driver.stateless ~name:"MCV-strict" (Policy.static_majority ~universe ())
 
 (* Gifford-style static weighted voting: a group may act iff it holds more
    than half the total weight; an exact half goes to the group holding the
@@ -36,16 +25,10 @@ let weighted_mcv ?(tie_break = true) ~weights ~universe ~ordering () =
       if site >= Array.length weights || weights.(site) < 0 then
         invalid_arg "Policy_extra.weighted_mcv: bad weight vector")
     universe;
-  let weight_of set = Site_set.fold (fun site acc -> acc + weights.(site)) set 0 in
-  let total = weight_of universe in
-  if total <= 0 then invalid_arg "Policy_extra.weighted_mcv: no votes";
-  let max_site = Ordering.max_element ordering universe in
-  Driver.stateless ~name:"WMCV" (fun view ->
-      List.exists
-        (fun copies ->
-          let w = 2 * weight_of copies in
-          w > total || (tie_break && w = total && Site_set.mem max_site copies))
-        (copy_components ~universe view))
+  if Site_set.fold (fun site acc -> acc + weights.(site)) universe 0 <= 0 then
+    invalid_arg "Policy_extra.weighted_mcv: no votes";
+  let tie_break = if tie_break then Some ordering else None in
+  Driver.stateless ~name:"WMCV" (Policy.static_majority ~weights ?tie_break ~universe ())
 
 (* The Jajodia-Mutchler protocol: per-site operation number, version number
    and the *cardinality* of the previous quorum.  Equivalent in availability
@@ -87,7 +70,7 @@ module Jm_dv = struct
       List.fold_left
         (fun any copies -> if attempt t ~commit copies then true else any)
         false
-        (copy_components ~universe view)
+        (Policy.copy_components ~universe view)
     in
     {
       Driver.name = "JM-DV";
@@ -118,7 +101,7 @@ module Available_copy = struct
   let create ~universe = { universe; current = universe; violations = 0 }
 
   let update t view =
-    let comps = copy_components ~universe:t.universe view in
+    let comps = Policy.copy_components ~universe:t.universe view in
     let live_groups =
       List.filter (fun copies -> not (Site_set.disjoint copies t.current)) comps
     in
@@ -132,7 +115,7 @@ module Available_copy = struct
     let available view =
       List.exists
         (fun copies -> not (Site_set.disjoint copies t.current))
-        (copy_components ~universe view)
+        (Policy.copy_components ~universe view)
     in
     ( t,
       {
@@ -209,7 +192,7 @@ module Weighted_dv = struct
     List.fold_left
       (fun any group -> if attempt t ~commit group then true else any)
       false
-      (copy_components ~universe:t.universe view)
+      (Policy.copy_components ~universe:t.universe view)
 
   let driver t =
     {
@@ -229,70 +212,19 @@ let weighted_dv ?optimistic ~weights ~universe ~n_sites ~ordering () =
 (* Voting with witnesses: the full dynamic-voting state machine where some
    participants (witnesses) store only the (o, v, P) ensemble.  They vote
    and tie-break like copies, but an access additionally needs at least one
-   up-to-date *data* copy in the granted group. *)
-module Witness = struct
-  type t = {
-    ctx : Operation.ctx;
-    participants : Site_set.t;   (* data copies and witnesses *)
-    data_sites : Site_set.t;
-    states : Replica.t array;
-    optimistic : bool;
-    mutable fresh : Site_set.t;
-  }
-
-  let create ?(flavor = Decision.ldv_flavor) ?(optimistic = false) ~data_sites ~witnesses
-      ~n_sites ~segment_of ~ordering () =
-    if not (Site_set.disjoint data_sites witnesses) then
-      invalid_arg "Policy_extra.witness: a site cannot be both copy and witness";
-    if Site_set.is_empty data_sites then
-      invalid_arg "Policy_extra.witness: need at least one data copy";
-    let participants = Site_set.union data_sites witnesses in
-    {
-      ctx = { Operation.flavor; ordering; segment_of };
-      participants;
-      data_sites;
-      states = Array.make n_sites (Replica.initial participants);
-      optimistic;
-      fresh = participants;
-    }
-
-  (* Grant = quorum among participants plus a current data copy present. *)
-  let attempt t ~commit reachable =
-    match Operation.evaluate t.ctx t.states ~fresh:t.fresh ~reachable () with
-    | Decision.Denied _ -> false
-    | Decision.Granted g ->
-        let has_data = not (Site_set.disjoint g.Decision.s t.data_sites) in
-        if has_data && commit then begin
-          ignore (Operation.refresh t.ctx t.states ~fresh:t.fresh ~reachable ());
-          t.fresh <- Site_set.union t.fresh reachable
-        end;
-        has_data
-
-  let run t ~commit view =
-    List.fold_left
-      (fun any group -> if attempt t ~commit group then true else any)
-      false
-      (copy_components ~universe:t.participants view)
-
-  let note_up_set t view =
-    let up = List.fold_left Site_set.union Site_set.empty view.Policy.components in
-    t.fresh <- Site_set.inter t.fresh up
-
-  let driver t =
-    {
-      Driver.name = (if t.optimistic then "OW-LDV" else "W-LDV");
-      optimistic = t.optimistic;
-      on_topology_change =
-        (fun view ->
-          note_up_set t view;
-          if not t.optimistic then ignore (run t ~commit:true view));
-      on_repair = (fun _ _ -> ());
-      on_access = (fun view -> run t ~commit:true view);
-      available = (fun view -> run t ~commit:false view);
-    }
-end
-
+   up-to-date *data* copy in the granted group.  This is adaptive voting
+   with witnesses whose role bounds never fire: a granted group always
+   holds a live data copy (at least 1), and no group can hold more copies
+   than there are participants. *)
 let witness ?flavor ?optimistic ~data_sites ~witnesses ~n_sites ~segment_of ~ordering () =
-  Witness.driver
-    (Witness.create ?flavor ?optimistic ~data_sites ~witnesses ~n_sites ~segment_of
-       ~ordering ())
+  if not (Site_set.disjoint data_sites witnesses) then
+    invalid_arg "Policy_extra.witness: a site cannot be both copy and witness";
+  if Site_set.is_empty data_sites then
+    invalid_arg "Policy_extra.witness: need at least one data copy";
+  let _, driver =
+    Adaptive_witness.make ?flavor ?optimistic ~initial_copies:data_sites ~witnesses
+      ~min_copies:1
+      ~max_copies:(Site_set.cardinal (Site_set.union data_sites witnesses))
+      ~n_sites ~segment_of ~ordering ()
+  in
+  { driver with Driver.name = (if driver.Driver.optimistic then "OW-LDV" else "W-LDV") }

@@ -68,6 +68,7 @@ val witness :
   Driver.t
 (** Voting with witnesses (Paris 1986): [witnesses] hold the consistency-
     control ensemble but no data; an access needs a quorum {e and} an
-    up-to-date data copy in the granted group.
+    up-to-date data copy in the granted group.  This is
+    {!Adaptive_witness} with role bounds that never fire.
     @raise Invalid_argument if the two site sets overlap or no data copy is
     given. *)

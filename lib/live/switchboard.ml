@@ -37,8 +37,6 @@ type pending = {
 
 type source = Endpoint of endpoint | Pending of pending
 
-type stats = { routed : int; dropped_partition : int; dropped_down : int }
-
 type t = {
   listen : Unix.file_descr;
   port : int;
@@ -63,9 +61,6 @@ type t = {
   mutable kill_queue : Site_set.site list;
   mutable next_client : int;
   mutable running : bool;
-  mutable routed : int;
-  mutable dropped_partition : int;
-  mutable dropped_down : int;
   wake_fd : Unix.file_descr; (* the self-pipe's read end, for the loop *)
   wake_r : Vio.t;
   wake_w : Vio.t;
@@ -150,9 +145,7 @@ let flush_endpoint t ep =
         if batch > 0 then Metrics.observe t.batch_frames (float_of_int batch);
         update_write_interest t ep
     | `Blocked -> update_write_interest t ep
-    | `Closed ->
-        locked t (fun () -> t.dropped_down <- t.dropped_down + 1);
-        drop_endpoint t ep
+    | `Closed -> drop_endpoint t ep
   end
   else update_write_interest t ep
 
@@ -163,20 +156,14 @@ let route t ep (env : Wire.envelope) =
            source. *)
         let env = { env with Wire.src = ep.id } in
         if not (connected_locked t ep.id env.Wire.dst) then begin
-          if Wire.is_site ep.id && Wire.is_site env.Wire.dst then begin
-            t.dropped_partition <- t.dropped_partition + 1;
-            drop_frame t env "partition:"
-          end
-          else begin
-            t.dropped_down <- t.dropped_down + 1;
-            drop_frame t env "down:"
-          end;
+          drop_frame t env
+            (if Wire.is_site ep.id && Wire.is_site env.Wire.dst then "partition:"
+             else "down:");
           None
         end
         else
           match List.find_opt (fun e -> e.id = env.Wire.dst) t.endpoints with
           | None ->
-              t.dropped_down <- t.dropped_down + 1;
               drop_frame t env "unregistered:";
               None
           | Some target -> Some (env, target))
@@ -186,7 +173,6 @@ let route t ep (env : Wire.envelope) =
   | Some (env, target) -> (
       match Evconn.enqueue target.conn env with
       | `Ok ->
-          locked t (fun () -> t.routed <- t.routed + 1);
           Metrics.incr t.net_delivered;
           Hub.event t.obs
             (Trace.Frame_recv
@@ -200,7 +186,6 @@ let route t ep (env : Wire.envelope) =
              queue is indistinguishable from a dead one, and killing the
              connection is the only reaction that neither loses frames on
              a live path nor grows without bound. *)
-          locked t (fun () -> t.dropped_down <- t.dropped_down + 1);
           drop_frame t env "backpressure:";
           Hub.event t.obs
             (Trace.Note
@@ -496,9 +481,6 @@ let create ?(obs = Hub.noop) ?(clock = Dynvote_obs.Clock.now) ?stall_timeout
       kill_queue = [];
       next_client = Wire.first_client_id;
       running = true;
-      routed = 0;
-      dropped_partition = 0;
-      dropped_down = 0;
       wake_fd;
       wake_r = Vio.of_fd wake_fd;
       wake_w = Vio.of_fd wake_w;
@@ -561,14 +543,6 @@ let reserve_clients t ~upto =
 
 let is_up t site = locked t (fun () -> Site_set.mem site t.up)
 let groups t = locked t (fun () -> t.groups)
-
-let stats t =
-  locked t (fun () ->
-      {
-        routed = t.routed;
-        dropped_partition = t.dropped_partition;
-        dropped_down = t.dropped_down;
-      })
 
 let shutdown t =
   locked t (fun () -> t.running <- false);

@@ -72,13 +72,5 @@ val is_up : t -> Site_set.site -> bool
 
 val groups : t -> Site_set.t list option
 
-type stats = {
-  routed : int;  (** frames delivered *)
-  dropped_partition : int;  (** frames eaten by a partition *)
-  dropped_down : int;  (** frames to a dead or unregistered endpoint *)
-}
-
-val stats : t -> stats
-
 val shutdown : t -> unit
 (** Close every connection and stop the broker thread. *)

@@ -120,6 +120,25 @@ let test_ctmc_hitting_time_birth_death () =
   check_float_tol 1e-9 "with regression" 1.5
     (Ctmc.expected_hitting_time ~initial:0 ~transitions ~target:(fun k -> k = 2) ())
 
+let test_ctmc_max_states () =
+  (* A 100-state birth-death chain against a bound of 10 states: all three
+     entry points refuse it, and within the bound it still solves. *)
+  let transitions k =
+    (if k < 99 then [ (1.0, k + 1) ] else []) @ if k > 0 then [ (2.0, k - 1) ] else []
+  in
+  let target k = k = 99 in
+  let refuses who f =
+    Alcotest.check_raises who (Failure (who ^ ": state space too large")) f
+  in
+  refuses "Ctmc.build" (fun () ->
+      ignore (Ctmc.build ~max_states:10 ~initial:0 ~transitions ()));
+  refuses "Ctmc.survival" (fun () ->
+      ignore (Ctmc.survival ~max_states:10 ~initial:0 ~transitions ~target ~t:1.0 ()));
+  refuses "Ctmc.expected_hitting_time" (fun () ->
+      ignore (Ctmc.expected_hitting_time ~max_states:10 ~initial:0 ~transitions ~target ()));
+  Alcotest.(check int) "100 states within a bound of 100" 100
+    (Ctmc.n_states (Ctmc.build ~max_states:100 ~initial:0 ~transitions ()))
+
 let test_survival_single_copy () =
   (* One copy: R(t) = exp(-lambda t), independent of the repair rate. *)
   let survival t =
@@ -327,6 +346,48 @@ let test_voting_model_validation () =
         (Voting_model.unavailability ~flavor:Decision.dv_flavor ~fail_rate:[| 0.0 |]
            ~repair_rate:[| 1.0 |] ~ordering:(Ordering.default 1) ()))
 
+(* The four figures read one chain: the renewal analysis sees the
+   stationary availability, the reliability function starts at 1 and
+   never rises, and the mean time to unavailability is a finite positive
+   number of days. *)
+let test_voting_model_figures_agree () =
+  let fail_rate = [| 0.1; 0.2; 0.15 |] and repair_rate = [| 1.0; 0.8; 1.2 |] in
+  List.iter
+    (fun (name, flavor, access_rate) ->
+      let u =
+        Voting_model.unavailability ~flavor ?access_rate ~fail_rate ~repair_rate
+          ~ordering:ordering3 ()
+      in
+      let p =
+        Voting_model.period_statistics ~flavor ?access_rate ~fail_rate ~repair_rate
+          ~ordering:ordering3 ()
+      in
+      check_float_tol 1e-12 (name ^ ": availability = 1 - unavailability") (1.0 -. u)
+        p.Voting_model.availability;
+      let r t =
+        Voting_model.survival ~flavor ?access_rate ~fail_rate ~repair_rate
+          ~ordering:ordering3 ~t ()
+      in
+      check_float (name ^ ": R(0)") 1.0 (r 0.0);
+      let prev = ref 1.0 in
+      List.iter
+        (fun t ->
+          let v = r t in
+          if v > !prev +. 1e-12 then Alcotest.failf "%s: R rises at t=%g" name t;
+          prev := v)
+        [ 0.5; 2.0; 10.0; 50.0 ];
+      let mttf =
+        Voting_model.mean_time_to_unavailability ~flavor ?access_rate ~fail_rate
+          ~repair_rate ~ordering:ordering3 ()
+      in
+      Alcotest.(check bool) (name ^ ": finite positive MTTF") true
+        (mttf > 0.0 && Float.is_finite mttf))
+    [ ("DV", Decision.dv_flavor, None);
+      ("LDV", Decision.ldv_flavor, None);
+      ("TDV", Decision.tdv_flavor, None);
+      ("TDV-safe", Decision.tdv_safe_flavor, None);
+      ("ODV", Decision.ldv_flavor, Some 1.0) ]
+
 (* --- Simulator cross-validation (the headline check) --- *)
 
 (* Identical sites, exponential repair, one segment: the simulator's DV /
@@ -403,6 +464,7 @@ let suite =
     Alcotest.test_case "ctmc hitting time" `Quick test_ctmc_hitting_time;
     Alcotest.test_case "ctmc hitting time (birth-death)" `Quick
       test_ctmc_hitting_time_birth_death;
+    Alcotest.test_case "ctmc max_states on every entry point" `Quick test_ctmc_max_states;
     Alcotest.test_case "survival single copy" `Quick test_survival_single_copy;
     Alcotest.test_case "survival monotone/ordered" `Quick test_survival_monotone_and_ordered;
     Alcotest.test_case "survival integral = MTTF" `Slow test_survival_consistent_with_mttf;
@@ -421,5 +483,7 @@ let suite =
     Alcotest.test_case "voting model: access-rate limits" `Quick
       test_voting_model_optimistic_rate_limits;
     Alcotest.test_case "voting model validation" `Quick test_voting_model_validation;
+    Alcotest.test_case "voting model: four figures, one chain" `Quick
+      test_voting_model_figures_agree;
     Alcotest.test_case "simulator matches exact CTMC" `Slow test_simulator_matches_ctmc;
   ]

@@ -1,11 +1,10 @@
-(* Statistics: Welford accumulators, Student-t table, batch means,
-   histograms. *)
+(* Statistics: Welford accumulators, Student-t table and batch
+   means. *)
 
 open Helpers
 module Welford = Dynvote_stats.Welford
 module Student_t = Dynvote_stats.Student_t
 module Batch_means = Dynvote_stats.Batch_means
-module Histogram = Dynvote_stats.Histogram
 
 let test_welford_against_direct () =
   let xs = [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ] in
@@ -98,35 +97,6 @@ let test_batch_means_validation () =
     (Invalid_argument "Batch_means.create: batch_length must be positive") (fun () ->
       ignore (Batch_means.create ~batch_length:0.0))
 
-let test_histogram () =
-  let h = Histogram.create ~lo:0.0 ~hi:10.0 ~bins:10 in
-  List.iter (Histogram.add h) [ 0.5; 1.5; 1.7; 9.9; -1.0; 10.0; 25.0 ];
-  Alcotest.(check int) "total" 7 (Histogram.total h);
-  Alcotest.(check int) "underflow" 1 (Histogram.underflow h);
-  Alcotest.(check int) "overflow" 2 (Histogram.overflow h);
-  Alcotest.(check int) "bin 0" 1 (Histogram.bin h 0);
-  Alcotest.(check int) "bin 1" 2 (Histogram.bin h 1);
-  Alcotest.(check int) "bin 9" 1 (Histogram.bin h 9);
-  let lo, hi = Histogram.bin_range h 3 in
-  check_float "bin 3 lo" 3.0 lo;
-  check_float "bin 3 hi" 4.0 hi
-
-let test_histogram_quantile () =
-  let h = Histogram.create ~lo:0.0 ~hi:100.0 ~bins:100 in
-  for i = 1 to 1000 do
-    Histogram.add h (float_of_int (i mod 100))
-  done;
-  let median = Histogram.quantile h 0.5 in
-  Alcotest.(check bool) "median near 50" true (Float.abs (median -. 50.0) < 2.0);
-  Alcotest.(check bool) "empty quantile nan" true
-    (Float.is_nan (Histogram.quantile (Histogram.create ~lo:0.0 ~hi:1.0 ~bins:2) 0.5))
-
-let test_histogram_validation () =
-  Alcotest.check_raises "bins" (Invalid_argument "Histogram.create: bins must be positive")
-    (fun () -> ignore (Histogram.create ~lo:0.0 ~hi:1.0 ~bins:0));
-  Alcotest.check_raises "range" (Invalid_argument "Histogram.create: hi must exceed lo")
-    (fun () -> ignore (Histogram.create ~lo:1.0 ~hi:1.0 ~bins:4))
-
 let prop_welford_matches_two_pass =
   qcheck_case ~count:200 ~name:"welford matches two-pass computation"
     QCheck.(list_of_size (Gen.int_range 2 50) (float_range (-1000.0) 1000.0))
@@ -153,8 +123,5 @@ let suite =
     Alcotest.test_case "batch-means few batches" `Quick test_batch_means_few_batches;
     Alcotest.test_case "batch-means autocorrelation" `Quick test_batch_means_autocorrelation;
     Alcotest.test_case "batch-means validation" `Quick test_batch_means_validation;
-    Alcotest.test_case "histogram counting" `Quick test_histogram;
-    Alcotest.test_case "histogram quantile" `Quick test_histogram_quantile;
-    Alcotest.test_case "histogram validation" `Quick test_histogram_validation;
     prop_welford_matches_two_pass;
   ]
