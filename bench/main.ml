@@ -41,6 +41,7 @@ module Event_gen = Dynvote_failures.Event_gen
 module Topology = Dynvote_net.Topology
 module Connectivity = Dynvote_net.Connectivity
 module Text_table = Dynvote_report.Text_table
+module Json = Dynvote_report.Json
 module Voting_model = Dynvote_analytic.Voting_model
 module Kofn = Dynvote_analytic.Kofn
 module Cluster = Dynvote_msgsim.Cluster
@@ -48,6 +49,7 @@ module Harness = Dynvote_chaos.Harness
 module Checker = Dynvote_mc.Checker
 module Explorer = Dynvote_mc.Explorer
 module Pool = Dynvote_exec.Pool
+module Clock = Dynvote_obs.Clock
 
 (* -j N (or -jN), falling back to DYNVOTE_JOBS, falling back to the
    hardware's recommended domain count. *)
@@ -67,6 +69,27 @@ let jobs =
       else scan (i + 1)
   in
   scan 1
+
+(* [f ()] and the seconds it took on the monotonic clock: the one
+   stopwatch of every timed section. *)
+let timed f =
+  let t0 = Clock.now () in
+  let r = f () in
+  (r, Clock.now () -. t0)
+
+(* Every BENCH_*.json goes through the one JSON printer. *)
+let write_bench path json =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Json.to_string json);
+      output_char oc '\n');
+  Fmt.pr "wrote %s@." path
+
+let json_steals (t : Pool.steal_stats) =
+  Json.(
+    Obj
+      [ ("tasks_executed", Int t.Pool.tasks_executed); ("steals", Int t.Pool.steals);
+        ("failed_steals", Int t.Pool.failed_steals);
+        ("max_deque_depth", Int t.Pool.max_deque_depth) ])
 
 let section name description =
   Fmt.pr "@.=================== %s ===================@." name;
@@ -127,11 +150,10 @@ let tables23 () =
         (paper Table 2).  Horizon %.0f simulated days, warm-up %.0f days,\n\
         %d batches, one access per day for the optimistic policies."
        parameters.Study.horizon parameters.Study.warmup parameters.Study.batches);
-  let t0 = Unix.gettimeofday () in
-  let results = Study.run ~parameters ~jobs () in
+  let results, seconds = timed (fun () -> Study.run ~parameters ~jobs ()) in
   Fmt.pr "(simulated %.0f years for 48 policy instances in %.1f s)@.@."
     ((parameters.Study.horizon -. parameters.Study.warmup) /. 365.0)
-    (Unix.gettimeofday () -. t0);
+    seconds;
   Text_table.print (Table.table2 results);
   Fmt.pr "@.Paper vs measured (ratio = measured / paper):@.";
   Text_table.print (Table.comparison Table.Unavailability results);
@@ -591,9 +613,7 @@ let chaos () =
   in
   List.iter
     (fun (p : Harness.policy) ->
-      let t0 = Unix.gettimeofday () in
-      let s = Harness.run_many ~policy:p ~seed:2026L ~schedules () in
-      let dt = Unix.gettimeofday () -. t0 in
+      let s, dt = timed (fun () -> Harness.run_many ~policy:p ~seed:2026L ~schedules ()) in
       Text_table.add_row table
         [ p.Harness.name;
           Printf.sprintf "%.0f" (float_of_int schedules /. dt);
@@ -612,19 +632,21 @@ let chaos () =
   let time_delivery delivery =
     let cluster = Cluster.create ~universe ?delivery () in
     let iterations = 20_000 in
-    let messages = ref 0 in
-    let t0 = Unix.gettimeofday () in
-    for i = 0 to iterations - 1 do
-      let at = i mod 5 in
-      let outcome =
-        if i mod 3 = 0 then Cluster.write cluster ~at ~content:"x"
-        else Cluster.read cluster ~at
-      in
-      messages := !messages + outcome.Cluster.messages
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
+    let messages, dt =
+      timed (fun () ->
+          let messages = ref 0 in
+          for i = 0 to iterations - 1 do
+            let at = i mod 5 in
+            let outcome =
+              if i mod 3 = 0 then Cluster.write cluster ~at ~content:"x"
+              else Cluster.read cluster ~at
+            in
+            messages := !messages + outcome.Cluster.messages
+          done;
+          !messages)
+    in
     ( 1e9 *. dt /. float_of_int iterations,
-      float_of_int !messages /. float_of_int iterations )
+      float_of_int messages /. float_of_int iterations )
   in
   let quiet_ns, quiet_msgs = time_delivery None in
   let deadline_ns, deadline_msgs =
@@ -752,15 +774,12 @@ let mc () =
     List.map
       (fun name ->
         let p = Option.get (Harness.policy_of_string name) in
-        let timed por =
-          let t0 = Unix.gettimeofday () in
-          let report =
-            Checker.check ~policy:p ~depth ~jobs ~por (Checker.paper_config ())
-          in
-          (report, Unix.gettimeofday () -. t0)
+        let check por =
+          timed (fun () ->
+              Checker.check ~policy:p ~depth ~jobs ~por (Checker.paper_config ()))
         in
-        let reduced, reduced_s = timed true in
-        let full, full_s = timed false in
+        let reduced, reduced_s = check true in
+        let full, full_s = check false in
         let rr = reduced.Checker.result and rf = full.Checker.result in
         let verdict = mc_verdict_text reduced in
         (* Same soundness gate as the test suite: a completed bound must
@@ -799,15 +818,24 @@ let mc () =
             Printf.sprintf "%.0f" trans_full;
             verdict ];
         let totals = Dynvote_mc.Report.steal_totals rr.Explorer.workers in
-        ( name, rr, rf.Explorer.transitions, reduction,
-          (states_por, states_full, trans_por, trans_full), verdict, totals ))
+        ( name,
+          totals,
+          Json.(
+            Obj
+              [ ("states", Int rr.Explorer.distinct);
+                ("transitions_full", Int rf.Explorer.transitions);
+                ("transitions_reduced", Int rr.Explorer.transitions);
+                ("reduction", Float reduction); ("states_per_s_reduced", Float states_por);
+                ("states_per_s_full", Float states_full);
+                ("trans_per_s_reduced", Float trans_por); ("trans_per_s_full", Float trans_full);
+                ("verdict", String verdict); ("steal_totals", json_steals totals) ]) ))
       [ "dv"; "odv"; "tdv"; "tdv-safe" ]
   in
   Text_table.print table;
   if jobs > 1 then begin
     Fmt.pr "@.Stealing frontier (-j%d, reduced runs):@." jobs;
     List.iter
-      (fun (name, _, _, _, _, _, (t : Pool.steal_stats)) ->
+      (fun (name, (t : Pool.steal_stats), _) ->
         Fmt.pr "  %-9s %d continuations, %d steals, %d failed steals, max deque %d@."
           name t.Pool.tasks_executed t.Pool.steals t.Pool.failed_steals
           t.Pool.max_deque_depth)
@@ -824,28 +852,20 @@ let mc () =
     resident_bs (old_bs /. resident_bs);
   Fmt.pr "  + spill tier            %8.1f bytes/state resident  (%.1fx, %d spilled)@."
     spill_bs (old_bs /. spill_bs) spilled;
-  let fl v = if Float.is_finite v then Printf.sprintf "%.6g" v else "null" in
-  let oc = open_out "BENCH_MC.json" in
-  Printf.fprintf oc
-    "{\"schema\":\"dynvote-bench-mc/3\",\"depth\":%d,\"jobs\":%d,\"policies\":{%s},\"store\":{\"sampled_states\":%d,\"canonical_bytes_avg\":%s,\"hashtbl_bytes_per_state\":%s,\"resident_bytes_per_state\":%s,\"spill_resident_bytes_per_state\":%s,\"spilled_states\":%d,\"resident_ratio\":%s,\"spill_ratio\":%s}}\n"
-    depth jobs
-    (String.concat ","
-       (List.map
-          (fun (name, rr, full_t, reduction,
-                (states_por, states_full, trans_por, trans_full), verdict,
-                (t : Pool.steal_stats)) ->
-            Printf.sprintf
-              "\"%s\":{\"states\":%d,\"transitions_full\":%d,\"transitions_reduced\":%d,\"reduction\":%s,\"states_per_s_reduced\":%s,\"states_per_s_full\":%s,\"trans_per_s_reduced\":%s,\"trans_per_s_full\":%s,\"verdict\":\"%s\",\"steal_totals\":{\"tasks_executed\":%d,\"steals\":%d,\"failed_steals\":%d,\"max_deque_depth\":%d}}"
-              name rr.Explorer.distinct full_t rr.Explorer.transitions
-              (fl reduction) (fl states_por) (fl states_full) (fl trans_por)
-              (fl trans_full) verdict t.Pool.tasks_executed
-              t.Pool.steals t.Pool.failed_steals t.Pool.max_deque_depth)
-          policy_rows))
-    sampled (fl canon_bytes) (fl old_bs) (fl resident_bs) (fl spill_bs) spilled
-    (fl (old_bs /. resident_bs))
-    (fl (old_bs /. spill_bs));
-  close_out oc;
-  Fmt.pr "wrote BENCH_MC.json@."
+  write_bench "BENCH_MC.json"
+    Json.(
+      Obj
+        [ ("schema", String "dynvote-bench-mc/3"); ("depth", Int depth); ("jobs", Int jobs);
+          ("policies", Obj (List.map (fun (name, _, row) -> (name, row)) policy_rows));
+          ( "store",
+            Obj
+              [ ("sampled_states", Int sampled); ("canonical_bytes_avg", Float canon_bytes);
+                ("hashtbl_bytes_per_state", Float old_bs);
+                ("resident_bytes_per_state", Float resident_bs);
+                ("spill_resident_bytes_per_state", Float spill_bs);
+                ("spilled_states", Int spilled);
+                ("resident_ratio", Float (old_bs /. resident_bs));
+                ("spill_ratio", Float (old_bs /. spill_bs)) ] ) ])
 
 (* ------------------------------------------------------------------ *)
 (* PAR: the execution layer itself.  The workload scales with the
@@ -872,18 +892,13 @@ let par () =
         (%d core%s available).  Per-cell study results must be bit-identical;\n\
         model-checker verdicts must agree between -j1 and the -j%d frontier." n cores
        (if cores = 1 then "" else "s") n);
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   (* Enough horizon per core that each of the 48 study cells hands every
      worker a meaningful slice; capped so a big box stays a bench, not a
      soak. *)
   let horizon = 20_360.0 *. float_of_int (min cores 16) in
   let study_parameters = { Study.default_parameters with Study.horizon } in
-  let study_seq, study_seq_s = time (fun () -> Study.run ~parameters:study_parameters ~jobs:1 ()) in
-  let study_par, study_par_s = time (fun () -> Study.run ~parameters:study_parameters ~jobs:n ()) in
+  let study_seq, study_seq_s = timed (fun () -> Study.run ~parameters:study_parameters ~jobs:1 ()) in
+  let study_par, study_par_s = timed (fun () -> Study.run ~parameters:study_parameters ~jobs:n ()) in
   (* [compare] (not [=]) so the nan mean_outage_days cells of
      never-unavailable policies compare equal to themselves. *)
   let study_identical = compare study_seq study_par = 0 in
@@ -917,8 +932,8 @@ let par () =
     Checker.check ~space:Dynvote_mc.Space.full ~policy:p ~depth:mc_depth ~jobs
       (Checker.paper_config ())
   in
-  let mc_seq, mc_seq_s = time (fun () -> run_mc ~jobs:1) in
-  let mc_par, mc_par_s = time (fun () -> run_mc ~jobs:n) in
+  let mc_seq, mc_seq_s = timed (fun () -> run_mc ~jobs:1) in
+  let mc_par, mc_par_s = timed (fun () -> run_mc ~jobs:n) in
   let base = verdict_summary mc_seq in
   let mc_identical = verdict_summary mc_par = base in
   Fmt.pr "  mc (%s, full alphabet, depth %d): -j1 %.2f s, -j%d %.2f s  [%s]@." mc_policy
@@ -934,19 +949,27 @@ let par () =
   let speedup = total_seq /. total_par in
   Fmt.pr "  total: -j1 %.2f s, -j%d %.2f s, speedup %.2fx on %d core%s@." total_seq n
     total_par speedup cores (if cores = 1 then "" else "s");
-  let fl v = if Float.is_finite v then Printf.sprintf "%.6g" v else "null" in
-  let oc = open_out "BENCH_PAR.json" in
-  Printf.fprintf oc
-    "{\"schema\":\"dynvote-bench-par/3\",\"jobs\":%d,\"cores\":%d,\"sections\":{\"study\":{\"horizon_days\":%s,\"j1_wall_s\":%s,\"jn_wall_s\":%s,\"speedup\":%s,\"identical\":%b},\"mc\":{\"policy\":\"%s\",\"space\":\"full\",\"depth\":%d,\"j1_wall_s\":%s,\"jn_wall_s\":%s,\"speedup\":%s,\"identical\":%b,\"verdict\":\"%s\",\"steal_totals\":{\"tasks_executed\":%d,\"steals\":%d,\"failed_steals\":%d,\"max_deque_depth\":%d}}},\"total\":{\"j1_wall_s\":%s,\"jn_wall_s\":%s,\"speedup\":%s}}\n"
-    n cores (fl horizon) (fl study_seq_s) (fl study_par_s)
-    (fl (study_seq_s /. study_par_s))
-    study_identical mc_policy mc_depth (fl mc_seq_s) (fl mc_par_s)
-    (fl (mc_seq_s /. mc_par_s))
-    mc_identical base totals.Pool.tasks_executed totals.Pool.steals
-    totals.Pool.failed_steals totals.Pool.max_deque_depth
-    (fl total_seq) (fl total_par) (fl speedup);
-  close_out oc;
-  Fmt.pr "wrote BENCH_PAR.json@.";
+  write_bench "BENCH_PAR.json"
+    Json.(
+      let walls seq par =
+        [ ("j1_wall_s", Float seq); ("jn_wall_s", Float par); ("speedup", Float (seq /. par)) ]
+      in
+      Obj
+        [ ("schema", String "dynvote-bench-par/3"); ("jobs", Int n); ("cores", Int cores);
+          ( "sections",
+            Obj
+              [ ( "study",
+                  Obj
+                    ((("horizon_days", Float horizon) :: walls study_seq_s study_par_s)
+                    @ [ ("identical", Bool study_identical) ]) );
+                ( "mc",
+                  Obj
+                    ([ ("policy", String mc_policy); ("space", String "full");
+                       ("depth", Int mc_depth) ]
+                    @ walls mc_seq_s mc_par_s
+                    @ [ ("identical", Bool mc_identical); ("verdict", String base);
+                        ("steal_totals", json_steals totals) ]) ) ] );
+          ("total", Obj (walls total_seq total_par)) ]);
   if not (study_identical && mc_identical) then
     failwith "PAR: parallel results diverged from sequential"
 
@@ -1091,32 +1114,108 @@ let micro () =
   Text_table.print table
 
 (* ------------------------------------------------------------------ *)
+(* The live sections — SERVE, SERVE-SWEEP, OBS, CRASH and SHARD — all
+   measure through [live_run]. *)
+
+module Live = Dynvote_live.Cluster
+module Live_node = Dynvote_live.Node
+module Loadgen = Dynvote_live.Loadgen
+module Hub = Dynvote_obs.Hub
+module Batch_means = Dynvote_stats.Batch_means
+module Obs_metrics = Dynvote_obs.Metrics
+
+(* Loopback tuning: the library default (0.2 s rounds) is patience for a
+   real network; here every peer is micro-seconds away and snappy rounds
+   keep lock contention cheap.  Buffered unless a run asks for fsync. *)
+let loopback =
+  {
+    Live_node.default_config with
+    Live_node.gather_timeout = 0.05;
+    lock_backoff = 0.02;
+    durable = false;
+  }
+
+(* Every live run draws the same client schedule. *)
+let load = { Loadgen.default with Loadgen.seed = 11 }
+
+(* One live run: the load generator's result, the end-of-run audit and
+   its verdict, and the hub's instruments as the audit left them. *)
+type live = {
+  result : Loadgen.result;
+  audit : Live.audit;
+  safe : bool;
+  metrics : Obs_metrics.snapshot;
+  backend : string;  (* the switchboard's readiness backend *)
+  fenced : int;  (* sites fenced read-only at the end of the run *)
+}
+
+(* Boot a 4-site cluster in a fresh temp directory, drive it with
+   [driver] (the in-process herd unless a section says otherwise),
+   audit it, snapshot its hub, shut it down and remove the directory. *)
+let live_run ?(config = loopback) ?(obs = Hub.create ()) ?vfs_of
+    ?(driver = Loadgen.run) load =
+  let dir = Live.temp_dir "dynvote-bench" in
+  let cluster =
+    Live.create ~config ~obs ?vfs_of ~universe:(Site_set.universe 4) ~dir ()
+  in
+  let result = driver cluster load in
+  let audit = Live.check cluster in
+  let run =
+    {
+      result;
+      audit;
+      safe = Live.safe audit;
+      metrics = Obs_metrics.snapshot obs.Hub.metrics;
+      backend = Live.backend cluster;
+      fenced =
+        Site_set.cardinal
+          (Site_set.filter
+             (fun s -> Live.degraded cluster s <> None)
+             (Live.universe cluster));
+    }
+  in
+  Live.shutdown cluster;
+  Live.remove_dir dir;
+  run
+
+(* Instruments a live hub registers at boot; a missing name is a bench
+   bug, so it raises. *)
+let counter run name = List.assoc name run.metrics.Obs_metrics.counters
+let histogram run name = List.assoc name run.metrics.Obs_metrics.histograms
+
+let goodput run = run.result.Loadgen.goodput.Batch_means.mean
+let half_width run = run.result.Loadgen.goodput.Batch_means.half_width
+let verdict run = if run.safe then "SAFE" else "UNSAFE"
+
+let json_ops (o : Loadgen.op_stats) =
+  Json.(
+    Obj
+      [ ("issued", Int o.Loadgen.issued); ("granted", Int o.Loadgen.granted);
+        ("denied", Int o.Loadgen.denied); ("aborted", Int o.Loadgen.aborted);
+        ("degraded", Int o.Loadgen.degraded); ("retried", Int o.Loadgen.retried);
+        ("dup_acks", Int o.Loadgen.dup_acks); ("p50", Float o.Loadgen.p50);
+        ("p95", Float o.Loadgen.p95); ("p99", Float o.Loadgen.p99) ])
+
+let json_histogram (h : Obs_metrics.histogram_summary) =
+  Json.(
+    Obj
+      [ ("n", Int h.Obs_metrics.h_count); ("mean", Float h.Obs_metrics.h_mean);
+        ("max", Float h.Obs_metrics.h_max) ])
+
+(* The goodput and per-op-kind fields a run record opens and closes
+   with. *)
+let json_goodput run =
+  Json.[ ("goodput", Float (goodput run)); ("half_width", Float (half_width run)) ]
+
+let json_reads_writes run =
+  [ ("reads", json_ops run.result.Loadgen.reads);
+    ("writes", json_ops run.result.Loadgen.writes) ]
+
+(* ------------------------------------------------------------------ *)
 (* SERVE: the live socket-backed service under closed-loop load,
    durable (one shard-log fsync per commit batch) against buffered (no
    fsync) — the price of the paper's stable-storage requirement on this
    disk. *)
-
-module Live = Dynvote_live.Cluster
-module Loadgen = Dynvote_live.Loadgen
-module Hub = Dynvote_obs.Hub
-module Batch_means = Dynvote_stats.Batch_means
-
-module Obs_metrics = Dynvote_obs.Metrics
-
-type hist_summary = { hs_n : int; hs_mean : float; hs_max : float }
-
-(* Per-run facts beyond the loadgen result: the readiness backend, the
-   exactly-once audit, and the event-loop/pipelining shape (batch sizes,
-   rounds in flight, anchor reuse) read back from the hub registry. *)
-type serve_extras = {
-  x_backend : string;
-  x_dup_applies : int;
-  x_lock_rounds : int;
-  x_gather_reused : int;
-  x_batch_frames : hist_summary;
-  x_inflight : hist_summary;
-  x_commit_batch : hist_summary;
-}
 
 (* The shape of one serve configuration; [coordinator] funnels every
    call to one site (where anchoring and pipelining pay off). *)
@@ -1143,60 +1242,17 @@ let pipelined_shape =
     sh_coordinator = Some 1;
   }
 
-let hist_summary m name =
-  let h = Obs_metrics.histogram m name in
-  {
-    hs_n = Obs_metrics.histogram_count h;
-    hs_mean = Obs_metrics.histogram_mean h;
-    hs_max = Obs_metrics.histogram_max h;
-  }
-
-let serve_run ?(duration = 1.5) ?(shape = baseline_shape) ?(driver = Loadgen.run)
-    ~durable ~obs () =
-  let dir = Filename.temp_file "dynvote-bench-serve" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  let config =
-    {
-      Dynvote_live.Node.default_config with
-      Dynvote_live.Node.gather_timeout = 0.05;
-      lock_backoff = 0.02;
-      durable;
-      pipeline = shape.sh_pipeline;
-      max_reuse = shape.sh_max_reuse;
-    }
-  in
-  let cluster = Live.create ~config ~obs ~universe:(Site_set.universe 4) ~dir () in
-  let result =
-    driver cluster
-      {
-        Loadgen.default with
-        Loadgen.clients = shape.sh_clients;
-        duration;
-        seed = 11;
-        sites = Option.map Site_set.singleton shape.sh_coordinator;
-      }
-  in
-  let audit = Live.check cluster in
-  let m = (Live.obs cluster).Hub.metrics in
-  let counter name = Obs_metrics.counter_value (Obs_metrics.counter m name) in
-  let extras =
-    {
-      x_backend = Live.backend cluster;
-      x_dup_applies = audit.Live.dup_applies;
-      x_lock_rounds = counter "live.lock.rounds";
-      x_gather_reused = counter "live.gather.reused";
-      x_batch_frames = hist_summary m "net.batch.frames";
-      x_inflight = hist_summary m "live.rounds.inflight";
-      x_commit_batch = hist_summary m "live.commit.batch";
-    }
-  in
-  Live.shutdown cluster;
-  ( result,
-    Dynvote_chaos.Oracle.is_safe audit.Live.oracle && audit.Live.dup_applies = 0,
-    extras )
-
-let serve_goodput (r : Loadgen.result) = r.Loadgen.goodput.Batch_means.mean
+let serve_run ?driver ?obs ~duration ~durable shape =
+  live_run ?driver ?obs
+    ~config:
+      { loopback with
+        Live_node.durable;
+        pipeline = shape.sh_pipeline;
+        max_reuse = shape.sh_max_reuse }
+    { load with
+      Loadgen.clients = shape.sh_clients;
+      duration;
+      sites = Option.map Site_set.singleton shape.sh_coordinator }
 
 (* Baseline (sequential coordinator, four clients spread over the sites)
    against the event-driven pipelined service (a 32-client herd at one
@@ -1213,20 +1269,21 @@ let serve () =
   let runs =
     List.map
       (fun (name, durable, shape) ->
-        let r, safe, extras = serve_run ~duration:2.0 ~shape ~durable ~obs:(Hub.create ()) () in
-        Fmt.pr "[%s] audit %s  loop %s@.@[<v>%a@]@." name
-          (if safe then "SAFE" else "UNSAFE")
-          extras.x_backend Loadgen.pp_result r;
+        let run = serve_run ~duration:2.0 ~durable shape in
+        Fmt.pr "[%s] audit %s  loop %s@.@[<v>%a@]@." name (verdict run)
+          run.backend Loadgen.pp_result run.result;
         if shape.sh_pipeline > 1 then
           Fmt.pr
             "pipeline: %d lock rounds for %d granted (%d joined an anchor)  \
              commit batch mean %.1f  frame batch mean %.2f@."
-            extras.x_lock_rounds
-            (r.Loadgen.reads.Loadgen.granted + r.Loadgen.writes.Loadgen.granted)
-            extras.x_gather_reused extras.x_commit_batch.hs_mean
-            extras.x_batch_frames.hs_mean;
+            (counter run "live.lock.rounds")
+            (run.result.Loadgen.reads.Loadgen.granted
+            + run.result.Loadgen.writes.Loadgen.granted)
+            (counter run "live.gather.reused")
+            (histogram run "live.commit.batch").Obs_metrics.h_mean
+            (histogram run "net.batch.frames").Obs_metrics.h_mean;
         Fmt.pr "@.";
-        (name, shape, r, safe, extras))
+        (name, shape, run))
       [
         ("durable", true, baseline_shape);
         ("buffered", false, baseline_shape);
@@ -1235,17 +1292,12 @@ let serve () =
       ]
   in
   let find name =
-    let _, _, r, safe, _ =
-      List.find (fun (n, _, _, _, _) -> n = name) runs
-    in
-    (r, safe)
+    let _, _, run = List.find (fun (n, _, _) -> n = name) runs in
+    run
   in
   let speedup base pipelined =
-    let b, b_safe = find base and p, p_safe = find pipelined in
-    let ratio =
-      if serve_goodput b > 0.0 then serve_goodput p /. serve_goodput b else nan
-    in
-    (ratio, b_safe && p_safe)
+    let b = find base and p = find pipelined in
+    ((if goodput b > 0.0 then goodput p /. goodput b else nan), b.safe && p.safe)
   in
   let durable_speedup, durable_safe = speedup "durable" "pipelined-durable" in
   let buffered_speedup, buffered_safe = speedup "buffered" "pipelined-buffered" in
@@ -1361,11 +1413,7 @@ let serve_sweep () =
         let duration = Float.max 2.5 (float_of_int clients /. 800.) in
         Option.map
           (fun driver ->
-            let r, safe, _ =
-              serve_run ~duration ~shape ~driver ~durable:false
-                ~obs:(Hub.create ()) ()
-            in
-            (clients, r, safe))
+            (clients, serve_run ~driver ~duration ~durable:false shape))
           driver)
       steps
   in
@@ -1379,7 +1427,8 @@ let serve_sweep () =
       ()
   in
   List.iter
-    (fun (clients, (r : Loadgen.result), safe) ->
+    (fun (clients, run) ->
+      let r = run.result in
       let ms v = if Float.is_nan v then "-" else Printf.sprintf "%.1f" (v *. 1e3) in
       let p q =
         (* reads and writes see the same queue; report the slower side *)
@@ -1396,12 +1445,12 @@ let serve_sweep () =
       Text_table.add_row table
         [
           string_of_int clients;
-          Printf.sprintf "%.0f" (serve_goodput r);
+          Printf.sprintf "%.0f" (goodput run);
           ms (p `P50);
           ms (p `P95);
           ms (p `P99);
           string_of_int r.Loadgen.late;
-          (if safe then "SAFE" else "UNSAFE");
+          verdict run;
         ])
     rows;
   Text_table.print table;
@@ -1424,18 +1473,15 @@ let obs_bench () =
     "Instrumentation overhead: the buffered SERVE workload with the \
      metrics+trace\nhub live vs. the compiled-in no-op hub.  The run is \
      lengthened until the\ngoodput CIs resolve; the gate is CI overlap.";
-  let goodput (r : Loadgen.result) = r.Loadgen.goodput.Batch_means.mean in
-  let half_width (r : Loadgen.result) = r.Loadgen.goodput.Batch_means.half_width in
-  let rel_hw r =
-    let g = goodput r in
-    if g <= 0.0 then infinity else half_width r /. g
+  let rel_hw run =
+    let g = goodput run in
+    if g <= 0.0 then infinity else half_width run /. g
   in
   let target = 0.10 and max_duration = 12.0 in
   let rec measure duration =
-    let live_r, live_safe, _ = serve_run ~duration ~durable:false ~obs:(Hub.create ()) () in
-    let noop_r, noop_safe, _ = serve_run ~duration ~durable:false ~obs:Hub.noop () in
-    let live = (live_r, live_safe) and noop = (noop_r, noop_safe) in
-    let worst = Float.max (rel_hw live_r) (rel_hw noop_r) in
+    let live = serve_run ~duration ~durable:false baseline_shape in
+    let noop = serve_run ~obs:Hub.noop ~duration ~durable:false baseline_shape in
+    let worst = Float.max (rel_hw live) (rel_hw noop) in
     if worst > target && duration *. 2.0 <= max_duration then begin
       Fmt.pr "  (%.1f s runs leave a +/-%.0f%% goodput CI - above the %.0f%% \
               target; doubling)@."
@@ -1444,27 +1490,25 @@ let obs_bench () =
     end
     else (live, noop, duration)
   in
-  let (live_r, live_safe), (noop_r, noop_safe), duration = measure 3.0 in
+  let live, noop, duration = measure 3.0 in
   let overhead_pct =
-    let g_noop = goodput noop_r in
-    if g_noop <= 0.0 then nan
-    else (g_noop -. goodput live_r) /. g_noop *. 100.0
+    let g_noop = goodput noop in
+    if g_noop <= 0.0 then nan else (g_noop -. goodput live) /. g_noop *. 100.0
   in
   let ci_overlap =
-    Float.abs (goodput noop_r -. goodput live_r)
-    <= half_width noop_r +. half_width live_r
+    Float.abs (goodput noop -. goodput live) <= half_width noop +. half_width live
   in
   let table = Text_table.create ~header:[ "hub"; "goodput ops/s"; "95% CI"; "audit" ] () in
   List.iter
-    (fun (name, (r : Loadgen.result), safe) ->
+    (fun (name, run) ->
       Text_table.add_row table
         [
           name;
-          Printf.sprintf "%.1f" (goodput r);
-          Printf.sprintf "+/- %.1f (%.0f%%)" (half_width r) (100.0 *. rel_hw r);
-          (if safe then "SAFE" else "UNSAFE");
+          Printf.sprintf "%.1f" (goodput run);
+          Printf.sprintf "+/- %.1f (%.0f%%)" (half_width run) (100.0 *. rel_hw run);
+          verdict run;
         ])
-    [ ("live", live_r, live_safe); ("noop", noop_r, noop_safe) ];
+    [ ("live", live); ("noop", noop) ];
   Text_table.print table;
   Fmt.pr
     "instrumentation overhead: %.1f%% of no-op goodput over %.1f s runs \
@@ -1473,93 +1517,56 @@ let obs_bench () =
     (if ci_overlap || overhead_pct <= 5.0 then "PASS" else "FAIL")
     (if ci_overlap then "overlap (overhead undetectable at this precision)"
      else "do not overlap");
-  ((live_r, live_safe), (noop_r, noop_safe), overhead_pct, ci_overlap, duration)
+  (live, noop, overhead_pct, ci_overlap, duration)
 
 (* BENCH_SERVE.json: the machine-readable perf trajectory of the live
    service — one record per configuration, plus the instrumentation
    overhead, so regressions show up as a diff.                         *)
 
-let write_bench_serve ~path
-    (serve_results, (durable_speedup, buffered_speedup, speedup_gate)) sweep
-    ((live_r, live_safe), (noop_r, noop_safe), overhead_pct, ci_overlap, obs_duration) =
-  let b = Buffer.create 4096 in
-  let fl v =
-    if Float.is_finite v then Printf.sprintf "%.6g" v else "null"
+let bench_serve_json (runs, (durable_speedup, buffered_speedup, speedup_gate)) sweep
+    (obs_live, obs_noop, overhead_pct, ci_overlap, obs_duration) =
+  let open Json in
+  let result run =
+    json_goodput run
+    @ [ ("batches", Int run.result.Loadgen.goodput.Batch_means.batches);
+        ("wall", Float run.result.Loadgen.wall); ("late", Int run.result.Loadgen.late);
+        ("safe", Bool run.safe) ]
+    @ json_reads_writes run
   in
-  let op (o : Loadgen.op_stats) =
-    Printf.sprintf
-      "{\"issued\":%d,\"granted\":%d,\"denied\":%d,\"aborted\":%d,\"degraded\":%d,\"retried\":%d,\"dup_acks\":%d,\"p50\":%s,\"p95\":%s,\"p99\":%s}"
-      o.Loadgen.issued o.Loadgen.granted o.Loadgen.denied o.Loadgen.aborted
-      o.Loadgen.degraded o.Loadgen.retried o.Loadgen.dup_acks
-      (fl o.Loadgen.p50) (fl o.Loadgen.p95) (fl o.Loadgen.p99)
+  let shape s =
+    [ ("clients", Int s.sh_clients); ("pipeline", Int s.sh_pipeline);
+      ("max_reuse", Int s.sh_max_reuse);
+      ("coordinator", match s.sh_coordinator with None -> Null | Some c -> Int c) ]
   in
-  let result_fields (r : Loadgen.result) safe =
-    Printf.sprintf
-      "\"goodput\":%s,\"half_width\":%s,\"batches\":%d,\"wall\":%s,\"late\":%d,\"safe\":%b,\"reads\":%s,\"writes\":%s"
-      (fl r.Loadgen.goodput.Batch_means.mean)
-      (fl r.Loadgen.goodput.Batch_means.half_width)
-      r.Loadgen.goodput.Batch_means.batches
-      (fl r.Loadgen.wall) r.Loadgen.late safe (op r.Loadgen.reads)
-      (op r.Loadgen.writes)
+  let extras run =
+    [ ("dup_applies", Int run.audit.Live.dup_applies);
+      ("lock_rounds", Int (counter run "live.lock.rounds"));
+      ("gather_reused", Int (counter run "live.gather.reused"));
+      ("batch_frames", json_histogram (histogram run "net.batch.frames"));
+      ("rounds_inflight", json_histogram (histogram run "live.rounds.inflight"));
+      ("commit_batch", json_histogram (histogram run "live.commit.batch")) ]
   in
-  let shape_fields s =
-    Printf.sprintf
-      "\"clients\":%d,\"pipeline\":%d,\"max_reuse\":%d,\"coordinator\":%s"
-      s.sh_clients s.sh_pipeline s.sh_max_reuse
-      (match s.sh_coordinator with None -> "null" | Some c -> string_of_int c)
-  in
-  let hist h =
-    Printf.sprintf "{\"n\":%d,\"mean\":%s,\"max\":%s}" h.hs_n (fl h.hs_mean)
-      (fl h.hs_max)
-  in
-  let extras_fields x =
-    Printf.sprintf
-      "\"dup_applies\":%d,\"lock_rounds\":%d,\"gather_reused\":%d,\"batch_frames\":%s,\"rounds_inflight\":%s,\"commit_batch\":%s"
-      x.x_dup_applies x.x_lock_rounds x.x_gather_reused
-      (hist x.x_batch_frames) (hist x.x_inflight) (hist x.x_commit_batch)
-  in
-  let loop_backend =
-    match serve_results with
-    | (_, _, _, _, x) :: _ -> x.x_backend
-    | [] -> "unknown"
-  in
-  Buffer.add_string b
-    (Printf.sprintf "{\"schema\":\"dynvote-bench-serve/5\",\"loop_backend\":\"%s\",\"runs\":{"
-       loop_backend);
-  List.iteri
-    (fun i (name, shape, r, safe, x) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "\"%s\":{%s,%s,%s}" name (shape_fields shape)
-           (result_fields r safe) (extras_fields x)))
-    serve_results;
-  List.iter
-    (fun (name, r, safe) ->
-      Buffer.add_string b
-        (Printf.sprintf ",\"%s\":{%s,%s}" name (shape_fields baseline_shape)
-           (result_fields r safe)))
-    [ ("obs-live", live_r, live_safe); ("obs-noop", noop_r, noop_safe) ];
-  Buffer.add_string b
-    (Printf.sprintf
-       "},\"speedup\":{\"durable\":%s,\"buffered\":%s,\"gate\":\"%s\",\"floor\":10.0},\"sweep\":["
-       (fl durable_speedup) (fl buffered_speedup)
-       (if speedup_gate then "pass" else "fail"));
-  List.iteri
-    (fun i (clients, (r : Loadgen.result), safe) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"clients\":%d,%s}" clients (result_fields r safe)))
-    sweep;
-  Buffer.add_string b
-    (Printf.sprintf
-       "],\"obs_overhead_pct\":%s,\"obs_ci_overlap\":%b,\"obs_duration_s\":%s,\"obs_gate\":\"%s\"}"
-       (fl overhead_pct) ci_overlap (fl obs_duration)
-       (if ci_overlap || overhead_pct <= 5.0 then "pass" else "fail"));
-  let oc = open_out path in
-  output_string oc (Buffer.contents b);
-  output_char oc '\n';
-  close_out oc;
-  Fmt.pr "wrote %s@." path
+  let gate pass = String (if pass then "pass" else "fail") in
+  Obj
+    [ ("schema", String "dynvote-bench-serve/5");
+      ( "loop_backend",
+        String (match runs with (_, _, run) :: _ -> run.backend | [] -> "unknown") );
+      ( "runs",
+        Obj
+          (List.map (fun (name, s, run) -> (name, Obj (shape s @ result run @ extras run))) runs
+          @ List.map
+              (fun (name, run) -> (name, Obj (shape baseline_shape @ result run)))
+              [ ("obs-live", obs_live); ("obs-noop", obs_noop) ]) );
+      ( "speedup",
+        Obj
+          [ ("durable", Float durable_speedup); ("buffered", Float buffered_speedup);
+            ("gate", gate speedup_gate); ("floor", Float 10.0) ] );
+      ( "sweep",
+        List (List.map (fun (clients, run) -> Obj (("clients", Int clients) :: result run)) sweep)
+      );
+      ("obs_overhead_pct", Float overhead_pct); ("obs_ci_overlap", Bool ci_overlap);
+      ("obs_duration_s", Float obs_duration);
+      ("obs_gate", gate (ci_overlap || overhead_pct <= 5.0)) ]
 
 (* ------------------------------------------------------------------ *)
 (* CRASH: what surviving a disk costs.  A slice of the crash-point
@@ -1572,57 +1579,12 @@ module Crash_matrix = Dynvote_live.Crash_matrix
 module Faultfs = Dynvote_faultfs.Faultfs
 module Storage = Dynvote_chaos.Fault_plan.Storage
 
-let crash_serve_run ?(duration = 1.5) ~fenced () =
-  let dir = Filename.temp_file "dynvote-bench-crash" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  let config =
-    {
-      Dynvote_live.Node.default_config with
-      Dynvote_live.Node.gather_timeout = 0.05;
-      lock_backoff = 0.02;
-      durable = false;
-    }
-  in
-  let ff = Faultfs.create ~seed:3 () in
-  let vfs_of site =
-    if fenced && site = 0 then Faultfs.vfs ff else Vfs.real
-  in
-  let cluster =
-    Live.create ~config ~obs:(Hub.create ()) ~vfs_of
-      ~universe:(Site_set.universe 4) ~dir ()
-  in
-  (* Site 0's very next shard-log write fails: the first commit that
-     touches it fences it for the whole run. *)
-  if fenced then
-    Faultfs.arm_next ff
-      { Storage.fault = Storage.Eio; file = Storage.Shard;
-        op = Storage.Write; nth = 1 };
-  let result =
-    Loadgen.run cluster
-      { Loadgen.default with Loadgen.clients = 4; duration; seed = 11;
-        retries = 2 }
-  in
-  let audit = Live.check cluster in
-  let fenced_sites =
-    Site_set.filter (fun s -> Live.degraded cluster s <> None)
-      (Live.universe cluster)
-  in
-  Live.shutdown cluster;
-  ( result,
-    Dynvote_chaos.Oracle.is_safe audit.Live.oracle
-    && audit.Live.dup_applies = 0,
-    Site_set.cardinal fenced_sites )
-
 let crash_bench () =
   section "CRASH"
     "Crash-point recovery matrix (one point per file class x {eio, \
      fsync-lie, crash}),\nthen degraded-mode goodput: the same closed-loop \
      load with site 0 fenced by a\ndisk fault, clients retrying across \
      sites under the same request number.";
-  let dir = Filename.temp_file "dynvote-bench-crashmat" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
   let points =
     List.filter
       (fun p ->
@@ -1631,7 +1593,9 @@ let crash_bench () =
       Crash_matrix.points
   in
   let faults = [ Storage.Eio; Storage.Fsync_lie; Storage.Crash ] in
+  let dir = Live.temp_dir "dynvote-bench-crashmat" in
   let cells = Crash_matrix.run ~jobs ~seed:1 ~faults ~points ~dir () in
+  Live.remove_dir dir;
   Fmt.pr "@[<v>%a@]@.@." Crash_matrix.pp_table cells;
   let recoveries = List.map (fun c -> c.Crash_matrix.c_recovery) cells in
   let mean l = List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l) in
@@ -1651,78 +1615,74 @@ let crash_bench () =
     (1000.0 *. mean recoveries)
     (1000.0 *. List.fold_left Float.max 0.0 recoveries)
     (List.length cells) fenced_cells;
-  let (healthy_r, healthy_safe, _) = crash_serve_run ~fenced:false () in
-  let (degraded_r, degraded_safe, fenced_sites) = crash_serve_run ~fenced:true () in
-  let goodput (r : Loadgen.result) = r.Loadgen.goodput.Dynvote_stats.Batch_means.mean in
+  let run ~fenced =
+    let ff = Faultfs.create ~seed:3 () in
+    live_run
+      ~vfs_of:(fun site -> if fenced && site = 0 then Faultfs.vfs ff else Vfs.real)
+      ~driver:(fun cluster load ->
+        (* Site 0's very next shard-log write fails: the first commit
+           that touches it fences it for the whole run. *)
+        if fenced then
+          Faultfs.arm_next ff
+            { Storage.fault = Storage.Eio; file = Storage.Shard;
+              op = Storage.Write; nth = 1 };
+        Loadgen.run cluster load)
+      { load with Loadgen.clients = 4; duration = 1.5; retries = 2 }
+  in
+  let healthy = run ~fenced:false in
+  let degraded = run ~fenced:true in
   let table =
     Text_table.create
       ~header:[ "run"; "goodput ops/s"; "retries"; "dup acks"; "fenced replies"; "audit" ]
       ()
   in
   List.iter
-    (fun (name, (r : Loadgen.result), safe) ->
+    (fun (name, run) ->
+      let r = run.result in
       Text_table.add_row table
         [
           name;
-          Printf.sprintf "%.1f" (goodput r);
+          Printf.sprintf "%.1f" (goodput run);
           string_of_int (r.Loadgen.reads.Loadgen.retried + r.Loadgen.writes.Loadgen.retried);
           string_of_int (r.Loadgen.reads.Loadgen.dup_acks + r.Loadgen.writes.Loadgen.dup_acks);
           string_of_int (r.Loadgen.reads.Loadgen.degraded + r.Loadgen.writes.Loadgen.degraded);
-          (if safe then "SAFE" else "UNSAFE");
+          verdict run;
         ])
-    [ ("healthy", healthy_r, healthy_safe);
-      ("one site fenced", degraded_r, degraded_safe) ];
+    [ ("healthy", healthy); ("one site fenced", degraded) ];
   Text_table.print table;
-  let g_h = goodput healthy_r and g_d = goodput degraded_r in
+  let g_h = goodput healthy and g_d = goodput degraded in
   if g_h > 0.0 then
     Fmt.pr "degraded-mode goodput: %.0f%% of healthy (%d site(s) fenced)@."
-      (100.0 *. g_d /. g_h) fenced_sites;
-  (cells, (healthy_r, healthy_safe), (degraded_r, degraded_safe, fenced_sites))
-
-let write_bench_crash ~path
-    (cells, (healthy_r, healthy_safe), (degraded_r, degraded_safe, fenced_sites)) =
-  let b = Buffer.create 1024 in
-  let fl v = if Float.is_finite v then Printf.sprintf "%.6g" v else "null" in
-  Buffer.add_string b "{\"schema\":\"dynvote-bench-crash/1\",\"cells\":[";
-  List.iteri
-    (fun i (c : Crash_matrix.cell) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"point\":\"%s\",\"fault\":\"%s\",\"outcome\":\"%c\",\"recovery_s\":%s,\"injected\":%d}"
-           (Crash_matrix.point_name c.Crash_matrix.c_point)
-           (Storage.fault_name c.Crash_matrix.c_fault)
-           (Crash_matrix.outcome_letter c.Crash_matrix.c_outcome)
-           (fl c.Crash_matrix.c_recovery) c.Crash_matrix.c_injected))
-    cells;
-  let emit_run name (r : Loadgen.result) safe extra =
-    let ops (o : Loadgen.op_stats) =
-      Printf.sprintf
-        "{\"issued\":%d,\"granted\":%d,\"denied\":%d,\"aborted\":%d,\"degraded\":%d,\"retried\":%d,\"dup_acks\":%d,\"p50\":%s,\"p95\":%s,\"p99\":%s}"
-        o.Loadgen.issued o.Loadgen.granted o.Loadgen.denied o.Loadgen.aborted
-        o.Loadgen.degraded o.Loadgen.retried o.Loadgen.dup_acks
-        (fl o.Loadgen.p50) (fl o.Loadgen.p95) (fl o.Loadgen.p99)
-    in
-    Buffer.add_string b
-      (Printf.sprintf
-         "\"%s\":{\"goodput\":%s,\"half_width\":%s,\"safe\":%b%s,\"reads\":%s,\"writes\":%s}"
-         name
-         (fl r.Loadgen.goodput.Dynvote_stats.Batch_means.mean)
-         (fl r.Loadgen.goodput.Dynvote_stats.Batch_means.half_width)
-         safe extra
-         (ops r.Loadgen.reads) (ops r.Loadgen.writes))
-  in
-  Buffer.add_string b "],\"runs\":{";
-  emit_run "healthy" healthy_r healthy_safe "";
-  Buffer.add_char b ',';
-  emit_run "degraded" degraded_r degraded_safe
-    (Printf.sprintf ",\"fenced_sites\":%d" fenced_sites);
-  Buffer.add_string b "}}";
-  let oc = open_out path in
-  output_string oc (Buffer.contents b);
-  output_char oc '\n';
-  close_out oc;
-  Fmt.pr "wrote %s@." path
+      (100.0 *. g_d /. g_h) degraded.fenced;
+  write_bench "BENCH_CRASH.json"
+    Json.(
+      Obj
+        [ ("schema", String "dynvote-bench-crash/1");
+          ( "cells",
+            List
+              (List.map
+                 (fun (c : Crash_matrix.cell) ->
+                   Obj
+                     [ ("point", String (Crash_matrix.point_name c.Crash_matrix.c_point));
+                       ("fault", String (Storage.fault_name c.Crash_matrix.c_fault));
+                       ( "outcome",
+                         String
+                           (String.make 1 (Crash_matrix.outcome_letter c.Crash_matrix.c_outcome))
+                       );
+                       ("recovery_s", Float c.Crash_matrix.c_recovery);
+                       ("injected", Int c.Crash_matrix.c_injected) ])
+                 cells) );
+          ( "runs",
+            Obj
+              [ ( "healthy",
+                  Obj
+                    (json_goodput healthy @ [ ("safe", Bool healthy.safe) ]
+                    @ json_reads_writes healthy) );
+                ( "degraded",
+                  Obj
+                    (json_goodput degraded
+                    @ [ ("safe", Bool degraded.safe); ("fenced_sites", Int degraded.fenced) ]
+                    @ json_reads_writes degraded) ) ] ) ])
 
 (* ------------------------------------------------------------------ *)
 (* SHARD: the sharded object space at scale.  Per-operation cost of the
@@ -1747,107 +1707,72 @@ let shard_resident_cap = 4096
 let shard_tier_ops = 200_000
 
 let shard_tier ~keys =
-  let dir = Filename.temp_file "dynvote-bench-shard" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
+  let dir = Live.temp_dir "dynvote-bench-shard" in
   let universe = Site_set.universe 4 in
   let store, _info =
     Shard_store.open_store ~durable:false ~dir ~site:0 ~shards:64 ()
   in
   let key = Printf.sprintf "key-%07d" in
-  let t0 = Unix.gettimeofday () in
-  for k = 0 to keys - 1 do
-    Shard_store.commit store ~key:(key k) ~rid:0
-      {
-        Shard_store.op_no = 2;
-        version = 2;
-        partition = universe;
-        data_version = 2;
-        value = Some "seed";
-      }
-  done;
-  let populate_s = Unix.gettimeofday () -. t0 in
+  let (), populate_s =
+    timed (fun () ->
+        for k = 0 to keys - 1 do
+          Shard_store.commit store ~key:(key k) ~rid:0
+            {
+              Shard_store.op_no = 2;
+              version = 2;
+              partition = universe;
+              data_version = 2;
+              value = Some "seed";
+            }
+        done)
+  in
   let map =
     Shard_map.create ~store ~resident:shard_resident_cap ~universe ()
   in
   let zipf = Zipf.create ~n:keys ~s:1.1 in
   let rng = Dynvote_prng.Rng.of_seed 42 in
-  let t0 = Unix.gettimeofday () in
-  for i = 0 to shard_tier_ops - 1 do
-    let k = key (Zipf.sample zipf (Dynvote_prng.Rng.float rng)) in
-    let e = Shard_map.find map k in
-    Shard_map.pin e;
-    if i mod 3 = 0 then begin
-      let r = Shard_map.replica e in
-      Shard_map.set_replica e
-        (Replica.with_commit r ~op_no:(Replica.op_no r + 1)
-           ~version:(Replica.version r + 1) ~partition:universe);
-      Shard_map.set_data_version e (Replica.version (Shard_map.replica e));
-      Shard_map.set_value e (Some "update");
-      Shard_store.commit store ~key:k ~rid:0 (Shard_map.state_of e)
-    end
-    else ignore (Shard_map.value e);
-    Shard_map.unpin e
-  done;
-  let ns_per_op =
-    1e9 *. (Unix.gettimeofday () -. t0) /. float_of_int shard_tier_ops
+  let (), mix_s =
+    timed (fun () ->
+        for i = 0 to shard_tier_ops - 1 do
+          let k = key (Zipf.sample zipf (Dynvote_prng.Rng.float rng)) in
+          let e = Shard_map.find map k in
+          Shard_map.pin e;
+          if i mod 3 = 0 then begin
+            let r = Shard_map.replica e in
+            Shard_map.set_replica e
+              (Replica.with_commit r ~op_no:(Replica.op_no r + 1)
+                 ~version:(Replica.version r + 1) ~partition:universe);
+            Shard_map.set_data_version e (Replica.version (Shard_map.replica e));
+            Shard_map.set_value e (Some "update");
+            Shard_store.commit store ~key:k ~rid:0 (Shard_map.state_of e)
+          end
+          else ignore (Shard_map.value e);
+          Shard_map.unpin e
+        done)
   in
   let tier =
     {
       t_keys = keys;
       t_populate_s = populate_s;
-      t_ns_per_op = ns_per_op;
+      t_ns_per_op = 1e9 *. mix_s /. float_of_int shard_tier_ops;
       t_materialized = Shard_map.materializations map;
       t_evicted = Shard_map.evictions map;
     }
   in
   Shard_store.close store;
+  Live.remove_dir dir;
   tier
 
 (* The live side: a sharded pipelined cluster under a skewed client herd
    funnelled at one coordinator, so scheduler bursts carry many keys
    and the group path locks them in one wire round. *)
-let shard_live_run () =
-  let dir = Filename.temp_file "dynvote-bench-shardlive" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  let config =
-    {
-      Dynvote_live.Node.default_config with
-      Dynvote_live.Node.gather_timeout = 0.05;
-      lock_backoff = 0.02;
-      durable = false;
-      pipeline = 8;
-      max_reuse = 64;
-      shards = 64;
-      resident = shard_resident_cap;
-    }
-  in
-  let cluster =
-    Live.create ~config ~obs:(Hub.create ()) ~universe:(Site_set.universe 4)
-      ~dir ()
-  in
-  let result =
-    Loadgen.run cluster
-      {
-        Loadgen.default with
-        Loadgen.clients = 32;
-        duration = 2.0;
-        seed = 11;
-        keys = 512;
-        zipf = 1.1;
-        sites = Some (Site_set.singleton 1);
-      }
-  in
-  let audit = Live.check cluster in
-  let m = (Live.obs cluster).Hub.metrics in
-  let batch = hist_summary m "live.shard.group.batch" in
-  Live.shutdown cluster;
-  let safe =
-    Dynvote_chaos.Oracle.is_safe audit.Live.oracle
-    && audit.Live.kviolations = [] && audit.Live.dup_applies = 0
-  in
-  (result, safe, audit.Live.keys, batch)
+let shard_load =
+  { load with
+    Loadgen.clients = 32;
+    duration = 2.0;
+    keys = 512;
+    zipf = 1.1;
+    sites = Some (Site_set.singleton 1) }
 
 let shard_bench () =
   section "SHARD"
@@ -1889,51 +1814,50 @@ let shard_bench () =
      1000x larger may cost at most 2x per op)@.gate: %s@.@."
     ratio
     (if gate then "PASS" else "FAIL");
-  let live_r, live_safe, live_keys, batch = shard_live_run () in
-  Fmt.pr "[group quorums] audit %s  %d keys audited@.@[<v>%a@]@."
-    (if live_safe then "SAFE" else "UNSAFE")
-    live_keys Loadgen.pp_result live_r;
+  let live =
+    live_run
+      ~config:
+        { loopback with
+          Live_node.pipeline = 8;
+          max_reuse = 64;
+          shards = 64;
+          resident = shard_resident_cap }
+      shard_load
+  in
+  let batch = histogram live "live.shard.group.batch" in
+  Fmt.pr "[group quorums] audit %s  %d keys audited@.@[<v>%a@]@." (verdict live)
+    live.audit.Live.keys Loadgen.pp_result live.result;
   Fmt.pr
     "group path: %d lock rounds, %.2f keys per round (max %.0f) — the\n\
      batching the per-key protocol buys back@."
-    batch.hs_n batch.hs_mean batch.hs_max;
-  (tiers, (ratio, gate), (live_r, live_safe, live_keys, batch))
-
-let write_bench_shard ~path
-    (tiers, (ratio, gate), ((live_r : Loadgen.result), live_safe, live_keys, batch)) =
-  let b = Buffer.create 1024 in
-  let fl v = if Float.is_finite v then Printf.sprintf "%.6g" v else "null" in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"schema\":\"dynvote-bench-shard/1\",\"resident_cap\":%d,\"ops_per_tier\":%d,\"tiers\":["
-       shard_resident_cap shard_tier_ops);
-  List.iteri
-    (fun i t ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"keys\":%d,\"populate_s\":%s,\"ns_per_op\":%s,\"materialized\":%d,\"evicted\":%d}"
-           t.t_keys (fl t.t_populate_s) (fl t.t_ns_per_op) t.t_materialized
-           t.t_evicted))
-    tiers;
-  Buffer.add_string b
-    (Printf.sprintf
-       "],\"gate\":{\"ratio_1m_over_1k\":%s,\"ceiling\":2.0,\"verdict\":\"%s\"},"
-       (fl ratio)
-       (if gate then "pass" else "fail"));
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"live\":{\"clients\":32,\"keys\":512,\"zipf\":1.1,\"goodput\":%s,\"half_width\":%s,\"safe\":%b,\"keys_audited\":%d,\"hotset_distinct\":%d,\"hotset_top_share\":%s,\"group_batch\":{\"n\":%d,\"mean\":%s,\"max\":%s}}}"
-       (fl live_r.Loadgen.goodput.Batch_means.mean)
-       (fl live_r.Loadgen.goodput.Batch_means.half_width)
-       live_safe live_keys live_r.Loadgen.hotset.Loadgen.distinct
-       (fl live_r.Loadgen.hotset.Loadgen.top_share)
-       batch.hs_n (fl batch.hs_mean) (fl batch.hs_max));
-  let oc = open_out path in
-  output_string oc (Buffer.contents b);
-  output_char oc '\n';
-  close_out oc;
-  Fmt.pr "wrote %s@." path
+    batch.Obs_metrics.h_count batch.Obs_metrics.h_mean batch.Obs_metrics.h_max;
+  write_bench "BENCH_SHARD.json"
+    Json.(
+      Obj
+        [ ("schema", String "dynvote-bench-shard/1"); ("resident_cap", Int shard_resident_cap);
+          ("ops_per_tier", Int shard_tier_ops);
+          ( "tiers",
+            List
+              (List.map
+                 (fun t ->
+                   Obj
+                     [ ("keys", Int t.t_keys); ("populate_s", Float t.t_populate_s);
+                       ("ns_per_op", Float t.t_ns_per_op);
+                       ("materialized", Int t.t_materialized); ("evicted", Int t.t_evicted) ])
+                 tiers) );
+          ( "gate",
+            Obj
+              [ ("ratio_1m_over_1k", Float ratio); ("ceiling", Float 2.0);
+                ("verdict", String (if gate then "pass" else "fail")) ] );
+          ( "live",
+            Obj
+              ([ ("clients", Int shard_load.Loadgen.clients);
+                 ("keys", Int shard_load.Loadgen.keys); ("zipf", Float shard_load.Loadgen.zipf) ]
+              @ json_goodput live
+              @ [ ("safe", Bool live.safe); ("keys_audited", Int live.audit.Live.keys);
+                  ("hotset_distinct", Int live.result.Loadgen.hotset.Loadgen.distinct);
+                  ("hotset_top_share", Float live.result.Loadgen.hotset.Loadgen.top_share);
+                  ("group_batch", json_histogram batch) ]) ) ])
 
 (* DYNVOTE_BENCH_SECTIONS: a comma-separated allow-list of section
    names (paper, chaos, mc, par, serve, crash, shard, micro); unset or
@@ -1973,16 +1897,10 @@ let () =
     let serve_results = serve () in
     let sweep_results = serve_sweep () in
     let obs_results = obs_bench () in
-    write_bench_serve ~path:"BENCH_SERVE.json" serve_results sweep_results
-      obs_results
+    write_bench "BENCH_SERVE.json"
+      (bench_serve_json serve_results sweep_results obs_results)
   end;
-  if section_wanted "crash" then begin
-    let crash_results = crash_bench () in
-    write_bench_crash ~path:"BENCH_CRASH.json" crash_results
-  end;
-  if section_wanted "shard" then begin
-    let shard_results = shard_bench () in
-    write_bench_shard ~path:"BENCH_SHARD.json" shard_results
-  end;
+  if section_wanted "crash" then crash_bench ();
+  if section_wanted "shard" then shard_bench ();
   if section_wanted "micro" then micro ();
   Fmt.pr "@.done.@."

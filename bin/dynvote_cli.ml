@@ -489,14 +489,6 @@ let mc_cmd =
     Arg.(value & opt int 1_000_000
          & info [ "max-states" ] ~docv:"K" ~doc:"Seen-state table budget.")
   in
-  let symmetry_arg =
-    let parse = Arg.enum [ ("auto", None); ("on", Some true); ("off", Some false) ] in
-    Arg.(value & opt parse None
-         & info [ "symmetry" ] ~docv:"auto|on|off"
-             ~doc:"Within-segment site-relabeling reduction.  'auto' (default) \
-                   enables it exactly for flavors without the lexicographic \
-                   tie-break, where relabeling is a sound symmetry.")
-  in
   let full_arg =
     Arg.(value & flag
          & info [ "full" ]
@@ -521,8 +513,7 @@ let mc_cmd =
                    job the work-stealing frontier's per-worker counters, on \
                    stderr.")
   in
-  let run policy_text sites segments_text depth max_states symmetry por full verbose
-      jobs =
+  let run policy_text sites segments_text depth max_states por full verbose jobs =
     if sites < 2 || sites > 16 then begin
       Fmt.epr "dynvote: mc needs 2..16 sites@.";
       exit 2
@@ -578,12 +569,12 @@ let mc_cmd =
     let exit_code = ref 0 in
     List.iter
       (fun (p : Harness.policy) ->
-        let t0 = Sys.time () in
+        let t0 = Dynvote_obs.Clock.now () in
         let report =
-          Checker.check ~space ?symmetry ~por ~max_states ?progress
+          Checker.check ~space ~por ~max_states ?progress
             ~jobs:(resolve_jobs jobs) ~policy:p ~depth config
         in
-        let elapsed = Sys.time () -. t0 in
+        let elapsed = Dynvote_obs.Clock.now () -. t0 in
         Fmt.pr "@[<v>%a@,  %a@]@." Report.pp report Report.pp_expectation report;
         Fmt.epr "  (%s: %.1f s, %d transitions)@." p.Harness.name elapsed
           report.Checker.result.Dynvote_mc.Explorer.transitions;
@@ -605,7 +596,7 @@ let mc_cmd =
           exits non-zero if a policy expected safe has a violation (or a replay \
           diverges).")
     Term.(const run $ policy_arg $ sites_arg $ segments_arg $ depth_arg
-          $ max_states_arg $ symmetry_arg $ por_arg $ full_arg
+          $ max_states_arg $ por_arg $ full_arg
           $ verbose_arg $ jobs_arg)
 
 (* Subcommands: serve / loadgen (the live socket-backed service). *)
@@ -693,12 +684,6 @@ let live_config ?(pipeline = 1) ?(max_reuse = 0) ?(shards = 0) ?(resident = 4096
     resident;
   }
 
-let fresh_temp_dir () =
-  let base = Filename.temp_file "dynvote-live" "" in
-  Sys.remove base;
-  Unix.mkdir base 0o700;
-  base
-
 let pp_audit ppf (audit : Live.audit) =
   let violations = Oracle.violations audit.Live.oracle in
   Fmt.pf ppf "audit: %d log records, %d commits, %d reads checked@,"
@@ -720,13 +705,12 @@ let pp_audit ppf (audit : Live.audit) =
   List.iter
     (fun (key, v) -> Fmt.pf ppf "key %S: %a@," key Oracle.pp_violation v)
     audit.Live.kviolations;
-  match (violations, audit.Live.kviolations) with
-  | [], [] ->
-      if audit.Live.dup_applies = 0 then Fmt.pf ppf "audit: SAFE (0 violations)"
-      else Fmt.pf ppf "audit: UNSAFE (duplicate applies)"
-  | vs, kvs ->
-      List.iter (fun v -> Fmt.pf ppf "%a@," Oracle.pp_violation v) vs;
-      Fmt.pf ppf "audit: UNSAFE (%d violations)" (List.length vs + List.length kvs)
+  List.iter (fun v -> Fmt.pf ppf "%a@," Oracle.pp_violation v) violations;
+  if Live.safe audit then Fmt.pf ppf "audit: SAFE (0 violations)"
+  else
+    match List.length violations + List.length audit.Live.kviolations with
+    | 0 -> Fmt.pf ppf "audit: UNSAFE (duplicate applies)"
+    | n -> Fmt.pf ppf "audit: UNSAFE (%d violations)" n
 
 (* The serve console: one command per line, usable both from a script
    and interactively.  Groups are comma-separated sites split by '/'. *)
@@ -900,7 +884,7 @@ let serve_cmd =
   in
   let run sites policy_text buffered pipeline max_reuse shards resident seed dir
       script fault_specs =
-    let dir = match dir with Some d -> d | None -> fresh_temp_dir () in
+    let dir = match dir with Some d -> d | None -> Live.temp_dir "dynvote-live" in
     let universe = Site_set.universe sites in
     (* Every site's storage runs through its own fault-injection
        filesystem (pass-through until a trigger is armed), so the
@@ -1049,13 +1033,7 @@ let loadgen_cmd =
       | None, _ -> 0.0
     in
     let keys = Option.value ~default:16 keys in
-    let dir = fresh_temp_dir () in
     let universe = Site_set.universe sites in
-    let cluster =
-      Live.create ~flavor:(live_flavor policy_text)
-        ~config:(live_config ~pipeline ~max_reuse ~shards ~resident ~buffered ())
-        ~universe ~dir ()
-    in
     let target_sites =
       match site with
       | None -> None
@@ -1065,6 +1043,12 @@ let loadgen_cmd =
             exit 2
           end;
           Some (Site_set.singleton s)
+    in
+    let dir = Live.temp_dir "dynvote-live" in
+    let cluster =
+      Live.create ~flavor:(live_flavor policy_text)
+        ~config:(live_config ~pipeline ~max_reuse ~shards ~resident ~buffered ())
+        ~universe ~dir ()
     in
     let config =
       { Loadgen.clients; duration; write_ratio; keys; zipf; value_bytes; rate;
@@ -1113,11 +1097,10 @@ let loadgen_cmd =
       ||
       let audit = Live.check cluster in
       Fmt.pr "@[<v>%a@]@." pp_audit audit;
-      Oracle.is_safe audit.Live.oracle
-      && audit.Live.dup_applies = 0
-      && audit.Live.kviolations = []
+      Live.safe audit
     in
     Live.shutdown cluster;
+    Live.remove_dir dir;
     if not ok then exit 1
   in
   Cmd.v
@@ -1150,7 +1133,7 @@ let stats_cmd =
   in
   let run sites policy_text buffered shards resident seed duration json trace_n
       =
-    let dir = fresh_temp_dir () in
+    let dir = Live.temp_dir "dynvote-live" in
     let universe = Site_set.universe sites in
     let cluster =
       Live.create ~flavor:(live_flavor policy_text)
@@ -1165,6 +1148,7 @@ let stats_cmd =
     let recorded = Obs_trace.recorded hub.Obs_hub.trace in
     let dropped = Obs_trace.dropped hub.Obs_hub.trace in
     Live.shutdown cluster;
+    Live.remove_dir dir;
     if json then print_endline (Obs_metrics.snapshot_to_json snap)
     else begin
       Fmt.pr "%a" Obs_metrics.pp_snapshot snap;
@@ -1266,10 +1250,15 @@ let crashmat_cmd =
           if soak then Storage_fault.all_faults
           else [ Storage_fault.Eio; Storage_fault.Fsync_lie; Storage_fault.Crash ]
     in
-    let dir = match dir with Some d -> d | None -> fresh_temp_dir () in
+    let dir, scratch =
+      match dir with
+      | Some d -> (d, false)
+      | None -> (Live.temp_dir "dynvote-live", true)
+    in
     let cells =
       Crash_matrix.run ~jobs:(resolve_jobs jobs) ~seed ~faults ~points ~dir ()
     in
+    if scratch then Live.remove_dir dir;
     Fmt.pr "%a@." Crash_matrix.pp_table cells;
     if List.exists (fun c -> not (Crash_matrix.ok c.Crash_matrix.c_outcome)) cells
     then exit 1

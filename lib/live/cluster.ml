@@ -434,6 +434,24 @@ let check t =
   quiesce t;
   check_dir ~universe:t.universe ~dir:t.dir
 
+let safe a = Oracle.is_safe a.oracle && a.kviolations = [] && a.dup_applies = 0
+
+(* --- state directories ---------------------------------------------- *)
+
+let temp_dir prefix =
+  let dir = Filename.temp_file prefix "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  dir
+
+let rec remove_dir path =
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+      Array.iter (fun e -> remove_dir (Filename.concat path e)) (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Sys.remove path
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+
 let shutdown t =
   Switchboard.shutdown t.sw;
   Site_set.iter (fun site -> join_thread t site) t.universe;

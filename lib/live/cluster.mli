@@ -181,7 +181,22 @@ val check : t -> audit
 
 val check_dir : universe:Site_set.t -> dir:string -> audit
 (** The same audit against a directory with no cluster running — what
-    [dynvote loadgen --check] uses after the service stopped. *)
+    the crash-point matrix grades a cell by after its cluster stopped. *)
+
+val safe : audit -> bool
+(** The one verdict over an audit: the one-object oracle is safe, no
+    key has a violation and no request was applied twice. *)
+
+(** {2 State directories} *)
+
+val temp_dir : string -> string
+(** [temp_dir prefix] creates a fresh, empty directory named after
+    [prefix] under the temporary-file directory ([TMPDIR]) and returns
+    its path. *)
+
+val remove_dir : string -> unit
+(** Remove a directory and everything under it (symbolic links are
+    removed, not followed); a missing path is not an error. *)
 
 (** {2 Shutdown} *)
 

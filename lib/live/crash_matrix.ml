@@ -82,7 +82,6 @@ let cell_config =
   {
     Node.default_config with
     Node.gather_timeout = 0.05;
-    retries = 1;
     backoff = 1.5;
     lock_lease = 1.0;
     lock_retries = 8;
@@ -140,14 +139,16 @@ let run_cell ~dir ~seed point fault =
   Cluster.shutdown cluster;
   let audit = Cluster.check_dir ~universe ~dir:cell_dir in
   let outcome =
-    if not (Oracle.is_safe audit.Cluster.oracle) then
+    if not (Cluster.safe audit) then
       Corrupt
-        (Printf.sprintf "oracle: %d violation(s)"
-           (List.length (Oracle.violations audit.Cluster.oracle)))
-    else if audit.Cluster.dup_applies > 0 then
-      Corrupt
-        (Printf.sprintf "%d request(s) applied more than once"
-           audit.Cluster.dup_applies)
+        (match
+           List.length (Oracle.violations audit.Cluster.oracle)
+           + List.length audit.Cluster.kviolations
+         with
+        | 0 ->
+            Printf.sprintf "%d request(s) applied more than once"
+              audit.Cluster.dup_applies
+        | n -> Printf.sprintf "oracle: %d violation(s)" n)
     else if audit.Cluster.corrupt > 0 && verdict.Cluster.status = Wire.Granted
     then
       (* Mid-log corruption with the victim still acking writes: the

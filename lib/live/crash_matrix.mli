@@ -47,8 +47,10 @@ type outcome =
           safe, and visible to clients *)
   | Unavailable of string  (** the healthy majority stopped serving *)
   | Corrupt of string
-      (** the post-run audit found an oracle violation, a double-applied
-          request, or mid-log damage the victim kept serving through *)
+      (** the post-run audit is unsafe ({!Cluster.safe}: an oracle
+          violation, of the one object or of a key, or a double-applied
+          request), or found mid-log damage the victim kept serving
+          through *)
 
 val outcome_letter : outcome -> char
 (** [R]/[F]/[U]/[C]. *)

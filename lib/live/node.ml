@@ -57,7 +57,6 @@ module Shard_map = Dynvote_shard.Shard_map
 
 type config = {
   gather_timeout : float;
-  retries : int;
   backoff : float;
   lock_lease : float;
   lock_retries : int;
@@ -73,10 +72,13 @@ type config = {
   resident : int;  (* LRU residency cap of the per-key object map *)
 }
 
+(* A gather or a data fetch re-asks a silent site once before it gives
+   up on it. *)
+let retries = 1
+
 let default_config =
   {
     gather_timeout = 0.2;
-    retries = 1;
     backoff = 2.0;
     lock_lease = 2.0;
     lock_retries = 8;
@@ -899,7 +901,7 @@ let gather t keys =
           | None -> ()
       in
       collect ();
-      if n < t.config.retries then attempt (n + 1) (patience *. t.config.backoff)
+      if n < retries then attempt (n + 1) (patience *. t.config.backoff)
     end
   in
   attempt 0 t.config.gather_timeout;
@@ -945,7 +947,7 @@ let gather t keys =
 let fetch t ~key ~entry ~sources ~want_version =
   let sources = Site_set.to_list sources in
   let n_sources = List.length sources in
-  let attempts = max t.config.retries (n_sources - 1) in
+  let attempts = max retries (n_sources - 1) in
   let rec attempt n patience =
     if n > attempts then false
     else begin

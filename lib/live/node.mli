@@ -20,8 +20,9 @@
     deadlock. *)
 
 type config = {
-  gather_timeout : float;  (** seconds to wait per gather round *)
-  retries : int;  (** re-ask silent sites this many times *)
+  gather_timeout : float;
+      (** seconds to wait per gather round; silent sites are re-asked
+          once, with the patience multiplied by [backoff] *)
   backoff : float;  (** patience multiplier per retry, >= 1 *)
   lock_lease : float;
       (** seconds before an abandoned volatile lock self-releases (a

@@ -41,7 +41,6 @@ type report = {
 
 val check :
   ?space:Space.t ->
-  ?symmetry:bool ->
   ?por:bool ->
   ?max_states:int ->
   ?progress:(depth:int -> distinct:int -> transitions:int -> unit) ->
@@ -50,9 +49,10 @@ val check :
   depth:int ->
   Dynvote_chaos.Harness.config ->
   report
-(** Explore [config] (its flavor replaced by the policy's) to [depth].
-    [jobs] is passed to {!Explorer.search}; verdicts are independent of
-    it. *)
+(** Explore [config] (its flavor replaced by the policy's) to [depth],
+    with the symmetry reduction {!Explorer.search} derives from the
+    flavor.  [jobs] is passed to {!Explorer.search}; verdicts are
+    independent of it. *)
 
 val verdict_ok : report -> bool
 (** Acceptable result: clean or inconclusive, or a counterexample that

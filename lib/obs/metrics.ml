@@ -248,70 +248,25 @@ let pp_snapshot ppf s =
     s.histograms;
   Fmt.pf ppf "@]"
 
-(* Hand-rolled JSON: names are plain identifiers but escape defensively;
-   JSON has no NaN/inf, those become null. *)
-let json_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
-let json_float b v =
-  if Float.is_finite v then Buffer.add_string b (Printf.sprintf "%.9g" v)
-  else Buffer.add_string b "null"
-
-let json_fields b fields =
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (k, emit) ->
-      if i > 0 then Buffer.add_char b ',';
-      json_string b k;
-      Buffer.add_char b ':';
-      emit b)
-    fields;
-  Buffer.add_char b '}'
-
 let snapshot_to_json s =
-  let b = Buffer.create 1024 in
-  json_fields b
-    [
-      ( "counters",
-        fun b ->
-          json_fields b
-            (List.map
-               (fun (k, v) ->
-                 (k, fun b -> Buffer.add_string b (string_of_int v)))
-               s.counters) );
-      ( "gauges",
-        fun b ->
-          json_fields b
-            (List.map (fun (k, v) -> (k, fun b -> json_float b v)) s.gauges) );
-      ( "histograms",
-        fun b ->
-          json_fields b
-            (List.map
-               (fun (k, h) ->
-                 ( k,
-                   fun b ->
-                     json_fields b
-                       [
-                         ( "count",
-                           fun b ->
-                             Buffer.add_string b (string_of_int h.h_count) );
-                         ("mean", fun b -> json_float b h.h_mean);
-                         ("p50", fun b -> json_float b h.h_p50);
-                         ("p95", fun b -> json_float b h.h_p95);
-                         ("p99", fun b -> json_float b h.h_p99);
-                         ("max", fun b -> json_float b h.h_max);
-                       ] ))
-               s.histograms) );
-    ];
-  Buffer.contents b
+  let module Json = Dynvote_report.Json in
+  let section f items = Json.Obj (List.map (fun (k, v) -> (k, f v)) items) in
+  Json.to_string
+    (Json.Obj
+       [
+         ("counters", section (fun v -> Json.Int v) s.counters);
+         ("gauges", section (fun v -> Json.Float v) s.gauges);
+         ( "histograms",
+           section
+             (fun h ->
+               Json.Obj
+                 [
+                   ("count", Json.Int h.h_count);
+                   ("mean", Json.Float h.h_mean);
+                   ("p50", Json.Float h.h_p50);
+                   ("p95", Json.Float h.h_p95);
+                   ("p99", Json.Float h.h_p99);
+                   ("max", Json.Float h.h_max);
+                 ])
+             s.histograms );
+       ])

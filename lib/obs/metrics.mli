@@ -90,4 +90,5 @@ val pp_snapshot : Format.formatter -> snapshot -> unit
 (** Human-readable table. *)
 
 val snapshot_to_json : snapshot -> string
-(** Machine-readable snapshot; non-finite floats become [null]. *)
+(** Machine-readable snapshot, printed by {!Dynvote_report.Json}
+    (non-finite floats become [null]). *)

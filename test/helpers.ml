@@ -41,3 +41,8 @@ let close_rel ~rel expected actual =
 
 let qcheck_case ?(count = 200) ~name arb law =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb law)
+
+(* A fresh temp directory for [f], removed afterwards whatever [f] does. *)
+let with_scratch f =
+  let dir = Dynvote_live.Cluster.temp_dir "dynvote-test" in
+  Fun.protect ~finally:(fun () -> Dynvote_live.Cluster.remove_dir dir) (fun () -> f dir)

@@ -5,6 +5,8 @@
    retries, the slow-loris wire guard, and a slice of the crash-point
    recovery matrix. *)
 
+open Helpers
+
 module Wire = Dynvote_live.Wire
 module Evconn = Dynvote_live.Evconn
 module Persist = Dynvote_live.Persist
@@ -19,28 +21,6 @@ module Hub = Dynvote_obs.Hub
 module Metrics = Dynvote_obs.Metrics
 
 let ss = Site_set.of_list
-
-(* --- scratch directories -------------------------------------------- *)
-
-let scratch_counter = ref 0
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Unix.rmdir path
-  | _ -> Sys.remove path
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
-let with_scratch f =
-  incr scratch_counter;
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "dynvote-crash-%d-%d" (Unix.getpid ()) !scratch_counter)
-  in
-  rm_rf dir;
-  Unix.mkdir dir 0o755;
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 

@@ -23,28 +23,6 @@ module Trace = Dynvote_obs.Trace
 module Manual = Dynvote_obs.Clock.Manual
 module Oracle = Dynvote_chaos.Oracle
 
-(* --- scratch directories -------------------------------------------- *)
-
-let scratch_counter = ref 0
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Unix.rmdir path
-  | _ -> Sys.remove path
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
-let with_scratch f =
-  incr scratch_counter;
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "dynvote-evloop-%d-%d" (Unix.getpid ()) !scratch_counter)
-  in
-  rm_rf dir;
-  Unix.mkdir dir 0o755;
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
-
 (* --- fixtures -------------------------------------------------------- *)
 
 let sample_envelopes : Wire.envelope list =
@@ -506,7 +484,6 @@ let test_pipelined_rounds_in_flight () =
   let pipelined_config =
     {
       Node.gather_timeout = 0.05;
-      retries = 1;
       backoff = 2.0;
       lock_lease = 1.0;
       lock_retries = 6;

@@ -17,35 +17,12 @@ module Clock = Dynvote_obs.Clock
 module Metrics = Dynvote_obs.Metrics
 module Hub = Dynvote_obs.Hub
 
-(* --- scratch directories ------------------------------------------- *)
-
-let scratch_counter = ref 0
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Unix.rmdir path
-  | _ -> Sys.remove path
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
-let with_scratch f =
-  incr scratch_counter;
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "dynvote-live-%d-%d" (Unix.getpid ()) !scratch_counter)
-  in
-  rm_rf dir;
-  Unix.mkdir dir 0o755;
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
-
 (* Fast timeouts: tests partition and kill constantly, and every denied
    operation pays the full gather patience.  No fsync — kills here are
    socket severs, not power cuts. *)
 let test_config =
   {
     Node.gather_timeout = 0.05;
-    retries = 1;
     backoff = 2.0;
     lock_lease = 1.0;
     lock_retries = 6;
@@ -475,7 +452,7 @@ let test_amnesia_recovery () =
       (* Lose the stable record: the restarted node must come up
          amnesiac — silent, refusing to coordinate — not guessing the
          initial state for an object it has voted on. *)
-      rm_rf (Dynvote_shard.Shard_store.shards_dir ~dir:(Live.dir cluster) ~site:2);
+      Live.remove_dir (Dynvote_shard.Shard_store.shards_dir ~dir:(Live.dir cluster) ~site:2);
       Live.restart cluster 2;
       let r = Live.get c ~at:2 ~key:"a" in
       check_status "amnesiac refuses to coordinate" Wire.Denied r;
@@ -720,6 +697,32 @@ let test_soak () =
           check_clean "soak" audit;
           Alcotest.(check int) "soak: no double applies" 0 audit.Live.dup_applies)
 
+(* One verdict over an audit (Live.safe), for the CLI, the bench and the
+   crash matrix alike: the one-object oracle, every key's oracle and
+   exactly-once must all hold. *)
+let test_audit_verdict () =
+  let clean =
+    {
+      Live.oracle = Oracle.create ~initial_content:"";
+      torn = Site_set.empty;
+      corrupt = 0;
+      dup_applies = 0;
+      records = 0;
+      keys = 1;
+      kviolations = [];
+    }
+  in
+  Alcotest.(check bool) "clean audit" true (Live.safe clean);
+  Alcotest.(check bool) "one keyed violation" false
+    (Live.safe
+       {
+         clean with
+         Live.kviolations =
+           [ ("k", Oracle.Non_monotone_op { site = 0; before = 2; after = 1 }) ];
+       });
+  Alcotest.(check bool) "one duplicate apply" false
+    (Live.safe { clean with Live.dup_applies = 1 })
+
 let suite =
   [
     Alcotest.test_case "wire round trip" `Quick test_wire_roundtrip;
@@ -748,5 +751,6 @@ let suite =
       test_loadgen_coordinator_killed;
     Alcotest.test_case "put larger than the queue bound" `Quick
       test_put_larger_than_queue_bound;
+    Alcotest.test_case "one audit verdict" `Quick test_audit_verdict;
     Alcotest.test_case "soak (DYNVOTE_LIVE_SOAK)" `Slow test_soak;
   ]

@@ -1,4 +1,4 @@
-(* Text tables and formatting helpers. *)
+(* Text tables, CSV, plots and the JSON printer. *)
 
 module Text_table = Dynvote_report.Text_table
 
@@ -110,6 +110,60 @@ let test_plot_validation () =
         (Ascii_plot.render ~width:2 ~height:2
            [ { Ascii_plot.label = "x"; points = [ (0.0, 0.0) ] } ]))
 
+module Json = Dynvote_report.Json
+
+let test_json_escaping () =
+  Alcotest.(check string) "quote, backslash, newline, control bytes"
+    {|"a\"b\\c\nd\u0001\u001f\u0009"|}
+    (Json.to_string (Json.String "a\"b\\c\nd\001\031\t"));
+  Alcotest.(check string) "keys escape too" {|{"k\"":1}|}
+    (Json.to_string (Json.Obj [ ("k\"", Json.Int 1) ]))
+
+let test_json_floats () =
+  Alcotest.(check string) "non-finite is null" "[null,null,null,0.5,3,1.23456789e-07]"
+    (Json.to_string
+       (Json.List
+          [ Json.Float Float.nan; Json.Float Float.infinity;
+            Json.Float Float.neg_infinity; Json.Float 0.5; Json.Float 3.0;
+            Json.Float 1.23456789e-7 ]))
+
+let test_json_structure () =
+  Alcotest.(check string) "key order kept, nested lists"
+    {|{"z":[],"a":[[1,true],[null,"x"]],"m":{"b":false,"a":-2}}|}
+    (Json.to_string
+       (Json.Obj
+          [ ("z", Json.List []);
+            ( "a",
+              Json.List
+                [ Json.List [ Json.Int 1; Json.Bool true ];
+                  Json.List [ Json.Null; Json.String "x" ] ] );
+            ("m", Json.Obj [ ("b", Json.Bool false); ("a", Json.Int (-2)) ]) ]))
+
+(* [Metrics.snapshot_to_json] on a fixed registry: escaped names, an
+   integral and a non-finite gauge, a populated and an empty histogram.
+   The bytes are what [stats --json] prints. *)
+module Metrics = Dynvote_obs.Metrics
+
+let test_snapshot_json () =
+  let m = Metrics.create () in
+  Metrics.add (Metrics.counter m "live.op.granted") 7;
+  Metrics.incr (Metrics.counter m "odd \"name\"\n");
+  Metrics.set_gauge (Metrics.gauge m "ratio") 0.125;
+  Metrics.set_gauge (Metrics.gauge m "whole") 3.0;
+  Metrics.set_gauge (Metrics.gauge m "undefined") Float.nan;
+  let h = Metrics.histogram m "op.seconds" in
+  List.iter (Metrics.observe h) [ 0.001; 0.0025; 0.004; 0.5 ];
+  ignore (Metrics.histogram m "empty.seconds" : Metrics.histogram);
+  Alcotest.(check string) "pinned bytes"
+    (String.concat ""
+       [ "{\"counters\":{\"live.op.granted\":7,\"odd \\\"name\\\"\\n\":1},";
+         "\"gauges\":{\"ratio\":0.125,\"undefined\":null,\"whole\":3},";
+         "\"histograms\":{\"empty.seconds\":{\"count\":0,\"mean\":null,";
+         "\"p50\":null,\"p95\":null,\"p99\":null,\"max\":null},";
+         "\"op.seconds\":{\"count\":4,\"mean\":0.126875,\"p50\":0.00254829675,";
+         "\"p95\":0.523299115,\"p99\":0.523299115,\"max\":0.5}}}" ])
+    (Metrics.snapshot_to_json (Metrics.snapshot m))
+
 let suite =
   [
     Alcotest.test_case "render" `Quick test_render;
@@ -123,4 +177,8 @@ let suite =
     Alcotest.test_case "plot render" `Quick test_plot_render;
     Alcotest.test_case "plot log scale" `Quick test_plot_log_scale;
     Alcotest.test_case "plot validation" `Quick test_plot_validation;
+    Alcotest.test_case "json escaping" `Quick test_json_escaping;
+    Alcotest.test_case "json non-finite floats" `Quick test_json_floats;
+    Alcotest.test_case "json key order and nesting" `Quick test_json_structure;
+    Alcotest.test_case "metrics snapshot json" `Quick test_snapshot_json;
   ]

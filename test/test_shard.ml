@@ -18,28 +18,6 @@ module Rng = Dynvote_prng.Rng
 
 let u4 = ss [ 0; 1; 2; 3 ]
 
-(* --- scratch directories (same discipline as the live suite) -------- *)
-
-let scratch_counter = ref 0
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Unix.rmdir path
-  | _ -> Sys.remove path
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
-let with_scratch f =
-  incr scratch_counter;
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "dynvote-shard-%d-%d" (Unix.getpid ()) !scratch_counter)
-  in
-  rm_rf dir;
-  Unix.mkdir dir 0o755;
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
-
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let write_file path content =
@@ -433,7 +411,6 @@ let test_map_validation () =
 let shard_config =
   {
     Node.gather_timeout = 0.05;
-    retries = 1;
     backoff = 2.0;
     lock_lease = 1.0;
     lock_retries = 6;
@@ -564,7 +541,7 @@ let test_live_amnesia () =
       (* The whole shard directory evaporates: the restarted site must
          know it knows nothing — a guessed ensemble could vote a stale
          partition into a quorum. *)
-      rm_rf (Shard_store.shards_dir ~dir:(Live.dir cluster) ~site:1);
+      Live.remove_dir (Shard_store.shards_dir ~dir:(Live.dir cluster) ~site:1);
       Live.restart cluster 1;
       let r = Live.get c ~at:1 ~key:"a" in
       check_status "amnesiac site refuses to coordinate" Wire.Denied r;
