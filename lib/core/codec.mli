@@ -117,6 +117,12 @@ val site_set : cursor -> Site_set.t
 (** A u64 mask; bits outside the [Site_set.max_sites] universe are
     rejected. *)
 
+val replica : cursor -> Replica.t
+(** A {!encoded_size}-byte stable record, decoded in place.
+    @raise Corrupt ["truncated"] when the frame is short, and
+    ["bad replica: "] followed by {!decode_replica}'s reason when the
+    record is bad. *)
+
 val pairs : cursor -> (int * int) list
 
 (** {2 Log scan} *)

@@ -40,46 +40,23 @@ let degraded t site =
   | None -> None
   | Some node -> Node.degraded node
 
-let spawn t site ~was_restarted =
+let boot t site ~was_restarted =
   let node =
     Node.boot ~site ~universe:t.universe ~flavor:t.flavor
       ~segment_of:t.segment_of ~config:t.config ~obs:t.hub ~dir:t.dir
       ~vfs:(t.vfs_of site) ~next_seq:t.next_seq ~port:(Switchboard.port t.sw)
       ~was_restarted ()
   in
-  Hashtbl.replace t.nodes site node;
-  Hashtbl.replace t.threads site (Thread.create Node.serve node)
+  Hashtbl.replace t.nodes site node
+
+let serve t site =
+  Hashtbl.replace t.threads site (Thread.create Node.serve (Hashtbl.find t.nodes site))
 
 let create ?(flavor = Decision.ldv_flavor) ?(segment_of = fun s -> s)
     ?(config = Node.default_config) ?(client_timeout = 10.0)
     ?(obs = Hub.create ()) ?(vfs_of = fun _ -> Vfs.real) ~universe ~dir () =
-  (* Resuming over old logs: the global stamp must keep growing, or the
-     merged replay would interleave the incarnations.  Client endpoint
-     ids must not be recycled either — the persisted dedup tables are
-     keyed by them, so a fresh client under a reused id would see its
-     first writes acknowledged as duplicates of the previous
-     incarnation's.  The oplogs are one source of seen ids; the booted
-     nodes' tables (below) are the other. *)
-  let seq0, client0 =
-    Site_set.fold
-      (fun site acc ->
-        let scan =
-          Persist.scan_log ~path:(Persist.oplog_path ~dir site)
-            (fun (seq, client) r ->
-              let rid =
-                match r with
-                | Persist.Log_kcommit { rid; _ } | Persist.Log_koutcome { rid; _ } -> rid
-                | Persist.Log_kintent _ -> 0
-              in
-              (max seq (Persist.seq_of r), max client (rid lsr 32)))
-            acc
-        in
-        scan.Codec.folded)
-      universe
-      (0, Wire.first_client_id - 1)
-  in
   let sw = Switchboard.create ~obs ~universe ~segment_of () in
-  let seq = ref seq0 in
+  let seq = ref 0 in
   let seq_mutex = Mutex.create () in
   let next_seq () =
     Mutex.lock seq_mutex;
@@ -105,20 +82,35 @@ let create ?(flavor = Decision.ldv_flavor) ?(segment_of = fun s -> s)
     }
   in
   (* A site with a shards directory restarts from it; one without is new
-     and starts from the paper's initial state. *)
+     and starts from the paper's initial state.  Every site boots before
+     any serves, so the floors below are read before the first stamp or
+     client id is handed out. *)
   Site_set.iter
     (fun site ->
       let existed = Sys.file_exists (Shard_store.shards_dir ~dir ~site) in
       if not existed then Node.seed ~dir ~site ~universe ~config;
-      spawn t site ~was_restarted:existed)
+      boot t site ~was_restarted:existed)
     universe;
-  (* The oplogs are never fsynced but the shard logs are: after a power
-     cut of the whole cluster a client's id may survive only in the
-     applied-request tables the nodes just recovered. *)
-  let seen =
-    Hashtbl.fold (fun _ node acc -> max acc (Node.max_client node)) t.nodes client0
+  (* Resuming over old logs: the global stamp must keep growing, or the
+     merged replay would interleave the incarnations.  Client endpoint
+     ids must not be recycled either — the persisted dedup tables are
+     keyed by them, so a fresh client under a reused id would see its
+     first writes acknowledged as duplicates of the previous
+     incarnation's.  Each node's boot scan of its oplog yields both
+     floors.  The oplogs are never fsynced but the shard logs are:
+     after a power cut of the whole cluster a client's id may survive
+     only in the applied-request tables the nodes just recovered, which
+     {!Node.max_client} covers too. *)
+  let seq0, seen =
+    Hashtbl.fold
+      (fun _ node (seq, client) ->
+        (max seq (Node.max_seq node), max client (Node.max_client node)))
+      t.nodes
+      (0, Wire.first_client_id - 1)
   in
+  seq := seq0;
   Switchboard.reserve_clients sw ~upto:seen;
+  Site_set.iter (serve t) universe;
   t
 
 (* --- fault injection ------------------------------------------------ *)
@@ -144,7 +136,8 @@ let restart t site =
   Switchboard.crash t.sw site;
   join_thread t site;
   Hub.event t.hub (Trace.Restart { site });
-  spawn t site ~was_restarted:true
+  boot t site ~was_restarted:true;
+  serve t site
 
 let kill_async t site = Switchboard.crash t.sw site
 

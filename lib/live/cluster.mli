@@ -20,12 +20,21 @@ val create :
   dir:string ->
   unit ->
   t
-(** Start the switchboard and boot one node thread per site.  A site
-    whose shard logs already exist restarts from them (and is not fresh
-    until its next commit); otherwise it is seeded ({!Node.seed}) with
-    the paper's initial state (o = v = 1, P = universe, an empty store at
-    data version 1).  [client_timeout] (default 10 s) bounds every
-    client call.
+(** Start the switchboard, boot every site, then start one node thread
+    per site.  A site whose shard logs already exist restarts from them
+    (and is not fresh until its next commit); otherwise it is seeded
+    ({!Node.seed}) with the paper's initial state (o = v = 1, P =
+    universe, an empty store at data version 1).  [client_timeout]
+    (default 10 s) bounds every client call.
+
+    Over an old directory the cluster resumes past the previous
+    incarnation: its global stamp starts above every {!Node.max_seq}
+    and its client ids above every {!Node.max_client} — the oplogs'
+    request ids and the recovered applied-request tables, since the
+    oplogs are never fsynced and after a whole-cluster power cut a
+    client's id may survive only in those tables.  Both floors come
+    from each node's one boot scan, read through that site's [vfs_of]
+    filesystem, before any site serves; no log is read twice.
 
     [segment_of] defaults to point-to-point links (each site its own
     segment), so any partition is physically possible.  A coarser map

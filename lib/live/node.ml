@@ -279,6 +279,10 @@ type t = {
   store : Shard_store.t;
   objects : Shard_map.t;
   mutable rids : int IMap.t; (* client -> highest applied write req *)
+  (* The highest stamp and client id in the oplog at boot: the floors a
+     restarted cluster resumes past. *)
+  logged_seq : int;
+  logged_client : int;
   mutable amnesiac : bool;
   mutable fresh : bool;
   mutable degraded : string option; (* Some reason = fenced read-only *)
@@ -336,8 +340,12 @@ let site t = t.site
 let is_amnesiac t = t.amnesiac
 let degraded t = t.degraded
 
+let max_seq t = t.logged_seq
+
 let max_client t =
-  match IMap.max_binding_opt t.rids with Some (client, _) -> client | None -> 0
+  match IMap.max_binding_opt t.rids with
+  | Some (client, _) -> max client t.logged_client
+  | None -> t.logged_client
 
 let set_commit_hook t hook = t.commit_hook <- hook
 
@@ -416,12 +424,20 @@ let boot ~site ~universe ~flavor ~segment_of ~config ~obs ~dir ?(vfs = Vfs.real)
      after it — is damage no crash explains; the history has a hole and
      this site must not present itself as a witness.  A purely torn tail
      (honest crash damage) is cut off by the scan before the log is
-     reopened for append; a corrupt log is left untouched as evidence. *)
+     reopened for append; a corrupt log is left untouched as evidence.
+     The same scan folds the highest stamp and client id the log holds. *)
   let oplog_scan =
     Persist.scan_log ~vfs ~cut_torn_tail:true ~path:(Persist.oplog_path ~dir site)
-      (fun () _ -> ())
-      ()
+      (fun (seq, client) r ->
+        let rid =
+          match r with
+          | Persist.Log_kcommit { rid; _ } | Persist.Log_koutcome { rid; _ } -> rid
+          | Persist.Log_kintent _ -> 0
+        in
+        (max seq (Persist.seq_of r), max client (rid lsr 32)))
+      (0, 0)
   in
+  let logged_seq, logged_client = oplog_scan.Codec.folded in
   let degraded =
     let oplog_corrupt = oplog_scan.Codec.corrupt
     and shard_corrupt = scan.Shard_store.corrupt in
@@ -476,6 +492,8 @@ let boot ~site ~universe ~flavor ~segment_of ~config ~obs ~dir ?(vfs = Vfs.real)
       store;
       objects;
       rids = List.fold_left rid_merge IMap.empty scan.Shard_store.rids;
+      logged_seq;
+      logged_client;
       amnesiac;
       fresh = (not was_restarted) && not amnesiac;
       degraded = None;

@@ -138,10 +138,15 @@ val degraded : t -> string option
     client request with {!Wire.Degraded}.  Cleared only by rebooting the
     site. *)
 
+val max_seq : t -> int
+(** The highest global stamp in this site's oplog at boot (0 for an
+    empty or unreadable log), folded by the boot's one oplog scan. *)
+
 val max_client : t -> int
-(** The highest client id in the node's applied-request table (0 when
-    it is empty) — recovered at boot from the fsynced shard logs and
-    the rid sidecar. *)
+(** The highest client id this node has seen (0 when none): in its
+    applied-request table — recovered at boot from the fsynced shard
+    logs and the rid sidecar — and in the request ids of its oplog at
+    boot, folded by the same scan as {!max_seq}. *)
 
 val set_commit_hook : t -> (sent:int -> total:int -> unit) option -> unit
 (** Fired after each COMMIT send of a wave this node coordinates

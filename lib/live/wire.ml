@@ -181,11 +181,6 @@ let status_field c =
   | 3 -> Degraded
   | _ -> raise (Codec.Corrupt "bad status")
 
-let replica_field c =
-  match Codec.decode_result (Codec.str c Codec.encoded_size) with
-  | Ok replica -> replica
-  | Error reason -> raise (Codec.Corrupt ("bad replica: " ^ reason))
-
 let decode_payload c tag =
   match tag with
   | 0 -> Hello_site { site = Codec.u16 c }
@@ -224,7 +219,7 @@ let decode_payload c tag =
       let states =
         List.init n (fun _ ->
             let k = Codec.key c in
-            (k, replica_field c))
+            (k, Codec.replica c))
       in
       KState_reply { round; fresh; states }
   | 20 ->

@@ -51,19 +51,38 @@ let shard_of_key ~shards key =
    (allocation of the state record and Site_set) happens only for the
    LRU-resident working set in {!Shard_map}. *)
 
-let pack st =
-  let vlen = match st.value with None -> 0 | Some v -> String.length v in
-  let b = Bytes.create (33 + vlen) in
+let set_fields b st =
   Bytes.set_int64_le b 0 (Int64.of_int st.op_no);
   Bytes.set_int64_le b 8 (Int64.of_int st.version);
   Bytes.set_int64_le b 16 (Int64.of_int (Site_set.to_int st.partition));
-  Bytes.set_int64_le b 24 (Int64.of_int st.data_version);
+  Bytes.set_int64_le b 24 (Int64.of_int st.data_version)
+
+let pack st =
+  let vlen = match st.value with None -> 0 | Some v -> String.length v in
+  let b = Bytes.create (33 + vlen) in
+  set_fields b st;
   (match st.value with
   | None -> Bytes.set b 32 '\001'
   | Some v ->
       Bytes.set b 32 '\002';
       Bytes.blit_string v 0 b 33 vlen);
   Bytes.unsafe_to_string b
+
+(* [prior]'s value under [st]'s four fields: one copy of the packed
+   bytes, nothing unpacked. *)
+let repack prior st =
+  let b = Bytes.of_string prior in
+  set_fields b st;
+  Bytes.unsafe_to_string b
+
+(* Whether two packed entries hold the same value: their tags and value
+   bytes, compared in place. *)
+let same_value a b =
+  let n = String.length a in
+  let rec from i =
+    i = n || (String.unsafe_get a i = String.unsafe_get b i && from (i + 1))
+  in
+  n = String.length b && from 32
 
 let unpack packed =
   let b = Bytes.unsafe_of_string packed in
@@ -193,20 +212,20 @@ let merge_rid_pairs rids pairs =
     pairs
 
 (* Fold one intact shard-log record into the spine, resolving an
-   "unchanged" value against the key's previous record; counts the state
-   records for the compaction trigger. *)
+   "unchanged" value against the key's previous record by repacking its
+   bytes; counts the state records for the compaction trigger. *)
 let fold_record spine rids applied = function
   | R_state { key; rid; value_enc; st } ->
       note_rid rids rid;
-      let value =
+      let packed =
         match value_enc with
-        | Set v -> v
+        | Set value -> pack { st with value }
         | Unchanged -> (
             match Hashtbl.find_opt spine key with
-            | Some packed -> (unpack packed).value
-            | None -> None)
+            | Some prior -> repack prior st
+            | None -> pack st)
       in
-      Hashtbl.replace spine key (pack { st with value });
+      Hashtbl.replace spine key packed;
       applied + 1
   | R_rids pairs ->
       merge_rid_pairs rids pairs;
@@ -355,14 +374,15 @@ let commit t ~key ~rid st =
   let i = shard_of_key ~shards:(Array.length t.shards) key in
   let shard = t.shards.(i) in
   let prior = Hashtbl.find_opt t.spine key in
+  let packed = pack st in
   let value_enc =
     match prior with
-    | Some packed when (unpack packed).value = st.value -> Unchanged
+    | Some prior when same_value prior packed -> Unchanged
     | _ -> Set st.value
   in
   append_frame t shard (encode_state_record ~key ~rid ~value_enc st);
   note_rid t.rids rid;
-  Hashtbl.replace t.spine key (pack st);
+  Hashtbl.replace t.spine key packed;
   if prior = None then shard.live <- shard.live + 1;
   if compaction_due shard then compact t i
 

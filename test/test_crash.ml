@@ -472,6 +472,86 @@ let test_client_ids_survive_oplog_loss () =
                 (Live.get c ~at:1 ~key:"a").Live.value)))
     [ 0; 8 ]
 
+(* A cluster re-created over old logs must stamp every record past the
+   previous incarnation's — or the merged replay would interleave the
+   two — and hand out client ids past every id the previous one used,
+   or the dedup tables would take a new client's requests for old ones.
+   Each site's oplog is append-only, so what a new incarnation wrote is
+   the suffix past the old record count.  The floors are read through
+   each site's vfs, so the restart runs once over the default vfs and
+   once over a pass-through Faultfs on every site. *)
+let test_stamps_and_clients_resume () =
+  let records dir =
+    List.map
+      (fun site ->
+        let path = Persist.oplog_path ~dir site in
+        List.rev (Persist.scan_log ~path (fun acc r -> r :: acc) []).Codec.folded)
+      (Site_set.to_list u4)
+  in
+  let client_of = function
+    | Persist.Log_kcommit { rid; _ } | Persist.Log_koutcome { rid; _ } when rid <> 0 ->
+        Some (rid lsr 32)
+    | _ -> None
+  in
+  let max_of f rs =
+    List.fold_left (fun m r -> Option.fold ~none:m ~some:(max m) (f r)) 0 rs
+  in
+  List.iter
+    (fun shards ->
+      with_scratch (fun dir ->
+          let config = { crash_config with Node.shards } in
+          let incarnation ?vfs_of name =
+            let cluster =
+              Live.create ~config ~client_timeout:1.5 ?vfs_of ~universe:u4 ~dir ()
+            in
+            Fun.protect ~finally:(fun () -> Live.shutdown cluster) (fun () ->
+                let c = Live.client cluster in
+                List.iter
+                  (fun (at, key) ->
+                    check_status (name ^ ": put " ^ key) Wire.Granted
+                      (Live.put c ~at ~key ~value:name))
+                  [ (0, "a"); (1, "b"); (2, "a") ];
+                Alcotest.(check bool) (name ^ ": audit safe") true
+                  (Live.safe (Live.check cluster)))
+          in
+          incarnation (Printf.sprintf "shards %d, first" shards);
+          List.iter
+            (fun (label, vfs_of) ->
+              let name = Printf.sprintf "shards %d, %s" shards label in
+              let before = records dir in
+              incarnation ?vfs_of name;
+              let fresh =
+                List.concat
+                  (List.map2
+                     (fun old now -> List.filteri (fun i _ -> i >= List.length old) now)
+                     before (records dir))
+              in
+              let old = List.concat before in
+              Alcotest.(check bool) (name ^ ": new records written") true (fresh <> []);
+              let old_seq = max_of (fun r -> Some (Persist.seq_of r)) old
+              and old_client = max_of client_of old in
+              List.iter
+                (fun r ->
+                  let seq = Persist.seq_of r in
+                  if seq <= old_seq then
+                    Alcotest.failf "%s: stamp %d not above the old maximum %d" name seq
+                      old_seq;
+                  match client_of r with
+                  | Some client when client <= old_client ->
+                      Alcotest.failf "%s: client id %d not above the old maximum %d"
+                        name client old_client
+                  | _ -> ())
+                fresh;
+              Alcotest.(check bool) (name ^ ": new clients seen") true
+                (max_of client_of fresh > old_client))
+            [
+              ("default vfs", None);
+              ( "faultfs",
+                let ffs = Array.init 4 (fun seed -> Faultfs.create ~seed ()) in
+                Some (fun site -> Faultfs.vfs ffs.(site)) );
+            ]))
+    [ 0; 8 ]
+
 (* --- slow-loris guard ------------------------------------------------ *)
 
 let test_slow_loris_recv () =
@@ -647,6 +727,8 @@ let suite =
     Alcotest.test_case "exactly-once retry dedup" `Quick test_exactly_once_retry;
     Alcotest.test_case "client ids survive oplog loss" `Quick
       test_client_ids_survive_oplog_loss;
+    Alcotest.test_case "stamps and client ids resume past the last incarnation"
+      `Quick test_stamps_and_clients_resume;
     Alcotest.test_case "slow-loris recv bounded by deadline" `Quick
       test_slow_loris_recv;
     Alcotest.test_case "crash matrix cells" `Quick test_matrix_cells;

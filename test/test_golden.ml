@@ -279,9 +279,87 @@ let test_wire () =
       | Error reason -> Alcotest.failf "%s: %s" name reason)
     samples
 
+(* --- the checksum across its block boundary ----------------------------
+
+   Frames whose fields straddle the checksum's 5,552-byte summing block
+   (zlib's NMAX): empty, one byte, one short of a block, a block, one
+   past, two blocks, two blocks and a byte, and a mebibyte — each all
+   0xff (the largest sums a block can reach) and in a seeded pattern.
+   The hex is the frame's checksum word (bytes 4-7), little-endian;
+   zlib's adler32 gives the same values. *)
+
+let pattern n =
+  let s = ref 12345 in
+  String.init n (fun _ ->
+      s := ((!s * 1103515245) + 12345) land 0x7fffffff;
+      Char.chr (!s lsr 23))
+
+let checksum_frames () =
+  List.concat_map
+    (fun n ->
+      [ (Printf.sprintf "%d x ff" n, String.make n '\xff');
+        (Printf.sprintf "%d seeded" n, pattern n) ])
+    [ 0; 1; 5551; 5552; 5553; 11104; 11105; 1048576 ]
+  @ [ ("Wikipedia", "Wikipedia") ]
+  |> List.map (fun (name, fields) ->
+         ( name,
+           fields,
+           Codec.frame ~length_prefix:false ~magic:"TEST" (fun b ->
+               Buffer.add_string b fields) ))
+
+let checksum_expected =
+  [
+    ("0 x ff", "01000000");
+    ("0 seeded", "01000000");
+    ("1 x ff", "00010001");
+    ("1 seeded", "a800a800");
+    ("5551 x ff", "8d9a0356");
+    ("5551 seeded", "2fd45c85");
+    ("5552 x ff", "8c9b8ff1");
+    ("5552 seeded", "3bd4a659");
+    ("5553 x ff", "8b9c298e");
+    ("5553 seeded", "94d4492e");
+    ("11104 x ff", "26376fff");
+    ("11104 seeded", "e6bb20fe");
+    ("11105 x ff", "2538a337");
+    ("11105 seeded", "7bbcaaba");
+    ("1048576 x ff", "11ef888e");
+    ("1048576 seeded", "c09829ba");
+    ("Wikipedia", "9803e611");
+  ]
+
+let test_checksum () =
+  let frames = checksum_frames () in
+  check_all
+    (List.map (fun (name, _, frame) -> (name, String.sub frame 4 4)) frames)
+    checksum_expected;
+  let _, _, wikipedia = List.nth frames (List.length frames - 1) in
+  Alcotest.(check int32) "RFC 1950's example" 0x11E60398l
+    (String.get_int32_le wikipedia 4);
+  List.iter
+    (fun (name, fields, frame) ->
+      let len = String.length frame in
+      (* Away from offset 0, inside a larger buffer. *)
+      let buf = Bytes.make (len + 8) '\000' in
+      Bytes.blit_string frame 0 buf 3 len;
+      let c = Codec.open_frame ~magic:"TEST" buf ~off:3 ~len in
+      Alcotest.(check bool) (name ^ ": opens at offset 3") true
+        (Codec.str c (String.length fields) = fields);
+      Codec.close_frame c;
+      let flipped = Bytes.of_string frame in
+      Bytes.set flipped (len - 1)
+        (Char.chr (Char.code (Bytes.get flipped (len - 1)) lxor 0xff));
+      match Codec.open_frame ~magic:"TEST" flipped ~off:0 ~len with
+      | _ -> Alcotest.failf "%s: a flipped last byte was accepted" name
+      | exception Codec.Corrupt reason ->
+          Alcotest.(check string) (name ^ ": last byte flipped") "checksum mismatch"
+            reason)
+    frames
+
 let suite =
   [
     Alcotest.test_case "oplog records" `Quick test_oplog;
     Alcotest.test_case "shard records and rid sidecar" `Quick test_shard;
     Alcotest.test_case "wire frames" `Quick test_wire;
+    Alcotest.test_case "checksum across its block boundary" `Quick test_checksum;
   ]
