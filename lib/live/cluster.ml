@@ -52,6 +52,23 @@ let boot t site ~was_restarted =
 let serve t site =
   Hashtbl.replace t.threads site (Thread.create Node.serve (Hashtbl.find t.nodes site))
 
+let join_thread t site =
+  match Hashtbl.find_opt t.threads site with
+  | Some thread ->
+      Thread.join thread;
+      Hashtbl.remove t.threads site
+  | None -> ()
+
+(* Stopping the switchboard closes every node's connection, so each node
+   thread ends on EOF; they are reaped even when the broker died of an
+   exception, which is then re-raised. *)
+let shutdown t =
+  Fun.protect
+    ~finally:(fun () ->
+      Site_set.iter (fun site -> join_thread t site) t.universe;
+      Hashtbl.reset t.nodes)
+    (fun () -> Switchboard.shutdown t.sw)
+
 let create ?(flavor = Decision.ldv_flavor) ?(segment_of = fun s -> s)
     ?(config = Node.default_config) ?(client_timeout = 10.0)
     ?(obs = Hub.create ()) ?(vfs_of = fun _ -> Vfs.real) ~universe ~dir () =
@@ -84,46 +101,50 @@ let create ?(flavor = Decision.ldv_flavor) ?(segment_of = fun s -> s)
   (* A site with a shards directory restarts from it; one without is new
      and starts from the paper's initial state.  Every site boots before
      any serves, so the floors below are read before the first stamp or
-     client id is handed out. *)
-  Site_set.iter
-    (fun site ->
-      let existed = Sys.file_exists (Shard_store.shards_dir ~dir ~site) in
-      if not existed then Node.seed ~dir ~site ~universe ~config;
-      boot t site ~was_restarted:existed)
-    universe;
-  (* Resuming over old logs: the global stamp must keep growing, or the
-     merged replay would interleave the incarnations.  Client endpoint
-     ids must not be recycled either — the persisted dedup tables are
-     keyed by them, so a fresh client under a reused id would see its
-     first writes acknowledged as duplicates of the previous
-     incarnation's.  Each node's boot scan of its oplog yields both
-     floors.  The oplogs are never fsynced but the shard logs are:
-     after a power cut of the whole cluster a client's id may survive
-     only in the applied-request tables the nodes just recovered, which
-     {!Node.max_client} covers too. *)
-  let seq0, seen =
-    Hashtbl.fold
-      (fun _ node (seq, client) ->
-        (max seq (Node.max_seq node), max client (Node.max_client node)))
-      t.nodes
-      (0, Wire.first_client_id - 1)
-  in
-  seq := seq0;
-  Switchboard.reserve_clients sw ~upto:seen;
-  Site_set.iter (serve t) universe;
-  t
+     client id is handed out.  A site that fails to seed, boot or serve
+     takes the half-built cluster down with it: the booted nodes close
+     their files and connections, the switchboard is joined, and the
+     site's error is the one raised. *)
+  try
+    Site_set.iter
+      (fun site ->
+        let existed = Sys.file_exists (Shard_store.shards_dir ~dir ~site) in
+        if not existed then Node.seed ~dir ~site ~universe ~config;
+        boot t site ~was_restarted:existed)
+      universe;
+    (* Resuming over old logs: the global stamp must keep growing, or the
+       merged replay would interleave the incarnations.  Client endpoint
+       ids must not be recycled either — the persisted dedup tables are
+       keyed by them, so a fresh client under a reused id would see its
+       first writes acknowledged as duplicates of the previous
+       incarnation's.  Each node's boot scan of its oplog yields both
+       floors.  The oplogs are never fsynced but the shard logs are:
+       after a power cut of the whole cluster a client's id may survive
+       only in the applied-request tables the nodes just recovered, which
+       {!Node.max_client} covers too. *)
+    let seq0, seen =
+      Hashtbl.fold
+        (fun _ node (seq, client) ->
+          (max seq (Node.max_seq node), max client (Node.max_client node)))
+        t.nodes
+        (0, Wire.first_client_id - 1)
+    in
+    seq := seq0;
+    Switchboard.reserve_clients sw ~upto:seen;
+    Site_set.iter (serve t) universe;
+    t
+  with e ->
+    let bt = Printexc.get_raw_backtrace () in
+    Hashtbl.iter
+      (fun site node -> if not (Hashtbl.mem t.threads site) then Node.close node)
+      t.nodes;
+    (try shutdown t with _ -> ());
+    Printexc.raise_with_backtrace e bt
 
 (* --- fault injection ------------------------------------------------ *)
 
 let partition t groups = Switchboard.partition t.sw groups
 let heal t = Switchboard.heal t.sw
-
-let join_thread t site =
-  match Hashtbl.find_opt t.threads site with
-  | Some thread ->
-      Thread.join thread;
-      Hashtbl.remove t.threads site
-  | None -> ()
 
 let kill t site =
   Switchboard.crash t.sw site;
@@ -444,8 +465,3 @@ let rec remove_dir path =
       Unix.rmdir path
   | _ -> Sys.remove path
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
-let shutdown t =
-  Switchboard.shutdown t.sw;
-  Site_set.iter (fun site -> join_thread t site) t.universe;
-  Hashtbl.reset t.nodes

@@ -25,7 +25,10 @@ val create :
     (and is not fresh until its next commit); otherwise it is seeded
     ({!Node.seed}) with the paper's initial state (o = v = 1, P =
     universe, an empty store at data version 1).  [client_timeout]
-    (default 10 s) bounds every client call.
+    (default 10 s) bounds every client call.  When any site fails to
+    seed, boot or start, the sites already booted are closed and the
+    switchboard is shut down before that site's exception propagates:
+    a failed [create] holds no descriptor, thread or domain.
 
     Over an old directory the cluster resumes past the previous
     incarnation: its global stamp starts above every {!Node.max_seq}
@@ -210,4 +213,6 @@ val remove_dir : string -> unit
 (** {2 Shutdown} *)
 
 val shutdown : t -> unit
-(** Close every connection, stop the broker, join all node threads. *)
+(** Close every connection, stop the broker and join its domain, then
+    join all node threads.  The node threads are joined even when the
+    broker died of an exception; that exception is re-raised after. *)

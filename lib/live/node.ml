@@ -380,16 +380,42 @@ let shard_count config = max 1 config.shards
    It marks the store as the site's own at every [shards] setting. *)
 let seed ~dir ~site ~universe ~config =
   let store, _ = Shard_store.open_store ~dir ~site ~shards:(shard_count config) () in
-  Shard_store.commit store ~key:map_key ~rid:0
-    {
-      Shard_store.op_no = 1;
-      version = 1;
-      partition = universe;
-      data_version = 1;
-      value = None;
-    };
-  Shard_store.fsync store;
-  Shard_store.close store
+  Fun.protect ~finally:(fun () -> Shard_store.close store) (fun () ->
+      Shard_store.commit store ~key:map_key ~rid:0
+        {
+          Shard_store.op_no = 1;
+          version = 1;
+          partition = universe;
+          data_version = 1;
+          value = None;
+        };
+      Shard_store.fsync store)
+
+(* Dial the switchboard on [port] and register as [site]. *)
+let connect ~site ~config ~port =
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  (try
+     Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+     Unix.setsockopt sock Unix.TCP_NODELAY true
+   with e -> (try Unix.close sock with Unix.Unix_error _ -> ()); raise e);
+  (* Outbound frames queue on the connection and leave in one write per
+     scheduler burst, so a peer receives a whole burst's commits in one
+     wakeup and coalesces their persists.  The queue is unbounded: the
+     node drains it before it sleeps, and its own backlog must never
+     sever it. *)
+  let conn = Evconn.of_fd ~max_queue:max_int sock in
+  ignore
+    (Evconn.enqueue conn
+       { Wire.src = site; dst = Wire.broker_id; payload = Wire.Hello_site { site } }
+      : [ `Ok | `Overflow ]);
+  match
+    if Evconn.drain conn = `Closed then Error `Closed
+    else Evconn.recv ~clock:config.clock ~deadline:(config.clock () +. 5.0) conn
+  with
+  | Ok { Wire.payload = Wire.Welcome _; _ } -> conn
+  | _ ->
+      Evconn.close conn;
+      failwith (Printf.sprintf "live node %d: switchboard handshake failed" site)
 
 let boot ~site ~universe ~flavor ~segment_of ~config ~obs ~dir ?(vfs = Vfs.real)
     ~next_seq ~port ~was_restarted () =
@@ -426,16 +452,30 @@ let boot ~site ~universe ~flavor ~segment_of ~config ~obs ~dir ?(vfs = Vfs.real)
      (honest crash damage) is cut off by the scan before the log is
      reopened for append; a corrupt log is left untouched as evidence.
      The same scan folds the highest stamp and client id the log holds. *)
-  let oplog_scan =
-    Persist.scan_log ~vfs ~cut_torn_tail:true ~path:(Persist.oplog_path ~dir site)
-      (fun (seq, client) r ->
-        let rid =
-          match r with
-          | Persist.Log_kcommit { rid; _ } | Persist.Log_koutcome { rid; _ } -> rid
-          | Persist.Log_kintent _ -> 0
-        in
-        (max seq (Persist.seq_of r), max client (rid lsr 32)))
-      (0, 0)
+  let oplog_scan, oplog, conn =
+    try
+      let oplog_scan =
+        Persist.scan_log ~vfs ~cut_torn_tail:true ~path:(Persist.oplog_path ~dir site)
+          (fun (seq, client) r ->
+            let rid =
+              match r with
+              | Persist.Log_kcommit { rid; _ } | Persist.Log_koutcome { rid; _ } -> rid
+              | Persist.Log_kintent _ -> 0
+            in
+            (max seq (Persist.seq_of r), max client (rid lsr 32)))
+          (0, 0)
+      in
+      let oplog = Persist.open_log ~vfs ~path:(Persist.oplog_path ~dir site) () in
+      ( oplog_scan,
+        oplog,
+        try connect ~site ~config ~port
+        with e ->
+          (try Persist.close_log oplog with Sys_error _ -> ());
+          raise e )
+    with e ->
+      (* A boot that fails leaves nothing open behind it. *)
+      Shard_store.close store;
+      raise e
   in
   let logged_seq, logged_client = oplog_scan.Codec.folded in
   let degraded =
@@ -455,30 +495,6 @@ let boot ~site ~universe ~flavor ~segment_of ~config ~obs ~dir ?(vfs = Vfs.real)
     end
     else None
   in
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-     Unix.setsockopt sock Unix.TCP_NODELAY true
-   with e -> (try Unix.close sock with Unix.Unix_error _ -> ()); raise e);
-  (* Outbound frames queue on the connection and leave in one write per
-     scheduler burst, so a peer receives a whole burst's commits in one
-     wakeup and coalesces their persists.  The queue is unbounded: the
-     node drains it before it sleeps, and its own backlog must never
-     sever it. *)
-  let conn = Evconn.of_fd ~max_queue:max_int sock in
-  ignore
-    (Evconn.enqueue conn
-       { Wire.src = site; dst = Wire.broker_id; payload = Wire.Hello_site { site } }
-      : [ `Ok | `Overflow ]);
-  (match
-     if Evconn.drain conn = `Closed then Error `Closed
-     else Evconn.recv ~clock:config.clock ~deadline:(config.clock () +. 5.0) conn
-   with
-  | Ok { Wire.payload = Wire.Welcome _; _ } -> ()
-  | _ ->
-      Evconn.close conn;
-      failwith (Printf.sprintf "live node %d: switchboard handshake failed" site));
-  let oplog = Persist.open_log ~vfs ~path:(Persist.oplog_path ~dir site) () in
   let t =
     {
       site;
@@ -1477,6 +1493,12 @@ let admit_pending t =
     run_turns t
   done
 
+(* Volatile state dies with the thread; only the files survive. *)
+let close t =
+  (try Persist.close_log t.oplog with Sys_error _ -> ());
+  (try Shard_store.close t.store with Sys_error _ -> ());
+  Evconn.close t.conn
+
 (* The node thread body: a readiness-style loop over one connection.
    Each iteration serves the turnstile, admits parked clients up to the
    pipeline bound, drains every frame already buffered (so a burst of
@@ -1513,7 +1535,4 @@ let serve t =
        | Error (`Closed | `Corrupt _) -> raise Dead
      done
    with Dead | Killed | Unix.Unix_error _ -> ());
-  (* Volatile state dies with the thread; only the files survive. *)
-  (try Persist.close_log t.oplog with Sys_error _ -> ());
-  (try Shard_store.close t.store with Sys_error _ -> ());
-  Evconn.close t.conn
+  close t

@@ -109,7 +109,12 @@ val boot :
     {!Dynvote_obs.Hub.noop} to compile them all down to a branch). *)
 
 val serve : t -> unit
-(** The node thread body: handle frames until the connection dies. *)
+(** The node thread body: handle frames until the connection dies, then
+    {!close}. *)
+
+val close : t -> unit
+(** Close the node's oplog, shard logs and switchboard connection.  For a
+    node that booted but never served; {!serve} ends with it. *)
 
 val map_key : string
 (** The distinguished object of [shards = 0]: the empty key.  Clients of

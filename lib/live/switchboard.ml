@@ -1,9 +1,18 @@
-(* The in-process network fabric, event-driven.  One broker thread runs
-   an Evloop (epoll on Linux, poll elsewhere) over every registered
+(* The in-process network fabric, event-driven.  One broker runs an
+   Evloop (epoll on Linux, poll elsewhere) over every registered
    connection and routes frames subject to the current topology; the
    control API (partition / heal / crash) mutates that topology under a
    mutex and pokes the broker through a self-pipe so changes take effect
    immediately, even while the broker is blocked in the wait.
+
+   The broker runs on its own OCaml domain, so routing never waits for
+   the runtime lock that the node threads and the clients take in turn
+   around every socket call.  It shares with the caller's domain only
+   what is domain-safe: the topology, the endpoint lists, the client-id
+   counter and the [running] flag behind [mutex]; Atomic metrics
+   counters and the mutex-guarded histograms and trace ring of the Hub;
+   and fields set once in [create].  The fd table, the loop and every
+   endpoint's connection are the broker's alone.
 
    Routing never blocks: a frame is staged on the destination's bounded
    outbound queue (Evconn) and flushed once per wakeup, so frames that
@@ -53,7 +62,7 @@ type t = {
   batch_frames : Metrics.histogram;
   mutex : Mutex.t;
   loop : Evloop.t;
-  by_fd : (int, source) Hashtbl.t; (* broker thread only *)
+  by_fd : (int, source) Hashtbl.t; (* broker domain only *)
   mutable endpoints : endpoint list;
   mutable pendings : pending list;
   mutable up : Site_set.t;
@@ -64,7 +73,7 @@ type t = {
   wake_fd : Unix.file_descr; (* the self-pipe's read end, for the loop *)
   wake_r : Vio.t;
   wake_w : Vio.t;
-  mutable broker : Thread.t option;
+  mutable broker : unit Domain.t option; (* caller side only; None once joined *)
 }
 
 external int_of_fd : Unix.file_descr -> int = "%identity"
@@ -73,10 +82,13 @@ let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-(* A full pipe already holds a pending wakeup, so a refused byte is
-   fine. *)
-let wake t =
-  ignore (t.wake_w.Vio.write (Bytes.make 1 '!') 0 1 : Vio.write_result)
+(* Called with the mutex held, and only while the broker runs: the pipe
+   closes after the broker is joined, so no wake can land on a closed
+   descriptor or on one that reused its number.  A full pipe already
+   holds a pending wakeup, so a refused byte is fine. *)
+let wake_locked t =
+  if t.running then
+    ignore (t.wake_w.Vio.write (Bytes.make 1 '!') 0 1 : Vio.write_result)
 
 (* Both endpoints up and on the same side of the cut.  Clients are
    treated as co-located with whatever site they address (the paper's
@@ -94,7 +106,7 @@ let connected_locked t a b =
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-(* Everything below runs on the broker thread (the only thread that
+(* Everything below runs on the broker domain (the only one that
    touches the evloop and the fd table); the mutex only guards the
    topology and the endpoint lists that the control API reads. *)
 
@@ -385,7 +397,23 @@ let flush_all t =
   let eps = locked t (fun () -> t.endpoints) in
   List.iter (fun ep -> flush_endpoint t ep) eps
 
-let broker_loop t =
+(* Close everything the broker owns.  It runs however the loop ends, so
+   a broker that dies of an exception still hangs up on every node,
+   whose thread then exits on EOF and can be joined. *)
+let close_all t =
+  let eps, ps =
+    locked t (fun () ->
+        let eps = t.endpoints and ps = t.pendings in
+        t.endpoints <- [];
+        t.pendings <- [];
+        (eps, ps))
+  in
+  List.iter (fun ep -> unregister_fd t ep.conn) eps;
+  List.iter (fun p -> unregister_fd t p.pconn) ps;
+  Evloop.close t.loop;
+  close_quietly t.listen
+
+let route_until_shutdown t =
   Evloop.add t.loop t.listen ~read:true ~write:false;
   Evloop.add t.loop t.wake_fd ~read:true ~write:false;
   let listen_n = int_of_fd t.listen and wake_n = int_of_fd t.wake_fd in
@@ -425,19 +453,12 @@ let broker_loop t =
     (* One flush pass per wakeup: everything staged for a destination
        during this batch of events leaves in a single write. *)
     flush_all t
-  done;
-  (* Shutdown: close everything we own. *)
-  let eps, ps =
-    locked t (fun () ->
-        let eps = t.endpoints and ps = t.pendings in
-        t.endpoints <- [];
-        t.pendings <- [];
-        (eps, ps))
-  in
-  List.iter (fun ep -> unregister_fd t ep.conn) eps;
-  List.iter (fun p -> unregister_fd t p.pconn) ps;
-  Evloop.close t.loop;
-  close_quietly t.listen;
+  done
+
+let broker_loop t =
+  Fun.protect ~finally:(fun () -> close_all t) (fun () -> route_until_shutdown t)
+
+let close_pipe t =
   t.wake_r.Vio.close ();
   t.wake_w.Vio.close ()
 
@@ -487,7 +508,13 @@ let create ?(obs = Hub.noop) ?(clock = Dynvote_obs.Clock.now) ?stall_timeout
       broker = None;
     }
   in
-  t.broker <- Some (Thread.create broker_loop t);
+  (match Domain.spawn (fun () -> broker_loop t) with
+  | broker -> t.broker <- Some broker
+  | exception e ->
+      Evloop.close t.loop;
+      close_quietly listen;
+      close_pipe t;
+      raise e);
   t
 
 let port t = t.port
@@ -518,23 +545,25 @@ let partition t groups =
                    a b))
         t.universe)
     t.universe;
-  locked t (fun () -> t.groups <- Some groups);
-  Hub.event t.obs
-    (Trace.Partition
-       { groups = Fmt.str "%a" (Fmt.list ~sep:Fmt.sp Site_set.pp) groups });
-  wake t
+  locked t (fun () ->
+      t.groups <- Some groups;
+      Hub.event t.obs
+        (Trace.Partition
+           { groups = Fmt.str "%a" (Fmt.list ~sep:Fmt.sp Site_set.pp) groups });
+      wake_locked t)
 
 let heal t =
-  locked t (fun () -> t.groups <- None);
-  Hub.event t.obs Trace.Heal;
-  wake t
+  locked t (fun () ->
+      t.groups <- None;
+      Hub.event t.obs Trace.Heal;
+      wake_locked t)
 
 let crash t site =
   locked t (fun () ->
       t.up <- Site_set.remove site t.up;
-      t.kill_queue <- site :: t.kill_queue);
-  Hub.event t.obs (Trace.Crash { site });
-  wake t
+      t.kill_queue <- site :: t.kill_queue;
+      Hub.event t.obs (Trace.Crash { site });
+      wake_locked t)
 
 let up_sites t = locked t (fun () -> t.up)
 
@@ -544,7 +573,14 @@ let reserve_clients t ~upto =
 let is_up t site = locked t (fun () -> Site_set.mem site t.up)
 let groups t = locked t (fun () -> t.groups)
 
+(* Joining re-raises whatever killed the broker, after the pipe is
+   closed.  A second call finds no broker and returns. *)
 let shutdown t =
-  locked t (fun () -> t.running <- false);
-  wake t;
-  match t.broker with None -> () | Some thread -> Thread.join thread
+  match t.broker with
+  | None -> ()
+  | Some broker ->
+      t.broker <- None;
+      locked t (fun () ->
+          wake_locked t;
+          t.running <- false);
+      Fun.protect ~finally:(fun () -> close_pipe t) (fun () -> Domain.join broker)

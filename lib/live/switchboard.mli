@@ -1,6 +1,6 @@
-(** The in-process network: one broker thread owning every inter-node
-    connection, so partitions, heals and crashes can be injected into a
-    *live* cluster of real sockets.
+(** The in-process network: one broker, on its own OCaml domain, owning
+    every inter-node connection, so partitions, heals and crashes can be
+    injected into a *live* cluster of real sockets.
 
     Every node and client dials the switchboard's TCP listener and
     registers with a [Hello]; from then on the broker routes its frames.
@@ -26,10 +26,12 @@ val create :
   segment_of:(Site_set.site -> int) ->
   unit ->
   t
-(** Bind a loopback listener on an ephemeral port and start the broker
-    thread — an {!Evloop} readiness loop (epoll on Linux, poll
+(** Bind a loopback listener on an ephemeral port and spawn the broker
+    domain — an {!Evloop} readiness loop (epoll on Linux, poll
     elsewhere), so connection count is bounded by
-    descriptors, not FD_SETSIZE.  All sites start connected and no site
+    descriptors, not FD_SETSIZE.  It is the live service's one extra
+    domain: routing runs in parallel with the node threads instead of
+    taking turns with them on the caller's runtime lock.  All sites start connected and no site
     is considered up until its node registers.  Client endpoint ids
     are handed out from {!Wire.first_client_id} up (see
     {!reserve_clients}).  [stall_timeout] (default: never) reaps, on the
@@ -73,4 +75,7 @@ val is_up : t -> Site_set.site -> bool
 val groups : t -> Site_set.t list option
 
 val shutdown : t -> unit
-(** Close every connection and stop the broker thread. *)
+(** Close every connection, stop the broker and join its domain.  The
+    broker closes its connections however it ends, so the nodes see EOF
+    even when it died of an exception; [shutdown] then re-raises that
+    exception.  Idempotent. *)

@@ -697,6 +697,47 @@ let test_soak () =
           check_clean "soak" audit;
           Alcotest.(check int) "soak: no double applies" 0 audit.Live.dup_applies)
 
+(* --- cluster lifecycle ----------------------------------------------- *)
+
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+(* A site that cannot seed (its directory is a regular file) fails the
+   whole create, after the switchboard and two sites are up.  Each failed
+   create must release them all, or 200 of them pile up descriptors and
+   broker domains. *)
+let test_failed_create_releases () =
+  with_scratch (fun dir ->
+      let blocker = Filename.concat dir "site-2" in
+      Out_channel.with_open_bin blocker ignore;
+      let expected =
+        Filename.concat (Filename.concat blocker "shards") "shard-0.dvl"
+      in
+      let before = open_fds () in
+      for i = 1 to 200 do
+        match Live.create ~config:test_config ~universe:(ss [ 0; 1; 2 ]) ~dir () with
+        | cluster ->
+            Live.shutdown cluster;
+            Alcotest.failf "create %d succeeded over a blocked site" i
+        | exception Unix.Unix_error (Unix.ENOTDIR, "open", path) when path = expected
+          ->
+            ()
+      done;
+      Alcotest.(check int) "open descriptors" before (open_fds ()))
+
+(* Every cluster spawns one broker domain and its shutdown stops and
+   joins it.  150 cycles go past the runtime's 128-domain cap, so a
+   shutdown that left its broker running would fail a later create; and
+   the broker has closed every descriptor it owned by the time shutdown
+   returns. *)
+let test_create_shutdown_cycles () =
+  with_scratch (fun dir ->
+      let before = open_fds () in
+      for i = 1 to 150 do
+        Live.shutdown (Live.create ~config:test_config ~universe:(ss [ 0 ]) ~dir ());
+        Alcotest.(check int) (Printf.sprintf "open descriptors after cycle %d" i)
+          before (open_fds ())
+      done)
+
 (* One verdict over an audit (Live.safe), for the CLI, the bench and the
    crash matrix alike: the one-object oracle, every key's oracle and
    exactly-once must all hold. *)
@@ -752,5 +793,9 @@ let suite =
     Alcotest.test_case "put larger than the queue bound" `Quick
       test_put_larger_than_queue_bound;
     Alcotest.test_case "one audit verdict" `Quick test_audit_verdict;
+    Alcotest.test_case "failed create releases everything" `Quick
+      test_failed_create_releases;
+    Alcotest.test_case "150 create/shutdown cycles" `Quick
+      test_create_shutdown_cycles;
     Alcotest.test_case "soak (DYNVOTE_LIVE_SOAK)" `Slow test_soak;
   ]
