@@ -629,9 +629,11 @@ let live_buffered =
 
 let live_pipeline =
   let doc =
-    "Client operations a coordinator admits concurrently, as \
-     effect-suspended fibers behind a ticket turnstile.  1 (the default) \
-     is the fully sequential coordinator."
+    "Client requests a coordinator admits at once from its request \
+     queue.  It still runs one operation at a time; queued requests pay \
+     off through batching (one group lock round covers the objects of \
+     every queued request, and --max-reuse lets later requests join it).  \
+     1 is the default."
   in
   Arg.(value & opt int 1 & info [ "pipeline" ] ~docv:"N" ~doc)
 
@@ -647,8 +649,8 @@ let live_shards =
   let doc =
     "Shard the object space: every key is an independently-voted \
      (o, v, P) object, persisted across $(docv) per-site append logs and \
-     coordinated by group-quorum rounds that cover every key of a scheduler \
-     burst in one wire exchange.  0 (the default) runs the same engine over \
+     coordinated by group-quorum rounds that cover every key a coordinator \
+     has queued in one wire exchange.  0 (the default) runs the same engine over \
      one voted object holding the whole key-value map — the paper's single \
      file, and the only mode with RECOVER."
   in
@@ -1017,7 +1019,7 @@ let loadgen_cmd =
          & info [ "net-stats" ]
              ~doc:
                "Also print the event-loop and pipelining counters (wakeups, \
-                batch sizes, rounds in flight, anchor reuse).")
+                batch sizes, requests in flight, anchor reuse).")
   in
   let run sites policy_text buffered pipeline max_reuse shards resident seed
       clients duration write_ratio keys zipf value_bytes rate retries site

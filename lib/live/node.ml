@@ -1,13 +1,24 @@
-(* One live site.  The node is a single thread, but inside it client
-   operations run as effect-suspended fibers under a small scheduler: an
-   operation that would block on the network performs [Await_frame] and
-   parks; the scheduler keeps reading the switchboard connection, serving
-   peer requests, resuming whichever fiber the arriving frame belongs to,
-   and admitting up to [config.pipeline] client operations concurrently.
-   A ticket turnstile serializes the gather -> decide -> commit -> outcome
-   critical sections, so pipelining changes scheduling, never the order
-   of effects.  With the defaults (pipeline = 1, max_reuse = 0) the node
-   is frame-for-frame identical to a fully sequential coordinator.
+(* One live site.  The node is a single thread on one switchboard
+   connection.  It serves the peer protocol, and it coordinates client
+   requests the way the paper's coordinator does: one operation at a
+   time, taken in arrival order from one FIFO request queue.  The running
+   operation is an effect-suspended computation: where it would block on
+   the network it performs [Await] and parks — at most one continuation
+   is ever parked — while the loop keeps reading the connection, serving
+   peer requests and queueing client requests, until the frame it waits
+   for (or its deadline) resumes it.  No two operations of one
+   coordinator overlap their rounds.
+
+   The first [config.pipeline] queued requests are admitted: counted in
+   [live.rounds.inflight], traced by [Round_start]/[Round_end] and timed
+   from admission.  Pipelining pays through batching, never through
+   overlap: a fresh group lock round covers the objects of every queued
+   request, and its anchor lets the requests behind it skip their own
+   lock round.  With the defaults (pipeline = 1, max_reuse = 0) every
+   operation runs its own lock round and gather.  Whether a request is
+   refused — fenced or amnesiac site, reserved empty key, RECOVER at
+   [shards > 0] — is decided when it starts, so a site fenced while
+   requests wait starts no round for them.
 
    There is one protocol engine: every object is an independently-voted
    (o, v, P) copy set, kept in a bounded {!Shard_map} over the per-site
@@ -19,12 +30,11 @@
 
    Two fast paths pay for the machinery:
 
-   - Lock anchoring: one group lock round covers every object a
-     scheduler burst touches and becomes an {e anchor} that later
-     pipelined operations on those objects join without any lock
-     traffic; the anchor rotates (fresh round under a new op id) after
-     [max_reuse] joins or 0.4 x the lock lease, keeping well inside the
-     lease at every peer.
+   - Lock anchoring: one group lock round covers every object the queue
+     holds and becomes an {e anchor} that later operations on those
+     objects join without any lock traffic; the anchor rotates (fresh
+     round under a new op id) after [max_reuse] joins or 0.4 x the lock
+     lease, keeping well inside the lease at every peer.
    - Gather reuse: the anchor's group gather fills a per-object view
      cache; joined operations decide against it, kept current by our own
      commit waves and invalidated by any inbound commit, a denial, a
@@ -34,12 +44,12 @@
    (one fsync per coalesced batch), and the append-only operation log
    records commits, write intents and client-visible outcomes for the
    {!Dynvote_chaos.Oracle} replay.  Ordering rule: an outcome record
-   takes its global sequence number *before* the turnstile advances and
-   the locks are released, so no later operation that could have observed
-   this one's effects can be stamped earlier.  Inbound commit frames are
-   coalesced — a run of consecutive commits is applied volatile-first and
-   persisted once — which is crash-equivalent to applying the prefix that
-   reached disk.
+   takes its global sequence number *before* the locks are released and
+   the next operation starts, so no later operation that could have
+   observed this one's effects can be stamped earlier.  Inbound commit
+   frames are coalesced — a run of consecutive commits is applied
+   volatile-first and persisted once — which is crash-equivalent to
+   applying the prefix that reached disk.
 
    Storage failures never kill the thread and never produce a lie: a
    persist that faults mid-way rolls the volatile state back and fences
@@ -234,35 +244,33 @@ exception Killed
 (* The switchboard severed our socket (crash) or went away entirely. *)
 exception Dead
 
-(* --- operation fibers -----------------------------------------------
+(* --- the running operation ---------------------------------------------
 
-   A coordinating operation suspends wherever the old code re-entered a
-   blocking receive loop.  [Await_frame] parks the fiber until a frame
-   satisfies [match_reply] (resumed with [Some _]) or [deadline] passes
-   (resumed with [None]); [wake_on_unlock] additionally resumes it — with
-   [None], as if timed out — when a rival's unlock lands, so lock
-   backoff ends the moment the contended lock frees.  [Await_turn] parks
-   the fiber until the turnstile serves its ticket. *)
+   The running operation suspends wherever it waits on the network.
+   [Await] parks it until a frame satisfies [match_reply] (resumed with
+   [Some _]) or [deadline] passes (resumed with [None]); [wake_on_unlock]
+   also resumes it — with [None], as if timed out — when a rival's
+   unlock lands, so lock backoff ends the moment the contended lock
+   frees. *)
 
-type _ Effect.t +=
-  | Await_frame : {
-      deadline : float;
-      match_reply : Wire.envelope -> 'a option;
-      wake_on_unlock : bool;
-    }
-      -> 'a option Effect.t
-  | Await_turn : int -> unit Effect.t
+type 'a wait = {
+  deadline : float;
+  match_reply : Wire.envelope -> 'a option;
+  wake_on_unlock : bool;
+}
 
-type fwaiter =
-  | FW : {
-      deadline : float;
-      match_reply : Wire.envelope -> 'a option;
-      wake_on_unlock : bool;
-      k : ('a option, unit) Effect.Deep.continuation;
-    }
-      -> fwaiter
+type _ Effect.t += Await : 'a wait -> 'a option Effect.t
+type parked = Parked : 'a wait * ('a option, unit) Effect.Deep.continuation -> parked
 
-type twaiter = TW of int * (unit, unit) Effect.Deep.continuation
+(* A queued client request.  [admitted] is the clock reading when it
+   entered the first [pipeline] of the queue. *)
+type request = {
+  client : int;
+  req : int;
+  key : string;
+  kind : [ `Read | `Write of string | `Recover ];
+  mutable admitted : float;
+}
 
 (* A gathered view of one object: (reachable, per-site states, fresh). *)
 type view = Site_set.t * Replica.t array * Site_set.t
@@ -297,26 +305,17 @@ type t = {
   mutable round : int;
   mutable op_counter : int;
   mutable commit_hook : (sent:int -> total:int -> unit) option;
-  (* Client requests arriving while [inflight] is at the pipeline bound
-     are parked here and admitted as operations complete. *)
-  pending_clients : Wire.envelope Queue.t;
-  (* Scheduler state: parked fibers, the admission count, the ticket
-     turnstile, the group anchor with its per-object view cache, and the
-     inbound commit-coalescing buffer. *)
-  mutable fwaiters : fwaiter list;
-  mutable twaiters : twaiter list;
-  mutable unlock_pulse : bool;
-  mutable inflight : int;
-  mutable ticket_next : int;
-  mutable ticket_serving : int;
+  (* Scheduler state: the client requests, oldest first (the head is the
+     running operation), its parked continuation, the group anchor with
+     its per-object view cache, and the inbound commit-coalescing
+     buffer. *)
+  requests : request Queue.t;
+  mutable parked : parked option;
   mutable anchor : (int * string list) option;
   mutable anchor_since : float;
   mutable reuse_count : int;
   gcache : (string, view) Hashtbl.t;
   commit_batch : (string * int * int * Site_set.t * string option * int) Queue.t;
-  (* Objects of admitted-but-unfinished operations, counted so the next
-     group lock round can cover them in the same wire exchange. *)
-  inflight_keys : (string, int) Hashtbl.t;
 }
 
 let sharded t = t.config.shards > 0
@@ -520,19 +519,13 @@ let boot ~site ~universe ~flavor ~segment_of ~config ~obs ~dir ?(vfs = Vfs.real)
       round = 0;
       op_counter = 0;
       commit_hook = None;
-      pending_clients = Queue.create ();
-      fwaiters = [];
-      twaiters = [];
-      unlock_pulse = false;
-      inflight = 0;
-      ticket_next = 0;
-      ticket_serving = 0;
+      requests = Queue.create ();
+      parked = None;
       anchor = None;
       anchor_since = neg_infinity;
       reuse_count = 0;
       gcache = Hashtbl.create 256;
       commit_batch = Queue.create ();
-      inflight_keys = Hashtbl.create 64;
     }
   in
   (match degraded with Some reason -> degrade t reason | None -> ());
@@ -704,7 +697,68 @@ let apply_commit t ~key ~op_no ~version ~partition ~value ~rid =
   Queue.add (key, op_no, version, partition, value, rid) t.commit_batch;
   flush_commits t
 
-(* Serve one frame of the peer protocol.
+(* --- the request queue -----------------------------------------------
+
+   Client requests wait in one FIFO; the head is the running operation.
+   The first [pipeline] of them are admitted — in flight, as the
+   [live.rounds.inflight] histogram, the Round_start/Round_end trace
+   events and the [live.node.op.seconds] timer count them — and a
+   request enters that window on arrival or when the one ahead of the
+   window retires. *)
+
+let window t = max 1 t.config.pipeline
+let in_flight t = min (window t) (Queue.length t.requests)
+let request_id r = make_rid ~client:r.client ~req:r.req
+
+let admit t r =
+  r.admitted <- t.config.clock ();
+  Hub.event t.obs
+    (Trace.Round_start { site = t.site; op = request_id r; in_flight = in_flight t });
+  Metrics.observe t.ctrs.h_inflight (float_of_int (in_flight t))
+
+let enqueue t ~client ~req ~key kind =
+  let r = { client; req; key; kind; admitted = nan } in
+  Queue.add r t.requests;
+  if Queue.length t.requests <= window t then admit t r
+
+(* The head replied, or its thread is dying — its coordination time
+   counts either way — and it leaves the queue. *)
+let retire t r =
+  Metrics.observe t.ctrs.h_op (t.config.clock () -. r.admitted);
+  Hub.event t.obs
+    (Trace.Round_end { site = t.site; op = request_id r; in_flight = in_flight t });
+  ignore (Queue.pop t.requests : request)
+
+(* The head left: the request that moved into the window is admitted. *)
+let admit_next t =
+  match Seq.uncons (Seq.drop (window t - 1) (Queue.to_seq t.requests)) with
+  | Some (r, _) -> admit t r
+  | None -> ()
+
+(* Resume the parked operation with [None], as if timed out, when [due]
+   holds of its deadline and its wake-on-unlock flag. *)
+let wake t due =
+  match t.parked with
+  | Some (Parked (w, k)) when due w.deadline w.wake_on_unlock ->
+      t.parked <- None;
+      Effect.Deep.continue k None
+  | Some _ | None -> ()
+
+(* Offer a frame to the parked operation; it resumes if the frame is
+   what it waits for.  It is unhooked first, so parking again inside
+   [continue] files a fresh wait. *)
+let deliver t env =
+  match t.parked with
+  | Some (Parked (w, k)) -> (
+      match w.match_reply env with
+      | Some _ as hit ->
+          t.parked <- None;
+          Effect.Deep.continue k hit;
+          true
+      | None -> false)
+  | None -> false
+
+(* Serve one frame of the peer protocol, or queue a client request.
 
    A degraded site answers nothing that could count as a vote: state
    requests and lock requests get an explicit abstention (to the
@@ -721,9 +775,9 @@ let serve_protocol t (env : Wire.envelope) =
           (Wire.Lock_reply { op; granted = try_lock_all t keys op })
   | Wire.KUnlock { op; keys } ->
       List.iter (fun key -> release_lock t key op) keys;
-      (* A rival freed its locks: fibers backing off a denied lock round
-         should retry now rather than sleep out their deadline. *)
-      t.unlock_pulse <- true
+      (* A rival freed its locks: an operation backing off a denied lock
+         round should retry now rather than sleep out its deadline. *)
+      wake t (fun _ on_unlock -> on_unlock)
   | Wire.KState_request { round; keys } ->
       (* An amnesiac site must not vote: a guessed ensemble could be
          counted.  It (and a fenced site) abstains explicitly, so the
@@ -756,17 +810,21 @@ let serve_protocol t (env : Wire.envelope) =
              value = Shard_map.value entry;
              rids = rid_list t.rids;
            })
-  | Wire.Client_put _ | Wire.Client_get _ | Wire.Client_recover _ ->
-      Queue.add env t.pending_clients
+  | Wire.Client_get { req; key } -> enqueue t ~client:env.Wire.src ~req ~key `Read
+  | Wire.Client_put { req; key; value } ->
+      enqueue t ~client:env.Wire.src ~req ~key (`Write value)
+  | Wire.Client_recover { req } ->
+      enqueue t ~client:env.Wire.src ~req ~key:map_key `Recover
   | Wire.Hello_site _ | Wire.Hello_client | Wire.Welcome _ | Wire.Lock_reply _
   | Wire.Client_reply _ | Wire.Abstain _ | Wire.KState_reply _ | Wire.KData_reply _ ->
       (* Stray replies of a finished or abandoned exchange. *)
       ()
 
-(* Park this fiber until [deadline] for a frame satisfying [match_reply];
-   the scheduler keeps the connection drained meanwhile. *)
-let await ~deadline ~match_reply =
-  Effect.perform (Await_frame { deadline; match_reply; wake_on_unlock = false })
+(* Park the running operation until [deadline] for a frame satisfying
+   [match_reply]; the loop keeps the connection drained meanwhile.  This
+   is the one suspension point. *)
+let await ?(wake_on_unlock = false) ~deadline ~match_reply () =
+  Effect.perform (Await { deadline; match_reply; wake_on_unlock })
 
 let peers t = Site_set.remove t.site t.universe
 
@@ -780,57 +838,79 @@ let reply_client t ~client ~req status value info =
 
 let denial_text denial = Fmt.str "%a" Decision.pp_denial denial
 
-(* --- ticket turnstile -----------------------------------------------
-
-   Pipelined operations run their protocol sections in strict admission
-   order: each takes a ticket on admission and may not gather, commit or
-   log its outcome until the turnstile serves it.  The turn passes only
-   AFTER the outcome record has taken its global sequence number — the
-   audit's ordering rule — with an idempotent flag so the Fun.protect
-   backstop cannot double-advance. *)
-
-let take_turn t =
-  let ticket = t.ticket_next in
-  t.ticket_next <- ticket + 1;
-  if t.ticket_serving <> ticket then Effect.perform (Await_turn ticket)
-
-let pass_turn t passed =
-  if not !passed then begin
-    passed := true;
-    t.ticket_serving <- t.ticket_serving + 1
-  end
-
 (* --- group quorum rounds ---------------------------------------------
 
-   One lock round and one state round cover every object a scheduler
-   burst touches: the group is the current object plus the objects of
-   every admitted and every queued client operation.  Operations behind
-   the acquirer then join the anchor — a local lease refresh, zero wire
-   traffic — and decide against the cached per-object view. *)
+   One lock round and one state round cover every object the queue
+   holds: the group is the running operation's object plus the objects
+   of every request behind it.  Operations behind the acquirer then join
+   the anchor — a local lease refresh, zero wire traffic — and decide
+   against the cached per-object view. *)
 
 let group_cap = 128
 
-let build_group t key =
+(* A request refused for what it asks, whatever the site's state: the
+   empty key names the one object of [shards = 0], and keeping it out of
+   the keyed space keeps the audit's routing unambiguous; per-key
+   membership never shrinks below the universe, so RECOVER has nothing
+   to do there (a rebooted site either kept its shards and just rejoins,
+   or lost them and split-brain forbids vouching it back in). *)
+let refusal t r =
+  if sharded t && r.key = map_key then
+    Some
+      (if r.kind = `Recover then "recover: unsupported for the sharded object space"
+       else "empty key: reserved")
+  else None
+
+let build_group t =
   let seen = Hashtbl.create 16 in
-  let count = ref 0 in
   let group = ref [] in
-  let add k =
-    if !count < group_cap && not (Hashtbl.mem seen k) then begin
-      Hashtbl.add seen k ();
-      incr count;
-      group := k :: !group
+  Queue.iter
+    (fun r ->
+      let k = object_key t r.key in
+      if
+        refusal t r = None
+        && Hashtbl.length seen < group_cap
+        && not (Hashtbl.mem seen k)
+      then begin
+        Hashtbl.add seen k ();
+        group := k :: !group
+      end)
+    t.requests;
+  List.rev !group
+
+(* Ask every peer [request] and collect what [answer] picks out of the
+   inbound payloads, keyed by peer.  The peers still silent when the
+   patience runs out are asked again, [retries] times, the patience
+   multiplied by [backoff] each time; a peer silent to the end is simply
+   unreachable. *)
+let ask t ~retries request answer =
+  let answers = Hashtbl.create 8 in
+  let want = Site_set.cardinal (peers t) in
+  let rec attempt n patience =
+    if Hashtbl.length answers < want then begin
+      Site_set.iter
+        (fun dst -> if not (Hashtbl.mem answers dst) then send_to t dst request)
+        (peers t);
+      let deadline = t.config.clock () +. patience in
+      let rec collect () =
+        if Hashtbl.length answers < want then
+          match
+            await ~deadline
+              ~match_reply:(fun env ->
+                Option.map (fun a -> (env.Wire.src, a)) (answer env.Wire.payload))
+              ()
+          with
+          | Some (src, a) ->
+              Hashtbl.replace answers src a;
+              collect ()
+          | None -> ()
+      in
+      collect ();
+      if n < retries then attempt (n + 1) (patience *. t.config.backoff)
     end
   in
-  add key;
-  Hashtbl.iter (fun k n -> if n > 0 then add k) t.inflight_keys;
-  Queue.iter
-    (fun env ->
-      match env.Wire.payload with
-      | Wire.Client_put { key = k; _ } | Wire.Client_get { key = k; _ } ->
-          add (object_key t k)
-      | _ -> ())
-    t.pending_clients;
-  List.rev !group
+  attempt 0 t.config.gather_timeout;
+  answers
 
 (* The volatile group lock round: local leases for every object, then
    one KLock_request broadcast, all-or-nothing over the peers that
@@ -848,35 +928,15 @@ let lock_round t op keys =
   in
   if not (try_lock_all t keys op) then denied ()
   else begin
-    Site_set.iter
-      (fun dst -> send_to t dst (Wire.KLock_request { op; keys }))
-      (peers t);
-    let replies = Hashtbl.create 8 in
-    let abstained = Hashtbl.create 4 in
-    let deadline = t.config.clock () +. t.config.gather_timeout in
-    let want = Site_set.cardinal (peers t) in
-    let rec collect () =
-      if Hashtbl.length replies + Hashtbl.length abstained < want then
-        match
-          await ~deadline ~match_reply:(fun env ->
-              match env.Wire.payload with
-              | Wire.Lock_reply { op = o; granted } when o = op ->
-                  Some (env.Wire.src, `Vote granted)
-              | Wire.Abstain { round } when round = op ->
-                  (* A fenced site holds no lock and casts no vote; its
-                     answer only stops the wait. *)
-                  Some (env.Wire.src, `Abstain)
-              | _ -> None)
-        with
-        | Some (src, `Vote granted) ->
-            Hashtbl.replace replies src granted;
-            collect ()
-        | Some (src, `Abstain) ->
-            Hashtbl.replace abstained src ();
-            collect ()
-        | None -> ()
+    let replies =
+      ask t ~retries:0 (Wire.KLock_request { op; keys }) (function
+        | Wire.Lock_reply { op = o; granted } when o = op -> Some granted
+        | Wire.Abstain { round } when round = op ->
+            (* A fenced site holds no lock and casts no vote; its answer
+               only stops the wait, it never refuses the round. *)
+            Some true
+        | _ -> None)
     in
-    collect ();
     if Hashtbl.fold (fun _ granted acc -> acc && granted) replies true then
       `Granted
     else begin
@@ -896,55 +956,25 @@ let lock_round t op keys =
 let gather t keys =
   t.round <- t.round + 1;
   let round = t.round in
-  let replies = Hashtbl.create 8 in
-  let abstained = Hashtbl.create 4 in
-  let missing () =
-    Site_set.filter
-      (fun s ->
-        (s <> t.site)
-        && (not (Hashtbl.mem replies s))
-        && not (Hashtbl.mem abstained s))
-      t.universe
+  let replies =
+    ask t ~retries (Wire.KState_request { round; keys }) (function
+      | Wire.KState_reply { round = r; fresh; states } when r = round ->
+          Some (Some (fresh, states))
+      | Wire.Abstain { round = r } when r = round ->
+          (* Fenced or amnesiac: counts as reached-but-voteless, exactly
+             like silence, minus the timeout. *)
+          Some None
+      | _ -> None)
   in
-  let rec attempt n patience =
-    let absent = missing () in
-    if not (Site_set.is_empty absent) then begin
-      Site_set.iter
-        (fun dst -> send_to t dst (Wire.KState_request { round; keys }))
-        absent;
-      let deadline = t.config.clock () +. patience in
-      let rec collect () =
-        if not (Site_set.is_empty (missing ())) then
-          match
-            await ~deadline ~match_reply:(fun env ->
-                match env.Wire.payload with
-                | Wire.KState_reply { round = r; fresh; states } when r = round ->
-                    Some (env.Wire.src, `State (fresh, states))
-                | Wire.Abstain { round = r } when r = round ->
-                    (* Fenced or amnesiac: counts as reached-but-voteless,
-                       exactly like silence, minus the timeout. *)
-                    Some (env.Wire.src, `Abstain)
-                | _ -> None)
-          with
-          | Some (src, `State (fresh, states)) ->
-              Hashtbl.replace replies src (fresh, states);
-              collect ()
-          | Some (src, `Abstain) ->
-              Hashtbl.replace abstained src ();
-              collect ()
-          | None -> ()
-      in
-      collect ();
-      if n < retries then attempt (n + 1) (patience *. t.config.backoff)
-    end
-  in
-  attempt 0 t.config.gather_timeout;
   let self = if t.amnesiac then Site_set.empty else Site_set.singleton t.site in
   let self_fresh = if t.fresh && not t.amnesiac then self else Site_set.empty in
   let reachable, fresh =
     Hashtbl.fold
-      (fun src (fresh_claim, _) (reach, fr) ->
-        (Site_set.add src reach, if fresh_claim then Site_set.add src fr else fr))
+      (fun src reply (reach, fr) ->
+        match reply with
+        | Some (fresh_claim, _) ->
+            (Site_set.add src reach, if fresh_claim then Site_set.add src fr else fr)
+        | None -> (reach, fr))
       replies (self, self_fresh)
   in
   List.iter
@@ -953,8 +983,8 @@ let gather t keys =
         Array.make t.n_sites (Shard_map.replica (Shard_map.find t.objects key))
       in
       Hashtbl.iter
-        (fun src (_, kstates) ->
-          match List.assoc_opt key kstates with
+        (fun src reply ->
+          match Option.bind reply (fun (_, kstates) -> List.assoc_opt key kstates) with
           | Some replica -> states.(src) <- replica
           | None -> ())
         replies;
@@ -992,12 +1022,14 @@ let fetch t ~key ~entry ~sources ~want_version =
       send_to t src (Wire.KData_request { round; key });
       let deadline = t.config.clock () +. patience in
       match
-        await ~deadline ~match_reply:(fun env ->
+        await ~deadline
+          ~match_reply:(fun env ->
             match env.Wire.payload with
             | Wire.KData_reply { round = r; key = k; version; value; rids }
               when r = round && k = key ->
                 Some (version, value, rids)
             | _ -> None)
+          ()
       with
       | Some (version, value, rids) when version >= want_version -> (
           Shard_map.set_value entry value;
@@ -1079,12 +1111,12 @@ let release_anchor t =
 
 (* Hold the anchor between operations only while reuse is enabled and
    more work is already queued; with the defaults this releases exactly
-   where a sequential coordinator unlocks.  ([inflight] still counts the
-   calling fiber, so [<= 1] means "no one behind me".) *)
+   where a sequential coordinator unlocks.  ([requests] still holds the
+   calling operation, so [<= 1] means "no one behind me".) *)
 let maybe_release t =
   if
     t.config.max_reuse = 0
-    || (t.inflight <= 1 && Queue.is_empty t.pending_clients)
+    || Queue.length t.requests <= 1
     || t.degraded <> None
   then release_anchor t
 
@@ -1092,7 +1124,7 @@ let maybe_release t =
    (with bounded retry on rivalry) or anchor join, gather (or cached
    view), decide, fetch if stale, COMMIT wave, outcome record, unlock,
    reply — the paper's protocol as genuine request/reply exchanges,
-   running as a suspendable fiber.  [key] is the client's key; the
+   suspended at each wait.  [key] is the client's key; the
    operation acts on the object holding it.  RECOVER (Figure 3) exists
    for the one object only. *)
 let client_op t ~client ~req ~key kind =
@@ -1119,9 +1151,6 @@ let client_op t ~client ~req ~key kind =
   else begin
     t.op_counter <- t.op_counter + 1;
     let op = (t.site lsl 24) lor (t.op_counter land 0xFFFFFF) in
-    let passed = ref false in
-    take_turn t;
-    Fun.protect ~finally:(fun () -> pass_turn t passed) @@ fun () ->
     let entry = Shard_map.find t.objects obj in
     Shard_map.pin entry;
     Fun.protect
@@ -1132,25 +1161,19 @@ let client_op t ~client ~req ~key kind =
     (* Site-dependent backoff skew breaks retry symmetry between rivals. *)
     let skew = 1.0 +. (0.13 *. float_of_int (t.site mod 7)) in
     let acquire_fresh () =
-      let keys = build_group t obj in
+      let keys = build_group t in
       let rec acquire i =
         match lock_round t op keys with
         | `Granted -> true
         | `Denied when i < t.config.lock_retries ->
-            (* Back off without going deaf: the scheduler keeps serving
+            (* Back off without going deaf: the loop keeps serving
                protocol frames, and a rival's unlock ends the sleep. *)
             let deadline =
               t.config.clock ()
               +. (t.config.lock_backoff *. float_of_int (i + 1) *. skew)
             in
             ignore
-              (Effect.perform
-                 (Await_frame
-                    {
-                      deadline;
-                      match_reply = (fun _ -> (None : unit option));
-                      wake_on_unlock = true;
-                    })
+              (await ~wake_on_unlock:true ~deadline ~match_reply:(fun _ -> None) ()
                 : unit option);
             acquire (i + 1)
         | `Denied -> false
@@ -1220,7 +1243,6 @@ let client_op t ~client ~req ~key kind =
       | Decision.Denied denial, _ ->
           if kind <> `Recover then
             log_outcome t ~key:obj ~kind:tag ~granted:false ~content:None ~rid;
-          pass_turn t passed;
           maybe_release t;
           reply_client t ~client ~req Wire.Denied None (denial_text denial)
       | Decision.Granted g, states ->
@@ -1240,7 +1262,6 @@ let client_op t ~client ~req ~key kind =
                 || Shard_map.data_version entry < v
           in
           let finish status value info =
-            pass_turn t passed;
             maybe_release t;
             reply_client t ~client ~req status value info
           in
@@ -1285,7 +1306,6 @@ let client_op t ~client ~req ~key kind =
             | Some reason ->
                 (* The operation's own apply (or log) fenced us
                    mid-flight; the reply must say so rather than ack. *)
-                pass_turn t passed;
                 release_anchor t;
                 reply_client t ~client ~req Wire.Degraded None ("degraded: " ^ reason)
             | None ->
@@ -1307,191 +1327,64 @@ let client_op t ~client ~req ~key kind =
     end
   end
 
-(* The in-flight object set feeds {!build_group}: a fresh group anchor
-   covers every object with an admitted operation. *)
-let with_inflight_key t key f =
-  let n = Option.value ~default:0 (Hashtbl.find_opt t.inflight_keys key) in
-  Hashtbl.replace t.inflight_keys key (n + 1);
-  Fun.protect
-    ~finally:(fun () ->
-      match Hashtbl.find_opt t.inflight_keys key with
-      | Some 1 | None -> Hashtbl.remove t.inflight_keys key
-      | Some n -> Hashtbl.replace t.inflight_keys key (n - 1))
-    f
+(* Start the head request: a refusal decided by what it asks, or the
+   operation.  Either runs until it parks on the network or retires; the
+   handler only files the continuation — all resumption happens in the
+   loop. *)
+let run_head t =
+  let r = Queue.peek t.requests in
+  Effect.Deep.match_with
+    (fun () ->
+      match refusal t r with
+      | Some info -> reply_client t ~client:r.client ~req:r.req Wire.Denied None info
+      | None -> client_op t ~client:r.client ~req:r.req ~key:r.key r.kind)
+    ()
+    {
+      Effect.Deep.retc =
+        (fun () ->
+          retire t r;
+          admit_next t);
+      exnc =
+        (fun e ->
+          retire t r;
+          raise e);
+      effc =
+        (fun (type b) (eff : b Effect.t) ->
+          match eff with
+          | Await w ->
+              Some
+                (fun (k : (b, unit) Effect.Deep.continuation) ->
+                  t.parked <- Some (Parked (w, k)))
+          | _ -> None);
+    }
 
-(* Coordination time as seen by this node, crash-exits included. *)
-let timed_op t f =
-  let began = t.config.clock () in
-  Fun.protect
-    ~finally:(fun () -> Metrics.observe t.ctrs.h_op (t.config.clock () -. began))
-    f
+(* Run queued requests, oldest first, until one parks or none is left. *)
+let rec run_queue t =
+  if Option.is_none t.parked && not (Queue.is_empty t.requests) then begin
+    run_head t;
+    run_queue t
+  end
 
-(* --- the fiber scheduler --------------------------------------------- *)
-
-(* Start a client operation as a fiber.  It runs until its first
-   suspension (or completion) right here; the effect handler only files
-   continuations — all resumption happens in the scheduler loop. *)
-let spawn_op t (env : Wire.envelope) =
-  let client = env.Wire.src in
-  let run ~req body =
-    t.inflight <- t.inflight + 1;
-    let opid = make_rid ~client ~req in
-    Hub.event t.obs
-      (Trace.Round_start { site = t.site; op = opid; in_flight = t.inflight });
-    Metrics.observe t.ctrs.h_inflight (float_of_int t.inflight);
-    let finish () =
-      Hub.event t.obs
-        (Trace.Round_end { site = t.site; op = opid; in_flight = t.inflight });
-      t.inflight <- t.inflight - 1
-    in
-    Effect.Deep.match_with
-      (fun () -> Fun.protect ~finally:finish (fun () -> timed_op t body))
-      ()
-      {
-        Effect.Deep.retc = (fun () -> ());
-        exnc = (fun e -> raise e);
-        effc =
-          (fun (type b) (eff : b Effect.t) ->
-            match eff with
-            | Await_frame { deadline; match_reply; wake_on_unlock } ->
-                Some
-                  (fun (k : (b, unit) Effect.Deep.continuation) ->
-                    t.fwaiters <-
-                      t.fwaiters @ [ FW { deadline; match_reply; wake_on_unlock; k } ])
-            | Await_turn ticket ->
-                Some
-                  (fun (k : (b, unit) Effect.Deep.continuation) ->
-                    t.twaiters <- t.twaiters @ [ TW (ticket, k) ])
-            | _ -> None);
-      }
-  in
-  let refuse ~req info =
-    run ~req (fun () -> reply_client t ~client ~req Wire.Denied None info)
-  in
-  let coordinate ~req ~key kind =
-    run ~req (fun () ->
-        with_inflight_key t (object_key t key) (fun () ->
-            client_op t ~client ~req ~key kind))
-  in
-  match env.Wire.payload with
-  | (Wire.Client_get { req; key = "" } | Wire.Client_put { req; key = ""; _ })
-    when sharded t ->
-      (* The empty key names the one object of [--shards 0]; keeping it
-         out of the keyed space keeps the audit's routing unambiguous. *)
-      refuse ~req "empty key: reserved"
-  | Wire.Client_get { req; key } -> coordinate ~req ~key `Read
-  | Wire.Client_put { req; key; value } -> coordinate ~req ~key (`Write value)
-  | Wire.Client_recover { req } when sharded t ->
-      (* Per-key membership never shrinks below the universe here: a
-         rebooted site either kept its shards (it just rejoins) or lost
-         them (amnesiac, and split-brain forbids vouching it back in). *)
-      refuse ~req "recover: unsupported for the sharded object space"
-  | Wire.Client_recover { req } -> coordinate ~req ~key:map_key `Recover
-  | _ -> serve_protocol t env
-
-(* Resume every fiber whose ticket the turnstile now serves.  Each resume
-   runs the fiber to its next suspension and may advance the turnstile
-   again, so scan from scratch until quiescent. *)
-let rec run_turns t =
-  let rec find acc = function
-    | [] -> None
-    | TW (ticket, k) :: rest when ticket = t.ticket_serving ->
-        t.twaiters <- List.rev_append acc rest;
-        Some k
-    | tw :: rest -> find (tw :: acc) rest
-  in
-  match find [] t.twaiters with
-  | Some k ->
-      Effect.Deep.continue k ();
-      run_turns t
-  | None -> ()
-
-(* Offer a frame to the parked fibers, oldest first; the first taker is
-   resumed with its match.  The waiter is unhooked before the resume, so
-   a fiber re-suspending inside [continue] files a fresh waiter. *)
-let try_deliver t env =
-  let rec scan acc = function
-    | [] -> false
-    | FW w :: rest -> (
-        match w.match_reply env with
-        | Some _ as hit ->
-            t.fwaiters <- List.rev_append acc rest;
-            Effect.Deep.continue w.k hit;
-            true
-        | None -> scan (FW w :: acc) rest)
-  in
-  scan [] t.fwaiters
-
-(* Resume (with None = timed out) every fiber whose deadline has passed. *)
-let rec expire_due t now =
-  let rec find acc = function
-    | [] -> None
-    | FW w :: rest when w.deadline <= now ->
-        t.fwaiters <- List.rev_append acc rest;
-        Some (fun () -> Effect.Deep.continue w.k None)
-    | fw :: rest -> find (fw :: acc) rest
-  in
-  match find [] t.fwaiters with
-  | Some resume ->
-      resume ();
-      run_turns t;
-      expire_due t now
-  | None -> ()
-
-(* A rival's unlock: end every lock-backoff sleep now. *)
-let wake_unlockers t =
-  let wake, keep = List.partition (fun (FW w) -> w.wake_on_unlock) t.fwaiters in
-  t.fwaiters <- keep;
-  List.iter (fun (FW w) -> Effect.Deep.continue w.k None) wake;
-  if wake <> [] then run_turns t
-
-let next_deadline t =
-  List.fold_left
-    (fun acc (FW w) ->
-      match acc with None -> Some w.deadline | Some d -> Some (min d w.deadline))
-    None t.fwaiters
+let next_deadline t = Option.map (fun (Parked (w, _)) -> w.deadline) t.parked
 
 (* One inbound frame.  Commits are deferred into the coalescing buffer;
    everything else flushes that buffer first (observable FIFO: a state or
    data request must see every commit that preceded it on the wire), then
-   goes to a parked fiber, a new operation slot, or the peer protocol. *)
+   resumes the parked operation or goes to the peer protocol. *)
 let handle_frame t (env : Wire.envelope) =
-  (match env.Wire.payload with
+  match env.Wire.payload with
   | Wire.KCommit { key; op_no; version; partition; value; rid } ->
       (* Any inbound commit means a rival coordinated while we were
          unlocked, so the anchor's cached views are stale: drop them.
-         Fibers only resume after the flush, so invalidating at enqueue
-         time is the same instant.  Self-applies go through
+         The operation only resumes after the flush, so invalidating at
+         enqueue time is the same instant.  Self-applies go through
          {!flush_commits} directly and must NOT reset the cache: the
          anchor's joined operations decide against it. *)
       Hashtbl.reset t.gcache;
       Queue.add (key, op_no, version, partition, value, rid) t.commit_batch
   | _ ->
       flush_commits t;
-      if try_deliver t env then run_turns t
-      else begin
-        match env.Wire.payload with
-        | Wire.Client_put _ | Wire.Client_get _ | Wire.Client_recover _ ->
-            if t.inflight < t.config.pipeline then begin
-              spawn_op t env;
-              run_turns t
-            end
-            else Queue.add env t.pending_clients
-        | _ -> serve_protocol t env
-      end);
-  if t.unlock_pulse then begin
-    t.unlock_pulse <- false;
-    wake_unlockers t
-  end
-
-let admit_pending t =
-  while
-    t.inflight < t.config.pipeline && not (Queue.is_empty t.pending_clients)
-  do
-    flush_commits t;
-    spawn_op t (Queue.pop t.pending_clients);
-    run_turns t
-  done
+      if not (deliver t env) then serve_protocol t env
 
 (* Volatile state dies with the thread; only the files survive. *)
 let close t =
@@ -1500,38 +1393,35 @@ let close t =
   Evconn.close t.conn
 
 (* The node thread body: a readiness-style loop over one connection.
-   Each iteration serves the turnstile, admits parked clients up to the
-   pipeline bound, drains every frame already buffered (so a burst of
-   commits coalesces into one persist), then sleeps until the next fiber
-   deadline — or blocks outright when nothing is parked. *)
+   Each iteration runs the queue, drains every frame already buffered (so
+   a burst of commits coalesces into one persist), then sleeps until the
+   parked operation's deadline — or blocks outright when none is
+   parked. *)
 let serve t =
   (try
      while true do
-       run_turns t;
-       admit_pending t;
-       let rec buffered () =
+       let rec burst () =
+         run_queue t;
          match
            Evconn.recv ~clock:t.config.clock ~deadline:(t.config.clock ()) t.conn
          with
          | Ok env ->
              handle_frame t env;
-             run_turns t;
-             buffered ()
+             burst ()
          | Error `Timeout -> ()
          | Error (`Closed | `Corrupt _) -> raise Dead
        in
-       buffered ();
+       burst ();
        flush_commits t;
-       admit_pending t;
        (* Everything this burst produced — replies, commit waves, protocol
-          frames — leaves in one write before the loop sleeps, so a fiber
-          waiting on a peer's answer always has its question on the wire. *)
+          frames — leaves in one write before the loop sleeps, so a parked
+          operation always has its question on the wire. *)
        drain t;
        match
          Evconn.recv ~clock:t.config.clock ?deadline:(next_deadline t) t.conn
        with
        | Ok env -> handle_frame t env
-       | Error `Timeout -> expire_due t (t.config.clock ())
+       | Error `Timeout -> wake t (fun deadline _ -> deadline <= t.config.clock ())
        | Error (`Closed | `Corrupt _) -> raise Dead
      done
    with Dead | Killed | Unix.Unix_error _ -> ());

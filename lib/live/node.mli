@@ -17,7 +17,10 @@
     COMMIT wave (or an ABORT that releases the locks).  While a
     coordinator waits for its own replies it keeps serving incoming peer
     requests on the same connection, so concurrent coordinators never
-    deadlock. *)
+    deadlock.  Each site coordinates one client operation at a time, in
+    arrival order; a request is refused when it would start — fenced or
+    amnesiac site, reserved key — so a site fenced while requests wait
+    starts no round for them. *)
 
 type config = {
   gather_timeout : float;
@@ -38,10 +41,16 @@ type config = {
           the monotonic {!Dynvote_obs.Clock.now} so wall-clock steps
           cannot expire (or immortalize) leases.  Injectable for tests. *)
   pipeline : int;
-      (** client operations admitted concurrently (as effect-suspended
-          fibers; a ticket turnstile keeps their protocol sections in
-          admission order).  [1] — the default — is the fully sequential
-          coordinator, frame-for-frame identical to earlier behaviour *)
+      (** client requests admitted at once: the first [pipeline] of the
+          coordinator's FIFO request queue are in flight — counted in
+          [live.rounds.inflight], traced by [Round_start]/[Round_end] and
+          timed by [live.node.op.seconds] from admission.  The
+          coordinator still runs one operation at a time; no two of its
+          operations overlap their rounds.  Queued requests pay off
+          through batching: a fresh group lock round covers the objects
+          of every queued request, and [max_reuse] lets the requests
+          behind it join that round.  [1] is the default; values
+          below 1 count as 1 *)
   max_reuse : int;
       (** operations that may join an anchored lock round and decide
           against its cached gather before a fresh round is forced (the
@@ -51,10 +60,10 @@ type config = {
   shards : int;
       (** [> 0]: every key is an independently-voted (o, v, P) object,
           persisted across this many per-site append logs, coordinated
-          by group-quorum rounds that cover every key of a scheduler
-          burst in one wire exchange.  [0] — the default — runs the same
-          engine over one object holding the whole map, in one shard
-          log; only this mode has RECOVER *)
+          by group-quorum rounds that cover every key the coordinator
+          has queued in one wire exchange.  [0] — the default — runs
+          the same engine over one object holding the whole map, in one
+          shard log; only this mode has RECOVER *)
   resident : int;
       (** bound on keys materialized in volatile memory at once (the
           shard map's LRU capacity); evicted keys re-materialize from

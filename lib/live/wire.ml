@@ -30,8 +30,8 @@ type payload =
          alive but taking no part, so the coordinator can stop waiting
          without counting it as a vote (for locks, [round] is the op) *)
   (* The peer protocol.  One group-quorum round names every object it
-     covers, so a single wire exchange locks, gathers and commits an
-     entire scheduler burst of per-object operations. *)
+     covers, so a single wire exchange locks and gathers for every
+     per-object operation queued at the coordinator. *)
   | KLock_request of { op : int; keys : string list }
   | KUnlock of { op : int; keys : string list }
   | KState_request of { round : int; keys : string list }

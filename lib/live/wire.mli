@@ -51,8 +51,8 @@ type payload =
       (** The peer protocol, this tag and below: each key names an
           independently-voted object (at [--shards 0] the one object
           holding the whole map); a group-quorum round names every
-          object it covers so one wire exchange locks, gathers and
-          decides a whole scheduler burst of operations.
+          object it covers so one wire exchange locks and gathers for
+          every operation queued at the coordinator.
 
           A [KLock_request] is one lock round for the whole group,
           answered with [Lock_reply] / [Abstain]. *)

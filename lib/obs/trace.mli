@@ -36,12 +36,13 @@ type event =
   | Degraded of { site : int; reason : string }
       (** the site fenced itself read-only after a storage failure *)
   | Round_start of { site : int; op : int; in_flight : int }
-      (** a coordinator admitted a client operation; [in_flight] counts
-          rounds concurrently open at that site, this one included — a
-          pipelined coordinator shows values above 1 *)
+      (** a coordinator admitted a client request; [in_flight] counts the
+          requests admitted at that site, this one included — a
+          pipelined coordinator shows values above 1.  Admitted requests
+          wait in its queue: it runs one operation at a time *)
   | Round_end of { site : int; op : int; in_flight : int }
       (** the operation replied to its client ([in_flight] counted
-          before this round leaves) *)
+          before it leaves) *)
   | Note of string
 
 type t

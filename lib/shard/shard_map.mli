@@ -9,7 +9,7 @@
     million-key object space costs nothing until keys are actually
     touched.
 
-    Entries are {e pinned} while an operation (which may park its fiber
+    Entries are {e pinned} while an operation (which may park mid-round
     awaiting frames) holds a reference: eviction skips pinned entries,
     so a parked coordinator can never race a re-materialization of the
     same key into a second, divergent object. *)

@@ -17,8 +17,10 @@ module Faultfs = Dynvote_faultfs.Faultfs
 module Shard_store = Dynvote_shard.Shard_store
 module Storage = Dynvote_chaos.Fault_plan.Storage
 module Oracle = Dynvote_chaos.Oracle
+module Loadgen = Dynvote_live.Loadgen
 module Hub = Dynvote_obs.Hub
 module Metrics = Dynvote_obs.Metrics
+module Trace = Dynvote_obs.Trace
 
 let ss = Site_set.of_list
 
@@ -307,6 +309,61 @@ let test_degraded_fencing () =
           Alcotest.(check int) "no double applies" 0 audit.Live.dup_applies;
           Alcotest.(check bool) "oracle safe" true
             (Oracle.is_safe audit.Live.oracle)))
+
+(* A fenced coordinator runs nothing it admitted.  Eight writers funnel
+   at site 0, so up to [pipeline] requests are admitted behind the first
+   one; that first commit's own shard write fails and fences the site.
+   From the Degraded event on, site 0 must start no lock round and no
+   COMMIT wave: whatever waits in its queue is refused when it would
+   start, not run because it was admitted before the fence. *)
+let test_fenced_runs_nothing_admitted () =
+  List.iter
+    (fun pipeline ->
+      with_scratch (fun dir ->
+          let ff = Faultfs.create ~seed:11 () in
+          let vfs_of site = if site = 0 then Faultfs.vfs ff else Vfs.real in
+          (* Refused requests spin fast after the fence: ~250k events in
+             0.5 s on a 2-core box, so the ring has room for four times
+             that. *)
+          let hub = Hub.create ~trace_capacity:(1 lsl 20) () in
+          let cluster =
+            Live.create ~config:{ crash_config with Node.pipeline } ~client_timeout:1.5
+              ~obs:hub ~vfs_of ~universe:u4 ~dir ()
+          in
+          Fun.protect ~finally:(fun () -> Live.shutdown cluster) (fun () ->
+              Faultfs.arm_next ff
+                { Storage.fault = Storage.Eio; file = Storage.Shard; op = Storage.Write; nth = 1 };
+              ignore
+                (Loadgen.run cluster
+                   {
+                     Loadgen.default with
+                     Loadgen.clients = 8;
+                     duration = 0.5;
+                     write_ratio = 1.0;
+                     sites = Some (Site_set.singleton 0);
+                   }
+                  : Loadgen.result);
+              Alcotest.(check int) "trace ring kept the whole run" 0
+                (Trace.dropped hub.Hub.trace);
+              let rec after_fence = function
+                | [] -> Alcotest.failf "pipeline %d: site 0 never fenced" pipeline
+                | (_, Trace.Degraded { site = 0; _ }) :: rest -> rest
+                | _ :: rest -> after_fence rest
+              in
+              let after = after_fence (Trace.recent hub.Hub.trace) in
+              let count p = List.length (List.filter (fun (_, e) -> p e) after) in
+              Alcotest.(check int)
+                (Printf.sprintf "pipeline %d: lock rounds after the fence" pipeline)
+                0
+                (count (function Trace.Lock_round_start { site = 0; _ } -> true | _ -> false));
+              Alcotest.(check int)
+                (Printf.sprintf "pipeline %d: commit waves after the fence" pipeline)
+                0
+                (count (function Trace.Commit_wave { site = 0; _ } -> true | _ -> false));
+              let audit = Live.check cluster in
+              Alcotest.(check int) "no double applies" 0 audit.Live.dup_applies;
+              Alcotest.(check bool) "oracle safe" true (Oracle.is_safe audit.Live.oracle))))
+    [ 4; 8 ]
 
 let test_boot_fences_on_midlog_corruption () =
   with_scratch (fun dir ->
@@ -720,6 +777,8 @@ let suite =
       test_scan_torn_tail_truncate_append;
     Alcotest.test_case "degraded site fences and recovers" `Quick
       test_degraded_fencing;
+    Alcotest.test_case "a fenced coordinator runs nothing it admitted" `Quick
+      test_fenced_runs_nothing_admitted;
     Alcotest.test_case "boot fences on mid-log corruption" `Quick
       test_boot_fences_on_midlog_corruption;
     Alcotest.test_case "unreadable shard log boots amnesiac" `Quick

@@ -5,8 +5,8 @@
    deadline injection in Evconn.recv, both readiness backends, and the
    switchboard's stall reaper on a hand-cranked clock.  A second suite
    (serve-smoke) drives the real thing: >1024 concurrent connections
-   through one broker loop and a pipelined coordinator holding several
-   quorum rounds in flight. *)
+   through one broker loop and a pipelined coordinator with several
+   client requests admitted at once. *)
 
 open Helpers
 module Wire = Dynvote_live.Wire
@@ -475,11 +475,14 @@ let test_many_concurrent_connections () =
       Alcotest.(check int) "distinct ids for every concurrent client" n
         (Hashtbl.length ids))
 
-(* A pipelined coordinator must actually overlap quorum rounds: the
-   trace ring records Round_start with the concurrent-round count, and
-   the live.rounds.inflight histogram has the same fact in aggregate.
-   Closed-loop clients all target one coordinator so admission can
-   overlap; the audit at the end proves overlap cost no safety. *)
+(* A pipelined coordinator must actually admit several requests at once:
+   the trace ring records Round_start with the admitted-request count,
+   and the live.rounds.inflight histogram has the same fact in
+   aggregate.  Admitted requests wait in the coordinator's queue — it
+   runs one operation at a time, and pipelining pays through the group
+   lock rounds and anchor joins that the queue feeds.  Closed-loop
+   clients all target one coordinator so admissions overlap; the audit
+   at the end proves the batching cost no safety. *)
 let test_pipelined_rounds_in_flight () =
   let pipelined_config =
     {
