@@ -324,8 +324,8 @@ let trace_cmd =
 let reliability_cmd =
   let copies_arg =
     let doc =
-      "Number of identical copies, 1 to 5.  The exact solver is dense: five copies \
-       need about 3,100 states, six about 15,000, past its 4,096-state bound."
+      "Number of identical copies, 1 to 6.  The optimistic chains grow about \
+       fivefold a copy: five copies need about 3,100 states, six about 15,000."
     in
     Arg.(value & opt int 3 & info [ "copies" ] ~docv:"N" ~doc)
   in
@@ -336,8 +336,8 @@ let reliability_cmd =
     Arg.(value & opt float 1.0 & info [ "mttr" ] ~docv:"DAYS" ~doc:"Per-site mean repair time.")
   in
   let run copies mttf mttr =
-    if copies < 1 || copies > 5 then begin
-      Fmt.epr "dynvote: reliability needs 1..5 copies@.";
+    if copies < 1 || copies > 6 then begin
+      Fmt.epr "dynvote: reliability needs 1..6 copies@.";
       exit 2
     end;
     let fail_rate = Array.make copies (1.0 /. mttf) in
@@ -357,6 +357,9 @@ let reliability_cmd =
         Voting_model.period_statistics ~flavor ?access_rate ~fail_rate ~repair_rate
           ~ordering ()
       in
+      let unavailability =
+        Voting_model.unavailability ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering ()
+      in
       let mttf_file =
         Voting_model.mean_time_to_unavailability ~flavor ?access_rate ~fail_rate
           ~repair_rate ~ordering ()
@@ -366,7 +369,7 @@ let reliability_cmd =
       in
       Text_table.add_row table
         [ name;
-          Text_table.cell_float (1.0 -. p.Voting_model.availability);
+          Text_table.cell_float unavailability;
           Printf.sprintf "%.2f" p.Voting_model.mean_up_days;
           Printf.sprintf "%.4f" p.Voting_model.mean_down_days;
           Printf.sprintf "%.1f" mttf_file;

@@ -8,7 +8,8 @@
    everywhere, a partition strands the minority (which is denied, not
    wrong), healing plus RECOVER brings it back, and at the end the
    per-node on-disk operation logs are replayed through the safety
-   oracle.
+   oracle.  The run passes on the same verdict as the CLI's audit
+   ({!Dynvote_live.Cluster.safe}) and removes its state directory.
 
    Run with:  dune exec examples/live_service.exe *)
 
@@ -26,9 +27,7 @@ let show label (reply : Live.reply) =
   | Wire.Degraded -> Fmt.pr "%-28s degraded (%s)@." label reply.Live.info
 
 let () =
-  let dir = Filename.temp_file "dynvote-live-example" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
+  let dir = Live.temp_dir "dynvote-live-example" in
   let universe = Site_set.universe 4 in
   let cluster = Live.create ~universe ~dir () in
   Fmt.pr "four sites serving on loopback port %d, state under %s@.@."
@@ -56,10 +55,8 @@ let () =
   show "get color at site 2" (Live.get c ~at:2 ~key:"color");
 
   let audit = Live.check cluster in
-  let violations =
-    List.length (Dynvote_chaos.Oracle.violations audit.Live.oracle)
-  in
   Fmt.pr "@.audit: %d log records replayed, %d violations@." audit.Live.records
-    violations;
+    (List.length (Dynvote_chaos.Oracle.violations audit.Live.oracle));
   Live.shutdown cluster;
-  if violations > 0 then exit 1
+  Live.remove_dir dir;
+  if not (Live.safe audit) then exit 1

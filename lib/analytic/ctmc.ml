@@ -3,14 +3,19 @@
    The caller supplies an initial state and a transition function giving
    the outgoing (rate, successor) pairs of any state.  One breadth-first
    exploration enumerates the reachable state space for all three
-   analyses: the stationary distribution (one balance equation replaced
-   by the normalization constraint), the survival function
-   (uniformization) and the mean first-passage time. *)
+   analyses, and one Gauss–Seidel solver over its edges serves two of
+   them: the stationary distribution, and the mean first-passage time as
+   the stationary restart rate of the regenerative chain.  The survival
+   function is uniformization over the same edges. *)
 
-(* The solvers are dense: a chain of n states costs an n x n float
-   matrix (8 n^2 bytes) and O(n^3) elimination.  4096 states is a
-   128 MB matrix, about as large as a solve can allocate and finish. *)
-let max_states_default = 4096
+(* The walk and the solver keep the states, their index and the edge
+   lists: memory grows with states plus edges, and a sweep costs one pass
+   over the edges.  200,000 states bounds a runaway model, not a solve. *)
+let max_states_default = 200_000
+
+(* Destination index of an edge into the target set: target states are
+   neither interned nor expanded. *)
+let target_set = -1
 
 type 'state space = {
   states : 'state array;               (* index -> state, discovery order *)
@@ -18,11 +23,10 @@ type 'state space = {
   edges : (int * int * float) list;    (* i -> j at rate, i <> j, newest first *)
 }
 
-(* Breadth-first exploration from [initial].  States satisfying [stop]
-   are interned but never expanded (absorbing targets); zero-rate edges
-   and self-loops are dropped.  [who] names the entry point in the
-   error messages. *)
-let explore ~who ~max_states ~stop ~initial ~transitions =
+(* Breadth-first exploration from [initial] (index 0), which must not be
+   a target.  Zero-rate edges and self-loops are dropped.  [who] names the
+   entry point in the error messages. *)
+let explore ~who ~max_states ~target ~initial ~transitions =
   let index = Hashtbl.create 64 in
   let states = ref [] in
   let n = ref 0 in
@@ -30,13 +34,14 @@ let explore ~who ~max_states ~stop ~initial ~transitions =
   let intern s =
     match Hashtbl.find_opt index s with
     | Some i -> i
+    | None when target s -> target_set
     | None ->
         let i = !n in
         if i >= max_states then failwith (who ^ ": state space too large");
         Hashtbl.add index s i;
         states := s :: !states;
         incr n;
-        if not (stop s) then Queue.push (s, i) queue;
+        Queue.push (s, i) queue;
         i
   in
   ignore (intern initial);
@@ -54,6 +59,68 @@ let explore ~who ~max_states ~stop ~initial ~transitions =
   done;
   { states = Array.of_list (List.rev !states); index; edges = !edges }
 
+(* The one solver.  Every edge into the target set is redirected to the
+   initial state, and the balance equations
+
+       pi_j q_j = sum_i pi_i q_ij        (q_j: j's exit rate)
+
+   are swept in discovery order with pi_0 pinned at 1, each sweep
+   recomputing every other probability from its inflow.  Every term is
+   positive, so each probability is accurate relative to itself however
+   small it is.  Sweeps stop when none moves by more than 1e-13 of
+   itself; the result is normalized.  [None] when some state cannot get
+   back to the initial state: the chain is reducible. *)
+let stationary space =
+  let n = Array.length space.states in
+  let exit = Array.make n 0.0 and into = Array.make n [] in
+  List.iter
+    (fun (i, j, rate) ->
+      let j = if j = target_set then 0 else j in
+      if i <> j then begin
+        exit.(i) <- exit.(i) +. rate;
+        into.(j) <- (i, rate) :: into.(j)
+      end)
+    space.edges;
+  (* Which states get back to the initial one: a walk back along the
+     in-edges. *)
+  let returns = Array.make n false in
+  let rec back = function
+    | [] -> ()
+    | j :: pending ->
+        back
+          (List.fold_left
+             (fun pending (i, _) ->
+               if returns.(i) then pending
+               else begin
+                 returns.(i) <- true;
+                 i :: pending
+               end)
+             pending into.(j))
+  in
+  returns.(0) <- true;
+  back [ 0 ];
+  if not (Array.for_all Fun.id returns) then None
+  else begin
+    let pi = Array.make n 0.0 in
+    pi.(0) <- 1.0;
+    let sweep () =
+      let moved = ref false in
+      for j = 1 to n - 1 do
+        let inflow = ref 0.0 in
+        List.iter (fun (i, rate) -> inflow := !inflow +. (pi.(i) *. rate)) into.(j);
+        let p = !inflow /. exit.(j) in
+        if Float.abs (p -. pi.(j)) > 1e-13 *. p then moved := true;
+        pi.(j) <- p
+      done;
+      !moved
+    in
+    while sweep () do
+      ()
+    done;
+    let total = Array.fold_left ( +. ) 0.0 pi in
+    Some (Array.map (fun p -> p /. total) pi)
+  end
+
 type 'state t = {
   states : 'state array;          (* index -> state *)
   index : ('state, int) Hashtbl.t;
@@ -62,33 +129,11 @@ type 'state t = {
 
 let build ?(max_states = max_states_default) ~initial ~transitions () =
   let space =
-    explore ~who:"Ctmc.build" ~max_states ~stop:(fun _ -> false) ~initial ~transitions
+    explore ~who:"Ctmc.build" ~max_states ~target:(fun _ -> false) ~initial ~transitions
   in
-  let size = Array.length space.states in
-  (* Stationary distribution: pi Q = 0 with sum(pi) = 1.  Assemble Q^T and
-     overwrite the last row with ones. *)
-  let a = Matrix.create ~rows:size ~cols:size in
-  List.iter
-    (fun (i, j, rate) ->
-      Matrix.add_to a j i rate;
-      Matrix.add_to a i i (-.rate))
-    space.edges;
-  for j = 0 to size - 1 do
-    Matrix.set a (size - 1) j 1.0
-  done;
-  let b = Array.make size 0.0 in
-  b.(size - 1) <- 1.0;
-  let stationary = Matrix.solve a b in
-  (* Numerical noise can leave tiny negatives; clamp and renormalize. *)
-  let total = ref 0.0 in
-  Array.iteri
-    (fun i p ->
-      let p = if p < 0.0 then 0.0 else p in
-      stationary.(i) <- p;
-      total := !total +. p)
-    stationary;
-  Array.iteri (fun i p -> stationary.(i) <- p /. !total) stationary;
-  { states = space.states; index = space.index; stationary }
+  match stationary space with
+  | Some stationary -> { states = space.states; index = space.index; stationary }
+  | None -> failwith "Ctmc.build: reducible chain"
 
 let n_states t = Array.length t.states
 
@@ -112,19 +157,15 @@ let iter t f = Array.iteri (fun i s -> f s t.stationary.(i)) t.states
 
        sum_k  Poisson(L t, k) * (mass still transient after k jumps)
 
-   truncated when the Poisson tail is negligible.  Numerically robust and
-   exact up to the stated tolerance. *)
-let survival ?(max_states = max_states_default) ?(tolerance = 1e-12) ~initial ~transitions
-    ~target ~t () =
+   truncated when the Poisson tail falls below 1e-12. *)
+let survival ?(max_states = max_states_default) ~initial ~transitions ~target ~t () =
+  let tolerance = 1e-12 in
   if t < 0.0 then invalid_arg "Ctmc.survival: negative time";
   if target initial then 0.0
   else if t = 0.0 then 1.0
   else begin
-    let space =
-      explore ~who:"Ctmc.survival" ~max_states ~stop:target ~initial ~transitions
-    in
+    let space = explore ~who:"Ctmc.survival" ~max_states ~target ~initial ~transitions in
     let size = Array.length space.states in
-    let transient = Array.map (fun s -> not (target s)) space.states in
     (* Exit rate of each transient state, summed in discovery order. *)
     let exit_rate = Array.make size 0.0 in
     List.iter
@@ -142,12 +183,12 @@ let survival ?(max_states = max_states_default) ?(tolerance = 1e-12) ~initial ~t
       (* Mass flowing into the target set simply disappears from v'. *)
       List.iter
         (fun (i, j, rate) ->
-          if v.(i) > 0.0 && transient.(j) then v'.(j) <- v'.(j) +. (v.(i) *. rate /. lambda))
+          if v.(i) > 0.0 && j <> target_set then v'.(j) <- v'.(j) +. (v.(i) *. rate /. lambda))
         space.edges;
       v'
     in
     let v = ref (Array.make size 0.0) in
-    !v.(Hashtbl.find space.index initial) <- 1.0;
+    !v.(0) <- 1.0;
     (* Propagate the transient sub-distribution over a time span using the
        Poisson-weighted jump expansion.  Spans are chunked so that
        lambda * span stays moderate and exp(-lambda * span) never
@@ -182,39 +223,23 @@ let survival ?(max_states = max_states_default) ?(tolerance = 1e-12) ~initial ~t
     Float.min 1.0 (Float.max 0.0 survival_mass)
   end
 
-(* Expected time to first reach the target set: the generator restricted
-   to non-target states, solved for Q h = -1 (h = 0 on targets) — the
-   standard first-passage-time system. *)
+(* Mean first-passage time by renewal: in the regenerative chain that
+   [stationary] solves, every entry into the target set restarts at the
+   initial state, one restart per passage, so the restarts' stationary
+   rate is 1 / (mean passage time).  Infinite when some reachable state
+   never reaches the target. *)
 let expected_hitting_time ?(max_states = max_states_default) ~initial ~transitions ~target
     () =
   if target initial then 0.0
   else begin
     let space =
-      explore ~who:"Ctmc.expected_hitting_time" ~max_states ~stop:target ~initial
-        ~transitions
+      explore ~who:"Ctmc.expected_hitting_time" ~max_states ~target ~initial ~transitions
     in
-    (* Unknowns: h(s) for non-target s.  Equation per non-target s:
-       sum_j q_sj (h(j) - h(s)) = -1, with h(target) = 0. *)
-    let unknown = Array.make (Array.length space.states) (-1) in
-    let n_unknowns = ref 0 in
-    Array.iteri
-      (fun i s ->
-        if not (target s) then begin
-          unknown.(i) <- !n_unknowns;
-          incr n_unknowns
-        end)
-      space.states;
-    let m = Matrix.create ~rows:!n_unknowns ~cols:!n_unknowns in
-    let b = Array.make !n_unknowns (-1.0) in
-    (* Targets are never expanded, so every edge leaves an unknown. *)
-    List.iter
-      (fun (i, j, rate) ->
-        let row = unknown.(i) in
-        Matrix.add_to m row row (-.rate);
-        if unknown.(j) >= 0 then Matrix.add_to m row unknown.(j) rate)
-      space.edges;
-    (* States with no outgoing edges would make the system singular — they
-       can never reach the target, so the hitting time is infinite. *)
-    let h = Matrix.solve m b in
-    h.(unknown.(Hashtbl.find space.index initial))
+    match stationary space with
+    | None -> infinity
+    | Some pi ->
+        1.0
+        /. List.fold_left
+             (fun flow (i, j, rate) -> if j = target_set then flow +. (pi.(i) *. rate) else flow)
+             0.0 space.edges
   end

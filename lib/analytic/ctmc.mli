@@ -2,13 +2,14 @@
 
     Supply an initial state and a transition function; one breadth-first
     exploration enumerates the reachable state space for every entry
-    point below, and the stationary distribution is solved exactly
-    (dense Gaussian elimination), suitable for the small chains arising
-    from 1–5 site voting models.
+    point below.  One Gauss–Seidel solver over the explored edges gives
+    the stationary distribution and the mean first-passage time, each
+    probability accurate relative to itself rather than to 1, in memory
+    linear in the states plus edges.
 
-    Every entry point takes [max_states] (default 4096, a 128 MB dense
-    matrix) and raises [Failure "<entry point>: state space too large"]
-    when more states are reachable, before any matrix is allocated. *)
+    Every entry point takes [max_states] (default 200,000) and raises
+    [Failure "<entry point>: state space too large"] when more states
+    are reachable, before any solve starts. *)
 
 type 'state t
 
@@ -20,9 +21,9 @@ val build :
   'state t
 (** States must be hashable/comparable by structure.  Rates must be
     non-negative; zero-rate edges are ignored.
-    @raise Failure when more than [max_states] states are reachable,
-    [Invalid_argument] on negative rates, [Matrix.Singular] if the chain
-    is reducible. *)
+    @raise Failure when more than [max_states] states are reachable or
+    some reachable state cannot return to [initial] (a reducible chain),
+    [Invalid_argument] on negative rates. *)
 
 val n_states : 'state t -> int
 
@@ -36,7 +37,6 @@ val iter : 'state t -> ('state -> float -> unit) -> unit
 
 val survival :
   ?max_states:int ->
-  ?tolerance:float ->
   initial:'state ->
   transitions:('state -> (float * 'state) list) ->
   target:('state -> bool) ->
@@ -44,9 +44,9 @@ val survival :
   unit ->
   float
 (** [survival ~initial ~transitions ~target ~t ()] is the probability that
-    the chain has not entered the target set by time [t] (uniformization;
-    accurate to [tolerance], default 1e-12).  This is the reliability
-    function R(t) when the target is "file unavailable". *)
+    the chain has not entered the target set by time [t] (uniformization,
+    accurate to 1e-12).  This is the reliability function R(t) when the
+    target is "file unavailable". *)
 
 val expected_hitting_time :
   ?max_states:int ->
@@ -57,6 +57,6 @@ val expected_hitting_time :
   float
 (** Mean first-passage time from [initial] to the target set (the
     replicated file's mean time to unavailability, when the target is
-    "access denied").  Zero when [initial] is already a target.
-    @raise Matrix.Singular when the target is unreachable from some
-    reachable state (infinite expectation). *)
+    "access denied").  Zero when [initial] is already a target;
+    [infinity] when some reachable state can never reach the target,
+    the target set being unreachable altogether included. *)

@@ -117,9 +117,11 @@ let build ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering () =
   let initial, transitions = chain ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering () in
   Ctmc.build ~initial ~transitions ()
 
+(* The mass of the denied states themselves, accurate relative to its own
+   size: 1 - mass(granted) would only be accurate relative to 1. *)
 let unavailability ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering () =
   let ctmc = build ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering () in
-  1.0 -. Ctmc.mass ctmc (grants ~flavor ~ordering)
+  Ctmc.mass ctmc (fun state -> not (grants ~flavor ~ordering state))
 
 (* Reliability: mean time from the all-up start until the file first
    becomes unavailable (the paper's "reliability of access"). *)
@@ -153,6 +155,7 @@ let period_statistics ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering () 
   let ctmc = Ctmc.build ~initial ~transitions () in
   let ok state = grants ~flavor ~ordering state in
   let availability = Ctmc.mass ctmc ok in
+  let denied = Ctmc.mass ctmc (fun state -> not (ok state)) in
   (* Probability flux from available into unavailable states. *)
   let flux = ref 0.0 in
   Ctmc.iter ctmc (fun state probability ->
@@ -164,7 +167,7 @@ let period_statistics ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering () 
     availability;
     failures_per_day = !flux;
     mean_up_days = (if !flux = 0.0 then infinity else availability /. !flux);
-    mean_down_days = (if !flux = 0.0 then nan else (1.0 -. availability) /. !flux);
+    mean_down_days = (if !flux = 0.0 then nan else denied /. !flux);
   }
 
 (* Per-site steady-state availability under exponential assumptions. *)

@@ -183,29 +183,13 @@ type reply = {
 }
 
 let client t =
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port t));
-     Unix.setsockopt sock Unix.TCP_NODELAY true
-   with e ->
-     (try Unix.close sock with Unix.Unix_error _ -> ());
-     raise e);
-  let conn = Evconn.of_fd sock in
-  ignore
-    (Evconn.enqueue conn
-       { Wire.src = 0; dst = Wire.broker_id; payload = Wire.Hello_client }
-      : [ `Ok | `Overflow ]);
+  let conn = Evconn.dial ~port:(port t) () in
   match
-    if Evconn.drain conn = `Closed then Error `Closed
-    else
-      Evconn.recv ~clock:t.config.Node.clock
-        ~deadline:(t.config.Node.clock () +. 5.0)
-        conn
+    Evconn.handshake ~clock:t.config.Node.clock conn
+      { Wire.src = 0; dst = Wire.broker_id; payload = Wire.Hello_client }
   with
-  | Ok { Wire.payload = Wire.Welcome { id }; _ } -> { t; conn; id; req = 0 }
-  | _ ->
-      Evconn.close conn;
-      failwith "live client: switchboard handshake failed"
+  | Some id -> { t; conn; id; req = 0 }
+  | None -> failwith "live client: switchboard handshake failed"
 
 (* One frame to [dst], written out before returning; [false] when the
    switchboard is gone. *)

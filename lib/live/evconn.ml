@@ -45,6 +45,17 @@ let create ?(max_queue = 4 * 1024 * 1024) vio =
   }
 
 let of_fd ?max_queue fd = create ?max_queue (Vio.of_fd fd)
+
+let dial ?max_queue ~port () =
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  (try
+     Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+     Unix.setsockopt sock Unix.TCP_NODELAY true
+   with e ->
+     (try Unix.close sock with Unix.Unix_error _ -> ());
+     raise e);
+  of_fd ?max_queue sock
+
 let fd t = t.vio.Vio.fd
 let pending_bytes t = t.tail - t.head
 let buffered_in t = Wire.Decoder.buffered t.dec
@@ -199,3 +210,14 @@ let rec recv ?(clock = Dynvote_obs.Clock.now) ?deadline t =
         | Vio.Read_block when t.vio.Vio.fd = None -> Error `Timeout
         | Vio.Read_block | Vio.Read_intr -> recv ~clock ?deadline t
         | Vio.Read_eof -> Error `Closed)
+
+let handshake ~clock t hello =
+  ignore (enqueue t hello : [ `Ok | `Overflow ]);
+  match
+    if drain t = `Closed then Error `Closed
+    else recv ~clock ~deadline:(clock () +. 5.0) t
+  with
+  | Ok { Wire.payload = Wire.Welcome { id }; _ } -> Some id
+  | _ ->
+      close t;
+      None

@@ -29,6 +29,12 @@ val create : ?max_queue:int -> Vio.t -> t
 val of_fd : ?max_queue:int -> Unix.file_descr -> t
 (** [create] over [Vio.of_fd] — switches the descriptor non-blocking. *)
 
+val dial : ?max_queue:int -> port:int -> unit -> t
+(** Connect to [port] on the loopback interface, with TCP_NODELAY, and
+    wrap the socket with {!of_fd}: the one way a node, a client or the
+    load generator's herd opens its connection to the switchboard.
+    Raises [Unix.Unix_error] (the socket closed) when the connect fails. *)
+
 val fd : t -> Unix.file_descr option
 
 (** {2 Writing} *)
@@ -78,6 +84,12 @@ val recv :
     stretch or collapse a wait; a deadline already past returns
     [`Timeout] without reading, and an omitted one blocks until a frame
     or EOF.  A fake endpoint with nothing to deliver times out at once. *)
+
+val handshake : clock:(unit -> float) -> t -> Wire.envelope -> int option
+(** Send a [Hello_site] or [Hello_client] envelope, write it out, and
+    wait up to 5 s of [clock] for the switchboard's [Welcome]: [Some id]
+    with the id it assigns, or [None] — the connection then closed —
+    when anything else or nothing comes. *)
 
 val buffered_in : t -> int
 (** Bytes of an incomplete frame awaiting completion — non-zero for a

@@ -225,14 +225,8 @@ let herd ~port ~universe ~up ~timeout config ~ins ~sample_key ~t_start ~t_end =
   in
   let clients =
     Array.init config.clients (fun index ->
-        let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        (try
-           Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-           Unix.setsockopt sock Unix.TCP_NODELAY true
-         with e ->
-           (try Unix.close sock with Unix.Unix_error _ -> ());
-           raise e);
-        let conn = Evconn.of_fd sock in
+        let conn = Evconn.dial ~port () in
+        let sock = Option.get (Evconn.fd conn) in
         let c =
           {
             index;

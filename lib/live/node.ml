@@ -392,29 +392,18 @@ let seed ~dir ~site ~universe ~config =
 
 (* Dial the switchboard on [port] and register as [site]. *)
 let connect ~site ~config ~port =
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-     Unix.setsockopt sock Unix.TCP_NODELAY true
-   with e -> (try Unix.close sock with Unix.Unix_error _ -> ()); raise e);
   (* Outbound frames queue on the connection and leave in one write per
      scheduler burst, so a peer receives a whole burst's commits in one
      wakeup and coalesces their persists.  The queue is unbounded: the
      node drains it before it sleeps, and its own backlog must never
      sever it. *)
-  let conn = Evconn.of_fd ~max_queue:max_int sock in
-  ignore
-    (Evconn.enqueue conn
-       { Wire.src = site; dst = Wire.broker_id; payload = Wire.Hello_site { site } }
-      : [ `Ok | `Overflow ]);
+  let conn = Evconn.dial ~max_queue:max_int ~port () in
   match
-    if Evconn.drain conn = `Closed then Error `Closed
-    else Evconn.recv ~clock:config.clock ~deadline:(config.clock () +. 5.0) conn
+    Evconn.handshake ~clock:config.clock conn
+      { Wire.src = site; dst = Wire.broker_id; payload = Wire.Hello_site { site } }
   with
-  | Ok { Wire.payload = Wire.Welcome _; _ } -> conn
-  | _ ->
-      Evconn.close conn;
-      failwith (Printf.sprintf "live node %d: switchboard handshake failed" site)
+  | Some _ -> conn
+  | None -> failwith (Printf.sprintf "live node %d: switchboard handshake failed" site)
 
 let boot ~site ~universe ~flavor ~segment_of ~config ~obs ~dir ?(vfs = Vfs.real)
     ~next_seq ~port ~was_restarted () =

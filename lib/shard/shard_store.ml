@@ -1,10 +1,10 @@
 (* Append-only shard logs + an in-memory spine of packed latest
-   records.  Frames and the log scan are the oplog's ({!Codec.frame},
-   {!Codec.scan_log}), so the torn-tail / mid-log-corruption rule is the
-   same: bad frames at the end of a shard are honest crash damage and
-   are cut off before reopening for append; a bad record with an intact
-   one after it is bit rot, left in place and surfaced in
-   [scan_info.corrupt] for the node to fence on.
+   records, one key table per shard.  Frames and the log scan are the
+   oplog's ({!Codec.frame}, {!Codec.scan_log}), so the torn-tail /
+   mid-log-corruption rule is the same: bad frames at the end of a shard
+   are honest crash damage and are cut off before reopening for append;
+   a bad record with an intact one after it is bit rot, left in place
+   and surfaced in [scan_info.corrupt] for the node to fence on.
 
    Record types inside the frame:
 
@@ -36,20 +36,18 @@ type scan_info = {
 
 let shard_of_key ~shards key =
   let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    key;
+  for i = 0 to String.length key - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code key.[i]))) 0x100000001b3L
+  done;
   (Int64.to_int !h land max_int) mod shards
 
 (* --- spine packing ---------------------------------------------------
 
-   One packed string per key: four u64 fields then a value tag (1 =
-   absent, 2 = present, value bytes to the end).  Undecoded residency is
-   the point — a million keys are a million small strings, and decoding
-   (allocation of the state record and Site_set) happens only for the
-   LRU-resident working set in {!Shard_map}. *)
+   One packed string per key, in its shard's key table: four u64 fields
+   then a value tag (1 = absent, 2 = present, value bytes to the end).
+   Undecoded residency is the point — a million keys are a million small
+   strings, and decoding (allocation of the state record and Site_set)
+   happens only for the LRU-resident working set in {!Shard_map}. *)
 
 let set_fields b st =
   Bytes.set_int64_le b 0 (Int64.of_int st.op_no);
@@ -169,11 +167,13 @@ let decode_record c =
 
 (* --- the store ------------------------------------------------------- *)
 
+(* A shard's keys are exactly the ones its log holds, so the log's boot
+   fold fills its table and a compaction reads only its own keys. *)
 type shard = {
   path : string;
+  keys : (string, string) Hashtbl.t;  (* key -> packed latest state *)
   mutable file : Vfs.file option;
   mutable records : int;  (* frames in the log *)
-  mutable live : int;  (* distinct keys mapping here *)
   mutable dirty : bool;  (* appended to since the last fsync *)
 }
 
@@ -183,7 +183,6 @@ type t = {
   sdir : string;
   rids_path : string;
   shards : shard array;
-  spine : (string, string) Hashtbl.t;  (* key -> packed latest state *)
   rids : (int, int) Hashtbl.t;  (* client -> max applied req *)
   mutable compactions : int;
 }
@@ -243,11 +242,16 @@ let mkdir_p path =
 let rid_list t =
   List.sort compare (Hashtbl.fold (fun c r acc -> (c, r) :: acc) t.rids [])
 
+let shard_count t = Array.length t.shards
+let shard_of t key = t.shards.(shard_of_key ~shards:(shard_count t) key)
+
+let key_count t =
+  Array.fold_left (fun acc shard -> acc + Hashtbl.length shard.keys) 0 t.shards
+
 let open_store ?(vfs = Vfs.real) ?(durable = true) ~dir ~site ~shards () =
   if shards < 1 then invalid_arg "Shard_store.open_store: need at least one shard";
   let sdir = shards_dir ~dir ~site in
   mkdir_p sdir;
-  let spine = Hashtbl.create 1024 in
   let rids = Hashtbl.create 16 in
   let torn_shards = ref 0 in
   let corrupt = ref 0 in
@@ -257,10 +261,11 @@ let open_store ?(vfs = Vfs.real) ?(durable = true) ~dir ~site ~shards () =
   let shard_arr =
     Array.init shards (fun i ->
         let path = shard_path sdir i in
+        let keys = Hashtbl.create 64 in
         let records =
           match
             Codec.scan_log ~vfs ~cut_torn_tail:true ~path ~magic
-              ~decode:decode_record (fold_record spine rids) 0
+              ~decode:decode_record (fold_record keys rids) 0
           with
           | Ok scan ->
               if scan.Codec.torn then incr torn_shards;
@@ -270,14 +275,8 @@ let open_store ?(vfs = Vfs.real) ?(durable = true) ~dir ~site ~shards () =
               if Sys.file_exists path then incr unreadable;
               0
         in
-        { path; file = None; records; live = 0; dirty = false })
+        { path; keys; file = None; records; dirty = false })
   in
-  (* Live counts per shard, for the compaction trigger. *)
-  Hashtbl.iter
-    (fun key _ ->
-      let s = shard_arr.(shard_of_key ~shards key) in
-      s.live <- s.live + 1)
-    spine;
   (* The sidecar table (fetch-imported rids) merges over the log fold. *)
   let rids_path = Filename.concat sdir "rids.dvr" in
   (match vfs.Vfs.read rids_path with
@@ -293,25 +292,21 @@ let open_store ?(vfs = Vfs.real) ?(durable = true) ~dir ~site ~shards () =
       sdir;
       rids_path;
       shards = shard_arr;
-      spine;
       rids;
       compactions = 0;
     }
   in
   ( t,
     {
-      keys = Hashtbl.length spine;
+      keys = key_count t;
       torn_shards = !torn_shards;
       corrupt = !corrupt;
       unreadable = !unreadable;
       rids = rid_list t;
     } )
 
-let shard_count t = Array.length t.shards
-let key_count t = Hashtbl.length t.spine
-
 let lookup t key =
-  match Hashtbl.find_opt t.spine key with
+  match Hashtbl.find_opt (shard_of t key).keys key with
   | None -> None
   | Some packed -> Some (unpack packed)
 
@@ -328,7 +323,8 @@ let append_frame t shard frame =
   shard.records <- shard.records + 1;
   shard.dirty <- true
 
-(* Rewrite one shard with just the latest record per key, headed by the
+(* Rewrite one shard with just the latest record of each of its keys
+   (read from its own table, no other shard's), headed by the
    applied-request table so exactly-once memory survives the dropped
    history.  Atomic replace: a crash leaves the old log or the new one,
    both valid.
@@ -341,8 +337,7 @@ let append_frame t shard frame =
    replace is one — leaving the shard log durably empty after a power
    cut.  Unsynced appends losing their tail is the non-durable
    trade-off; compaction silently discarding fsynced history is not. *)
-let compact t i =
-  let shard = t.shards.(i) in
+let compact t shard =
   (match shard.file with
   | Some f ->
       f.Vfs.close ();
@@ -350,30 +345,24 @@ let compact t i =
   | None -> ());
   let b = Buffer.create 4096 in
   Buffer.add_string b (encode_rid_record (rid_list t));
-  let live = ref 0 in
   Hashtbl.iter
     (fun key packed ->
-      if shard_of_key ~shards:(Array.length t.shards) key = i then begin
-        incr live;
-        let st = unpack packed in
-        Buffer.add_string b
-          (encode_state_record ~key ~rid:0 ~value_enc:(Set st.value) st)
-      end)
-    t.spine;
+      let st = unpack packed in
+      Buffer.add_string b
+        (encode_state_record ~key ~rid:0 ~value_enc:(Set st.value) st))
+    shard.keys;
   Codec.write_file_atomic ~vfs:t.vfs ~fsync:true ~path:shard.path
     (Buffer.contents b);
-  shard.records <- !live + 1;
-  shard.live <- !live;
+  shard.records <- Hashtbl.length shard.keys + 1;
   shard.dirty <- false;
   t.compactions <- t.compactions + 1
 
 let compaction_due shard =
-  shard.records >= 1024 && shard.records > 4 * max 1 shard.live
+  shard.records >= 1024 && shard.records > 4 * max 1 (Hashtbl.length shard.keys)
 
 let commit t ~key ~rid st =
-  let i = shard_of_key ~shards:(Array.length t.shards) key in
-  let shard = t.shards.(i) in
-  let prior = Hashtbl.find_opt t.spine key in
+  let shard = shard_of t key in
+  let prior = Hashtbl.find_opt shard.keys key in
   let packed = pack st in
   let value_enc =
     match prior with
@@ -382,9 +371,8 @@ let commit t ~key ~rid st =
   in
   append_frame t shard (encode_state_record ~key ~rid ~value_enc st);
   note_rid t.rids rid;
-  Hashtbl.replace t.spine key packed;
-  if prior = None then shard.live <- shard.live + 1;
-  if compaction_due shard then compact t i
+  Hashtbl.replace shard.keys key packed;
+  if compaction_due shard then compact t shard
 
 let fsync t =
   Array.iter
@@ -401,7 +389,10 @@ let save_rids ?fsync t pairs =
   Codec.write_file_atomic ~vfs:t.vfs ~fsync ~path:t.rids_path
     (encode_rids_file (rid_list t))
 
-let iter t f = Hashtbl.iter (fun key packed -> f key (unpack packed)) t.spine
+let iter t f =
+  Array.iter
+    (fun shard -> Hashtbl.iter (fun key packed -> f key (unpack packed)) shard.keys)
+    t.shards
 
 let compactions t = t.compactions
 let log_records t = Array.fold_left (fun acc s -> acc + s.records) 0 t.shards

@@ -10,9 +10,10 @@
     is detected and dropped rather than trusted.
 
     In memory the store keeps a {e spine}: one packed (undecoded) blob
-    per key holding the latest state.  Decoding is the resident layer's
-    job ({!Shard_map}); the spine itself is what bounds recovery — a
-    boot folds every shard log once and is done.
+    per key holding the latest state, in one key table per shard.
+    Decoding is the resident layer's job ({!Shard_map}); the spine
+    itself is what bounds recovery — a boot folds every shard log once,
+    into that shard's table, and is done.
 
     When a shard log holds many times more records than live keys it is
     {e compacted}: rewritten atomically with only the latest record per
@@ -56,8 +57,9 @@ val open_store :
   ?vfs:Vfs.t -> ?durable:bool -> dir:string -> site:Site_set.site ->
   shards:int -> unit -> t * scan_info
 (** Scan (or create) the site's shard logs under
-    [dir/site-<site>/shards].  [durable] (default [true]) makes
-    {!save_rids} fsync by default.  Compaction rewrites always fsync —
+    [dir/site-<site>/shards]; [shards] must be the count the logs were
+    written with, since it picks each key's log.  [durable] (default
+    [true]) makes {!save_rids} fsync by default.  Compaction rewrites always fsync —
     they replace the only copy of the key history, and an unsynced
     rename promoted by any later directory fsync would leave the log
     durably empty.  @raise Invalid_argument when [shards < 1]. *)

@@ -1,69 +1,14 @@
-(* Analytic models: linear algebra, CTMC solver, closed forms, and the
-   exact Markov model of dynamic voting — including cross-validation
-   against the discrete-event simulator. *)
+(* Analytic models: the CTMC solver, closed forms, and the exact Markov
+   model of dynamic voting — including cross-validation against the
+   discrete-event simulator. *)
 
 open Helpers
-module Matrix = Dynvote_analytic.Matrix
 module Ctmc = Dynvote_analytic.Ctmc
 module Kofn = Dynvote_analytic.Kofn
 module Voting_model = Dynvote_analytic.Voting_model
 module Site_spec = Dynvote_failures.Site_spec
 module Study = Dynvote_sim.Study
 module Config = Dynvote_sim.Config
-
-(* --- Matrix --- *)
-
-let test_matrix_solve () =
-  (* 2x + y = 5; x - y = 1  =>  x = 2, y = 1. *)
-  let a = Matrix.of_rows [ [| 2.0; 1.0 |]; [| 1.0; -1.0 |] ] in
-  let x = Matrix.solve a [| 5.0; 1.0 |] in
-  check_float_tol 1e-12 "x" 2.0 x.(0);
-  check_float_tol 1e-12 "y" 1.0 x.(1)
-
-let test_matrix_solve_needs_pivoting () =
-  (* Zero on the diagonal forces a row swap. *)
-  let a = Matrix.of_rows [ [| 0.0; 1.0 |]; [| 1.0; 0.0 |] ] in
-  let x = Matrix.solve a [| 3.0; 7.0 |] in
-  check_float_tol 1e-12 "x" 7.0 x.(0);
-  check_float_tol 1e-12 "y" 3.0 x.(1)
-
-let test_matrix_singular () =
-  let a = Matrix.of_rows [ [| 1.0; 2.0 |]; [| 2.0; 4.0 |] ] in
-  Alcotest.check_raises "singular" Matrix.Singular (fun () ->
-      ignore (Matrix.solve a [| 1.0; 2.0 |]))
-
-let test_matrix_ops () =
-  let a = Matrix.of_rows [ [| 1.0; 2.0 |]; [| 3.0; 4.0 |] ] in
-  let b = Matrix.multiply a (Matrix.identity 2) in
-  check_float "identity multiply" 3.0 (Matrix.get b 1 0);
-  let t = Matrix.transpose a in
-  check_float "transpose" 2.0 (Matrix.get t 1 0);
-  let v = Matrix.apply a [| 1.0; 1.0 |] in
-  check_float "apply row 0" 3.0 v.(0);
-  check_float "apply row 1" 7.0 v.(1)
-
-let test_matrix_random_roundtrip () =
-  (* Solve A x = b for random well-conditioned A; verify A x = b. *)
-  let rng = Dynvote_prng.Rng.create ~seed:21L () in
-  for _ = 1 to 20 do
-    let n = 1 + Dynvote_prng.Rng.int rng 8 in
-    let a = Matrix.create ~rows:n ~cols:n in
-    for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        Matrix.set a i j (Dynvote_prng.Rng.uniform rng ~lo:(-1.0) ~hi:1.0)
-      done;
-      (* Diagonal dominance keeps it non-singular. *)
-      Matrix.add_to a i i (float_of_int n *. 2.0)
-    done;
-    let b = Array.init n (fun _ -> Dynvote_prng.Rng.uniform rng ~lo:(-5.0) ~hi:5.0) in
-    let x = Matrix.solve a b in
-    let back = Matrix.apply a x in
-    Array.iteri
-      (fun i bi ->
-        if Float.abs (back.(i) -. bi) > 1e-8 then
-          Alcotest.failf "residual %g at row %d" (back.(i) -. bi) i)
-      b
-  done
 
 (* --- CTMC --- *)
 
@@ -138,6 +83,116 @@ let test_ctmc_max_states () =
       ignore (Ctmc.expected_hitting_time ~max_states:10 ~initial:0 ~transitions ~target ()));
   Alcotest.(check int) "100 states within a bound of 100" 100
     (Ctmc.n_states (Ctmc.build ~max_states:100 ~initial:0 ~transitions ()))
+
+(* A birth–death chain 0..k: up at [up], down at [down]. *)
+let birth_death ~up ~down ~k i =
+  (if i < k then [ (up, i + 1) ] else []) @ if i > 0 then [ (down, i - 1) ] else []
+
+let test_ctmc_tail_state () =
+  (* pi_4 is 1e-12 of pi_0: the solver keeps it accurate relative to
+     itself, where an elimination accurate relative to 1 is off in the
+     seventh digit. *)
+  let chain = Ctmc.build ~initial:0 ~transitions:(birth_death ~up:1e-3 ~down:1.0 ~k:4) () in
+  let expected = 1e-12 /. (1.0 +. 1e-3 +. 1e-6 +. 1e-9 +. 1e-12) in
+  let pi4 = Ctmc.probability chain 4 in
+  if not (close_rel ~rel:1e-9 expected pi4) then
+    Alcotest.failf "pi_4 = %.17g, expected %.17g" pi4 expected
+
+let test_ctmc_rare_target () =
+  (* Target 6 of a chain pulled back ten times harder than it climbs: the
+     mean time to climb from i to i+1 is t_0 = 1/up, t_i = (1 + down
+     t_(i-1)) / up, and the passage 0 -> 6 takes their sum, 123,456.
+     Gauss–Seidel on the first-passage equations needs 2.2 million sweeps
+     here and stops 1e-8 short; the regenerative solve needs a few dozen. *)
+  let up = 1.0 and down = 10.0 and k = 6 in
+  let expected = ref 0.0 and climb = ref 0.0 in
+  for i = 0 to k - 1 do
+    climb := if i = 0 then 1.0 /. up else (1.0 +. (down *. !climb)) /. up;
+    expected := !expected +. !climb
+  done;
+  let mttf =
+    Ctmc.expected_hitting_time ~initial:0 ~transitions:(birth_death ~up ~down ~k)
+      ~target:(fun i -> i = k) ()
+  in
+  if not (close_rel ~rel:1e-9 !expected mttf) then
+    Alcotest.failf "MTTF %.17g, expected %.17g" mttf !expected
+
+let test_ctmc_unreachable_target () =
+  (* No edge enters the target, or a state that cannot leave is reached
+     first with positive probability: either way the passage is never
+     sure to end. *)
+  let transitions = function `Up -> [ (1.0, `Down) ] | _ -> [ (2.0, `Up) ] in
+  check_float "no edge into the target" infinity
+    (Ctmc.expected_hitting_time ~initial:`Up ~transitions ~target:(fun s -> s = `Gone) ());
+  let transitions = function 0 -> [ (1.0, 1); (1.0, 2) ] | _ -> [] in
+  check_float "a trap beside the target" infinity
+    (Ctmc.expected_hitting_time ~initial:0 ~transitions ~target:(fun s -> s = 2) ());
+  Alcotest.check_raises "a reducible chain has no stationary distribution"
+    (Failure "Ctmc.build: reducible chain") (fun () ->
+      ignore (Ctmc.build ~initial:0 ~transitions ()))
+
+(* A random chain on 0..n-1: a ring i -> i+1 keeps it irreducible, and
+   each other edge is present with probability 1/2; rates in [0.1, 3]. *)
+let random_chain rng =
+  let module Rng = Dynvote_prng.Rng in
+  let n = 2 + Rng.int rng 7 in
+  let rates = Array.make_matrix n n 0.0 in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      if j = (i + 1) mod n || (i <> j && Rng.int rng 2 = 0) then
+        rates.(i).(j) <- Rng.uniform rng ~lo:0.1 ~hi:3.0
+    done
+  done;
+  let transitions i =
+    List.filter_map
+      (fun j -> if rates.(i).(j) > 0.0 then Some (rates.(i).(j), j) else None)
+      (List.init n Fun.id)
+  in
+  (n, rates, transitions)
+
+let exit_rate rates i = Array.fold_left ( +. ) 0.0 rates.(i)
+
+let test_ctmc_random_balance () =
+  (* Every state's outflow pi_j q_j equals its inflow sum_i pi_i q_ij, and
+     the probabilities sum to one. *)
+  let rng = Dynvote_prng.Rng.create ~seed:21L () in
+  for _ = 1 to 20 do
+    let n, rates, transitions = random_chain rng in
+    let chain = Ctmc.build ~initial:0 ~transitions () in
+    Alcotest.(check int) "every state reached" n (Ctmc.n_states chain);
+    let pi = Array.init n (Ctmc.probability chain) in
+    check_float_tol 1e-12 "mass sums to one" 1.0 (Array.fold_left ( +. ) 0.0 pi);
+    for j = 0 to n - 1 do
+      let outflow = pi.(j) *. exit_rate rates j in
+      let inflow = ref 0.0 in
+      for i = 0 to n - 1 do
+        inflow := !inflow +. (pi.(i) *. rates.(i).(j))
+      done;
+      if not (close_rel ~rel:1e-9 outflow !inflow) then
+        Alcotest.failf "%d states, state %d: outflow %.17g, inflow %.17g" n j outflow !inflow
+    done
+  done
+
+let test_ctmc_random_passage () =
+  (* The mean passage times h_i to the last state solve the first-passage
+     equations q_i h_i = 1 + sum_j q_ij h_j (h = 0 at the target), solved
+     here once per starting state. *)
+  let rng = Dynvote_prng.Rng.create ~seed:22L () in
+  for _ = 1 to 20 do
+    let n, rates, transitions = random_chain rng in
+    let target j = j = n - 1 in
+    let h = Array.init n (fun i -> Ctmc.expected_hitting_time ~initial:i ~transitions ~target ()) in
+    check_float "zero at the target" 0.0 h.(n - 1);
+    for i = 0 to n - 2 do
+      let rhs = ref 1.0 in
+      for j = 0 to n - 1 do
+        rhs := !rhs +. (rates.(i).(j) *. h.(j))
+      done;
+      let lhs = exit_rate rates i *. h.(i) in
+      if not (close_rel ~rel:1e-9 !rhs lhs) then
+        Alcotest.failf "%d states, from %d: q h = %.17g, 1 + sum q h = %.17g" n i lhs !rhs
+    done
+  done
 
 let test_survival_single_copy () =
   (* One copy: R(t) = exp(-lambda t), independent of the repair rate. *)
@@ -388,6 +443,68 @@ let test_voting_model_figures_agree () =
       ("TDV-safe", Decision.tdv_safe_flavor, None);
       ("ODV", Decision.ldv_flavor, Some 1.0) ]
 
+(* The six rows of [dynvote reliability] at MTTF 10 and MTTR 1, pinned at
+   the values the dense Gaussian elimination gave: unavailability (the
+   denied states' mass), mean time to unavailability, and the mean up and
+   down periods.  Relative 1e-9 covers the dense solve's own error
+   (its 1 - availability form drifted 6e-10 at five-copy OTDV). *)
+let dense_reference =
+  [ (3, "DV", 0.043160241165841932, 24.999999999999979, 23.277945619335373,
+     1.0499999999999801);
+    (3, "LDV", 0.0226077453725839, 45.151515151515092, 43.23262839879154,
+     0.99999999999999867);
+    (3, "TDV (paper)", 0.00075131480090160014, 468.33333333332627, 443.33333333333252,
+     0.33333333333340331);
+    (3, "TDV (safe)", 0.0021762221819218745, 468.33333333332627, 458.51190476190447,
+     1.0000000000004108);
+    (3, "ODV", 0.031813578901417422, 26.195166798003651, 23.450334460188458,
+     0.77055311803208926);
+    (3, "OTDV", 0.00075131480090157748, 468.33333333332871, 443.33333333333388,
+     0.33333333333325643);
+    (5, "DV", 0.001235323731542707, 867.83333333331689, 848.92962330796979,
+     1.0500000000063647);
+    (5, "LDV", 0.00061910733160914447, 1634.7380952380367, 1614.2288124273978,
+     1.0000000000009286);
+    (5, "TDV (paper)", 6.2092132306085692e-06, 33077.833333310387, 32209.999999997686,
+     0.20000000000673679);
+    (5, "TDV (safe)", 3.0408120473127453e-05, 33077.833333310387, 32884.952319429132,
+     0.99999999993836364);
+    (5, "ODV", 0.0068874616101633548, 76.882791800224595, 68.346482666182055,
+     0.47399842148422455);
+    (5, "OTDV", 6.2092132305916454e-06, 33077.833333369774, 32209.999999999349,
+     0.20000000011760535) ]
+
+let test_voting_model_dense_reference () =
+  List.iter
+    (fun (copies, name, unavailability, mttf, up, down) ->
+      let flavor, access_rate =
+        match name with
+        | "DV" -> (Decision.dv_flavor, None)
+        | "LDV" -> (Decision.ldv_flavor, None)
+        | "TDV (paper)" -> (Decision.tdv_flavor, None)
+        | "TDV (safe)" -> (Decision.tdv_safe_flavor, None)
+        | "ODV" -> (Decision.ldv_flavor, Some 1.0)
+        | _ -> (Decision.tdv_flavor, Some 1.0)
+      in
+      let fail_rate = Array.make copies 0.1 and repair_rate = Array.make copies 1.0 in
+      let ordering = Ordering.default copies in
+      let p =
+        Voting_model.period_statistics ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering ()
+      in
+      let check figure expected actual =
+        if not (close_rel ~rel:1e-9 expected actual) then
+          Alcotest.failf "%d copies, %s, %s: %.17g, dense %.17g" copies name figure actual
+            expected
+      in
+      check "unavailability" unavailability
+        (Voting_model.unavailability ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering ());
+      check "MTTF" mttf
+        (Voting_model.mean_time_to_unavailability ~flavor ?access_rate ~fail_rate ~repair_rate
+           ~ordering ());
+      check "mean up" up p.Voting_model.mean_up_days;
+      check "mean down" down p.Voting_model.mean_down_days)
+    dense_reference
+
 (* --- Simulator cross-validation (the headline check) --- *)
 
 (* Identical sites, exponential repair, one segment: the simulator's DV /
@@ -453,11 +570,6 @@ let test_simulator_matches_ctmc () =
 
 let suite =
   [
-    Alcotest.test_case "matrix solve" `Quick test_matrix_solve;
-    Alcotest.test_case "matrix pivoting" `Quick test_matrix_solve_needs_pivoting;
-    Alcotest.test_case "matrix singular" `Quick test_matrix_singular;
-    Alcotest.test_case "matrix operations" `Quick test_matrix_ops;
-    Alcotest.test_case "matrix random round-trip" `Quick test_matrix_random_roundtrip;
     Alcotest.test_case "ctmc two-state" `Quick test_ctmc_two_state;
     Alcotest.test_case "ctmc birth-death" `Quick test_ctmc_birth_death;
     Alcotest.test_case "ctmc validation" `Quick test_ctmc_validation;
@@ -465,6 +577,12 @@ let suite =
     Alcotest.test_case "ctmc hitting time (birth-death)" `Quick
       test_ctmc_hitting_time_birth_death;
     Alcotest.test_case "ctmc max_states on every entry point" `Quick test_ctmc_max_states;
+    Alcotest.test_case "ctmc: a 1e-12 tail state is exact" `Quick test_ctmc_tail_state;
+    Alcotest.test_case "ctmc: a rare target's MTTF" `Quick test_ctmc_rare_target;
+    Alcotest.test_case "ctmc: an unreachable target gives infinity" `Quick
+      test_ctmc_unreachable_target;
+    Alcotest.test_case "ctmc: random chains balance" `Quick test_ctmc_random_balance;
+    Alcotest.test_case "ctmc: random passage times" `Quick test_ctmc_random_passage;
     Alcotest.test_case "survival single copy" `Quick test_survival_single_copy;
     Alcotest.test_case "survival monotone/ordered" `Quick test_survival_monotone_and_ordered;
     Alcotest.test_case "survival integral = MTTF" `Slow test_survival_consistent_with_mttf;
@@ -485,5 +603,7 @@ let suite =
     Alcotest.test_case "voting model validation" `Quick test_voting_model_validation;
     Alcotest.test_case "voting model: four figures, one chain" `Quick
       test_voting_model_figures_agree;
+    Alcotest.test_case "voting model: the dense solver's figures" `Quick
+      test_voting_model_dense_reference;
     Alcotest.test_case "simulator matches exact CTMC" `Slow test_simulator_matches_ctmc;
   ]
