@@ -238,6 +238,10 @@ let str c len =
   c.pos <- c.pos + len;
   s
 
+let skip c len =
+  need c len;
+  c.pos <- c.pos + len
+
 let bool c = match u8 c with 0 -> false | 1 -> true | _ -> raise (Corrupt "bad boolean")
 let key c = str c (u16 c)
 let value c = str c (u32 c)

@@ -108,6 +108,11 @@ val u64 : cursor -> int
 (** Rejects values outside [0, max_int]. *)
 
 val str : cursor -> int -> string
+
+val skip : cursor -> int -> unit
+(** Step over [len] bytes without copying them; the same bounds check
+    as {!str}. *)
+
 val bool : cursor -> bool
 val key : cursor -> string
 val value : cursor -> string

@@ -9,16 +9,24 @@
    for (or its deadline) resumes it.  No two operations of one
    coordinator overlap their rounds.
 
+   An operation is the paper's START/COMMIT exchange: one START frame
+   to every peer takes the locks of the operation's objects and brings
+   back each peer's ensembles in the same reply, and the COMMIT wave
+   releases those locks where it lands.  Among n sites a granted
+   operation whose peers all answer costs 3(n-1)+2 frames (START, its
+   replies, the COMMIT wave, the client's request and reply) and one
+   participant round trip.
+
    The first [config.pipeline] queued requests are admitted: counted in
    [live.rounds.inflight], traced by [Round_start]/[Round_end] and timed
    from admission.  Pipelining pays through batching, never through
-   overlap: a fresh group lock round covers the objects of every queued
+   overlap: a fresh group START covers the objects of every queued
    request, and its anchor lets the requests behind it skip their own
-   lock round.  With the defaults (pipeline = 1, max_reuse = 0) every
-   operation runs its own lock round and gather.  Whether a request is
-   refused — fenced or amnesiac site, reserved empty key, RECOVER at
-   [shards > 0] — is decided when it starts, so a site fenced while
-   requests wait starts no round for them.
+   START.  With the defaults (pipeline = 1, max_reuse = 0) every
+   operation runs its own START.  Whether a request is refused — fenced
+   or amnesiac site, reserved empty key, RECOVER at [shards > 0] — is
+   decided when it starts, so a site fenced while requests wait starts
+   no round for them.
 
    There is one protocol engine: every object is an independently-voted
    (o, v, P) copy set, kept in a bounded {!Shard_map} over the per-site
@@ -30,13 +38,15 @@
 
    Two fast paths pay for the machinery:
 
-   - Lock anchoring: one group lock round covers every object the queue
-     holds and becomes an {e anchor} that later operations on those
-     objects join without any lock traffic; the anchor rotates (fresh
-     round under a new op id) after [max_reuse] joins or 0.4 x the lock
-     lease, keeping well inside the lease at every peer.
-   - Gather reuse: the anchor's group gather fills a per-object view
-     cache; joined operations decide against it, kept current by our own
+   - Lock anchoring: one group START covers every object the queue holds
+     and becomes an {e anchor} that later operations on those objects
+     join without any lock traffic; the anchor rotates (fresh round
+     under a new op id) after [max_reuse] joins or 0.4 x the lock lease,
+     keeping well inside the lease at every peer.  An operation keeps
+     the anchor only when the next queued request would join it;
+     otherwise its COMMIT wave carries the release.
+   - Gather reuse: the START's states fill a per-object view cache;
+     joined operations decide against it, kept current by our own
      commit waves and invalidated by any inbound commit, a denial, a
      fetch failure, or rotation.
 
@@ -275,6 +285,19 @@ type request = {
 (* A gathered view of one object: (reachable, per-site states, fresh). *)
 type view = Site_set.t * Replica.t array * Site_set.t
 
+(* The locks a granted START holds: [op] names the round, [keys] its
+   group, and [holders] the peers that may hold them — every peer that
+   did not abstain, a silent one included, since its START may have
+   landed after its patience ran out. *)
+type anchor = { op : int; keys : string list; holders : Site_set.t }
+
+(* A peer's answer to a START. *)
+type start_answer =
+  | Vote of bool * (string * Replica.t) list  (* every lock, and its ensembles *)
+  | Voteless  (* amnesiac: every lock, no vote *)
+  | Refused  (* a rival holds a lock; it keeps none *)
+  | Abstained  (* fenced: no lock, no vote *)
+
 type t = {
   site : Site_set.site;
   universe : Site_set.t;
@@ -311,11 +334,13 @@ type t = {
      buffer. *)
   requests : request Queue.t;
   mutable parked : parked option;
-  mutable anchor : (int * string list) option;
+  mutable anchor : anchor option;
   mutable anchor_since : float;
   mutable reuse_count : int;
   gcache : (string, view) Hashtbl.t;
   commit_batch : (string * int * int * Site_set.t * string option * int) Queue.t;
+  (* The STARTs whose locks the batched commits release once applied. *)
+  mutable releases : int list;
 }
 
 let sharded t = t.config.shards > 0
@@ -439,19 +464,12 @@ let boot ~site ~universe ~flavor ~segment_of ~config ~obs ~dir ?(vfs = Vfs.real)
      this site must not present itself as a witness.  A purely torn tail
      (honest crash damage) is cut off by the scan before the log is
      reopened for append; a corrupt log is left untouched as evidence.
-     The same scan folds the highest stamp and client id the log holds. *)
+     The same scan folds the highest stamp and request id the log holds,
+     without building its records. *)
   let oplog_scan, oplog, conn =
     try
       let oplog_scan =
-        Persist.scan_log ~vfs ~cut_torn_tail:true ~path:(Persist.oplog_path ~dir site)
-          (fun (seq, client) r ->
-            let rid =
-              match r with
-              | Persist.Log_kcommit { rid; _ } | Persist.Log_koutcome { rid; _ } -> rid
-              | Persist.Log_kintent _ -> 0
-            in
-            (max seq (Persist.seq_of r), max client (rid lsr 32)))
-          (0, 0)
+        Persist.scan_floors ~vfs ~cut_torn_tail:true ~path:(Persist.oplog_path ~dir site) ()
       in
       let oplog = Persist.open_log ~vfs ~path:(Persist.oplog_path ~dir site) () in
       ( oplog_scan,
@@ -465,7 +483,7 @@ let boot ~site ~universe ~flavor ~segment_of ~config ~obs ~dir ?(vfs = Vfs.real)
       Shard_store.close store;
       raise e
   in
-  let logged_seq, logged_client = oplog_scan.Codec.folded in
+  let logged_seq, logged_rid = oplog_scan.Codec.folded in
   let degraded =
     let oplog_corrupt = oplog_scan.Codec.corrupt
     and shard_corrupt = scan.Shard_store.corrupt in
@@ -497,7 +515,9 @@ let boot ~site ~universe ~flavor ~segment_of ~config ~obs ~dir ?(vfs = Vfs.real)
       objects;
       rids = List.fold_left rid_merge IMap.empty scan.Shard_store.rids;
       logged_seq;
-      logged_client;
+      (* A client id is its request ids' high bits, so the highest
+         request id names the highest client. *)
+      logged_client = rid_client logged_rid;
       amnesiac;
       fresh = (not was_restarted) && not amnesiac;
       degraded = None;
@@ -515,6 +535,7 @@ let boot ~site ~universe ~flavor ~segment_of ~config ~obs ~dir ?(vfs = Vfs.real)
       reuse_count = 0;
       gcache = Hashtbl.create 256;
       commit_batch = Queue.create ();
+      releases = [];
     }
   in
   (match degraded with Some reason -> degrade t reason | None -> ());
@@ -567,6 +588,16 @@ let release_lock t key op =
       if Lease.holder l ~now:(t.config.clock ()) = None then
         Hashtbl.remove t.locks key
 
+(* Drop every lock [op] holds here — a releasing COMMIT names the START,
+   not its keys — and every lapsed lease met on the way. *)
+let release_op t op =
+  let now = t.config.clock () in
+  Hashtbl.filter_map_inplace
+    (fun _ l ->
+      Lease.release l ~op;
+      if Lease.holder l ~now = None then None else Some l)
+    t.locks
+
 (* All-or-nothing over a group: any object already held by a rival
    refuses the round and releases what this round acquired, so rival
    groups cannot deadlock. *)
@@ -592,6 +623,15 @@ let refresh_kgauges t =
       Metrics.set_gauge k.g_keys (float_of_int (Shard_store.key_count t.store))
   | None -> ()
 
+(* Resume the parked operation with [None], as if timed out, when [due]
+   holds of its deadline and its wake-on-unlock flag. *)
+let wake t due =
+  match t.parked with
+  | Some (Parked (w, k)) when due w.deadline w.wake_on_unlock ->
+      t.parked <- None;
+      Effect.Deep.continue k None
+  | Some _ | None -> ()
+
 (* Monotone install, as in the paper's COMMIT: stale or duplicated
    commits can never regress an object.  Every applicable commit of the
    batch installs volatile-first into its entry, then all their records
@@ -606,7 +646,9 @@ let refresh_kgauges t =
    one we hold a rollback reference to.  At [shards = 0] an applied
    commit of the one object also ends amnesia: an amnesiac site
    abstains from every gather, so the only commit it can receive is its
-   own RECOVER's. *)
+   own RECOVER's.  A releasing commit frees its START's locks only after
+   the batch is applied, and wakes a rival backing off, as an unlock
+   does. *)
 let flush_commits t =
   if not (Queue.is_empty t.commit_batch) then begin
     let rollback = ref [] in
@@ -678,10 +720,15 @@ let flush_commits t =
             degrade t ("persist failed: " ^ reason)));
     List.iter Shard_map.unpin !pinned;
     refresh_kgauges t
+  end;
+  if t.releases <> [] then begin
+    List.iter (release_op t) t.releases;
+    t.releases <- [];
+    wake t (fun _ on_unlock -> on_unlock)
   end
 
-(* Direct apply (own share of a commit wave, or a stray inbound
-   delivery): a one-element batch through the same discipline. *)
+(* Direct apply (our own share of a commit wave): a one-element batch
+   through the same discipline. *)
 let apply_commit t ~key ~op_no ~version ~partition ~value ~rid =
   Queue.add (key, op_no, version, partition, value, rid) t.commit_batch;
   flush_commits t
@@ -724,15 +771,6 @@ let admit_next t =
   | Some (r, _) -> admit t r
   | None -> ()
 
-(* Resume the parked operation with [None], as if timed out, when [due]
-   holds of its deadline and its wake-on-unlock flag. *)
-let wake t due =
-  match t.parked with
-  | Some (Parked (w, k)) when due w.deadline w.wake_on_unlock ->
-      t.parked <- None;
-      Effect.Deep.continue k None
-  | Some _ | None -> ()
-
 (* Offer a frame to the parked operation; it resumes if the frame is
    what it waits for.  It is unhooked first, so parking again inside
    [continue] files a fresh wait. *)
@@ -747,21 +785,31 @@ let deliver t env =
       | None -> false)
   | None -> false
 
+(* This site's ensemble of every object in [keys].  An object it never
+   committed reports the paper's initial state — the
+   lazy-materialization rule, sound because a non-amnesiac site that had
+   seen the object would have it in its shard logs. *)
+let states t keys =
+  List.map (fun key -> (key, Shard_map.replica (Shard_map.find t.objects key))) keys
+
 (* Serve one frame of the peer protocol, or queue a client request.
 
-   A degraded site answers nothing that could count as a vote: state
-   requests and lock requests get an explicit abstention (to the
-   coordinator it looks down, so new partitions form without it),
-   commits are refused.  Data requests are still served — they are
-   read-only, and the fetcher verifies the version before installing. *)
+   A degraded site answers nothing that could count as a vote: STARTs
+   and state requests get an explicit abstention (to the coordinator it
+   looks down, so new partitions form without it), commits are refused.
+   Data requests are still served — they are read-only, and the fetcher
+   verifies the version before installing. *)
 let serve_protocol t (env : Wire.envelope) =
   match env.Wire.payload with
-  | Wire.KLock_request { op; keys } ->
-      if t.degraded <> None then
-        send_to t env.Wire.src (Wire.Abstain { round = op })
-      else
-        send_to t env.Wire.src
-          (Wire.Lock_reply { op; granted = try_lock_all t keys op })
+  | Wire.KStart { op; keys } ->
+      (* All the group's locks or none.  An amnesiac site takes them but
+         must not vote — a guessed ensemble could be counted — so it
+         answers with a voteless grant; a fenced one takes none. *)
+      send_to t env.Wire.src
+        (if t.degraded <> None then Wire.Abstain { round = op }
+         else if not (try_lock_all t keys op) then Wire.Lock_reply { op; granted = false }
+         else if t.amnesiac then Wire.Lock_reply { op; granted = true }
+         else Wire.KStart_reply { op; fresh = t.fresh; states = states t keys })
   | Wire.KUnlock { op; keys } ->
       List.iter (fun key -> release_lock t key op) keys;
       (* A rival freed its locks: an operation backing off a denied lock
@@ -770,24 +818,10 @@ let serve_protocol t (env : Wire.envelope) =
   | Wire.KState_request { round; keys } ->
       (* An amnesiac site must not vote: a guessed ensemble could be
          counted.  It (and a fenced site) abstains explicitly, so the
-         coordinator excludes it without waiting out the gather.  An
-         object this site never committed reports the paper's initial
-         state — the lazy-materialization rule, sound because a
-         non-amnesiac site that had seen the object would have it in
-         its shard logs. *)
-      if t.amnesiac || t.degraded <> None then
-        send_to t env.Wire.src (Wire.Abstain { round })
-      else
-        let states =
-          List.map
-            (fun key -> (key, Shard_map.replica (Shard_map.find t.objects key)))
-            keys
-        in
-        send_to t env.Wire.src (Wire.KState_reply { round; fresh = t.fresh; states })
-  | Wire.KCommit { key; op_no; version; partition; value; rid } ->
-      (* Normally intercepted and coalesced by the scheduler; kept as the
-         direct path for any stray delivery. *)
-      apply_commit t ~key ~op_no ~version ~partition ~value ~rid
+         coordinator excludes it without waiting out the gather. *)
+      send_to t env.Wire.src
+        (if t.amnesiac || t.degraded <> None then Wire.Abstain { round }
+         else Wire.KState_reply { round; fresh = t.fresh; states = states t keys })
   | Wire.KData_request { round; key } ->
       let entry = Shard_map.find t.objects key in
       send_to t env.Wire.src
@@ -805,8 +839,10 @@ let serve_protocol t (env : Wire.envelope) =
   | Wire.Client_recover { req } ->
       enqueue t ~client:env.Wire.src ~req ~key:map_key `Recover
   | Wire.Hello_site _ | Wire.Hello_client | Wire.Welcome _ | Wire.Lock_reply _
-  | Wire.Client_reply _ | Wire.Abstain _ | Wire.KState_reply _ | Wire.KData_reply _ ->
-      (* Stray replies of a finished or abandoned exchange. *)
+  | Wire.Client_reply _ | Wire.Abstain _ | Wire.KState_reply _ | Wire.KStart_reply _
+  | Wire.KData_reply _ | Wire.KCommit_op _ ->
+      (* Stray replies of a finished or abandoned exchange.  (Commits
+         never get here: {!handle_frame} coalesces them.) *)
       ()
 
 (* Park the running operation until [deadline] for a frame satisfying
@@ -829,11 +865,11 @@ let denial_text denial = Fmt.str "%a" Decision.pp_denial denial
 
 (* --- group quorum rounds ---------------------------------------------
 
-   One lock round and one state round cover every object the queue
-   holds: the group is the running operation's object plus the objects
-   of every request behind it.  Operations behind the acquirer then join
-   the anchor — a local lease refresh, zero wire traffic — and decide
-   against the cached per-object view. *)
+   One START covers every object the queue holds: the group is the
+   running operation's object plus the objects of every request behind
+   it.  Operations behind the acquirer then join the anchor — a local
+   lease refresh, zero wire traffic — and decide against the cached
+   per-object view. *)
 
 let group_cap = 128
 
@@ -901,70 +937,21 @@ let ask t ~retries request answer =
   attempt 0 t.config.gather_timeout;
   answers
 
-(* The volatile group lock round: local leases for every object, then
-   one KLock_request broadcast, all-or-nothing over the peers that
-   answer.  Silent peers are simply unreachable — they hold no lock and
-   take no part in the gather either.  Any refusal releases everything
-   acquired (and our own), so two rivals cannot deadlock; they just
-   retry. *)
-let lock_round t op keys =
-  Metrics.incr t.ctrs.c_lock_rounds;
-  Hub.event t.obs (Trace.Lock_round_start { site = t.site; op });
-  let denied () =
-    Metrics.incr t.ctrs.c_lock_denied;
-    Hub.event t.obs (Trace.Lock_denied { site = t.site; op });
-    `Denied
-  in
-  if not (try_lock_all t keys op) then denied ()
-  else begin
-    let replies =
-      ask t ~retries:0 (Wire.KLock_request { op; keys }) (function
-        | Wire.Lock_reply { op = o; granted } when o = op -> Some granted
-        | Wire.Abstain { round } when round = op ->
-            (* A fenced site holds no lock and casts no vote; its answer
-               only stops the wait, it never refuses the round. *)
-            Some true
-        | _ -> None)
-    in
-    if Hashtbl.fold (fun _ granted acc -> acc && granted) replies true then
-      `Granted
-    else begin
-      Site_set.iter
-        (fun dst -> send_to t dst (Wire.KUnlock { op; keys }))
-        (peers t);
-      List.iter (fun key -> release_lock t key op) keys;
-      denied ()
-    end
-  end
-
-(* START: one KState_request names every object of the group and each
-   replier answers with its ensemble for all of them, under the bounded
-   retry/backoff discipline of the msgsim Deadline model.  Freshness is
-   distributed here: each reply carries the replier's own claim.  Fills
-   the per-object view cache the operations decide against. *)
-let gather t keys =
-  t.round <- t.round + 1;
-  let round = t.round in
-  let replies =
-    ask t ~retries (Wire.KState_request { round; keys }) (function
-      | Wire.KState_reply { round = r; fresh; states } when r = round ->
-          Some (Some (fresh, states))
-      | Wire.Abstain { round = r } when r = round ->
-          (* Fenced or amnesiac: counts as reached-but-voteless, exactly
-             like silence, minus the timeout. *)
-          Some None
-      | _ -> None)
-  in
+(* The per-object views one exchange leaves in the cache: [vote] picks a
+   peer's freshness claim and ensembles out of its answer, and a peer
+   without them — silent, abstaining or voteless — is unreachable.  A
+   START and a joined operation's re-gather both record through here. *)
+let record_views t ~round keys answers vote =
   let self = if t.amnesiac then Site_set.empty else Site_set.singleton t.site in
   let self_fresh = if t.fresh && not t.amnesiac then self else Site_set.empty in
   let reachable, fresh =
     Hashtbl.fold
-      (fun src reply (reach, fr) ->
-        match reply with
+      (fun src answer (reach, fr) ->
+        match vote answer with
         | Some (fresh_claim, _) ->
             (Site_set.add src reach, if fresh_claim then Site_set.add src fr else fr)
         | None -> (reach, fr))
-      replies (self, self_fresh)
+      answers (self, self_fresh)
   in
   List.iter
     (fun key ->
@@ -972,11 +959,11 @@ let gather t keys =
         Array.make t.n_sites (Shard_map.replica (Shard_map.find t.objects key))
       in
       Hashtbl.iter
-        (fun src reply ->
-          match Option.bind reply (fun (_, kstates) -> List.assoc_opt key kstates) with
+        (fun src answer ->
+          match Option.bind (vote answer) (fun (_, kstates) -> List.assoc_opt key kstates) with
           | Some replica -> states.(src) <- replica
           | None -> ())
-        replies;
+        answers;
       Hashtbl.replace t.gcache key (reachable, states, fresh))
     keys;
   Metrics.incr t.ctrs.c_gathers;
@@ -988,6 +975,83 @@ let gather t keys =
          reachable = Site_set.cardinal reachable;
          fresh = Site_set.cardinal fresh;
        })
+
+(* Release [anchor]'s locks: a KUnlock to every peer that may hold one,
+   and our own. *)
+let unlock t { op; keys; holders } =
+  Site_set.iter (fun dst -> send_to t dst (Wire.KUnlock { op; keys })) holders;
+  List.iter (fun key -> release_lock t key op) keys
+
+(* START: local leases for every object of the group, then one KStart to
+   every peer, which locks and gathers at once under the bounded
+   patience and one re-ask of the msgsim Deadline model.  Each attempt
+   takes a fresh op id, so a late answer to an earlier attempt never
+   counts for a later one.  Any refusal denies the round and releases
+   every lock it may have left, so two rivals cannot deadlock; they just
+   retry.  A granted round fills the view cache from the answers that
+   carry ensembles: a state counts only from a peer that holds the lock.
+   Freshness is distributed here: each vote carries the replier's own
+   claim. *)
+let start_round t keys =
+  t.op_counter <- t.op_counter + 1;
+  let op = (t.site lsl 24) lor (t.op_counter land 0xFFFFFF) in
+  Metrics.incr t.ctrs.c_lock_rounds;
+  Hub.event t.obs (Trace.Lock_round_start { site = t.site; op });
+  let denied () =
+    Metrics.incr t.ctrs.c_lock_denied;
+    Hub.event t.obs (Trace.Lock_denied { site = t.site; op });
+    None
+  in
+  if not (try_lock_all t keys op) then denied ()
+  else begin
+    let answers =
+      ask t ~retries (Wire.KStart { op; keys }) (function
+        | Wire.KStart_reply { op = o; fresh; states } when o = op ->
+            Some (Vote (fresh, states))
+        | Wire.Lock_reply { op = o; granted } when o = op ->
+            Some (if granted then Voteless else Refused)
+        | Wire.Abstain { round } when round = op -> Some Abstained
+        | _ -> None)
+    in
+    let holders, refusers =
+      Hashtbl.fold
+        (fun src answer (holders, refusers) ->
+          match answer with
+          | Vote _ | Voteless -> (holders, refusers)
+          | Refused -> (Site_set.remove src holders, Site_set.add src refusers)
+          | Abstained -> (Site_set.remove src holders, refusers))
+        answers (peers t, Site_set.empty)
+    in
+    let anchor = { op; keys; holders } in
+    if not (Site_set.is_empty refusers) then begin
+      (* A refuser holds none of our locks, but its unlock wakes the
+         rival coordinating there if it is backing off from us. *)
+      unlock t { anchor with holders = Site_set.union holders refusers };
+      denied ()
+    end
+    else begin
+      Hashtbl.reset t.gcache;
+      record_views t ~round:op keys answers (function
+        | Vote (fresh, states) -> Some (fresh, states)
+        | Voteless | Refused | Abstained -> None);
+      Some anchor
+    end
+  end
+
+(* A joined operation's fresh look at its object when the cached view
+   denied it: one KState_request, no locking — the anchor already holds
+   the locks. *)
+let gather t keys =
+  t.round <- t.round + 1;
+  let round = t.round in
+  let answers =
+    ask t ~retries (Wire.KState_request { round; keys }) (function
+      | Wire.KState_reply { round = r; fresh; states } when r = round ->
+          Some (Some (fresh, states))
+      | Wire.Abstain { round = r } when r = round -> Some None
+      | _ -> None)
+  in
+  record_views t ~round keys answers Fun.id
 
 (* Verified data fetch: ask the up-to-date sites in turn until a copy of
    at least [want_version] lands.  The install replaces the local value —
@@ -1044,12 +1108,14 @@ let fetch t ~key ~entry ~sources ~want_version =
   in
   attempt 0 t.config.gather_timeout
 
-(* The COMMIT wave.  The coordinator applies its own share through the
-   same monotone install as everyone else; the hook between sends is the
-   crash point — {!Killed} unwinds the whole thread, leaving the prefix
-   of recipients that already heard the commit, held locks to expire by
-   lease, and no outcome record: exactly a coordinator dead mid-wave. *)
-let commit_wave t ~recipients ~key ~op_no ~version ~partition ~value ~rid =
+(* The COMMIT wave, under the anchor's [op].  The coordinator applies its
+   own share through the same monotone install as everyone else; with
+   [release] every other recipient drops the anchor's locks once it has
+   applied the commit.  The hook between sends is the crash point —
+   {!Killed} unwinds the whole thread, leaving the prefix of recipients
+   that already heard the commit, held locks to expire by lease, and no
+   outcome record: exactly a coordinator dead mid-wave. *)
+let commit_wave t ~op ~release ~recipients ~key ~op_no ~version ~partition ~value ~rid =
   let total = Site_set.cardinal recipients in
   Metrics.incr t.ctrs.c_commit_waves;
   Hub.event t.obs
@@ -1060,7 +1126,8 @@ let commit_wave t ~recipients ~key ~op_no ~version ~partition ~value ~rid =
       if dst = t.site then
         apply_commit t ~key ~op_no ~version ~partition ~value ~rid
       else
-        send_to t dst (Wire.KCommit { key; op_no; version; partition; value; rid });
+        send_to t dst
+          (Wire.KCommit_op { op; release; key; op_no; version; partition; value; rid });
       incr sent;
       match t.commit_hook with
       | Some hook ->
@@ -1089,33 +1156,46 @@ let note_commit t ~key ~recipients ~op_no ~version ~partition =
 
 let release_anchor t =
   match t.anchor with
-  | Some (a, keys) ->
-      Site_set.iter
-        (fun dst -> send_to t dst (Wire.KUnlock { op = a; keys }))
-        (peers t);
-      List.iter (fun key -> release_lock t key a) keys;
+  | Some anchor ->
+      unlock t anchor;
       t.anchor <- None;
       Hashtbl.reset t.gcache
   | None -> ()
 
-(* Hold the anchor between operations only while reuse is enabled and
-   more work is already queued; with the defaults this releases exactly
-   where a sequential coordinator unlocks.  ([requests] still holds the
-   calling operation, so [<= 1] means "no one behind me".) *)
-let maybe_release t =
-  if
-    t.config.max_reuse = 0
-    || Queue.length t.requests <= 1
-    || t.degraded <> None
-  then release_anchor t
+(* An anchor rotates — a fresh round under a new op id — after
+   [max_reuse] joins, at 0.4 x the lease's age (well inside the lease at
+   every peer), and always for RECOVER (membership changes deserve a
+   fresh round). *)
+let rotation_due t kind =
+  t.reuse_count >= t.config.max_reuse
+  || t.config.clock () -. t.anchor_since > 0.4 *. t.config.lock_lease
+  || kind = `Recover
 
-(* One client operation, coordinated at this node: group lock round
-   (with bounded retry on rivalry) or anchor join, gather (or cached
-   view), decide, fetch if stale, COMMIT wave, outcome record, unlock,
+(* Keep the anchor past the running operation only for the next queued
+   request to join: reuse is on, the site is not fenced, and that
+   request's object is in the group and would not rotate the anchor.
+   With the defaults this releases exactly where a sequential
+   coordinator unlocks.  (The head of [requests] is the running
+   operation.) *)
+let keep_anchor t =
+  t.config.max_reuse > 0
+  && t.degraded = None
+  &&
+  match (t.anchor, Seq.uncons (Seq.drop 1 (Queue.to_seq t.requests))) with
+  | Some anchor, Some (next, _) ->
+      List.mem (object_key t next.key) anchor.keys && not (rotation_due t next.kind)
+  | _ -> false
+
+let maybe_release t = if not (keep_anchor t) then release_anchor t
+
+(* One client operation, coordinated at this node: group START (with
+   bounded retry on rivalry) or anchor join, cached view (or a
+   re-gather), decide, fetch if stale, COMMIT wave (releasing the
+   anchor unless the next operation joins it), outcome record, unlock,
    reply — the paper's protocol as genuine request/reply exchanges,
-   suspended at each wait.  [key] is the client's key; the
-   operation acts on the object holding it.  RECOVER (Figure 3) exists
-   for the one object only. *)
+   suspended at each wait.  [key] is the client's key; the operation
+   acts on the object holding it.  RECOVER (Figure 3) exists for the one
+   object only. *)
 let client_op t ~client ~req ~key kind =
   let obj = object_key t key in
   let tag = match kind with `Read -> `Read | `Write _ -> `Write | `Recover -> `Recover in
@@ -1138,8 +1218,6 @@ let client_op t ~client ~req ~key kind =
          "amnesiac: shard storage lost, rejoin via a surviving partition"
        else "amnesiac: stable record lost, RECOVER first")
   else begin
-    t.op_counter <- t.op_counter + 1;
-    let op = (t.site lsl 24) lor (t.op_counter land 0xFFFFFF) in
     let entry = Shard_map.find t.objects obj in
     Shard_map.pin entry;
     Fun.protect
@@ -1152,11 +1230,10 @@ let client_op t ~client ~req ~key kind =
     let acquire_fresh () =
       let keys = build_group t in
       let rec acquire i =
-        match lock_round t op keys with
-        | `Granted -> true
-        | `Denied when i < t.config.lock_retries ->
+        match start_round t keys with
+        | None when i < t.config.lock_retries ->
             (* Back off without going deaf: the loop keeps serving
-               protocol frames, and a rival's unlock ends the sleep. *)
+               protocol frames, and a rival's release ends the sleep. *)
             let deadline =
               t.config.clock ()
               +. (t.config.lock_backoff *. float_of_int (i + 1) *. skew)
@@ -1165,52 +1242,45 @@ let client_op t ~client ~req ~key kind =
               (await ~wake_on_unlock:true ~deadline ~match_reply:(fun _ -> None) ()
                 : unit option);
             acquire (i + 1)
-        | `Denied -> false
+        | granted_or_busy -> granted_or_busy
       in
-      if acquire 0 then begin
-        t.anchor <- Some (op, keys);
-        t.anchor_since <- t.config.clock ();
-        t.reuse_count <- 0;
-        Hashtbl.reset t.gcache;
-        (match t.kctrs with
-        | Some k -> Metrics.observe k.h_group (float_of_int (List.length keys))
-        | None -> ());
-        gather t keys;
-        `Fresh
-      end
-      else `Busy
+      match acquire 0 with
+      | Some _ as anchor ->
+          t.anchor <- anchor;
+          t.anchor_since <- t.config.clock ();
+          t.reuse_count <- 0;
+          (match t.kctrs with
+          | Some k -> Metrics.observe k.h_group (float_of_int (List.length keys))
+          | None -> ());
+          (anchor, false)
+      | None -> (None, false)
     in
-    (* Rotate the anchor before any peer's lease could lapse under it:
-       after [max_reuse] joins, at 0.4 x the lease's age, and always for
-       RECOVER (membership changes deserve a fresh round). *)
-    let rotation_due () =
-      t.reuse_count >= t.config.max_reuse
-      || t.config.clock () -. t.anchor_since > 0.4 *. t.config.lock_lease
-      || kind = `Recover
-    in
-    let locked =
+    let anchor, joined =
       match t.anchor with
-      | Some (a, akeys)
-        when List.mem obj akeys && (not (rotation_due ())) && try_lock t obj a ->
+      | Some anchor
+        when List.mem obj anchor.keys
+             && (not (rotation_due t kind))
+             && try_lock t obj anchor.op ->
           (* Join the anchor: the group's locks are already held
-             cluster-wide under [a] and its gather covered this object —
-             refreshing our own lease is the only touch.  (A failed
+             cluster-wide under its op and its START covered this object
+             — refreshing our own lease is the only touch.  (A failed
              refresh means the lease lapsed and a rival took the local
              lock — the anchor is gone.) *)
           t.reuse_count <- t.reuse_count + 1;
-          `Joined
+          (Some anchor, true)
       | Some _ ->
           release_anchor t;
           acquire_fresh ()
       | None -> acquire_fresh ()
     in
-    if locked = `Busy then
-      reply_client t ~client ~req Wire.Denied None
-        "busy: rival operation holds the locks"
-    else begin
-      (* The acquirer's own gather is a fresh view; only a joined
-         operation decides against a cached one, and only a cached view's
-         denial is worth one fresh gather — it may merely be stale. *)
+    match anchor with
+    | None ->
+        reply_client t ~client ~req Wire.Denied None
+          "busy: rival operation holds the locks"
+    | Some anchor ->
+      (* The acquirer's START is a fresh view; only a joined operation
+         decides against a cached one, and only a cached view's denial is
+         worth one fresh gather — it may merely be stale. *)
       let rec evaluate_round cached =
         let view, cached =
           match Hashtbl.find_opt t.gcache obj with
@@ -1228,12 +1298,15 @@ let client_op t ~client ~req ~key kind =
             evaluate_round false
         | decision -> (decision, states)
       in
-      match evaluate_round (locked = `Joined) with
+      let finish status value info =
+        maybe_release t;
+        reply_client t ~client ~req status value info
+      in
+      match evaluate_round joined with
       | Decision.Denied denial, _ ->
           if kind <> `Recover then
             log_outcome t ~key:obj ~kind:tag ~granted:false ~content:None ~rid;
-          maybe_release t;
-          reply_client t ~client ~req Wire.Denied None (denial_text denial)
+          finish Wire.Denied None (denial_text denial)
       | Decision.Granted g, states ->
           let m = g.Decision.m in
           let o = Replica.op_no states.(m) and v = Replica.version states.(m) in
@@ -1249,10 +1322,6 @@ let client_op t ~client ~req ~key kind =
             | `Read | `Write _ ->
                 (not (Site_set.mem t.site g.Decision.s))
                 || Shard_map.data_version entry < v
-          in
-          let finish status value info =
-            maybe_release t;
-            reply_client t ~client ~req status value info
           in
           if
             must_fetch
@@ -1287,8 +1356,17 @@ let client_op t ~client ~req ~key kind =
               log t
                 (Persist.Log_kintent
                    { seq = t.next_seq (); key = obj; content = content ~key:obj value });
-            commit_wave t ~recipients ~key:obj ~op_no:(o + 1) ~version
-              ~partition:recipients ~value ~rid;
+            (* Decided before the wave, which carries it: unless the next
+               operation joins the anchor, every recipient releases it on
+               the COMMIT, and only the holders the wave misses —
+               voteless, outside the new partition, or silent — still
+               need a KUnlock. *)
+            let release = not (keep_anchor t) in
+            commit_wave t ~op:anchor.op ~release ~recipients ~key:obj ~op_no:(o + 1)
+              ~version ~partition:recipients ~value ~rid;
+            if release then
+              t.anchor <-
+                Some { anchor with holders = Site_set.diff anchor.holders recipients };
             note_commit t ~key:obj ~recipients ~op_no:(o + 1) ~version
               ~partition:recipients;
             match t.degraded with
@@ -1309,11 +1387,11 @@ let client_op t ~client ~req ~key kind =
                   | `Recover -> None
                 in
                 log_outcome t ~key:obj ~kind:tag ~granted:true ~content:outcome ~rid;
-                finish Wire.Granted
+                if release then release_anchor t;
+                reply_client t ~client ~req Wire.Granted
                   (if kind = `Read then read_value t key served else None)
                   ""
           end
-    end
   end
 
 (* Start the head request: a refusal decided by what it asks, or the
@@ -1362,7 +1440,7 @@ let next_deadline t = Option.map (fun (Parked (w, _)) -> w.deadline) t.parked
    resumes the parked operation or goes to the peer protocol. *)
 let handle_frame t (env : Wire.envelope) =
   match env.Wire.payload with
-  | Wire.KCommit { key; op_no; version; partition; value; rid } ->
+  | Wire.KCommit_op { op; release; key; op_no; version; partition; value; rid } ->
       (* Any inbound commit means a rival coordinated while we were
          unlocked, so the anchor's cached views are stale: drop them.
          The operation only resumes after the flush, so invalidating at
@@ -1370,7 +1448,8 @@ let handle_frame t (env : Wire.envelope) =
          {!flush_commits} directly and must NOT reset the cache: the
          anchor's joined operations decide against it. *)
       Hashtbl.reset t.gcache;
-      Queue.add (key, op_no, version, partition, value, rid) t.commit_batch
+      Queue.add (key, op_no, version, partition, value, rid) t.commit_batch;
+      if release then t.releases <- op :: t.releases
   | _ ->
       flush_commits t;
       if not (deliver t env) then serve_protocol t env

@@ -106,9 +106,46 @@ let decode_record c =
       let content = Codec.value_opt c in
       Log_koutcome { seq; key; kind; granted; content; rid = Codec.u64 c }
 
+(* The stamp and request id of a record, read without building it: every
+   field check of [decode_record], with the key and the contents stepped
+   over instead of copied.  An intent has no request id (0). *)
+let decode_floors c =
+  let tag = Codec.u8 c in
+  if tag > 5 then raise (Codec.Corrupt "unknown record tag");
+  let seq = Codec.u64 c in
+  if tag >= 3 then Codec.skip c (Codec.u16 c);
+  let rid =
+    match tag mod 3 with
+    | 0 ->
+        ignore (Codec.u64 c : int);
+        ignore (Codec.u64 c : int);
+        ignore (Codec.site_set c : Site_set.t);
+        Codec.u64 c
+    | 1 ->
+        Codec.skip c (Codec.u32 c);
+        0
+    | _ ->
+        if Codec.u8 c > 2 then raise (Codec.Corrupt "bad kind");
+        ignore (Codec.bool c : bool);
+        (match Codec.u8 c with
+        | 0 -> ()
+        | 1 -> Codec.skip c (Codec.u32 c)
+        | _ -> raise (Codec.Corrupt "bad value flag"));
+        Codec.u64 c
+  in
+  (seq, rid)
+
 (* A missing or unreadable oplog is an empty one: the objects' own state
    lives in the shard logs, whose loss is amnesia. *)
-let scan_log ?vfs ?cut_torn_tail ~path f init =
-  match Codec.scan_log ?vfs ?cut_torn_tail ~path ~magic ~decode:decode_record f init with
+let scan ?vfs ?cut_torn_tail ~path ~decode f init =
+  match Codec.scan_log ?vfs ?cut_torn_tail ~path ~magic ~decode f init with
   | Ok scan -> scan
   | Error _ -> { Codec.folded = init; torn = false; corrupt = 0; valid_prefix = 0 }
+
+let scan_log ?vfs ?cut_torn_tail ~path f init =
+  scan ?vfs ?cut_torn_tail ~path ~decode:decode_record f init
+
+let scan_floors ?vfs ?cut_torn_tail ~path () =
+  scan ?vfs ?cut_torn_tail ~path ~decode:decode_floors
+    (fun (max_seq, max_rid) (seq, rid) -> (max max_seq seq, max max_rid rid))
+    (0, 0)

@@ -66,3 +66,11 @@ val scan_log :
     torn-versus-corrupt rule ([~cut_torn_tail:true] when the log is
     about to be reopened for append).  A missing or unreadable oplog is
     an empty scan: the objects themselves live in the shard logs. *)
+
+val scan_floors :
+  ?vfs:Vfs.t -> ?cut_torn_tail:bool -> path:string -> unit -> (int * int) Codec.scan
+(** The highest stamp and the highest request id the log holds, by the
+    same scan as {!scan_log} — the same frames rejected, the same [torn],
+    [corrupt] and [valid_prefix] — without building the records: keys
+    and contents are stepped over, not copied.  A booting node's one
+    scan of its oplog. *)

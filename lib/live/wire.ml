@@ -5,8 +5,10 @@
        len:u32 | magic "DVW1" | adler32:u32 | src:u16 | dst:u16 | tag:u8 | fields
 
    This module owns only the field layouts.  The consistency ensembles
-   inside KState_reply reuse the Codec stable-storage encoding byte for
-   byte.  Tags 3-5 and 7-10 are unassigned: every frame keeps the tag,
+   inside KState_reply and KStart_reply reuse the Codec stable-storage
+   encoding byte for byte.  Tags 3-5, 7-10, 16 (the lock round's
+   request, folded into KStart) and 20 (the commit without an op id,
+   replaced by KCommit_op) are unassigned: every frame keeps the tag,
    and the bytes, it has always had. *)
 
 let magic = "DVW1"
@@ -26,27 +28,19 @@ type payload =
   | Client_recover of { req : int }
   | Client_reply of { req : int; status : status; value : string option; info : string }
   | Abstain of { round : int }
-      (* a fenced or amnesiac site answering a state or lock gather:
-         alive but taking no part, so the coordinator can stop waiting
-         without counting it as a vote (for locks, [round] is the op) *)
+      (* a fenced site answering a START, or a fenced or amnesiac site
+         answering a state gather: alive but taking no part, so the
+         coordinator can stop waiting without counting it as a vote
+         (for a START, [round] is the op) *)
   (* The peer protocol.  One group-quorum round names every object it
      covers, so a single wire exchange locks and gathers for every
      per-object operation queued at the coordinator. *)
-  | KLock_request of { op : int; keys : string list }
   | KUnlock of { op : int; keys : string list }
   | KState_request of { round : int; keys : string list }
   | KState_reply of {
       round : int;
       fresh : bool;
       states : (string * Replica.t) list;
-    }
-  | KCommit of {
-      key : string;
-      op_no : int;
-      version : int;
-      partition : Site_set.t;
-      value : string option;  (* [None]: consistency-only (read or RECOVER) commit *)
-      rid : int;
     }
   | KData_request of { round : int; key : string }
   | KData_reply of {
@@ -55,6 +49,22 @@ type payload =
       version : int;
       value : string option;
       rids : (int * int) list;
+    }
+  | KStart of { op : int; keys : string list }
+  | KStart_reply of {
+      op : int;
+      fresh : bool;
+      states : (string * Replica.t) list;
+    }
+  | KCommit_op of {
+      op : int;
+      release : bool;  (* drop every lock held under [op] once applied *)
+      key : string;
+      op_no : int;
+      version : int;
+      partition : Site_set.t;
+      value : string option;  (* [None]: consistency-only (read or RECOVER) commit *)
+      rid : int;
     }
 
 type envelope = { src : int; dst : int; payload : payload }
@@ -69,13 +79,14 @@ let kind_name = function
   | Client_recover _ -> "client-recover"
   | Client_reply _ -> "client-reply"
   | Abstain _ -> "abstain"
-  | KLock_request _ -> "klock-request"
   | KUnlock _ -> "kunlock"
   | KState_request _ -> "kstate-request"
   | KState_reply _ -> "kstate-reply"
-  | KCommit _ -> "kcommit"
   | KData_request _ -> "kdata-request"
   | KData_reply _ -> "kdata-reply"
+  | KStart _ -> "kstart"
+  | KStart_reply _ -> "kstart-reply"
+  | KCommit_op _ -> "kcommit-op"
 
 let pp ppf e = Fmt.pf ppf "%d->%d %s" e.src e.dst (kind_name e.payload)
 
@@ -91,13 +102,14 @@ let tag_of = function
   | Client_recover _ -> 13
   | Client_reply _ -> 14
   | Abstain _ -> 15
-  | KLock_request _ -> 16
   | KUnlock _ -> 17
   | KState_request _ -> 18
   | KState_reply _ -> 19
-  | KCommit _ -> 20
   | KData_request _ -> 21
   | KData_reply _ -> 22
+  | KStart _ -> 23
+  | KStart_reply _ -> 24
+  | KCommit_op _ -> 25
 
 let add_status b status =
   Codec.add_u8 b
@@ -128,14 +140,14 @@ let encode_payload b = function
       Codec.add_value_opt b value;
       Codec.add_key b info
   | Abstain { round } -> Codec.add_u32 b round
-  | KLock_request { op; keys } | KUnlock { op; keys } ->
+  | KUnlock { op; keys } | KStart { op; keys } ->
       Codec.add_u32 b op;
       add_keys b keys
   | KState_request { round; keys } ->
       Codec.add_u32 b round;
       add_keys b keys
-  | KState_reply { round; fresh; states } ->
-      Codec.add_u32 b round;
+  | KState_reply { round = op; fresh; states } | KStart_reply { op; fresh; states } ->
+      Codec.add_u32 b op;
       Codec.add_bool b fresh;
       Codec.add_u16 b (List.length states);
       List.iter
@@ -143,13 +155,6 @@ let encode_payload b = function
           Codec.add_key b k;
           Buffer.add_string b (Codec.encode_replica replica))
         states
-  | KCommit { key; op_no; version; partition; value; rid } ->
-      Codec.add_key b key;
-      Codec.add_u64 b op_no;
-      Codec.add_u64 b version;
-      Codec.add_site_set b partition;
-      Codec.add_value_opt b value;
-      Codec.add_u64 b rid
   | KData_request { round; key } ->
       Codec.add_u32 b round;
       Codec.add_key b key
@@ -159,6 +164,15 @@ let encode_payload b = function
       Codec.add_u64 b version;
       Codec.add_value_opt b value;
       Codec.add_pairs b rids
+  | KCommit_op { op; release; key; op_no; version; partition; value; rid } ->
+      Codec.add_u32 b op;
+      Codec.add_bool b release;
+      Codec.add_key b key;
+      Codec.add_u64 b op_no;
+      Codec.add_u64 b version;
+      Codec.add_site_set b partition;
+      Codec.add_value_opt b value;
+      Codec.add_u64 b rid
 
 let encode e =
   Codec.frame ~magic (fun b ->
@@ -172,6 +186,12 @@ let encode e =
 let keys_field c =
   let n = Codec.u16 c in
   List.init n (fun _ -> Codec.key c)
+
+let states_field c =
+  let n = Codec.u16 c in
+  List.init n (fun _ ->
+      let k = Codec.key c in
+      (k, Codec.replica c))
 
 let status_field c =
   match Codec.u8 c with
@@ -203,9 +223,6 @@ let decode_payload c tag =
       let value = Codec.value_opt c in
       Client_reply { req; status; value; info = Codec.key c }
   | 15 -> Abstain { round = Codec.u32 c }
-  | 16 ->
-      let op = Codec.u32 c in
-      KLock_request { op; keys = keys_field c }
   | 17 ->
       let op = Codec.u32 c in
       KUnlock { op; keys = keys_field c }
@@ -215,20 +232,7 @@ let decode_payload c tag =
   | 19 ->
       let round = Codec.u32 c in
       let fresh = Codec.bool c in
-      let n = Codec.u16 c in
-      let states =
-        List.init n (fun _ ->
-            let k = Codec.key c in
-            (k, Codec.replica c))
-      in
-      KState_reply { round; fresh; states }
-  | 20 ->
-      let key = Codec.key c in
-      let op_no = Codec.u64 c in
-      let version = Codec.u64 c in
-      let partition = Codec.site_set c in
-      let value = Codec.value_opt c in
-      KCommit { key; op_no; version; partition; value; rid = Codec.u64 c }
+      KState_reply { round; fresh; states = states_field c }
   | 21 ->
       let round = Codec.u32 c in
       KData_request { round; key = Codec.key c }
@@ -238,6 +242,22 @@ let decode_payload c tag =
       let version = Codec.u64 c in
       let value = Codec.value_opt c in
       KData_reply { round; key; version; value; rids = Codec.pairs c }
+  | 23 ->
+      let op = Codec.u32 c in
+      KStart { op; keys = keys_field c }
+  | 24 ->
+      let op = Codec.u32 c in
+      let fresh = Codec.bool c in
+      KStart_reply { op; fresh; states = states_field c }
+  | 25 ->
+      let op = Codec.u32 c in
+      let release = Codec.bool c in
+      let key = Codec.key c in
+      let op_no = Codec.u64 c in
+      let version = Codec.u64 c in
+      let partition = Codec.site_set c in
+      let value = Codec.value_opt c in
+      KCommit_op { op; release; key; op_no; version; partition; value; rid = Codec.u64 c }
   | _ -> raise (Codec.Corrupt "unknown tag")
 
 (* The frame whose magic starts at [off]; its length word is already

@@ -6,7 +6,13 @@
     payload]; the checksum covers everything after itself, so a truncated
     or bit-flipped frame is detected rather than trusted — {!decode} is
     total and returns the corruption reason.  Replica ensembles travel in
-    their {!Dynvote.Codec} stable-storage encoding. *)
+    their {!Dynvote.Codec} stable-storage encoding.
+
+    A live operation is the paper's START/COMMIT exchange: one
+    {!KStart} locks and gathers, and the {!KCommit_op} wave releases.
+    Among [n] sites a granted operation whose peers all answer costs
+    3(n−1)+2 frames — START, its replies, the COMMIT wave, and the
+    client's request and reply — and one participant round trip. *)
 
 (** {2 Endpoints} *)
 
@@ -35,29 +41,35 @@ type payload =
   | Hello_client  (** a client asking the switchboard for an endpoint id *)
   | Welcome of { id : int }
   | Lock_reply of { op : int; granted : bool }
-      (** the answer to a {!KLock_request} *)
+      (** a {!KStart} answered without a vote: [granted = false] is a
+          refusal (a rival holds one of the locks; the replier keeps
+          none), [granted = true] a voteless grant (an amnesiac replier
+          took every lock but has no ensemble to report) *)
   | Client_put of { req : int; key : string; value : string }
   | Client_get of { req : int; key : string }
   | Client_recover of { req : int }
   | Client_reply of { req : int; status : status; value : string option; info : string }
   | Abstain of { round : int }
-      (** a fenced or amnesiac site answering a state or lock gather:
-          alive but taking no part — lets the coordinator stop waiting
+      (** a fenced site answering a {!KStart} (it takes no lock), or a
+          fenced or amnesiac site answering a {!KState_request}: alive
+          but taking no part — lets the coordinator stop waiting
           immediately instead of paying the full gather timeout, while
           still being excluded from votes and new partitions exactly as
-          if it were silent.  For lock gathers, [round] carries the op
-          number. *)
-  | KLock_request of { op : int; keys : string list }
-      (** The peer protocol, this tag and below: each key names an
-          independently-voted object (at [--shards 0] the one object
-          holding the whole map); a group-quorum round names every
-          object it covers so one wire exchange locks and gathers for
-          every operation queued at the coordinator.
-
-          A [KLock_request] is one lock round for the whole group,
-          answered with [Lock_reply] / [Abstain]. *)
+          if it were silent.  For a START, [round] carries the op. *)
   | KUnlock of { op : int; keys : string list }
+      (** The peer protocol, this family and below: each key names an
+          independently-voted object (at [--shards 0] the one object
+          holding the whole map).
+
+          Release the locks [op] holds on [keys]: sent to the peers a
+          START may have locked when the operation is denied, aborted or
+          deduplicated, when a kept anchor is released without a commit
+          wave, and to lock holders a releasing {!KCommit_op} does not
+          reach (voteless, outside the new partition, or silent). *)
   | KState_request of { round : int; keys : string list }
+      (** a re-gather of ensembles without locking: a joined
+          operation's fresh look at an object its cached view denied,
+          and the audit's quiesce ping *)
   | KState_reply of {
       round : int;
       fresh : bool;
@@ -67,7 +79,39 @@ type payload =
           (** one ensemble per requested key; a key the replier never
               committed reports the paper's initial state *)
     }
-  | KCommit of {
+  | KData_request of { round : int; key : string }
+  | KData_reply of {
+      round : int;
+      key : string;
+      version : int;
+      value : string option;
+      rids : (int * int) list;
+          (** the applied-request table travels with the data it guards *)
+    }
+  | KStart of { op : int; keys : string list }
+      (** START: one group-quorum round's lock request and state gather
+          in one frame.  It names every object the round covers, so one
+          exchange locks and gathers for every operation queued at the
+          coordinator.  All-or-nothing per peer: the answer is a
+          {!KStart_reply} when the peer took every lock, a {!Lock_reply}
+          when it refused or took the locks without a vote, an
+          {!Abstain} when it is fenced.  Asking again under the same
+          [op] is idempotent: the peer's leases are refreshed. *)
+  | KStart_reply of {
+      op : int;
+      fresh : bool;
+          (** the replier's own claim: continuously up since the last
+              commit it applied (gates topological vote claiming) *)
+      states : (string * Replica.t) list;
+          (** the replier holds every lock under [op] and reports one
+              ensemble per requested key *)
+    }
+  | KCommit_op of {
+      op : int;  (** the START whose locks the operation holds *)
+      release : bool;
+          (** the coordinator keeps no anchor: once the commit is
+              applied the recipient drops every lock it holds under
+              [op] and wakes a rival backing off *)
       key : string;
       op_no : int;
       version : int;
@@ -79,15 +123,6 @@ type payload =
       rid : int;
           (** request id the commit applies (0 = none), recorded in every
               participant's applied-request table for retry dedup *)
-    }
-  | KData_request of { round : int; key : string }
-  | KData_reply of {
-      round : int;
-      key : string;
-      version : int;
-      value : string option;
-      rids : (int * int) list;
-          (** the applied-request table travels with the data it guards *)
     }
 
 type envelope = { src : int; dst : int; payload : payload }

@@ -211,12 +211,18 @@ let wire_samples () =
         Client_recover { req = 7 };
         Client_reply { req = 5; status = Degraded; value = Some "val"; info = "fenced" };
         Abstain { round = 9 };
-        KLock_request { op = 13; keys = [ "a"; "bc" ] };
         KUnlock { op = 13; keys = [ "a" ] };
         KState_request { round = 10; keys = [ "a"; "" ] };
         KState_reply { round = 10; fresh = true; states = [ ("a", replica) ] };
-        KCommit
+        KData_request { round = 11; key = "a" };
+        KData_reply
+          { round = 11; key = "a"; version = 4; value = None; rids = [ (65, 5); (66, 1) ] };
+        KStart { op = 13; keys = [ "a"; "bc" ] };
+        KStart_reply { op = 13; fresh = true; states = [ ("a", replica) ] };
+        KCommit_op
           {
+            op = 13;
+            release = true;
             key = "a";
             op_no = 5;
             version = 4;
@@ -224,9 +230,6 @@ let wire_samples () =
             value = Some "new";
             rid = rid ~client:65 ~req:5;
           };
-        KData_request { round = 11; key = "a" };
-        KData_reply
-          { round = 11; key = "a"; version = 4; value = None; rids = [ (65, 5); (66, 1) ] };
       ]
 
 let wire_expected =
@@ -250,8 +253,6 @@ let wire_expected =
        66656e636564" );
     ( "abstain",
       "11000000445657315c005102020041000f09000000" );
-    ( "klock-request",
-      "1a000000445657318c01fc0802004100100d000000020001006102006263" );
     ( "kunlock",
       "1600000044565731c500be0402004100110d0000000100010061" );
     ( "kstate-request",
@@ -259,14 +260,19 @@ let wire_expected =
     ( "kstate-reply",
       "3700000044565731d702455802004100130a000000010100010061445654310e\
        00d800040000000000000003000000000000000600000000000000" );
-    ( "kcommit",
-      "38000000445657315e02962f0200410014010061050000000000000004000000\
-       00000000070000000000000001030000006e65770500000041000000" );
     ( "kdata-request",
       "1400000044565731c600070402004100150b000000010061" );
     ( "kdata-reply",
       "390000004456573156013a2b02004100160b0000000100610400000000000000\
        0002000000410000000500000000000000420000000100000000000000" );
+    ( "kstart",
+      "1a0000004456573193015e0902004100170d000000020001006102006263" );
+    ( "kstart-reply",
+      "3700000044565731df029a5902004100180d000000010100010061445654310e\
+       00d800040000000000000003000000000000000600000000000000" );
+    ( "kcommit-op",
+      "3d000000445657317102df3402004100190d0000000101006105000000000000\
+       000400000000000000070000000000000001030000006e65770500000041000000" );
   ]
 
 let test_wire () =

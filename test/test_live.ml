@@ -73,6 +73,7 @@ let sample_payloads : Wire.payload list =
     Wire.Hello_client;
     Wire.Welcome { id = 64 };
     Wire.Lock_reply { op = 0x3_00_00_17; granted = false };
+    Wire.Lock_reply { op = 0x1_00_00_02; granted = true };
     Wire.Client_put { req = 1; key = "k"; value = String.make 300 'q' };
     Wire.Client_get { req = 2; key = "k" };
     Wire.Client_recover { req = 3 };
@@ -80,7 +81,6 @@ let sample_payloads : Wire.payload list =
     Wire.Client_reply { req = 9; status = Wire.Denied; value = None; info = "below majority" };
     Wire.Client_reply { req = 10; status = Wire.Aborted; value = None; info = "timeout" };
     Wire.Abstain { round = 12 };
-    Wire.KLock_request { op = 0x2_00_00_09; keys = [ "a"; "key two"; "" ] };
     Wire.KUnlock { op = 0x2_00_00_09; keys = [ "a" ] };
     Wire.KState_request { round = 4; keys = [ "a"; "b" ] };
     Wire.KState_reply
@@ -90,17 +90,27 @@ let sample_payloads : Wire.payload list =
         states = [ ("a", sample_replica); ("b", Replica.initial (ss [ 0; 1; 2; 3 ])) ];
       };
     Wire.KState_reply { round = 5; fresh = false; states = [] };
-    Wire.KCommit
-      { key = "a"; op_no = 8; version = 6; partition = ss [ 0; 1 ];
-        value = Some (String.make 300 'k'); rid = (2 lsl 32) lor 7 };
-    Wire.KCommit
-      { key = "k\x00bin"; op_no = 9; version = 6; partition = ss [ 0; 1; 2 ];
-        value = None; rid = 0 };
     Wire.KData_request { round = 6; key = "a" };
     Wire.KData_reply
       { round = 6; key = "a"; version = 11; value = Some "v\x00bytes";
         rids = [ (1, 42); (7, 3) ] };
     Wire.KData_reply { round = 7; key = "b"; version = 1; value = None; rids = [] };
+    Wire.KStart { op = 0x2_00_00_09; keys = [ "a"; "key two"; "" ] };
+    Wire.KStart { op = 0x3_FF_FF_FF; keys = [] };
+    Wire.KStart_reply
+      {
+        op = 0x2_00_00_09;
+        fresh = false;
+        states = [ ("a", sample_replica); ("", Replica.initial (ss [ 0; 1; 2; 3 ])) ];
+      };
+    Wire.KStart_reply { op = 0x2_00_00_0a; fresh = true; states = [] };
+    Wire.KCommit_op
+      { op = 0x2_00_00_09; release = true; key = "a"; op_no = 8; version = 6;
+        partition = ss [ 0; 1 ]; value = Some (String.make 300 'k');
+        rid = (2 lsl 32) lor 7 };
+    Wire.KCommit_op
+      { op = 0x0_00_00_01; release = false; key = "k\x00bin"; op_no = 9; version = 6;
+        partition = ss [ 0; 1; 2 ]; value = None; rid = 0 };
   ]
 
 let sample_envelopes =
@@ -208,6 +218,75 @@ let test_oplog_torn_tail () =
       Alcotest.(check bool) "torn tail detected" true torn;
       Alcotest.(check int) "prefix survives" (List.length sample_records - 1)
         (List.length records))
+
+(* The boot's floor scan against folding fully decoded records: the same
+   highest stamp and request id, and the same damage report, on a clean
+   log, a bit flipped mid-log, a torn tail — and on every record with one
+   field byte changed under a valid checksum, where it must reject
+   exactly the frames the record decoder rejects. *)
+let test_oplog_floor_scan () =
+  with_scratch (fun dir ->
+      let path = Filename.concat dir "oplog.dvl" in
+      let frame_of record =
+        (try Sys.remove path with Sys_error _ -> ());
+        let log = Persist.open_log ~path () in
+        Persist.append log record;
+        Persist.close_log log;
+        In_channel.with_open_bin path In_channel.input_all
+      in
+      let frames = List.map frame_of sample_records in
+      let same name bytes =
+        Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc bytes);
+        let rid = function
+          | Persist.Log_kcommit { rid; _ } | Persist.Log_koutcome { rid; _ } -> rid
+          | Persist.Log_kintent _ -> 0
+        in
+        let full =
+          Persist.scan_log ~path
+            (fun (seq, max_rid) r -> (max seq (Persist.seq_of r), max max_rid (rid r)))
+            (0, 0)
+        in
+        let floors = Persist.scan_floors ~path () in
+        let report (s : _ Codec.scan) =
+          (s.Codec.folded, s.Codec.torn, s.Codec.corrupt, s.Codec.valid_prefix)
+        in
+        if report full <> report floors then
+          Alcotest.failf "%s: record fold and floor scan disagree" name;
+        floors
+      in
+      let clean = same "clean" (String.concat "" frames) in
+      Alcotest.(check (pair int int)) "clean floors" (6, (3 lsl 32) lor 9)
+        clean.Codec.folded;
+      let flipped = Bytes.of_string (String.concat "" frames) in
+      let at = String.length (List.hd frames) + 14 in
+      Bytes.set flipped at (Char.chr (Char.code (Bytes.get flipped at) lxor 0x10));
+      let flipped = same "mid-log bit flip" (Bytes.to_string flipped) in
+      Alcotest.(check int) "bit flip counted as corruption" 1 flipped.Codec.corrupt;
+      let whole = String.concat "" frames in
+      let torn = same "torn tail" (String.sub whole 0 (String.length whole - 3)) in
+      Alcotest.(check bool) "torn tail reported" true torn.Codec.torn;
+      (* Frame header: length, magic, checksum; the fields follow. *)
+      let header = 12 in
+      List.iteri
+        (fun i frame ->
+          let fields = String.sub frame header (String.length frame - header) in
+          for pos = 0 to String.length fields - 1 do
+            List.iter
+              (fun mask ->
+                let mutated = Bytes.of_string fields in
+                Bytes.set mutated pos
+                  (Char.chr (Char.code (Bytes.get mutated pos) lxor mask));
+                let reframed =
+                  Codec.frame ~magic:"DVO1" (fun b -> Buffer.add_bytes b mutated)
+                in
+                ignore
+                  (same
+                     (Printf.sprintf "record %d, field byte %d xor %#x" i pos mask)
+                     (List.hd frames ^ reframed ^ List.nth frames 1)
+                    : _ Codec.scan))
+              [ 0x01; 0x80; 0xff ]
+          done)
+        frames)
 
 (* The one object's value at --shards 0: canonical whatever the binding
    order, so equal stores are equal oracle contents, and distinct from
@@ -467,63 +546,150 @@ let test_amnesia_recovery () =
       Alcotest.(check (option string)) "value restored" (Some "1") r.Live.value;
       check_clean "amnesia" (Live.check cluster))
 
-(* The one-path guard: a serial 4-site --shards 0 walkthrough pinned op
-   by op — the reply, and what each operation costs in lock rounds,
+(* A cluster whose hub counts what each operation costs: lock rounds,
    gather rounds, commit waves and frames through the switchboard.  The
    gather timeout is generous so a slow reply on a loaded machine cannot
    turn into a retry and move a count. *)
-let test_serial_op_costs () =
+let with_cost_probe ?(config = test_config) ~universe f =
   with_scratch (fun dir ->
       let hub = Dynvote_obs.Hub.create () in
-      let config = { test_config with Node.gather_timeout = 0.5 } in
+      let config = { config with Node.gather_timeout = 0.5 } in
       let cluster =
-        Live.create ~config ~client_timeout:5.0 ~obs:hub ~universe:u4 ~dir ()
+        Live.create ~config ~client_timeout:5.0 ~obs:hub ~universe ~dir ()
       in
       Fun.protect ~finally:(fun () -> Live.shutdown cluster) @@ fun () ->
-      let c = Live.client cluster in
-      let m = hub.Dynvote_obs.Hub.metrics in
-      let read name =
-        Metrics.counter_value (Metrics.counter m name)
-      in
-      let costs () =
-        List.map read
-          [ "live.lock.rounds"; "live.gather.rounds"; "live.commit.waves";
-            "net.frames.sent" ]
-      in
-      let op name ~status ?value ~cost f =
-        let before = costs () in
-        let r = f () in
-        let after = costs () in
-        check_status name status r;
-        (match value with
-        | Some v -> Alcotest.(check (option string)) (name ^ ": value") v r.Live.value
-        | None -> ());
-        Alcotest.(check (list int))
-          (name ^ ": lock rounds, gathers, commit waves, frames")
-          cost
-          (List.map2 ( - ) after before)
-      in
-      op "put" ~status:Wire.Granted ~cost:[ 1; 1; 1; 20 ] (fun () ->
+      f cluster (Live.client cluster) hub.Dynvote_obs.Hub.metrics)
+
+let counter m name = Metrics.counter_value (Metrics.counter m name)
+let busy_info = "busy: rival operation holds the locks"
+
+(* Run [f] and check its reply and its [lock rounds; gathers; commit
+   waves; frames]. *)
+let op_cost m name ~status ?value ~cost f =
+  let costs () =
+    List.map (counter m)
+      [ "live.lock.rounds"; "live.gather.rounds"; "live.commit.waves"; "net.frames.sent" ]
+  in
+  let before = costs () in
+  let r = f () in
+  let after = costs () in
+  check_status name status r;
+  (match value with
+  | Some v -> Alcotest.(check (option string)) (name ^ ": value") v r.Live.value
+  | None -> ());
+  Alcotest.(check (list int))
+    (name ^ ": lock rounds, gathers, commit waves, frames")
+    cost
+    (List.map2 ( - ) after before)
+
+(* The one-path guard: a serial 4-site --shards 0 walkthrough pinned op
+   by op.  A granted operation whose peers all answer costs 3(n-1)+2 =
+   11 frames: START and its three replies, the three-frame COMMIT wave
+   that also releases the locks, the client's request and reply.  A
+   silent peer costs a re-asked START and a KUnlock instead of its
+   reply and its COMMIT; a fetch costs its request and reply. *)
+let test_serial_op_costs () =
+  with_cost_probe ~universe:u4 (fun cluster c m ->
+      let op = op_cost m in
+      op "put" ~status:Wire.Granted ~cost:[ 1; 1; 1; 11 ] (fun () ->
           Live.put c ~at:0 ~key:"a" ~value:"1");
-      op "get" ~status:Wire.Granted ~value:(Some "1") ~cost:[ 1; 1; 1; 20 ]
+      op "get" ~status:Wire.Granted ~value:(Some "1") ~cost:[ 1; 1; 1; 11 ]
         (fun () -> Live.get c ~at:2 ~key:"a");
       Live.partition cluster [ ss [ 0; 1; 2 ]; ss [ 3 ] ];
-      op "minority put" ~status:Wire.Denied ~cost:[ 1; 1; 0; 14 ] (fun () ->
+      op "minority put" ~status:Wire.Denied ~cost:[ 1; 1; 0; 11 ] (fun () ->
           Live.put c ~at:3 ~key:"a" ~value:"x");
-      op "majority put" ~status:Wire.Granted ~cost:[ 1; 1; 1; 18 ] (fun () ->
+      op "majority put" ~status:Wire.Granted ~cost:[ 1; 1; 1; 11 ] (fun () ->
           Live.put c ~at:1 ~key:"a" ~value:"2");
       Live.heal cluster;
-      op "recover after heal" ~status:Wire.Granted ~cost:[ 1; 1; 1; 22 ]
+      op "recover after heal" ~status:Wire.Granted ~cost:[ 1; 1; 1; 13 ]
         (fun () -> Live.recover_site c 3);
       op "get at the recovered site" ~status:Wire.Granted ~value:(Some "2")
-        ~cost:[ 1; 1; 1; 20 ] (fun () -> Live.get c ~at:3 ~key:"a");
+        ~cost:[ 1; 1; 1; 11 ] (fun () -> Live.get c ~at:3 ~key:"a");
       Live.kill cluster 2;
       Live.restart cluster 2;
-      op "recover after restart" ~status:Wire.Granted ~cost:[ 1; 1; 1; 20 ]
+      op "recover after restart" ~status:Wire.Granted ~cost:[ 1; 1; 1; 11 ]
         (fun () -> Live.recover_site c 2);
       op "get at the restarted site" ~status:Wire.Granted ~value:(Some "2")
-        ~cost:[ 1; 1; 1; 20 ] (fun () -> Live.get c ~at:2 ~key:"a");
+        ~cost:[ 1; 1; 1; 11 ] (fun () -> Live.get c ~at:2 ~key:"a");
       check_clean "serial op costs" (Live.check cluster))
+
+(* The frame budget 3(n-1)+2 at three and five sites: 8 and 14. *)
+let test_op_costs_by_size () =
+  List.iter
+    (fun (n, frames) ->
+      with_cost_probe ~universe:(Site_set.universe n) (fun cluster c m ->
+          let name what = Printf.sprintf "%s at n = %d" what n in
+          op_cost m (name "put") ~status:Wire.Granted ~cost:[ 1; 1; 1; frames ]
+            (fun () -> Live.put c ~at:0 ~key:"a" ~value:"1");
+          op_cost m (name "get") ~status:Wire.Granted ~value:(Some "1")
+            ~cost:[ 1; 1; 1; frames ] (fun () -> Live.get c ~at:(n - 1) ~key:"a");
+          check_clean (name "op costs") (Live.check cluster)))
+    [ (3, 8); (5, 14) ]
+
+(* No lock outlives its operation.  A peer the COMMIT wave does not
+   reach — stale outside the new partition, or amnesiac and so voteless —
+   still took the START's locks, and must get them back: two puts in a
+   row at different coordinators are both granted at once, with no lock
+   round denied. *)
+let test_no_lock_outlives_its_op () =
+  let puts_after name setup =
+    with_cost_probe ~universe:u4 (fun cluster c m ->
+        check_status (name ^ ": seed") Wire.Granted (Live.put c ~at:0 ~key:"a" ~value:"1");
+        setup cluster c;
+        let denied = counter m "live.lock.denied" in
+        check_status (name ^ ": put at 0") Wire.Granted
+          (Live.put c ~at:0 ~key:"a" ~value:"3");
+        check_status (name ^ ": put at 1") Wire.Granted
+          (Live.put c ~at:1 ~key:"a" ~value:"4");
+        Alcotest.(check int) (name ^ ": lock rounds denied") denied
+          (counter m "live.lock.denied");
+        check_clean name (Live.check cluster))
+  in
+  puts_after "stale outside S" (fun cluster c ->
+      Live.partition cluster [ ss [ 0; 1; 2 ]; ss [ 3 ] ];
+      check_status "majority put" Wire.Granted (Live.put c ~at:1 ~key:"a" ~value:"2");
+      Live.heal cluster);
+  puts_after "amnesiac" (fun cluster _ ->
+      Live.kill cluster 3;
+      Live.remove_dir
+        (Dynvote_shard.Shard_store.shards_dir ~dir:(Live.dir cluster) ~site:3);
+      Live.restart cluster 3)
+
+(* A releasing COMMIT wakes a rival backing off, as an unlock does.  Two
+   coordinators put one key 20 times each at once, and a refused START
+   backs off a second or more unless a release wakes it.  Woken, every
+   put is answered — granted, or busy once its retries run out — before
+   a single backoff could have been slept out (40 puts take 0.03-0.06 s
+   on a 2-core box); a coordinator the winner's COMMIT does not wake
+   sleeps a full second at least once. *)
+let test_commit_wakes_rival () =
+  let config = { test_config with Node.lock_backoff = 1.0; lock_retries = 40 } in
+  with_cost_probe ~config ~universe:u4 (fun cluster _ m ->
+      let rounds = 20 in
+      let t0 = Clock.now () in
+      let answered = Array.make 2 0 and granted = Array.make 2 0 in
+      let worker at =
+        Thread.create
+          (fun () ->
+            let c = Live.client cluster in
+            for i = 1 to rounds do
+              let r = Live.put c ~at ~key:"k" ~value:(Printf.sprintf "%d-%d" at i) in
+              if r.Live.status = Wire.Granted then granted.(at) <- granted.(at) + 1;
+              if r.Live.status = Wire.Granted || r.Live.info = busy_info then
+                answered.(at) <- answered.(at) + 1
+            done)
+          ()
+      in
+      List.iter Thread.join [ worker 0; worker 1 ];
+      let elapsed = Clock.now () -. t0 in
+      Alcotest.(check (array int)) "every put answered" [| rounds; rounds |] answered;
+      Alcotest.(check bool) "both coordinators commit" true
+        (granted.(0) > 0 && granted.(1) > 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "done in %.2f s (%d and %d granted, %d START rounds denied)"
+           elapsed granted.(0) granted.(1) (counter m "live.lock.denied"))
+        true (elapsed < 0.8);
+      check_clean "rival puts" (Live.check cluster))
 
 let test_segment_partition_validation () =
   (* Sites 0,1 share segment 0; splitting them must be rejected. *)
@@ -772,6 +938,7 @@ let suite =
     prop_wire_garbage_rejected;
     Alcotest.test_case "oplog round trip" `Quick test_oplog_roundtrip;
     Alcotest.test_case "oplog torn tail" `Quick test_oplog_torn_tail;
+    Alcotest.test_case "oplog floor scan" `Quick test_oplog_floor_scan;
     Alcotest.test_case "map blob round trip" `Quick test_map_blob_roundtrip;
     Alcotest.test_case "lease under clock steps" `Quick test_lease_clock_steps;
     Alcotest.test_case "no wall clock in lib/live" `Quick test_no_wall_clock_in_live;
@@ -785,6 +952,10 @@ let suite =
       test_participant_killed_mid_write;
     Alcotest.test_case "amnesia recovery" `Quick test_amnesia_recovery;
     Alcotest.test_case "serial op costs at --shards 0" `Quick test_serial_op_costs;
+    Alcotest.test_case "op costs at 3 and 5 sites" `Quick test_op_costs_by_size;
+    Alcotest.test_case "no lock outlives its operation" `Quick
+      test_no_lock_outlives_its_op;
+    Alcotest.test_case "a releasing COMMIT wakes a rival" `Quick test_commit_wakes_rival;
     Alcotest.test_case "segment partition validation" `Quick
       test_segment_partition_validation;
     Alcotest.test_case "loadgen smoke" `Quick test_loadgen_smoke;
