@@ -401,23 +401,28 @@ let check_dir ~universe ~dir =
 
 (* COMMIT waves are fire-and-forget, so a client can hold a granted
    reply while the last participants are still applying.  Pinging each
-   up site with an empty state request and waiting for its answer
-   drains the race: per-connection FIFO means every commit the broker
-   routed before our ping is applied — and persisted, synchronously —
-   before the node answers us (a reply, or an abstention from a fenced
-   or amnesiac site). *)
+   up site with a START of no keys (it takes no lock) and waiting for
+   its answer drains the race: per-connection FIFO means every commit
+   the broker routed before our ping is applied — and persisted,
+   synchronously — before the node answers us (a reply, a voteless
+   grant from an amnesiac site, or an abstention from a fenced one). *)
 let quiesce t =
   match client t with
   | exception _ -> ()
   | c ->
       Site_set.iter
         (fun site ->
-          if send c site (Wire.KState_request { round = 0; keys = [] }) then begin
+          if send c site (Wire.KStart { op = 0; keys = [] }) then begin
             let clock = t.config.Node.clock in
             let deadline = clock () +. 1.0 in
             let rec wait () =
               match Evconn.recv ~clock ~deadline c.conn with
-              | Ok { Wire.payload = Wire.KState_reply _ | Wire.Abstain _; src; _ }
+              | Ok
+                  {
+                    Wire.payload = Wire.KStart_reply _ | Wire.Lock_reply _ | Wire.Abstain _;
+                    src;
+                    _;
+                  }
                 when src = site ->
                   ()
               | Ok _ -> wait ()

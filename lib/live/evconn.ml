@@ -22,7 +22,6 @@ type t = {
       (* end of a head frame larger than [max_queue] while it drains;
          the bound counts only what queues behind it *)
   mutable n_frames_out : int;
-  mutable n_write_calls : int;
   mutable poisoned : bool;  (* overflowed or peer gone *)
   mutable is_closed : bool;
 }
@@ -39,7 +38,6 @@ let create ?(max_queue = 4 * 1024 * 1024) vio =
     staged_frames = 0;
     big_end = 0;
     n_frames_out = 0;
-    n_write_calls = 0;
     poisoned = false;
     is_closed = false;
   }
@@ -62,7 +60,6 @@ let buffered_in t = Wire.Decoder.buffered t.dec
 let queued_frames t = t.staged_frames
 let want_write t = (not t.poisoned) && t.tail > t.head
 let frames_out t = t.n_frames_out
-let write_calls t = t.n_write_calls
 let is_closed t = t.is_closed
 
 let close t =
@@ -122,7 +119,6 @@ let rec flush t =
   else
     match t.vio.Vio.write t.out t.head (t.tail - t.head) with
     | Vio.Wrote n ->
-        t.n_write_calls <- t.n_write_calls + 1;
         t.head <- t.head + n;
         if t.head >= t.tail then begin
           t.n_frames_out <- t.n_frames_out + t.staged_frames;

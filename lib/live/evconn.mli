@@ -102,7 +102,3 @@ val is_closed : t -> bool
 
 val frames_out : t -> int
 (** Frames fully flushed to the transport. *)
-
-val write_calls : t -> int
-(** Transport write calls that moved bytes ([frames_out]/[write_calls]
-    is the realised batching ratio). *)

@@ -48,7 +48,10 @@
    - Gather reuse: the START's states fill a per-object view cache;
      joined operations decide against it, kept current by our own
      commit waves and invalidated by any inbound commit, a denial, a
-     fetch failure, or rotation.
+     fetch failure, or rotation.  A joined operation whose view is
+     missing or denied it re-gathers with the START exchange itself,
+     under the anchor's op: the only exchange that brings back peers'
+     ensembles.
 
    Every applied commit appends the object's full state to its shard log
    (one fsync per coalesced batch), and the append-only operation log
@@ -288,8 +291,9 @@ type view = Site_set.t * Replica.t array * Site_set.t
 (* The locks a granted START holds: [op] names the round, [keys] its
    group, and [holders] the peers that may hold them — every peer that
    did not abstain, a silent one included, since its START may have
-   landed after its patience ran out. *)
-type anchor = { op : int; keys : string list; holders : Site_set.t }
+   landed after its patience ran out.  [owed] counts, per site, the asks
+   under [op] whose answer no exchange has heard. *)
+type anchor = { op : int; keys : string list; holders : Site_set.t; owed : int array }
 
 (* A peer's answer to a START. *)
 type start_answer =
@@ -795,10 +799,10 @@ let states t keys =
 (* Serve one frame of the peer protocol, or queue a client request.
 
    A degraded site answers nothing that could count as a vote: STARTs
-   and state requests get an explicit abstention (to the coordinator it
-   looks down, so new partitions form without it), commits are refused.
-   Data requests are still served — they are read-only, and the fetcher
-   verifies the version before installing. *)
+   get an explicit abstention (to the coordinator it looks down, so new
+   partitions form without it), commits are refused.  Data requests are
+   still served — they are read-only, and the fetcher verifies the
+   version before installing. *)
 let serve_protocol t (env : Wire.envelope) =
   match env.Wire.payload with
   | Wire.KStart { op; keys } ->
@@ -815,13 +819,6 @@ let serve_protocol t (env : Wire.envelope) =
       (* A rival freed its locks: an operation backing off a denied lock
          round should retry now rather than sleep out its deadline. *)
       wake t (fun _ on_unlock -> on_unlock)
-  | Wire.KState_request { round; keys } ->
-      (* An amnesiac site must not vote: a guessed ensemble could be
-         counted.  It (and a fenced site) abstains explicitly, so the
-         coordinator excludes it without waiting out the gather. *)
-      send_to t env.Wire.src
-        (if t.amnesiac || t.degraded <> None then Wire.Abstain { round }
-         else Wire.KState_reply { round; fresh = t.fresh; states = states t keys })
   | Wire.KData_request { round; key } ->
       let entry = Shard_map.find t.objects key in
       send_to t env.Wire.src
@@ -839,8 +836,8 @@ let serve_protocol t (env : Wire.envelope) =
   | Wire.Client_recover { req } ->
       enqueue t ~client:env.Wire.src ~req ~key:map_key `Recover
   | Wire.Hello_site _ | Wire.Hello_client | Wire.Welcome _ | Wire.Lock_reply _
-  | Wire.Client_reply _ | Wire.Abstain _ | Wire.KState_reply _ | Wire.KStart_reply _
-  | Wire.KData_reply _ | Wire.KCommit_op _ ->
+  | Wire.Client_reply _ | Wire.Abstain _ | Wire.KStart_reply _ | Wire.KData_reply _
+  | Wire.KCommit_op _ ->
       (* Stray replies of a finished or abandoned exchange.  (Commits
          never get here: {!handle_frame} coalesces them.) *)
       ()
@@ -903,29 +900,44 @@ let build_group t =
     t.requests;
   List.rev !group
 
-(* Ask every peer [request] and collect what [answer] picks out of the
-   inbound payloads, keyed by peer.  The peers still silent when the
+(* One START exchange under [op]: a KStart for [keys] to every peer in
+   [dsts], each answer kept by peer.  The peers still silent when the
    patience runs out are asked again, [retries] times, the patience
    multiplied by [backoff] each time; a peer silent to the end is simply
-   unreachable. *)
-let ask t ~retries request answer =
+   unreachable.  Only the peers in [dsts] are heard, and every ask and
+   every answer heard moves the peer's [owed] count. *)
+let start_exchange t ~op ~owed ~dsts keys =
   let answers = Hashtbl.create 8 in
-  let want = Site_set.cardinal (peers t) in
+  let want = Site_set.cardinal dsts in
   let rec attempt n patience =
     if Hashtbl.length answers < want then begin
       Site_set.iter
-        (fun dst -> if not (Hashtbl.mem answers dst) then send_to t dst request)
-        (peers t);
+        (fun dst ->
+          if not (Hashtbl.mem answers dst) then begin
+            owed.(dst) <- owed.(dst) + 1;
+            send_to t dst (Wire.KStart { op; keys })
+          end)
+        dsts;
       let deadline = t.config.clock () +. patience in
       let rec collect () =
         if Hashtbl.length answers < want then
           match
             await ~deadline
               ~match_reply:(fun env ->
-                Option.map (fun a -> (env.Wire.src, a)) (answer env.Wire.payload))
+                let src = env.Wire.src in
+                if not (Wire.is_site src && Site_set.mem src dsts) then None
+                else
+                  match env.Wire.payload with
+                  | Wire.KStart_reply { op = o; fresh; states } when o = op ->
+                      Some (src, Vote (fresh, states))
+                  | Wire.Lock_reply { op = o; granted } when o = op ->
+                      Some (src, if granted then Voteless else Refused)
+                  | Wire.Abstain { round } when round = op -> Some (src, Abstained)
+                  | _ -> None)
               ()
           with
           | Some (src, a) ->
+              owed.(src) <- owed.(src) - 1;
               Hashtbl.replace answers src a;
               collect ()
           | None -> ()
@@ -937,20 +949,20 @@ let ask t ~retries request answer =
   attempt 0 t.config.gather_timeout;
   answers
 
-(* The per-object views one exchange leaves in the cache: [vote] picks a
-   peer's freshness claim and ensembles out of its answer, and a peer
-   without them — silent, abstaining or voteless — is unreachable.  A
-   START and a joined operation's re-gather both record through here. *)
-let record_views t ~round keys answers vote =
+(* The per-object views one START exchange leaves in the cache: a peer
+   counts with the freshness claim and ensembles of its vote, and a peer
+   without one — silent, refusing, abstaining or voteless — is
+   unreachable. *)
+let record_views t ~round keys answers =
   let self = if t.amnesiac then Site_set.empty else Site_set.singleton t.site in
   let self_fresh = if t.fresh && not t.amnesiac then self else Site_set.empty in
   let reachable, fresh =
     Hashtbl.fold
       (fun src answer (reach, fr) ->
-        match vote answer with
-        | Some (fresh_claim, _) ->
+        match answer with
+        | Vote (fresh_claim, _) ->
             (Site_set.add src reach, if fresh_claim then Site_set.add src fr else fr)
-        | None -> (reach, fr))
+        | Voteless | Refused | Abstained -> (reach, fr))
       answers (self, self_fresh)
   in
   List.iter
@@ -960,9 +972,12 @@ let record_views t ~round keys answers vote =
       in
       Hashtbl.iter
         (fun src answer ->
-          match Option.bind (vote answer) (fun (_, kstates) -> List.assoc_opt key kstates) with
-          | Some replica -> states.(src) <- replica
-          | None -> ())
+          match answer with
+          | Vote (_, kstates) -> (
+              match List.assoc_opt key kstates with
+              | Some replica -> states.(src) <- replica
+              | None -> ())
+          | Voteless | Refused | Abstained -> ())
         answers;
       Hashtbl.replace t.gcache key (reachable, states, fresh))
     keys;
@@ -978,7 +993,7 @@ let record_views t ~round keys answers vote =
 
 (* Release [anchor]'s locks: a KUnlock to every peer that may hold one,
    and our own. *)
-let unlock t { op; keys; holders } =
+let unlock t { op; keys; holders; _ } =
   Site_set.iter (fun dst -> send_to t dst (Wire.KUnlock { op; keys })) holders;
   List.iter (fun key -> release_lock t key op) keys
 
@@ -1004,15 +1019,8 @@ let start_round t keys =
   in
   if not (try_lock_all t keys op) then denied ()
   else begin
-    let answers =
-      ask t ~retries (Wire.KStart { op; keys }) (function
-        | Wire.KStart_reply { op = o; fresh; states } when o = op ->
-            Some (Vote (fresh, states))
-        | Wire.Lock_reply { op = o; granted } when o = op ->
-            Some (if granted then Voteless else Refused)
-        | Wire.Abstain { round } when round = op -> Some Abstained
-        | _ -> None)
-    in
+    let owed = Array.make t.n_sites 0 in
+    let answers = start_exchange t ~op ~owed ~dsts:(peers t) keys in
     let holders, refusers =
       Hashtbl.fold
         (fun src answer (holders, refusers) ->
@@ -1022,7 +1030,7 @@ let start_round t keys =
           | Abstained -> (Site_set.remove src holders, refusers))
         answers (peers t, Site_set.empty)
     in
-    let anchor = { op; keys; holders } in
+    let anchor = { op; keys; holders; owed } in
     if not (Site_set.is_empty refusers) then begin
       (* A refuser holds none of our locks, but its unlock wakes the
          rival coordinating there if it is backing off from us. *)
@@ -1031,27 +1039,25 @@ let start_round t keys =
     end
     else begin
       Hashtbl.reset t.gcache;
-      record_views t ~round:op keys answers (function
-        | Vote (fresh, states) -> Some (fresh, states)
-        | Voteless | Refused | Abstained -> None);
+      record_views t ~round:op keys answers;
       Some anchor
     end
   end
 
-(* A joined operation's fresh look at its object when the cached view
-   denied it: one KState_request, no locking — the anchor already holds
-   the locks. *)
-let gather t keys =
-  t.round <- t.round + 1;
-  let round = t.round in
-  let answers =
-    ask t ~retries (Wire.KState_request { round; keys }) (function
-      | Wire.KState_reply { round = r; fresh; states } when r = round ->
-          Some (Some (fresh, states))
-      | Wire.Abstain { round = r } when r = round -> Some None
-      | _ -> None)
-  in
-  record_views t ~round keys answers Fun.id
+(* A joined operation's fresh look at its object, when the cached view
+   is missing or denied it: the START exchange again, under the anchor's
+   op and for that one object, where a holder only refreshes its lease.
+   It asks the anchor's holders alone, so it never takes a lock the
+   anchor's release would miss (a peer that abstained at the START and
+   has restarted since, say); and of those only the ones that owe no
+   earlier answer under the op, since such an answer, arriving now, may
+   predate the anchor's own commits.  A peer whose late answer went by
+   as a stray stays out until the anchor rotates: unreachable, never
+   misread. *)
+let regather t anchor key =
+  let dsts = Site_set.filter (fun p -> anchor.owed.(p) = 0) anchor.holders in
+  record_views t ~round:anchor.op [ key ]
+    (start_exchange t ~op:anchor.op ~owed:anchor.owed ~dsts [ key ])
 
 (* Verified data fetch: ask the up-to-date sites in turn until a copy of
    at least [want_version] lands.  The install replaces the local value —
@@ -1280,7 +1286,7 @@ let client_op t ~client ~req ~key kind =
     | Some anchor ->
       (* The acquirer's START is a fresh view; only a joined operation
          decides against a cached one, and only a cached view's denial is
-         worth one fresh gather — it may merely be stale. *)
+         worth one re-gather — it may merely be stale. *)
       let rec evaluate_round cached =
         let view, cached =
           match Hashtbl.find_opt t.gcache obj with
@@ -1288,7 +1294,7 @@ let client_op t ~client ~req ~key kind =
               if cached then Metrics.incr t.ctrs.c_gather_reused;
               (view, cached)
           | None ->
-              gather t [ obj ];
+              regather t anchor obj;
               (Hashtbl.find t.gcache obj, false)
         in
         let reachable, states, fresh = view in

@@ -105,8 +105,9 @@ val boot :
 (** Load the objects from the shard logs under [dir] and connect to the
     switchboard on [port].  A store without its {!seed} record (the
     shards directory was lost), or with a shard log it cannot read,
-    leaves the node {e amnesiac}: silent to state requests and refusing
-    to coordinate — until a RECOVER of the one object succeeds at
+    leaves the node {e amnesiac}: voteless (it answers a START by
+    taking the locks without reporting an ensemble) and refusing to
+    coordinate — until a RECOVER of the one object succeeds at
     [shards = 0], for good at [shards > 0].  A mid-log corrupt oplog or
     shard log — checksum-failing records with intact ones after them,
     damage no crash explains — boots the node straight into degraded

@@ -1,18 +1,24 @@
 (* The in-process network fabric, event-driven.  One broker runs an
-   Evloop (epoll on Linux, poll elsewhere) over every registered
+   Evloop (epoll on Linux, poll elsewhere) over every accepted
    connection and routes frames subject to the current topology; the
-   control API (partition / heal / crash) mutates that topology under a
-   mutex and pokes the broker through a self-pipe so changes take effect
+   control API (partition / heal / crash) replaces that topology and
+   pokes the broker through a self-pipe so changes take effect
    immediately, even while the broker is blocked in the wait.
 
    The broker runs on its own OCaml domain, so routing never waits for
    the runtime lock that the node threads and the clients take in turn
-   around every socket call.  It shares with the caller's domain only
-   what is domain-safe: the topology, the endpoint lists, the client-id
-   counter and the [running] flag behind [mutex]; Atomic metrics
-   counters and the mutex-guarded histograms and trace ring of the Hub;
-   and fields set once in [create].  The fd table, the loop and every
-   endpoint's connection are the broker's alone.
+   around every socket call.  Each accepted connection is one [conn],
+   unregistered (id -1) until its Hello names it.  The loop, the
+   connections and the two tables that find them (by descriptor, and by
+   endpoint id once registered) are the broker's alone, used without a
+   lock.  What it shares with the caller's domain is domain-safe: the
+   topology (the up sites and the partition groups) is an immutable
+   record in an [Atomic], read without a lock by every routed frame and
+   by [up_sites]/[is_up] and replaced whole under [mutex]; the mutex
+   also guards the kill queue, the client-id counter and writes to the
+   wake pipe; [running] is an [Atomic]; the Hub's counters are Atomic,
+   its histograms and trace ring mutex-guarded; everything else is set
+   once in [create].
 
    Routing never blocks: a frame is staged on the destination's bounded
    outbound queue (Evconn) and flushed once per wakeup, so frames that
@@ -31,20 +37,20 @@ module Metrics = Dynvote_obs.Metrics
 module Trace = Dynvote_obs.Trace
 module Hub = Dynvote_obs.Hub
 
-type endpoint = {
-  id : int;
-  conn : Evconn.t;
+type conn = {
+  fd : Unix.file_descr;
+  ev : Evconn.t;
+  born : float;
+  mutable id : int; (* -1 until a Hello registers the connection *)
   mutable writing : bool; (* write interest currently registered *)
   mutable partial_since : float option; (* incomplete inbound frame age *)
 }
 
-type pending = {
-  pconn : Evconn.t;
-  born : float;
-  mutable pwriting : bool;
+(* Never mutated: a change installs a new record. *)
+type topology = {
+  up : Site_set.t; (* sites with a registered connection *)
+  groups : Site_set.t list option; (* None: no partition *)
 }
-
-type source = Endpoint of endpoint | Pending of pending
 
 type t = {
   listen : Unix.file_descr;
@@ -60,16 +66,14 @@ type t = {
   net_dropped : Metrics.counter;
   loop_wakeups : Metrics.counter;
   batch_frames : Metrics.histogram;
+  topology : topology Atomic.t;
+  running : bool Atomic.t;
   mutex : Mutex.t;
-  loop : Evloop.t;
-  by_fd : (int, source) Hashtbl.t; (* broker domain only *)
-  mutable endpoints : endpoint list;
-  mutable pendings : pending list;
-  mutable up : Site_set.t;
-  mutable groups : Site_set.t list option;
   mutable kill_queue : Site_set.site list;
   mutable next_client : int;
-  mutable running : bool;
+  loop : Evloop.t;
+  by_fd : (int, conn) Hashtbl.t;
+  by_id : (int, conn) Hashtbl.t;
   wake_fd : Unix.file_descr; (* the self-pipe's read end, for the loop *)
   wake_r : Vio.t;
   wake_w : Vio.t;
@@ -87,18 +91,21 @@ let locked t f =
    descriptor or on one that reused its number.  A full pipe already
    holds a pending wakeup, so a refused byte is fine. *)
 let wake_locked t =
-  if t.running then
+  if Atomic.get t.running then
     ignore (t.wake_w.Vio.write (Bytes.make 1 '!') 0 1 : Vio.write_result)
+
+(* Called with the mutex held, so no concurrent replacement is lost. *)
+let set_topology_locked t f = Atomic.set t.topology (f (Atomic.get t.topology))
 
 (* Both endpoints up and on the same side of the cut.  Clients are
    treated as co-located with whatever site they address (the paper's
    user-at-a-site model), so only the site's liveness matters to them. *)
-let connected_locked t a b =
-  let site_ok s = (not (Wire.is_site s)) || Site_set.mem s t.up in
+let connected top a b =
+  let site_ok s = (not (Wire.is_site s)) || Site_set.mem s top.up in
   site_ok a && site_ok b
   &&
   if Wire.is_site a && Wire.is_site b then
-    match t.groups with
+    match top.groups with
     | None -> true
     | Some groups ->
         List.exists (fun g -> Site_set.mem a g && Site_set.mem b g) groups
@@ -106,27 +113,25 @@ let connected_locked t a b =
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-(* Everything below runs on the broker domain (the only one that
-   touches the evloop and the fd table); the mutex only guards the
-   topology and the endpoint lists that the control API reads. *)
+(* Everything below, up to [create], runs on the broker domain. *)
 
-let unregister_fd t conn =
-  match Evconn.fd conn with
-  | None -> ()
-  | Some fd ->
-      Hashtbl.remove t.by_fd (int_of_fd fd);
-      Evloop.remove t.loop fd;
-      Evconn.close conn
+let is_dropped c = Evconn.is_closed c.ev
 
-let drop_endpoint t ep =
-  locked t (fun () ->
-      t.endpoints <- List.filter (fun e -> e != ep) t.endpoints;
-      if Wire.is_site ep.id then t.up <- Site_set.remove ep.id t.up);
-  unregister_fd t ep.conn
-
-let drop_pending t p =
-  locked t (fun () -> t.pendings <- List.filter (fun q -> q != p) t.pendings);
-  unregister_fd t p.pconn
+(* Forget the connection and close it; a registered site goes down with
+   it.  A second drop does nothing, so it never touches a descriptor
+   number the kernel has handed out again. *)
+let drop t c =
+  if not (is_dropped c) then begin
+    Hashtbl.remove t.by_fd (int_of_fd c.fd);
+    if c.id >= 0 then begin
+      Hashtbl.remove t.by_id c.id;
+      if Wire.is_site c.id then
+        locked t (fun () ->
+            set_topology_locked t (fun top -> { top with up = Site_set.remove c.id top.up }))
+    end;
+    Evloop.remove t.loop c.fd;
+    Evconn.close c.ev
+  end
 
 let drop_frame t (env : Wire.envelope) reason =
   Metrics.incr t.net_dropped;
@@ -139,173 +144,131 @@ let drop_frame t (env : Wire.envelope) reason =
        })
 
 (* Keep the loop's write interest in sync with the queue state. *)
-let update_write_interest t ep =
-  let want = Evconn.want_write ep.conn in
-  if want <> ep.writing then begin
-    ep.writing <- want;
-    match Evconn.fd ep.conn with
-    | None -> ()
-    | Some fd -> ( try Evloop.modify t.loop fd ~read:true ~write:want
-                   with Unix.Unix_error _ -> ())
+let update_write_interest t c =
+  let want = Evconn.want_write c.ev in
+  if want <> c.writing then begin
+    c.writing <- want;
+    try Evloop.modify t.loop c.fd ~read:true ~write:want with Unix.Unix_error _ -> ()
   end
 
-let flush_endpoint t ep =
-  if Evconn.want_write ep.conn then begin
-    let batch = Evconn.queued_frames ep.conn in
-    match Evconn.flush ep.conn with
+let flush_conn t c =
+  if Evconn.want_write c.ev then begin
+    let batch = Evconn.queued_frames c.ev in
+    match Evconn.flush c.ev with
     | `Idle ->
         if batch > 0 then Metrics.observe t.batch_frames (float_of_int batch);
-        update_write_interest t ep
-    | `Blocked -> update_write_interest t ep
-    | `Closed -> drop_endpoint t ep
+        update_write_interest t c
+    | `Blocked -> update_write_interest t c
+    | `Closed -> drop t c
   end
-  else update_write_interest t ep
+  else update_write_interest t c
 
-let route t ep (env : Wire.envelope) =
-  let deliver =
-    locked t (fun () ->
-        (* The registered id is authoritative; a frame cannot spoof its
-           source. *)
-        let env = { env with Wire.src = ep.id } in
-        if not (connected_locked t ep.id env.Wire.dst) then begin
-          drop_frame t env
-            (if Wire.is_site ep.id && Wire.is_site env.Wire.dst then "partition:"
-             else "down:");
-          None
-        end
-        else
-          match List.find_opt (fun e -> e.id = env.Wire.dst) t.endpoints with
-          | None ->
-              drop_frame t env "unregistered:";
-              None
-          | Some target -> Some (env, target))
+let route t c (env : Wire.envelope) =
+  (* The registered id is authoritative; a frame cannot spoof its
+     source. *)
+  let env = { env with Wire.src = c.id } in
+  let dst = env.Wire.dst in
+  if not (connected (Atomic.get t.topology) c.id dst) then
+    drop_frame t env
+      (if Wire.is_site c.id && Wire.is_site dst then "partition:" else "down:")
+  else
+    match Hashtbl.find_opt t.by_id dst with
+    | None -> drop_frame t env "unregistered:"
+    | Some target -> (
+        match Evconn.enqueue target.ev env with
+        | `Ok ->
+            Metrics.incr t.net_delivered;
+            Hub.event t.obs
+              (Trace.Frame_recv
+                 { src = c.id; dst; kind = Wire.kind_name env.Wire.payload })
+        | `Overflow ->
+            (* The backpressure contract: a consumer that cannot drain its
+               queue is indistinguishable from a dead one, and killing the
+               connection is the only reaction that neither loses frames on
+               a live path nor grows without bound. *)
+            drop_frame t env "backpressure:";
+            Hub.event t.obs
+              (Trace.Note (Printf.sprintf "backpressure severed endpoint %d" dst));
+            drop t target)
+
+let send_direct t c env =
+  match Evconn.enqueue c.ev env with
+  | `Ok -> flush_conn t c
+  | `Overflow -> drop t c
+
+(* An unregistered connection's first frame must be a Hello. *)
+let register t c (env : Wire.envelope) =
+  let id =
+    match env.Wire.payload with
+    | Wire.Hello_site { site }
+      when Wire.is_site site
+           && Site_set.mem site t.universe
+           && not (Site_set.mem site (Atomic.get t.topology).up) ->
+        (* A stale registration for this site (a crashed node whose socket
+           we have not reaped yet) is replaced. *)
+        Option.iter (drop t) (Hashtbl.find_opt t.by_id site);
+        locked t (fun () ->
+            set_topology_locked t (fun top -> { top with up = Site_set.add site top.up }));
+        Some site
+    | Wire.Hello_client ->
+        Some
+          (locked t (fun () ->
+               let id = t.next_client in
+               t.next_client <- id + 1;
+               id))
+    | _ -> None
   in
-  match deliver with
-  | None -> ()
-  | Some (env, target) -> (
-      match Evconn.enqueue target.conn env with
-      | `Ok ->
-          Metrics.incr t.net_delivered;
-          Hub.event t.obs
-            (Trace.Frame_recv
-               {
-                 src = env.Wire.src;
-                 dst = env.Wire.dst;
-                 kind = Wire.kind_name env.Wire.payload;
-               })
-      | `Overflow ->
-          (* The backpressure contract: a consumer that cannot drain its
-             queue is indistinguishable from a dead one, and killing the
-             connection is the only reaction that neither loses frames on
-             a live path nor grows without bound. *)
-          drop_frame t env "backpressure:";
-          Hub.event t.obs
-            (Trace.Note
-               (Printf.sprintf "backpressure severed endpoint %d" target.id));
-          drop_endpoint t target)
-
-let send_direct t ep env =
-  match Evconn.enqueue ep.conn env with
-  | `Ok -> flush_endpoint t ep
-  | `Overflow -> drop_endpoint t ep
-
-let register t p (env : Wire.envelope) =
-  locked t (fun () -> t.pendings <- List.filter (fun q -> q != p) t.pendings);
-  match env.Wire.payload with
-  | Wire.Hello_site { site }
-    when Site_set.mem site t.universe && not (locked t (fun () -> Site_set.mem site t.up)) ->
-      (* A stale registration for this site (a crashed node whose socket
-         we have not reaped yet) is replaced. *)
-      List.iter
-        (fun e -> if e.id = site then drop_endpoint t e)
-        (locked t (fun () -> List.filter (fun e -> e.id = site) t.endpoints));
-      let ep = { id = site; conn = p.pconn; writing = p.pwriting; partial_since = None } in
-      locked t (fun () ->
-          t.endpoints <- ep :: t.endpoints;
-          t.up <- Site_set.add site t.up);
-      (match Evconn.fd p.pconn with
-      | Some fd -> Hashtbl.replace t.by_fd (int_of_fd fd) (Endpoint ep)
-      | None -> ());
-      send_direct t ep
-        { Wire.src = Wire.broker_id; dst = site; payload = Wire.Welcome { id = site } }
-  | Wire.Hello_client ->
-      let id = locked t (fun () ->
-          let id = t.next_client in
-          t.next_client <- id + 1;
-          id)
-      in
-      let ep = { id; conn = p.pconn; writing = p.pwriting; partial_since = None } in
-      locked t (fun () -> t.endpoints <- ep :: t.endpoints);
-      (match Evconn.fd p.pconn with
-      | Some fd -> Hashtbl.replace t.by_fd (int_of_fd fd) (Endpoint ep)
-      | None -> ());
-      send_direct t ep
-        { Wire.src = Wire.broker_id; dst = id; payload = Wire.Welcome { id } }
-  | _ -> unregister_fd t p.pconn
+  match id with
+  | None -> drop t c
+  | Some id ->
+      c.id <- id;
+      Hashtbl.replace t.by_id id c;
+      send_direct t c { Wire.src = Wire.broker_id; dst = id; payload = Wire.Welcome { id } }
 
 let process_kills t =
-  let victims =
+  let sites =
     locked t (fun () ->
         let sites = t.kill_queue in
         t.kill_queue <- [];
-        List.concat_map
-          (fun site -> List.filter (fun e -> e.id = site) t.endpoints)
-          sites)
+        sites)
   in
-  List.iter (fun ep -> drop_endpoint t ep) victims
+  List.iter (fun site -> Option.iter (drop t) (Hashtbl.find_opt t.by_id site)) sites
 
-let handle_frames t source frames =
+(* Nothing more is taken from a connection once it is dropped: the frames
+   behind a corrupt one in the same read are no more trustworthy. *)
+let handle_frames t c frames =
   List.iter
     (fun frame ->
-      match (frame, source) with
-      | Error reason, Endpoint ep ->
-          (* A corrupt frame means the stream is unframed garbage; the
-             connection cannot be trusted any further. *)
-          Metrics.incr t.net_rejected;
-          Hub.event t.obs (Trace.Frame_rejected { src = ep.id; reason });
-          drop_endpoint t ep
-      | Error reason, Pending p ->
-          Metrics.incr t.net_rejected;
-          Hub.event t.obs (Trace.Frame_rejected { src = -1; reason });
-          drop_pending t p
-      | Ok env, Endpoint ep ->
-          Metrics.incr t.net_sent;
-          Hub.event t.obs
-            (Trace.Frame_sent
-               {
-                 src = ep.id;
-                 dst = env.Wire.dst;
-                 kind = Wire.kind_name env.Wire.payload;
-               });
-          route t ep env
-      | Ok env, Pending p -> register t p env)
+      if not (is_dropped c) then
+        match frame with
+        | Error reason ->
+            (* A corrupt frame means the stream is unframed garbage; the
+               connection cannot be trusted any further. *)
+            Metrics.incr t.net_rejected;
+            Hub.event t.obs (Trace.Frame_rejected { src = c.id; reason });
+            drop t c
+        | Ok env when c.id < 0 -> register t c env
+        | Ok env ->
+            Metrics.incr t.net_sent;
+            Hub.event t.obs
+              (Trace.Frame_sent
+                 {
+                   src = c.id;
+                   dst = env.Wire.dst;
+                   kind = Wire.kind_name env.Wire.payload;
+                 });
+            route t c env)
     frames
 
-let still_open t source =
-  match source with
-  | Endpoint ep -> locked t (fun () -> List.memq ep t.endpoints)
-  | Pending p -> locked t (fun () -> List.memq p t.pendings)
-
-let handle_readable t source =
-  let conn = match source with Endpoint ep -> ep.conn | Pending p -> p.pconn in
-  let frames, status = Evconn.on_readable conn in
-  handle_frames t source frames;
-  (match source with
-  | Endpoint ep ->
-      ep.partial_since <-
-        (if Evconn.buffered_in conn > 0 then
-           match ep.partial_since with
-           | Some _ as s -> s
-           | None -> Some (t.clock ())
-         else None)
-  | Pending _ -> ());
-  match status with
-  | `Open -> ()
-  | `Eof ->
-      if still_open t source then (
-        match source with
-        | Endpoint ep -> drop_endpoint t ep
-        | Pending p -> drop_pending t p)
+let handle_readable t c =
+  let frames, status = Evconn.on_readable c.ev in
+  handle_frames t c frames;
+  if not (is_dropped c) then
+    match status with
+    | `Eof -> drop t c
+    | `Open ->
+        if Evconn.buffered_in c.ev = 0 then c.partial_since <- None
+        else if c.partial_since = None then c.partial_since <- Some (t.clock ())
 
 let accept_loop t =
   let continue = ref true in
@@ -316,15 +279,24 @@ let accept_loop t =
            exchange into 40 ms delayed-ACK stalls. *)
         (try Unix.setsockopt fd Unix.TCP_NODELAY true
          with Unix.Unix_error _ -> ());
-        let p = { pconn = Evconn.of_fd fd; born = t.clock (); pwriting = false } in
-        locked t (fun () -> t.pendings <- p :: t.pendings);
-        Hashtbl.replace t.by_fd (int_of_fd fd) (Pending p);
+        Hashtbl.replace t.by_fd (int_of_fd fd)
+          {
+            fd;
+            ev = Evconn.of_fd fd;
+            born = t.clock ();
+            id = -1;
+            writing = false;
+            partial_since = None;
+          };
         Evloop.add t.loop fd ~read:true ~write:false
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
         continue := false
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | exception Unix.Unix_error _ -> continue := false
   done
+
+(* The connections satisfying [p], collected before any is dropped. *)
+let conns_where tbl p = Hashtbl.fold (fun _ c acc -> if p c then c :: acc else acc) tbl []
 
 (* A peer that opened a frame and stopped feeding it — or connected and
    never said Hello — is reaped on the injected clock, not by any
@@ -334,30 +306,18 @@ let reap_stalled t =
   | None -> ()
   | Some limit ->
       let now = t.clock () in
-      let stale_eps =
-        locked t (fun () ->
-            List.filter
-              (fun ep ->
-                match ep.partial_since with
-                | Some since -> now -. since > limit
-                | None -> false)
-              t.endpoints)
+      let stalled c =
+        (c.id < 0 && now -. c.born > limit)
+        || match c.partial_since with Some since -> now -. since > limit | None -> false
       in
       List.iter
-        (fun ep ->
+        (fun c ->
           Hub.event t.obs
-            (Trace.Note (Printf.sprintf "reaped stalled endpoint %d" ep.id));
-          drop_endpoint t ep)
-        stale_eps;
-      let stale_pendings =
-        locked t (fun () ->
-            List.filter (fun p -> now -. p.born > limit) t.pendings)
-      in
-      List.iter
-        (fun p ->
-          Hub.event t.obs (Trace.Note "reaped stalled pre-hello connection");
-          drop_pending t p)
-        stale_pendings
+            (Trace.Note
+               (if c.id < 0 then "reaped stalled pre-hello connection"
+                else Printf.sprintf "reaped stalled endpoint %d" c.id));
+          drop t c)
+        (conns_where t.by_fd stalled)
 
 let fd_alive fd =
   match Unix.fstat fd with
@@ -368,48 +328,24 @@ let fd_alive fd =
    crash raced the routing table, or a descriptor leaked shut elsewhere.
    Probe every fd we own and evict the dead ones. *)
 let reap_dead_fds t =
-  let eps = locked t (fun () -> t.endpoints) in
   List.iter
-    (fun ep ->
-      let dead =
-        match Evconn.fd ep.conn with None -> true | Some fd -> not (fd_alive fd)
-      in
-      if dead then begin
+    (fun c ->
+      if c.id >= 0 then
         Hub.event t.obs
-          (Trace.Note (Printf.sprintf "reaped dead fd of endpoint %d" ep.id));
-        drop_endpoint t ep
-      end)
-    eps;
-  let ps = locked t (fun () -> t.pendings) in
-  List.iter
-    (fun p ->
-      let dead =
-        match Evconn.fd p.pconn with None -> true | Some fd -> not (fd_alive fd)
-      in
-      if dead then drop_pending t p)
-    ps;
+          (Trace.Note (Printf.sprintf "reaped dead fd of endpoint %d" c.id));
+      drop t c)
+    (conns_where t.by_fd (fun c -> not (fd_alive c.fd)));
   (* Losing the listener or the self-pipe is unrecoverable: stop rather
      than wait on garbage. *)
-  if not (fd_alive t.listen && fd_alive t.wake_fd) then
-    locked t (fun () -> t.running <- false)
-
-let flush_all t =
-  let eps = locked t (fun () -> t.endpoints) in
-  List.iter (fun ep -> flush_endpoint t ep) eps
+  if not (fd_alive t.listen && fd_alive t.wake_fd) then Atomic.set t.running false
 
 (* Close everything the broker owns.  It runs however the loop ends, so
    a broker that dies of an exception still hangs up on every node,
    whose thread then exits on EOF and can be joined. *)
 let close_all t =
-  let eps, ps =
-    locked t (fun () ->
-        let eps = t.endpoints and ps = t.pendings in
-        t.endpoints <- [];
-        t.pendings <- [];
-        (eps, ps))
-  in
-  List.iter (fun ep -> unregister_fd t ep.conn) eps;
-  List.iter (fun p -> unregister_fd t p.pconn) ps;
+  Hashtbl.iter (fun _ c -> Evconn.close c.ev) t.by_fd;
+  Hashtbl.reset t.by_fd;
+  Hashtbl.reset t.by_id;
   Evloop.close t.loop;
   close_quietly t.listen
 
@@ -417,7 +353,7 @@ let route_until_shutdown t =
   Evloop.add t.loop t.listen ~read:true ~write:false;
   Evloop.add t.loop t.wake_fd ~read:true ~write:false;
   let listen_n = int_of_fd t.listen and wake_n = int_of_fd t.wake_fd in
-  while locked t (fun () -> t.running) do
+  while Atomic.get t.running do
     (* With a stall timeout the loop must wake to consult the injected
        clock even when the fabric is silent. *)
     let timeout = match t.stall_timeout with None -> -1.0 | Some _ -> 0.05 in
@@ -438,21 +374,15 @@ let route_until_shutdown t =
             else
               match Hashtbl.find_opt t.by_fd n with
               | None -> Evloop.remove t.loop ev.Evloop.fd
-              | Some source ->
-                  if ev.Evloop.readable || ev.Evloop.error then
-                    handle_readable t source;
-                  if ev.Evloop.writable && still_open t source then (
-                    match source with
-                    | Endpoint ep -> flush_endpoint t ep
-                    | Pending p ->
-                        (match Evconn.flush p.pconn with
-                        | `Closed -> drop_pending t p
-                        | `Idle | `Blocked -> ())))
+              | Some c ->
+                  if ev.Evloop.readable || ev.Evloop.error then handle_readable t c;
+                  if ev.Evloop.writable && not (is_dropped c) then flush_conn t c)
           events);
     reap_stalled t;
     (* One flush pass per wakeup: everything staged for a destination
        during this batch of events leaves in a single write. *)
-    flush_all t
+    List.iter (flush_conn t)
+      (conns_where t.by_id (fun c -> c.writing || Evconn.want_write c.ev))
   done
 
 let broker_loop t =
@@ -492,16 +422,14 @@ let create ?(obs = Hub.noop) ?(clock = Dynvote_obs.Clock.now) ?stall_timeout
       net_dropped = Metrics.counter obs.Hub.metrics "net.frames.dropped";
       loop_wakeups = Metrics.counter obs.Hub.metrics "net.loop.wakeups";
       batch_frames = Metrics.histogram obs.Hub.metrics "net.batch.frames";
+      topology = Atomic.make { up = Site_set.empty; groups = None };
+      running = Atomic.make true;
       mutex = Mutex.create ();
-      loop = Evloop.create ();
-      by_fd = Hashtbl.create 64;
-      endpoints = [];
-      pendings = [];
-      up = Site_set.empty;
-      groups = None;
       kill_queue = [];
       next_client = Wire.first_client_id;
-      running = true;
+      loop = Evloop.create ();
+      by_fd = Hashtbl.create 64;
+      by_id = Hashtbl.create 64;
       wake_fd;
       wake_r = Vio.of_fd wake_fd;
       wake_w = Vio.of_fd wake_w;
@@ -546,7 +474,7 @@ let partition t groups =
         t.universe)
     t.universe;
   locked t (fun () ->
-      t.groups <- Some groups;
+      set_topology_locked t (fun top -> { top with groups = Some groups });
       Hub.event t.obs
         (Trace.Partition
            { groups = Fmt.str "%a" (Fmt.list ~sep:Fmt.sp Site_set.pp) groups });
@@ -554,24 +482,22 @@ let partition t groups =
 
 let heal t =
   locked t (fun () ->
-      t.groups <- None;
+      set_topology_locked t (fun top -> { top with groups = None });
       Hub.event t.obs Trace.Heal;
       wake_locked t)
 
 let crash t site =
   locked t (fun () ->
-      t.up <- Site_set.remove site t.up;
+      set_topology_locked t (fun top -> { top with up = Site_set.remove site top.up });
       t.kill_queue <- site :: t.kill_queue;
       Hub.event t.obs (Trace.Crash { site });
       wake_locked t)
 
-let up_sites t = locked t (fun () -> t.up)
+let up_sites t = (Atomic.get t.topology).up
+let is_up t site = Site_set.mem site (up_sites t)
 
 let reserve_clients t ~upto =
   locked t (fun () -> t.next_client <- max t.next_client (upto + 1))
-
-let is_up t site = locked t (fun () -> Site_set.mem site t.up)
-let groups t = locked t (fun () -> t.groups)
 
 (* Joining re-raises whatever killed the broker, after the pipe is
    closed.  A second call finds no broker and returns. *)
@@ -582,5 +508,5 @@ let shutdown t =
       t.broker <- None;
       locked t (fun () ->
           wake_locked t;
-          t.running <- false);
+          Atomic.set t.running false);
       Fun.protect ~finally:(fun () -> close_pipe t) (fun () -> Domain.join broker)

@@ -72,8 +72,6 @@ val reserve_clients : t -> upto:int -> unit
 
 val is_up : t -> Site_set.site -> bool
 
-val groups : t -> Site_set.t list option
-
 val shutdown : t -> unit
 (** Close every connection, stop the broker and join its domain.  The
     broker closes its connections however it ends, so the nodes see EOF

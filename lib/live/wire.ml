@@ -5,11 +5,12 @@
        len:u32 | magic "DVW1" | adler32:u32 | src:u16 | dst:u16 | tag:u8 | fields
 
    This module owns only the field layouts.  The consistency ensembles
-   inside KState_reply and KStart_reply reuse the Codec stable-storage
-   encoding byte for byte.  Tags 3-5, 7-10, 16 (the lock round's
-   request, folded into KStart) and 20 (the commit without an op id,
-   replaced by KCommit_op) are unassigned: every frame keeps the tag,
-   and the bytes, it has always had. *)
+   inside KStart_reply reuse the Codec stable-storage encoding byte for
+   byte.  Tags 3-5, 7-10, 16 (the lock round's request, folded into
+   KStart), 18-19 (the lockless state gather, which KStart also does)
+   and 20 (the commit without an op id, replaced by KCommit_op) are
+   unassigned: every frame keeps the tag, and the bytes, it has always
+   had. *)
 
 let magic = "DVW1"
 let broker_id = 0xFFFF
@@ -28,20 +29,13 @@ type payload =
   | Client_recover of { req : int }
   | Client_reply of { req : int; status : status; value : string option; info : string }
   | Abstain of { round : int }
-      (* a fenced site answering a START, or a fenced or amnesiac site
-         answering a state gather: alive but taking no part, so the
-         coordinator can stop waiting without counting it as a vote
-         (for a START, [round] is the op) *)
+      (* a fenced site answering a START: alive but taking no part, so
+         the coordinator can stop waiting without counting it as a vote
+         ([round] is the START's op) *)
   (* The peer protocol.  One group-quorum round names every object it
      covers, so a single wire exchange locks and gathers for every
      per-object operation queued at the coordinator. *)
   | KUnlock of { op : int; keys : string list }
-  | KState_request of { round : int; keys : string list }
-  | KState_reply of {
-      round : int;
-      fresh : bool;
-      states : (string * Replica.t) list;
-    }
   | KData_request of { round : int; key : string }
   | KData_reply of {
       round : int;
@@ -80,8 +74,6 @@ let kind_name = function
   | Client_reply _ -> "client-reply"
   | Abstain _ -> "abstain"
   | KUnlock _ -> "kunlock"
-  | KState_request _ -> "kstate-request"
-  | KState_reply _ -> "kstate-reply"
   | KData_request _ -> "kdata-request"
   | KData_reply _ -> "kdata-reply"
   | KStart _ -> "kstart"
@@ -103,8 +95,6 @@ let tag_of = function
   | Client_reply _ -> 14
   | Abstain _ -> 15
   | KUnlock _ -> 17
-  | KState_request _ -> 18
-  | KState_reply _ -> 19
   | KData_request _ -> 21
   | KData_reply _ -> 22
   | KStart _ -> 23
@@ -143,10 +133,7 @@ let encode_payload b = function
   | KUnlock { op; keys } | KStart { op; keys } ->
       Codec.add_u32 b op;
       add_keys b keys
-  | KState_request { round; keys } ->
-      Codec.add_u32 b round;
-      add_keys b keys
-  | KState_reply { round = op; fresh; states } | KStart_reply { op; fresh; states } ->
+  | KStart_reply { op; fresh; states } ->
       Codec.add_u32 b op;
       Codec.add_bool b fresh;
       Codec.add_u16 b (List.length states);
@@ -226,13 +213,6 @@ let decode_payload c tag =
   | 17 ->
       let op = Codec.u32 c in
       KUnlock { op; keys = keys_field c }
-  | 18 ->
-      let round = Codec.u32 c in
-      KState_request { round; keys = keys_field c }
-  | 19 ->
-      let round = Codec.u32 c in
-      let fresh = Codec.bool c in
-      KState_reply { round; fresh; states = states_field c }
   | 21 ->
       let round = Codec.u32 c in
       KData_request { round; key = Codec.key c }
@@ -314,7 +294,13 @@ module Decoder = struct
     if d.len - d.pos < 4 then None
     else
       let body_len = Int32.to_int (Bytes.get_int32_le d.buf d.pos) land 0xFFFFFFFF in
-      if body_len > Codec.max_frame then Some (Error "frame length out of range")
+      if body_len > Codec.max_frame then begin
+        (* No frame boundary can be found past a bad length word: drop
+           what is buffered, so the error is reported once and the
+           caller, which severs the stream, is not asked again. *)
+        d.pos <- d.len;
+        Some (Error "frame length out of range")
+      end
       else if d.len - d.pos < 4 + body_len then None
       else begin
         let frame = decode_frame d.buf ~off:(d.pos + 4) ~len:body_len in

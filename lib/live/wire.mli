@@ -50,12 +50,11 @@ type payload =
   | Client_recover of { req : int }
   | Client_reply of { req : int; status : status; value : string option; info : string }
   | Abstain of { round : int }
-      (** a fenced site answering a {!KStart} (it takes no lock), or a
-          fenced or amnesiac site answering a {!KState_request}: alive
+      (** a fenced site answering a {!KStart} (it takes no lock): alive
           but taking no part — lets the coordinator stop waiting
           immediately instead of paying the full gather timeout, while
           still being excluded from votes and new partitions exactly as
-          if it were silent.  For a START, [round] carries the op. *)
+          if it were silent.  [round] carries the START's op. *)
   | KUnlock of { op : int; keys : string list }
       (** The peer protocol, this family and below: each key names an
           independently-voted object (at [--shards 0] the one object
@@ -66,19 +65,6 @@ type payload =
           deduplicated, when a kept anchor is released without a commit
           wave, and to lock holders a releasing {!KCommit_op} does not
           reach (voteless, outside the new partition, or silent). *)
-  | KState_request of { round : int; keys : string list }
-      (** a re-gather of ensembles without locking: a joined
-          operation's fresh look at an object its cached view denied,
-          and the audit's quiesce ping *)
-  | KState_reply of {
-      round : int;
-      fresh : bool;
-          (** the replier's own claim: continuously up since the last
-              commit it applied (gates topological vote claiming) *)
-      states : (string * Replica.t) list;
-          (** one ensemble per requested key; a key the replier never
-              committed reports the paper's initial state *)
-    }
   | KData_request of { round : int; key : string }
   | KData_reply of {
       round : int;
@@ -96,7 +82,11 @@ type payload =
           {!KStart_reply} when the peer took every lock, a {!Lock_reply}
           when it refused or took the locks without a vote, an
           {!Abstain} when it is fenced.  Asking again under the same
-          [op] is idempotent: the peer's leases are refreshed. *)
+          [op] is idempotent: the peer's leases are refreshed.  That
+          makes it the only gather: a joined operation whose cached view
+          is missing, or denied it, asks the anchor's holders again under
+          the anchor's op for its one object; and with no keys it takes
+          no lock, which is the audit's quiesce ping. *)
   | KStart_reply of {
       op : int;
       fresh : bool;
@@ -104,7 +94,8 @@ type payload =
               commit it applied (gates topological vote claiming) *)
       states : (string * Replica.t) list;
           (** the replier holds every lock under [op] and reports one
-              ensemble per requested key *)
+              ensemble per requested key; a key it never committed
+              reports the paper's initial state *)
     }
   | KCommit_op of {
       op : int;  (** the START whose locks the operation holds *)
@@ -159,7 +150,9 @@ module Decoder : sig
   val next : t -> (envelope, string) result option
   (** A complete buffered frame, if any ([None] = need more bytes).
       Call repeatedly after each [feed] — one feed can complete many
-      frames. *)
+      frames.  A length word past {!Codec.max_frame} comes back as one
+      [Error] and drops everything buffered: fed [n] bytes of junk,
+      [next] answers [None] within [n + 1] calls. *)
 
   val buffered : t -> int
   (** Bytes currently awaiting frame completion. *)

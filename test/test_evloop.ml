@@ -2,11 +2,13 @@
    reassembly under adversarial chunking through the Vio fake socket,
    EAGAIN/EINTR handling, write coalescing, the bounded-backpressure
    contract (a slow consumer is severed, never buffered without bound),
-   deadline injection in Evconn.recv, both readiness backends, and the
-   switchboard's stall reaper on a hand-cranked clock.  A second suite
-   (serve-smoke) drives the real thing: >1024 concurrent connections
-   through one broker loop and a pipelined coordinator with several
-   client requests admitted at once. *)
+   deadline injection in Evconn.recv, both readiness backends, a length
+   word no frame can follow, the switchboard severing a sender of
+   garbage and routing nothing behind it, and its stall reaper on a
+   hand-cranked clock.  A second suite (serve-smoke) drives the real
+   thing: >1024 concurrent connections through one broker loop and a
+   pipelined coordinator with several client requests admitted at
+   once. *)
 
 open Helpers
 module Wire = Dynvote_live.Wire
@@ -151,6 +153,24 @@ let test_eintr_read_retried () =
   let frames, eof = drive conn in
   Alcotest.(check bool) "frame recovered through EINTR" true
     (eof && oks frames = [ env ])
+
+(* A length word past the codec's bound leaves no frame boundary to
+   find: the decoder reports it once and drops what it holds, so a
+   connection's drain loop ends instead of collecting the same error
+   forever. *)
+let test_bad_length_word () =
+  let bad = "\xff\xff\xff\x7f" in
+  let dec = Wire.Decoder.create () in
+  Wire.Decoder.feed_string dec (bad ^ sample_stream);
+  (match Wire.Decoder.next dec with
+  | Some (Error _) -> ()
+  | Some (Ok _) | None -> Alcotest.fail "an out-of-range length word was not reported");
+  Alcotest.(check int) "nothing left buffered" 0 (Wire.Decoder.buffered dec);
+  Alcotest.(check bool) "the next call needs more bytes" true (Wire.Decoder.next dec = None);
+  let fake = Vio.Fake.create ~script:[ Vio.Fake.Chunk bad; Vio.Fake.Eof ] () in
+  match Evconn.on_readable (Evconn.create (Vio.Fake.vio fake)) with
+  | [ Error _ ], `Eof -> ()
+  | frames, _ -> Alcotest.failf "expected one error, got %d frames" (List.length frames)
 
 let test_corrupt_stream_detected () =
   let good = Wire.encode (List.hd sample_envelopes) in
@@ -368,6 +388,111 @@ let test_evloop_backends () =
             (Evloop.wait loop ~timeout:0.05 = [])))
     [ (`Epoll, "epoll"); (`Poll, "poll") ]
 
+(* --- the switchboard on real sockets ----------------------------------- *)
+
+let connect sb =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Switchboard.port sb));
+  fd
+
+(* Wait (real time, bounded) for the broker loop to act, then look for
+   EOF. *)
+let severed fd =
+  match Evloop.wait_fd fd ~read:true ~write:false ~timeout:5.0 with
+  | None -> false
+  | Some _ -> (
+      match Unix.read fd (Bytes.create 64) 0 64 with
+      | 0 -> true
+      | _ -> false
+      | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> true)
+
+let hello conn payload =
+  match
+    Evconn.handshake ~clock:Dynvote_obs.Clock.now conn
+      { Wire.src = 0; dst = Wire.broker_id; payload }
+  with
+  | Some id -> id
+  | None -> Alcotest.fail "no welcome"
+
+let with_switchboard ?obs f =
+  let sb = Switchboard.create ?obs ~universe:(ss [ 0 ]) ~segment_of:(fun s -> s) () in
+  Fun.protect ~finally:(fun () -> Switchboard.shutdown sb) (fun () -> f sb)
+
+(* A connection that opens with something no Hello can be — four bytes
+   claiming a 2 GiB frame, or a Hello naming a site id no universe
+   holds — is severed, and the broker goes on welcoming others. *)
+let test_bad_opening_severs () =
+  List.iter
+    (fun (what, opening) ->
+      with_switchboard (fun sb ->
+          let raw = connect sb in
+          ignore (Unix.write_substring raw opening 0 (String.length opening) : int);
+          Alcotest.(check bool) (what ^ ": the peer is severed") true (severed raw);
+          Unix.close raw;
+          let fresh = Evconn.dial ~port:(Switchboard.port sb) () in
+          Fun.protect
+            ~finally:(fun () -> Evconn.close fresh)
+            (fun () -> ignore (hello fresh Wire.Hello_client : int))))
+    [
+      ("a bad length word", "\xff\xff\xff\x7f");
+      ( "a Hello from site 62",
+        Wire.encode
+          {
+            Wire.src = 0;
+            dst = Wire.broker_id;
+            payload = Wire.Hello_site { site = Site_set.max_sites };
+          } );
+    ]
+
+(* What the broker routes from one read: a request written behind its
+   sender's Hello goes out once the Hello registers the connection, and
+   nothing behind a corrupt frame does — the sender is severed, and the
+   site that a valid frame written right after the corrupt one names
+   never sees it. *)
+let test_what_a_read_routes () =
+  let obs = Hub.create () in
+  with_switchboard ~obs (fun sb ->
+      let site = Evconn.dial ~port:(Switchboard.port sb) ()
+      and client = Evconn.dial ~port:(Switchboard.port sb) () in
+      Fun.protect
+        ~finally:(fun () ->
+          Evconn.close site;
+          Evconn.close client)
+        (fun () ->
+          ignore (hello site (Wire.Hello_site { site = 0 }) : int);
+          let frame dst payload = Wire.encode { Wire.src = 0; dst; payload } in
+          let get req = frame 0 (Wire.Client_get { req; key = "k" }) in
+          let fd = Option.get (Evconn.fd client) in
+          let write s =
+            Alcotest.(check int) "one write" (String.length s)
+              (Unix.write_substring fd s 0 (String.length s))
+          in
+          let deadline () = Dynvote_obs.Clock.now () +. 5.0 in
+          write (frame Wire.broker_id Wire.Hello_client ^ get 1);
+          let id =
+            match Evconn.recv ~deadline:(deadline ()) client with
+            | Ok { Wire.payload = Wire.Welcome { id }; _ } -> id
+            | _ -> Alcotest.fail "no welcome"
+          in
+          (match Evconn.recv ~deadline:(deadline ()) site with
+          | Ok { Wire.src; payload = Wire.Client_get { req = 1; _ }; _ } when src = id -> ()
+          | Ok env -> Alcotest.failf "the site received %a" Wire.pp env
+          | Error _ -> Alcotest.fail "the request behind the Hello was not routed");
+          let bad = Bytes.of_string (get 2) in
+          let last = Bytes.length bad - 1 in
+          Bytes.set bad last (Char.chr (Char.code (Bytes.get bad last) lxor 0x40));
+          write (Bytes.to_string bad ^ get 3);
+          Alcotest.(check bool) "the sender is severed" true (severed fd);
+          (match
+             Evconn.recv ~deadline:(Dynvote_obs.Clock.now () +. 0.3) site
+           with
+          | Error `Timeout -> ()
+          | Ok env -> Alcotest.failf "the site received %a" Wire.pp env
+          | Error _ -> Alcotest.fail "the site was severed");
+          let count name = Metrics.counter_value (Metrics.counter obs.Hub.metrics name) in
+          Alcotest.(check int) "frames rejected" 1 (count "net.frames.rejected");
+          Alcotest.(check int) "frames routed" 1 (count "net.frames.sent")))
+
 (* --- the switchboard's stall reaper on a hand-cranked clock ----------- *)
 
 let test_stall_reaper_clock_step () =
@@ -382,27 +507,9 @@ let test_stall_reaper_clock_step () =
   Fun.protect
     ~finally:(fun () -> Switchboard.shutdown sb)
     (fun () ->
-      let connect () =
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Unix.connect fd
-          (Unix.ADDR_INET (Unix.inet_addr_loopback, Switchboard.port sb));
-        fd
-      in
-      let severed fd =
-        (* Wait (real time, bounded) for the broker loop to act, then
-           look for EOF. *)
-        match Evloop.wait_fd fd ~read:true ~write:false ~timeout:5.0 with
-        | None -> false
-        | Some _ -> (
-            match Unix.read fd (Bytes.create 64) 0 64 with
-            | 0 -> true
-            | _ -> false
-            | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-                true)
-      in
       (* A slow-loris client: says Hello, then opens a frame and stops
          feeding it. *)
-      let loris = connect () in
+      let loris = connect sb in
       let wc = Evconn.of_fd loris in
       ignore
         (Evconn.enqueue wc
@@ -416,7 +523,7 @@ let test_stall_reaper_clock_step () =
       let half = String.length frame / 2 in
       ignore (Unix.write_substring loris frame 0 half : int);
       (* A mute connection: never completes a Hello. *)
-      let mute = connect () in
+      let mute = connect sb in
       (* Give the broker a real-time beat to read the partial frame, then
          step the injected clock past the stall budget.  Nothing here
          depends on how long the *wall* wait was. *)
@@ -553,6 +660,7 @@ let suite =
     Alcotest.test_case "decoder, one byte at a time" `Quick test_decoder_byte_by_byte;
     Alcotest.test_case "spurious wakeup reads nothing" `Quick test_spurious_wakeup;
     Alcotest.test_case "EINTR on read retried" `Quick test_eintr_read_retried;
+    Alcotest.test_case "a bad length word is reported once" `Quick test_bad_length_word;
     Alcotest.test_case "corrupt stream detected in order" `Quick
       test_corrupt_stream_detected;
     Alcotest.test_case "writes coalesce into one call" `Quick test_write_coalescing;
@@ -566,6 +674,9 @@ let suite =
     Alcotest.test_case "recv deadline on an injected clock" `Quick
       test_recv_deadline_injected_clock;
     Alcotest.test_case "epoll and poll backends" `Quick test_evloop_backends;
+    Alcotest.test_case "a bad opening severs only its peer" `Quick
+      test_bad_opening_severs;
+    Alcotest.test_case "what one read routes" `Quick test_what_a_read_routes;
     Alcotest.test_case "stall reaper fires on a clock step" `Quick
       test_stall_reaper_clock_step;
   ]

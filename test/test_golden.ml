@@ -212,8 +212,6 @@ let wire_samples () =
         Client_reply { req = 5; status = Degraded; value = Some "val"; info = "fenced" };
         Abstain { round = 9 };
         KUnlock { op = 13; keys = [ "a" ] };
-        KState_request { round = 10; keys = [ "a"; "" ] };
-        KState_reply { round = 10; fresh = true; states = [ ("a", replica) ] };
         KData_request { round = 11; key = "a" };
         KData_reply
           { round = 11; key = "a"; version = 4; value = None; rids = [ (65, 5); (66, 1) ] };
@@ -255,11 +253,6 @@ let wire_expected =
       "11000000445657315c005102020041000f09000000" );
     ( "kunlock",
       "1600000044565731c500be0402004100110d0000000100010061" );
-    ( "kstate-request",
-      "1800000044565731c4003a0602004100120a00000002000100610000" );
-    ( "kstate-reply",
-      "3700000044565731d702455802004100130a000000010100010061445654310e\
-       00d800040000000000000003000000000000000600000000000000" );
     ( "kdata-request",
       "1400000044565731c600070402004100150b000000010061" );
     ( "kdata-reply",

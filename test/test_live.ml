@@ -6,6 +6,7 @@
 
 open Helpers
 module Wire = Dynvote_live.Wire
+module Evconn = Dynvote_live.Evconn
 module Persist = Dynvote_live.Persist
 module Live = Dynvote_live.Cluster
 module Loadgen = Dynvote_live.Loadgen
@@ -82,14 +83,6 @@ let sample_payloads : Wire.payload list =
     Wire.Client_reply { req = 10; status = Wire.Aborted; value = None; info = "timeout" };
     Wire.Abstain { round = 12 };
     Wire.KUnlock { op = 0x2_00_00_09; keys = [ "a" ] };
-    Wire.KState_request { round = 4; keys = [ "a"; "b" ] };
-    Wire.KState_reply
-      {
-        round = 4;
-        fresh = true;
-        states = [ ("a", sample_replica); ("b", Replica.initial (ss [ 0; 1; 2; 3 ])) ];
-      };
-    Wire.KState_reply { round = 5; fresh = false; states = [] };
     Wire.KData_request { round = 6; key = "a" };
     Wire.KData_reply
       { round = 6; key = "a"; version = 11; value = Some "v\x00bytes";
@@ -168,6 +161,27 @@ let prop_wire_garbage_rejected =
       (* Random strings lack the magic/checksum; decode must reject
          without raising. *)
       match Wire.decode junk with Ok _ -> false | Error _ -> true)
+
+(* The streaming counterpart: junk fed to a decoder runs dry.  Each call
+   consumes a length word and what it covers, drops everything after an
+   out-of-range one, or answers [None], so [n] bytes end in [None]
+   within [n + 1] calls, and none raises.  Zero bytes are frequent in
+   the junk, so in-range length words (and their garbage frames) occur
+   too. *)
+let prop_decoder_garbage_drains =
+  qcheck_case ~count:500 ~name:"random bytes drain from a decoder"
+    QCheck.(
+      string_gen_of_size
+        Gen.(int_range 0 200)
+        Gen.(frequency [ (3, char); (1, return '\000') ]))
+    (fun junk ->
+      let dec = Wire.Decoder.create () in
+      Wire.Decoder.feed_string dec junk;
+      let rec drains calls =
+        calls <= String.length junk + 1
+        && match Wire.Decoder.next dec with None -> true | Some _ -> drains (calls + 1)
+      in
+      drains 1)
 
 (* --- persistence ----------------------------------------------------- *)
 
@@ -626,34 +640,118 @@ let test_op_costs_by_size () =
           check_clean (name "op costs") (Live.check cluster)))
     [ (3, 8); (5, 14) ]
 
+(* --- the re-gather ----------------------------------------------------
+
+   A joined operation whose cached view denies it runs the START
+   exchange again, under the anchor's op, for its one object.  To get
+   there, two gets reach one coordinator in one write, so the second is
+   queued before the first decides and, with reuse on, joins its anchor;
+   and the first is denied, so the cached view the second decides
+   against denies it too. *)
+
+let reuse_config = { test_config with Node.max_reuse = 4 }
+
+let make_amnesiac cluster site =
+  Live.kill cluster site;
+  Live.remove_dir (Dynvote_shard.Shard_store.shards_dir ~dir:(Live.dir cluster) ~site);
+  Live.restart cluster site
+
+(* Two gets of "a" at [at] in one write, and their replies in order. *)
+let two_gets cluster ~at =
+  let conn = Evconn.dial ~port:(Live.port cluster) () in
+  Fun.protect ~finally:(fun () -> Evconn.close conn) @@ fun () ->
+  let id =
+    match
+      Evconn.handshake ~clock:Clock.now conn
+        { Wire.src = 0; dst = Wire.broker_id; payload = Wire.Hello_client }
+    with
+    | Some id -> id
+    | None -> Alcotest.fail "two gets: no welcome"
+  in
+  List.iter
+    (fun req ->
+      ignore
+        (Evconn.enqueue conn
+           { Wire.src = id; dst = at; payload = Wire.Client_get { req; key = "a" } }
+          : [ `Ok | `Overflow ]))
+    [ 1; 2 ];
+  if Evconn.drain conn <> `Idle then Alcotest.fail "two gets: not sent";
+  List.map
+    (fun req ->
+      match Evconn.recv ~deadline:(Clock.now () +. 5.0) conn with
+      | Ok { Wire.payload = Wire.Client_reply { req = r; status; value; info }; _ }
+        when r = req ->
+          { Live.status; value; info; retries = 0 }
+      | _ -> Alcotest.failf "two gets: no reply to request %d" req)
+    [ 1; 2 ]
+
+(* With sites 0 and 1 amnesiac, coordinator 3 hears one vote (site 2's)
+   and two voteless grants: {2, 3} is half of the partition and loses
+   the tie-break, so every get there is denied.  Alone, a get costs 11
+   frames: its request and reply, START and its three answers, and a
+   KUnlock to each holder.  The joined pair costs one START and one
+   KUnlock wave between them, plus the second get's request and reply
+   and the re-gather's 2(n-1) = 6 frames: 19.  A peer that still owes
+   the anchor's START an answer is not asked again: with {0, 1} cut off
+   from coordinator 2, the START asks them twice and hears nothing, and
+   the re-gather asks site 3 alone — 2 frames, for 15. *)
+let test_regather () =
+  with_cost_probe ~config:reuse_config ~universe:u4 (fun cluster c m ->
+      check_status "seed" Wire.Granted (Live.put c ~at:0 ~key:"a" ~value:"1");
+      make_amnesiac cluster 0;
+      make_amnesiac cluster 1;
+      op_cost m "a lone get" ~status:Wire.Denied ~cost:[ 1; 1; 0; 11 ] (fun () ->
+          Live.get c ~at:3 ~key:"a");
+      let reused = counter m "live.gather.reused" in
+      let replies = ref [] in
+      op_cost m "a joined get" ~status:Wire.Denied ~cost:[ 1; 2; 0; 19 ] (fun () ->
+          replies := two_gets cluster ~at:3;
+          List.nth !replies 1);
+      check_status "the first get" Wire.Denied (List.hd !replies);
+      Alcotest.(check int) "the joined get decided against the cache first" (reused + 1)
+        (counter m "live.gather.reused");
+      check_clean "re-gather" (Live.check cluster));
+  with_cost_probe ~config:reuse_config ~universe:u4 (fun cluster c m ->
+      check_status "seed" Wire.Granted (Live.put c ~at:0 ~key:"a" ~value:"1");
+      Live.partition cluster [ ss [ 0; 1 ]; ss [ 2; 3 ] ];
+      op_cost m "a joined get, two peers silent" ~status:Wire.Denied
+        ~cost:[ 1; 2; 0; 15 ] (fun () -> List.nth (two_gets cluster ~at:2) 1);
+      Live.heal cluster;
+      check_clean "re-gather past silent peers" (Live.check cluster))
+
 (* No lock outlives its operation.  A peer the COMMIT wave does not
    reach — stale outside the new partition, or amnesiac and so voteless —
    still took the START's locks, and must get them back: two puts in a
    row at different coordinators are both granted at once, with no lock
-   round denied. *)
+   round denied.  So must the holders a re-gather refreshed: the two
+   coordinators that can still coordinate after it are denied by the
+   quorum, never by a lock. *)
 let test_no_lock_outlives_its_op () =
-  let puts_after name setup =
-    with_cost_probe ~universe:u4 (fun cluster c m ->
+  let after ?config name setup ~status ~at =
+    with_cost_probe ?config ~universe:u4 (fun cluster c m ->
         check_status (name ^ ": seed") Wire.Granted (Live.put c ~at:0 ~key:"a" ~value:"1");
         setup cluster c;
         let denied = counter m "live.lock.denied" in
-        check_status (name ^ ": put at 0") Wire.Granted
-          (Live.put c ~at:0 ~key:"a" ~value:"3");
-        check_status (name ^ ": put at 1") Wire.Granted
-          (Live.put c ~at:1 ~key:"a" ~value:"4");
+        List.iter
+          (fun (at, value) ->
+            check_status (Printf.sprintf "%s: put at %d" name at) status
+              (Live.put c ~at ~key:"a" ~value))
+          [ (fst at, "3"); (snd at, "4") ];
         Alcotest.(check int) (name ^ ": lock rounds denied") denied
           (counter m "live.lock.denied");
         check_clean name (Live.check cluster))
   in
-  puts_after "stale outside S" (fun cluster c ->
+  after "stale outside S" ~status:Wire.Granted ~at:(0, 1) (fun cluster c ->
       Live.partition cluster [ ss [ 0; 1; 2 ]; ss [ 3 ] ];
       check_status "majority put" Wire.Granted (Live.put c ~at:1 ~key:"a" ~value:"2");
       Live.heal cluster);
-  puts_after "amnesiac" (fun cluster _ ->
-      Live.kill cluster 3;
-      Live.remove_dir
-        (Dynvote_shard.Shard_store.shards_dir ~dir:(Live.dir cluster) ~site:3);
-      Live.restart cluster 3)
+  after "amnesiac" ~status:Wire.Granted ~at:(0, 1) (fun cluster _ ->
+      make_amnesiac cluster 3);
+  after ~config:reuse_config "re-gathered" ~status:Wire.Denied ~at:(2, 3)
+    (fun cluster _ ->
+      make_amnesiac cluster 0;
+      make_amnesiac cluster 1;
+      List.iter (check_status "joined gets" Wire.Denied) (two_gets cluster ~at:3))
 
 (* A releasing COMMIT wakes a rival backing off, as an unlock does.  Two
    coordinators put one key 20 times each at once, and a refused START
@@ -936,6 +1034,7 @@ let suite =
     Alcotest.test_case "wire truncation rejected" `Quick test_wire_truncation;
     Alcotest.test_case "wire bit flips rejected" `Quick test_wire_bitflip;
     prop_wire_garbage_rejected;
+    prop_decoder_garbage_drains;
     Alcotest.test_case "oplog round trip" `Quick test_oplog_roundtrip;
     Alcotest.test_case "oplog torn tail" `Quick test_oplog_torn_tail;
     Alcotest.test_case "oplog floor scan" `Quick test_oplog_floor_scan;
@@ -953,6 +1052,7 @@ let suite =
     Alcotest.test_case "amnesia recovery" `Quick test_amnesia_recovery;
     Alcotest.test_case "serial op costs at --shards 0" `Quick test_serial_op_costs;
     Alcotest.test_case "op costs at 3 and 5 sites" `Quick test_op_costs_by_size;
+    Alcotest.test_case "a joined operation re-gathers with START" `Quick test_regather;
     Alcotest.test_case "no lock outlives its operation" `Quick
       test_no_lock_outlives_its_op;
     Alcotest.test_case "a releasing COMMIT wakes a rival" `Quick test_commit_wakes_rival;
