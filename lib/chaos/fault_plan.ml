@@ -62,13 +62,20 @@ let validate config =
       if till < from_t then invalid_arg "Fault_plan: flap window ends before it starts")
     config.flaps
 
-let flapped config ~now message =
-  let a = message.Message.src and b = message.Message.dst in
-  List.exists
-    (fun flap ->
-      ((flap.site_a = a && flap.site_b = b) || (flap.site_a = b && flap.site_b = a))
+let rec flapped flaps ~now a b =
+  match flaps with
+  | [] -> false
+  | flap :: rest ->
+      (((flap.site_a = a && flap.site_b = b) || (flap.site_a = b && flap.site_b = a))
       && now >= flap.from_t && now < flap.till)
-    config.flaps
+      || flapped rest ~now a b
+
+(* One copy's extra latency: a draw decides whether it is delayed, a
+   second how long. *)
+let extra_delay config rng =
+  if config.delay > 0.0 && Splitmix64.next_float rng < config.delay then
+    Splitmix64.next_float rng *. config.delay_bound
+  else 0.0
 
 let make ~rng ?(reliable = fun _ _ -> false) config =
   validate config;
@@ -78,27 +85,25 @@ let make ~rng ?(reliable = fun _ _ -> false) config =
        as death, so a lossy intra-segment link would break its premise.
        Duplication and bounded delay keep applying — they are harmless
        to that reading. *)
-    let lossy = not (reliable message.Message.src message.Message.dst) in
+    let src = message.Message.src and dst = message.Message.dst in
     match message.Message.payload with
     | Message.Commit _ when config.atomic_commits -> Transport.Pass
     | _ ->
-        if lossy && flapped config ~now message then Transport.Drop_it Transport.Flap
+        let lossy = not (reliable src dst) in
+        if lossy && flapped config.flaps ~now src dst then Transport.Drop_it Transport.Flap
         else if lossy && config.loss > 0.0 && Splitmix64.next_float rng < config.loss
         then Transport.Drop_it Transport.Loss
         else begin
-          let copies =
-            if config.duplicate > 0.0 && Splitmix64.next_float rng < config.duplicate
-            then [ 0.0; 0.0 ]
-            else [ 0.0 ]
+          (* The draws are made in the same order whatever they decide:
+             duplication, then each copy's delay.  A lone undelayed copy
+             is a plain [Pass], built without a list. *)
+          let duplicated =
+            config.duplicate > 0.0 && Splitmix64.next_float rng < config.duplicate
           in
-          let delay_one d =
-            if config.delay > 0.0 && Splitmix64.next_float rng < config.delay then
-              d +. (Splitmix64.next_float rng *. config.delay_bound)
-            else d
-          in
-          match List.map delay_one copies with
-          | [ 0.0 ] -> Transport.Pass
-          | copies -> Transport.Deliver_copies copies
+          let first = extra_delay config rng in
+          if duplicated then Transport.Deliver_copies [ first; extra_delay config rng ]
+          else if first = 0.0 then Transport.Pass
+          else Transport.Deliver_copies [ first ]
         end
 
 let pp_config ppf config =

@@ -152,45 +152,48 @@ let write_content n =
 let do_write s step site ~with_crash =
   s.writes <- s.writes + 1;
   let content = write_content s.writes in
-  if with_crash then begin
-    let armed = ref true in
-    Cluster.set_chaos_hook s.cluster (fun event ->
-        match (event, s.s_config.crash_point) with
-        | Cluster.After_decide { coordinator; granted = true }, `After_decide
-          when !armed && coordinator = site ->
-            armed := false;
-            Cluster.crash s.cluster site
-        | Cluster.After_commit_send { coordinator; sent; total; _ }, `Mid_commit
-          when !armed && coordinator = site && sent >= max 1 (total / 2) ->
-            armed := false;
-            Cluster.crash s.cluster site
-        | _ -> ())
-  end;
-  let finish () = if with_crash then Cluster.clear_chaos_hook s.cluster in
   let outcome =
-    Fun.protect ~finally:finish (fun () -> Cluster.write s.cluster ~at:site ~content)
+    if not with_crash then Cluster.write s.cluster ~at:site ~content
+    else begin
+      let armed = ref true in
+      Cluster.set_chaos_hook s.cluster (fun event ->
+          match (event, s.s_config.crash_point) with
+          | Cluster.After_decide { coordinator; granted = true }, `After_decide
+            when !armed && coordinator = site ->
+              armed := false;
+              Cluster.crash s.cluster site
+          | Cluster.After_commit_send { coordinator; sent; total; _ }, `Mid_commit
+            when !armed && coordinator = site && sent >= max 1 (total / 2) ->
+              armed := false;
+              Cluster.crash s.cluster site
+          | _ -> ());
+      Fun.protect
+        ~finally:(fun () -> Cluster.clear_chaos_hook s.cluster)
+        (fun () -> Cluster.write s.cluster ~at:site ~content)
+    end
   in
   Oracle.note_write s.oracle ~content outcome;
   note s step outcome
 
+let up s site = Site_set.mem site (Cluster.up_sites s.cluster)
+
+let can_coordinate s site =
+  up s site && not (Node.is_amnesiac (Cluster.node s.cluster site))
+
 let apply_step s step =
-  let up site = Site_set.mem site (Cluster.up_sites s.cluster) in
-  let can_coordinate site =
-    up site && not (Node.is_amnesiac (Cluster.node s.cluster site))
-  in
   match step with
-  | Schedule.Write site -> if can_coordinate site then do_write s step site ~with_crash:false
+  | Schedule.Write site -> if can_coordinate s site then do_write s step site ~with_crash:false
   | Schedule.Crash_coordinator site ->
-      if can_coordinate site then do_write s step site ~with_crash:true
+      if can_coordinate s site then do_write s step site ~with_crash:true
   | Schedule.Read site ->
-      if can_coordinate site then begin
+      if can_coordinate s site then begin
         let outcome = Cluster.read s.cluster ~at:site in
         Oracle.note_read s.oracle ~at:site outcome;
         note s step outcome
       end
-  | Schedule.Crash site -> if up site then Cluster.crash s.cluster site
+  | Schedule.Crash site -> if up s site then Cluster.crash s.cluster site
   | Schedule.Restart (site, corruption) ->
-      if not (up site) then begin
+      if not (up s site) then begin
         (match corruption with
         | Some c ->
             s.s_corrupted <- s.s_corrupted + 1;

@@ -21,7 +21,9 @@ exception Corrupt of string
    As in zlib, the sums are reduced once per block of at most 5,552
    bytes (NMAX, the longest run over which [b] cannot outgrow 32 bits
    even at 0xff per byte), not twice per byte; the values are the same.
-   One bounds check up front covers every byte of the range. *)
+   One bounds check up front covers every byte of the range.  The sum is
+   returned as the low 32 bits of an int, so a caller stores or compares
+   it without boxing an [Int32.t]. *)
 let adler_base = 65521
 let adler_nmax = 5552
 
@@ -40,9 +42,7 @@ let adler32 bytes ~off ~len =
     b := !b mod adler_base;
     pos := block_end
   done;
-  Int32.logor
-    (Int32.shift_left (Int32.of_int !b) 16)
-    (Int32.of_int !a)
+  (!b lsl 16) lor !a
 
 let encode_replica replica =
   let buffer = Bytes.create encoded_size in
@@ -51,8 +51,9 @@ let encode_replica replica =
   Bytes.set_int64_le buffer 16 (Int64.of_int (Replica.version replica));
   Bytes.set_int64_le buffer 24 (Int64.of_int (Site_set.to_int (Replica.partition replica)));
   (* Checksum over the payload (everything after the checksum field). *)
-  Bytes.set_int32_le buffer 4 (adler32 buffer ~off:8 ~len:(encoded_size - 8));
-  Bytes.to_string buffer
+  Bytes.set_int32_le buffer 4 (Int32.of_int (adler32 buffer ~off:8 ~len:(encoded_size - 8)));
+  (* The buffer never escapes, so it becomes the string without a copy. *)
+  Bytes.unsafe_to_string buffer
 
 (* The one replica decoder, reading the [encoded_size] bytes at [off] in
    place: a stable record, a wire field and the checker's stale records
@@ -63,7 +64,8 @@ let replica_at buffer off =
     raise (Corrupt "bad magic");
   let stored = Bytes.get_int32_le buffer (off + 4) in
   let computed = adler32 buffer ~off:(off + 8) ~len:(encoded_size - 8) in
-  if not (Int32.equal stored computed) then raise (Corrupt "checksum mismatch");
+  if not (Int32.equal stored (Int32.of_int computed)) then
+    raise (Corrupt "checksum mismatch");
   let read_int field =
     let v = Bytes.get_int64_le buffer (off + field) in
     if Int64.compare v 0L < 0 || Int64.compare v (Int64.of_int max_int) > 0 then
@@ -155,7 +157,8 @@ let frame ?(length_prefix = true) ~magic fill =
   let off = if length_prefix then 4 else 0 in
   let len = Bytes.length frame - off in
   if length_prefix then Bytes.set_int32_le frame 0 (Int32.of_int len);
-  Bytes.set_int32_le frame (off + 4) (adler32 frame ~off:(off + 8) ~len:(len - 8));
+  Bytes.set_int32_le frame (off + 4)
+    (Int32.of_int (adler32 frame ~off:(off + 8) ~len:(len - 8)));
   Bytes.unsafe_to_string frame
 
 let add_u8 b v = Buffer.add_char b (Char.unsafe_chr (v land 0xff))
@@ -198,7 +201,7 @@ let open_frame ~magic data ~off ~len =
   if not (Int32.equal (Bytes.get_int32_le data off) (String.get_int32_le magic 0)) then
     raise (Corrupt "bad magic");
   if not (Int32.equal (Bytes.get_int32_le data (off + 4))
-            (adler32 data ~off:(off + 8) ~len:(len - 8)))
+            (Int32.of_int (adler32 data ~off:(off + 8) ~len:(len - 8))))
   then raise (Corrupt "checksum mismatch");
   { data; pos = off + 8; stop = off + len }
 

@@ -53,27 +53,63 @@ type verdict = Granted of grant | Denied of denial
 
 let is_granted = function Granted _ -> true | Denied _ -> false
 
-(* Q = { r in R : o_r maximal }.  Returns (max_o, Q). *)
+(* The walks below run over a set's raw bitmask ([Site_set.to_int]):
+   [bits] is what is left of it shifted down to site [i], so a member
+   costs one step of a local recursion and an int comparison, and nothing
+   is allocated.  The decision runs at every simulated access and every
+   checker transition; a tuple per member, a closure per filter or a list
+   of segments per call would all be garbage by the time it returns, and
+   a call into [Site_set] per member would cost more than the step. *)
+
+let rec op_maxima_from states bits i best q =
+  if bits = 0 then q
+  else if bits land 1 = 0 then op_maxima_from states (bits lsr 1) (i + 1) best q
+  else
+    let o = states.(i).Replica.op_no in
+    if o > best then op_maxima_from states (bits lsr 1) (i + 1) o (1 lsl i)
+    else if o = best then op_maxima_from states (bits lsr 1) (i + 1) best (q lor (1 lsl i))
+    else op_maxima_from states (bits lsr 1) (i + 1) best q
+
+(* Q = { r in R : o_r maximal }. *)
 let op_maxima states r =
-  Site_set.fold
-    (fun site ((best, set) as acc) ->
-      let o = Replica.op_no states.(site) in
-      if o > best then (o, Site_set.singleton site)
-      else if o = best then (best, Site_set.add site set)
-      else acc)
-    r
-    (min_int, Site_set.empty)
+  Site_set.of_int_unsafe (op_maxima_from states (Site_set.to_int r) 0 min_int 0)
+
+let rec version_maxima_from states bits i best s =
+  if bits = 0 then s
+  else if bits land 1 = 0 then version_maxima_from states (bits lsr 1) (i + 1) best s
+  else
+    let v = states.(i).Replica.version in
+    if v > best then version_maxima_from states (bits lsr 1) (i + 1) v (1 lsl i)
+    else if v = best then
+      version_maxima_from states (bits lsr 1) (i + 1) best (s lor (1 lsl i))
+    else version_maxima_from states (bits lsr 1) (i + 1) best s
 
 (* S = { r in R : v_r maximal }. *)
 let version_maxima states r =
-  Site_set.fold
-    (fun site ((best, set) as acc) ->
-      let v = Replica.version states.(site) in
-      if v > best then (v, Site_set.singleton site)
-      else if v = best then (best, Site_set.add site set)
-      else acc)
-    r
-    (min_int, Site_set.empty)
+  Site_set.of_int_unsafe (version_maxima_from states (Site_set.to_int r) 0 min_int 0)
+
+let rec on_segment_from ~segment_of segment bits i =
+  bits <> 0
+  && ((bits land 1 <> 0 && segment_of i = segment)
+     || on_segment_from ~segment_of segment (bits lsr 1) (i + 1))
+
+let rec mates_from ~segment_of ~anchors bits i acc =
+  if bits = 0 then acc
+  else
+    mates_from ~segment_of ~anchors (bits lsr 1) (i + 1)
+      (if bits land 1 <> 0 && on_segment_from ~segment_of (segment_of i) anchors 0 then
+         acc lor (1 lsl i)
+       else acc)
+
+(* Does some member of [set] live on [segment]? *)
+let on_segment ~segment_of segment set =
+  on_segment_from ~segment_of segment (Site_set.to_int set) 0
+
+(* The members of [set] that share a segment with some member of
+   [anchors]. *)
+let segment_mates ~segment_of ~anchors set =
+  Site_set.of_int_unsafe
+    (mates_from ~segment_of ~anchors:(Site_set.to_int anchors) (Site_set.to_int set) 0 0)
 
 (* T: members of P_m sharing a segment with a live reachable member of
    P_m (paper §3 prose; each live member claims the votes of its dead
@@ -92,11 +128,7 @@ let version_maxima states r =
    always count themselves. *)
 let claimed_votes ~segment_of ~p_m ~r ~fresh ~q =
   let sponsors = Site_set.inter (Site_set.inter p_m r) fresh in
-  let sponsor_segments =
-    Site_set.fold (fun site acc -> segment_of site :: acc) sponsors []
-  in
-  Site_set.union q
-    (Site_set.filter (fun site -> List.mem (segment_of site) sponsor_segments) p_m)
+  Site_set.union q (segment_mates ~segment_of ~anchors:sponsors p_m)
 
 (* The rival-lineage guard of the safe topological flavor.
 
@@ -114,32 +146,23 @@ let claimed_votes ~segment_of ~p_m ~r ~fresh ~q =
    bumped its operation number.  The un-silenced remainder could, in the
    worst case, have formed a rival group claiming every P_m member on
    their segments; if that hypothetical rival could itself have passed the
-   quorum test, the current grant is unsafe and must wait. *)
+   quorum test, the current grant is unsafe and must wait.  The rival
+   group is returned, or the empty set when there is none (a rival always
+   has a member). *)
 let rival_claimants ~segment_of ~ordering ~p_m ~r ~q ~fresh =
   let d = Site_set.diff p_m r in
   let witnesses = Site_set.inter q fresh in
-  let witness_segments =
-    Site_set.fold (fun site acc -> segment_of site :: acc) witnesses []
-  in
-  let d_eff =
-    Site_set.filter (fun i -> not (List.mem (segment_of i) witness_segments)) d
-  in
-  if Site_set.is_empty d_eff then None
+  let d_eff = Site_set.diff d (segment_mates ~segment_of ~anchors:witnesses d) in
+  if Site_set.is_empty d_eff then Site_set.empty
   else begin
-    let rival_segments =
-      Site_set.fold (fun site acc -> segment_of site :: acc) d_eff []
-    in
-    let rival =
-      Site_set.union d_eff
-        (Site_set.filter (fun j -> List.mem (segment_of j) rival_segments) p_m)
-    in
+    let rival = Site_set.union d_eff (segment_mates ~segment_of ~anchors:d_eff p_m) in
     let have = 2 * Site_set.cardinal rival in
     let size = Site_set.cardinal p_m in
     if
       have > size
       || (have = size && Site_set.mem (Ordering.max_element ordering p_m) d_eff)
-    then Some rival
-    else None
+    then rival
+    else Site_set.empty
   end
 
 let evaluate flavor ~ordering ~segment_of ?fresh ~states ~reachable:r () =
@@ -148,21 +171,20 @@ let evaluate flavor ~ordering ~segment_of ?fresh ~states ~reachable:r () =
     (* Without [safe_claims] every live site may sponsor claims, exactly as
        the paper's figures read. *)
     let fresh = if flavor.safe_claims then Option.value fresh ~default:r else r in
-    let _, q = op_maxima states r in
-    let _, s = version_maxima states r in
+    let q = op_maxima states r in
+    let s = version_maxima states r in
     let m = Site_set.min_elt q in
     let p_m = Replica.partition states.(m) in
     let claimed =
       if flavor.topological then claimed_votes ~segment_of ~p_m ~r ~fresh ~q else q
     in
-    let rival =
+    let rivals =
       if flavor.topological && flavor.safe_claims then
         rival_claimants ~segment_of ~ordering ~p_m ~r ~q ~fresh
-      else None
+      else Site_set.empty
     in
-    match rival with
-    | Some rivals -> Denied (Rival_possible { rivals })
-    | None ->
+    if not (Site_set.is_empty rivals) then Denied (Rival_possible { rivals })
+    else
     let have = Site_set.cardinal claimed in
     let quorum_size = Site_set.cardinal p_m in
     (* |T| > |P_m| / 2, in integer arithmetic. *)
@@ -187,9 +209,9 @@ let evaluate flavor ~ordering ~segment_of ?fresh ~states ~reachable:r () =
           (not flavor.topological)
           || (not flavor.safe_claims)
           || Site_set.mem max_element fresh
-          || Site_set.for_all
-               (fun j -> j = max_element || segment_of j <> segment_of max_element)
-               p_m
+          || not
+               (on_segment ~segment_of (segment_of max_element)
+                  (Site_set.remove max_element p_m))
         in
         if Site_set.mem max_element q && claim_proof then
           Granted { q; s; m; p_m; claimed }

@@ -32,11 +32,21 @@ let rank t site =
 
 let greater t a b = rank t a > rank t b
 
+(* Walks the members in ascending id order, keeping the first of the
+   highest rank; a recursion over the set rather than a [fold] whose
+   callback would close over [t]. *)
+let rec best_of t set best best_rank =
+  if Site_set.is_empty set then best
+  else
+    let site = Site_set.min_elt set in
+    let r = rank t site in
+    let rest = Site_set.remove site set in
+    if r > best_rank then best_of t rest site r else best_of t rest best best_rank
+
 let max_element t set =
   if Site_set.is_empty set then raise Not_found;
-  Site_set.fold
-    (fun site best -> if rank t site > rank t best then site else best)
-    set (Site_set.min_elt set)
+  let first = Site_set.min_elt set in
+  best_of t (Site_set.remove first set) first (rank t first)
 
 let pp ppf t =
   let sites =

@@ -50,38 +50,68 @@ let cardinal t =
   let rec go n acc = if n = 0 then acc else go (n land (n - 1)) (acc + 1) in
   go t 0
 
+(* Every walk below is a top-level recursion that takes the set (and the
+   callback) as arguments, so it allocates nothing of its own: a local
+   [go] closing over either would be a fresh closure on every call.  The
+   member walks shift the set right one bit per step, carrying the id of
+   its low bit. *)
+let rec lowest t i = if t land (1 lsl i) <> 0 then i else lowest t (i + 1)
+
+(* The highest member is the least [i] with no member above it. *)
+let rec highest t i = if t lsr (i + 1) = 0 then i else highest t (i + 1)
+
 let min_elt t =
   if t = 0 then raise Not_found;
-  let rec go i = if t land (1 lsl i) <> 0 then i else go (i + 1) in
-  go 0
+  lowest t 0
 
 let max_elt t =
   if t = 0 then raise Not_found;
-  let rec go i = if t land (1 lsl i) <> 0 then i else go (i - 1) in
-  go (max_sites - 1)
+  highest t 0
 
 let choose = min_elt
 
-let fold f t init =
-  let rec go rest acc =
-    if rest = 0 then acc
-    else
-      let i = min_elt rest in
-      go (rest land (rest - 1)) (f i acc)
-  in
-  go t init
+let rec fold_from f t i acc =
+  if t = 0 then acc
+  else fold_from f (t lsr 1) (i + 1) (if t land 1 <> 0 then f i acc else acc)
 
-let iter f t = fold (fun i () -> f i) t ()
+let fold f t init = fold_from f t 0 init
 
-let for_all p t = fold (fun i acc -> acc && p i) t true
+let rec iter_from f t i =
+  if t <> 0 then begin
+    if t land 1 <> 0 then f i;
+    iter_from f (t lsr 1) (i + 1)
+  end
 
-let exists p t = fold (fun i acc -> acc || p i) t false
+let iter f t = iter_from f t 0
 
-let filter p t = fold (fun i acc -> if p i then add i acc else acc) t empty
+let rec for_all_from p t i =
+  t = 0 || ((t land 1 = 0 || p i) && for_all_from p (t lsr 1) (i + 1))
+
+let for_all p t = for_all_from p t 0
+
+let rec exists_from p t i =
+  t <> 0 && ((t land 1 <> 0 && p i) || exists_from p (t lsr 1) (i + 1))
+
+let exists p t = exists_from p t 0
+
+let rec filter_from p t i acc =
+  if t = 0 then acc
+  else
+    filter_from p (t lsr 1) (i + 1)
+      (if t land 1 <> 0 && p i then acc lor (1 lsl i) else acc)
+
+let filter p t = filter_from p t 0 empty
 
 let of_list l = List.fold_left (fun acc i -> add i acc) empty l
 
-let to_list t = List.rev (fold (fun i acc -> i :: acc) t [])
+(* Highest first, so the list comes out ascending without a reversal. *)
+let rec to_list_onto t acc =
+  if t = 0 then acc
+  else
+    let i = highest t 0 in
+    to_list_onto (t land lnot (1 lsl i)) (i :: acc)
+
+let to_list t = to_list_onto t []
 
 let to_int t = t
 

@@ -33,6 +33,25 @@ let schedule_after t ~delay payload =
 
 let stop _t = raise Stop
 
+(* Take the earliest event and move the clock to its time.  [now] is a
+   boxed float, so the clock is read out of the queue (and boxed) only
+   when it moves: events at the instant it already shows (a broadcast's
+   fan-out) are due by it, since nothing is ever scheduled in the
+   past. *)
+let take_next t =
+  if not (Event_queue.due t.queue ~until:t.now) then t.now <- Event_queue.top_time t.queue;
+  t.handled <- t.handled + 1;
+  Event_queue.take t.queue
+
+(* The one drain loop: handle events in time order while the earliest is
+   due by [until].  [run] and [drain] are both this loop. *)
+let rec drain_due t ~until ~handler =
+  if Event_queue.due t.queue ~until then begin
+    let payload = take_next t in
+    handler t t.now payload;
+    drain_due t ~until ~handler
+  end
+
 (* Run until [until] (inclusive of events at exactly [until]) or until the
    queue drains.  The handler may raise [Stop] to end early.  On normal
    completion the clock is advanced to [until] so callers can account for
@@ -40,36 +59,25 @@ let stop _t = raise Stop
 let run t ~until ~handler =
   if t.running then invalid_arg "Engine.run: engine is already running";
   t.running <- true;
-  let finish () = t.running <- false in
-  (try
-     let continue = ref true in
-     while !continue do
-       match Event_queue.peek_time t.queue with
-       | None -> continue := false
-       | Some time when time > until -> continue := false
-       | Some _ ->
-           let time, payload = Event_queue.pop_exn t.queue in
-           t.now <- time;
-           t.handled <- t.handled + 1;
-           handler t time payload
-     done;
-     if t.now < until then t.now <- until
-   with
-  | Stop -> finish ()
-  | e ->
-      finish ();
+  (match drain_due t ~until ~handler with
+  | () -> if t.now < until then t.now <- until
+  | exception Stop -> ()
+  | exception e ->
+      t.running <- false;
       raise e);
-  finish ()
+  t.running <- false
+
+let drain t ~handler = drain_due t ~until:infinity ~handler
 
 (* Step a single event; [None] when the queue is empty. *)
 let step t ~handler =
-  match Event_queue.pop t.queue with
-  | None -> None
-  | Some (time, payload) ->
-      t.now <- time;
-      t.handled <- t.handled + 1;
-      handler t time payload;
-      Some time
+  if Event_queue.is_empty t.queue then None
+  else begin
+    let payload = take_next t in
+    let time = t.now in
+    handler t time payload;
+    Some time
+  end
 
 let reset t =
   Event_queue.clear t.queue;

@@ -30,6 +30,11 @@ val run : 'a t -> until:float -> handler:('a t -> float -> 'a -> unit) -> unit
 (** Process events up to and including time [until]; afterwards the clock
     rests at [until] (or at the last event if it raised {!Stop}). *)
 
+val drain : 'a t -> handler:('a t -> float -> 'a -> unit) -> unit
+(** Process events until none is pending, including those the handlers
+    schedule; the clock rests at the last event's time.  Allocates
+    nothing per event beyond a box for each new clock value. *)
+
 val step : 'a t -> handler:('a t -> float -> 'a -> unit) -> float option
 (** Process exactly one event; returns its time. *)
 

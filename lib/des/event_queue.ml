@@ -61,9 +61,11 @@ let sift_up t i time seq payload =
   t.seqs.(!hole) <- seq;
   t.payloads.(!hole) <- payload
 
-(* Shift the smaller child up into the hole at [i] until [(time, seq)]
-   fits, then store the carried element there. *)
-let sift_down t i time seq payload =
+(* Shift the smaller child up into the hole at [i] until the element
+   at [last] fits, then store it there.  The element is read here, not
+   passed in: a float argument would be boxed on every call. *)
+let sift_down t i last =
+  let time = t.times.(last) and seq = t.seqs.(last) and payload = t.payloads.(last) in
   let hole = ref i in
   let continue = ref true in
   while !continue do
@@ -110,23 +112,30 @@ let add t ~time payload =
 
 let peek t = if t.size = 0 then None else Some (t.times.(0), t.payloads.(0))
 
-let peek_time t = if t.size = 0 then None else Some t.times.(0)
+(* [due], [top_time] and [take] are what a drain loop is built on: ask
+   whether the earliest event is due, read its time, then remove it and
+   return its payload.  [due] and [take] allocate nothing; [top_time]
+   returns a float, which a caller in another module receives boxed, so
+   a loop asks [due] first and reads the time only when it needs it. *)
+let due t ~until = t.size > 0 && t.times.(0) <= until
 
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let time = t.times.(0) in
-    let payload = t.payloads.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then
-      sift_down t 0 t.times.(t.size) t.seqs.(t.size) t.payloads.(t.size);
-    Some (time, payload)
-  end
+let top_time t =
+  if t.size = 0 then invalid_arg "Event_queue.top_time: empty queue";
+  t.times.(0)
+
+let take t =
+  if t.size = 0 then invalid_arg "Event_queue.take: empty queue";
+  let payload = t.payloads.(0) in
+  t.size <- t.size - 1;
+  if t.size > 0 then sift_down t 0 t.size;
+  payload
 
 let pop_exn t =
-  match pop t with
-  | Some x -> x
-  | None -> invalid_arg "Event_queue.pop_exn: empty queue"
+  if t.size = 0 then invalid_arg "Event_queue.pop_exn: empty queue";
+  let time = t.times.(0) in
+  (time, take t)
+
+let pop t = if t.size = 0 then None else Some (pop_exn t)
 
 let clear t =
   t.size <- 0;

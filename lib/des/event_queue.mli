@@ -13,7 +13,18 @@ val add : 'a t -> time:float -> 'a -> unit
 (** Schedule a payload.  @raise Invalid_argument on NaN time. *)
 
 val peek : 'a t -> (float * 'a) option
-val peek_time : 'a t -> float option
+
+val due : 'a t -> until:float -> bool
+(** Whether an event is pending at or before [until].  Allocates
+    nothing. *)
+
+val top_time : 'a t -> float
+(** The earliest event's time (boxed when returned to another module).
+    @raise Invalid_argument when empty. *)
+
+val take : 'a t -> 'a
+(** Remove the earliest event and return its payload, without
+    allocating.  @raise Invalid_argument when empty. *)
 
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the earliest event. *)

@@ -61,6 +61,10 @@ module Fork_set = Set.Make (struct
   let compare = compare
 end)
 
+(* A site's watermark: the operation and version numbers of the last
+   commit it applied. *)
+type mark = { op : int; version : int }
+
 (* All tables are immutable maps rebound in place: a backtracking
    explorer checkpoints and restores the spec state on every transition,
    and persistent structures make both operations constant-time pointer
@@ -72,8 +76,7 @@ type t = {
   mutable generations : (int * Site_set.t * Site_set.site) Int_map.t;
       (* op_no -> first witnessed (version, partition, site) *)
   mutable committed_versions : Int_set.t;
-  mutable last_op : int Int_map.t;     (* site -> last applied op_no *)
-  mutable last_version : int Int_map.t;
+  mutable last : mark Int_map.t;       (* site -> watermark *)
   mutable flagged_forks : Fork_set.t;
       (* forks already reported, so the per-step scan flags each once *)
   mutable commits_seen : int;
@@ -87,8 +90,7 @@ let create ~initial_content =
     maybe = [];
     generations = Int_map.empty;
     committed_versions = Int_set.empty;
-    last_op = Int_map.empty;
-    last_version = Int_map.empty;
+    last = Int_map.empty;
     flagged_forks = Fork_set.empty;
     commits_seen = 0;
     reads_checked = 0;
@@ -107,9 +109,10 @@ let witness t site replica =
   let version = Replica.version replica in
   let partition = Replica.partition replica in
   t.committed_versions <- Int_set.add version t.committed_versions;
-  (match Int_map.find_opt op_no t.generations with
-  | None -> t.generations <- Int_map.add op_no (version, partition, site) t.generations
-  | Some (version_a, partition_a, site_a) ->
+  (* Lookups raise rather than return an option: this runs at every
+     applied commit of every checker transition. *)
+  (match Int_map.find op_no t.generations with
+  | version_a, partition_a, site_a ->
       if version_a <> version || not (Site_set.equal partition_a partition) then
         flag t
           (Generation_conflict
@@ -121,17 +124,17 @@ let witness t site replica =
                site_b = site;
                version_b = version;
                partition_b = partition;
-             }));
-  (match Int_map.find_opt site t.last_op with
-  | Some before when before >= op_no ->
-      flag t (Non_monotone_op { site; before; after = op_no })
-  | _ -> ());
-  t.last_op <- Int_map.add site op_no t.last_op;
-  (match Int_map.find_opt site t.last_version with
-  | Some before when before > version ->
-      flag t (Version_regression { site; before; after = version })
-  | _ -> ());
-  t.last_version <- Int_map.add site version t.last_version
+             })
+  | exception Not_found ->
+      t.generations <- Int_map.add op_no (version, partition, site) t.generations);
+  (match Int_map.find site t.last with
+  | before ->
+      if before.op >= op_no then
+        flag t (Non_monotone_op { site; before = before.op; after = op_no });
+      if before.version > version then
+        flag t (Version_regression { site; before = before.version; after = version })
+  | exception Not_found -> ());
+  t.last <- Int_map.add site { op = op_no; version } t.last
 
 (* Client-visible outcomes feed the register model.  A write that aborted
    after its decision may or may not have escaped; its content joins the
@@ -160,20 +163,23 @@ let read_flags t ~at ~granted ~content =
    every schedule step, so the model checker reports the {e first}
    violating state; a (version, pair) already flagged is not re-reported
    on later calls. *)
+let check_fork t ~site_a ~version ~content_a ~site_b ~version_b ~content_b =
+  if
+    site_a < site_b && version = version_b
+    && Int_set.mem version t.committed_versions
+    && content_a <> content_b
+    && not (Fork_set.mem (version, site_a, site_b) t.flagged_forks)
+  then begin
+    t.flagged_forks <- Fork_set.add (version, site_a, site_b) t.flagged_forks;
+    flag t (Content_fork { version; site_a; content_a; site_b; content_b })
+  end
+
 let check_states t holders =
   List.iter
     (fun (site_a, version, content_a) ->
       List.iter
         (fun (site_b, version_b, content_b) ->
-          if
-            site_a < site_b && version = version_b
-            && Int_set.mem version t.committed_versions
-            && content_a <> content_b
-            && not (Fork_set.mem (version, site_a, site_b) t.flagged_forks)
-          then begin
-            t.flagged_forks <- Fork_set.add (version, site_a, site_b) t.flagged_forks;
-            flag t (Content_fork { version; site_a; content_a; site_b; content_b })
-          end)
+          check_fork t ~site_a ~version ~content_a ~site_b ~version_b ~content_b)
         holders)
     holders
 
@@ -216,8 +222,7 @@ type snapshot = {
   snap_maybe : string list;
   snap_generations : (int * Site_set.t * Site_set.site) Int_map.t;
   snap_committed_versions : Int_set.t;
-  snap_last_op : int Int_map.t;
-  snap_last_version : int Int_map.t;
+  snap_last : mark Int_map.t;
   snap_flagged_forks : Fork_set.t;
   snap_commits_seen : int;
   snap_reads_checked : int;
@@ -230,8 +235,7 @@ let snapshot t =
     snap_maybe = t.maybe;
     snap_generations = t.generations;
     snap_committed_versions = t.committed_versions;
-    snap_last_op = t.last_op;
-    snap_last_version = t.last_version;
+    snap_last = t.last;
     snap_flagged_forks = t.flagged_forks;
     snap_commits_seen = t.commits_seen;
     snap_reads_checked = t.reads_checked;
@@ -243,8 +247,7 @@ let restore t s =
   t.maybe <- s.snap_maybe;
   t.generations <- s.snap_generations;
   t.committed_versions <- s.snap_committed_versions;
-  t.last_op <- s.snap_last_op;
-  t.last_version <- s.snap_last_version;
+  t.last <- s.snap_last;
   t.flagged_forks <- s.snap_flagged_forks;
   t.commits_seen <- s.snap_commits_seen;
   t.reads_checked <- s.snap_reads_checked
@@ -325,8 +328,8 @@ let fingerprint_memory t w ~min_live_op =
         end
       done
   in
-  per_site t.last_op W.op;
-  per_site t.last_version W.version
+  per_site t.last (fun w mark -> W.op w mark.op);
+  per_site t.last (fun w mark -> W.version w mark.version)
 
 let violations t = List.rev t.violations
 let is_safe t = t.violations = []

@@ -62,9 +62,25 @@ val read_flags : t -> at:Site_set.site -> granted:bool -> content:string option 
 (** Check a granted read against the register model. *)
 
 val check_states : t -> (Site_set.site * int * string) list -> unit
-(** The content-fork scan over [(site, data_version, content)] triples.
-    Safe to call after every step — each fork is flagged once, at the
-    first state exhibiting it, and not re-reported by later calls. *)
+(** The content-fork scan over [(site, data_version, content)] triples:
+    {!check_fork} on every ordered pair of them.  Safe to call after
+    every step — each fork is flagged once, at the first state exhibiting
+    it, and not re-reported by later calls. *)
+
+val check_fork :
+  t ->
+  site_a:Site_set.site ->
+  version:int ->
+  content_a:string ->
+  site_b:Site_set.site ->
+  version_b:int ->
+  content_b:string ->
+  unit
+(** The content-fork predicate on one pair of holders: flags the pair
+    when [site_a < site_b], both hold the same committed version and
+    their contents differ, unless it is already flagged.  For a checker
+    that walks its holders itself instead of listing them for
+    {!check_states}. *)
 
 (** {2 Log replay} *)
 

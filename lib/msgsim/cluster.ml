@@ -64,12 +64,14 @@ type outcome = {
   content : string option; (* what a read returned *)
 }
 
+let rec same_group groups a b =
+  match groups with
+  | [] -> false
+  | g :: rest -> (Site_set.mem a g && Site_set.mem b g) || same_group rest a b
+
 let connected t a b =
   Site_set.mem a t.up && Site_set.mem b t.up
-  &&
-  match t.groups with
-  | None -> true
-  | Some groups -> List.exists (fun g -> Site_set.mem a g && Site_set.mem b g) groups
+  && match t.groups with None -> true | Some groups -> same_group groups a b
 
 let create ?(flavor = Decision.ldv_flavor) ?(segment_of = fun _ -> 0)
     ?(latency = fun _ _ -> 0.001) ?(initial_content = "") ?(delivery = Quiet)
@@ -115,8 +117,6 @@ let fresh_sites t = t.fresh
 
 let set_chaos_hook t hook = t.chaos_hook <- Some hook
 let clear_chaos_hook t = t.chaos_hook <- None
-
-let fire t event = match t.chaos_hook with Some hook -> hook event | None -> ()
 
 let set_commit_witness t witness =
   Array.iter (fun node -> Node.set_commit_witness node witness) t.nodes
@@ -171,12 +171,16 @@ let next_round t =
    learned. *)
 let start t ~requester =
   let round = next_round t in
-  let replies = Hashtbl.create 8 in
   let requester_node = t.nodes.(requester) in
+  (* A reply of this round lands in its sender's slot (the last copy of a
+     duplicate wins); slots of sites that never answer are never read. *)
+  let states = Array.make t.n_sites (Node.replica requester_node) in
+  let answered = ref Site_set.empty in
   Node.set_collector requester_node (fun message ->
       match message.Message.payload with
       | Message.State_reply { round = r; replica } when r = round ->
-          Hashtbl.replace replies message.Message.src replica
+          states.(message.Message.src) <- replica;
+          answered := Site_set.add message.Message.src !answered
       | _ -> ());
   (match t.delivery with
   | Quiet ->
@@ -185,37 +189,22 @@ let start t ~requester =
       Transport.run_until_quiet t.transport
   | Deadline { timeout; retries; backoff } ->
       let rec attempt n patience =
-        let missing =
-          Site_set.filter
-            (fun site -> site <> requester && not (Hashtbl.mem replies site))
-            t.universe
-        in
+        let missing = Site_set.diff t.universe (Site_set.add requester !answered) in
         if not (Site_set.is_empty missing) then begin
-          Site_set.iter
-            (fun dst ->
-              Transport.send t.transport ~src:requester ~dst
-                (Message.State_request { round }))
-            missing;
+          Transport.broadcast t.transport ~src:requester ~targets:missing
+            (Message.State_request { round });
           Transport.run_for t.transport ~timeout:patience;
           if n < retries then attempt (n + 1) (patience *. backoff)
         end
       in
       attempt 0 timeout);
   Node.clear_collector requester_node;
-  let states = Array.make t.n_sites (Node.replica requester_node) in
   let self =
     if Node.is_amnesiac requester_node then Site_set.empty
     else Site_set.singleton requester
   in
-  let reachable =
-    Hashtbl.fold
-      (fun site replica acc ->
-        states.(site) <- replica;
-        Site_set.add site acc)
-      replies self
-  in
   states.(requester) <- Node.replica requester_node;
-  (reachable, states)
+  (Site_set.union self !answered, states)
 
 let ensure_member t site =
   if not (Site_set.mem site t.universe) then
@@ -273,51 +262,63 @@ let with_counters t f =
     content;
   }
 
+(* Send COMMIT to the members of [rest] in ascending order, [sent] of
+   [total] already sent; false the moment the coordinator is down. *)
+let rec commit_wave t ~coordinator ~rest ~sent ~total ~op_no ~version ~partition ~data =
+  if Site_set.is_empty rest then true
+  else if not (Site_set.mem coordinator t.up) then false
+  else begin
+    let site = Site_set.min_elt rest in
+    let sent = sent + 1 in
+    if site = coordinator then
+      Node.install_commit t.nodes.(site) ~op_no ~version ~partition ?data ()
+    else
+      Transport.send t.transport ~src:coordinator ~dst:site
+        (Message.Commit { op_no; version; partition; data });
+    (match t.chaos_hook with
+    | Some hook -> hook (After_commit_send { coordinator; recipient = site; sent; total })
+    | None -> ());
+    commit_wave t ~coordinator ~rest:(Site_set.remove site rest) ~sent ~total ~op_no
+      ~version ~partition ~data
+  end
+
+(* The recipients that demonstrably applied the commit: up, and at its
+   operation number or beyond. *)
+let rec applied_of t ~op_no recipients acc =
+  if Site_set.is_empty recipients then acc
+  else
+    let site = Site_set.min_elt recipients in
+    let rest = Site_set.remove site recipients in
+    if Site_set.mem site t.up && Replica.op_no (Node.replica t.nodes.(site)) >= op_no then
+      applied_of t ~op_no rest (Site_set.add site acc)
+    else applied_of t ~op_no rest acc
+
 (* Distribute COMMIT(recipients, o, v, P) from the coordinator; the
-   coordinator applies its own share locally.  The loop stops the moment
+   coordinator applies its own share locally.  The wave stops the moment
    the coordinator is crashed (by a chaos hook), so only a prefix of the
    recipients ever hears about the new ensemble — the classic mid-commit
-   crash.  Returns whether the coordinator survived the whole loop. *)
+   crash.  Returns whether the coordinator survived the whole wave. *)
 let distribute_commit t ~coordinator ~recipients ~op_no ~version ~partition ?data () =
   let total = Site_set.cardinal recipients in
-  let sent = ref 0 in
-  let survived = ref true in
-  (try
-     Site_set.iter
-       (fun site ->
-         if not (Site_set.mem coordinator t.up) then begin
-           survived := false;
-           raise Exit
-         end;
-         incr sent;
-         if site = coordinator then
-           Node.install_commit t.nodes.(site) ~op_no ~version ~partition ?data ()
-         else
-           Transport.send t.transport ~src:coordinator ~dst:site
-             (Message.Commit { op_no; version; partition; data });
-         fire t
-           (After_commit_send { coordinator; recipient = site; sent = !sent; total }))
-       recipients
-   with Exit -> ());
-  if !survived && not (Site_set.mem coordinator t.up) then survived := false;
+  let survived =
+    commit_wave t ~coordinator ~rest:recipients ~sent:0 ~total ~op_no ~version ~partition
+      ~data
+    && Site_set.mem coordinator t.up
+  in
   drain t;
   (* Only the recipients that demonstrably applied the commit are fresh
      again; a copy whose COMMIT the network ate is still running on its
      previous ensemble. *)
-  let applied =
-    Site_set.filter
-      (fun site ->
-        Site_set.mem site t.up && Replica.op_no (Node.replica t.nodes.(site)) >= op_no)
-      recipients
-  in
-  t.fresh <- Site_set.union t.fresh applied;
-  !survived
+  t.fresh <- Site_set.union t.fresh (applied_of t ~op_no recipients Site_set.empty);
+  survived
 
 (* Shared head of every operation: decide, fire the post-decision crash
    point, and tell the caller whether the coordinator is still standing. *)
 let decide t ~coordinator ~states ~reachable =
   let verdict = Operation.evaluate t.ctx states ~fresh:t.fresh ~reachable () in
-  fire t (After_decide { coordinator; granted = Decision.is_granted verdict });
+  (match t.chaos_hook with
+  | Some hook -> hook (After_decide { coordinator; granted = Decision.is_granted verdict })
+  | None -> ());
   (verdict, Site_set.mem coordinator t.up)
 
 let read t ~at =
@@ -343,6 +344,18 @@ let read t ~at =
             (verdict, Some (Node.content t.nodes.(at)), not survived)
           end)
 
+(* The paper model's data round of a write: the coordinator writes its
+   own copy and sends the content to the other members of [rest]. *)
+let rec data_wave t ~at ~round ~version ~content rest =
+  if not (Site_set.is_empty rest) then begin
+    let site = Site_set.min_elt rest in
+    if site = at then Node.write_local t.nodes.(site) ~version ~content
+    else
+      Transport.send t.transport ~src:at ~dst:site
+        (Message.Data { round; version; content });
+    data_wave t ~at ~round ~version ~content (Site_set.remove site rest)
+  end
+
 let write t ~at ~content =
   ensure_member t at;
   with_counters t (fun () ->
@@ -357,15 +370,7 @@ let write t ~at ~content =
           | Quiet ->
               (* Paper model: perform the write at every up-to-date copy,
                  then commit the new ensemble. *)
-              let round = t.round in
-              Site_set.iter
-                (fun site ->
-                  if site = at then
-                    Node.write_local t.nodes.(site) ~version:(v + 1) ~content
-                  else
-                    Transport.send t.transport ~src:at ~dst:site
-                      (Message.Data { round; version = v + 1; content }))
-                g.Decision.s;
+              data_wave t ~at ~round:t.round ~version:(v + 1) ~content g.Decision.s;
               Transport.run_until_quiet t.transport;
               let survived =
                 distribute_commit t ~coordinator:at ~recipients:g.Decision.s
@@ -463,7 +468,9 @@ let snapshot t =
 let restore t s =
   if Transport.in_flight t.transport > 0 then
     invalid_arg "Cluster.restore: traffic in flight";
-  Array.iteri (fun i node -> Node.restore t.nodes.(i) node) s.snap_nodes;
+  for i = 0 to Array.length s.snap_nodes - 1 do
+    Node.restore t.nodes.(i) s.snap_nodes.(i)
+  done;
   t.up <- s.snap_up;
   t.groups <- s.snap_groups;
   t.fresh <- s.snap_fresh;

@@ -39,16 +39,33 @@ type t = {
   payload : payload;
 }
 
-let kind_name = function
-  | State_request _ -> "state_request"
-  | State_reply _ -> "state_reply"
-  | Commit _ -> "commit"
-  | Data_request _ -> "data_request"
-  | Data _ -> "data"
-  | Ack -> "ack"
-  | Lock_request _ -> "lock_request"
-  | Lock_reply _ -> "lock_reply"
-  | Unlock _ -> "unlock"
+(* Kinds are numbered in declaration order; the transport counts sends
+   in an array indexed by this number. *)
+let kind_index = function
+  | State_request _ -> 0
+  | State_reply _ -> 1
+  | Commit _ -> 2
+  | Data_request _ -> 3
+  | Data _ -> 4
+  | Ack -> 5
+  | Lock_request _ -> 6
+  | Lock_reply _ -> 7
+  | Unlock _ -> 8
+
+let kind_names =
+  [|
+    "state_request";
+    "state_reply";
+    "commit";
+    "data_request";
+    "data";
+    "ack";
+    "lock_request";
+    "lock_reply";
+    "unlock";
+  |]
+
+let kind_name payload = kind_names.(kind_index payload)
 
 let nominal_size = function
   | State_request _ -> 16

@@ -31,6 +31,14 @@ type t = {
 }
 
 val kind_name : payload -> string
+
+val kind_index : payload -> int
+(** The kind's position in {!kind_names}: [kind_name p] is
+    [kind_names.(kind_index p)]. *)
+
+val kind_names : string array
+(** Every kind's name, in declaration order.  Do not mutate. *)
+
 val nominal_size : payload -> int
 (** Nominal bytes on the wire, for traffic accounting. *)
 

@@ -13,10 +13,6 @@
    chaos run can tell "the network ate it" apart from "the partition ate
    it". *)
 
-module Metrics = Dynvote_obs.Metrics
-module Trace = Dynvote_obs.Trace
-module Hub = Dynvote_obs.Hub
-
 type fault =
   | Loss        (* Bernoulli per-link loss *)
   | Flap        (* scheduled link outage window *)
@@ -47,7 +43,7 @@ type stats = {
   mutable delayed : int;            (* copies given extra latency *)
   mutable flapped : int;            (* share of dropped_fault due to flaps *)
   mutable bytes : int;
-  by_kind : (string, int) Hashtbl.t;
+  by_kind : int array;              (* sends per Message.kind_index *)
 }
 
 type t = {
@@ -55,50 +51,51 @@ type t = {
   latency : Site_set.site -> Site_set.site -> float;
   mutable connected : Site_set.site -> Site_set.site -> bool;
   mutable plan : plan;
-  handlers : (Site_set.site, t -> Message.t -> unit) Hashtbl.t;
+  handlers : (t -> Message.t -> unit) array; (* by destination site *)
+  on_arrival : Message.t Dynvote_des.Engine.t -> float -> Message.t -> unit;
+      (* the engine's handler, built once: [deliver] on this transport *)
   stats : stats;
-  (* Observability mirrors the live switchboard's vocabulary: same
-     counter names, same trace events, a different network underneath. *)
-  mutable obs : Hub.t;
-  mutable o_sent : Metrics.counter;
-  mutable o_delivered : Metrics.counter;
-  mutable o_dropped : Metrics.counter;
 }
 
 let no_plan : plan = fun ~now:_ _ -> Pass
 
+let no_handler _ _ = ()
+
+(* Deliver only while the endpoints are still connected: a partition that
+   forms mid-flight loses the affected messages. *)
+let deliver t message =
+  if t.connected message.Message.src message.Message.dst then begin
+    t.stats.delivered <- t.stats.delivered + 1;
+    t.handlers.(message.Message.dst) t message
+  end
+  else t.stats.dropped_partition <- t.stats.dropped_partition + 1
+
 let create ?(latency = fun _ _ -> 0.001) ?(connected = fun _ _ -> true) () =
-  {
-    engine = Dynvote_des.Engine.create ();
-    latency;
-    connected;
-    plan = no_plan;
-    handlers = Hashtbl.create 16;
-    obs = Hub.noop;
-    o_sent = Metrics.counter Metrics.noop "net.frames.sent";
-    o_delivered = Metrics.counter Metrics.noop "net.frames.delivered";
-    o_dropped = Metrics.counter Metrics.noop "net.frames.dropped";
-    stats =
-      {
-        sent = 0;
-        delivered = 0;
-        dropped_partition = 0;
-        dropped_fault = 0;
-        duplicated = 0;
-        delayed = 0;
-        flapped = 0;
-        bytes = 0;
-        by_kind = Hashtbl.create 8;
-      };
-  }
+  let rec t =
+    {
+      engine = Dynvote_des.Engine.create ();
+      latency;
+      connected;
+      plan = no_plan;
+      handlers = Array.make Site_set.max_sites no_handler;
+      on_arrival = (fun _engine _time message -> deliver t message);
+      stats =
+        {
+          sent = 0;
+          delivered = 0;
+          dropped_partition = 0;
+          dropped_fault = 0;
+          duplicated = 0;
+          delayed = 0;
+          flapped = 0;
+          bytes = 0;
+          by_kind = Array.make (Array.length Message.kind_names) 0;
+        };
+    }
+  in
+  t
 
 let set_connectivity t connected = t.connected <- connected
-
-let set_obs t obs =
-  t.obs <- obs;
-  t.o_sent <- Metrics.counter obs.Hub.metrics "net.frames.sent";
-  t.o_delivered <- Metrics.counter obs.Hub.metrics "net.frames.delivered";
-  t.o_dropped <- Metrics.counter obs.Hub.metrics "net.frames.dropped"
 
 let set_plan t plan = t.plan <- plan
 let clear_plan t = t.plan <- no_plan
@@ -110,51 +107,33 @@ let set_fault t fault =
 
 let clear_fault = clear_plan
 
-let register t site handler = Hashtbl.replace t.handlers site handler
+let register t site handler =
+  if site < 0 || site >= Site_set.max_sites then
+    invalid_arg "Transport.register: site id out of range";
+  t.handlers.(site) <- handler
 
 let now t = Dynvote_des.Engine.now t.engine
 
 let in_flight t = Dynvote_des.Engine.pending t.engine
 
-let count_kind t payload =
-  let kind = Message.kind_name payload in
-  Hashtbl.replace t.stats.by_kind kind
-    (1 + Option.value (Hashtbl.find_opt t.stats.by_kind kind) ~default:0)
-
-let drop_frame t (message : Message.t) reason =
-  Metrics.incr t.o_dropped;
-  Hub.event t.obs
-    (Trace.Frame_dropped
-       {
-         src = message.Message.src;
-         dst = message.Message.dst;
-         reason = reason ^ " " ^ Message.kind_name message.Message.payload;
-       })
-
 let send t ~src ~dst payload =
   let message = { Message.src; dst; payload } in
   t.stats.sent <- t.stats.sent + 1;
   t.stats.bytes <- t.stats.bytes + Message.nominal_size payload;
-  count_kind t payload;
-  Metrics.incr t.o_sent;
-  Hub.event t.obs
-    (Trace.Frame_sent { src; dst; kind = Message.kind_name payload });
-  if not (t.connected src dst) then begin
-    t.stats.dropped_partition <- t.stats.dropped_partition + 1;
-    drop_frame t message "partition:"
-  end
+  let kind = Message.kind_index payload in
+  t.stats.by_kind.(kind) <- t.stats.by_kind.(kind) + 1;
+  if not (t.connected src dst) then
+    t.stats.dropped_partition <- t.stats.dropped_partition + 1
   else
     match t.plan ~now:(now t) message with
     | Pass ->
         Dynvote_des.Engine.schedule_after t.engine ~delay:(t.latency src dst) message
     | Drop_it fault ->
         t.stats.dropped_fault <- t.stats.dropped_fault + 1;
-        if fault = Flap then t.stats.flapped <- t.stats.flapped + 1;
-        drop_frame t message (fault_name fault ^ ":")
+        if fault = Flap then t.stats.flapped <- t.stats.flapped + 1
     | Deliver_copies [] ->
         (* A plan may also express loss as zero deliveries. *)
-        t.stats.dropped_fault <- t.stats.dropped_fault + 1;
-        drop_frame t message "loss:"
+        t.stats.dropped_fault <- t.stats.dropped_fault + 1
     | Deliver_copies extras ->
         let base = t.latency src dst in
         List.iteri
@@ -164,40 +143,17 @@ let send t ~src ~dst payload =
             Dynvote_des.Engine.schedule_after t.engine ~delay:(base +. extra) message)
           extras
 
-let broadcast t ~src ~targets payload =
-  Site_set.iter (fun dst -> if dst <> src then send t ~src ~dst payload) targets
-
-let deliver t message =
-  if t.connected message.Message.src message.Message.dst then begin
-    t.stats.delivered <- t.stats.delivered + 1;
-    Metrics.incr t.o_delivered;
-    Hub.event t.obs
-      (Trace.Frame_recv
-         {
-           src = message.Message.src;
-           dst = message.Message.dst;
-           kind = Message.kind_name message.Message.payload;
-         });
-    match Hashtbl.find_opt t.handlers message.Message.dst with
-    | Some f -> f t message
-    | None -> ()
-  end
-  else begin
-    t.stats.dropped_partition <- t.stats.dropped_partition + 1;
-    drop_frame t message "partition:"
+let rec broadcast t ~src ~targets payload =
+  if not (Site_set.is_empty targets) then begin
+    let dst = Site_set.min_elt targets in
+    if dst <> src then send t ~src ~dst payload;
+    broadcast t ~src ~targets:(Site_set.remove dst targets) payload
   end
 
 (* Deliver every in-flight message (and those they trigger) in timestamp
    order.  Connectivity is rechecked at delivery time, so a partition that
    forms mid-flight loses the affected messages. *)
-let run_until_quiet t =
-  let handler _engine _time message = deliver t message in
-  let rec drain () =
-    match Dynvote_des.Engine.step t.engine ~handler with
-    | Some _ -> drain ()
-    | None -> ()
-  in
-  drain ()
+let run_until_quiet t = Dynvote_des.Engine.drain t.engine ~handler:t.on_arrival
 
 (* Deliver only what arrives within the next [timeout] simulated seconds
    and advance the clock to the deadline.  Later messages stay in flight:
@@ -206,8 +162,7 @@ let run_until_quiet t =
 let run_for t ~timeout =
   if timeout < 0.0 then invalid_arg "Transport.run_for: negative timeout";
   let deadline = now t +. timeout in
-  Dynvote_des.Engine.run t.engine ~until:deadline ~handler:(fun _engine _time message ->
-      deliver t message)
+  Dynvote_des.Engine.run t.engine ~until:deadline ~handler:t.on_arrival
 
 let stats t = t.stats
 
@@ -218,7 +173,10 @@ let messages_dropped_partition t = t.stats.dropped_partition
 let messages_dropped_fault t = t.stats.dropped_fault
 let bytes_sent t = t.stats.bytes
 
-let kind_count t kind = Option.value (Hashtbl.find_opt t.stats.by_kind kind) ~default:0
+let kind_count t kind =
+  match Array.find_index (String.equal kind) Message.kind_names with
+  | Some i -> t.stats.by_kind.(i)
+  | None -> 0
 
 let fault_count t fault =
   match fault with
@@ -236,4 +194,4 @@ let reset_stats t =
   t.stats.delayed <- 0;
   t.stats.flapped <- 0;
   t.stats.bytes <- 0;
-  Hashtbl.reset t.stats.by_kind
+  Array.fill t.stats.by_kind 0 (Array.length t.stats.by_kind) 0

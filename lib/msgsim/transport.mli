@@ -40,7 +40,7 @@ type stats = {
   mutable delayed : int;            (** copies given extra latency *)
   mutable flapped : int;            (** share of [dropped_fault] due to flaps *)
   mutable bytes : int;
-  by_kind : (string, int) Hashtbl.t;
+  by_kind : int array;  (** sends per {!Message.kind_index} *)
 }
 
 val create :
@@ -52,12 +52,6 @@ val create :
     fault plan. *)
 
 val set_connectivity : t -> (Site_set.site -> Site_set.site -> bool) -> unit
-
-val set_obs : t -> Dynvote_obs.Hub.t -> unit
-(** Report every send, delivery and drop into [obs], with the same
-    [net.frames.*] counter names and {!Dynvote_obs.Trace} frame events
-    the live switchboard uses — one vocabulary across the simulated and
-    the real network.  Default: {!Dynvote_obs.Hub.noop}. *)
 
 val set_plan : t -> plan -> unit
 val clear_plan : t -> unit

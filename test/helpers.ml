@@ -39,6 +39,15 @@ let close_rel ~rel expected actual =
   if expected = 0.0 then Float.abs actual <= rel
   else Float.abs (actual -. expected) /. Float.abs expected <= rel
 
+(* Minor words allocated over [calls] calls of [f] (a closure built
+   before the count starts). *)
+let minor_words ~calls f =
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    f ()
+  done;
+  Gc.minor_words () -. before
+
 let qcheck_case ?(count = 200) ~name arb law =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb law)
 

@@ -291,6 +291,92 @@ let props =
           (all_two_partitions universe));
   ]
 
+(* The allocation-free rewrite of Algorithm 1 against the fold-and-list
+   version it replaced ({!Decision_ref}): same verdict on random inputs,
+   grant fields and denial reasons included.  Op and version numbers are
+   drawn from 1-3 so ties are common, and the segment maps put every site
+   on one segment, each on its own, or mix them. *)
+type case = {
+  n : int;
+  segments : int array;
+  ranking : int list;
+  replicas : (int * int * int) array;  (* op, version, partition mask *)
+  reachable : int;
+  fresh : int option;
+  flavor : int;
+}
+
+let flavors =
+  [| Decision.dv_flavor; Decision.ldv_flavor; Decision.tdv_flavor; Decision.tdv_safe_flavor |]
+
+let gen_case =
+  let open QCheck.Gen in
+  int_range 1 8 >>= fun n ->
+  let subset = int_bound ((1 lsl n) - 1) in
+  oneof [ return (Array.make n 0); return (Array.init n Fun.id); array_repeat n (int_bound 2) ]
+  >>= fun segments ->
+  shuffle_l (List.init n Fun.id) >>= fun ranking ->
+  array_repeat n (triple (int_range 1 3) (int_range 1 3) subset) >>= fun replicas ->
+  subset >>= fun reachable ->
+  opt subset >>= fun fresh ->
+  int_bound 3 >|= fun flavor -> { n; segments; ranking; replicas; reachable; fresh; flavor }
+
+let print_case c =
+  Printf.sprintf "n=%d segments=[%s] ranking=[%s] replicas=[%s] R=%d fresh=%s flavor=%d" c.n
+    (String.concat ";" (Array.to_list (Array.map string_of_int c.segments)))
+    (String.concat ";" (List.map string_of_int c.ranking))
+    (String.concat ";"
+       (Array.to_list (Array.map (fun (o, v, p) -> Printf.sprintf "(%d,%d,%d)" o v p) c.replicas)))
+    c.reachable
+    (match c.fresh with None -> "-" | Some f -> string_of_int f)
+    c.flavor
+
+let decide_both c =
+  let states =
+    Array.map
+      (fun (op_no, version, mask) ->
+        Replica.make ~op_no ~version ~partition:(Site_set.of_int_unsafe mask))
+      c.replicas
+  in
+  let ordering = Ordering.of_ranking c.ranking in
+  let segment_of site = c.segments.(site) in
+  let fresh = Option.map Site_set.of_int_unsafe c.fresh in
+  let reachable = Site_set.of_int_unsafe c.reachable in
+  let flavor = flavors.(c.flavor) in
+  ( Decision.evaluate flavor ~ordering ~segment_of ?fresh ~states ~reachable (),
+    Decision_ref.evaluate flavor ~ordering ~segment_of ?fresh ~states ~reachable () )
+
+let reference_props =
+  [
+    qcheck_case ~count:3000 ~name:"agrees with the reference decision"
+      (QCheck.make gen_case ~print:print_case)
+      (fun c ->
+        let got, want = decide_both c in
+        got = want);
+  ]
+
+(* A granted decision allocates its verdict and little else: the paper's
+   four-copy topology, every copy up, fresh and current, under the
+   flavor with every guard on.  The fold-and-list version allocated 218
+   words. *)
+let test_granted_allocation () =
+  let universe = Site_set.universe 4 in
+  let states = Array.make 4 (Replica.initial universe) in
+  let ordering = Ordering.default 4 in
+  let segment_of site = match site with 0 | 1 -> 0 | 2 -> 1 | _ -> 2 in
+  let decide () =
+    ignore
+      (Sys.opaque_identity
+         (Decision.evaluate Decision.tdv_safe_flavor ~ordering ~segment_of ~fresh:universe
+            ~states ~reachable:universe ()))
+  in
+  Alcotest.(check bool) "granted" true
+    (Decision.is_granted
+       (Decision.evaluate Decision.tdv_safe_flavor ~ordering ~segment_of ~fresh:universe ~states
+          ~reachable:universe ()));
+  let words = minor_words ~calls:1_000 decide /. 1_000.0 in
+  if words > 32.0 then Alcotest.failf "a granted decision allocates %.1f minor words (at most 32)" words
+
 let suite =
   [
     Alcotest.test_case "initial majority" `Quick test_initial_majority;
@@ -307,5 +393,7 @@ let suite =
       test_tdv_available_copy_degeneration;
     Alcotest.test_case "TDV unsafe if a segment could split" `Quick
       test_tdv_unsafe_on_split_segment;
+    Alcotest.test_case "a granted decision allocates at most 32 words" `Quick
+      test_granted_allocation;
   ]
-  @ props
+  @ props @ reference_props

@@ -372,6 +372,36 @@ let test_paper_example_tdv () =
       Alcotest.(check bool) "replays identically" true replay_matches
   | _ -> Alcotest.fail "tdv hole not found on the paper example at depth 5"
 
+(* Allocation ceiling: the depth-5 tdv-safe bound in the benchmark's
+   shape (full alphabet, POR, the paper's four-copy topology, one job, no
+   spill tier) allocates at most [ceiling] minor words per transition.
+   At one job the count is exact: in this suite's process this tree
+   reads 273.1 over 88,510 transitions, and the tree before the
+   checker's transitions stopped allocating what they throw away read
+   699.0.  The ceiling is this tree's figure plus 10%. *)
+let test_allocation_ceiling () =
+  let ceiling = 300.0 in
+  let spill = Option.value (Sys.getenv_opt "DYNVOTE_MC_SPILL") ~default:"" in
+  Unix.putenv "DYNVOTE_MC_SPILL" "";
+  let report, words =
+    Fun.protect
+      ~finally:(fun () -> Unix.putenv "DYNVOTE_MC_SPILL" spill)
+      (fun () ->
+        let before = (Gc.quick_stat ()).Gc.minor_words in
+        let report =
+          Checker.check ~space:Space.full ~por:true ~max_states:1_000_000 ~jobs:1
+            ~policy:(policy "tdv-safe") ~depth:5 (Checker.paper_config ())
+        in
+        (report, (Gc.quick_stat ()).Gc.minor_words -. before))
+  in
+  let result = report.Checker.result in
+  Alcotest.(check int) "distinct states" 23_020 result.Explorer.distinct;
+  Alcotest.(check int) "transitions" 88_510 result.Explorer.transitions;
+  let per_transition = words /. float_of_int result.Explorer.transitions in
+  if per_transition > ceiling then
+    Alcotest.failf "%.1f minor words per transition, above the ceiling of %.0f"
+      per_transition ceiling
+
 (* Deep sweep of the paper scope, opt-in: DYNVOTE_MC_DEPTH=8 runs the
    full acceptance bound (~1 minute for all four policies). *)
 let test_deep_sweep () =
@@ -419,5 +449,6 @@ let suite =
       test_fingerprint_golden;
     Alcotest.test_case "paper example: tdv counterexample" `Quick
       test_paper_example_tdv;
+    Alcotest.test_case "allocation ceiling at depth 5" `Quick test_allocation_ceiling;
     Alcotest.test_case "deep sweep (DYNVOTE_MC_DEPTH)" `Slow test_deep_sweep;
   ]

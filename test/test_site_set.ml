@@ -73,6 +73,29 @@ let test_pp () =
   Alcotest.(check string) "pp names" "{A, C}"
     (Fmt.str "%a" (Site_set.pp_names [| "A"; "B"; "C" |]) (ss [ 0; 2 ]))
 
+(* Sets are words, and the simulator and the model checker query them
+   at every decision: the queries allocate nothing, and a walk's cost in
+   minor words does not grow with the members it visits. *)
+let test_allocation_free () =
+  let s = Sys.opaque_identity (ss [ 0; 2; 3; 5 ]) in
+  let zero name f =
+    Alcotest.(check (float 0.0)) (name ^ ": 0 words over 10,000 calls") 0.0
+      (minor_words ~calls:10_000 f)
+  in
+  zero "min_elt" (fun () -> ignore (Sys.opaque_identity (Site_set.min_elt s)));
+  zero "max_elt" (fun () -> ignore (Sys.opaque_identity (Site_set.max_elt s)));
+  zero "choose" (fun () -> ignore (Sys.opaque_identity (Site_set.choose s)));
+  zero "mem" (fun () -> ignore (Sys.opaque_identity (Site_set.mem 3 s)));
+  zero "cardinal" (fun () -> ignore (Sys.opaque_identity (Site_set.cardinal s)));
+  let fold_words set =
+    minor_words ~calls:1_000 (fun () ->
+        ignore (Sys.opaque_identity (Site_set.fold ( + ) set 0)))
+  in
+  let eight = Sys.opaque_identity (Site_set.universe 8)
+  and one = Sys.opaque_identity (ss [ 7 ]) in
+  Alcotest.(check bool) "a fold over 8 members allocates no more than over 1" true
+    (fold_words eight <= fold_words one)
+
 (* Property tests against the reference Set implementation. *)
 
 let gen_set = QCheck.Gen.(map (fun l -> Site_set.of_list l) (list_size (0 -- 12) (0 -- 15)))
@@ -118,5 +141,6 @@ let suite =
     Alcotest.test_case "iteration" `Quick test_iteration;
     Alcotest.test_case "bounds checking" `Quick test_bounds;
     Alcotest.test_case "pretty printing" `Quick test_pp;
+    Alcotest.test_case "queries and walks allocate nothing" `Quick test_allocation_free;
   ]
   @ props
