@@ -486,7 +486,10 @@ let mc_cmd =
   in
   let depth_arg =
     Arg.(value & opt int 8
-         & info [ "depth" ] ~docv:"D" ~doc:"Iterative-deepening search bound.")
+         & info [ "depth" ] ~docv:"D"
+             ~doc:"Search bound, searched once.  Iterative deepening from bound 1 \
+                   runs only after a violation (for the shortest counterexample) or \
+                   a spent state budget (for the deepest completed bound).")
   in
   let max_states_arg =
     Arg.(value & opt int 1_000_000
@@ -512,9 +515,9 @@ let mc_cmd =
   let verbose_arg =
     Arg.(value & flag
          & info [ "verbose"; "v" ]
-             ~doc:"Report each completed deepening iteration, and above one \
-                   job the work-stealing frontier's per-worker counters, on \
-                   stderr.")
+             ~doc:"Report each searched bound (the requested one first, then any \
+                   deepening iterations), and above one job the work-stealing \
+                   frontier's per-worker counters, on stderr.")
   in
   let run policy_text sites segments_text depth max_states por full verbose jobs =
     if sites < 2 || sites > 16 then begin
@@ -592,10 +595,11 @@ let mc_cmd =
     (Cmd.info "mc"
        ~doc:
          "Exhaustively check the message-level protocols by bounded explicit-state \
-          search: iterative-deepening DFS over client operations, crashes, restarts \
+          search: a depth-bounded DFS over client operations, crashes, restarts \
           (clean or corrupted), recoveries and partitions, with the safety oracle \
           checked at every state.  Counterexamples are minimum-length Schedule \
-          traces, re-validated by replay through the chaos harness.  Deterministic; \
+          traces (found by iterative deepening once the bound shows one), \
+          re-validated by replay through the chaos harness.  Deterministic; \
           exits non-zero if a policy expected safe has a violation (or a replay \
           diverges).")
     Term.(const run $ policy_arg $ sites_arg $ segments_arg $ depth_arg

@@ -89,7 +89,8 @@ type session = {
   mutable s_aborted : int;
   mutable s_corrupted : int;
   mutable writes : int;
-  mutable log : (Schedule.step * bool * string option) list; (* newest first *)
+  mutable last_granted : bool;  (* the newest client operation's outcome *)
+  mutable last_content : string option;
 }
 
 let make_session ?(rng = Splitmix64.create 0x51D1CEL) ?(faults = Fault_plan.silent)
@@ -127,17 +128,25 @@ let make_session ?(rng = Splitmix64.create 0x51D1CEL) ?(faults = Fault_plan.sile
     s_aborted = 0;
     s_corrupted = 0;
     writes = 0;
-    log = [];
+    last_granted = false;
+    last_content = None;
   }
 
 let cluster s = s.cluster
 let oracle s = s.oracle
 
-let note s step (outcome : Cluster.outcome) =
+(* A client operation's outcome: tallied, and kept until the next one for
+   {!run}'s op log (the session keeps no log, so a checker rolling back
+   at every transition has none to rewind). *)
+let note s (outcome : Cluster.outcome) =
   if outcome.Cluster.granted then s.s_granted <- s.s_granted + 1
   else if outcome.Cluster.aborted then s.s_aborted <- s.s_aborted + 1
   else s.s_denied <- s.s_denied + 1;
-  s.log <- (step, outcome.Cluster.granted, outcome.Cluster.content) :: s.log
+  s.last_granted <- outcome.Cluster.granted;
+  s.last_content <- outcome.Cluster.content
+
+let client_ops s = s.s_granted + s.s_denied + s.s_aborted
+let last_op s = (s.last_granted, s.last_content)
 
 (* Write contents are "w<n>"; a model-checking session applies millions
    of write transitions and rolls the counter back constantly, so the
@@ -149,7 +158,7 @@ let write_content n =
   if n >= 0 && n < Array.length interned_contents then interned_contents.(n)
   else Printf.sprintf "w%d" n
 
-let do_write s step site ~with_crash =
+let do_write s site ~with_crash =
   s.writes <- s.writes + 1;
   let content = write_content s.writes in
   let outcome =
@@ -173,7 +182,7 @@ let do_write s step site ~with_crash =
     end
   in
   Oracle.note_write s.oracle ~content outcome;
-  note s step outcome
+  note s outcome
 
 let up s site = Site_set.mem site (Cluster.up_sites s.cluster)
 
@@ -182,14 +191,14 @@ let can_coordinate s site =
 
 let apply_step s step =
   match step with
-  | Schedule.Write site -> if can_coordinate s site then do_write s step site ~with_crash:false
+  | Schedule.Write site -> if can_coordinate s site then do_write s site ~with_crash:false
   | Schedule.Crash_coordinator site ->
-      if can_coordinate s site then do_write s step site ~with_crash:true
+      if can_coordinate s site then do_write s site ~with_crash:true
   | Schedule.Read site ->
       if can_coordinate s site then begin
         let outcome = Cluster.read s.cluster ~at:site in
         Oracle.note_read s.oracle ~at:site outcome;
-        note s step outcome
+        note s outcome
       end
   | Schedule.Crash site -> if up s site then Cluster.crash s.cluster site
   | Schedule.Restart (site, corruption) ->
@@ -201,7 +210,7 @@ let apply_step s step =
         | None -> ());
         Cluster.restart_silently s.cluster site
       end
-  | Schedule.Recover site -> note s step (Cluster.recover s.cluster ~site)
+  | Schedule.Recover site -> note s (Cluster.recover s.cluster ~site)
   | Schedule.Partition mask ->
       let selected i site =
         if s.topological then mask land (1 lsl (s.s_config.segment_of site)) <> 0
@@ -214,7 +223,7 @@ let apply_step s step =
       else Cluster.partition s.cluster [ group_a; group_b ]
   | Schedule.Heal -> Cluster.heal s.cluster
 
-let session_result s =
+let result_with s ~op_log =
   {
     violations = Oracle.violations s.oracle;
     granted = s.s_granted;
@@ -222,12 +231,16 @@ let session_result s =
     aborted = s.s_aborted;
     commits = Oracle.commits_seen s.oracle;
     corrupted = s.s_corrupted;
-    op_log = List.rev s.log;
+    op_log;
   }
+
+let session_result s = result_with s ~op_log:[]
 
 (* Checkpoints snapshot everything [apply_step] mutates except the rng
    stream (only consumed by [Bit_flip] corruption, which an explorer's
-   action alphabet excludes precisely so its branches stay rng-free). *)
+   action alphabet excludes precisely so its branches stay rng-free) and
+   the last operation's outcome (read only right after the step that
+   set it). *)
 type checkpoint = {
   ck_cluster : Cluster.snapshot;
   ck_oracle : Oracle.snapshot;
@@ -236,7 +249,6 @@ type checkpoint = {
   ck_aborted : int;
   ck_corrupted : int;
   ck_writes : int;
-  ck_log : (Schedule.step * bool * string option) list;
 }
 
 let checkpoint s =
@@ -248,7 +260,6 @@ let checkpoint s =
     ck_aborted = s.s_aborted;
     ck_corrupted = s.s_corrupted;
     ck_writes = s.writes;
-    ck_log = s.log;
   }
 
 let rollback s ck =
@@ -258,14 +269,22 @@ let rollback s ck =
   s.s_denied <- ck.ck_denied;
   s.s_aborted <- ck.ck_aborted;
   s.s_corrupted <- ck.ck_corrupted;
-  s.writes <- ck.ck_writes;
-  s.log <- ck.ck_log
+  s.writes <- ck.ck_writes
 
+(* The op log: every step that ran a client operation, with what it left
+   in [last_granted]/[last_content]. *)
 let run ?rng config (schedule : Schedule.t) =
   let s = make_session ?rng ~faults:schedule.faults config in
-  List.iter (apply_step s) schedule.steps;
+  let op_log =
+    List.fold_left
+      (fun log step ->
+        let ops = client_ops s in
+        apply_step s step;
+        if client_ops s = ops then log else (step, s.last_granted, s.last_content) :: log)
+      [] schedule.steps
+  in
   Oracle.final_check s.oracle s.cluster;
-  (session_result s, Transport.stats (Cluster.transport s.cluster))
+  (result_with s ~op_log:(List.rev op_log), Transport.stats (Cluster.transport s.cluster))
 
 (* Integer-encoded entry point: what the qcheck properties shrink. *)
 let run_ints ?rng ?(faults = Fault_plan.silent) config codes =

@@ -84,13 +84,22 @@ val apply_step : session -> Schedule.step -> unit
     (writing at a down site, restarting an up one, …) are no-ops. *)
 
 val session_result : session -> result
-(** The tallies so far.  Does not run the oracle's final check — call
-    {!Oracle.final_check} (or {!Oracle.check_step} per step) yourself. *)
+(** The tallies so far, with an empty [op_log]: a session keeps no log
+    ({!run} builds it step by step from {!last_op}).  Does not run the
+    oracle's final check — call {!Oracle.final_check} (or
+    {!Oracle.check_step} per step) yourself. *)
+
+val last_op : session -> bool * string option
+(** The newest client operation's outcome (a write, read or recover):
+    whether it was granted, and what a read returned.  A step ran one
+    exactly when it moved [granted + denied + aborted]. *)
 
 type checkpoint
 (** Everything {!apply_step} mutates, except the rng stream — it is only
     consumed by [Bit_flip] corruption, which branching explorers exclude
-    from their action alphabet precisely to stay rng-free. *)
+    from their action alphabet precisely to stay rng-free — and
+    {!last_op}, which is meant to be read right after the step that set
+    it. *)
 
 val checkpoint : session -> checkpoint
 

@@ -21,13 +21,15 @@ let events_handled t = t.handled
 
 let pending t = Event_queue.length t.queue
 
-let schedule t ~at payload =
+(* Both are inlined, with {!Event_queue.add}, at their call sites: the
+   event's time is computed there and stored into the queue unboxed. *)
+let[@inline] schedule t ~at payload =
   if at < t.now then
     invalid_arg
       (Printf.sprintf "Engine.schedule: time %g is before current time %g" at t.now);
   Event_queue.add t.queue ~time:at payload
 
-let schedule_after t ~delay payload =
+let[@inline] schedule_after t ~delay payload =
   if delay < 0.0 then invalid_arg "Engine.schedule_after: negative delay";
   schedule t ~at:(t.now +. delay) payload
 

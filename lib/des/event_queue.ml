@@ -11,7 +11,10 @@
    Moving an element means three stores instead of one pointer store, so
    the sifts shift entries into a hole and write the carried element
    exactly once at its final position, rather than swapping at every
-   level. *)
+   level.  Neither sift takes a float argument (one would be boxed on
+   every call): each reads the carried element from its slot, and [add]
+   is inlined at its call sites, so a time computed there is stored
+   into [times] unboxed. *)
 
 type 'a t = {
   mutable times : float array; (* unboxed float array; slots >= size unused *)
@@ -28,7 +31,8 @@ let length t = t.size
 
 let is_empty t = t.size = 0
 
-let grow t =
+(* [filler] initialises the unused payload slots. *)
+let grow t filler =
   let capacity = Array.length t.times in
   let new_capacity = if capacity = 0 then 16 else capacity * 2 in
   let times = Array.make new_capacity 0.0 in
@@ -37,13 +41,14 @@ let grow t =
   let seqs = Array.make new_capacity 0 in
   Array.blit t.seqs 0 seqs 0 t.size;
   t.seqs <- seqs;
-  let payloads = Array.make new_capacity t.payloads.(0) in
+  let payloads = Array.make new_capacity filler in
   Array.blit t.payloads 0 payloads 0 t.size;
   t.payloads <- payloads
 
-(* Shift ancestors down into the hole at [i] until [(time, seq)] fits,
-   then store the carried element there. *)
-let sift_up t i time seq payload =
+(* Shift ancestors down into the hole at [i] until the element stored
+   at [i] fits, then store it there. *)
+let sift_up t i =
+  let time = t.times.(i) and seq = t.seqs.(i) and payload = t.payloads.(i) in
   let hole = ref i in
   let continue = ref true in
   while !continue && !hole > 0 do
@@ -62,8 +67,7 @@ let sift_up t i time seq payload =
   t.payloads.(!hole) <- payload
 
 (* Shift the smaller child up into the hole at [i] until the element
-   at [last] fits, then store it there.  The element is read here, not
-   passed in: a float argument would be boxed on every call. *)
+   at [last] fits, then store it there. *)
 let sift_down t i last =
   let time = t.times.(last) and seq = t.seqs.(last) and payload = t.payloads.(last) in
   let hole = ref i in
@@ -97,18 +101,18 @@ let sift_down t i last =
   t.seqs.(!hole) <- seq;
   t.payloads.(!hole) <- payload
 
-let add t ~time payload =
+(* The float-taking front: stores the event in the first free slot and
+   leaves the float-free sift to place it. *)
+let[@inline] add t ~time payload =
   if Float.is_nan time then invalid_arg "Event_queue.add: time is NaN";
-  if t.size = 0 && Array.length t.times = 0 then begin
-    t.times <- Array.make 16 0.0;
-    t.seqs <- Array.make 16 0;
-    t.payloads <- Array.make 16 payload
-  end;
-  if t.size = Array.length t.times then grow t;
-  let seq = t.next_seq in
+  if t.size = Array.length t.times then grow t payload;
+  let i = t.size in
+  t.times.(i) <- time;
+  t.seqs.(i) <- t.next_seq;
+  t.payloads.(i) <- payload;
   t.next_seq <- t.next_seq + 1;
-  t.size <- t.size + 1;
-  sift_up t (t.size - 1) time seq payload
+  t.size <- i + 1;
+  sift_up t i
 
 let peek t = if t.size = 0 then None else Some (t.times.(0), t.payloads.(0))
 

@@ -1,6 +1,6 @@
-(* Bounded explicit-state exploration: iterative-deepening DFS over the
-   enabled actions, with a seen-state table and the safety oracle checked
-   at every state.
+(* Bounded explicit-state exploration: a DFS to the requested bound over
+   the enabled actions, with a seen-state table and the safety oracle
+   checked at every state.
 
    One chaos session carries a worker's whole search; branching rewinds
    it with {!Dynvote_chaos.Harness.checkpoint}/[rollback], so every
@@ -9,8 +9,9 @@
    budget it was expanded with, tagged by the {!Por} context the
    expansion was filtered under: a revisit with no more budget under a
    covering context is pruned, anything else is re-expanded (the
-   transposition rule that keeps iterative deepening — and partial-order
-   reduction under state caching — sound; see {!Striped_seen.claim}).
+   transposition rule that keeps a depth-bounded search — and
+   partial-order reduction under state caching — complete up to the
+   bound; see {!Striped_seen.claim}).
 
    Partial-order reduction (on by default, [?por]) explores commuting
    fault actions in sorted order only: every pruned interleaving is a
@@ -18,14 +19,23 @@
    violation observations (the commutation proof lives in {!Por}).  The
    set of distinct states within a completed bound is unchanged —
    reduction removes transitions, not states — so Safe verdicts report
-   identical state counts with the reduction on or off, and iterative
-   deepening still finds a minimum-length counterexample first.
+   identical state counts with the reduction on or off, and deepening
+   still finds a minimum-length counterexample first.
 
-   Iterative deepening guarantees the first counterexample found is one
-   of minimum length.  When an iteration completes without ever hitting
-   the depth cutoff, the entire reachable space (under the configured
-   alphabet) has been exhausted and deeper iterations are skipped — the
-   search is [closed].
+   The requested bound D is searched once, from a fresh store: for a
+   safe bound that one pass is the whole search, and its distinct count
+   is exactly what a last deepening iteration would report.  Iterative
+   deepening (bounds 1, 2, ..., each from a fresh store) runs only
+   after a pass that
+   - finds a violation, so that the reported counterexample is one of
+     minimum length: the first bound to find one gives it, and a
+     deepening that reaches D takes the pass's own result;
+   - spends the state budget, so that the report names the deepest
+     bound that completed (again reusing the pass at D).
+   A pass that never hits the depth cutoff has exhausted the entire
+   reachable space (under the configured alphabet): it reports the
+   space [closed] at the requested bound, without deepening to find the
+   shallowest bound that would also close it.
 
    One search runs every job count: a work-first frontier (Cilk-5's
    principle, Frigo, Leiserson & Randall, PLDI 1998) over
@@ -112,8 +122,8 @@ type cont = {
 }
 
 (* One worker's private side of the search; only the seen store and the
-   stop flag are shared.  The counters are cumulative over the deepening
-   iterations, the flags per iteration. *)
+   stop flag are shared.  The counters are cumulative over the bounds
+   searched, the flags per bound. *)
 type worker = {
   session : Harness.session;
   cluster : Cluster.t;
@@ -167,22 +177,22 @@ let search ?(space = Space.default) ?symmetry ?(por = true) ?(max_states = 1_000
       let sum f = Array.fold_left (fun acc w -> acc + f w) 0 workers in
       let bounds = ref 0 in
       let peak_seen = ref 0 in
-      let distinct = ref 0 in
       let spilled = ref 0 in
       let steal_stats = ref (Array.map (fun _ -> Pool.zero_steal_stats) workers) in
-      let result outcome depth =
+      let result ~distinct outcome depth =
         {
           outcome;
           depth;
           (* every bound admits the root once *)
           visited = !bounds + sum (fun w -> w.visited);
-          distinct = !distinct;
+          distinct;
           transitions = sum (fun w -> w.transitions);
           peak_seen = !peak_seen;
           spilled = !spilled;
           workers = !steal_stats;
         }
       in
+      (* One bound from a fresh store: its verdict and its distinct count. *)
       let search_to ~root_fp ~root_steps bound =
         let shards = if Array.length workers = 1 then Some 1 else None in
         let seen = Striped_seen.create ?shards ~max_states () in
@@ -242,7 +252,12 @@ let search ?(space = Space.default) ?symmetry ?(por = true) ?(max_states = 1_000
             try expand w ~push ~reclaim ~ck c.trace c.remaining c.steps with Unwind -> ()
           end
         in
-        Array.iter (fun w -> w.cutoff <- false) workers;
+        Array.iter
+          (fun w ->
+            w.cutoff <- false;
+            w.budget_hit <- false;
+            w.violation <- None)
+          workers;
         let stats =
           Pool.run_stealing pool ~seed:bound
             ~roots:[| { trace = []; remaining = bound; steps = root_steps } |]
@@ -250,30 +265,41 @@ let search ?(space = Space.default) ?symmetry ?(por = true) ?(max_states = 1_000
             ~run ()
         in
         steal_stats := Array.map2 Pool.add_steal_stats !steal_stats stats;
-        distinct := checked_distinct seen;
-        peak_seen := max !peak_seen !distinct;
+        let distinct = checked_distinct seen in
+        peak_seen := max !peak_seen distinct;
         spilled := max !spilled (Striped_seen.spilled seen);
         Striped_seen.close seen;
         (match progress with
-        | Some f -> f ~depth:bound ~distinct:!distinct ~transitions:(sum (fun w -> w.transitions))
+        | Some f -> f ~depth:bound ~distinct ~transitions:(sum (fun w -> w.transitions))
         | None -> ());
         (* A violation outranks the state budget (the more informative
            verdict); among workers' equally short counterexamples the
            lowest worker index wins — which one that is depends on the
            schedule above one worker. *)
-        match Array.find_map (fun w -> w.violation) workers with
-        | Some (trace, violations) -> `Found (trace, violations)
-        | None ->
-            if Array.exists (fun w -> w.budget_hit) workers then `Budget
-            else if Array.exists (fun w -> w.cutoff) workers then `Cutoff
-            else `Closed
+        let verdict =
+          match Array.find_map (fun w -> w.violation) workers with
+          | Some (trace, violations) -> `Found (trace, violations)
+          | None ->
+              if Array.exists (fun w -> w.budget_hit) workers then `Budget
+              else if Array.exists (fun w -> w.cutoff) workers then `Cutoff
+              else `Closed
+        in
+        (verdict, distinct)
+      in
+      let report bound (verdict, distinct) =
+        match verdict with
+        | `Found (trace, violations) ->
+            result ~distinct (Violation { trace; violations }) (List.length trace)
+        | `Budget -> result ~distinct Out_of_budget (bound - 1)
+        | `Closed -> result ~distinct (Safe { closed = true }) bound
+        | `Cutoff -> result ~distinct (Safe { closed = false }) bound
       in
       (* The initial state could in principle already violate (it never
          does for a sane config, but the oracle decides that, not us). *)
       Oracle.check_step first.oracle first.cluster;
       if not (Oracle.is_safe first.oracle) then
-        result (Violation { trace = []; violations = Oracle.violations first.oracle }) 0
-      else if depth <= 0 then result (Safe { closed = false }) 0
+        result ~distinct:0 (Violation { trace = []; violations = Oracle.violations first.oracle }) 0
+      else if depth <= 0 then result ~distinct:0 (Safe { closed = false }) 0
       else begin
         (* The root never changes across bounds. *)
         Harness.rollback first.session first.root;
@@ -281,15 +307,18 @@ let search ?(space = Space.default) ?symmetry ?(por = true) ?(max_states = 1_000
         let root_steps =
           reduce ~filter:0 ~covered:0 (Space.enabled space ~config ~cluster:first.cluster)
         in
-        let rec iterate bound =
-          match search_to ~root_fp ~root_steps bound with
-          | `Found (trace, violations) ->
-              result (Violation { trace; violations }) (List.length trace)
-          | `Budget -> result Out_of_budget (bound - 1)
-          | `Closed -> result (Safe { closed = true }) bound
-          | `Cutoff ->
-              if bound >= depth then result (Safe { closed = false }) bound
-              else iterate (bound + 1)
-        in
-        iterate 1
+        let pass = search_to ~root_fp ~root_steps depth in
+        match fst pass with
+        | `Cutoff | `Closed -> report depth pass
+        | `Found _ | `Budget ->
+            (* Deepen for the shortest counterexample, or the deepest
+               bound the budget completes; bound D is the pass. *)
+            let rec deepen bound =
+              if bound = depth then report depth pass
+              else
+                match search_to ~root_fp ~root_steps bound with
+                | `Cutoff, _ -> deepen (bound + 1)
+                | outcome -> report bound outcome
+            in
+            deepen 1
       end)

@@ -1,37 +1,42 @@
-(** Bounded explicit-state search: iterative-deepening DFS over the
+(** Bounded explicit-state search: a DFS to the requested bound over the
     {!Space} alphabet, pruned by a seen-state store of canonical
     {!Fingerprint} hashes, with the safety oracle checked at every
-    state and commuting fault actions reduced by {!Por}. *)
+    state and commuting fault actions reduced by {!Por}.  The bound is
+    searched once; iterative deepening from bound 1 runs only after a
+    violation (for a shortest counterexample) or a spent state budget
+    (for the deepest completed bound). *)
 
 type outcome =
   | Safe of { closed : bool }
       (** no reachable violation within the bound; [closed] means the
-          entire reachable space (under the alphabet) was exhausted
-          before the bound, so no depth would ever find one *)
+          search of the bound exhausted the entire reachable space
+          (under the alphabet), so no depth would ever find one *)
   | Violation of {
       trace : Dynvote_chaos.Schedule.step list;
       violations : Dynvote_chaos.Oracle.violation list;
     }
-      (** a minimum-length path to an unsafe state (iterative deepening
+      (** a minimum-length path to an unsafe state (a bound that finds
+          one is followed by iterative deepening from bound 1, which
           finds shortest counterexamples first) *)
   | Out_of_budget  (** the seen store hit [max_states] *)
 
 type result = {
   outcome : outcome;
   depth : int;
-      (** bound fully exhausted (or closed at); for a violation, the
-          trace length; for out-of-budget, the last completed bound *)
-  visited : int;  (** states stored, cumulative over all iterations *)
-  distinct : int;  (** seen-store size of the final iteration *)
-  transitions : int;  (** actions applied, cumulative *)
+      (** for a safe outcome (closed or not), the requested bound; for
+          a violation, the trace length; for out-of-budget, the last
+          completed bound *)
+  visited : int;  (** states stored, cumulative over all bounds searched *)
+  distinct : int;  (** seen-store size of the bound the outcome comes from *)
+  transitions : int;  (** actions applied, cumulative over all bounds searched *)
   peak_seen : int;  (** largest seen-store size — the memory high-water *)
   spilled : int;
       (** peak entries in the store's on-disk spill tier (0 unless
           [DYNVOTE_MC_SPILL] enables spilling; see {!Striped_seen}) *)
   workers : Dynvote_exec.Pool.steal_stats array;
       (** per-worker frontier statistics (continuations executed, steals,
-          failed steals, deque high-water), summed over the deepening
-          iterations; one entry per worker *)
+          failed steals, deque high-water), summed over the bounds
+          searched; one entry per worker *)
 }
 
 val search :
@@ -54,7 +59,8 @@ val search :
     distinct-state count on a completed bound — only [transitions] and
     the choice among equally short counterexamples (see {!Por}).
     [max_states] (default 1_000_000) bounds the seen store.  [progress]
-    is called after each completed deepening iteration.
+    is called after each searched bound: the requested one first, then
+    any deepening iterations ([transitions] cumulative).
 
     [jobs] (default 1) is the number of workers of the work-first
     frontier: each drives its own private session (cluster and oracle

@@ -21,7 +21,7 @@
    Each shard is a pair of power-of-two int arrays ([fps]/[meta], linear
    probing, grown at 7/8 load) under its own mutex; fingerprint 0 is
    remapped so 0 can mark empty slots.  The metadata word packs the
-   iterative-deepening remaining-depth budget with the partial-order
+   remaining-depth budget with the partial-order
    reduction context ({!Por.rank} of the action the state was entered
    by): see [claim] for the transposition rule both feed.
 
@@ -58,7 +58,7 @@ type verdict = Expand of { filter : int; covered : int } | Prune | Budget
 
 (* Packed metadata: one (budget, context) statement is 31 bits —
    Por.max_ctx < 2^19, and search budgets clamp to 12 bits (a weaker
-   recorded statement is never a wrong prune, and a deepening bound past
+   recorded statement is never a wrong prune, and a search bound past
    4095 is computationally unreachable anyway) — so the 62 usable bits
    of the meta word hold TWO statements.  A state reached both through a
    protocol action (context 0) and through a fault action keeps both

@@ -6,7 +6,7 @@
     at n states is about n²/2⁶³) in power-of-two linear-probe int
     arrays, one pair of arrays per mutex-guarded shard: 16 bytes per
     state, no boxing, no key strings.  Each entry carries the
-    iterative-deepening budget packed with the {!Por} context it was
+    remaining-depth budget packed with the {!Por} context it was
     expanded under; {!claim} applies the context-tagged transposition
     rule that keeps partial-order reduction sound under state caching.
 

@@ -42,8 +42,8 @@ let check_verdicts name expected actual =
    the event log the live audit would have recovered — commit events
    from the cluster's witness hook (chained through to the session's
    own oracle so the online evaluation is undisturbed), write/read
-   outcome events from the harness op log, intents for writes that
-   aborted — then replay the record through the bare spec. *)
+   outcome events from each client operation's outcome, intents for
+   writes that aborted — then replay the record through the bare spec. *)
 let replay_recorded config steps =
   let session = Harness.make_session config in
   let cluster = Harness.cluster session in
@@ -53,28 +53,25 @@ let replay_recorded config steps =
   Cluster.set_commit_witness cluster (fun site replica ->
       add (Spec.Replay_commit { site; replica });
       Spec.witness oracle site replica);
-  let logged = ref 0 in
   let writes = ref 0 in
+  let ops (r : Harness.result) = r.Harness.granted + r.Harness.denied + r.Harness.aborted in
   List.iter
     (fun step ->
-      let before = (Harness.session_result session).Harness.aborted in
+      let before = Harness.session_result session in
       Harness.apply_step session step;
-      let result = Harness.session_result session in
-      let aborted = result.Harness.aborted > before in
-      List.iteri
-        (fun i (st, granted, content) ->
-          if i >= !logged then begin
-            incr logged;
-            match st with
-            | Schedule.Write _ | Schedule.Crash_coordinator _ ->
-                incr writes;
-                let content = Printf.sprintf "w%d" !writes in
-                if aborted then add (Spec.Replay_intent { content })
-                else add (Spec.Replay_write { granted; content })
-            | Schedule.Read at -> add (Spec.Replay_read { at; granted; content })
-            | _ -> ()
-          end)
-        result.Harness.op_log)
+      let after = Harness.session_result session in
+      let aborted = after.Harness.aborted > before.Harness.aborted in
+      if ops after > ops before then begin
+        let granted, content = Harness.last_op session in
+        match step with
+        | Schedule.Write _ | Schedule.Crash_coordinator _ ->
+            incr writes;
+            let content = Printf.sprintf "w%d" !writes in
+            if aborted then add (Spec.Replay_intent { content })
+            else add (Spec.Replay_write { granted; content })
+        | Schedule.Read at -> add (Spec.Replay_read { at; granted; content })
+        | _ -> ()
+      end)
     steps;
   let final =
     Site_set.fold

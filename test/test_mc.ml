@@ -73,14 +73,27 @@ let test_symmetry_sound () =
   Alcotest.(check bool) "symmetry actually folds states" true
     (folded.Explorer.distinct < plain.Explorer.distinct)
 
+(* The search that spends the budget is followed by deepening, so the
+   report names the deepest bound that completed: on the paper scope a
+   100-state budget completes bound 2 (82 states) and not bound 3. *)
 let test_budget_exhaustion () =
   let result =
     Explorer.search ~max_states:50 ~config:(two_sites Decision.dv_flavor)
       ~depth:8 ()
   in
-  match result.Explorer.outcome with
+  (match result.Explorer.outcome with
   | Explorer.Out_of_budget -> ()
-  | _ -> Alcotest.fail "a 50-state budget cannot cover depth 8"
+  | _ -> Alcotest.fail "a 50-state budget cannot cover depth 8");
+  let result =
+    Explorer.search ~max_states:100
+      ~config:(Checker.paper_config ~flavor:Decision.tdv_safe_flavor ())
+      ~depth:6 ()
+  in
+  (match result.Explorer.outcome with
+  | Explorer.Out_of_budget -> ()
+  | _ -> Alcotest.fail "a 100-state budget cannot cover depth 6");
+  Alcotest.(check int) "after depth 2" 2 result.Explorer.depth;
+  Alcotest.(check int) "the budget's states" 100 result.Explorer.distinct
 
 (* Regression: the distinct-state counter must move only on admission.
    The old per-shard tables bumped it on the Budget path too, so under
@@ -375,10 +388,11 @@ let test_paper_example_tdv () =
 (* Allocation ceiling: the depth-5 tdv-safe bound in the benchmark's
    shape (full alphabet, POR, the paper's four-copy topology, one job, no
    spill tier) allocates at most [ceiling] minor words per transition.
-   At one job the count is exact: in this suite's process this tree
-   reads 273.1 over 88,510 transitions, and the tree before the
-   checker's transitions stopped allocating what they throw away read
-   699.0.  The ceiling is this tree's figure plus 10%. *)
+   At one job the count is exact.  In this suite's process the tree
+   that still deepened through bounds 1-4 read 273.1 over 88,510
+   transitions, and the tree before the checker's transitions stopped
+   allocating what they throw away read 699.0; the bound is now searched
+   once, in 74,453 transitions.  The ceiling is 273.1 plus 10%. *)
 let test_allocation_ceiling () =
   let ceiling = 300.0 in
   let spill = Option.value (Sys.getenv_opt "DYNVOTE_MC_SPILL") ~default:"" in
@@ -396,11 +410,89 @@ let test_allocation_ceiling () =
   in
   let result = report.Checker.result in
   Alcotest.(check int) "distinct states" 23_020 result.Explorer.distinct;
-  Alcotest.(check int) "transitions" 88_510 result.Explorer.transitions;
+  Alcotest.(check int) "transitions" 74_453 result.Explorer.transitions;
   let per_transition = words /. float_of_int result.Explorer.transitions in
   if per_transition > ceiling then
     Alcotest.failf "%.1f minor words per transition, above the ceiling of %.0f"
       per_transition ceiling
+
+(* The one-pass contract.  A safe bound is searched once from a fresh
+   store, so its distinct count at every depth is what the last
+   iteration of a search that deepened through every shallower bound
+   reported (the [mc -v] lines of that search, pinned here), at one job
+   and at two.  At one job the pass is that last iteration step for
+   step: over the full alphabet its transitions are the differences of
+   the deepening search's cumulative counts (19, 243, 2,016, 14,057,
+   88,510, 524,460), so 435,950 = 524,460 - 88,510 at depth 6. *)
+let test_one_pass_counts () =
+  List.iter
+    (fun (name, space, label, counts, work) ->
+      let config = Checker.paper_config ~flavor:(policy name).Harness.flavor () in
+      List.iteri
+        (fun i expected ->
+          let depth = i + 1 in
+          List.iter
+            (fun jobs ->
+              let r = Explorer.search ~space ~jobs ~config ~depth () in
+              let what = Printf.sprintf "%s (%s) -j%d at depth %d" name label jobs depth in
+              (match r.Explorer.outcome with
+              | Explorer.Safe { closed = false } -> ()
+              | _ -> Alcotest.failf "%s: not safe and open" what);
+              Alcotest.(check int) (what ^ ": depth") depth r.Explorer.depth;
+              Alcotest.(check int) (what ^ ": distinct") expected r.Explorer.distinct;
+              match List.nth_opt work i with
+              | Some transitions when jobs = 1 ->
+                  Alcotest.(check int) (what ^ ": transitions") transitions
+                    r.Explorer.transitions
+              | _ -> ())
+            [ 1; 2 ])
+        counts)
+    [
+      ( "tdv-safe", Space.full, "full",
+        [ 13; 103; 679; 4_070; 23_020; 124_761 ],
+        [ 19; 224; 1_773; 12_041; 74_453; 435_950 ] );
+      ("dv", Space.default, "default", [ 13; 83; 374; 1_460; 5_388; 19_107 ], []);
+      ("odv", Space.default, "default", [ 17; 126; 661; 3_066; 12_871; 50_520 ], []);
+      ("tdv-safe", Space.default, "default", [ 13; 82; 384; 1_635; 6_670; 26_026 ], []);
+    ]
+
+(* A pass that finds a violation deepens from bound 1, so the reported
+   counterexample is the first bound's: the same schedule and violations
+   as a search that deepened from the start, whatever the requested
+   bound. *)
+let test_one_pass_counterexamples () =
+  let text pp x = Fmt.str "%a" pp x in
+  let check label config depth ~schedule ~violation =
+    let r = Explorer.search ~jobs:1 ~config ~depth () in
+    match r.Explorer.outcome with
+    | Explorer.Violation { trace; violations } ->
+        Alcotest.(check string) (label ^ ": schedule") schedule
+          (text Dynvote_mc.Report.pp_trace trace);
+        Alcotest.(check (list string)) (label ^ ": violations") [ violation ]
+          (List.map (text Dynvote_chaos.Oracle.pp_violation) violations);
+        Alcotest.(check int) (label ^ ": depth is the trace length")
+          (List.length trace) r.Explorer.depth
+    | _ -> Alcotest.failf "%s: no violation" label
+  in
+  let tdv = (policy "tdv").Harness.flavor in
+  List.iter
+    (fun depth ->
+      check
+        (Printf.sprintf "4 sites, depth %d" depth)
+        (Checker.paper_config ~flavor:tdv ())
+        depth
+        ~schedule:"[write@0+crash; write@1; write@1+crash; partition 0x1; recover 0]"
+        ~violation:
+          "generation 2 committed twice: site 1 saw (v2, {1, 2, 3}) but site 0 saw (v1, {0})")
+    [ 5; 6; 8 ];
+  List.iter
+    (fun depth ->
+      check
+        (Printf.sprintf "2 sites, depth %d" depth)
+        (two_sites tdv) depth
+        ~schedule:"[write@0+crash; write@1; write@1+crash; recover 0]"
+        ~violation:"generation 2 committed twice: site 1 saw (v2, {1}) but site 0 saw (v1, {0})")
+    [ 4; 6 ]
 
 (* Deep sweep of the paper scope, opt-in: DYNVOTE_MC_DEPTH=8 runs the
    full acceptance bound (~1 minute for all four policies). *)
@@ -450,5 +542,9 @@ let suite =
     Alcotest.test_case "paper example: tdv counterexample" `Quick
       test_paper_example_tdv;
     Alcotest.test_case "allocation ceiling at depth 5" `Quick test_allocation_ceiling;
+    Alcotest.test_case "one pass: per-depth counts (-j1/-j2)" `Quick
+      test_one_pass_counts;
+    Alcotest.test_case "one pass: counterexamples deepen" `Quick
+      test_one_pass_counterexamples;
     Alcotest.test_case "deep sweep (DYNVOTE_MC_DEPTH)" `Slow test_deep_sweep;
   ]
