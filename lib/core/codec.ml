@@ -18,31 +18,20 @@ let encoded_size = 4 + 4 + 8 + 8 + 8
 exception Corrupt of string
 
 (* Adler-32 (RFC 1950): simple, fast, adequate for torn-write detection.
-   As in zlib, the sums are reduced once per block of at most 5,552
-   bytes (NMAX, the longest run over which [b] cannot outgrow 32 bits
-   even at 0xff per byte), not twice per byte; the values are the same.
-   One bounds check up front covers every byte of the range.  The sum is
-   returned as the low 32 bits of an int, so a caller stores or compares
-   it without boxing an [Int32.t]. *)
-let adler_base = 65521
-let adler_nmax = 5552
+   The summing loop is a C kernel (codec_stubs.c, zlib's blocking) that
+   reads the bytes in place and allocates nothing; the one bounds check
+   stays here and covers every byte of the range.  The sum is returned
+   as the low 32 bits of an int, so a caller stores or compares it
+   without boxing an [Int32.t]. *)
+external adler32_unchecked :
+  Bytes.t -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged])
+  = "dynvote_codec_adler32_byte" "dynvote_codec_adler32"
+[@@noalloc]
 
 let adler32 bytes ~off ~len =
   if off < 0 || len < 0 || off > Bytes.length bytes - len then
     invalid_arg "Codec.adler32";
-  let a = ref 1 and b = ref 0 in
-  let pos = ref off and stop = off + len in
-  while !pos < stop do
-    let block_end = min stop (!pos + adler_nmax) in
-    for i = !pos to block_end - 1 do
-      a := !a + Char.code (Bytes.unsafe_get bytes i);
-      b := !b + !a
-    done;
-    a := !a mod adler_base;
-    b := !b mod adler_base;
-    pos := block_end
-  done;
-  (!b lsl 16) lor !a
+  adler32_unchecked bytes off len
 
 let encode_replica replica =
   let buffer = Bytes.create encoded_size in
@@ -241,13 +230,21 @@ let str c len =
   c.pos <- c.pos + len;
   s
 
+let value_bytes c ~head =
+  let len = u32 c in
+  need c len;
+  let b = Bytes.create (head + len) in
+  Bytes.blit c.data c.pos b head len;
+  c.pos <- c.pos + len;
+  b
+
 let skip c len =
   need c len;
   c.pos <- c.pos + len
 
 let bool c = match u8 c with 0 -> false | 1 -> true | _ -> raise (Corrupt "bad boolean")
 let key c = str c (u16 c)
-let value c = str c (u32 c)
+let value c = Bytes.unsafe_to_string (value_bytes c ~head:0)
 
 let value_opt c =
   match u8 c with 0 -> None | 1 -> Some (value c) | _ -> raise (Corrupt "bad value flag")
@@ -292,47 +289,49 @@ let pairs c =
 
 type 'a scan = { folded : 'a; torn : bool; corrupt : int; valid_prefix : int }
 
-let scan_log ?(vfs = Vfs.real) ?(cut_torn_tail = false) ~path ~magic ~decode f init =
-  match read_file_result ~vfs ~path () with
+let scan_data ?(vfs = Vfs.real) ?(cut_torn_tail = false) ~path ~magic ~decode f init data =
+  let raw = Bytes.unsafe_of_string data in
+  let total = Bytes.length raw in
+  (* [pending]: bad frames since the last intact one — corruption if
+     an intact frame follows, the torn tail otherwise.
+     [valid_prefix]: the end of the last intact frame before the
+     first bad one. *)
+  let rec go acc pos ~pending ~corrupt ~valid_prefix =
+    let len =
+      if pos + 4 > total then -1
+      else Int32.to_int (Bytes.get_int32_le raw pos) land 0xFFFFFFFF
+    in
+    if len <= 0 || len > max_frame || len > total - pos - 4 then
+      {
+        folded = acc;
+        torn = pos < total || pending > 0;
+        corrupt;
+        valid_prefix;
+      }
+    else
+      let next = pos + 4 + len in
+      match
+        let c = open_frame ~magic raw ~off:(pos + 4) ~len in
+        let record = decode c in
+        close_frame c;
+        record
+      with
+      | record ->
+          go (f acc record) next ~pending:0 ~corrupt:(corrupt + pending)
+            ~valid_prefix:(if corrupt + pending = 0 then next else valid_prefix)
+      | exception Corrupt _ ->
+          go acc next ~pending:(pending + 1) ~corrupt ~valid_prefix
+  in
+  let scan = go init 0 ~pending:0 ~corrupt:0 ~valid_prefix:0 in
+  (* Appending past a partial frame would leave the new records
+     unreadable — mid-log corruption to the next scan — so a purely
+     torn log is cut back first.  A corrupt log is evidence and is
+     left alone. *)
+  if cut_torn_tail && scan.torn && scan.corrupt = 0 then
+    vfs.Vfs.truncate path scan.valid_prefix;
+  scan
+
+let scan_log ?vfs ?cut_torn_tail ~path ~magic ~decode f init =
+  match read_file_result ?vfs ~path () with
   | Error _ as unreadable -> unreadable
-  | Ok data ->
-      let raw = Bytes.unsafe_of_string data in
-      let total = Bytes.length raw in
-      (* [pending]: bad frames since the last intact one — corruption if
-         an intact frame follows, the torn tail otherwise.
-         [valid_prefix]: the end of the last intact frame before the
-         first bad one. *)
-      let rec go acc pos ~pending ~corrupt ~valid_prefix =
-        let len =
-          if pos + 4 > total then -1
-          else Int32.to_int (Bytes.get_int32_le raw pos) land 0xFFFFFFFF
-        in
-        if len <= 0 || len > max_frame || len > total - pos - 4 then
-          {
-            folded = acc;
-            torn = pos < total || pending > 0;
-            corrupt;
-            valid_prefix;
-          }
-        else
-          let next = pos + 4 + len in
-          match
-            let c = open_frame ~magic raw ~off:(pos + 4) ~len in
-            let record = decode c in
-            close_frame c;
-            record
-          with
-          | record ->
-              go (f acc record) next ~pending:0 ~corrupt:(corrupt + pending)
-                ~valid_prefix:(if corrupt + pending = 0 then next else valid_prefix)
-          | exception Corrupt _ ->
-              go acc next ~pending:(pending + 1) ~corrupt ~valid_prefix
-      in
-      let scan = go init 0 ~pending:0 ~corrupt:0 ~valid_prefix:0 in
-      (* Appending past a partial frame would leave the new records
-         unreadable — mid-log corruption to the next scan — so a purely
-         torn log is cut back first.  A corrupt log is evidence and is
-         left alone. *)
-      if cut_torn_tail && scan.torn && scan.corrupt = 0 then
-        vfs.Vfs.truncate path scan.valid_prefix;
-      Ok scan
+  | Ok data -> Ok (scan_data ?vfs ?cut_torn_tail ~path ~magic ~decode f init data)

@@ -57,6 +57,13 @@ val read_file_result : ?vfs:Vfs.t -> path:string -> unit -> (string, string) res
     Integers are little-endian fixed width; keys carry a u16 length,
     values a u32 one.  Each family owns only its field layout. *)
 
+val adler32 : Bytes.t -> off:int -> len:int -> int
+(** The Adler-32 checksum (RFC 1950) of [len] bytes from [off], as the
+    low 32 bits of an int: the checksum of every stable record and
+    frame.  A C kernel sums the bytes in place and allocates nothing;
+    the values are zlib's.
+    @raise Invalid_argument when the range is not inside the bytes. *)
+
 val max_frame : int
 (** Upper bound on [len] a reader accepts (16 MiB). *)
 
@@ -118,6 +125,11 @@ val key : cursor -> string
 val value : cursor -> string
 val value_opt : cursor -> string option
 
+val value_bytes : cursor -> head:int -> Bytes.t
+(** A value read as {!value} reads it, into a fresh buffer after [head]
+    bytes the caller fills: a value copied once, straight out of the
+    frame into the record that keeps it. *)
+
 val site_set : cursor -> Site_set.t
 (** A u64 mask; bits outside the [Site_set.max_sites] universe are
     rejected. *)
@@ -166,3 +178,18 @@ val scan_log :
     a corrupt log is left untouched as evidence.  [Error] when the file
     cannot be read (missing, or an I/O error); each caller decides what
     that means. *)
+
+val scan_data :
+  ?vfs:Vfs.t ->
+  ?cut_torn_tail:bool ->
+  path:string ->
+  magic:string ->
+  decode:(cursor -> 'r) ->
+  ('a -> 'r -> 'a) ->
+  'a ->
+  string ->
+  'a scan
+(** {!scan_log} over [data], the log at [path] already read (by
+    {!read_file_result}): for a caller that sizes its tables from the
+    log's length before the fold.  [path] is used only to cut a torn
+    tail. *)

@@ -41,58 +41,68 @@ let shard_of_key ~shards key =
   done;
   (Int64.to_int !h land max_int) mod shards
 
-(* --- spine packing ---------------------------------------------------
+(* --- spine entries ---------------------------------------------------
 
-   One packed string per key, in its shard's key table: four u64 fields
+   One packed entry per key, in its shard's key table: four u64 fields
    then a value tag (1 = absent, 2 = present, value bytes to the end).
    Undecoded residency is the point — a million keys are a million small
-   strings, and decoding (allocation of the state record and Site_set)
-   happens only for the LRU-resident working set in {!Shard_map}. *)
+   buffers, and decoding (allocation of the state record and Site_set)
+   happens only for the LRU-resident working set in {!Shard_map}.
 
-let set_fields b st =
-  Bytes.set_int64_le b 0 (Int64.of_int st.op_no);
-  Bytes.set_int64_le b 8 (Int64.of_int st.version);
-  Bytes.set_int64_le b 16 (Int64.of_int (Site_set.to_int st.partition));
-  Bytes.set_int64_le b 24 (Int64.of_int st.data_version)
+   The table owns its entries and nothing else holds one: [unpack]
+   copies the value out.  So a record that leaves a key's value as it
+   was, at boot or in [commit], overwrites the entry's four fields in
+   place, and only a new value makes a new entry. *)
+
+let set_fields entry ~op_no ~version ~partition ~data_version =
+  Bytes.set_int64_le entry 0 (Int64.of_int op_no);
+  Bytes.set_int64_le entry 8 (Int64.of_int version);
+  Bytes.set_int64_le entry 16 (Int64.of_int (Site_set.to_int partition));
+  Bytes.set_int64_le entry 24 (Int64.of_int data_version)
+
+let set_state entry st =
+  set_fields entry ~op_no:st.op_no ~version:st.version ~partition:st.partition
+    ~data_version:st.data_version
+
+let absent () =
+  let entry = Bytes.create 33 in
+  Bytes.set entry 32 '\001';
+  entry
 
 let pack st =
-  let vlen = match st.value with None -> 0 | Some v -> String.length v in
-  let b = Bytes.create (33 + vlen) in
-  set_fields b st;
-  (match st.value with
-  | None -> Bytes.set b 32 '\001'
-  | Some v ->
-      Bytes.set b 32 '\002';
-      Bytes.blit_string v 0 b 33 vlen);
-  Bytes.unsafe_to_string b
-
-(* [prior]'s value under [st]'s four fields: one copy of the packed
-   bytes, nothing unpacked. *)
-let repack prior st =
-  let b = Bytes.of_string prior in
-  set_fields b st;
-  Bytes.unsafe_to_string b
-
-(* Whether two packed entries hold the same value: their tags and value
-   bytes, compared in place. *)
-let same_value a b =
-  let n = String.length a in
-  let rec from i =
-    i = n || (String.unsafe_get a i = String.unsafe_get b i && from (i + 1))
+  let entry =
+    match st.value with
+    | None -> absent ()
+    | Some v ->
+        let entry = Bytes.create (33 + String.length v) in
+        Bytes.set entry 32 '\002';
+        Bytes.blit_string v 0 entry 33 (String.length v);
+        entry
   in
-  n = String.length b && from 32
+  set_state entry st;
+  entry
 
-let unpack packed =
-  let b = Bytes.unsafe_of_string packed in
+(* Whether the entry holds [value]: its tag and value bytes, compared in
+   place. *)
+let holds entry = function
+  | None -> Bytes.get entry 32 = '\001'
+  | Some v ->
+      let n = String.length v in
+      let rec from i =
+        i = n || (Bytes.unsafe_get entry (33 + i) = String.unsafe_get v i && from (i + 1))
+      in
+      Bytes.length entry = 33 + n && Bytes.get entry 32 = '\002' && from 0
+
+let unpack entry =
   {
-    op_no = Int64.to_int (Bytes.get_int64_le b 0);
-    version = Int64.to_int (Bytes.get_int64_le b 8);
-    partition = Site_set.of_int_unsafe (Int64.to_int (Bytes.get_int64_le b 16));
-    data_version = Int64.to_int (Bytes.get_int64_le b 24);
+    op_no = Int64.to_int (Bytes.get_int64_le entry 0);
+    version = Int64.to_int (Bytes.get_int64_le entry 8);
+    partition = Site_set.of_int_unsafe (Int64.to_int (Bytes.get_int64_le entry 16));
+    data_version = Int64.to_int (Bytes.get_int64_le entry 24);
     value =
-      (match Bytes.get b 32 with
+      (match Bytes.get entry 32 with
       | '\001' -> None
-      | _ -> Some (String.sub packed 33 (String.length packed - 33)));
+      | _ -> Some (Bytes.sub_string entry 33 (Bytes.length entry - 33)));
   }
 
 (* --- records ------------------------------------------------------------ *)
@@ -138,40 +148,13 @@ let decode_rids_file data =
   | pairs -> Some pairs
   | exception Codec.Corrupt _ -> None
 
-type record =
-  | R_state of { key : string; rid : int; value_enc : value_enc; st : state }
-      (* [st.value] is a placeholder when [value_enc = Unchanged]; the
-         scan resolves it against the previous spine entry *)
-  | R_rids of (int * int) list
-
-let decode_record c =
-  match Codec.u8 c with
-  | 0 ->
-      let key = Codec.key c in
-      let op_no = Codec.u64 c in
-      let version = Codec.u64 c in
-      let partition = Codec.site_set c in
-      let data_version = Codec.u64 c in
-      let value_enc =
-        match Codec.u8 c with
-        | 0 -> Unchanged
-        | 1 -> Set None
-        | 2 -> Set (Some (Codec.value c))
-        | _ -> raise (Codec.Corrupt "bad value tag")
-      in
-      let rid = Codec.u64 c in
-      let st = { op_no; version; partition; data_version; value = None } in
-      R_state { key; rid; value_enc; st }
-  | 1 -> R_rids (Codec.pairs c)
-  | _ -> raise (Codec.Corrupt "unknown record type")
-
 (* --- the store ------------------------------------------------------- *)
 
 (* A shard's keys are exactly the ones its log holds, so the log's boot
    fold fills its table and a compaction reads only its own keys. *)
 type shard = {
   path : string;
-  keys : (string, string) Hashtbl.t;  (* key -> packed latest state *)
+  keys : (string, Bytes.t) Hashtbl.t;  (* key -> packed latest state *)
   mutable file : Vfs.file option;
   mutable records : int;  (* frames in the log *)
   mutable dirty : bool;  (* appended to since the last fsync *)
@@ -194,41 +177,67 @@ let shards_dir ~dir ~site =
 
 let shard_path sdir i = Filename.concat sdir (Printf.sprintf "shard-%d.dvl" i)
 
-let note_rid rids rid =
-  if rid <> 0 then begin
-    let client = rid lsr 32 and req = rid land 0xFFFFFFFF in
-    match Hashtbl.find_opt rids client with
-    | Some seen when seen >= req -> ()
-    | _ -> Hashtbl.replace rids client req
-  end
+(* Raise [client]'s applied-request high-water mark to [req]. *)
+let bump rids client req =
+  match Hashtbl.find rids client with
+  | seen when seen >= req -> ()
+  | _ -> Hashtbl.replace rids client req
+  | exception Not_found -> Hashtbl.replace rids client req
 
-let merge_rid_pairs rids pairs =
-  List.iter
-    (fun (client, req) ->
-      match Hashtbl.find_opt rids client with
-      | Some seen when seen >= req -> ()
-      | _ -> Hashtbl.replace rids client req)
-    pairs
+let note_rid rids rid = if rid <> 0 then bump rids (rid lsr 32) (rid land 0xFFFFFFFF)
 
-(* Fold one intact shard-log record into the spine, resolving an
-   "unchanged" value against the key's previous record by repacking its
-   bytes; counts the state records for the compaction trigger. *)
-let fold_record spine rids applied = function
-  | R_state { key; rid; value_enc; st } ->
-      note_rid rids rid;
-      let packed =
-        match value_enc with
-        | Set value -> pack { st with value }
-        | Unchanged -> (
-            match Hashtbl.find_opt spine key with
-            | Some prior -> repack prior st
-            | None -> pack st)
+let merge_rid_pairs rids pairs = List.iter (fun (client, req) -> bump rids client req) pairs
+
+(* Fold one intact shard-log frame straight into the spine, building no
+   record on the way.  Every field is read and the frame checked whole
+   before anything is touched, so a frame that fails to decode leaves
+   the spine as it was.  A set value is copied once, out of the frame
+   into the key's new entry; an "unchanged" record overwrites the four
+   fields of the key's entry in place (with no earlier record for the
+   key, its value is absent).  Returns the state records folded, which
+   the compaction trigger counts. *)
+let fold_frame spine rids c =
+  match Codec.u8 c with
+  | 0 ->
+      let key = Codec.key c in
+      let op_no = Codec.u64 c in
+      let version = Codec.u64 c in
+      let partition = Codec.site_set c in
+      let data_version = Codec.u64 c in
+      let fresh =
+        match Codec.u8 c with
+        | 0 -> None
+        | 1 -> Some (absent ())
+        | 2 ->
+            let entry = Codec.value_bytes c ~head:33 in
+            Bytes.set entry 32 '\002';
+            Some entry
+        | _ -> raise (Codec.Corrupt "bad value tag")
       in
-      Hashtbl.replace spine key packed;
-      applied + 1
-  | R_rids pairs ->
+      let rid = Codec.u64 c in
+      Codec.close_frame c;
+      note_rid rids rid;
+      let entry =
+        match fresh with
+        | Some entry ->
+            Hashtbl.replace spine key entry;
+            entry
+        | None -> (
+            match Hashtbl.find spine key with
+            | entry -> entry
+            | exception Not_found ->
+                let entry = absent () in
+                Hashtbl.replace spine key entry;
+                entry)
+      in
+      set_fields entry ~op_no ~version ~partition ~data_version;
+      1
+  | 1 ->
+      let pairs = Codec.pairs c in
+      Codec.close_frame c;
       merge_rid_pairs rids pairs;
-      applied
+      0
+  | _ -> raise (Codec.Corrupt "unknown record type")
 
 let mkdir_p path =
   let rec go path =
@@ -261,19 +270,22 @@ let open_store ?(vfs = Vfs.real) ?(durable = true) ~dir ~site ~shards () =
   let shard_arr =
     Array.init shards (fun i ->
         let path = shard_path sdir i in
-        let keys = Hashtbl.create 64 in
-        let records =
-          match
-            Codec.scan_log ~vfs ~cut_torn_tail:true ~path ~magic
-              ~decode:decode_record (fold_record keys rids) 0
-          with
-          | Ok scan ->
+        let keys, records =
+          match Codec.read_file_result ~vfs ~path () with
+          | Ok data ->
+              (* A bucket per record (about 80 bytes each): the fold
+                 never grows the table. *)
+              let keys = Hashtbl.create (max 64 (String.length data / 80)) in
+              let scan =
+                Codec.scan_data ~vfs ~cut_torn_tail:true ~path ~magic
+                  ~decode:(fold_frame keys rids) ( + ) 0 data
+              in
               if scan.Codec.torn then incr torn_shards;
               corrupt := !corrupt + scan.Codec.corrupt;
-              scan.Codec.folded
+              (keys, scan.Codec.folded)
           | Error _ ->
               if Sys.file_exists path then incr unreadable;
-              0
+              (Hashtbl.create 64, 0)
         in
         { path; keys; file = None; records; dirty = false })
   in
@@ -360,18 +372,23 @@ let compact t shard =
 let compaction_due shard =
   shard.records >= 1024 && shard.records > 4 * max 1 (Hashtbl.length shard.keys)
 
+(* The record goes to the log before the spine changes, so a failed
+   append leaves the entry as it was.  A key whose entry already holds
+   the value logs it "unchanged" and takes the new fields in place. *)
 let commit t ~key ~rid st =
   let shard = shard_of t key in
-  let prior = Hashtbl.find_opt shard.keys key in
-  let packed = pack st in
-  let value_enc =
-    match prior with
-    | Some prior when same_value prior packed -> Unchanged
-    | _ -> Set st.value
+  let same =
+    match Hashtbl.find shard.keys key with
+    | entry when holds entry st.value -> Some entry
+    | _ -> None
+    | exception Not_found -> None
   in
+  let value_enc = match same with Some _ -> Unchanged | None -> Set st.value in
   append_frame t shard (encode_state_record ~key ~rid ~value_enc st);
   note_rid t.rids rid;
-  Hashtbl.replace shard.keys key packed;
+  (match same with
+  | Some entry -> set_state entry st
+  | None -> Hashtbl.replace shard.keys key (pack st));
   if compaction_due shard then compact t shard
 
 let fsync t =
@@ -424,8 +441,8 @@ let read_states ~dir ~site =
       |> List.iter (fun name ->
              match
                Codec.scan_log ~path:(Filename.concat sdir name) ~magic
-                 ~decode:decode_record (fold_record spine rids) 0
+                 ~decode:(fold_frame spine rids) ( + ) 0
              with
              | Ok scan -> corrupt := !corrupt + scan.Codec.corrupt
              | Error _ -> ()));
-  (Hashtbl.fold (fun key packed acc -> (key, unpack packed) :: acc) spine [], !corrupt)
+  (Hashtbl.fold (fun key entry acc -> (key, unpack entry) :: acc) spine [], !corrupt)

@@ -67,6 +67,47 @@ let prop_single_bit_flips_detected =
       | exception Codec.Corrupt _ -> true
       | _ -> false)
 
+(* The C kernel against the OCaml loop it replaced (adler_ref.ml):
+   random offsets and lengths up to three summing blocks and a byte
+   (16,657), the lengths at each block edge among them, over bytes that
+   are random, all 0xff (the largest sums a block can reach), or random
+   with 0xff runs. *)
+let adler_case =
+  let edges = [ 0; 1; 15; 16; 17; 5551; 5552; 5553; 11104; 11105; 16656; 16657 ] in
+  QCheck.make
+    ~print:(fun (fill, off, len, seed) ->
+      Printf.sprintf "fill %d, off %d, len %d, seed %d" fill off len seed)
+    QCheck.Gen.(
+      quad (int_range 0 2) (int_range 0 64)
+        (oneof [ int_range 0 16_657; oneofl edges ])
+        (int_bound 1_000_000))
+
+let prop_adler32_matches_reference =
+  qcheck_case ~count:300 ~name:"adler32 matches the OCaml reference" adler_case
+    (fun (fill, off, len, seed) ->
+      let rand = Random.State.make [| seed |] in
+      let bytes =
+        Bytes.init (off + len + Random.State.int rand 8) (fun i ->
+            match fill with
+            | 0 -> '\xff'
+            | 1 -> Char.chr (Random.State.int rand 256)
+            | _ ->
+                if i / 700 mod 2 = 0 then '\xff' else Char.chr (Random.State.int rand 256))
+      in
+      Codec.adler32 bytes ~off ~len = Adler_ref.adler32 bytes ~off ~len)
+
+let test_adler32_range () =
+  let bytes = Bytes.make 16 'x' in
+  List.iter
+    (fun (off, len) ->
+      match Codec.adler32 bytes ~off ~len with
+      | _ -> Alcotest.failf "off %d, len %d accepted over 16 bytes" off len
+      | exception Invalid_argument _ -> ())
+    [ (0, 17); (1, 16); (16, 1); (17, 0); (-1, 1); (0, -1); (max_int, 1); (1, max_int) ];
+  Alcotest.(check int) "empty range at the end" 1 (Codec.adler32 bytes ~off:16 ~len:0);
+  Alcotest.(check int) "whole buffer" (Adler_ref.adler32 bytes ~off:0 ~len:16)
+    (Codec.adler32 bytes ~off:0 ~len:16)
+
 let suite =
   [
     Alcotest.test_case "round trip" `Quick test_roundtrip;
@@ -74,4 +115,6 @@ let suite =
     Alcotest.test_case "file persistence" `Quick test_file_persistence;
     prop_roundtrip;
     prop_single_bit_flips_detected;
+    prop_adler32_matches_reference;
+    Alcotest.test_case "adler32 rejects a range past the end" `Quick test_adler32_range;
   ]

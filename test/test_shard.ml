@@ -309,6 +309,58 @@ let test_store_midlog_corruption () =
       reopen ();
       reopen ())
 
+(* A frame whose checksum holds but whose fields do not decode leaves
+   the spine as the records before it left it: an "unchanged" record
+   for [a] with a trailing byte must not reach [a]'s entry, whose
+   fields a fold overwrites in place, and a record for [b] with a bad
+   value tag must not replace [b]'s. *)
+let test_store_bad_frame_untouched () =
+  with_scratch (fun dir ->
+      let store, _ = Shard_store.open_store ~dir ~site:0 ~shards:1 () in
+      Shard_store.commit store ~key:"a" ~rid:0
+        (st ~op_no:1 ~version:1 ~partition:u4 ~data_version:1 ~value:(Some "v1"));
+      Shard_store.commit store ~key:"b" ~rid:0
+        (st ~op_no:2 ~version:2 ~partition:u4 ~data_version:2 ~value:(Some "w"));
+      Shard_store.close store;
+      let record ~key ~op_no ~value_tag extra =
+        Codec.frame ~magic:"DVS1" (fun b ->
+            Codec.add_u8 b 0;
+            Codec.add_key b key;
+            List.iter (Codec.add_u64 b) [ op_no; op_no; 0b1111; op_no ];
+            Codec.add_u8 b value_tag;
+            extra b)
+      in
+      let path = Filename.concat (Shard_store.shards_dir ~dir ~site:0) "shard-0.dvl" in
+      write_file path
+        (read_file path
+        ^ record ~key:"a" ~op_no:99 ~value_tag:0 (fun b ->
+              Codec.add_u64 b 0;
+              Codec.add_u8 b 0xee)
+        ^ record ~key:"b" ~op_no:77 ~value_tag:3 (fun b -> Codec.add_u64 b 0)
+        ^ record ~key:"c" ~op_no:5 ~value_tag:2 (fun b ->
+              Codec.add_value b "c1";
+              Codec.add_u64 b 0));
+      let check name (lookup : string -> Shard_store.state option) =
+        let expect key op_no value =
+          match lookup key with
+          | Some s ->
+              Alcotest.(check (pair int (option string)))
+                (Printf.sprintf "%s: %s" name key) (op_no, value)
+                (s.Shard_store.op_no, s.Shard_store.value)
+          | None -> Alcotest.failf "%s: %s lost" name key
+        in
+        expect "a" 1 (Some "v1");
+        expect "b" 2 (Some "w");
+        expect "c" 5 (Some "c1")
+      in
+      let store, scan = Shard_store.open_store ~dir ~site:0 ~shards:1 () in
+      Alcotest.(check int) "both bad frames counted" 2 scan.Shard_store.corrupt;
+      check "reopened" (Shard_store.lookup store);
+      Shard_store.close store;
+      let states, corrupt = Shard_store.read_states ~dir ~site:0 in
+      Alcotest.(check int) "replay counts both" 2 corrupt;
+      check "replayed" (fun key -> List.assoc_opt key states))
+
 let test_store_compaction () =
   with_scratch (fun dir ->
       let store, _ = Shard_store.open_store ~dir ~site:2 ~shards:1 () in
@@ -337,6 +389,134 @@ let test_store_compaction () =
       Alcotest.(check bool) "rid high-water survives compaction" true
         (List.mem (1, n) scan.Shard_store.rids);
       Shard_store.close store2)
+
+(* The store against a model: random commits over a few keys on two
+   shards — fresh values (the empty string and a long one among them),
+   [None], the key's current value again (logged "unchanged" and folded
+   in place), rid-tagged and untagged — and, in some runs, a burst of
+   1,100 commits on one key that crosses a compaction.  The live store,
+   and then the store reopened from its logs and the offline replay,
+   must give the model's states and rid table; every state [lookup]
+   returned along the way must still read as it did, so an in-place
+   update that reached another key or a returned state shows. *)
+
+type model_value = Fresh of string option | Repeat
+
+let model_keys = [| "a"; "b"; "c"; "d"; "e" |]
+let model_pool = [| None; Some ""; Some "v"; Some "value-two"; Some (String.make 300 'z') |]
+
+let gen_model_commit =
+  QCheck.Gen.(
+    map3
+      (fun key value (client, req) -> (key, value, client, req))
+      (int_bound (Array.length model_keys - 1))
+      (frequency
+         [ (3, map (fun i -> Fresh model_pool.(i)) (int_bound (Array.length model_pool - 1)));
+           (2, return Repeat) ])
+      (pair (int_bound 3) (int_range 1 50)))
+
+let same_state (a : Shard_store.state) (b : Shard_store.state) =
+  a.op_no = b.op_no && a.version = b.version
+  && Site_set.equal a.partition b.partition
+  && a.data_version = b.data_version && a.value = b.value
+
+let prop_store_model =
+  let print (before, burst, after) =
+    Printf.sprintf "%d commits, burst %s, %d commits" (List.length before)
+      (match burst with Some k -> model_keys.(k) | None -> "none")
+      (List.length after)
+  in
+  qcheck_case ~count:40 ~name:"store: commits, compaction and reopen match a model"
+    (QCheck.make ~print
+       QCheck.Gen.(
+         triple
+           (list_size (int_range 0 120) gen_model_commit)
+           (opt (int_bound (Array.length model_keys - 1)))
+           (list_size (int_range 0 120) gen_model_commit)))
+    (fun (before, burst, after) ->
+      with_scratch (fun dir ->
+          let store, _ = Shard_store.open_store ~dir ~site:0 ~shards:2 () in
+          let model = Hashtbl.create 8 and rids = Hashtbl.create 4 in
+          let held = ref [] and op = ref 0 in
+          let commit (k, value, client, req) =
+            let key = model_keys.(k) in
+            incr op;
+            let value =
+              match (value, Hashtbl.find_opt model key) with
+              | Fresh v, _ -> v
+              | Repeat, Some (prior : Shard_store.state) -> prior.value
+              | Repeat, None -> None
+            in
+            let st =
+              { Shard_store.op_no = !op; version = !op / 2;
+                partition = Site_set.of_int_unsafe (!op land 15);
+                data_version = !op / 3; value }
+            in
+            Shard_store.commit store ~key
+              ~rid:(if client = 0 then 0 else mk_rid ~client ~req)
+              st;
+            Hashtbl.replace model key st;
+            (match Hashtbl.find_opt rids client with
+            | _ when client = 0 -> ()
+            | Some seen when seen >= req -> ()
+            | _ -> Hashtbl.replace rids client req);
+            held := (Shard_store.lookup store key, st) :: !held
+          in
+          List.iter commit before;
+          Option.iter
+            (fun k ->
+              for i = 1 to 1100 do
+                let value =
+                  if i mod 100 = 0 then Fresh model_pool.(i / 100 mod Array.length model_pool)
+                  else Repeat
+                in
+                commit (k, value, i mod 4, i)
+              done)
+            burst;
+          List.iter commit after;
+          let model_rids =
+            List.sort compare (Hashtbl.fold (fun c r acc -> (c, r) :: acc) rids [])
+          in
+          let matches states =
+            List.length states = Hashtbl.length model
+            && List.for_all
+                 (fun (key, st) ->
+                   match Hashtbl.find_opt model key with
+                   | Some m -> same_state st m
+                   | None -> false)
+                 states
+          in
+          let agrees store =
+            Array.for_all
+              (fun key ->
+                match (Shard_store.lookup store key, Hashtbl.find_opt model key) with
+                | None, None -> true
+                | Some got, Some m -> same_state got m
+                | _ -> false)
+              model_keys
+            && (let seen = ref [] in
+                Shard_store.iter store (fun key st -> seen := (key, st) :: !seen);
+                matches !seen)
+            && Shard_store.rid_list store = model_rids
+          in
+          let live_ok =
+            agrees store
+            && (burst = None || Shard_store.compactions store >= 1)
+          in
+          Shard_store.close store;
+          let store, scan = Shard_store.open_store ~dir ~site:0 ~shards:2 () in
+          let reopened_ok =
+            agrees store
+            && scan.Shard_store.keys = Hashtbl.length model
+            && scan.Shard_store.corrupt = 0 && scan.Shard_store.torn_shards = 0
+            && scan.Shard_store.rids = model_rids
+          in
+          Shard_store.close store;
+          let states, corrupt = Shard_store.read_states ~dir ~site:0 in
+          live_ok && reopened_ok && corrupt = 0 && matches states
+          && List.for_all
+               (fun (got, st) -> match got with Some got -> same_state got st | None -> false)
+               !held))
 
 (* --- Shard_map ------------------------------------------------------- *)
 
@@ -732,6 +912,9 @@ let suite =
       test_store_torn_tail;
     Alcotest.test_case "store: mid-log damage surfaced" `Quick
       test_store_midlog_corruption;
+    Alcotest.test_case "store: a frame that fails to decode changes nothing" `Quick
+      test_store_bad_frame_untouched;
+    prop_store_model;
     Alcotest.test_case "store: hot key compacts without forgetting" `Quick
       test_store_compaction;
     Alcotest.test_case "map: LRU bounds residency" `Quick test_map_lru;
