@@ -620,7 +620,7 @@ module Obs_trace = Dynvote_obs.Trace
 module Obs_hub = Dynvote_obs.Hub
 
 let live_sites =
-  let doc = "Number of replica sites (one server thread each)." in
+  let doc = "Number of replica sites (one site loop steps them all)." in
   Arg.(value & opt int 4 & info [ "sites" ] ~docv:"N" ~doc)
 
 let live_policy =
@@ -953,9 +953,9 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Run a live replicated KV cluster: one server thread per site behind \
-          real sockets, a console for client operations (put/get/recover), \
-          fault injection (partition/heal/kill/restart, plus storage faults \
+         "Run a live replicated KV cluster: every site behind a real socket, \
+          all stepped by one site loop, a console for client operations \
+          (put/get/recover), fault injection (partition/heal/kill/restart, plus storage faults \
           via --fault and the fault/crash-sim commands), and an on-demand \
           safety audit that replays every node's on-disk operation log \
           through the oracle.")
@@ -1081,9 +1081,19 @@ let loadgen_cmd =
           pp_q (h, 0.50) pp_q (h, 0.95) pp_q (h, 0.99))
       [ ("reads", "loadgen.read.seconds"); ("writes", "loadgen.write.seconds") ];
     if net_stats then begin
-      Fmt.pr "loop %s: %d wakeups@." (Live.backend cluster)
-        (Obs_metrics.counter_value
-           (Obs_metrics.counter m "net.loop.wakeups"));
+      (* Both loops' wakeups per operation: the broker's and the
+         sites' own. *)
+      let ops =
+        result.Loadgen.reads.Loadgen.issued + result.Loadgen.writes.Loadgen.issued
+      in
+      let wakeups name =
+        let n = Obs_metrics.counter_value (Obs_metrics.counter m name) in
+        (n, float_of_int n /. float_of_int (max 1 ops))
+      in
+      let broker, broker_per_op = wakeups "net.loop.wakeups"
+      and sites, sites_per_op = wakeups "live.loop.wakeups" in
+      Fmt.pr "loop %s: %d wakeups (%.2f per op); sites: %d wakeups (%.2f per op)@."
+        (Live.backend cluster) broker broker_per_op sites sites_per_op;
       List.iter
         (fun (label, name) ->
           let h = Obs_metrics.histogram m name in

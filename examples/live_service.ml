@@ -1,6 +1,7 @@
 (* The live service, end to end: a three-plus-one-site replicated KV
-   store where every site is a real server thread behind a loopback
-   socket, every client operation is a genuine request/reply exchange
+   store where every site is a real server behind a loopback socket (one
+   site loop steps them all), every client operation is a genuine
+   request/reply exchange
    running the paper's coordinator protocol, and every fault is injected
    live into the connection fabric.
 

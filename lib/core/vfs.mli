@@ -15,8 +15,8 @@ exception Fault of { op : string; path : string; reason : string }
 
 exception Crash_point of { op : string; path : string }
 (** Raised by a fault plan that simulates the whole process dying at
-    this exact storage operation; the node thread converts it to its
-    kill exception so the unwind is indistinguishable from a crash. *)
+    this exact storage operation; the node converts it to its kill
+    exception so the unwind is indistinguishable from a crash. *)
 
 type file = {
   write : Bytes.t -> int -> int -> int;

@@ -12,8 +12,8 @@
      fsync promotes them.  simulate_crash then forces the real files
      back to their shadows.
 
-   All state is mutex-guarded: node threads run operations while the
-   harness arms triggers and reads stats. *)
+   All state is mutex-guarded: the site loop and its syncer threads run
+   operations while the harness arms triggers and reads stats. *)
 
 module Storage = Dynvote_chaos.Fault_plan.Storage
 module Splitmix64 = Dynvote_prng.Splitmix64

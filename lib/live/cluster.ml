@@ -1,5 +1,6 @@
-(* Wiring a real cluster out of the pieces: switchboard + node threads +
-   client connections, plus the two things only an orchestrator can own —
+(* Wiring a real cluster out of the pieces: switchboard + the site loop
+   that steps every node + client connections, plus the two things only
+   an orchestrator can own —
    the global sequence stamp that orders log records across nodes, and
    the end-of-run audit that merges those logs and replays them through
    the safety oracle. *)
@@ -23,7 +24,7 @@ type t = {
   sw : Switchboard.t;
   vfs_of : Site_set.site -> Vfs.t;
   nodes : (Site_set.site, Node.t) Hashtbl.t;
-  threads : (Site_set.site, Thread.t) Hashtbl.t;
+  sites : Site_loop.t;
   next_seq : unit -> int;
 }
 
@@ -49,23 +50,15 @@ let boot t site ~was_restarted =
   in
   Hashtbl.replace t.nodes site node
 
-let serve t site =
-  Hashtbl.replace t.threads site (Thread.create Node.serve (Hashtbl.find t.nodes site))
+let serve t site = Site_loop.add t.sites (Hashtbl.find t.nodes site)
 
-let join_thread t site =
-  match Hashtbl.find_opt t.threads site with
-  | Some thread ->
-      Thread.join thread;
-      Hashtbl.remove t.threads site
-  | None -> ()
-
-(* Stopping the switchboard closes every node's connection, so each node
-   thread ends on EOF; they are reaped even when the broker died of an
-   exception, which is then re-raised. *)
+(* Stopping the switchboard closes every node's connection; the site
+   loop then stops and closes every node it still holds, even when the
+   broker died of an exception, which is then re-raised. *)
 let shutdown t =
   Fun.protect
     ~finally:(fun () ->
-      Site_set.iter (fun site -> join_thread t site) t.universe;
+      Site_loop.shutdown t.sites;
       Hashtbl.reset t.nodes)
     (fun () -> Switchboard.shutdown t.sw)
 
@@ -73,15 +66,16 @@ let create ?(flavor = Decision.ldv_flavor) ?(segment_of = fun s -> s)
     ?(config = Node.default_config) ?(client_timeout = 10.0)
     ?(obs = Hub.create ()) ?(vfs_of = fun _ -> Vfs.real) ~universe ~dir () =
   let sw = Switchboard.create ~obs ~universe ~segment_of () in
-  let seq = ref 0 in
-  let seq_mutex = Mutex.create () in
-  let next_seq () =
-    Mutex.lock seq_mutex;
-    incr seq;
-    let v = !seq in
-    Mutex.unlock seq_mutex;
-    v
+  let sites =
+    try Site_loop.create ~obs ~clock:config.Node.clock ()
+    with e ->
+      Switchboard.shutdown sw;
+      raise e
   in
+  (* Every stamp is taken on the site loop's thread, but the counter is
+     an [Atomic] all the same: unique and increasing from any thread. *)
+  let seq = Atomic.make 0 in
+  let next_seq () = Atomic.fetch_and_add seq 1 + 1 in
   let t =
     {
       universe;
@@ -94,68 +88,65 @@ let create ?(flavor = Decision.ldv_flavor) ?(segment_of = fun s -> s)
       sw;
       vfs_of;
       nodes = Hashtbl.create 8;
-      threads = Hashtbl.create 8;
+      sites;
       next_seq;
     }
   in
   (* A site with a shards directory restarts from it; one without is new
      and starts from the paper's initial state.  Every site boots before
-     any serves, so the floors below are read before the first stamp or
-     client id is handed out.  A site that fails to seed, boot or serve
-     takes the half-built cluster down with it: the booted nodes close
-     their files and connections, the switchboard is joined, and the
-     site's error is the one raised. *)
-  try
-    Site_set.iter
-      (fun site ->
-        let existed = Sys.file_exists (Shard_store.shards_dir ~dir ~site) in
-        if not existed then Node.seed ~dir ~site ~universe ~config;
-        boot t site ~was_restarted:existed)
-      universe;
-    (* Resuming over old logs: the global stamp must keep growing, or the
-       merged replay would interleave the incarnations.  Client endpoint
-       ids must not be recycled either — the persisted dedup tables are
-       keyed by them, so a fresh client under a reused id would see its
-       first writes acknowledged as duplicates of the previous
-       incarnation's.  Each node's boot scan of its oplog yields both
-       floors.  The oplogs are never fsynced but the shard logs are:
-       after a power cut of the whole cluster a client's id may survive
-       only in the applied-request tables the nodes just recovered, which
-       {!Node.max_client} covers too. *)
-    let seq0, seen =
-      Hashtbl.fold
-        (fun _ node (seq, client) ->
-          (max seq (Node.max_seq node), max client (Node.max_client node)))
-        t.nodes
-        (0, Wire.first_client_id - 1)
-    in
-    seq := seq0;
-    Switchboard.reserve_clients sw ~upto:seen;
-    Site_set.iter (serve t) universe;
-    t
-  with e ->
-    let bt = Printexc.get_raw_backtrace () in
-    Hashtbl.iter
-      (fun site node -> if not (Hashtbl.mem t.threads site) then Node.close node)
-      t.nodes;
-    (try shutdown t with _ -> ());
-    Printexc.raise_with_backtrace e bt
+     any joins the site loop, so the floors below are read before the
+     first stamp or client id is handed out.  A site that fails to seed
+     or boot takes the half-built cluster down with it: the booted nodes
+     close their files and connections, the loop stops, the switchboard
+     is joined, and the site's error is the one raised. *)
+  (try
+     Site_set.iter
+       (fun site ->
+         let existed = Sys.file_exists (Shard_store.shards_dir ~dir ~site) in
+         if not existed then Node.seed ~dir ~site ~universe ~config;
+         boot t site ~was_restarted:existed)
+       universe;
+     (* Resuming over old logs: the global stamp must keep growing, or the
+        merged replay would interleave the incarnations.  Client endpoint
+        ids must not be recycled either — the persisted dedup tables are
+        keyed by them, so a fresh client under a reused id would see its
+        first writes acknowledged as duplicates of the previous
+        incarnation's.  Each node's boot scan of its oplog yields both
+        floors.  The oplogs are never fsynced but the shard logs are:
+        after a power cut of the whole cluster a client's id may survive
+        only in the applied-request tables the nodes just recovered, which
+        {!Node.max_client} covers too. *)
+     let seq0, seen =
+       Hashtbl.fold
+         (fun _ node (seq, client) ->
+           (max seq (Node.max_seq node), max client (Node.max_client node)))
+         t.nodes
+         (0, Wire.first_client_id - 1)
+     in
+     Atomic.set seq seq0;
+     Switchboard.reserve_clients sw ~upto:seen
+   with e ->
+     let bt = Printexc.get_raw_backtrace () in
+     Hashtbl.iter (fun _ node -> Node.close node) t.nodes;
+     (try shutdown t with _ -> ());
+     Printexc.raise_with_backtrace e bt);
+  Site_set.iter (serve t) universe;
+  t
 
 (* --- fault injection ------------------------------------------------ *)
 
 let partition t groups = Switchboard.partition t.sw groups
 let heal t = Switchboard.heal t.sw
 
+(* The severed site dies in the loop on its closed socket; waiting for
+   its close means no two incarnations ever share an oplog channel. *)
 let kill t site =
   Switchboard.crash t.sw site;
-  join_thread t site;
+  Site_loop.await_closed t.sites site;
   Hashtbl.remove t.nodes site
 
 let restart t site =
-  (* The struck thread (if any) exits on its closed socket; reap it so
-     two incarnations never share an oplog channel. *)
-  Switchboard.crash t.sw site;
-  join_thread t site;
+  kill t site;
   Hub.event t.hub (Trace.Restart { site });
   boot t site ~was_restarted:true;
   serve t site

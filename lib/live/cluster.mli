@@ -1,5 +1,6 @@
-(** Orchestration of a live cluster: the switchboard, one server thread
-    per site, client connections, fault injection, and the end-of-run
+(** Orchestration of a live cluster: the switchboard, the site loop that
+    steps every site ({!Site_loop}), client connections, fault
+    injection, and the end-of-run
     safety audit that replays every node's on-disk operation log through
     the chaos {!Dynvote_chaos.Oracle}.
 
@@ -20,15 +21,16 @@ val create :
   dir:string ->
   unit ->
   t
-(** Start the switchboard, boot every site, then start one node thread
-    per site.  A site whose shard logs already exist restarts from them
+(** Start the switchboard and the site loop, boot every site, then hand
+    every site to the loop.  A site whose shard logs already exist restarts from them
     (and is not fresh until its next commit); otherwise it is seeded
     ({!Node.seed}) with the paper's initial state (o = v = 1, P =
     universe, an empty store at data version 1).  [client_timeout]
     (default 10 s) bounds every client call.  When any site fails to
-    seed, boot or start, the sites already booted are closed and the
-    switchboard is shut down before that site's exception propagates:
-    a failed [create] holds no descriptor, thread or domain.
+    seed or boot, the sites already booted are closed, and the loop and
+    the switchboard are shut down before that site's exception
+    propagates: a failed [create] holds no descriptor, thread or
+    domain.
 
     Over an old directory the cluster resumes past the previous
     incarnation: its global stamp starts above every {!Node.max_seq}
@@ -87,19 +89,21 @@ val partition : t -> Site_set.t list -> unit
 val heal : t -> unit
 
 val kill : t -> Site_set.site -> unit
-(** Sever the node's socket and join its thread: a process kill.  All
-    volatile state (locks, resident objects) dies; the shard logs and
-    the oplog survive. *)
+(** Sever the node's socket and wait until the site loop has closed it:
+    a process kill.  All volatile state (locks, resident objects) dies;
+    the shard logs and the oplog survive.  A node whose fsync is out
+    closes once the fsync returns. *)
 
 val restart : t -> Site_set.site -> unit
-(** Boot a fresh node thread for a killed site from its on-disk state.
-    The node claims no freshness until it applies a commit; lost shard
-    logs leave it amnesiac (see {!Node.boot}). *)
+(** {!kill} the site if it runs, then boot a fresh node for it from its
+    on-disk state and hand it to the site loop.  The node claims no
+    freshness until it applies a commit; lost shard logs leave it
+    amnesiac (see {!Node.boot}). *)
 
 val kill_async : t -> Site_set.site -> unit
-(** {!kill} without joining the victim's thread — safe to call from a
-    commit hook running {e inside} another node's thread.  {!restart}
-    reaps the thread. *)
+(** {!kill} without waiting for the site loop to close the victim —
+    safe to call from a commit hook, which runs {e on} the site loop.
+    {!restart} waits for the close. *)
 
 val set_commit_hook :
   t -> Site_set.site -> (sent:int -> total:int -> unit) option -> unit
@@ -111,8 +115,9 @@ val set_commit_hook :
 val strike_after : t -> Site_set.site -> int -> unit
 (** Arm the deterministic mid-commit killer: the next COMMIT wave this
     site coordinates raises {!Node.Killed} after its [n]-th send, so
-    only a prefix of the recipients hears the commit.  The thread dies
-    exactly as under {!kill}; pair with {!restart}. *)
+    only a prefix of the recipients hears the commit.  The site dies
+    exactly as under {!kill}, and the loop's other sites carry on; pair
+    with {!restart}. *)
 
 (** {2 Clients} *)
 
@@ -214,5 +219,6 @@ val remove_dir : string -> unit
 
 val shutdown : t -> unit
 (** Close every connection, stop the broker and join its domain, then
-    join all node threads.  The node threads are joined even when the
-    broker died of an exception; that exception is re-raised after. *)
+    stop the site loop once every site has closed on its connection's
+    EOF, and join it.  The loop is stopped even when the broker died of
+    an exception; that exception is re-raised after. *)

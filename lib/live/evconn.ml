@@ -140,7 +140,7 @@ let rec flush t =
    loop; a level-triggered wait re-signals whatever is left. *)
 let read_budget = 4
 
-let on_readable t =
+let on_readable ?(budget = read_budget) t =
   let frames = ref [] in
   let drain () =
     let continue = ref true in
@@ -165,7 +165,7 @@ let on_readable t =
       | Vio.Read_intr -> read_loop budget
       | Vio.Read_eof -> `Eof
   in
-  let status = read_loop read_budget in
+  let status = read_loop budget in
   (List.rev !frames, status)
 
 (* --- blocking use --------------------------------------------------------

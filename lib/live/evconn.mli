@@ -65,11 +65,14 @@ val queued_frames : t -> int
 
 (** {2 Reading} *)
 
-val on_readable : t -> (Wire.envelope, string) result list * [ `Open | `Eof ]
+val on_readable :
+  ?budget:int -> t -> (Wire.envelope, string) result list * [ `Open | `Eof ]
 (** Drain the transport (bounded per call, for loop fairness — a
     level-triggered loop re-signals leftover bytes) and return every
-    complete frame, in order.  A decode [Error] means the stream is
-    garbage; the caller severs.  [`Eof] may still carry final frames. *)
+    complete frame, in order.  [budget] (default 4) bounds the reads
+    per call; reading stops earlier at the first that would block.  A
+    decode [Error] means the stream is garbage; the caller severs.
+    [`Eof] may still carry final frames. *)
 
 val recv :
   ?clock:(unit -> float) ->

@@ -1,13 +1,18 @@
-(* One live site.  The node is a single thread on one switchboard
-   connection.  It serves the peer protocol, and it coordinates client
-   requests the way the paper's coordinator does: one operation at a
-   time, taken in arrival order from one FIFO request queue.  The running
-   operation is an effect-suspended computation: where it would block on
-   the network it performs [Await] and parks — at most one continuation
-   is ever parked — while the loop keeps reading the connection, serving
-   peer requests and queueing client requests, until the frame it waits
-   for (or its deadline) resumes it.  No two operations of one
-   coordinator overlap their rounds.
+(* One live site, as a step machine.  The node owns one switchboard
+   connection but no thread: its caller hands it the frames read off that
+   connection ({!take}), lets it run ({!settle}: the request queue, the
+   coalesced commits, the outbound frames), fires its due deadline
+   ({!expire}) and asks when that falls ({!next_deadline}), until it
+   {!close}s.  The live caller is {!Site_loop}, which steps every local
+   site on one thread.  The node serves the peer protocol, and it
+   coordinates client requests the way the paper's coordinator does:
+   one operation at a time, taken in arrival order from one FIFO request
+   queue.  The running operation is an effect-suspended computation:
+   where it would block on the network it performs [Await] and parks —
+   at most one continuation is ever parked — while the node keeps taking
+   frames, serving peer requests and queueing client requests, until the
+   frame it waits for (or its deadline) resumes it.  No two operations
+   of one coordinator overlap their rounds.
 
    An operation is the paper's START/COMMIT exchange: one START frame
    to every peer takes the locks of the operation's objects and brings
@@ -64,7 +69,15 @@
    volatile-first and persisted once — which is crash-equivalent to
    applying the prefix that reached disk.
 
-   Storage failures never kill the thread and never produce a lie: a
+   The fsync is the one step a node does not run itself: a durable
+   flush writes its records and stops, the caller runs {!sync} off its
+   thread, and {!synced} runs the flush's tail.  Until then the node
+   takes no frame — nothing it answers may rest on a commit that is not
+   yet durable — though what it queued before the flush may still
+   leave, and an operation whose own commit is in that flush parks at
+   the end of its COMMIT wave.
+
+   Storage failures never kill the site and never produce a lie: a
    persist that faults mid-way rolls the volatile state back and fences
    the site into degraded (read-only) mode — silent to gathers, refusing
    commits and client coordination — because a site that cannot persist
@@ -302,6 +315,22 @@ type start_answer =
   | Refused  (* a rival holds a lock; it keeps none *)
   | Abstained  (* fenced: no lock, no vote *)
 
+(* A commit flush whose records are written: what its tail needs once
+   the fsync has answered.  [applied] is in arrival order, [rollback]
+   latest-first; [awaited] marks the flush of the running operation's
+   own commit, which parks until the tail has run, and [holds] one
+   whose outbound frames wait for it too. *)
+type flush = {
+  applied : (string * int * int * Site_set.t * int * Shard_store.state) list;
+  rollback : (Shard_map.entry * Replica.t * int * string option) list;
+  rollback_rids : int IMap.t;
+  rollback_fresh : bool;
+  rollback_amnesiac : bool;
+  pinned : Shard_map.entry list;
+  mutable awaited : bool;
+  mutable holds : bool;
+}
+
 type t = {
   site : Site_set.site;
   universe : Site_set.t;
@@ -345,6 +374,10 @@ type t = {
   commit_batch : (string * int * int * Site_set.t * string option * int) Queue.t;
   (* The STARTs whose locks the batched commits release once applied. *)
   mutable releases : int list;
+  (* Frames taken and not yet handled, oldest first: they wait here
+     while [syncing] holds a flush whose fsync is out. *)
+  inbox : Wire.envelope Queue.t;
+  mutable syncing : flush option;
 }
 
 let sharded t = t.config.shards > 0
@@ -403,6 +436,11 @@ let plural n = if n = 1 then "" else "s"
 
 let shard_count config = max 1 config.shards
 
+(* The one fsync of a site's shard logs.  A syncer thread runs it
+   through {!sync}, off the site loop; the seed below runs it before the
+   site first boots. *)
+let sync_store store = Shard_store.fsync store
+
 (* A new site's stable record: the one object's initial state (every
    copy current, one partition), durable before the site first boots.
    It marks the store as the site's own at every [shards] setting. *)
@@ -417,7 +455,7 @@ let seed ~dir ~site ~universe ~config =
           data_version = 1;
           value = None;
         };
-      Shard_store.fsync store)
+      sync_store store)
 
 (* Dial the switchboard on [port] and register as [site]. *)
 let connect ~site ~config ~port =
@@ -540,19 +578,22 @@ let boot ~site ~universe ~flavor ~segment_of ~config ~obs ~dir ?(vfs = Vfs.real)
       gcache = Hashtbl.create 256;
       commit_batch = Queue.create ();
       releases = [];
+      inbox = Queue.create ();
+      syncing = None;
     }
   in
   (match degraded with Some reason -> degrade t reason | None -> ());
   t
 
-(* Queue a frame; it leaves with the rest of the burst at {!drain}.  Only
-   a connection the peer already closed refuses it. *)
+(* Queue a frame; it leaves with the rest of the burst when the node
+   settles.  Only a connection the peer already closed refuses it. *)
 let send_to t dst payload =
   match Evconn.enqueue t.conn { Wire.src = t.site; dst; payload } with
   | `Ok -> ()
   | `Overflow -> raise Dead
 
-(* Push every queued frame out.  The broker side never blocks (its
+(* Push every queued frame out before returning — only the strike point
+   of a commit wave needs this.  The broker side never blocks (its
    connections are nonblocking queues), so a blocking drain here always
    completes. *)
 let drain t = if Evconn.drain t.conn = `Closed then raise Dead
@@ -636,6 +677,52 @@ let wake t due =
       Effect.Deep.continue k None
   | Some _ | None -> ()
 
+(* Park the running operation until [deadline] for a frame satisfying
+   [match_reply]; the node keeps taking frames meanwhile.  This is the
+   one suspension point. *)
+let await ?(wake_on_unlock = false) ~deadline ~match_reply () =
+  Effect.perform (Await { deadline; match_reply; wake_on_unlock })
+
+(* The locks the applied commits release, freed, and a rival backing
+   off woken, as an unlock does. *)
+let release_batch t =
+  if t.releases <> [] then begin
+    List.iter (release_op t) t.releases;
+    t.releases <- [];
+    wake t (fun _ on_unlock -> on_unlock)
+  end
+
+(* The tail of a flush, once its records are on disk (or failed to get
+   there): log each applied commit in arrival order, or roll the
+   volatile entries back and fence. *)
+let finish_flush t f result =
+  (match result with
+  | Ok () ->
+      if f.applied <> [] then
+        Metrics.observe t.ctrs.h_commit_batch (float_of_int (List.length f.applied));
+      List.iter
+        (fun (key, op_no, version, partition, rid, _) ->
+          Metrics.incr t.ctrs.c_commits_applied;
+          log t
+            (Persist.Log_kcommit
+               { seq = t.next_seq (); key; op_no; version; partition; rid }))
+        f.applied
+  | Error reason ->
+      (* [rollback] is latest-first, so an entry committed twice in this
+         batch ends restored to its oldest prior state. *)
+      List.iter
+        (fun (e, replica, data_version, value) ->
+          Shard_map.set_replica e replica;
+          Shard_map.set_data_version e data_version;
+          Shard_map.set_value e value)
+        f.rollback;
+      t.rids <- f.rollback_rids;
+      t.fresh <- f.rollback_fresh;
+      t.amnesiac <- f.rollback_amnesiac;
+      degrade t ("persist failed: " ^ reason));
+  List.iter Shard_map.unpin f.pinned;
+  refresh_kgauges t
+
 (* Monotone install, as in the paper's COMMIT: stale or duplicated
    commits can never regress an object.  Every applicable commit of the
    batch installs volatile-first into its entry, then all their records
@@ -652,7 +739,8 @@ let wake t due =
    abstains from every gather, so the only commit it can receive is its
    own RECOVER's.  A releasing commit frees its START's locks only after
    the batch is applied, and wakes a rival backing off, as an unlock
-   does. *)
+   does.  A durable batch stops once its records are written: it waits
+   in [syncing] for {!synced}, which runs the rest. *)
 let flush_commits t =
   if not (Queue.is_empty t.commit_batch) then begin
     let rollback = ref [] in
@@ -688,54 +776,40 @@ let flush_commits t =
         end
       end
     done;
-    (match List.rev !applied with
-    | [] -> ()
+    let f =
+      {
+        applied = List.rev !applied;
+        rollback = !rollback;
+        rollback_rids;
+        rollback_fresh;
+        rollback_amnesiac;
+        pinned = !pinned;
+        awaited = false;
+        holds = false;
+      }
+    in
+    match f.applied with
+    | [] -> finish_flush t f (Ok ())
     | applied -> (
         match
           storage t (fun () ->
               List.iter
-                (fun (key, _, _, _, rid, st) ->
-                  Shard_store.commit t.store ~key ~rid st)
-                applied;
-              if t.config.durable then Shard_store.fsync t.store)
+                (fun (key, _, _, _, rid, st) -> Shard_store.commit t.store ~key ~rid st)
+                applied)
         with
-        | Ok () ->
-            Metrics.observe t.ctrs.h_commit_batch
-              (float_of_int (List.length applied));
-            List.iter
-              (fun (key, op_no, version, partition, rid, _) ->
-                Metrics.incr t.ctrs.c_commits_applied;
-                log t
-                  (Persist.Log_kcommit
-                     { seq = t.next_seq (); key; op_no; version; partition; rid }))
-              applied
-        | Error reason ->
-            (* [rollback] is latest-first, so an entry committed twice in
-               this batch ends restored to its oldest prior state. *)
-            List.iter
-              (fun (e, replica, data_version, value) ->
-                Shard_map.set_replica e replica;
-                Shard_map.set_data_version e data_version;
-                Shard_map.set_value e value)
-              !rollback;
-            t.rids <- rollback_rids;
-            t.fresh <- rollback_fresh;
-            t.amnesiac <- rollback_amnesiac;
-            degrade t ("persist failed: " ^ reason)));
-    List.iter Shard_map.unpin !pinned;
-    refresh_kgauges t
+        | Ok () when t.config.durable -> t.syncing <- Some f
+        | result -> finish_flush t f result)
   end;
-  if t.releases <> [] then begin
-    List.iter (release_op t) t.releases;
-    t.releases <- [];
-    wake t (fun _ on_unlock -> on_unlock)
-  end
+  if t.syncing = None then release_batch t
 
 (* Direct apply (our own share of a commit wave): a one-element batch
-   through the same discipline. *)
+   through the same discipline.  A durable one is the operation's: its
+   fsync runs while the wave goes on, and the wave waits for it at its
+   end ({!commit_wave}). *)
 let apply_commit t ~key ~op_no ~version ~partition ~value ~rid =
   Queue.add (key, op_no, version, partition, value, rid) t.commit_batch;
-  flush_commits t
+  flush_commits t;
+  Option.iter (fun f -> f.awaited <- true) t.syncing
 
 (* --- the request queue -----------------------------------------------
 
@@ -761,7 +835,7 @@ let enqueue t ~client ~req ~key kind =
   Queue.add r t.requests;
   if Queue.length t.requests <= window t then admit t r
 
-(* The head replied, or its thread is dying — its coordination time
+(* The head replied, or its site is dying — its coordination time
    counts either way — and it leaves the queue. *)
 let retire t r =
   Metrics.observe t.ctrs.h_op (t.config.clock () -. r.admitted);
@@ -839,14 +913,8 @@ let serve_protocol t (env : Wire.envelope) =
   | Wire.Client_reply _ | Wire.Abstain _ | Wire.KStart_reply _ | Wire.KData_reply _
   | Wire.KCommit_op _ ->
       (* Stray replies of a finished or abandoned exchange.  (Commits
-         never get here: {!handle_frame} coalesces them.) *)
+         never get here: {!pump} coalesces them.) *)
       ()
-
-(* Park the running operation until [deadline] for a frame satisfying
-   [match_reply]; the loop keeps the connection drained meanwhile.  This
-   is the one suspension point. *)
-let await ?(wake_on_unlock = false) ~deadline ~match_reply () =
-  Effect.perform (Await { deadline; match_reply; wake_on_unlock })
 
 let peers t = Site_set.remove t.site t.universe
 
@@ -1117,8 +1185,18 @@ let fetch t ~key ~entry ~sources ~want_version =
 (* The COMMIT wave, under the anchor's [op].  The coordinator applies its
    own share through the same monotone install as everyone else; with
    [release] every other recipient drops the anchor's locks once it has
-   applied the commit.  The hook between sends is the crash point —
-   {!Killed} unwinds the whole thread, leaving the prefix of recipients
+   applied the commit.  A durable share's fsync runs beside the rest of
+   the wave, which parks at its end until that fsync has answered and
+   the flush's tail has run: nothing the operation does after the wave
+   — the outcome record, the reply — precedes its own commit's
+   durability.  A releasing wave leaves while the fsync runs, so the
+   participants sync it beside ours and are ready for the next
+   operation's START; a wave that keeps the anchor waits for the fsync
+   and leaves with the next operation's frames, since that operation
+   asks the participants nothing and their fsyncs would only contend
+   with ours — batched, each participant syncs several commits at
+   once.  The hook between sends is the crash point —
+   {!Killed} unwinds the whole site, leaving the prefix of recipients
    that already heard the commit, held locks to expire by lease, and no
    outcome record: exactly a coordinator dead mid-wave. *)
 let commit_wave t ~op ~release ~recipients ~key ~op_no ~version ~partition ~value ~rid =
@@ -1142,7 +1220,12 @@ let commit_wave t ~op ~release ~recipients ~key ~op_no ~version ~partition ~valu
           drain t;
           hook ~sent:!sent ~total
       | None -> ())
-    recipients
+    recipients;
+  match t.syncing with
+  | Some f when f.awaited ->
+      f.holds <- not release;
+      ignore (await ~deadline:infinity ~match_reply:(fun _ -> None) () : unit option)
+  | Some _ | None -> ()
 
 (* Our own commit wave advances the cached view in place of a fresh
    gather: every recipient now holds the committed ensemble and is
@@ -1238,7 +1321,7 @@ let client_op t ~client ~req ~key kind =
       let rec acquire i =
         match start_round t keys with
         | None when i < t.config.lock_retries ->
-            (* Back off without going deaf: the loop keeps serving
+            (* Back off without going deaf: the node keeps serving
                protocol frames, and a rival's release ends the sleep. *)
             let deadline =
               t.config.clock ()
@@ -1402,8 +1485,8 @@ let client_op t ~client ~req ~key kind =
 
 (* Start the head request: a refusal decided by what it asks, or the
    operation.  Either runs until it parks on the network or retires; the
-   handler only files the continuation — all resumption happens in the
-   loop. *)
+   handler only files the continuation — all resumption happens in a
+   step. *)
 let run_head t =
   let r = Queue.peek t.requests in
   Effect.Deep.match_with
@@ -1438,65 +1521,100 @@ let rec run_queue t =
     run_queue t
   end
 
-let next_deadline t = Option.map (fun (Parked (w, _)) -> w.deadline) t.parked
+(* --- the step interface ---------------------------------------------- *)
 
-(* One inbound frame.  Commits are deferred into the coalescing buffer;
-   everything else flushes that buffer first (observable FIFO: a state or
-   data request must see every commit that preceded it on the wire), then
-   resumes the parked operation or goes to the peer protocol. *)
-let handle_frame t (env : Wire.envelope) =
-  match env.Wire.payload with
-  | Wire.KCommit_op { op; release; key; op_no; version; partition; value; rid } ->
-      (* Any inbound commit means a rival coordinated while we were
-         unlocked, so the anchor's cached views are stale: drop them.
-         The operation only resumes after the flush, so invalidating at
-         enqueue time is the same instant.  Self-applies go through
-         {!flush_commits} directly and must NOT reset the cache: the
-         anchor's joined operations decide against it. *)
-      Hashtbl.reset t.gcache;
-      Queue.add (key, op_no, version, partition, value, rid) t.commit_batch;
-      if release then t.releases <- op :: t.releases
-  | _ ->
-      flush_commits t;
-      if not (deliver t env) then serve_protocol t env
+(* Handle the frames taken, oldest first, until none is left or a flush
+   waits on its fsync.  Commits are deferred into the coalescing buffer;
+   every other frame flushes that buffer first (observable FIFO: a START
+   or data request must see every commit that preceded it on the wire),
+   then resumes the parked operation or goes to the peer protocol.  The
+   queue runs before each frame, so a request the last frame queued
+   starts before the next frame is read. *)
+let rec pump t =
+  if t.syncing = None && not (Queue.is_empty t.inbox) then begin
+    run_queue t;
+    if t.syncing = None then begin
+      let env = Queue.peek t.inbox in
+      (match env.Wire.payload with
+      | Wire.KCommit_op { op; release; key; op_no; version; partition; value; rid } ->
+          (* Any inbound commit means a rival coordinated while we were
+             unlocked, so the anchor's cached views are stale: drop them.
+             The operation only resumes after the flush, so invalidating
+             at enqueue time is the same instant.  Self-applies go
+             through {!flush_commits} directly and must NOT reset the
+             cache: the anchor's joined operations decide against it. *)
+          ignore (Queue.pop t.inbox : Wire.envelope);
+          Hashtbl.reset t.gcache;
+          Queue.add (key, op_no, version, partition, value, rid) t.commit_batch;
+          if release then t.releases <- op :: t.releases
+      | _ ->
+          flush_commits t;
+          if t.syncing = None then begin
+            ignore (Queue.pop t.inbox : Wire.envelope);
+            if not (deliver t env) then serve_protocol t env
+          end);
+      pump t
+    end
+  end
 
-(* Volatile state dies with the thread; only the files survive. *)
+let take t frames =
+  let rec queue = function
+    | Ok env :: rest ->
+        Queue.add env t.inbox;
+        queue rest
+    | Error _ :: _ ->
+        (* The stream is garbage from here on: what came before it is
+           handled, and the site dies. *)
+        pump t;
+        raise Dead
+    | [] -> pump t
+  in
+  queue frames
+
+(* Everything a batch of frames produced — replies, commit waves,
+   protocol frames — leaves in one write once the queue has run and the
+   commits have flushed, so a parked operation always has its question
+   on the wire.  While a flush's fsync is out, what was queued before it
+   still leaves — none of it depends on the flush — unless the flush
+   holds it ({!commit_wave}). *)
+let settle t =
+  if t.syncing = None then begin
+    run_queue t;
+    flush_commits t;
+    (* The flush's releases may have woken the operation and ended it. *)
+    if t.syncing = None then run_queue t
+  end;
+  match t.syncing with
+  | Some f when f.holds -> ()
+  | Some _ | None -> if Evconn.flush t.conn = `Closed then raise Dead
+
+let expire t =
+  if t.syncing = None then wake t (fun deadline _ -> deadline <= t.config.clock ())
+
+let next_deadline t =
+  match t.parked with
+  | Some (Parked (w, _)) when t.syncing = None -> Some w.deadline
+  | Some _ | None -> None
+
+let conn t = t.conn
+let syncing t = t.syncing <> None
+let sync t = sync_store t.store
+
+(* The fsync answered: the flush's tail runs — its oplog records, its
+   releases and wakes, or the rollback and the fence — then the
+   operation parked on its own commit, then the frames that waited. *)
+let synced t result =
+  match t.syncing with
+  | None -> ()
+  | Some f ->
+      t.syncing <- None;
+      finish_flush t f (storage t (fun () -> Result.iter_error raise result));
+      release_batch t;
+      if f.awaited then wake t (fun _ _ -> true);
+      pump t
+
+(* Volatile state dies with the site; only the files survive. *)
 let close t =
   (try Persist.close_log t.oplog with Sys_error _ -> ());
   (try Shard_store.close t.store with Sys_error _ -> ());
   Evconn.close t.conn
-
-(* The node thread body: a readiness-style loop over one connection.
-   Each iteration runs the queue, drains every frame already buffered (so
-   a burst of commits coalesces into one persist), then sleeps until the
-   parked operation's deadline — or blocks outright when none is
-   parked. *)
-let serve t =
-  (try
-     while true do
-       let rec burst () =
-         run_queue t;
-         match
-           Evconn.recv ~clock:t.config.clock ~deadline:(t.config.clock ()) t.conn
-         with
-         | Ok env ->
-             handle_frame t env;
-             burst ()
-         | Error `Timeout -> ()
-         | Error (`Closed | `Corrupt _) -> raise Dead
-       in
-       burst ();
-       flush_commits t;
-       (* Everything this burst produced — replies, commit waves, protocol
-          frames — leaves in one write before the loop sleeps, so a parked
-          operation always has its question on the wire. *)
-       drain t;
-       match
-         Evconn.recv ~clock:t.config.clock ?deadline:(next_deadline t) t.conn
-       with
-       | Ok env -> handle_frame t env
-       | Error `Timeout -> wake t (fun deadline _ -> deadline <= t.config.clock ())
-       | Error (`Closed | `Corrupt _) -> raise Dead
-     done
-   with Dead | Killed | Unix.Unix_error _ -> ());
-  close t

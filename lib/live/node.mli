@@ -1,8 +1,13 @@
-(** One live site: a server thread behind a real socket, holding its
-    copies of the replicated objects — each an (o, v, P) ensemble plus a
-    value — and their volatile locks.  Objects persist in the site's
-    shard logs ({!Dynvote_shard.Shard_store}), the history in its
-    {!Persist} operation log, so a kill-and-restart recovers from disk.
+(** One live site, as a step machine: the copies of the replicated
+    objects it holds — each an (o, v, P) ensemble plus a value — their
+    volatile locks, and one switchboard connection, but no thread.
+    Objects persist in the site's shard logs
+    ({!Dynvote_shard.Shard_store}), the history in its {!Persist}
+    operation log, so a kill-and-restart recovers from disk.  Its caller
+    steps it: {!take} hands it the frames read off its connection,
+    {!settle} lets it run, {!expire} fires its due deadline and
+    {!next_deadline} says when that falls; {!Site_loop} is the caller
+    that steps every local site on one thread.
 
     There is one engine.  With [shards > 0] every client key is its own
     object; with [shards = 0] the paper's single file is one
@@ -10,17 +15,17 @@
     value map, so a put is a read-modify-write of that object and RECOVER
     applies to it.
 
-    The node serves the peer protocol (state / lock / data / commit) and
-    coordinates client operations itself, running the paper's protocol as
-    genuine request/reply exchanges: volatile lock round, broadcast
-    gather, majority-partition decision, verified data fetch, then the
-    COMMIT wave (or an ABORT that releases the locks).  While a
-    coordinator waits for its own replies it keeps serving incoming peer
-    requests on the same connection, so concurrent coordinators never
-    deadlock.  Each site coordinates one client operation at a time, in
-    arrival order; a request is refused when it would start — fenced or
-    amnesiac site, reserved key — so a site fenced while requests wait
-    starts no round for them. *)
+    The node serves the peer protocol (START / unlock / data / commit)
+    and coordinates client operations itself, running the paper's
+    protocol as genuine request/reply exchanges: one START that locks
+    and gathers, majority-partition decision, verified data fetch, then
+    the COMMIT wave that releases the locks.  While a coordinator waits
+    for its own replies it keeps serving incoming peer requests on the
+    same connection, so concurrent coordinators never deadlock.  Each
+    site coordinates one client operation at a time, in arrival order; a
+    request is refused when it would start — fenced or amnesiac site,
+    reserved key — so a site fenced while requests wait starts no round
+    for them. *)
 
 type config = {
   gather_timeout : float;
@@ -78,9 +83,15 @@ val default_config : config
 type t
 
 exception Killed
-(** Raised inside the node thread by a crash hook: the thread unwinds
-    instantly, losing all volatile state — the deterministic stand-in for
-    "the process died at this exact instant". *)
+(** Raised out of a step by a crash hook or an injected crash point: the
+    site unwinds instantly and its caller closes it, losing all volatile
+    state — the deterministic stand-in for "the process died at this
+    exact instant". *)
+
+exception Dead
+(** Raised out of a step when the node's connection is gone: the
+    switchboard severed it (a crash) or went away.  Its caller closes
+    the site. *)
 
 val seed :
   dir:string -> site:Site_set.site -> universe:Site_set.t -> config:config -> unit
@@ -118,13 +129,62 @@ val boot :
     counters, latency histogram and trace events (pass
     {!Dynvote_obs.Hub.noop} to compile them all down to a branch). *)
 
-val serve : t -> unit
-(** The node thread body: handle frames until the connection dies, then
-    {!close}. *)
+(** {2 Steps}
+
+    Each step runs on the caller's thread, and none blocks: where the
+    node would wait — for a reply, a deadline, or an fsync — it parks
+    and returns.  A step may raise {!Killed}, {!Dead} or
+    [Unix.Unix_error]; any of them ends the site, and the caller then
+    {!close}s it. *)
+
+val conn : t -> Evconn.t
+(** The switchboard connection the caller reads frames from (with
+    {!Evconn.on_readable}) and watches for writability. *)
+
+val take : t -> (Wire.envelope, string) result list -> unit
+(** Handle a batch of frames read off the connection, in order.  While a
+    flush waits on its fsync ({!syncing}), the frames queue behind it,
+    FIFO, and are handled once {!synced} has run.  A decode [Error]
+    raises {!Dead} after the frames before it are handled. *)
+
+val settle : t -> unit
+(** Run the request queue, flush the coalesced commits, and write the
+    outbound frames as far as the connection takes them ({!Evconn.flush};
+    the caller watches for writability while {!Evconn.want_write}).  A
+    node that is {!syncing} writes only what it queued before the
+    flush, and nothing while its own COMMIT wave keeps its anchor and
+    waits for the fsync. *)
+
+val expire : t -> unit
+(** Resume the parked operation if its deadline has passed on
+    [config.clock]. *)
+
+val next_deadline : t -> float option
+(** The parked operation's deadline, on [config.clock]; [None] when
+    nothing can expire (no operation parked, or the node is
+    {!syncing}). *)
+
+val syncing : t -> bool
+(** A durable commit flush has written its records and waits on its
+    fsync: the caller runs {!sync} off its own thread, and reports the
+    outcome with {!synced}.  Meanwhile the node takes no frame and
+    expires nothing. *)
+
+val sync : t -> unit
+(** The fsync of the node's shard logs, for a syncer thread: it touches
+    nothing but the files of a node that is {!syncing}.  Raises what the
+    storage raises. *)
+
+val synced : t -> (unit, exn) result -> unit
+(** Run the waiting flush's tail with the outcome of {!sync}: the oplog
+    records, the lock releases and the wakes — or, if the sync failed,
+    the rollback and the fence ({!Killed} for an injected crash point) —
+    then resume an operation whose COMMIT wave waits on its own commit,
+    then handle the frames that queued meanwhile. *)
 
 val close : t -> unit
-(** Close the node's oplog, shard logs and switchboard connection.  For a
-    node that booted but never served; {!serve} ends with it. *)
+(** Close the node's oplog, shard logs and switchboard connection.  The
+    caller must not close a node while a syncer runs {!sync} on it. *)
 
 val map_key : string
 (** The distinguished object of [shards = 0]: the empty key.  Clients of

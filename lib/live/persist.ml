@@ -106,10 +106,15 @@ let decode_record c =
       let content = Codec.value_opt c in
       Log_koutcome { seq; key; kind; granted; content; rid = Codec.u64 c }
 
-(* The stamp and request id of a record, read without building it: every
-   field check of [decode_record], with the key and the contents stepped
-   over instead of copied.  An intent has no request id (0). *)
-let decode_floors c =
+(* The highest stamp and request id a scan has met. *)
+type floors = { mutable max_seq : int; mutable max_rid : int }
+
+(* Raise [floors] to a record's stamp and request id, read without
+   building it: every field check of [decode_record], with the key and
+   the contents stepped over instead of copied, and the frame closed
+   here, so a record with trailing garbage moves neither mark.  An
+   intent has no request id (0). *)
+let decode_floors floors c =
   let tag = Codec.u8 c in
   if tag > 5 then raise (Codec.Corrupt "unknown record tag");
   let seq = Codec.u64 c in
@@ -133,7 +138,9 @@ let decode_floors c =
         | _ -> raise (Codec.Corrupt "bad value flag"));
         Codec.u64 c
   in
-  (seq, rid)
+  Codec.close_frame c;
+  if seq > floors.max_seq then floors.max_seq <- seq;
+  if rid > floors.max_rid then floors.max_rid <- rid
 
 (* A missing or unreadable oplog is an empty one: the objects' own state
    lives in the shard logs, whose loss is amnesia. *)
@@ -146,6 +153,8 @@ let scan_log ?vfs ?cut_torn_tail ~path f init =
   scan ?vfs ?cut_torn_tail ~path ~decode:decode_record f init
 
 let scan_floors ?vfs ?cut_torn_tail ~path () =
-  scan ?vfs ?cut_torn_tail ~path ~decode:decode_floors
-    (fun (max_seq, max_rid) (seq, rid) -> (max max_seq seq, max max_rid rid))
-    (0, 0)
+  let floors = { max_seq = 0; max_rid = 0 } in
+  let scan =
+    scan ?vfs ?cut_torn_tail ~path ~decode:(decode_floors floors) (fun () () -> ()) ()
+  in
+  { scan with Codec.folded = (floors.max_seq, floors.max_rid) }

@@ -72,5 +72,6 @@ val scan_floors :
 (** The highest stamp and the highest request id the log holds, by the
     same scan as {!scan_log} — the same frames rejected, the same [torn],
     [corrupt] and [valid_prefix] — without building the records: keys
-    and contents are stepped over, not copied.  A booting node's one
-    scan of its oplog. *)
+    and contents are stepped over, not copied, and each intact record
+    raises two high-water marks in place.  A booting node's one scan of
+    its oplog. *)

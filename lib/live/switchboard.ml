@@ -6,7 +6,7 @@
    immediately, even while the broker is blocked in the wait.
 
    The broker runs on its own OCaml domain, so routing never waits for
-   the runtime lock that the node threads and the clients take in turn
+   the runtime lock that the site loop and the clients take in turn
    around every socket call.  Each accepted connection is one [conn],
    unregistered (id -1) until its Hello names it.  The loop, the
    connections and the two tables that find them (by descriptor, and by
@@ -30,7 +30,8 @@
 
    Fault semantics are chosen to match what a real LAN does:
    - a partition silently eats frames crossing the cut;
-   - a crash closes the victim's socket (the node thread dies on EOF);
+   - a crash closes the victim's socket (the site loop closes the site on
+     EOF);
    - nothing is ever reordered or duplicated on a surviving path (TCP). *)
 
 module Metrics = Dynvote_obs.Metrics

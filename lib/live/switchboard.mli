@@ -12,9 +12,10 @@
     down) is silently dropped, which is what a partition looks like to
     the protocol.
 
-    {!crash} severs a site's connection: its node thread observes EOF /
-    EPIPE on its next socket operation and dies with all volatile state,
-    exactly like a killed process; only its on-disk files survive. *)
+    {!crash} severs a site's connection: the site loop observes EOF /
+    EPIPE on the site's next socket operation and closes it with all
+    volatile state, exactly like a killed process; only its on-disk
+    files survive. *)
 
 type t
 
@@ -30,8 +31,8 @@ val create :
     domain — an {!Evloop} readiness loop (epoll on Linux, poll
     elsewhere), so connection count is bounded by
     descriptors, not FD_SETSIZE.  It is the live service's one extra
-    domain: routing runs in parallel with the node threads instead of
-    taking turns with them on the caller's runtime lock.  All sites start connected and no site
+    domain: routing runs in parallel with the site loop instead of
+    taking turns with it on the caller's runtime lock.  All sites start connected and no site
     is considered up until its node registers.  Client endpoint ids
     are handed out from {!Wire.first_client_id} up (see
     {!reserve_clients}).  [stall_timeout] (default: never) reaps, on the

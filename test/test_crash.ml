@@ -609,6 +609,101 @@ let test_stamps_and_clients_resume () =
             ]))
     [ 0; 8 ]
 
+(* --- an fsync beside the site loop ------------------------------------
+
+   Every site is stepped by one loop thread, so an fsync run on that
+   thread would stall all four.  Site 3's fsyncs wait on a latch here,
+   and while one is held an operation coordinated at site 1 must still
+   be answered once its gather deadline passes.  The held site answers
+   no START meanwhile: its commit is not durable, so its ensemble must
+   not count. *)
+
+type latch = { m : Mutex.t; c : Condition.t; mutable held : bool; mutable waiting : int }
+
+(* The real filesystem, except that every fsync waits while the latch
+   is held. *)
+let latched_vfs l =
+  let wrap (f : Vfs.file) =
+    {
+      f with
+      Vfs.fsync =
+        (fun () ->
+          Mutex.lock l.m;
+          l.waiting <- l.waiting + 1;
+          while l.held do
+            Condition.wait l.c l.m
+          done;
+          l.waiting <- l.waiting - 1;
+          Mutex.unlock l.m;
+          f.Vfs.fsync ());
+    }
+  in
+  {
+    Vfs.real with
+    Vfs.create = (fun path -> wrap (Vfs.real.Vfs.create path));
+    append = (fun path -> wrap (Vfs.real.Vfs.append path));
+  }
+
+let set_latch l held =
+  Mutex.lock l.m;
+  l.held <- held;
+  Condition.broadcast l.c;
+  Mutex.unlock l.m
+
+let test_fsync_beside_the_loop () =
+  with_scratch (fun dir ->
+      let l =
+        { m = Mutex.create (); c = Condition.create (); held = false; waiting = 0 }
+      in
+      let hub = Hub.create () in
+      let vfs_of site = if site = 3 then latched_vfs l else Vfs.real in
+      let cluster =
+        Live.create ~config:crash_config ~client_timeout:1.5 ~obs:hub ~vfs_of
+          ~universe:u4 ~dir ()
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          set_latch l false;
+          Live.shutdown cluster)
+      @@ fun () ->
+      let c = Live.client cluster in
+      (* Site 3's answers to a START, as the broker saw them leave. *)
+      let answers () =
+        List.length
+          (List.filter
+             (function
+               | ( _,
+                   Trace.Frame_sent
+                     { src = 3; kind = "kstart-reply" | "lock-reply" | "abstain"; _ } ) ->
+                   true
+               | _ -> false)
+             (Trace.recent hub.Hub.trace))
+      in
+      check_status "seed" Wire.Granted (Live.put c ~at:0 ~key:"a" ~value:"1");
+      set_latch l true;
+      (* Site 3 applies this put's commit and its fsync waits on the
+         latch.  The commit reaches site 3 before any later START does:
+         coordinator 0 sent it before the reply this call returns with. *)
+      check_status "put whose commit site 3 holds" Wire.Granted
+        (Live.put c ~at:0 ~key:"a" ~value:"2");
+      let before = answers () in
+      let r = Live.put c ~at:1 ~key:"a" ~value:"3" in
+      check_status "put at 1 while site 3's fsync is held" Wire.Granted r;
+      Mutex.lock l.m;
+      let waiting = l.waiting in
+      Mutex.unlock l.m;
+      Alcotest.(check int) "site 3's fsync was still held" 1 waiting;
+      Alcotest.(check int) "site 3 answered no START while its commit was not durable"
+        before (answers ());
+      set_latch l false;
+      let audit = Live.check cluster in
+      Alcotest.(check bool) "site 3 answers once its commit is durable" true
+        (answers () > before);
+      Alcotest.(check bool) "audit safe" true (Live.safe audit);
+      let r = Live.get c ~at:3 ~key:"a" in
+      check_status "get at 3" Wire.Granted r;
+      Alcotest.(check (option string)) "site 3 serves the latest" (Some "3") r.Live.value)
+
 (* --- slow-loris guard ------------------------------------------------ *)
 
 let test_slow_loris_recv () =
@@ -788,6 +883,8 @@ let suite =
       test_client_ids_survive_oplog_loss;
     Alcotest.test_case "stamps and client ids resume past the last incarnation"
       `Quick test_stamps_and_clients_resume;
+    Alcotest.test_case "an fsync runs beside the site loop" `Quick
+      test_fsync_beside_the_loop;
     Alcotest.test_case "slow-loris recv bounded by deadline" `Quick
       test_slow_loris_recv;
     Alcotest.test_case "crash matrix cells" `Quick test_matrix_cells;

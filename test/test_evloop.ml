@@ -140,6 +140,26 @@ let test_spurious_wakeup () =
   Alcotest.(check bool) "frames after the real wakeup" true
     (eof && oks frames = sample_envelopes)
 
+(* A budget of one read takes what that read delivers and leaves the
+   rest to the next call, which a level-triggered loop makes for it; the
+   default budget reads on until the transport would block. *)
+let test_read_budget () =
+  let stream envs = String.concat "" (List.map Wire.encode envs) in
+  let first = List.hd sample_envelopes and rest = List.tl sample_envelopes in
+  let script () = [ Vio.Fake.Chunk (stream [ first ]); Vio.Fake.Chunk (stream rest) ] in
+  let fake = Vio.Fake.create ~script:(script ()) () in
+  let conn = Evconn.create (Vio.Fake.vio fake) in
+  let frames, status = Evconn.on_readable ~budget:1 conn in
+  Alcotest.(check bool) "one read, its frame" true
+    (status = `Open && oks frames = [ first ] && Vio.Fake.reads fake = 1);
+  let frames, status = Evconn.on_readable ~budget:1 conn in
+  Alcotest.(check bool) "the next call, the rest" true
+    (status = `Open && oks frames = rest && Vio.Fake.reads fake = 2);
+  let fake = Vio.Fake.create ~script:(script ()) () in
+  let frames, status = Evconn.on_readable (Evconn.create (Vio.Fake.vio fake)) in
+  Alcotest.(check bool) "the default budget reads until it would block" true
+    (status = `Open && oks frames = sample_envelopes && Vio.Fake.reads fake = 3)
+
 let test_eintr_read_retried () =
   (* EINTR is retried within the same readiness event, not treated as
      data or EOF. *)
@@ -659,6 +679,7 @@ let suite =
     prop_chunked_reassembly;
     Alcotest.test_case "decoder, one byte at a time" `Quick test_decoder_byte_by_byte;
     Alcotest.test_case "spurious wakeup reads nothing" `Quick test_spurious_wakeup;
+    Alcotest.test_case "a read budget of one" `Quick test_read_budget;
     Alcotest.test_case "EINTR on read retried" `Quick test_eintr_read_retried;
     Alcotest.test_case "a bad length word is reported once" `Quick test_bad_length_word;
     Alcotest.test_case "corrupt stream detected in order" `Quick

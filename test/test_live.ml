@@ -1002,6 +1002,96 @@ let test_create_shutdown_cycles () =
           before (open_fds ())
       done)
 
+(* --- the site loop -------------------------------------------------------
+
+   Every local site is stepped by one loop thread.  A site that dies —
+   struck mid-wave, or severed by a kill — closes alone, and a restart
+   hands the loop a fresh incarnation. *)
+
+let open_threads () = Array.length (Sys.readdir "/proc/self/task")
+
+(* Some closes finish a moment after the call that caused them: the
+   broker drops a closed client's connection on its own domain, and a
+   joined thread may linger in /proc after [Thread.join] returns.  Read
+   the count until it comes back to [n], for up to a second. *)
+let settles_to n count =
+  let rec go tries =
+    let now = count () in
+    if now = n || tries = 0 then now
+    else begin
+      Thread.delay 0.01;
+      go (tries - 1)
+    end
+  in
+  go 100
+
+(* Strike coordinator 1 after the last COMMIT send of a put: every site
+   applied it, the coordinator dies before its reply.  Only site 1
+   closes; the other three keep answering, and the restarted site
+   answers again from the same loop. *)
+let test_strike_closes_one_site () =
+  with_scratch (fun dir ->
+      let hub = Hub.create () in
+      let cluster =
+        Live.create ~config:test_config ~client_timeout:1.0 ~obs:hub ~universe:u4 ~dir ()
+      in
+      Fun.protect ~finally:(fun () -> Live.shutdown cluster) @@ fun () ->
+      let c = Live.client cluster in
+      check_status "seed" Wire.Granted (Live.put c ~at:1 ~key:"a" ~value:"1");
+      Live.strike_after cluster 1 4;
+      check_status "struck put is never answered" Wire.Aborted
+        (Live.put c ~at:1 ~key:"a" ~value:"2");
+      Alcotest.(check bool) "only site 1 is down" true
+        (Site_set.equal (ss [ 0; 2; 3 ]) (Live.up_sites cluster));
+      List.iter
+        (fun at ->
+          let r = Live.get c ~at ~key:"a" in
+          check_status (Printf.sprintf "get at %d" at) Wire.Granted r;
+          Alcotest.(check (option string))
+            (Printf.sprintf "the struck put landed everywhere (read at %d)" at)
+            (Some "2") r.Live.value)
+        [ 0; 2; 3 ];
+      check_status "put at 3 while 1 is down" Wire.Granted
+        (Live.put c ~at:3 ~key:"a" ~value:"3");
+      Live.restart cluster 1;
+      let r = Live.get c ~at:1 ~key:"a" in
+      check_status "restarted site coordinates" Wire.Granted r;
+      Alcotest.(check (option string)) "restarted site reads the latest" (Some "3")
+        r.Live.value;
+      Alcotest.(check bool) "the site loop counted its wakeups" true
+        (counter hub.Hub.metrics "live.loop.wakeups" > 0);
+      check_clean "strike closes one site" (Live.check cluster))
+
+(* Twenty kill/restart cycles of one durable site — each incarnation
+   with its own syncer thread — leave the process's descriptors and
+   threads where they started, and every audit safe. *)
+let test_kill_restart_cycles () =
+  with_scratch (fun dir ->
+      let config = { test_config with Node.durable = true } in
+      let cluster = Live.create ~config ~client_timeout:3.0 ~universe:u4 ~dir () in
+      Fun.protect ~finally:(fun () -> Live.shutdown cluster) @@ fun () ->
+      let c = Live.client cluster in
+      check_status "seed" Wire.Granted (Live.put c ~at:0 ~key:"a" ~value:"0");
+      check_status "site 2 has synced once" Wire.Granted (Live.get c ~at:2 ~key:"a");
+      let fds = open_fds () and threads = open_threads () in
+      for i = 1 to 20 do
+        let name what = Printf.sprintf "cycle %d: %s" i what in
+        Live.kill cluster 2;
+        check_status (name "put while 2 is down") Wire.Granted
+          (Live.put c ~at:0 ~key:"a" ~value:(string_of_int i));
+        Live.restart cluster 2;
+        (* RECOVER makes the stale site a recipient again, so it commits,
+           opens its shard log and starts its syncer, as before the kill. *)
+        check_status (name "recover 2") Wire.Granted (Live.recover_site c 2);
+        let r = Live.get c ~at:2 ~key:"a" in
+        check_status (name "get at the restarted site") Wire.Granted r;
+        Alcotest.(check (option string)) (name "value") (Some (string_of_int i))
+          r.Live.value;
+        check_clean (name "audit") (Live.check cluster);
+        Alcotest.(check int) (name "open descriptors") fds (settles_to fds open_fds);
+        Alcotest.(check int) (name "threads") threads (settles_to threads open_threads)
+      done)
+
 (* One verdict over an audit (Live.safe), for the CLI, the bench and the
    crash matrix alike: the one-object oracle, every key's oracle and
    exactly-once must all hold. *)
@@ -1066,6 +1156,8 @@ let suite =
     Alcotest.test_case "one audit verdict" `Quick test_audit_verdict;
     Alcotest.test_case "failed create releases everything" `Quick
       test_failed_create_releases;
+    Alcotest.test_case "a strike closes only its site" `Quick test_strike_closes_one_site;
+    Alcotest.test_case "20 kill/restart cycles" `Quick test_kill_restart_cycles;
     Alcotest.test_case "150 create/shutdown cycles" `Quick
       test_create_shutdown_cycles;
     Alcotest.test_case "soak (DYNVOTE_LIVE_SOAK)" `Slow test_soak;
