@@ -387,7 +387,8 @@ let validate results =
              ~ordering
     | kind ->
         let flavor = Option.get (Policy.flavor_of_kind kind) in
-        Voting_model.unavailability ~flavor ~fail_rate ~repair_rate ~ordering ()
+        Voting_model.unavailability
+          (Voting_model.chain ~flavor ~fail_rate ~repair_rate ~ordering ())
   in
   let table =
     Text_table.create
@@ -423,13 +424,8 @@ let reliability results =
   List.iter
     (fun r ->
       let flavor = Option.get (Policy.flavor_of_kind r.Study.kind) in
-      let exact =
-        Voting_model.period_statistics ~flavor ~fail_rate ~repair_rate ~ordering ()
-      in
-      let mttf_file =
-        Voting_model.mean_time_to_unavailability ~flavor ~fail_rate ~repair_rate
-          ~ordering ()
-      in
+      let chain = Voting_model.chain ~flavor ~fail_rate ~repair_rate ~ordering () in
+      let exact = Voting_model.period_statistics chain in
       let up_sim =
         r.Study.observed_days *. (1.0 -. r.Study.unavailability)
         /. float_of_int (max r.Study.outages 1)
@@ -440,7 +436,7 @@ let reliability results =
           Printf.sprintf "%.2f" exact.Voting_model.mean_up_days;
           Printf.sprintf "%.4f" r.Study.mean_outage_days;
           Printf.sprintf "%.4f" exact.Voting_model.mean_down_days;
-          Printf.sprintf "%.1f" mttf_file ])
+          Printf.sprintf "%.1f" (Voting_model.mean_time_to_unavailability chain) ])
     (* MCV has no dynamic chain. *)
     (List.filter (fun r -> r.Study.kind <> Policy.Mcv) results);
   Text_table.print table

@@ -340,6 +340,11 @@ let reliability_cmd =
       Fmt.epr "dynvote: reliability needs 1..6 copies@.";
       exit 2
     end;
+    let usable rate = rate > 0.0 && rate < Float.infinity in
+    if not (usable (1.0 /. mttf) && usable (1.0 /. mttr)) then begin
+      Fmt.epr "dynvote: reliability needs --mttf and --mttr positive and finite@.";
+      exit 2
+    end;
     let fail_rate = Array.make copies (1.0 /. mttf) in
     let repair_rate = Array.make copies (1.0 /. mttr) in
     let ordering = Ordering.default copies in
@@ -353,28 +358,15 @@ let reliability_cmd =
         ()
     in
     let add ?access_rate name flavor =
-      let p =
-        Voting_model.period_statistics ~flavor ?access_rate ~fail_rate ~repair_rate
-          ~ordering ()
-      in
-      let unavailability =
-        Voting_model.unavailability ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering ()
-      in
-      let mttf_file =
-        Voting_model.mean_time_to_unavailability ~flavor ?access_rate ~fail_rate
-          ~repair_rate ~ordering ()
-      in
-      let r t =
-        Voting_model.survival ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering ~t ()
-      in
+      let chain = Voting_model.chain ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering () in
+      let p = Voting_model.period_statistics chain in
       Text_table.add_row table
-        [ name;
-          Text_table.cell_float unavailability;
-          Printf.sprintf "%.2f" p.Voting_model.mean_up_days;
-          Printf.sprintf "%.4f" p.Voting_model.mean_down_days;
-          Printf.sprintf "%.1f" mttf_file;
-          Printf.sprintf "%.4f" (r 30.0);
-          Printf.sprintf "%.4f" (r 365.0) ]
+        ([ name;
+           Text_table.cell_float (Voting_model.unavailability chain);
+           Printf.sprintf "%.2f" p.Voting_model.mean_up_days;
+           Printf.sprintf "%.4f" p.Voting_model.mean_down_days;
+           Printf.sprintf "%.1f" (Voting_model.mean_time_to_unavailability chain) ]
+        @ List.map (Printf.sprintf "%.4f") (Voting_model.survival chain ~times:[ 30.0; 365.0 ]))
     in
     add "DV" Decision.dv_flavor;
     add "LDV" Decision.ldv_flavor;

@@ -61,21 +61,24 @@ let grants ~flavor ~ordering state =
     end
   end
 
-let check_rates fail_rate repair_rate =
+let check_rates ?access_rate fail_rate repair_rate =
   if Array.length fail_rate <> Array.length repair_rate then
     invalid_arg "Voting_model: rate arrays differ in length";
-  Array.iter
-    (fun r -> if r <= 0.0 then invalid_arg "Voting_model: rates must be positive")
-    fail_rate;
-  Array.iter
-    (fun r -> if r <= 0.0 then invalid_arg "Voting_model: rates must be positive")
-    repair_rate
+  let positive r =
+    if not (r > 0.0 && r < Float.infinity) then
+      invalid_arg "Voting_model: rates must be positive"
+  in
+  Array.iter positive fail_rate;
+  Array.iter positive repair_rate;
+  Option.iter positive access_rate
 
-(* The chain, defined once for every figure below: its all-up initial
-   state and its moves (a failure or repair of each site, plus the access
-   refresh of the optimistic model). *)
+type t = { ctmc : state Ctmc.t; denied : state -> bool }
+
+(* The chain, defined and walked once for every figure below: its all-up
+   initial state and its moves (a failure or repair of each site, plus
+   the access refresh of the optimistic model). *)
 let chain ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering () =
-  check_rates fail_rate repair_rate;
+  check_rates ?access_rate fail_rate repair_rate;
   let n = Array.length fail_rate in
   if n > 16 then invalid_arg "Voting_model: too many sites for exact solution";
   let everyone = (1 lsl n) - 1 in
@@ -111,33 +114,23 @@ let chain ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering () =
     | None -> ());
     !moves
   in
-  ({ up = everyone; block = everyone; fresh = everyone }, transitions)
-
-let build ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering () =
-  let initial, transitions = chain ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering () in
-  Ctmc.build ~initial ~transitions ()
+  {
+    ctmc =
+      Ctmc.explore ~initial:{ up = everyone; block = everyone; fresh = everyone } ~transitions ();
+    denied = (fun state -> not (grants ~flavor ~ordering state));
+  }
 
 (* The mass of the denied states themselves, accurate relative to its own
    size: 1 - mass(granted) would only be accurate relative to 1. *)
-let unavailability ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering () =
-  let ctmc = build ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering () in
-  Ctmc.mass ctmc (fun state -> not (grants ~flavor ~ordering state))
+let unavailability c = Ctmc.mass c.ctmc c.denied
 
 (* Reliability: mean time from the all-up start until the file first
    becomes unavailable (the paper's "reliability of access"). *)
-let mean_time_to_unavailability ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering () =
-  let initial, transitions = chain ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering () in
-  Ctmc.expected_hitting_time ~initial ~transitions
-    ~target:(fun state -> not (grants ~flavor ~ordering state))
-    ()
+let mean_time_to_unavailability c = Ctmc.expected_hitting_time c.ctmc ~target:c.denied
 
 (* Reliability function R(t): probability the file, started all-up,
    suffers no unavailability during [0, t]. *)
-let survival ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering ~t () =
-  let initial, transitions = chain ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering () in
-  Ctmc.survival ~initial ~transitions
-    ~target:(fun state -> not (grants ~flavor ~ordering state))
-    ~t ()
+let survival c ~times = Ctmc.survival c.ctmc ~target:c.denied ~times
 
 (* Renewal quantities at stationarity: the frequency of availability
    loss and the mean lengths of available / unavailable periods (the
@@ -150,24 +143,16 @@ type periods = {
   mean_down_days : float;
 }
 
-let period_statistics ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering () =
-  let initial, transitions = chain ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering () in
-  let ctmc = Ctmc.build ~initial ~transitions () in
-  let ok state = grants ~flavor ~ordering state in
-  let availability = Ctmc.mass ctmc ok in
-  let denied = Ctmc.mass ctmc (fun state -> not (ok state)) in
+let period_statistics c =
+  let availability = Ctmc.mass c.ctmc (fun state -> not (c.denied state)) in
+  let denied = Ctmc.mass c.ctmc c.denied in
   (* Probability flux from available into unavailable states. *)
-  let flux = ref 0.0 in
-  Ctmc.iter ctmc (fun state probability ->
-      if ok state then
-        List.iter
-          (fun (rate, successor) -> if not (ok successor) then flux := !flux +. (probability *. rate))
-          (transitions state));
+  let flux = Ctmc.flux c.ctmc ~target:c.denied in
   {
     availability;
-    failures_per_day = !flux;
-    mean_up_days = (if !flux = 0.0 then infinity else availability /. !flux);
-    mean_down_days = (if !flux = 0.0 then nan else denied /. !flux);
+    failures_per_day = flux;
+    mean_up_days = (if flux = 0.0 then infinity else availability /. flux);
+    mean_down_days = (if flux = 0.0 then nan else denied /. flux);
   }
 
 (* Per-site steady-state availability under exponential assumptions. *)

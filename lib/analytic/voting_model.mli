@@ -14,50 +14,33 @@ type state = { up : int; block : int; fresh : int }
 val grants : flavor:Decision.flavor -> ordering:Ordering.t -> state -> bool
 (** Would an access be granted in this state? *)
 
-val build :
-  flavor:Decision.flavor ->
-  ?access_rate:float ->
-  fail_rate:float array ->
-  repair_rate:float array ->
-  ordering:Ordering.t ->
-  unit ->
-  state Ctmc.t
-(** Rates are per day.  [access_rate] switches to the optimistic (access-
-    time refresh) model.  @raise Invalid_argument on non-positive rates or
-    more than 16 sites. *)
+type t
+(** One walked chain: the four figures below are queries on it. *)
 
-val unavailability :
+val chain :
   flavor:Decision.flavor ->
   ?access_rate:float ->
   fail_rate:float array ->
   repair_rate:float array ->
   ordering:Ordering.t ->
   unit ->
-  float
+  t
+(** Walks the chain from the all-up state.  Rates are per day.
+    [access_rate] switches to the optimistic (access-time refresh)
+    model.  @raise Invalid_argument on a rate that is not positive and
+    finite (nan included) or more than 16 sites. *)
+
+val unavailability : t -> float
 (** Steady-state probability that an access would be denied. *)
 
-val mean_time_to_unavailability :
-  flavor:Decision.flavor ->
-  ?access_rate:float ->
-  fail_rate:float array ->
-  repair_rate:float array ->
-  ordering:Ordering.t ->
-  unit ->
-  float
+val mean_time_to_unavailability : t -> float
 (** Reliability: expected days from the all-up start until an access would
     first be denied (mean first-passage time in the exact chain). *)
 
-val survival :
-  flavor:Decision.flavor ->
-  ?access_rate:float ->
-  fail_rate:float array ->
-  repair_rate:float array ->
-  ordering:Ordering.t ->
-  t:float ->
-  unit ->
-  float
-(** The reliability function R(t): probability of no unavailability during
-    [0, t] days, starting all-up (uniformization on the exact chain). *)
+val survival : t -> times:float list -> float list
+(** The reliability function R(t) at each of [times]: probability of no
+    unavailability during [0, t] days, starting all-up (one
+    uniformization pass on the exact chain for every horizon). *)
 
 type periods = {
   availability : float;
@@ -66,14 +49,7 @@ type periods = {
   mean_down_days : float;    (** mean length of an unavailable period (Table 3's exact analog) *)
 }
 
-val period_statistics :
-  flavor:Decision.flavor ->
-  ?access_rate:float ->
-  fail_rate:float array ->
-  repair_rate:float array ->
-  ordering:Ordering.t ->
-  unit ->
-  periods
+val period_statistics : t -> periods
 (** Stationary renewal quantities of the availability process. *)
 
 val site_availability : fail_rate:float array -> repair_rate:float array -> float array

@@ -16,7 +16,7 @@ let test_ctmc_two_state () =
   (* Up/down machine: fail rate l, repair rate m; availability m/(l+m). *)
   let l = 0.3 and m = 1.7 in
   let chain =
-    Ctmc.build ~initial:`Up
+    Ctmc.explore ~initial:`Up
       ~transitions:(function `Up -> [ (l, `Down) ] | `Down -> [ (m, `Up) ])
       ()
   in
@@ -28,7 +28,7 @@ let test_ctmc_birth_death () =
   (* M/M/1/3 queue: arrivals 1.0, service 2.0, capacity 3.
      pi_k = (1/2)^k * pi_0. *)
   let chain =
-    Ctmc.build ~initial:0
+    Ctmc.explore ~initial:0
       ~transitions:(fun k ->
         (if k < 3 then [ (1.0, k + 1) ] else []) @ if k > 0 then [ (2.0, k - 1) ] else [])
       ()
@@ -38,24 +38,30 @@ let test_ctmc_birth_death () =
   check_float_tol 1e-12 "pi_3" (pi0 *. 0.125) (Ctmc.probability chain 3)
 
 let test_ctmc_validation () =
-  Alcotest.check_raises "negative rate" (Invalid_argument "Ctmc.build: negative rate")
-    (fun () ->
-      ignore (Ctmc.build ~initial:0 ~transitions:(fun _ -> [ (-1.0, 1) ]) ()))
+  List.iter
+    (fun rate ->
+      Alcotest.check_raises (Printf.sprintf "rate %g" rate)
+        (Invalid_argument "Ctmc.explore: rates must be finite and non-negative") (fun () ->
+          ignore (Ctmc.explore ~initial:0 ~transitions:(fun _ -> [ (rate, 1) ]) ())))
+    [ -1.0; Float.nan; Float.infinity ]
 
 let test_ctmc_hitting_time () =
   (* Two-state machine: expected time from Up to Down is 1/l. *)
   let l = 0.25 and m = 3.0 in
   let transitions = function `Up -> [ (l, `Down) ] | `Down -> [ (m, `Up) ] in
-  check_float_tol 1e-9 "up -> down" (1.0 /. l)
-    (Ctmc.expected_hitting_time ~initial:`Up ~transitions ~target:(fun s -> s = `Down) ());
-  check_float "already there" 0.0
-    (Ctmc.expected_hitting_time ~initial:`Down ~transitions ~target:(fun s -> s = `Down) ())
+  let hitting_time initial =
+    Ctmc.expected_hitting_time (Ctmc.explore ~initial ~transitions ()) ~target:(fun s ->
+        s = `Down)
+  in
+  check_float_tol 1e-9 "up -> down" (1.0 /. l) (hitting_time `Up);
+  check_float "already there" 0.0 (hitting_time `Down)
 
 let test_ctmc_hitting_time_birth_death () =
   (* Pure birth chain 0 -> 1 -> 2 with rate 2: expected time to 2 is 1. *)
   let transitions k = if k < 2 then [ (2.0, k + 1) ] else [] in
   check_float_tol 1e-9 "two steps of mean 1/2" 1.0
-    (Ctmc.expected_hitting_time ~initial:0 ~transitions ~target:(fun k -> k = 2) ());
+    (Ctmc.expected_hitting_time (Ctmc.explore ~initial:0 ~transitions ()) ~target:(fun k ->
+         k = 2));
   (* With a backward edge the time lengthens. *)
   let transitions k =
     (if k < 2 then [ (2.0, k + 1) ] else []) @ if k = 1 then [ (2.0, 0) ] else []
@@ -63,36 +69,50 @@ let test_ctmc_hitting_time_birth_death () =
   (* From 1: rate 4 total, half restart: h1 = 1/4 + (1/2) h0; h0 = 1/2 + h1
      => h0 = 1/2 + 1/4 + h0/2 => h0 = 3/2. *)
   check_float_tol 1e-9 "with regression" 1.5
-    (Ctmc.expected_hitting_time ~initial:0 ~transitions ~target:(fun k -> k = 2) ())
+    (Ctmc.expected_hitting_time (Ctmc.explore ~initial:0 ~transitions ()) ~target:(fun k ->
+         k = 2))
 
 let test_ctmc_max_states () =
-  (* A 100-state birth-death chain against a bound of 10 states: all three
-     entry points refuse it, and within the bound it still solves. *)
+  (* A 100-state birth-death chain against a bound of 10 states: the walk,
+     the one entry point every query goes through, refuses it, and within
+     the bound it still solves. *)
   let transitions k =
     (if k < 99 then [ (1.0, k + 1) ] else []) @ if k > 0 then [ (2.0, k - 1) ] else []
   in
-  let target k = k = 99 in
-  let refuses who f =
-    Alcotest.check_raises who (Failure (who ^ ": state space too large")) f
-  in
-  refuses "Ctmc.build" (fun () ->
-      ignore (Ctmc.build ~max_states:10 ~initial:0 ~transitions ()));
-  refuses "Ctmc.survival" (fun () ->
-      ignore (Ctmc.survival ~max_states:10 ~initial:0 ~transitions ~target ~t:1.0 ()));
-  refuses "Ctmc.expected_hitting_time" (fun () ->
-      ignore (Ctmc.expected_hitting_time ~max_states:10 ~initial:0 ~transitions ~target ()));
-  Alcotest.(check int) "100 states within a bound of 100" 100
-    (Ctmc.n_states (Ctmc.build ~max_states:100 ~initial:0 ~transitions ()))
+  Alcotest.check_raises "Ctmc.explore" (Failure "Ctmc.explore: state space too large")
+    (fun () -> ignore (Ctmc.explore ~max_states:10 ~initial:0 ~transitions ()));
+  let chain = Ctmc.explore ~max_states:100 ~initial:0 ~transitions () in
+  Alcotest.(check int) "100 states within a bound of 100" 100 (Ctmc.n_states chain);
+  Alcotest.(check bool) "and it solves" true (Ctmc.probability chain 99 > 0.0)
 
 (* A birth–death chain 0..k: up at [up], down at [down]. *)
 let birth_death ~up ~down ~k i =
   (if i < k then [ (up, i + 1) ] else []) @ if i > 0 then [ (down, i - 1) ] else []
 
+let test_ctmc_one_walk () =
+  (* Every question is a query on the walked chain: after the walk, the
+     stationary law, the passage time, a flux and R at two horizons ask
+     no state for its transitions again. *)
+  let asked = Hashtbl.create 8 in
+  let transitions i =
+    Hashtbl.replace asked i (1 + Option.value ~default:0 (Hashtbl.find_opt asked i));
+    birth_death ~up:1.0 ~down:2.0 ~k:4 i
+  in
+  let chain = Ctmc.explore ~initial:0 ~transitions () in
+  let target i = i = 4 in
+  ignore (Ctmc.probability chain 0);
+  ignore (Ctmc.expected_hitting_time chain ~target);
+  ignore (Ctmc.flux chain ~target);
+  ignore (Ctmc.survival chain ~target ~times:[ 1.0; 10.0 ]);
+  Alcotest.(check (list (pair int int))) "each state asked once"
+    (List.init 5 (fun i -> (i, 1)))
+    (List.sort compare (List.of_seq (Hashtbl.to_seq asked)))
+
 let test_ctmc_tail_state () =
   (* pi_4 is 1e-12 of pi_0: the solver keeps it accurate relative to
      itself, where an elimination accurate relative to 1 is off in the
      seventh digit. *)
-  let chain = Ctmc.build ~initial:0 ~transitions:(birth_death ~up:1e-3 ~down:1.0 ~k:4) () in
+  let chain = Ctmc.explore ~initial:0 ~transitions:(birth_death ~up:1e-3 ~down:1.0 ~k:4) () in
   let expected = 1e-12 /. (1.0 +. 1e-3 +. 1e-6 +. 1e-9 +. 1e-12) in
   let pi4 = Ctmc.probability chain 4 in
   if not (close_rel ~rel:1e-9 expected pi4) then
@@ -111,8 +131,9 @@ let test_ctmc_rare_target () =
     expected := !expected +. !climb
   done;
   let mttf =
-    Ctmc.expected_hitting_time ~initial:0 ~transitions:(birth_death ~up ~down ~k)
-      ~target:(fun i -> i = k) ()
+    Ctmc.expected_hitting_time
+      (Ctmc.explore ~initial:0 ~transitions:(birth_death ~up ~down ~k) ())
+      ~target:(fun i -> i = k)
   in
   if not (close_rel ~rel:1e-9 !expected mttf) then
     Alcotest.failf "MTTF %.17g, expected %.17g" mttf !expected
@@ -123,13 +144,14 @@ let test_ctmc_unreachable_target () =
      sure to end. *)
   let transitions = function `Up -> [ (1.0, `Down) ] | _ -> [ (2.0, `Up) ] in
   check_float "no edge into the target" infinity
-    (Ctmc.expected_hitting_time ~initial:`Up ~transitions ~target:(fun s -> s = `Gone) ());
+    (Ctmc.expected_hitting_time (Ctmc.explore ~initial:`Up ~transitions ()) ~target:(fun s ->
+         s = `Gone));
   let transitions = function 0 -> [ (1.0, 1); (1.0, 2) ] | _ -> [] in
+  let chain = Ctmc.explore ~initial:0 ~transitions () in
   check_float "a trap beside the target" infinity
-    (Ctmc.expected_hitting_time ~initial:0 ~transitions ~target:(fun s -> s = 2) ());
+    (Ctmc.expected_hitting_time chain ~target:(fun s -> s = 2));
   Alcotest.check_raises "a reducible chain has no stationary distribution"
-    (Failure "Ctmc.build: reducible chain") (fun () ->
-      ignore (Ctmc.build ~initial:0 ~transitions ()))
+    (Failure "Ctmc: reducible chain") (fun () -> ignore (Ctmc.probability chain 0))
 
 (* A random chain on 0..n-1: a ring i -> i+1 keeps it irreducible, and
    each other edge is present with probability 1/2; rates in [0.1, 3]. *)
@@ -158,7 +180,7 @@ let test_ctmc_random_balance () =
   let rng = Dynvote_prng.Rng.create ~seed:21L () in
   for _ = 1 to 20 do
     let n, rates, transitions = random_chain rng in
-    let chain = Ctmc.build ~initial:0 ~transitions () in
+    let chain = Ctmc.explore ~initial:0 ~transitions () in
     Alcotest.(check int) "every state reached" n (Ctmc.n_states chain);
     let pi = Array.init n (Ctmc.probability chain) in
     check_float_tol 1e-12 "mass sums to one" 1.0 (Array.fold_left ( +. ) 0.0 pi);
@@ -181,7 +203,10 @@ let test_ctmc_random_passage () =
   for _ = 1 to 20 do
     let n, rates, transitions = random_chain rng in
     let target j = j = n - 1 in
-    let h = Array.init n (fun i -> Ctmc.expected_hitting_time ~initial:i ~transitions ~target ()) in
+    let h =
+      Array.init n (fun i ->
+          Ctmc.expected_hitting_time (Ctmc.explore ~initial:i ~transitions ()) ~target)
+    in
     check_float "zero at the target" 0.0 h.(n - 1);
     for i = 0 to n - 2 do
       let rhs = ref 1.0 in
@@ -196,21 +221,29 @@ let test_ctmc_random_passage () =
 
 let test_survival_single_copy () =
   (* One copy: R(t) = exp(-lambda t), independent of the repair rate. *)
-  let survival t =
-    Voting_model.survival ~flavor:Decision.ldv_flavor ~fail_rate:[| 0.1 |]
-      ~repair_rate:[| 2.0 |] ~ordering:(Ordering.default 1) ~t ()
+  let chain =
+    Voting_model.chain ~flavor:Decision.ldv_flavor ~fail_rate:[| 0.1 |]
+      ~repair_rate:[| 2.0 |] ~ordering:(Ordering.default 1) ()
   in
+  let survival t = List.hd (Voting_model.survival chain ~times:[ t ]) in
   check_float_tol 1e-9 "R(0)" 1.0 (survival 0.0);
   check_float_tol 1e-8 "R(5)" (exp (-0.5)) (survival 5.0);
   check_float_tol 1e-8 "R(30)" (exp (-3.0)) (survival 30.0);
   (* Large horizons must not underflow to garbage. *)
-  check_float_tol 1e-9 "R(400) ~ e^-40" (exp (-40.0)) (survival 400.0)
+  check_float_tol 1e-9 "R(400) ~ e^-40" (exp (-40.0)) (survival 400.0);
+  (* Every horizon asked in one call, in any order, reads the same. *)
+  let times = [ 400.0; 0.0; 30.0; 5.0 ] in
+  Alcotest.(check (list (float 0.0))) "one call" (List.map survival times)
+    (Voting_model.survival chain ~times)
 
 let test_survival_monotone_and_ordered () =
   let fail_rate = [| 0.1; 0.1; 0.1 |] and repair_rate = [| 1.0; 1.0; 1.0 |] in
   let ordering = Ordering.default 3 in
   let r flavor t =
-    Voting_model.survival ~flavor ~fail_rate ~repair_rate ~ordering ~t ()
+    List.hd
+      (Voting_model.survival
+         (Voting_model.chain ~flavor ~fail_rate ~repair_rate ~ordering ())
+         ~times:[ t ])
   in
   (* Decreasing in t. *)
   let prev = ref 1.0 in
@@ -230,24 +263,28 @@ let test_survival_consistent_with_mttf () =
   (* Integral of R(t) dt = MTTF; check with a coarse trapezoid. *)
   let fail_rate = [| 0.2; 0.2 |] and repair_rate = [| 2.0; 2.0 |] in
   let ordering = Ordering.default 2 in
-  let flavor = Decision.ldv_flavor in
-  let r t = Voting_model.survival ~flavor ~fail_rate ~repair_rate ~ordering ~t () in
-  let mttf =
-    Voting_model.mean_time_to_unavailability ~flavor ~fail_rate ~repair_rate ~ordering ()
+  let chain =
+    Voting_model.chain ~flavor:Decision.ldv_flavor ~fail_rate ~repair_rate ~ordering ()
   in
+  let mttf = Voting_model.mean_time_to_unavailability chain in
   let dt = 0.25 in
+  let r =
+    Array.of_list
+      (Voting_model.survival chain ~times:(List.init 4001 (fun i -> float_of_int i *. dt)))
+  in
   let integral = ref 0.0 in
-  let t = ref 0.0 in
-  while r !t > 1e-6 && !t < 1000.0 do
-    integral := !integral +. (dt *. ((r !t +. r (!t +. dt)) /. 2.0));
-    t := !t +. dt
+  let i = ref 0 in
+  while r.(!i) > 1e-6 && !i < 4000 do
+    integral := !integral +. (dt *. ((r.(!i) +. r.(!i + 1)) /. 2.0));
+    incr i
   done;
   Alcotest.(check bool) "integral of R ~ MTTF" true (close_rel ~rel:0.02 mttf !integral)
 
 let test_period_statistics_single_copy () =
   let p =
-    Voting_model.period_statistics ~flavor:Decision.ldv_flavor ~fail_rate:[| 0.1 |]
-      ~repair_rate:[| 0.5 |] ~ordering:(Ordering.default 1) ()
+    Voting_model.period_statistics
+      (Voting_model.chain ~flavor:Decision.ldv_flavor ~fail_rate:[| 0.1 |]
+         ~repair_rate:[| 0.5 |] ~ordering:(Ordering.default 1) ())
   in
   check_float_tol 1e-9 "availability" (0.5 /. 0.6) p.Voting_model.availability;
   check_float_tol 1e-9 "mean up = MTTF" 10.0 p.Voting_model.mean_up_days;
@@ -261,9 +298,9 @@ let test_period_statistics_tdv_paper () =
   let n = 3 in
   let l = 0.2 and m = 1.0 in
   let p =
-    Voting_model.period_statistics ~flavor:Decision.tdv_flavor
-      ~fail_rate:(Array.make n l) ~repair_rate:(Array.make n m)
-      ~ordering:(Ordering.default n) ()
+    Voting_model.period_statistics
+      (Voting_model.chain ~flavor:Decision.tdv_flavor ~fail_rate:(Array.make n l)
+         ~repair_rate:(Array.make n m) ~ordering:(Ordering.default n) ())
   in
   check_float_tol 1e-9 "mean down = 1/(3 mu)" (1.0 /. 3.0) p.Voting_model.mean_down_days
 
@@ -271,7 +308,8 @@ let test_mean_time_to_unavailability_ordering () =
   let fail_rate = [| 0.1; 0.1; 0.1 |] and repair_rate = [| 1.0; 1.0; 1.0 |] in
   let ordering = Ordering.default 3 in
   let mttf flavor =
-    Voting_model.mean_time_to_unavailability ~flavor ~fail_rate ~repair_rate ~ordering ()
+    Voting_model.mean_time_to_unavailability
+      (Voting_model.chain ~flavor ~fail_rate ~repair_rate ~ordering ())
   in
   let dv = mttf Decision.dv_flavor
   and ldv = mttf Decision.ldv_flavor
@@ -325,8 +363,9 @@ let test_voting_model_mcv_like () =
   (* A block that never changes is not expressible here, but with a single
      site the DV model reduces to the two-state machine. *)
   let u =
-    Voting_model.unavailability ~flavor:Decision.ldv_flavor ~fail_rate:[| 0.1 |]
-      ~repair_rate:[| 0.9 |] ~ordering:(Ordering.default 1) ()
+    Voting_model.unavailability
+      (Voting_model.chain ~flavor:Decision.ldv_flavor ~fail_rate:[| 0.1 |]
+         ~repair_rate:[| 0.9 |] ~ordering:(Ordering.default 1) ())
   in
   check_float_tol 1e-12 "single copy" 0.1 u
 
@@ -337,8 +376,9 @@ let test_voting_model_tdv_single_segment () =
      repaired non-member cannot resurrect the file by itself). *)
   let l = 0.2 and m = 2.0 in
   let u flavor =
-    Voting_model.unavailability ~flavor ~fail_rate:[| l; l; l |]
-      ~repair_rate:[| m; m; m |] ~ordering:ordering3 ()
+    Voting_model.unavailability
+      (Voting_model.chain ~flavor ~fail_rate:[| l; l; l |] ~repair_rate:[| m; m; m |]
+         ~ordering:ordering3 ())
   in
   let down = l /. (l +. m) in
   let all_down = down ** 3.0 in
@@ -359,7 +399,8 @@ let test_voting_model_tdv_single_segment () =
 let test_voting_model_flavors_ordered () =
   let fail_rate = [| 0.1; 0.2; 0.15 |] and repair_rate = [| 1.0; 0.8; 1.2 |] in
   let u flavor =
-    Voting_model.unavailability ~flavor ~fail_rate ~repair_rate ~ordering:ordering3 ()
+    Voting_model.unavailability
+      (Voting_model.chain ~flavor ~fail_rate ~repair_rate ~ordering:ordering3 ())
   in
   let dv = u Decision.dv_flavor
   and ldv = u Decision.ldv_flavor
@@ -376,14 +417,13 @@ let test_voting_model_optimistic_rate_limits () =
   (* As the access rate grows, the optimistic model approaches the
      instantaneous one. *)
   let fail_rate = [| 0.1; 0.12; 0.09 |] and repair_rate = [| 1.5; 1.1; 1.3 |] in
-  let inst =
-    Voting_model.unavailability ~flavor:Decision.ldv_flavor ~fail_rate ~repair_rate
-      ~ordering:ordering3 ()
+  let u ?access_rate () =
+    Voting_model.unavailability
+      (Voting_model.chain ~flavor:Decision.ldv_flavor ?access_rate ~fail_rate ~repair_rate
+         ~ordering:ordering3 ())
   in
-  let opt rate =
-    Voting_model.unavailability ~flavor:Decision.ldv_flavor ~access_rate:rate ~fail_rate
-      ~repair_rate ~ordering:ordering3 ()
-  in
+  let inst = u () in
+  let opt rate = u ~access_rate:rate () in
   Alcotest.(check bool) "rate 1000 ~ instantaneous" true
     (close_rel ~rel:0.02 inst (opt 1000.0));
   (* With rare accesses the quorum decorrelates from the network state;
@@ -395,11 +435,22 @@ let test_voting_model_optimistic_rate_limits () =
   Alcotest.(check bool) "still a probability" true (slow > 0.0 && slow < 1.0)
 
 let test_voting_model_validation () =
-  Alcotest.check_raises "rates positive"
-    (Invalid_argument "Voting_model: rates must be positive") (fun () ->
-      ignore
-        (Voting_model.unavailability ~flavor:Decision.dv_flavor ~fail_rate:[| 0.0 |]
-           ~repair_rate:[| 1.0 |] ~ordering:(Ordering.default 1) ()))
+  let chain ?access_rate ~fail_rate ~repair_rate () =
+    ignore
+      (Voting_model.chain ~flavor:Decision.dv_flavor ?access_rate ~fail_rate ~repair_rate
+         ~ordering:(Ordering.default 1) ())
+  in
+  List.iter
+    (fun rate ->
+      let refuses what f =
+        Alcotest.check_raises
+          (Printf.sprintf "%s %g refused" what rate)
+          (Invalid_argument "Voting_model: rates must be positive") f
+      in
+      refuses "fail rate" (chain ~fail_rate:[| rate |] ~repair_rate:[| 1.0 |]);
+      refuses "repair rate" (chain ~fail_rate:[| 1.0 |] ~repair_rate:[| rate |]);
+      refuses "access rate" (chain ~access_rate:rate ~fail_rate:[| 1.0 |] ~repair_rate:[| 1.0 |]))
+    [ 0.0; -1.0; Float.nan; Float.infinity ]
 
 (* The four figures read one chain: the renewal analysis sees the
    stationary availability, the reliability function starts at 1 and
@@ -409,32 +460,23 @@ let test_voting_model_figures_agree () =
   let fail_rate = [| 0.1; 0.2; 0.15 |] and repair_rate = [| 1.0; 0.8; 1.2 |] in
   List.iter
     (fun (name, flavor, access_rate) ->
-      let u =
-        Voting_model.unavailability ~flavor ?access_rate ~fail_rate ~repair_rate
-          ~ordering:ordering3 ()
+      let chain =
+        Voting_model.chain ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering:ordering3 ()
       in
-      let p =
-        Voting_model.period_statistics ~flavor ?access_rate ~fail_rate ~repair_rate
-          ~ordering:ordering3 ()
-      in
+      let u = Voting_model.unavailability chain in
+      let p = Voting_model.period_statistics chain in
       check_float_tol 1e-12 (name ^ ": availability = 1 - unavailability") (1.0 -. u)
         p.Voting_model.availability;
-      let r t =
-        Voting_model.survival ~flavor ?access_rate ~fail_rate ~repair_rate
-          ~ordering:ordering3 ~t ()
-      in
-      check_float (name ^ ": R(0)") 1.0 (r 0.0);
+      let times = [ 0.5; 2.0; 10.0; 50.0 ] in
+      let r = Voting_model.survival chain ~times:(0.0 :: times) in
+      check_float (name ^ ": R(0)") 1.0 (List.hd r);
       let prev = ref 1.0 in
-      List.iter
-        (fun t ->
-          let v = r t in
+      List.iter2
+        (fun t v ->
           if v > !prev +. 1e-12 then Alcotest.failf "%s: R rises at t=%g" name t;
           prev := v)
-        [ 0.5; 2.0; 10.0; 50.0 ];
-      let mttf =
-        Voting_model.mean_time_to_unavailability ~flavor ?access_rate ~fail_rate
-          ~repair_rate ~ordering:ordering3 ()
-      in
+        times (List.tl r);
+      let mttf = Voting_model.mean_time_to_unavailability chain in
       Alcotest.(check bool) (name ^ ": finite positive MTTF") true
         (mttf > 0.0 && Float.is_finite mttf))
     [ ("DV", Decision.dv_flavor, None);
@@ -488,19 +530,15 @@ let test_voting_model_dense_reference () =
       in
       let fail_rate = Array.make copies 0.1 and repair_rate = Array.make copies 1.0 in
       let ordering = Ordering.default copies in
-      let p =
-        Voting_model.period_statistics ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering ()
-      in
+      let chain = Voting_model.chain ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering () in
+      let p = Voting_model.period_statistics chain in
       let check figure expected actual =
         if not (close_rel ~rel:1e-9 expected actual) then
           Alcotest.failf "%d copies, %s, %s: %.17g, dense %.17g" copies name figure actual
             expected
       in
-      check "unavailability" unavailability
-        (Voting_model.unavailability ~flavor ?access_rate ~fail_rate ~repair_rate ~ordering ());
-      check "MTTF" mttf
-        (Voting_model.mean_time_to_unavailability ~flavor ?access_rate ~fail_rate ~repair_rate
-           ~ordering ());
+      check "unavailability" unavailability (Voting_model.unavailability chain);
+      check "MTTF" mttf (Voting_model.mean_time_to_unavailability chain);
       check "mean up" up p.Voting_model.mean_up_days;
       check "mean down" down p.Voting_model.mean_down_days)
     dense_reference
@@ -530,8 +568,8 @@ let test_simulator_matches_ctmc () =
   let fail_rate = Array.make n (1.0 /. mttf) in
   let repair_rate = Array.make n (1.0 /. mttr) in
   let expect flavor =
-    Voting_model.unavailability ~flavor ~fail_rate ~repair_rate
-      ~ordering:(Ordering.default n) ()
+    Voting_model.unavailability
+      (Voting_model.chain ~flavor ~fail_rate ~repair_rate ~ordering:(Ordering.default n) ())
   in
   let check kind flavor =
     let r = List.find (fun r -> r.Study.kind = kind) results in
@@ -577,6 +615,7 @@ let suite =
     Alcotest.test_case "ctmc hitting time (birth-death)" `Quick
       test_ctmc_hitting_time_birth_death;
     Alcotest.test_case "ctmc max_states on every entry point" `Quick test_ctmc_max_states;
+    Alcotest.test_case "ctmc: every query reads the one walk" `Quick test_ctmc_one_walk;
     Alcotest.test_case "ctmc: a 1e-12 tail state is exact" `Quick test_ctmc_tail_state;
     Alcotest.test_case "ctmc: a rare target's MTTF" `Quick test_ctmc_rare_target;
     Alcotest.test_case "ctmc: an unreachable target gives infinity" `Quick

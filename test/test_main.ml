@@ -18,7 +18,6 @@ let () =
       ("analytic", Test_analytic.suite);
       ("msgsim", Test_msgsim.suite);
       ("differential", Test_differential.suite);
-      ("store", Test_store.suite);
       ("report", Test_report.suite);
       ("timeline", Test_timeline.suite);
       ("codec", Test_codec.suite);

@@ -114,6 +114,22 @@ let test_cluster_recovery_transfers_data () =
   Alcotest.(check bool) "states merged" true
     (Replica.equal (Node.replica (Cluster.node c 2)) (Node.replica (Cluster.node c 0)))
 
+(* A recovered copy is current: once the other two fail it cannot serve
+   alone (one of three), but the first of them to return makes a quorum
+   with it, and that pair serves the newest value. *)
+let test_cluster_recovered_copy_serves () =
+  let c = Cluster.create ~universe:universe3 ~initial_content:"1" () in
+  Cluster.fail c 2;
+  ignore (Cluster.write c ~at:0 ~content:"10");
+  Alcotest.(check bool) "recovery granted" true (Cluster.recover c ~site:2).Cluster.granted;
+  Cluster.fail c 0;
+  Cluster.fail c 1;
+  Alcotest.(check bool) "a lone copy is denied" false (Cluster.read c ~at:2).Cluster.granted;
+  Alcotest.(check bool) "a second copy returns" true (Cluster.recover c ~site:0).Cluster.granted;
+  let r = Cluster.read c ~at:2 in
+  Alcotest.(check bool) "the pair is a quorum" true r.Cluster.granted;
+  Alcotest.(check (option string)) "serving the newest value" (Some "10") r.Cluster.content
+
 let test_cluster_requires_up_member () =
   let c = Cluster.create ~universe:universe3 () in
   Alcotest.check_raises "not a member" (Invalid_argument "Cluster: requester does not hold a copy")
@@ -303,6 +319,156 @@ let prop_random_histories_consistent =
         script;
       Cluster.is_consistent c)
 
+(* --- One-copy equivalence: reads against the register --- *)
+
+(* Two coordinators in turn: every copy reads the newest write. *)
+let test_cluster_reads_newest () =
+  let c = Cluster.create ~universe:universe3 ~initial_content:"v0" () in
+  Alcotest.(check bool) "first write" true (Cluster.write c ~at:0 ~content:"v1").Cluster.granted;
+  Alcotest.(check (option string)) "read at 2" (Some "v1") (Cluster.read c ~at:2).Cluster.content;
+  Alcotest.(check bool) "second write" true (Cluster.write c ~at:1 ~content:"v2").Cluster.granted;
+  Site_set.iter
+    (fun site ->
+      Alcotest.(check (option string))
+        (Printf.sprintf "read at %d" site)
+        (Some "v2") (Cluster.read c ~at:site).Cluster.content)
+    universe3;
+  Alcotest.(check bool) "consistent" true (Cluster.is_consistent c)
+
+(* Every operation checks its requester, and copies without a quorum
+   change nothing. *)
+let test_cluster_refusals () =
+  let c = Cluster.create ~universe:universe3 ~initial_content:"v0" () in
+  Alcotest.check_raises "write at a non-member"
+    (Invalid_argument "Cluster: requester does not hold a copy") (fun () ->
+      ignore (Cluster.write c ~at:7 ~content:"x"));
+  Alcotest.check_raises "recovery of a non-member"
+    (Invalid_argument "Cluster.recover: site does not hold a copy") (fun () ->
+      ignore (Cluster.recover c ~site:7));
+  Cluster.fail c 0;
+  Alcotest.check_raises "write at a down site" (Invalid_argument "Cluster: requester is down")
+    (fun () -> ignore (Cluster.write c ~at:0 ~content:"x"));
+  Cluster.fail c 1;
+  Alcotest.(check bool) "lone write denied" false (Cluster.write c ~at:2 ~content:"x").Cluster.granted;
+  Alcotest.(check bool) "lone read denied" false (Cluster.read c ~at:2).Cluster.granted;
+  Alcotest.(check string) "the denied write wrote nothing" "v0" (Node.content (Cluster.node c 2))
+
+(* A minority partition can neither read nor write, and once healed it
+   reads what the majority wrote meanwhile. *)
+let test_cluster_minority_partition () =
+  let c = Cluster.create ~universe:universe3 ~initial_content:"v0" () in
+  ignore (Cluster.write c ~at:0 ~content:"v1");
+  Cluster.partition c [ ss [ 0; 1 ]; ss [ 2 ] ];
+  Alcotest.(check bool) "majority writes" true (Cluster.write c ~at:0 ~content:"v2").Cluster.granted;
+  Alcotest.(check bool) "minority read denied" false (Cluster.read c ~at:2).Cluster.granted;
+  Alcotest.(check bool) "minority write denied" false
+    (Cluster.write c ~at:2 ~content:"lost").Cluster.granted;
+  Cluster.heal c;
+  Alcotest.(check (option string)) "after heal, reads v2" (Some "v2")
+    (Cluster.read c ~at:2).Cluster.content
+
+(* The copies at the newest version all hold the register's value. *)
+let newest_copies_hold c expected =
+  let version site = Replica.version (Node.replica (Cluster.node c site)) in
+  let best = Site_set.fold (fun site acc -> max acc (version site)) universe3 min_int in
+  Site_set.for_all
+    (fun site -> version site <> best || Node.content (Cluster.node c site) = expected)
+    universe3
+
+let test_cluster_consistent_after_recovery () =
+  let c = Cluster.create ~universe:universe3 ~initial_content:"v0" () in
+  ignore (Cluster.write c ~at:0 ~content:"v");
+  Cluster.fail c 1;
+  ignore (Cluster.write c ~at:0 ~content:"w");
+  Alcotest.(check bool) "recovery granted" true (Cluster.recover c ~site:1).Cluster.granted;
+  Alcotest.(check bool) "newest copies hold w" true (newest_copies_hold c "w");
+  Alcotest.(check bool) "consistent" true (Cluster.is_consistent c)
+
+(* The paper-literal TDV hole (DESIGN.md §3) end to end: with every copy
+   on one segment, site 2 writes alone by claiming its dead mates' votes;
+   then 2 fails and site 0 restarts stale.  The paper flavor lets 0
+   resurrect the file by claiming 1 and 2 and serves the older value; the
+   safe flavor makes it wait for a copy that saw the newest write. *)
+let fork_scenario flavor =
+  let c =
+    Cluster.create ~flavor ~segment_of:(fun _ -> 0) ~universe:universe3 ~initial_content:"" ()
+  in
+  ignore (Cluster.write c ~at:0 ~content:"old");
+  Cluster.fail c 0;
+  Cluster.fail c 1;
+  let continued = Cluster.write c ~at:2 ~content:"new" in
+  Cluster.fail c 2;
+  ignore (Cluster.recover c ~site:0);
+  (continued.Cluster.granted, Cluster.read c ~at:0)
+
+let test_paper_tdv_forks () =
+  let continued, r = fork_scenario Decision.tdv_flavor in
+  Alcotest.(check bool) "2 writes alone" true continued;
+  Alcotest.(check bool) "the stale read is granted" true r.Cluster.granted;
+  Alcotest.(check (option string)) "and serves the older value" (Some "old") r.Cluster.content
+
+let test_safe_tdv_refuses_fork () =
+  let continued, r = fork_scenario Decision.tdv_safe_flavor in
+  Alcotest.(check bool) "2 writes alone" true continued;
+  Alcotest.(check bool) "the stale read is denied" false r.Cluster.granted
+
+(* Random histories of fail / recover / write / read / partition: every
+   granted read returns the latest granted write, and the copies at the
+   newest version hold it.  [cmd mod 3] is the site and [cmd / 3 mod 5]
+   the action; a partition isolates the site ([split] gives the groups)
+   on an even [cmd] and heals on an odd one. *)
+let one_copy_history ?(split = fun site -> [ Site_set.remove site universe3; ss [ site ] ])
+    flavor segment_of script =
+  let c = Cluster.create ~flavor ~segment_of ~universe:universe3 ~initial_content:"0" () in
+  let register = ref "0" and counter = ref 0 and reads_ok = ref true in
+  let up site = Site_set.mem site (Cluster.up_sites c) in
+  List.iter
+    (fun cmd ->
+      let site = cmd mod 3 in
+      match cmd / 3 mod 5 with
+      | 0 -> Cluster.fail c site
+      | 1 -> if not (up site) then ignore (Cluster.recover c ~site)
+      | 2 ->
+          if up site then begin
+            incr counter;
+            let content = string_of_int !counter in
+            if (Cluster.write c ~at:site ~content).Cluster.granted then register := content
+          end
+      | 3 ->
+          if up site then begin
+            let r = Cluster.read c ~at:site in
+            if r.Cluster.granted && r.Cluster.content <> Some !register then reads_ok := false
+          end
+      | _ -> if cmd mod 2 = 0 then Cluster.partition c (split site) else Cluster.heal c)
+    script;
+  !reads_ok && newest_copies_hold c !register && Cluster.is_consistent c
+
+let one_copy_script = QCheck.(list_of_size (Gen.int_range 1 60) (int_bound 999))
+
+let one_copy_props =
+  [
+    qcheck_case ~count:100 ~name:"one-copy equivalence (LDV)" one_copy_script
+      (one_copy_history Decision.ldv_flavor (fun _ -> 0));
+    (* A partition may only isolate a site that sits alone on its
+       segment, so each site gets its own. *)
+    qcheck_case ~count:100 ~name:"one-copy equivalence (safe TDV, segmented)" one_copy_script
+      (one_copy_history Decision.tdv_safe_flavor (fun site -> site));
+    (* One shared segment cannot partition: a partition command becomes
+       a read at site 2 (1001 = 3 * 333 + 2, 333 mod 5 = 3). *)
+    qcheck_case ~count:100 ~name:"one-copy equivalence (safe TDV, shared segment)"
+      one_copy_script (fun script ->
+        one_copy_history Decision.tdv_safe_flavor (fun _ -> 0)
+          (List.map (fun cmd -> if cmd / 3 mod 5 = 4 then 1001 else cmd) script));
+    (* Sites 0 and 1 share a segment and 2 is alone, so the one legal
+       split is {0,1} | {2}: claims, ties and the rival guard all meet. *)
+    qcheck_case ~count:150 ~name:"one-copy equivalence (safe TDV, paired segments)"
+      one_copy_script
+      (one_copy_history
+         ~split:(fun _ -> [ ss [ 0; 1 ]; ss [ 2 ] ])
+         Decision.tdv_safe_flavor
+         (fun site -> if site <= 1 then 0 else 1));
+  ]
+
 let suite =
   [
     Alcotest.test_case "transport delivery" `Quick test_transport_delivery;
@@ -314,6 +480,8 @@ let suite =
     Alcotest.test_case "minority denied" `Quick test_cluster_minority_denied;
     Alcotest.test_case "partition semantics" `Quick test_cluster_partition_semantics;
     Alcotest.test_case "recovery transfers data" `Quick test_cluster_recovery_transfers_data;
+    Alcotest.test_case "a recovered copy serves the newest value" `Quick
+      test_cluster_recovered_copy_serves;
     Alcotest.test_case "requester validation" `Quick test_cluster_requires_up_member;
     Alcotest.test_case "wire protocol = pure semantics" `Quick test_wire_equals_pure;
     Alcotest.test_case "stale commits ignored" `Quick test_stale_commit_ignored;
@@ -323,4 +491,11 @@ let suite =
     Alcotest.test_case "message overhead accounting" `Quick test_message_overhead_accounting;
     Alcotest.test_case "larger cluster counts" `Quick test_larger_cluster_counts;
     prop_random_histories_consistent;
+    Alcotest.test_case "reads return the newest write" `Quick test_cluster_reads_newest;
+    Alcotest.test_case "refusals change nothing" `Quick test_cluster_refusals;
+    Alcotest.test_case "a minority partition is refused" `Quick test_cluster_minority_partition;
+    Alcotest.test_case "consistent after recovery" `Quick test_cluster_consistent_after_recovery;
+    Alcotest.test_case "paper TDV forks end-to-end" `Quick test_paper_tdv_forks;
+    Alcotest.test_case "safe TDV refuses the fork" `Quick test_safe_tdv_refuses_fork;
   ]
+  @ one_copy_props
