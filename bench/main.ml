@@ -658,10 +658,13 @@ let chaos () =
 (* Bounded model checking throughput on the paper's four-copy example:
    distinct states, transition counts with and without partial-order
    reduction (verdicts asserted identical), states/s and transitions/s
-   of both runs — the reduction pays only if it saves more transitions
-   than its per-transition bookkeeping costs — and the fingerprint
-   store's memory footprint against the (string, int) hashtable it
-   replaced — measured on real canonical fingerprints, resident and
+   of both — the reduction pays only if it saves more transitions than
+   its per-transition bookkeeping costs.  Each leg runs three times,
+   alternating with the other, and reports its median run: a policy's
+   first run in the process starts cold (a fresh heap, the pool's first
+   domains) and reads up to 3x slower.  The section also measures the
+   fingerprint store's memory footprint against the (string, int)
+   hashtable it replaced — on real canonical fingerprints, resident and
    with the disk-spill tier engaged.  DYNVOTE_MC_DEPTH picks the bound
    (default 6; the acceptance sweep uses 8, roughly a minute for all
    four policies).  Everything lands in BENCH_MC.json. *)
@@ -742,6 +745,10 @@ let mc_store_bytes () =
     float_of_int !bytes_total /. float_of_int n,
     per old_words, per resident_words, per spill_words, spilled )
 
+(* The run of median wall time among an odd number of timed runs. *)
+let median_run runs =
+  List.nth (List.sort (fun (_, a) (_, b) -> Float.compare a b) runs) (List.length runs / 2)
+
 let mc () =
   let depth =
     match Sys.getenv_opt "DYNVOTE_MC_DEPTH" with
@@ -752,8 +759,10 @@ let mc () =
     (Printf.sprintf
        "Exhaustive bounded search of the message protocols, 4 sites on the\n\
         paper's §3 topology, depth %d (DYNVOTE_MC_DEPTH to change).\n\
-        Each policy runs with and without partial-order reduction; the\n\
-        verdicts must match." depth);
+        Each policy runs three times with and three times without\n\
+        partial-order reduction, alternating; every run must agree on the\n\
+        verdict (and a safe one on its state count), and each leg reports\n\
+        its median run." depth);
   let table =
     Text_table.create
       ~aligns:
@@ -766,12 +775,6 @@ let mc () =
           "Verdict" ]
       ()
   in
-  (* One untimed check first, so that no timed leg runs in a cold
-     process (a fresh heap, the pool's first domains). *)
-  ignore
-    (Checker.check ~policy:(Option.get (Harness.policy_of_string "dv")) ~depth ~jobs
-       ~por:true (Checker.paper_config ())
-      : Checker.report);
   let policy_rows =
     List.map
       (fun name ->
@@ -780,13 +783,19 @@ let mc () =
           timed (fun () ->
               Checker.check ~policy:p ~depth ~jobs ~por (Checker.paper_config ()))
         in
-        let reduced, reduced_s = check true in
-        let full, full_s = check false in
+        let legs =
+          List.init 3 (fun _ ->
+              let reduced = check true in
+              (reduced, check false))
+        in
+        let reduced, reduced_s = median_run (List.map fst legs)
+        and full, full_s = median_run (List.map snd legs) in
         let rr = reduced.Checker.result and rf = full.Checker.result in
         let verdict = mc_verdict_text reduced in
-        (* Same soundness gate as the test suite: a completed bound must
-           agree on closure and state count; a violation compares by
-           counterexample length (the reduction may pick a different
+        (* Same soundness gate as the test suite, over every run: a
+           completed bound must agree on closure and state count; a
+           violation compares by counterexample length (the reduction,
+           and the workers' interleaving, may pick a different
            equally-short representative). *)
         let summary (report : Checker.report) =
           match report.Checker.verdict with
@@ -797,8 +806,11 @@ let mc () =
                 (List.length schedule.Dynvote_chaos.Schedule.steps)
           | Checker.Inconclusive -> `Out_of_budget
         in
-        if summary full <> summary reduced then
-          failwith ("MC: POR changed the verdict for " ^ name);
+        if
+          List.exists
+            (fun ((r, _), (f, _)) -> summary r <> summary reduced || summary f <> summary reduced)
+            legs
+        then failwith ("MC: the runs of " ^ name ^ " disagree on the verdict");
         let reduction =
           float_of_int rf.Explorer.transitions
           /. float_of_int (max 1 rr.Explorer.transitions)
@@ -858,6 +870,7 @@ let mc () =
     Json.(
       Obj
         [ ("schema", String "dynvote-bench-mc/3"); ("depth", Int depth); ("jobs", Int jobs);
+          ("runs_per_leg", Int 3);
           ("policies", Obj (List.map (fun (name, _, row) -> (name, row)) policy_rows));
           ( "store",
             Obj

@@ -270,66 +270,86 @@ let mem_committed_version t version = Int_set.mem version t.committed_versions
    length (the monotone tables would otherwise make every state
    path-dependent and defeat the explorer's seen set):
 
-   - Generation entries with op_no < [min_live_op] (raw, unrebased) are
-     dropped.  A future commit's operation number exceeds its
-     coordinator's current one, so with [min_live_op] = the minimum
-     operation number any site could still present as coordinator,
-     entries strictly below it can never be re-witnessed — they are
-     inert for Generation_conflict detection.  (The caller owns the
-     soundness argument; pass 0 to keep everything, e.g. when amnesiac
-     restarts can revive arbitrarily stale ensembles.)
+   - Generation entries whose op_no the writer calls dead (below its
+     floor, raw, unrebased) are dropped.  A future commit's operation
+     number exceeds its coordinator's current one, so with the floor at
+     the minimum operation number any site could still present as
+     coordinator, entries strictly below it can never be re-witnessed —
+     they are inert for Generation_conflict detection.  (The caller owns
+     the soundness argument; a floor of 0 keeps everything, e.g. when
+     amnesiac restarts can revive arbitrarily stale ensembles.)
 
    - The committed-versions set is NOT serialized here.  The fork check
      only consults it for a version two sites currently hold, and a
      version with no holder anywhere can only be re-acquired through a
      fresh commit — which re-inserts its membership.  Callers instead
      record one bit per site ("this site's data version is a committed
-     version"), which is the live content of the set. *)
-let fingerprint_memory t w ~min_live_op =
+     version"), which is the live content of the set.
+
+   The explorer writes this once per transition, so the walks below are
+   top-level functions that take the writer as their accumulator: no
+   closure is built per state. *)
+let rec write_contents w = function
+  | [] -> ()
+  | s :: rest ->
+      Fingerprint_buf.content w s;
+      write_contents w rest
+
+let count_generation op_no _ w =
+  Fingerprint_buf.count_live w op_no;
+  w
+
+(* The stored first-witness site is report attribution only — the
+   conflict predicate compares version and partition — so it stays out
+   of the fingerprint: states differing in nothing but which site
+   happened to witness a generation first flag the same future
+   violations. *)
+let write_generation op_no (version, partition, _site) w =
+  if Fingerprint_buf.live_op w op_no then begin
+    Fingerprint_buf.op w op_no;
+    Fingerprint_buf.version w version;
+    Fingerprint_buf.set w partition
+  end;
+  w
+
+let write_op_mark site mark w =
+  Fingerprint_buf.int w site;
+  Fingerprint_buf.op w mark.op;
+  w
+
+let write_version_mark site mark w =
+  Fingerprint_buf.int w site;
+  Fingerprint_buf.version w mark.version;
+  w
+
+(* Per-site watermarks as (canonical site, value) pairs in ascending
+   canonical-site order — the map's own order under the identity. *)
+let write_marks w table ~version =
+  let module W = Fingerprint_buf in
+  W.int w (Int_map.cardinal table);
+  if W.identity w then
+    ignore (Int_map.fold (if version then write_version_mark else write_op_mark) table w : W.t)
+  else
+    for c = 0 to W.sites w - 1 do
+      let site = W.site_at w c in
+      if Int_map.mem site table then begin
+        let mark = Int_map.find site table in
+        W.int w c;
+        if version then W.version w mark.version else W.op w mark.op
+      end
+    done
+
+let fingerprint_memory t w =
   let module W = Fingerprint_buf in
   W.int w (List.length t.violations);
   W.content w t.committed;
   W.int w (List.length t.maybe);
-  List.iter (W.content w) t.maybe;
-  (* Map iteration is already in ascending key order. *)
-  W.int w
-    (Int_map.fold
-       (fun op_no _ live -> if op_no >= min_live_op then live + 1 else live)
-       t.generations 0);
-  Int_map.iter
-    (fun op_no (version, partition, _site) ->
-      (* The stored first-witness site is report attribution only — the
-         conflict predicate compares version and partition — so it stays
-         out of the fingerprint: states differing in nothing but which
-         site happened to witness a generation first flag the same future
-         violations. *)
-      if op_no >= min_live_op then begin
-        W.op w op_no;
-        W.version w version;
-        W.set w partition
-      end)
-    t.generations;
-  (* Per-site watermarks as (canonical site, value) pairs in ascending
-     canonical-site order — the map's own order under the identity. *)
-  let per_site table value =
-    W.int w (Int_map.cardinal table);
-    if W.identity w then
-      Int_map.iter
-        (fun site v ->
-          W.int w site;
-          value w v)
-        table
-    else
-      for c = 0 to W.sites w - 1 do
-        let site = W.site_at w c in
-        if Int_map.mem site table then begin
-          W.int w c;
-          value w (Int_map.find site table)
-        end
-      done
-  in
-  per_site t.last (fun w mark -> W.op w mark.op);
-  per_site t.last (fun w mark -> W.version w mark.version)
+  write_contents w t.maybe;
+  (* Map folds run in ascending key order. *)
+  W.int w (W.live_count (Int_map.fold count_generation t.generations w));
+  ignore (Int_map.fold write_generation t.generations w : W.t);
+  write_marks w t.last ~version:false;
+  write_marks w t.last ~version:true
 
 let violations t = List.rev t.violations
 let is_safe t = t.violations = []

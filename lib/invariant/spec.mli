@@ -127,16 +127,18 @@ val restore : t -> snapshot -> unit
 val mem_committed_version : t -> int -> bool
 (** Has some commit carried this version number? *)
 
-val fingerprint_memory : t -> Fingerprint_buf.t -> min_live_op:int -> unit
+val fingerprint_memory : t -> Fingerprint_buf.t -> unit
 (** Serialize the spec's memory (register model, generation table,
     per-site monotonicity watermarks) canonically through the writer —
     the part of the model checker's product state that determines which
     future violations remain detectable.  The writer renames content
     strings, relabels sites for symmetry reduction and rebases the
     counter domains (the checks compare counters only for order and
-    equality).  Generation entries below [min_live_op] (raw, not
-    rebased) are dropped as inert — the caller asserts no future commit
-    can carry such an operation number (pass 0 to keep everything).  The
-    committed-versions set is not serialized: its live content is the
-    per-site {!mem_committed_version} bit, which the caller records
-    alongside each site's data version. *)
+    equality).  Generation entries whose operation number the writer
+    calls dead ({!Fingerprint_buf.live_op}: below the floor its caller
+    reset it with, raw, not rebased) are dropped as inert — the caller
+    asserts no future commit can carry such an operation number (a
+    floor of 0 keeps everything).  The committed-versions set is not
+    serialized: its live content is the per-site
+    {!mem_committed_version} bit, which the caller records alongside
+    each site's data version.  Allocates nothing. *)

@@ -5,13 +5,14 @@
    One chaos session carries a worker's whole search; branching rewinds
    it with {!Dynvote_chaos.Harness.checkpoint}/[rollback], so every
    explored path executes the exact code a chaos replay would.  The seen
-   table maps a canonical fingerprint to the largest remaining-depth
-   budget it was expanded with, tagged by the {!Por} context the
-   expansion was filtered under: a revisit with no more budget under a
-   covering context is pruned, anything else is re-expanded (the
-   transposition rule that keeps a depth-bounded search — and
-   partial-order reduction under state caching — complete up to the
-   bound; see {!Striped_seen.claim}).
+   table maps the hash of a canonical fingerprint, which each worker's
+   {!Fingerprint.hasher} computes as it writes the state and no string
+   is built for, to the largest remaining-depth budget it was expanded
+   with, tagged by the {!Por} context the expansion was filtered under:
+   a revisit with no more budget under a covering context is pruned,
+   anything else is re-expanded (the transposition rule that keeps a
+   depth-bounded search — and partial-order reduction under state
+   caching — complete up to the bound; see {!Striped_seen.claim_hash}).
 
    Partial-order reduction (on by default, [?por]) explores commuting
    fault actions in sorted order only: every pruned interleaving is a
@@ -128,7 +129,7 @@ type worker = {
   session : Harness.session;
   cluster : Cluster.t;
   oracle : Oracle.t;
-  buf : Buffer.t;  (* reused by every fingerprint *)
+  hasher : Fingerprint.hasher;  (* hashes every state this worker reaches *)
   root : Harness.checkpoint;
   mutable visited : int;
   mutable transitions : int;
@@ -137,13 +138,13 @@ type worker = {
   mutable violation : (Schedule.step list * Oracle.violation list) option;
 }
 
-let make_worker config =
+let make_worker config ~gc ~perms =
   let session = Harness.make_session config in
   {
     session;
     cluster = Harness.cluster session;
     oracle = Harness.oracle session;
-    buf = Buffer.create 256;
+    hasher = Fingerprint.hasher ~gc ~perms ();
     root = Harness.checkpoint session;
     visited = 0;
     transitions = 0;
@@ -161,7 +162,7 @@ let search ?(space = Space.default) ?symmetry ?(por = true) ?(max_states = 1_000
   let symmetry = resolve_symmetry ?symmetry config in
   let perms = perms_for ~symmetry config in
   let gc = Space.amnesia_free space in
-  let fingerprint w = Fingerprint.canonical ~buf:w.buf ~gc ~perms w.session in
+  let fingerprint w = Fingerprint.hash w.hasher w.session in
   (* [filter] is the {!Por.rank} of the action a state was entered by (0
      at the root and with the reduction off); a nonzero [covered] narrows
      the expansion to the sleep difference against an already-recorded
@@ -172,7 +173,7 @@ let search ?(space = Space.default) ?symmetry ?(por = true) ?(max_states = 1_000
     else Por.filter_uncovered ~ctx:filter ~covered steps
   in
   Pool.with_pool ~jobs (fun pool ->
-      let workers = Array.init (Pool.jobs pool) (fun _ -> make_worker config) in
+      let workers = Array.init (Pool.jobs pool) (fun _ -> make_worker config ~gc ~perms) in
       let first = workers.(0) in
       let sum f = Array.fold_left (fun acc w -> acc + f w) 0 workers in
       let bounds = ref 0 in
@@ -196,7 +197,7 @@ let search ?(space = Space.default) ?symmetry ?(por = true) ?(max_states = 1_000
       let search_to ~root_fp ~root_steps bound =
         let shards = if Array.length workers = 1 then Some 1 else None in
         let seen = Striped_seen.create ?shards ~max_states () in
-        ignore (Striped_seen.claim seen root_fp ~budget:bound ~ctx:0);
+        ignore (Striped_seen.claim_hash seen root_fp ~budget:bound ~ctx:0);
         incr bounds;
         let stop = Atomic.make false in
         let halt () =
@@ -221,7 +222,7 @@ let search ?(space = Space.default) ?symmetry ?(por = true) ?(max_states = 1_000
                 halt ()
               end;
               let ctx = if por then Por.rank step else 0 in
-              (match Striped_seen.claim seen (fingerprint w) ~budget:(remaining - 1) ~ctx with
+              (match Striped_seen.claim_hash seen (fingerprint w) ~budget:(remaining - 1) ~ctx with
               | Striped_seen.Prune -> ()
               | Striped_seen.Budget ->
                   w.budget_hit <- true;

@@ -86,44 +86,78 @@ let stale_record node =
   if String.length record <> Codec.encoded_size then None
   else Result.to_option (Codec.decode_result record)
 
-(* One serialization under the writer's relabeling.  [stale] holds the
-   decoded records of amnesiac sites (read once per {!canonical} call,
-   whatever the number of permutations). *)
-let serialize w ~stale ~min_live_op session =
+(* A worker's reusable fingerprint machinery: the relabelings, the
+   decoded records of amnesiac sites (read once per state, whatever the
+   number of relabelings), and two writers.  With one relabeling only
+   [best] is written, and it stores bytes only for {!canonical}; under a
+   symmetry group each relabeling is written into [next] and swapped
+   into [best] when its bytes are smaller. *)
+type hasher = {
+  gc : bool;
+  perms : int array list;
+  stale : Replica.t option array;
+  mutable best : Fingerprint_buf.t;
+  mutable next : Fingerprint_buf.t;
+}
+
+let make ~keep ~gc ~perms =
+  match perms with
+  | [] -> invalid_arg "Fingerprint.hasher: no relabeling"
+  | first :: rest ->
+      let keep = keep || rest <> [] in
+      {
+        gc;
+        perms;
+        stale = Array.make (Array.length first) None;
+        best = Fingerprint_buf.create ~keep ();
+        next = Fingerprint_buf.create ~keep ();
+      }
+
+let hasher ?(gc = false) ~perms () = make ~keep:false ~gc ~perms
+
+(* One site's fields under the writer's relabeling. *)
+let write_site w ~stale ~oracle node site =
+  let module W = Fingerprint_buf in
+  let replica = Node.replica node in
+  W.op w (Replica.op_no replica);
+  W.version w (Replica.version replica);
+  W.set w (Replica.partition replica);
+  W.version w (Node.data_version node);
+  (* The live content of the oracle's committed-versions set: membership
+     of the versions sites currently hold.  A version nobody holds can
+     only be re-acquired through a fresh commit, which re-inserts it —
+     so these bits replace serializing the (monotonically growing) set
+     itself. *)
+  W.int w (if Spec.mem_committed_version oracle (Node.data_version node) then 1 else 0);
+  W.content w (Node.content node);
+  (* Stable-record status.  Steps keep record and ensemble in sync for
+     every non-amnesiac site (commits rewrite the record; a clean reload
+     restores the ensemble from it; corruption is applied only
+     immediately before the reload that discovers it), so the record
+     carries extra information only on the amnesiac path — where it
+     either still decodes to some stale ensemble or is mangled. *)
+  if not (Node.is_amnesiac node) then W.int w 0
+  else
+    match stale.(site) with
+    | Some r ->
+        W.int w 1;
+        W.op w (Replica.op_no r);
+        W.version w (Replica.version r);
+        W.set w (Replica.partition r)
+    | None -> W.int w 2
+
+let rec write_groups w = function
+  | [] -> ()
+  | mask :: rest ->
+      Fingerprint_buf.int w mask;
+      write_groups w rest
+
+(* One serialization of [session] through [w], already reset. *)
+let serialize w ~stale session =
   let module W = Fingerprint_buf in
   let cluster = Harness.cluster session in
   let oracle = Harness.oracle session in
   let universe = Cluster.universe cluster in
-  let serialize_site site =
-    let node = Cluster.node cluster site in
-    let replica = Node.replica node in
-    W.op w (Replica.op_no replica);
-    W.version w (Replica.version replica);
-    W.set w (Replica.partition replica);
-    W.version w (Node.data_version node);
-    (* The live content of the oracle's committed-versions set: membership
-       of the versions sites currently hold.  A version nobody holds can
-       only be re-acquired through a fresh commit, which re-inserts it —
-       so these bits replace serializing the (monotonically growing) set
-       itself. *)
-    W.int w (if Spec.mem_committed_version oracle (Node.data_version node) then 1 else 0);
-    W.content w (Node.content node);
-    (* Stable-record status.  Steps keep record and ensemble in sync for
-       every non-amnesiac site (commits rewrite the record; a clean
-       reload restores the ensemble from it; corruption is applied only
-       immediately before the reload that discovers it), so the record
-       carries extra information only on the amnesiac path — where it
-       either still decodes to some stale ensemble or is mangled. *)
-    if not (Node.is_amnesiac node) then W.int w 0
-    else
-      match stale.(site) with
-      | Some r ->
-          W.int w 1;
-          W.op w (Replica.op_no r);
-          W.version w (Replica.version r);
-          W.set w (Replica.partition r)
-      | None -> W.int w 2
-  in
   (* Sites in ascending canonical-id order; the ids themselves are the
      sorted universe under any in-group permutation, hence carry no
      information and are omitted — keeping the identity and permuted
@@ -131,7 +165,7 @@ let serialize w ~stale ~min_live_op session =
      with like). *)
   for c = 0 to W.sites w - 1 do
     let site = W.site_at w c in
-    if Site_set.mem site universe then serialize_site site
+    if Site_set.mem site universe then write_site w ~stale ~oracle (Cluster.node cluster site) site
   done;
   W.set w (Cluster.up_sites cluster);
   W.set w (Cluster.fresh_sites cluster);
@@ -139,14 +173,28 @@ let serialize w ~stale ~min_live_op session =
   | None -> W.int w (-1)
   | Some groups ->
       W.int w (List.length groups);
-      List.iter (W.int w) (List.sort Int.compare (List.map (W.image w) groups)));
-  Spec.fingerprint_memory oracle w ~min_live_op
+      write_groups w (List.sort Int.compare (List.map (W.image w) groups)));
+  Spec.fingerprint_memory oracle w
 
-let canonical ?buf ?(gc = false) ~perms session =
-  let buf = match buf with Some b -> b | None -> Buffer.create 256 in
+(* The rest of a symmetry group: each relabeling is written into [next]
+   and kept in [best] when its bytes are smaller. *)
+let rec minimum h ~o_base ~v_base ~op_floor session = function
+  | [] -> ()
+  | perm :: rest ->
+      let w = h.next in
+      Fingerprint_buf.reset w ~perm ~o_base ~v_base ~op_floor;
+      serialize w ~stale:h.stale session;
+      if Fingerprint_buf.compare w h.best < 0 then begin
+        h.next <- h.best;
+        h.best <- w
+      end;
+      minimum h ~o_base ~v_base ~op_floor session rest
+
+(* Leave the canonical form of [session] in [h.best]: its serialization
+   under each relabeling, the minimum kept. *)
+let select h session =
   let cluster = Harness.cluster session in
   let universe = Cluster.universe cluster in
-  let n_sites = Site_set.max_elt universe + 1 in
   (* One pass over the sites serves every permutation.
 
      Counter rebasing.  Operation and version numbers are only ever
@@ -169,8 +217,7 @@ let canonical ?buf ?(gc = false) ~perms session =
      amnesia in the alphabet the floor can drop (a corrupted site revives
      an arbitrarily stale ensemble), so the caller must disable GC. *)
   let o_base = ref max_int and v_base = ref max_int and floor = ref max_int in
-  let stale = Array.make n_sites None in
-  for site = 0 to n_sites - 1 do
+  for site = 0 to Array.length h.stale - 1 do
     if Site_set.mem site universe then begin
       let node = Cluster.node cluster site in
       let replica = Node.replica node in
@@ -178,9 +225,10 @@ let canonical ?buf ?(gc = false) ~perms session =
       o_base := Int.min !o_base (Replica.op_no replica);
       v_base :=
         Int.min !v_base (Int.min (Replica.version replica) (Node.data_version node));
+      (* [stale] is read only for the sites found amnesiac here. *)
       if Node.is_amnesiac node then begin
-        stale.(site) <- stale_record node;
-        match stale.(site) with
+        h.stale.(site) <- stale_record node;
+        match h.stale.(site) with
         | Some r ->
             o_base := Int.min !o_base (Replica.op_no r);
             v_base := Int.min !v_base (Replica.version r)
@@ -189,17 +237,31 @@ let canonical ?buf ?(gc = false) ~perms session =
     end
   done;
   let o_base = !o_base and v_base = !v_base in
-  let min_live_op = if gc then !floor else 0 in
-  let write perm =
-    let w = Fingerprint_buf.create buf ~perm ~o_base ~v_base in
-    serialize w ~stale ~min_live_op session;
-    Buffer.contents buf
+  let op_floor = if h.gc then !floor else 0 in
+  match h.perms with
+  | [] -> assert false
+  | perm :: rest ->
+      Fingerprint_buf.reset h.best ~perm ~o_base ~v_base ~op_floor;
+      serialize h.best ~stale:h.stale session;
+      minimum h ~o_base ~v_base ~op_floor session rest
+
+let hash h session =
+  select h session;
+  Fingerprint_buf.hash h.best
+
+let canonical ?buf ?(gc = false) ~perms session =
+  let perms =
+    match perms with
+    | [] ->
+        [ identity ~n_sites:(Site_set.max_elt (Cluster.universe (Harness.cluster session)) + 1) ]
+    | perms -> perms
   in
-  match perms with
-  | [] -> write (identity ~n_sites)
-  | first :: rest ->
-      List.fold_left
-        (fun best perm ->
-          let fp = write perm in
-          if fp < best then fp else best)
-        (write first) rest
+  let h = make ~keep:true ~gc ~perms in
+  select h session;
+  let fp = Fingerprint_buf.contents h.best in
+  Option.iter
+    (fun buf ->
+      Buffer.clear buf;
+      Buffer.add_string buf fp)
+    buf;
+  fp

@@ -7,10 +7,13 @@
    serializing unrelated states.
 
    Hash compaction: a state is stored as a 62-bit hash of its canonical
-   fingerprint string, not the string itself.  Two distinct states
-   colliding makes the search believe one was already explored — a
-   soundness-for-capacity trade every hash-compacted checker (Murphi,
-   TLC) makes: at n distinct states the collision probability is about
+   fingerprint bytes, which the explorer's writer hashes as it emits
+   them ({!Fingerprint.hash}), so no fingerprint string exists on the
+   search path; [claim] hashes a string for callers that have one.  Two
+   distinct states colliding makes the search believe one was already
+   explored — a soundness-for-capacity trade every hash-compacted
+   checker (Murphi, TLC) makes: at n distinct states the collision
+   probability is about
    n^2 / 2^63 (~5e-8 at a million states), far below the chance of any
    competing systematic error, and the cross-validating chaos replay
    would catch a collision-suppressed counterexample's absence at the
@@ -23,7 +26,7 @@
    remapped so 0 can mark empty slots.  The metadata word packs the
    remaining-depth budget with the partial-order
    reduction context ({!Por.rank} of the action the state was entered
-   by): see [claim] for the transposition rule both feed.
+   by): see [claim_hash] for the transposition rule both feed.
 
    The spill tier bounds resident memory: when a shard's resident count
    reaches its threshold, the resident entries are sorted and merged
@@ -80,37 +83,44 @@ let stmt_ctx s = s land ctx_mask
 let stmt_subsumes ~by s =
   stmt_budget by >= stmt_budget s && (stmt_ctx by = 0 || stmt_ctx by = stmt_ctx s)
 
-(* The two strongest of the (at most three) true statements, packed.
-   The empty statement 0 = (budget 0, context 0) is vacuously true and
-   needs no slot. *)
-let join s1 s2 ours =
-  let cands =
-    List.filter (fun s -> s <> 0) [ s1; s2; ours ]
-    |> List.sort (fun a b -> compare (stmt_budget b) (stmt_budget a))
-  in
-  let keep =
-    List.fold_left
-      (fun acc s ->
-        if List.exists (fun by -> stmt_subsumes ~by s) acc then acc else s :: acc)
-      [] cands
-  in
-  match List.rev keep with
-  | [] -> 0
-  | [ a ] -> a
-  | a :: b :: _ -> a lor (b lsl stmt_bits)
+(* The packed pair [kept] (an empty slot is 0) with [s] added, unless it
+   is empty or a kept statement subsumes it; a third is dropped. *)
+let keep kept s =
+  let a = kept land stmt_mask and b = kept lsr stmt_bits in
+  if s = 0 || (a <> 0 && stmt_subsumes ~by:a s) then kept
+  else if a = 0 then s
+  else if b = 0 then kept lor (s lsl stmt_bits)
+  else kept
 
-(* FNV-1a over the fingerprint string, then a splitmix-style finalizer
-   (constants adjusted to OCaml's 63-bit int literals — the avalanche is
-   what matters, not the named constants).  The low bits index the probe
-   table, the high bits pick the shard, so the two stay uncorrelated. *)
-let fingerprint_hash s =
-  let h = ref 0x27d4eb2f165667c5 in
-  String.iter (fun c -> h := (!h lxor Char.code c) * 0x100000001b3) s;
-  let h = !h in
-  let h = (h lxor (h lsr 30)) * 0x2545F4914F6CDD1D in
-  let h = (h lxor (h lsr 27)) * 0x369DEA0F31A53F85 in
-  let h = (h lxor (h lsr 31)) land max_int in
-  if h = 0 then 1 else h
+(* The two strongest of the (at most three) true statements, packed:
+   the stored pair [prior] and [ours], strongest budget first (a stable
+   sort, by three compare-and-swaps), each kept unless an earlier one
+   subsumes it.  The empty statement 0 = (budget 0, context 0) is
+   vacuously true and needs no slot. *)
+let join prior ours =
+  let x = ref (prior land stmt_mask) and y = ref (prior lsr stmt_bits) and z = ref ours in
+  if stmt_budget !x < stmt_budget !y then begin
+    let t = !x in
+    x := !y;
+    y := t
+  end;
+  if stmt_budget !y < stmt_budget !z then begin
+    let t = !y in
+    y := !z;
+    z := t
+  end;
+  if stmt_budget !x < stmt_budget !y then begin
+    let t = !x in
+    x := !y;
+    y := t
+  end;
+  keep (keep (keep 0 !x) !y) !z
+
+(* FNV-1a over the fingerprint string, then a splitmix-style finalizer:
+   {!Fingerprint_buf.hash_string}, the hash a fingerprint writer
+   accumulates as it writes.  The low bits index the probe table, the
+   high bits pick the shard, so the two stay uncorrelated. *)
+let fingerprint_hash = Fingerprint_buf.hash_string
 
 let seed_capacity = 64
 
@@ -153,13 +163,13 @@ let shard_of t fp = t.shards.((fp lsr t.shard_shift) land (Array.length t.shards
 
 (* --- resident table --- *)
 
+let rec probe fps fp mask i =
+  let f = Array.unsafe_get fps i in
+  if f = 0 || f = fp then i else probe fps fp mask ((i + 1) land mask)
+
 let find_slot fps fp =
   let mask = Array.length fps - 1 in
-  let rec go i =
-    let f = Array.unsafe_get fps i in
-    if f = 0 || f = fp then i else go ((i + 1) land mask)
-  in
-  go (fp land mask)
+  probe fps fp mask (fp land mask)
 
 let grow shard =
   let old_fps = shard.fps and old_meta = shard.meta in
@@ -327,32 +337,37 @@ let rec admit t =
   else if Atomic.compare_and_set t.count c (c + 1) then true
   else admit t
 
-let claim t fp_string ~budget ~ctx =
-  let fp = fingerprint_hash fp_string in
+let covers s ~budget ~ctx = stmt_budget s >= budget && (stmt_ctx s = 0 || stmt_ctx s = ctx)
+
+(* The revisit of a stored state, whose statements are [prior], at slot
+   [slot] of the resident table, or (-1) in the run only.  A slot that
+   covers our budget necessarily holds a conflicting nonzero context (a
+   covering one would have pruned): expand only its sleep difference.
+   Either way the expansion makes our own statement true, so it joins
+   the slot pair; re-inserting a run entry resident shadows the run copy
+   until the next merge, and admission counters are untouched — the
+   state was counted when first admitted. *)
+let revisit shard ~slot fp prior ~budget ~ctx =
+  let s1 = prior land stmt_mask and s2 = prior lsr stmt_bits in
+  if covers s1 ~budget ~ctx || covers s2 ~budget ~ctx then Prune
+  else begin
+    let covered =
+      if stmt_budget s1 >= budget then stmt_ctx s1
+      else if stmt_budget s2 >= budget then stmt_ctx s2
+      else 0
+    in
+    let meta = join prior (stmt ~budget ~ctx) in
+    if slot >= 0 then shard.meta.(slot) <- meta else insert shard fp meta;
+    Expand { filter = ctx; covered }
+  end
+
+let claim_hash t fp ~budget ~ctx =
+  if fp = 0 then invalid_arg "Striped_seen.claim_hash: 0 is no fingerprint hash";
   let shard = shard_of t fp in
   Mutex.lock shard.mutex;
-  let decide prior update =
-    let s1 = prior land stmt_mask and s2 = prior lsr stmt_bits in
-    let covers s = stmt_budget s >= budget && (stmt_ctx s = 0 || stmt_ctx s = ctx) in
-    if covers s1 || covers s2 then Prune
-    else begin
-      (* A slot that covers our budget necessarily holds a conflicting
-         nonzero context (a covering one would have pruned): expand only
-         its sleep difference.  Either way the expansion makes our own
-         statement true, so it joins the slot pair. *)
-      let covered =
-        if stmt_budget s1 >= budget then stmt_ctx s1
-        else if stmt_budget s2 >= budget then stmt_ctx s2
-        else 0
-      in
-      update (join s1 s2 (stmt ~budget ~ctx));
-      Expand { filter = ctx; covered }
-    end
-  in
+  let i = find_slot shard.fps fp in
   let verdict =
-    let i = find_slot shard.fps fp in
-    if shard.fps.(i) = fp then
-      decide shard.meta.(i) (fun m -> shard.meta.(i) <- m)
+    if shard.fps.(i) = fp then revisit shard ~slot:i fp shard.meta.(i) ~budget ~ctx
     else
       match run_find shard fp with
       | -1 ->
@@ -362,15 +377,13 @@ let claim t fp_string ~budget ~ctx =
             shard.admitted <- shard.admitted + 1;
             Expand { filter = ctx; covered = 0 }
           end
-      | prior ->
-          (* Re-inserting resident shadows the run copy until the next
-             merge; admission counters are untouched — the state was
-             counted when first admitted. *)
-          decide prior (fun m -> insert shard fp m)
+      | prior -> revisit shard ~slot:(-1) fp prior ~budget ~ctx
   in
   if t.spill_at > 0 && shard.resident >= t.spill_at then flush shard;
   Mutex.unlock shard.mutex;
   verdict
+
+let claim t s ~budget ~ctx = claim_hash t (fingerprint_hash s) ~budget ~ctx
 
 let distinct t = Atomic.get t.count
 

@@ -2,12 +2,13 @@
     hash-compacted, optionally disk-spilled.
 
     States are stored as 62-bit hashes of their canonical fingerprint
-    strings (hash compaction à la Murphi/TLC — the collision probability
+    bytes ({!Fingerprint.hash} hashes them as they are written; hash
+    compaction à la Murphi/TLC — the collision probability
     at n states is about n²/2⁶³) in power-of-two linear-probe int
     arrays, one pair of arrays per mutex-guarded shard: 16 bytes per
     state, no boxing, no key strings.  Each entry carries the
     remaining-depth budget packed with the {!Por} context it was
-    expanded under; {!claim} applies the context-tagged transposition
+    expanded under; {!claim_hash} applies the context-tagged transposition
     rule that keeps partial-order reduction sound under state caching.
 
     The distinct-state count is one atomic counter moved only by a
@@ -43,15 +44,26 @@ type verdict =
                covering context *)
   | Budget  (** admitting this state would exceed [max_states] *)
 
+val claim_hash : t -> int -> budget:int -> ctx:int -> verdict
+(** Atomically apply the context-tagged transposition rule for the state
+    whose fingerprint hash is [fp] ({!fingerprint_hash} or
+    {!Fingerprint.hash}), entered by the action of {!Por.rank} [ctx]
+    with [budget] remaining depth: prune when the stored budget is at
+    least [budget] {e and} the stored context covers ours (0, or equal);
+    on a budget-covered context conflict, expand only the stored
+    context's sleep difference; otherwise record the strongest true
+    statement and expand in full.  A fresh state is admitted only while
+    fewer than [max_states] distinct states have been.  Without the
+    spill tier nothing is allocated but an [Expand] verdict.
+    @raise Invalid_argument when [fp] is 0, which no hash is. *)
+
 val claim : t -> string -> budget:int -> ctx:int -> verdict
-(** Atomically apply the context-tagged transposition rule for a state
-    entered by the action of {!Por.rank} [ctx] with [budget] remaining
-    depth: prune when the stored budget is at least [budget] {e and} the
-    stored context covers ours (0, or equal); on a budget-covered
-    context conflict, expand only the stored context's sleep difference;
-    otherwise record the strongest true statement and expand in full.
-    A fresh state is admitted only while fewer than [max_states]
-    distinct states have been. *)
+(** [claim t s] is [claim_hash t (fingerprint_hash s)]. *)
+
+val fingerprint_hash : string -> int
+(** The 62-bit hash of a canonical fingerprint string:
+    {!Dynvote.Fingerprint_buf.hash_string}, so equal to what a writer
+    that emitted those bytes hashed. *)
 
 val distinct : t -> int
 (** Distinct states admitted (the atomic counter). *)

@@ -283,7 +283,8 @@ let test_jobs_verdict_parity () =
 (* Golden canonical fingerprints: the hex of {!Fingerprint.canonical}
    after fixed schedules on the §3 topology, pinned byte for byte so a
    rewrite of the serializer cannot silently change what the seen store
-   deduplicates.  The cases cover an amnesiac site holding a zeroed
+   deduplicates, and beside it the 62-bit value {!Fingerprint.hash}
+   stores for the state.  The cases cover an amnesiac site holding a zeroed
    record, one holding a decodable stale record, a two-group partition,
    the generation-table GC, and dv's two-permutation symmetry group. *)
 module Fingerprint = Dynvote_mc.Fingerprint
@@ -298,14 +299,21 @@ let session_after flavor steps =
   List.iter (Harness.apply_step session) steps;
   (config, session)
 
+let perms_of ~symmetric config =
+  if symmetric then
+    Fingerprint.segment_perms ~universe:config.Harness.universe
+      ~segment_of:config.Harness.segment_of
+  else [ Fingerprint.identity ~n_sites:4 ]
+
+(* The canonical bytes' hex and the 62-bit value a search stores for
+   them, which must be the hash of those bytes. *)
 let fingerprint_hex ?(gc = false) ?(symmetric = false) (config, session) =
-  let perms =
-    if symmetric then
-      Fingerprint.segment_perms ~universe:config.Harness.universe
-        ~segment_of:config.Harness.segment_of
-    else [ Fingerprint.identity ~n_sites:4 ]
-  in
-  hex (Fingerprint.canonical ~gc ~perms session)
+  let perms = perms_of ~symmetric config in
+  let fp = Fingerprint.canonical ~gc ~perms session in
+  let hash = Fingerprint.hash (Fingerprint.hasher ~gc ~perms ()) session in
+  Alcotest.(check int) "the stored hash is the hash of the bytes"
+    (Striped_seen.fingerprint_hash fp) hash;
+  (hex fp, hash)
 
 let test_fingerprint_golden () =
   let node session site = Dynvote_msgsim.Cluster.node (Harness.cluster session) site in
@@ -352,28 +360,150 @@ let test_fingerprint_golden () =
       ("dv, symmetric", fingerprint_hex ~symmetric:true (mirrored 0 1));
     ]
   in
-  Alcotest.(check (list (pair string string)))
+  Alcotest.(check (list (pair string (pair string int))))
     "canonical fingerprints"
     [
       ( "zeroed amnesiac record",
-        "040216020200000402160202000000001e00020204040216020200001e16010000000600001e020216040216080004020404000604080002020204000602" );
+        ( "040216020200000402160202000000001e00020204040216020200001e16010000000600001e020216040216080004020404000604080002020204000602",
+          0x19ba33e1fbe0eaf7 ) );
       ( "decodable stale record",
-        "06060e0602000006060e0602000006060e0602000002021e0202020200001e1e0e010000000602021e04040e06060e080006020604060602080006020604060602" );
+        ( "06060e0602000006060e0602000006060e0602000002021e0202020200001e1e0e010000000602021e04040e06060e080006020604060602080006020604060602",
+          0x1f9ec41204c1a21d ) );
       ( "two-group partition",
-        "00001e0002000000001e0002000000001e0002000000001e000200001c1c040618000002020200001e080000020004000600080000020004000600" );
+        ( "00001e0002000000001e0002000000001e0002000000001e000200001c1c040618000002020200001e080000020004000600080000020004000600",
+          0x1c7d2036a19364d3 ) );
       ( "history, gc off",
-        "04040e0402000004040e0402000004040e0402000000001e000202001e0e010000000801011e00001e02020e04040e080004020404040600080004020404040600" );
+        ( "04040e0402000004040e0402000004040e0402000000001e000202001e0e010000000801011e00001e02020e04040e080004020404040600080004020404040600",
+          0x264fde0927a17bde ) );
       ( "history, gc on",
-        "04040e0402000004040e0402000004040e0402000000001e000202001e0e010000000600001e02020e04040e080004020404040600080004020404040600" );
+        ( "04040e0402000004040e0402000004040e0402000000001e000202001e0e010000000600001e02020e04040e080004020404040600080004020404040600",
+          0x3f102b330cfd01dc ) );
       ( "dv, identity only",
-        "02021a0202000000001e0002020002021a0202000002021a020200000a0a010000000400001e02021a080002020004020602080002020004020602" );
+        ( "02021a0202000000001e0002020002021a0202000002021a020200000a0a010000000400001e02021a080002020004020602080002020004020602",
+          0x1e651f272d8736c4 ) );
       ( "dv, symmetric",
-        "00001e0002000002021c0202020002021c0202020002021c020202000c0c010002000400001e02021c080000020204020602080000020204020602" );
+        ( "00001e0002000002021c0202020002021c0202020002021c020202000c0c010002000400001e02021c080000020204020602080000020204020602",
+          0x2ddb094c86ba698c ) );
     ]
     cases;
-  Alcotest.(check string) "symmetry folds the mirrored schedule"
+  Alcotest.(check (pair string int)) "symmetry folds the mirrored schedule"
     (fingerprint_hex ~symmetric:true (mirrored 1 0))
     (fingerprint_hex ~symmetric:true (mirrored 0 1))
+
+(* The search stores [Fingerprint.hash], which hashes the canonical
+   bytes as the writer emits them and builds no string; it must be the
+   hash of the string {!Fingerprint.canonical} returns, for every flavor,
+   with the generation-table GC on and off, under the identity and under
+   the segment symmetry group, where that string is the least of the
+   relabelings' serializations in string order.  The schedules decode
+   arbitrary integers, so amnesiac restarts, corrupt records and
+   partitions occur; each hasher is reused across every state, as a
+   search worker's is. *)
+let test_hash_is_string_hash =
+  let config = Checker.paper_config () in
+  let hashers =
+    List.concat_map
+      (fun gc ->
+        List.map
+          (fun symmetric ->
+            let perms = perms_of ~symmetric config in
+            (gc, perms, Fingerprint.hasher ~gc ~perms ()))
+          [ false; true ])
+      [ false; true ]
+  in
+  Helpers.qcheck_case ~count:100 ~name:"the stored hash is the hash of the canonical string"
+    QCheck.(list_of_size Gen.(int_range 1 20) (int_bound ((4 * 12 * 16) - 1)))
+    (fun codes ->
+      List.for_all
+        (fun name ->
+          let session = snd (session_after (policy name).Harness.flavor []) in
+          List.for_all
+            (fun code ->
+              Harness.apply_step session (Schedule.step_of_int ~n_sites:4 code);
+              List.for_all
+                (fun (gc, perms, h) ->
+                  let fp = Fingerprint.canonical ~gc ~perms session in
+                  let each =
+                    List.map (fun perm -> Fingerprint.canonical ~gc ~perms:[ perm ] session) perms
+                  in
+                  Fingerprint.hash h session = Striped_seen.fingerprint_hash fp
+                  && fp = List.fold_left min (List.hd each) each)
+                hashers)
+            codes)
+        [ "dv"; "odv"; "ldv"; "tdv"; "tdv-safe" ])
+
+(* The same at the writer: whatever fields go in, escaped integers
+   included (the sessions' fields are too small to need the escape),
+   a writer that stores nothing hashes what a storing one stores.  Both
+   writers are reset and reused for every case. *)
+let test_writer_hash =
+  let module W = Dynvote.Fingerprint_buf in
+  let hashed = W.create ~keep:false () and kept = W.create ~keep:true () in
+  Helpers.qcheck_case ~count:300 ~name:"a writer's hash is the hash of its bytes"
+    QCheck.(list (pair (int_bound 3) int))
+    (fun fields ->
+      let write w =
+        W.reset w ~perm:[| 1; 0; 2; 3 |] ~o_base:3 ~v_base:(-5) ~op_floor:0;
+        List.iter
+          (fun (kind, n) ->
+            match kind with
+            | 0 -> W.int w n
+            | 1 -> W.op w n
+            | 2 -> W.set w (Site_set.of_int_unsafe (n land 0xf))
+            | _ -> W.content w (string_of_int (n mod 5)))
+          fields
+      in
+      write hashed;
+      write kept;
+      W.hash hashed = W.hash kept && W.hash kept = W.hash_string (W.contents kept))
+
+(* Hashing a state with no amnesiac site and no partition allocates
+   nothing once the hasher's arrays have grown to fit, and neither does
+   a claim that prunes a resident state. *)
+let test_quiet_state_hashes_free () =
+  let quiet flavor =
+    let config, session =
+      session_after flavor Schedule.[ Write 0; Write 2; Crash 3; Read 1; Write 1 ]
+    in
+    let cluster = Harness.cluster session in
+    Site_set.iter
+      (fun site ->
+        Alcotest.(check bool) "no amnesiac site" false
+          (Msg_node.is_amnesiac (Dynvote_msgsim.Cluster.node cluster site)))
+      config.Harness.universe;
+    Alcotest.(check bool) "no partition" true (Dynvote_msgsim.Cluster.groups cluster = None);
+    (config, session)
+  in
+  List.iter
+    (fun (label, flavor, gc, symmetric) ->
+      let config, session = quiet flavor in
+      let seen = Striped_seen.create ~shards:1 ~max_states:10 () in
+      let h = Fingerprint.hasher ~gc ~perms:(perms_of ~symmetric config) () in
+      let fp = Fingerprint.hash h session in
+      let words =
+        Helpers.minor_words ~calls:1_000 (fun () ->
+            ignore (Sys.opaque_identity (Fingerprint.hash h session)))
+      in
+      if words /. 1_000.0 >= 0.5 then
+        Alcotest.failf "%s: %.2f minor words per hash (under 0.5 allowed)" label
+          (words /. 1_000.0);
+      (match Striped_seen.claim_hash seen fp ~budget:4 ~ctx:0 with
+      | Striped_seen.Expand _ -> ()
+      | _ -> Alcotest.failf "%s: a fresh state expands" label);
+      let prune () =
+        match Striped_seen.claim_hash seen fp ~budget:2 ~ctx:0 with
+        | Striped_seen.Prune -> ()
+        | _ -> Alcotest.failf "%s: a covered revisit prunes" label
+      in
+      Alcotest.(check (float 0.0)) (label ^ ": a Prune claim allocates nothing") 0.0
+        (Helpers.minor_words ~calls:1_000 prune);
+      Striped_seen.close seen)
+    [
+      ("tdv-safe, identity, gc off", Decision.tdv_safe_flavor, false, false);
+      ("tdv-safe, identity, gc on", Decision.tdv_safe_flavor, true, false);
+      ("dv, segment symmetry, gc off", Decision.dv_flavor, false, true);
+      ("dv, segment symmetry, gc on", Decision.dv_flavor, true, true);
+    ]
 
 (* The paper's §3 four-copy topology: the published violation surfaces as
    a short schedule even at a shallow bound. *)
@@ -388,13 +518,15 @@ let test_paper_example_tdv () =
 (* Allocation ceiling: the depth-5 tdv-safe bound in the benchmark's
    shape (full alphabet, POR, the paper's four-copy topology, one job, no
    spill tier) allocates at most [ceiling] minor words per transition.
-   At one job the count is exact.  In this suite's process the tree
-   that still deepened through bounds 1-4 read 273.1 over 88,510
-   transitions, and the tree before the checker's transitions stopped
-   allocating what they throw away read 699.0; the bound is now searched
-   once, in 74,453 transitions.  The ceiling is 273.1 plus 10%. *)
+   At one job the count is exact.  The bound takes 74,453 transitions;
+   while each transition built its state's canonical string and the
+   claim hashed it, this test read 263.2 words per transition (699.0
+   before the checker's transitions stopped allocating what they throw
+   away).  Since the writer hashes the bytes as it emits them it reads
+   153.2 in this suite's process and 156.3 alone; the ceiling is 156.3
+   plus 10%. *)
 let test_allocation_ceiling () =
-  let ceiling = 300.0 in
+  let ceiling = 172.0 in
   let spill = Option.value (Sys.getenv_opt "DYNVOTE_MC_SPILL") ~default:"" in
   Unix.putenv "DYNVOTE_MC_SPILL" "";
   let report, words =
@@ -539,6 +671,10 @@ let suite =
       test_jobs_verdict_parity;
     Alcotest.test_case "golden canonical fingerprints" `Quick
       test_fingerprint_golden;
+    test_hash_is_string_hash;
+    test_writer_hash;
+    Alcotest.test_case "a quiet state hashes for free" `Quick
+      test_quiet_state_hashes_free;
     Alcotest.test_case "paper example: tdv counterexample" `Quick
       test_paper_example_tdv;
     Alcotest.test_case "allocation ceiling at depth 5" `Quick test_allocation_ceiling;
